@@ -1,11 +1,10 @@
 //! Benchmarks of the schedule engine itself: slab generation cost,
 //! legality-checker cost, a small end-to-end comparison of the spatially
-//! blocked vs wave-front (slab-ordered, diagonal-parallel and dataflow)
-//! schedules on a cache-resident problem, a thread-scaling sweep of the
-//! wave-front executors, and two head-to-heads recorded into
-//! `results/BENCH_<host>.json`: diagonal-vs-dataflow (barrier discipline)
-//! and diamond-vs-dataflow (tiling geometry on the same barrier-free
-//! substrate). The large-grid comparison lives in the `figure9` harness.
+//! blocked vs wave-front vs diamond schedules on a cache-resident problem, a
+//! thread-scaling sweep of the plan executor, and a diamond-vs-wave-front
+//! head-to-head (tiling geometry on the same executor) recorded into
+//! `results/BENCH_<host>.json`. The large-grid comparison lives in the
+//! `figure9` harness.
 
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config};
@@ -15,9 +14,9 @@ use tempest_bench::sweep::{exec_spaceblocked, exec_wavefront};
 use tempest_core::WaveSolver;
 use tempest_grid::Shape;
 use tempest_par::Policy;
-use tempest_tiling::legality::{check_diagonal_independence, check_schedule, DepModel};
+use tempest_tiling::legality::{check_plan, check_schedule, DepModel};
 use tempest_tiling::wavefront::{slabs, WavefrontSpec};
-use tempest_tiling::{Candidate, DiamondAxis};
+use tempest_tiling::{Candidate, DiamondAxis, TilePlan};
 
 fn bench_slab_generation(cfg: Config) {
     let shape = Shape::new(512, 512, 512);
@@ -51,18 +50,18 @@ fn bench_legality_checker(cfg: Config) {
     });
 }
 
-fn bench_diagonal_checker(cfg: Config) {
+fn bench_plan_checker(cfg: Config) {
     let shape = Shape::new(64, 64, 4);
     let spec = WavefrontSpec::new(16, 16, 8, 2, 8, 8);
-    microbench::run("diagonal_independence_check_64x64x32", cfg, || {
-        check_diagonal_independence(
+    let plan = TilePlan::wavefront(shape, 32, &spec, 2);
+    microbench::run("plan_check_64x64x32", cfg, || {
+        check_plan(
             shape,
-            32,
             DepModel {
                 radius: 2,
                 levels: 3,
             },
-            black_box(&spec),
+            black_box(&plan),
         )
         .unwrap();
     });
@@ -82,29 +81,22 @@ fn bench_schedules_end_to_end(cfg: Config) {
         tile_t: 4,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
-        diamond: None,
-        kernel: None,
+        ..Candidate::default()
     };
-    for c in [cand, cand.with_diagonal(), cand.with_dataflow()] {
-        let label = if c.dataflow {
-            "acoustic_64cube_8steps/wavefront_dataflow"
-        } else if c.diagonal {
-            "acoustic_64cube_8steps/wavefront_diagonal"
-        } else {
-            "acoustic_64cube_8steps/wavefront"
-        };
+    for (label, c) in [
+        ("wavefront", cand),
+        ("diamond", cand.with_diamond(DiamondAxis::X)),
+    ] {
         let mut s = setup::acoustic(64, 4, 8, 0);
         let e = exec_wavefront(&c);
-        microbench::run(label, cfg, || {
+        microbench::run(&format!("acoustic_64cube_8steps/{label}"), cfg, || {
             black_box(s.run(&e).elapsed);
         });
     }
 }
 
-/// Thread-scaling sweep of the wave-front executors: the diagonal and
-/// dataflow executors' advantage is parallel grain, so it is only visible
+/// Thread-scaling sweep of the plan executor: its advantage over the
+/// baseline's per-step fork/join is parallel grain, so it is only visible
 /// with more than one worker. Capped at the machine's available threads
 /// (`TEMPEST_THREADS` respected via `tempest_par::available_threads`).
 fn bench_thread_scaling(cfg: Config) {
@@ -115,10 +107,7 @@ fn bench_thread_scaling(cfg: Config) {
         tile_t: 4,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
-        diamond: None,
-        kernel: None,
+        ..Candidate::default()
     };
     for threads in [1usize, 2, 4, 8] {
         if threads > avail {
@@ -127,141 +116,13 @@ fn bench_thread_scaling(cfg: Config) {
             );
             continue;
         }
-        for c in [cand, cand.with_diagonal(), cand.with_dataflow()] {
-            let mode = if c.dataflow {
-                "dataflow"
-            } else if c.diagonal {
-                "diagonal"
-            } else {
-                "slab"
-            };
-            let mut s = setup::acoustic(64, 4, 8, 0);
-            let mut e = exec_wavefront(&c);
-            e.policy = Policy::Capped { threads };
-            microbench::run(
-                &format!("thread_scaling/{mode}/t{threads}"),
-                cfg,
-                || {
-                    black_box(s.run(&e).elapsed);
-                },
-            );
-        }
+        let mut s = setup::acoustic(64, 4, 8, 0);
+        let mut e = exec_wavefront(&cand);
+        e.policy = Policy::Capped { threads };
+        microbench::run(&format!("thread_scaling/wavefront/t{threads}"), cfg, || {
+            black_box(s.run(&e).elapsed);
+        });
     }
-}
-
-/// Barrier-discipline head-to-head (ISSUE 5 acceptance): at each temporal
-/// tile height the diagonal and dataflow executors run the same tile
-/// geometry, so median wall time isolates the scheduling overhead and the
-/// profiled barrier-wait share isolates the synchronisation cost. Both the
-/// medians and the shares are recorded into `results/BENCH_<host>.json`
-/// (merged by entry key, so a `tempest-report` matrix in the same file
-/// survives). Run with `TEMPEST_THREADS=4 --features obs` for the
-/// reference comparison.
-fn bench_dataflow_vs_diagonal(cfg: Config) {
-    let threads = tempest_par::available_threads();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if threads > cores {
-        println!(
-            "dataflow_vs_diagonal: CAVEAT — {threads} threads on {cores} hardware core(s); \
-             any work actually shared makes the other participants wait out the thief's \
-             timeslice, which inflates the measured waits of whichever executor shares more \
-             (the dataflow one). Medians are the decisive column here; compare shares on a \
-             machine with ≥{threads} cores."
-        );
-    }
-    // ~90 ms per run: give the medians a longer budget than the coarse
-    // default's 600 ms or they are medians of five.
-    let cfg = Config {
-        measure: std::time::Duration::from_millis(2000),
-        max_iters: 30,
-        ..cfg
-    };
-    let mut entries: Vec<BenchEntry> = Vec::new();
-    for tile_t in [2usize, 4] {
-        // 16×16 tiles on the 64² footprint give 16 tiles per time row — a
-        // wide enough graph that the scheduling discipline, not the tile
-        // count, is what differs between the two executors.
-        let cand = Candidate {
-            tile_x: 16,
-            tile_y: 16,
-            tile_t,
-            block_x: 8,
-            block_y: 8,
-            diagonal: false,
-            dataflow: false,
-            diamond: None,
-            kernel: None,
-        };
-        let mut row = Vec::new();
-        for c in [cand.with_diagonal(), cand.with_dataflow()] {
-            let mode = if c.dataflow { "dataflow" } else { "diagonal" };
-            // 32 steps: long enough (tens of milliseconds) that the OS
-            // actually interleaves the worker threads — an 8-step run fits
-            // in one timeslice and measures no synchronisation at all.
-            let mut s = setup::acoustic(64, 4, 32, 0);
-            let mut e = exec_wavefront(&c);
-            // Full parallel dispatch: `Policy::Auto`'s min-items gate would
-            // run the diagonal executor's small per-diagonal batches
-            // sequentially and hide the barrier cost being measured.
-            e.policy = Policy::Parallel;
-            let sample = microbench::run(
-                &format!("dataflow_vs_diagonal/t{tile_t}/{mode}"),
-                cfg,
-                || {
-                    black_box(s.run(&e).elapsed);
-                },
-            );
-            // Median barrier-wait share over five instrumented runs (one
-            // run is hostage to scheduler luck); profiling stays off during
-            // the timed iterations above.
-            tempest_obs::set_enabled(true);
-            let mut shares = Vec::new();
-            let mut last = None;
-            for _ in 0..5 {
-                let (stats, profile, meta) = s.run_profiled(&e);
-                shares.push(profile.barrier_wait_share());
-                last = Some((stats, meta));
-            }
-            tempest_obs::set_enabled(false);
-            shares.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let share = shares[shares.len() / 2];
-            let (stats, meta) = last.unwrap();
-            let total_gpoints = stats.gpoints_per_s * stats.elapsed.as_secs_f64();
-            entries.push(BenchEntry {
-                model: meta.name.clone(),
-                schedule: tempest_obs::sanitize_label(&meta.schedule),
-                kernel: "pencil".into(),
-                gpts_per_s: total_gpoints / sample.median.as_secs_f64(),
-                elapsed_s: sample.median.as_secs_f64(),
-                barrier_wait_share: share,
-                worst_imbalance: 1.0,
-                critical_path_ms: 0.0,
-                dropped_events: 0,
-                ai: 0.0,
-                roof_pct: 0.0,
-                reuse_pct: 0.0,
-            });
-            row.push((mode, sample.median, share));
-        }
-        let (_, diag_med, diag_share) = row[0];
-        let (_, dflow_med, dflow_share) = row[1];
-        println!(
-            "dataflow_vs_diagonal/t{tile_t}: barrier-wait diagonal {:.2}% vs dataflow {:.2}% ({}), \
-             median {:?} vs {:?} ({})",
-            100.0 * diag_share,
-            100.0 * dflow_share,
-            if profile_compiled_in() {
-                if dflow_share < diag_share { "lower ✓" } else { "NOT lower ✗" }
-            } else {
-                "build with --features obs to measure"
-            },
-            diag_med,
-            dflow_med,
-            if dflow_med <= diag_med { "no slower ✓" } else { "slower ✗" },
-        );
-    }
-
-    record_entries(threads, entries, "dataflow_vs_diagonal");
 }
 
 /// Merge head-to-head entries into the host's bench report so the
@@ -294,12 +155,12 @@ fn record_entries(threads: usize, entries: Vec<BenchEntry>, label: &str) {
 }
 
 /// Diamond-vs-dataflow head-to-head: at each temporal tile height both
-/// schedules run barrier-free on the dependency-counted substrate with the
-/// same 16-wide tiles, so the median wall time isolates the tiling
-/// geometry — diamonds trade the dataflow schedule's 2D spatial tiling for
-/// full-height time tiles with no redundant halo recompute and a wider
-/// ready frontier along the cross axis. Recorded into
-/// `results/BENCH_<host>.json` next to the other head-to-head.
+/// plans run through the one executor with the same 16-wide tiles, so the
+/// median wall time isolates the tiling geometry — diamonds trade the
+/// wave-front plan's 2D spatial tiling for full-height time tiles with no
+/// redundant halo recompute and a wider ready frontier along the cross
+/// axis. Recorded into `results/BENCH_<host>.json` (merged by entry key, so
+/// a `tempest-report` matrix in the same file survives).
 fn bench_diamond_vs_dataflow(cfg: Config) {
     let threads = tempest_par::available_threads();
     let cfg = Config {
@@ -320,7 +181,7 @@ fn bench_diamond_vs_dataflow(cfg: Config) {
             ..Candidate::default()
         };
         let mut row = Vec::new();
-        for c in [cand.with_dataflow(), cand.with_diamond(DiamondAxis::X)] {
+        for c in [cand, cand.with_diamond(DiamondAxis::X)] {
             let mode = if c.diamond.is_some() { "diamond" } else { "dataflow" };
             let mut s = setup::acoustic(64, 4, 32, 0);
             let mut e = exec_wavefront(&c);
@@ -376,15 +237,6 @@ fn bench_diamond_vs_dataflow(cfg: Config) {
     record_entries(threads, entries, "diamond_vs_dataflow");
 }
 
-/// Whether the profiling substrate is compiled in (barrier shares are
-/// always 0.0 otherwise).
-fn profile_compiled_in() -> bool {
-    tempest_obs::set_enabled(true);
-    let on = tempest_obs::enabled();
-    tempest_obs::set_enabled(false);
-    on
-}
-
 /// `--profile`: one instrumented run per schedule, rendered as a per-phase
 /// table and written to `target/profile/*.json`.
 fn profile_section() {
@@ -395,16 +247,12 @@ fn profile_section() {
         tile_t: 4,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
-        diamond: None,
-        kernel: None,
+        ..Candidate::default()
     };
     let execs = [
         exec_spaceblocked(8, 8),
         exec_wavefront(&cand),
-        exec_wavefront(&cand.with_diagonal()),
-        exec_wavefront(&cand.with_dataflow()),
+        exec_wavefront(&cand.with_diamond(DiamondAxis::X)),
     ];
     for e in execs {
         let mut s = setup::acoustic(64, 4, 8, 0);
@@ -425,10 +273,9 @@ fn main() {
     let cfg = Config::coarse();
     bench_slab_generation(cfg);
     bench_legality_checker(cfg);
-    bench_diagonal_checker(cfg);
+    bench_plan_checker(cfg);
     bench_schedules_end_to_end(cfg);
     bench_thread_scaling(cfg);
-    bench_dataflow_vs_diagonal(cfg);
     bench_diamond_vs_dataflow(cfg);
     if std::env::args().any(|a| a == "--profile") {
         profile_section();

@@ -15,6 +15,7 @@ use tempest_bench::args::HarnessArgs;
 use tempest_bench::report::{f3, Table};
 use tempest_bench::{setup, sweep};
 use tempest_core::operator::SparseMode;
+use tempest_core::WaveSolver;
 use tempest_grid::{Domain, Shape};
 use tempest_sparse::SparsePoints;
 use tempest_tiling::Candidate;
@@ -50,8 +51,6 @@ fn scalar_vs_pencil(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
         diamond: None,
         kernel: None,
     };
@@ -121,8 +120,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
         diamond: None,
         kernel: None,
     };
@@ -132,8 +129,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
         diamond: None,
         kernel: None,
     };
@@ -157,8 +152,6 @@ fn listing4_vs_listing5(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diagonal: false,
-        dataflow: false,
         diamond: None,
         kernel: None,
     };
@@ -209,8 +202,6 @@ fn tile_height_sweep(args: &HarnessArgs) {
             tile_t: tt,
             block_x: 8,
             block_y: 8,
-            diagonal: false,
-            dataflow: false,
             diamond: None,
             kernel: None,
         };

@@ -15,6 +15,7 @@
 use tempest_bench::args::HarnessArgs;
 use tempest_bench::report::{f3, speedup, Table};
 use tempest_bench::{setup, sweep};
+use tempest_core::WaveSolver;
 use tempest_grid::{Domain, Shape};
 use tempest_sparse::SparsePoints;
 use tempest_tiling::Candidate;

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run -p tempest-bench --release --features obs --bin tempest-report -- \
 //!     [--size 64] [--nt 8] [--so 4] [--fast] [--model acoustic,tti,elastic] \
-//!     [--schedules wavefront-diag,wavefront-dataflow,diamond] [--list-schedules] \
+//!     [--schedules spaceblocked,wavefront-dataflow,diamond] [--list-schedules] \
 //!     [--kernel auto|scalar|portable|avx2|both] [--list-kernels] \
 //!     [--repeats 2] [--out results] [--trace] \
 //!     [--baseline results/baseline.json] [--check-baseline] [--write-baseline] \
@@ -156,7 +156,7 @@ fn parse_args() -> ReportArgs {
                 eprintln!(
                     "options: --size N --nt N --so N --fast \
                      --model acoustic,tti,elastic \
-                     --schedules spaceblocked,wavefront,wavefront-diag,wavefront-dataflow,diamond,survey,incremental \
+                     --schedules spaceblocked,wavefront-dataflow,diamond,survey,incremental \
                      --list-schedules \
                      --kernel auto|scalar|portable|avx2|both --list-kernels \
                      --repeats N --out DIR --trace \
@@ -242,9 +242,7 @@ const INCREMENTAL_SCHEDULE: &str = "incremental";
 fn schedules(filter: Option<&[String]>) -> Vec<(&'static str, Execution)> {
     let all = vec![
         ("spaceblocked", Execution::baseline()),
-        ("wavefront", Execution::wavefront_default()),
-        ("wavefront-diag", Execution::wavefront_diagonal_default()),
-        ("wavefront-dataflow", Execution::wavefront_dataflow_default()),
+        ("wavefront-dataflow", Execution::wavefront_default()),
         ("diamond", Execution::diamond_default()),
     ];
     match filter {

@@ -21,7 +21,7 @@ use tempest_obs::json::Value;
 pub struct BenchEntry {
     /// Solver + space order, e.g. `acoustic-so4`.
     pub model: String,
-    /// Sanitized schedule label, e.g. `wavefront-diag_64x64_t8_8x8`.
+    /// Sanitized schedule label, e.g. `wavefront-dflow_16x16_t8_8x8`.
     pub schedule: String,
     /// Resolved row-kernel backend: `scalar`, `portable`, or `avx2`.
     pub kernel: String,
@@ -441,7 +441,7 @@ mod tests {
     fn entry(model: &str, gpts: f64) -> BenchEntry {
         BenchEntry {
             model: model.into(),
-            schedule: "wavefront-diag_64x64_t8_8x8".into(),
+            schedule: "wavefront-dflow_16x16_t8_8x8".into(),
             kernel: "pencil".into(),
             gpts_per_s: gpts,
             elapsed_s: 0.01,
@@ -525,7 +525,7 @@ mod tests {
         current.entries[1].gpts_per_s = 0.19; // 5% slower — within threshold
         let regs = check_regressions(&current, &baseline, 0.15).unwrap();
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "acoustic-so4/wavefront-diag_64x64_t8_8x8/pencil");
+        assert_eq!(regs[0].key, "acoustic-so4/wavefront-dflow_16x16_t8_8x8/pencil");
         assert!((regs[0].ratio - 0.5).abs() < 1e-12);
     }
 

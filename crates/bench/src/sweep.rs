@@ -12,10 +12,9 @@ use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_tiling::{autotune, autotune_measured, Candidate, MeasuredResult, Measurement, TuneResult};
 
-/// Execution for a WTB candidate (slab-ordered, diagonal-parallel,
-/// dependency-driven dataflow, or diamond, per the candidate's
-/// `diagonal`/`dataflow`/`diamond` flags). Diamond candidates reuse
-/// `tile_x` as the diamond base width and `tile_y` as the cross-axis
+/// Execution for a WTB candidate: the skewed wave-front plan, or the
+/// diamond plan when the candidate names a diamond axis. Diamond candidates
+/// reuse `tile_x` as the diamond base width and `tile_y` as the cross-axis
 /// window extent.
 pub fn exec_wavefront(c: &Candidate) -> Execution {
     let schedule = if let Some(axis) = c.diamond {
@@ -27,24 +26,8 @@ pub fn exec_wavefront(c: &Candidate) -> Execution {
             block_x: c.block_x,
             block_y: c.block_y,
         }
-    } else if c.dataflow {
-        Schedule::WavefrontDataflow {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else if c.diagonal {
-        Schedule::WavefrontDiagonal {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
     } else {
-        Schedule::Wavefront {
+        Schedule::WavefrontDataflow {
             tile_x: c.tile_x,
             tile_y: c.tile_y,
             tile_t: c.tile_t,
@@ -115,8 +98,8 @@ pub fn measure_profiled<S: WaveSolver>(
 
 /// Like [`tune_wavefront`], but rank with measured telemetry: candidates
 /// within `tie_margin` of the fastest are separated by barrier-wait share
-/// (slab-ordered vs diagonal-parallel shapes often tie on time on short
-/// tuning runs; the synchronisation profile is the more stable signal).
+/// (shapes often tie on time on short tuning runs; the synchronisation
+/// profile is the more stable signal).
 /// Without profiling compiled in/enabled this degrades to time-only
 /// ranking.
 pub fn tune_wavefront_measured<S: WaveSolver>(
@@ -210,29 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_candidate_maps_to_dataflow_schedule() {
-        let base = Candidate {
-            tile_x: 16,
-            tile_y: 16,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-            ..Candidate::default()
-        };
-        let c = base.with_dataflow();
-        assert!(matches!(
-            exec_wavefront(&c).schedule,
-            Schedule::WavefrontDataflow { tile_x: 16, tile_y: 16, tile_t: 4, .. }
-        ));
-        let d = base.with_diagonal();
-        assert!(matches!(
-            exec_wavefront(&d).schedule,
-            Schedule::WavefrontDiagonal { .. }
-        ));
-    }
-
-    #[test]
-    fn diamond_candidate_maps_to_diamond_schedule() {
+    fn candidates_map_to_their_plan_schedule() {
         use tempest_tiling::DiamondAxis;
         let base = Candidate {
             tile_x: 16,
@@ -253,10 +214,9 @@ mod tests {
                 ..
             }
         ));
-        // The diamond flag wins over diagonal/dataflow leftovers.
         assert!(matches!(
             exec_wavefront(&base).schedule,
-            Schedule::Wavefront { .. }
+            Schedule::WavefrontDataflow { tile_x: 16, tile_y: 8, tile_t: 4, .. }
         ));
     }
 

@@ -12,13 +12,8 @@
 //! receiver work is either skipped (classic path, applied between timesteps)
 //! or fused per pencil (Listings 4–5).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
-use std::sync::Arc;
-use std::time::Instant;
-
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{Execution, KernelPath, Schedule, SparseMode, WaveSolver};
 use crate::shared::{LevelRing, RingCheckpoint};
 use crate::sources::{ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -29,11 +24,6 @@ use tempest_stencil::kernels::{laplacian_at, laplacian_at_r, AxisWeights};
 use tempest_stencil::metrics::acoustic_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-use tempest_tiling::incremental::{
-    dirty_cone, execute_incremental, DirtyRect, SlabPayload, SourceSig, TileCache, TilePayload,
-    TilePlan,
-};
-use tempest_tiling::{diamond, spaceblock, wavefront, Slab};
 
 /// The isotropic acoustic propagator.
 pub struct Acoustic {
@@ -204,50 +194,6 @@ impl Acoustic {
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// The source bundle (inspection / corner-case experiments).
-    pub fn sources(&self) -> &SourceBundle {
-        &self.src
-    }
-
-    /// The receiver bundle, when receivers were attached.
-    pub fn receivers(&self) -> Option<&ReceiverBundle> {
-        self.rec.as_ref()
-    }
-
-    fn reset(&mut self) {
-        self.ring.clear();
-        if let Some(t) = self.trace.as_mut() {
-            t.clear();
-        }
-    }
-
-    /// Compute timestep `k` (writing level `k + 2`) for `region`. The
-    /// `KernelPath` is resolved to a concrete backend here (a cached
-    /// lookup), so every schedule picks up the same dispatch decision.
-    fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
-        match kernel.resolve() {
-            Backend::Scalar => match self.radius {
-                1 => self.step_r::<1>(k, region, mode),
-                2 => self.step_r::<2>(k, region, mode),
-                3 => self.step_r::<3>(k, region, mode),
-                4 => self.step_r::<4>(k, region, mode),
-                6 => self.step_r::<6>(k, region, mode),
-                8 => self.step_r::<8>(k, region, mode),
-                _ => self.step_dyn(k, region, mode),
-            },
-            backend => match self.radius {
-                1 => self.step_pencil_r::<1>(k, region, mode, backend),
-                2 => self.step_pencil_r::<2>(k, region, mode, backend),
-                3 => self.step_pencil_r::<3>(k, region, mode, backend),
-                4 => self.step_pencil_r::<4>(k, region, mode, backend),
-                6 => self.step_pencil_r::<6>(k, region, mode, backend),
-                8 => self.step_pencil_r::<8>(k, region, mode, backend),
-                _ => self.step_pencil_dyn(k, region, mode, backend),
-            },
-        }
     }
 
     /// Row-kernel twin of [`step_r`](Self::step_r): one whole-row Laplacian
@@ -598,9 +544,67 @@ impl Acoustic {
         }
         out
     }
+}
 
-    /// Classic per-timestep sparse operators (Listing 1), run between dense
-    /// sweeps of the space-blocked schedule.
+impl WaveSolver for Acoustic {
+    fn name(&self) -> &'static str {
+        "acoustic"
+    }
+
+    fn shape(&self) -> Shape {
+        self.cfg.shape()
+    }
+
+    fn num_timesteps(&self) -> usize {
+        self.cfg.nt
+    }
+
+    fn space_order(&self) -> usize {
+        self.cfg.space_order
+    }
+
+    fn radius(&self) -> usize {
+        self.radius
+    }
+
+    fn phases(&self) -> usize {
+        1
+    }
+
+    fn reset(&mut self) {
+        self.ring.clear();
+        if let Some(t) = self.trace.as_mut() {
+            t.clear();
+        }
+    }
+
+    /// Compute timestep `k` (writing level `k + 2`) for `region`. The
+    /// `KernelPath` is resolved to a concrete backend here (a cached
+    /// lookup), so every schedule picks up the same dispatch decision.
+    fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
+        match kernel.resolve() {
+            Backend::Scalar => match self.radius {
+                1 => self.step_r::<1>(k, region, mode),
+                2 => self.step_r::<2>(k, region, mode),
+                3 => self.step_r::<3>(k, region, mode),
+                4 => self.step_r::<4>(k, region, mode),
+                6 => self.step_r::<6>(k, region, mode),
+                8 => self.step_r::<8>(k, region, mode),
+                _ => self.step_dyn(k, region, mode),
+            },
+            backend => match self.radius {
+                1 => self.step_pencil_r::<1>(k, region, mode, backend),
+                2 => self.step_pencil_r::<2>(k, region, mode, backend),
+                3 => self.step_pencil_r::<3>(k, region, mode, backend),
+                4 => self.step_pencil_r::<4>(k, region, mode, backend),
+                6 => self.step_pencil_r::<6>(k, region, mode, backend),
+                8 => self.step_pencil_r::<8>(k, region, mode, backend),
+                _ => self.step_pencil_dyn(k, region, mode, backend),
+            },
+        }
+    }
+
     fn classic_after_step(&self, k: usize) {
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
@@ -634,437 +638,41 @@ impl Acoustic {
         sw.stop();
     }
 
-    // -- incremental recomputation ------------------------------------------
-
-    /// Per-source change signatures: a digest of everything that shapes the
-    /// source's injections (position, interpolation stencil, wavelet column)
-    /// plus the xy bounding box of its footprint, in source-index order.
-    fn source_sigs(&self) -> Vec<SourceSig> {
-        let coords = self.src.points.coords();
-        (0..self.src.points.len())
-            .map(|s| {
-                let mut h = DefaultHasher::new();
-                for &c in &coords[s] {
-                    h.write_u32(c.to_bits());
-                }
-                let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0usize, usize::MAX, 0usize);
-                for (c, w) in self.src.stencils[s].nonzero() {
-                    h.write_usize(c[0]);
-                    h.write_usize(c[1]);
-                    h.write_usize(c[2]);
-                    h.write_u32(w.to_bits());
-                    x0 = x0.min(c[0]);
-                    x1 = x1.max(c[0] + 1);
-                    y0 = y0.min(c[1]);
-                    y1 = y1.max(c[1] + 1);
-                }
-                for t in 0..self.cfg.nt {
-                    h.write_u32(self.src.wavelets.get(t, s).to_bits());
-                }
-                if x0 == usize::MAX {
-                    (x0, x1, y0, y1) = (0, 0, 0, 0);
-                }
-                SourceSig {
-                    digest: h.finish(),
-                    rect: DirtyRect { x0, x1, y0, y1 },
-                }
-            })
-            .collect()
+    fn written(&self, k: usize) -> Vec<(&LevelRing, usize)> {
+        vec![(&self.ring, k + 2)]
     }
 
-    /// Digest of the receiver layout (positions + interpolation stencils).
-    /// Tracked separately from the session key: receivers are read-only
-    /// gathers, so a changed receiver set dirties zero stencil tiles —
-    /// restored tiles replay their gathers against the *current* bundle.
-    fn receiver_digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        if let Some(rec) = self.rec.as_ref() {
-            h.write_u8(1);
-            for c in rec.points.coords() {
-                for &v in c {
-                    h.write_u32(v.to_bits());
-                }
-            }
-            for st in &rec.stencils {
-                for (c, w) in st.nonzero() {
-                    h.write_usize(c[0]);
-                    h.write_usize(c[1]);
-                    h.write_usize(c[2]);
-                    h.write_u32(w.to_bits());
-                }
-            }
-        }
-        h.finish()
+    fn gathered(&self, _k: usize) -> Option<usize> {
+        Some(0)
     }
 
-    /// Session key: everything that (besides the sparse layout tracked by
-    /// the per-run delta) determines the wavefield bit-for-bit — the
-    /// coefficient volumes (model + damping + dt²), FD weights, schedule
-    /// geometry and sparse path, plus the caller's shot identity. The kernel
-    /// backend is deliberately *excluded*: every backend is bitwise-identical
-    /// (PR 8's oracle), so cached tiles stay valid across a backend switch.
-    fn session_key(&self, plan_geometry: u64, sparse: SparseMode, shot_key: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        let shape = self.shape();
-        h.write_usize(shape.nx);
-        h.write_usize(shape.ny);
-        h.write_usize(shape.nz);
-        h.write_usize(self.cfg.space_order);
-        h.write_usize(self.cfg.nt);
-        h.write_u32(self.cfg.dt.to_bits());
-        h.write_u32(self.cfg.f0.to_bits());
-        for arr in [&self.c1, &self.c2, &self.c3] {
-            for &v in arr.as_slice() {
-                h.write_u32(v.to_bits());
-            }
-        }
-        for ws in [&self.wx, &self.wy, &self.wz] {
-            for &v in ws.iter() {
-                h.write_u32(v.to_bits());
-            }
-        }
-        h.write_u32(self.center.to_bits());
-        h.write_usize(self.radius);
-        h.write_u8(sparse as u8);
-        h.write_u64(plan_geometry);
-        h.write_u64(shot_key);
-        h.finish()
+    fn coefficients(&self) -> Vec<&[f32]> {
+        vec![
+            self.c1.as_slice(),
+            self.c2.as_slice(),
+            self.c3.as_slice(),
+            &self.wx,
+            &self.wy,
+            &self.wz,
+            std::slice::from_ref(&self.center),
+        ]
     }
 
-    /// Per-node content masks: for each plan node, a digest (in source-index
-    /// order) of the sources whose footprint intersects the node's slabs.
-    /// Folded into the cache key so a stale payload can never satisfy a
-    /// lookup after its local sources changed.
-    fn node_masks(plan: &TilePlan, sigs: &[SourceSig]) -> Vec<u64> {
-        plan.slabs
-            .iter()
-            .map(|slabs| {
-                let mut h = DefaultHasher::new();
-                for (i, sig) in sigs.iter().enumerate() {
-                    if slabs.iter().any(|s| sig.rect.overlaps(&s.range)) {
-                        h.write_usize(i);
-                        h.write_u64(sig.digest);
-                    }
-                }
-                h.finish()
-            })
-            .collect()
+    fn sources(&self) -> &SourceBundle {
+        &self.src
     }
 
-    /// Snapshot the output a tile node just wrote: for each slab, the
-    /// `(x, y)` pencils of ring level `vt + 2` over the slab range.
-    ///
-    /// SAFETY: called from the node's own dataflow task after its step
-    /// calls, before its successors are released — it reads exactly the
-    /// cells this node wrote, which no other in-flight tile may touch.
-    fn capture_tile(&self, slabs: &[Slab]) -> TilePayload {
-        let payload = slabs
-            .iter()
-            .map(|slab| {
-                let r = slab.range;
-                let nz = r.z1 - r.z0;
-                let lvl = unsafe { self.ring.level(slab.vt + 2) };
-                let mut data = Vec::with_capacity(r.len());
-                for x in r.x0..r.x1 {
-                    for y in r.y0..r.y1 {
-                        let base = self.ring.idx(x, y, r.z0);
-                        data.extend_from_slice(&lvl[base..base + nz]);
-                    }
-                }
-                SlabPayload { slab: *slab, data }
-            })
-            .collect();
-        TilePayload { slabs: payload }
+    fn receivers(&self) -> Option<&ReceiverBundle> {
+        self.rec.as_ref()
     }
 
-    /// Restore a cached tile output in place of recomputing it: write the
-    /// payload pencils back to the ring (bit-for-bit what the step calls
-    /// would have produced), then replay the node's receiver gathers against
-    /// the current receiver bundle in the exact compute order (slabs in
-    /// ascending `vt`, blocks in `split_xy` order, x then y), reading the
-    /// gathered values from the payload. Counts `ReceiverGathers` like the
-    /// fused path; stencil/injection counters stay untouched — no such work
-    /// happens.
-    fn restore_tile(
-        &self,
-        payload: &TilePayload,
-        block_x: usize,
-        block_y: usize,
-        mode: SparseMode,
-    ) {
-        for sp in &payload.slabs {
-            let r = sp.slab.range;
-            let nz = r.z1 - r.z0;
-            let mut off = 0;
-            for x in r.x0..r.x1 {
-                for y in r.y0..r.y1 {
-                    // SAFETY: this node's task owns these cells at this
-                    // level, exactly as the step calls it replaces would.
-                    let un = unsafe { self.ring.pencil_mut(sp.slab.vt + 2, x, y) };
-                    un[r.z0..r.z1].copy_from_slice(&sp.data[off..off + nz]);
-                    off += nz;
-                }
-            }
-        }
-        let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) else {
-            return;
-        };
-        let mut gathers = 0u64;
-        for sp in &payload.slabs {
-            let k = sp.slab.vt;
-            let r = sp.slab.range;
-            for b in r.split_xy(block_x, block_y) {
-                for x in b.x0..b.x1 {
-                    for y in b.y0..b.y1 {
-                        match mode {
-                            SparseMode::Fused => {
-                                let rm = rec.pre.rm_pencil(x, y);
-                                let rid = rec.pre.rid_pencil(x, y);
-                                for z in b.z0..b.z1 {
-                                    if rm[z] != 0 {
-                                        let v = sp.pencil(x, y)[z - r.z0];
-                                        let contribs = rec.pre.contributions(rid[z] as usize);
-                                        gathers += contribs.len() as u64;
-                                        for &(rr, w) in contribs {
-                                            trace.add(k, rr as usize, w * v);
-                                        }
-                                    }
-                                }
-                            }
-                            SparseMode::FusedCompressed => {
-                                for (z, id) in rec.comp.entries(x, y) {
-                                    if z >= b.z0 && z < b.z1 {
-                                        let v = sp.pencil(x, y)[z - r.z0];
-                                        let contribs = rec.pre.contributions(id);
-                                        gathers += contribs.len() as u64;
-                                        for &(rr, w) in contribs {
-                                            trace.add(k, rr as usize, w * v);
-                                        }
-                                    }
-                                }
-                            }
-                            SparseMode::Classic => unreachable!("mapped away by run_incremental"),
-                        }
-                    }
-                }
-            }
-        }
-        obs::add(obs::Counter::ReceiverGathers, gathers);
-    }
-
-    /// Run the simulation incrementally against `cache`: diff the sparse
-    /// layout against the cache's last completed run of the same session,
-    /// mark the delta's causal cone over the tile graph, restore every clean
-    /// cached tile bit-for-bit and recompute only the rest. The result —
-    /// wavefield *and* (per-thread-cap) traces — is bitwise-identical to a
-    /// cold full run; only the work differs.
-    ///
-    /// `shot_key` distinguishes otherwise-identical solves sharing one cache
-    /// (e.g. the survey engine passes the shot index). `SparseMode::Classic`
-    /// is mapped to `FusedCompressed` (bitwise-identical wavefield; classic
-    /// per-timestep operators have no per-tile identity to cache). With the
-    /// cache disabled (`TEMPEST_CACHE_MB=0`) this falls back to the plain
-    /// [`run`](WaveSolver::run) path, bit-for-bit pre-cache behaviour.
-    pub fn run_incremental(
-        &mut self,
-        exec: &Execution,
-        cache: &TileCache,
-        shot_key: u64,
-    ) -> IncrementalReport {
-        let mut ex = *exec;
-        if ex.sparse == SparseMode::Classic {
-            ex.sparse = SparseMode::FusedCompressed;
-        }
-        assert!(
-            ex.supports_incremental(),
-            "schedule `{}` has no tile plan; incremental recomputation needs \
-             SpaceBlocked, WavefrontDataflow or Diamond",
-            ex.schedule_label()
-        );
-        ex.validate();
-        if !cache.enabled() {
-            let stats = self.run(exec);
-            return IncrementalReport {
-                stats,
-                total_tiles: 0,
-                reused: 0,
-                recomputed: 0,
-                cold: true,
-            };
-        }
-        let shape = self.shape();
-        let nt = self.cfg.nt;
-        let plan = match ex.schedule {
-            Schedule::SpaceBlocked { block_x, block_y } => {
-                TilePlan::spaceblocked(shape, nt, block_x, block_y, self.radius)
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                TilePlan::wavefront(shape, nt, &ex.wavefront_spec(self.radius, 1), self.radius)
-            }
-            Schedule::Diamond { .. } => {
-                TilePlan::diamond(shape, nt, &ex.diamond_spec(self.radius, 1), self.radius)
-            }
-            _ => unreachable!("supports_incremental checked above"),
-        };
-        let sigs = self.source_sigs();
-        let rec_digest = self.receiver_digest();
-        let session = self.session_key(plan.geometry, ex.sparse, shot_key);
-        let masks = Self::node_masks(&plan, &sigs);
-        let delta = cache.begin_run(session, &sigs, rec_digest);
-        let cold = delta.is_none();
-        let dirty = match &delta {
-            Some(d) => dirty_cone(&plan, &d.rects),
-            None => vec![true; plan.len()],
-        };
-        let mut restores: Vec<Option<Arc<TilePayload>>> = Vec::with_capacity(plan.len());
-        let mut restore_ok = Vec::with_capacity(plan.len());
-        for (i, (&d, &mask)) in dirty.iter().zip(&masks).enumerate() {
-            let p = if d {
-                None
-            } else {
-                cache.lookup(session, i as u32, mask)
-            };
-            restore_ok.push(p.is_some());
-            restores.push(p);
-        }
-        crate::operator::record_backend_run(ex.kernel.resolve());
-        self.reset();
-        let started = Instant::now();
-        let this: &Acoustic = self;
-        let outcome = execute_incremental(
-            &plan,
-            ex.policy,
-            &restore_ok,
-            |vt, region| this.step_region(vt, region, ex.sparse, ex.kernel),
-            |i| {
-                let p = restores[i].as_deref().expect("restore without payload");
-                this.restore_tile(p, plan.block_x, plan.block_y, ex.sparse);
-            },
-            |i| {
-                let p = this.capture_tile(&plan.slabs[i]);
-                cache.insert(session, i as u32, masks[i], p);
-            },
-        );
-        let stats = RunStats::new(started.elapsed(), nt, shape);
-        cache.finish_run(session, sigs, rec_digest);
-        IncrementalReport {
-            stats,
-            total_tiles: outcome.total,
-            reused: outcome.reused,
-            recomputed: outcome.recomputed,
-            cold,
-        }
-    }
-}
-
-/// What one [`Acoustic::run_incremental`] solve did: timing plus the exact
-/// reuse tally (`reused + recomputed == total_tiles` whenever the cache was
-/// enabled — the counts mirror the `TilesReused` / `TilesRecomputed`
-/// counters but are recorded unconditionally, so tests can assert them
-/// without the obs feature).
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalReport {
-    /// Timing/throughput of the run.
-    pub stats: RunStats,
-    /// Tile nodes the plan enumerated (0 on the disabled-cache fallback).
-    pub total_tiles: usize,
-    /// Nodes restored from cache.
-    pub reused: usize,
-    /// Nodes recomputed.
-    pub recomputed: usize,
-    /// True when no completed prior run was available (or the cache is
-    /// disabled) and everything ran from scratch.
-    pub cold: bool,
-}
-
-impl IncrementalReport {
-    /// Fraction of tiles served from cache, in `[0, 1]`.
-    pub fn reuse_rate(&self) -> f64 {
-        if self.total_tiles == 0 {
-            0.0
-        } else {
-            self.reused as f64 / self.total_tiles as f64
-        }
-    }
-}
-
-impl WaveSolver for Acoustic {
-    fn name(&self) -> &'static str {
-        "acoustic"
-    }
-
-    fn shape(&self) -> Shape {
-        self.cfg.shape()
-    }
-
-    fn num_timesteps(&self) -> usize {
-        self.cfg.nt
-    }
-
-    fn space_order(&self) -> usize {
-        self.cfg.space_order
-    }
-
-    fn run(&mut self, exec: &Execution) -> RunStats {
-        exec.validate();
-        crate::operator::record_backend_run(exec.kernel.resolve());
-        self.reset();
-        let shape = self.shape();
-        let nt = self.cfg.nt;
-        let started = Instant::now();
-        let this: &Acoustic = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nt,
-                    spec,
-                    exec.policy,
-                    |k, region| this.step_region(k, region, exec.sparse, exec.kernel),
-                    |k| {
-                        if classic {
-                            this.classic_after_step(k);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_diagonal(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_dataflow(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 1);
-                diamond::execute_diamond(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-        }
-        RunStats::new(started.elapsed(), nt, shape)
+    fn trace_buffer(&self) -> Option<&TraceBuffer> {
+        self.trace.as_ref()
     }
 
     fn final_field(&mut self) -> Array3<f32> {
         let t = self.cfg.nt + 1;
         self.ring.interior_copy(t)
-    }
-
-    fn trace(&self) -> Option<Array2<f32>> {
-        self.trace.as_ref().map(|t| t.to_array())
     }
 
     fn flops_per_point(&self) -> f64 {
@@ -1102,525 +710,6 @@ mod tests {
         let tr = a.trace().unwrap();
         let tmax = tr.as_slice().iter().fold(0.0f32, |s, &v| s.max(v.abs()));
         assert!(tmax > 0.0);
-    }
-
-    #[test]
-    fn wavefront_matches_baseline_bitwise_single_source() {
-        for so in [4usize, 8] {
-            let mut a = small_setup(so, 16);
-            a.run(&Execution::baseline().sequential());
-            let base = a.final_field();
-
-            let mut exec = Execution::wavefront_default().sequential();
-            exec.schedule = Schedule::Wavefront {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 4,
-                block_x: 4,
-                block_y: 4,
-            };
-            a.run(&exec);
-            let wf = a.final_field();
-            assert!(
-                base.bit_equal(&wf),
-                "so={so}: WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&wf)
-            );
-        }
-    }
-
-    #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut a = small_setup(so, 16);
-            a.run(&Execution::baseline().sequential());
-            let base = a.final_field();
-
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 4,
-                block_x: 4,
-                block_y: 4,
-            };
-            a.run(&exec);
-            let dg = a.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-        }
-    }
-
-    #[test]
-    fn diagonal_parallel_matches_sequential_bitwise() {
-        let mut a = small_setup(4, 12);
-        let mut exec = Execution::wavefront_diagonal_default().sequential();
-        exec.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 4,
-            block_y: 4,
-        };
-        a.run(&exec);
-        let seq = a.final_field();
-        exec.policy = tempest_par::Policy::Parallel;
-        a.run(&exec);
-        let par = a.final_field();
-        assert!(
-            seq.bit_equal(&par),
-            "concurrent diagonal tiles must not change the wavefield, max diff {}",
-            seq.max_abs_diff(&par)
-        );
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
-        // Tentpole acceptance: the dependency-driven executor must reproduce
-        // the diagonal-barrier executor bit-for-bit under every policy,
-        // including capped worker counts that force stealing imbalance.
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let mut a = small_setup(so, 16);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 4,
-                block_x: 4,
-                block_y: 4,
-            };
-            a.run(&dg);
-            let want = a.final_field();
-            for pol in [
-                Policy::Sequential,
-                Policy::Parallel,
-                Policy::Capped { threads: 1 },
-                Policy::Capped { threads: 2 },
-                Policy::Capped { threads: 4 },
-            ] {
-                let mut df = dg;
-                df.schedule = Schedule::WavefrontDataflow {
-                    tile_x: 8,
-                    tile_y: 8,
-                    tile_t: 4,
-                    block_x: 4,
-                    block_y: 4,
-                };
-                df.policy = pol;
-                a.run(&df);
-                let got = a.final_field();
-                assert!(
-                    want.bit_equal(&got),
-                    "so={so} policy={pol:?}: dataflow must match diagonal bitwise, max diff {}",
-                    want.max_abs_diff(&got)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dataflow_fused_sparse_modes_agree_bitwise() {
-        // Fused source/receiver work must land on the correct vt regardless
-        // of the order in which workers claim ready tiles.
-        let mut a = small_setup(4, 12);
-        let mut e1 = Execution::wavefront_dataflow_default();
-        e1.schedule = Schedule::WavefrontDataflow {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        a.run(&e1);
-        let f1 = a.final_field();
-        a.run(&e2);
-        let f2 = a.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under dataflow executor");
-    }
-
-    #[test]
-    fn dataflow_tile_t_one_degrades_to_spaceblocked_bitwise() {
-        // tile_t = 1: the dependency graph links consecutive timesteps only,
-        // so the schedule must reduce to per-timestep spatial blocking.
-        let mut a = small_setup(4, 10);
-        let mut sb = Execution::baseline().sequential();
-        sb.schedule = Schedule::SpaceBlocked {
-            block_x: 4,
-            block_y: 4,
-        };
-        sb.sparse = SparseMode::Fused;
-        a.run(&sb);
-        let base = a.final_field();
-        let mut df = Execution::wavefront_dataflow_default();
-        df.schedule = Schedule::WavefrontDataflow {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 1,
-            block_x: 4,
-            block_y: 4,
-        };
-        df.sparse = SparseMode::Fused;
-        df.policy = tempest_par::Policy::Capped { threads: 2 };
-        a.run(&df);
-        let f = a.final_field();
-        assert!(
-            base.bit_equal(&f),
-            "tile_t=1 dataflow must equal space blocking, max diff {}",
-            base.max_abs_diff(&f)
-        );
-    }
-
-    #[test]
-    fn diamond_matches_dataflow_bitwise_across_policies() {
-        // Tentpole acceptance: the diamond schedule must reproduce the
-        // dataflow executor bit-for-bit under every policy. Width 24 at
-        // tile_t 3 gives slope 4, legal for both space orders (radii 2, 4).
-        use crate::operator::DiamondAxis;
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let mut a = small_setup(so, 16);
-            let mut df = Execution::wavefront_dataflow_default().sequential();
-            df.schedule = Schedule::WavefrontDataflow {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 4,
-                block_x: 4,
-                block_y: 4,
-            };
-            a.run(&df);
-            let want = a.final_field();
-            for axis in [DiamondAxis::X, DiamondAxis::Y] {
-                for pol in [
-                    Policy::Sequential,
-                    Policy::Parallel,
-                    Policy::Capped { threads: 1 },
-                    Policy::Capped { threads: 2 },
-                    Policy::Capped { threads: 4 },
-                ] {
-                    let mut dm = df;
-                    dm.schedule = Schedule::Diamond {
-                        width: 24,
-                        tile_t: 3,
-                        tile_c: 8,
-                        axis,
-                        block_x: 4,
-                        block_y: 4,
-                    };
-                    dm.policy = pol;
-                    a.run(&dm);
-                    let got = a.final_field();
-                    assert!(
-                        want.bit_equal(&got),
-                        "so={so} axis={axis:?} policy={pol:?}: diamond must match \
-                         dataflow bitwise, max diff {}",
-                        want.max_abs_diff(&got)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_fused_sparse_modes_agree_bitwise() {
-        // Fused source/receiver work clipped to diamond extents must land on
-        // the correct vt regardless of tile claim order.
-        use crate::operator::DiamondAxis;
-        let mut a = small_setup(4, 12);
-        let mut e1 = Execution::diamond_default();
-        e1.schedule = Schedule::Diamond {
-            width: 24,
-            tile_t: 3,
-            tile_c: 8,
-            axis: DiamondAxis::X,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        a.run(&e1);
-        let f1 = a.final_field();
-        a.run(&e2);
-        let f2 = a.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under diamond executor");
-    }
-
-    #[test]
-    fn diamond_tile_t_one_degrades_to_spaceblocked_bitwise() {
-        // tile_t = 1: diamonds flatten to width-wide strips linked across
-        // consecutive timesteps — per-timestep spatial blocking.
-        use crate::operator::DiamondAxis;
-        let mut a = small_setup(4, 10);
-        let mut sb = Execution::baseline().sequential();
-        sb.schedule = Schedule::SpaceBlocked {
-            block_x: 4,
-            block_y: 4,
-        };
-        sb.sparse = SparseMode::Fused;
-        a.run(&sb);
-        let base = a.final_field();
-        let mut dm = Execution::diamond_default();
-        dm.schedule = Schedule::Diamond {
-            width: 8,
-            tile_t: 1,
-            tile_c: 8,
-            axis: DiamondAxis::Y,
-            block_x: 4,
-            block_y: 4,
-        };
-        dm.sparse = SparseMode::Fused;
-        dm.policy = tempest_par::Policy::Capped { threads: 2 };
-        a.run(&dm);
-        let f = a.final_field();
-        assert!(
-            base.bit_equal(&f),
-            "tile_t=1 diamond must equal space blocking, max diff {}",
-            base.max_abs_diff(&f)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_sparse_under_diamond_panics() {
-        let mut a = small_setup(4, 8);
-        let mut e = Execution::diamond_default();
-        e.sparse = SparseMode::Classic;
-        a.run(&e);
-    }
-
-    #[test]
-    fn diagonal_fused_sparse_modes_agree_bitwise() {
-        // Fused source/receiver work must land on the correct vt regardless
-        // of which tile of a diagonal reaches a pencil.
-        let mut a = small_setup(4, 12);
-        let mut e1 = Execution::wavefront_diagonal_default().sequential();
-        e1.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        a.run(&e1);
-        let f1 = a.final_field();
-        a.run(&e2);
-        let f2 = a.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under diagonal executor");
-    }
-
-    #[test]
-    fn diagonal_tile_t_one_degrades_to_spaceblocked_bitwise() {
-        // tile_t = 1: every diagonal pass is one slab per tile at a single
-        // vt — the schedule is per-timestep spatial blocking.
-        let mut a = small_setup(4, 10);
-        let mut sb = Execution::baseline().sequential();
-        sb.schedule = Schedule::SpaceBlocked {
-            block_x: 4,
-            block_y: 4,
-        };
-        sb.sparse = SparseMode::Fused;
-        a.run(&sb);
-        let base = a.final_field();
-        let mut dg = Execution::wavefront_diagonal_default().sequential();
-        dg.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 1,
-            block_x: 4,
-            block_y: 4,
-        };
-        dg.sparse = SparseMode::Fused;
-        a.run(&dg);
-        let f = a.final_field();
-        assert!(
-            base.bit_equal(&f),
-            "tile_t=1 diagonal must equal space blocking, max diff {}",
-            base.max_abs_diff(&f)
-        );
-    }
-
-    #[test]
-    fn skewed_only_spec_under_diagonal_degrades_to_spaceblocked_bitwise() {
-        // One spatial tile covering the whole skewed domain (skewed_only):
-        // every slab is a full-grid sweep, so the diagonal executor must
-        // reproduce the spatially blocked result exactly.
-        let n = 24;
-        let (tile_t, so) = (4usize, 4usize);
-        let skew = so / 2;
-        let mut a = small_setup(so, 12);
-        let mut sb = Execution::baseline().sequential();
-        sb.schedule = Schedule::SpaceBlocked {
-            block_x: 8,
-            block_y: 8,
-        };
-        sb.sparse = SparseMode::Fused;
-        a.run(&sb);
-        let base = a.final_field();
-        let spec = tempest_tiling::WavefrontSpec::skewed_only(
-            Shape::cube(n),
-            tile_t,
-            skew,
-            8,
-            8,
-        );
-        let mut dg = Execution::wavefront_diagonal_default().sequential();
-        dg.schedule = Schedule::WavefrontDiagonal {
-            tile_x: spec.tile_x,
-            tile_y: spec.tile_y,
-            tile_t,
-            block_x: 8,
-            block_y: 8,
-        };
-        dg.sparse = SparseMode::Fused;
-        a.run(&dg);
-        let f = a.final_field();
-        assert!(
-            base.bit_equal(&f),
-            "skewed-only diagonal must equal space blocking, max diff {}",
-            base.max_abs_diff(&f)
-        );
-    }
-
-    #[test]
-    fn fused_uncompressed_matches_compressed_bitwise() {
-        let mut a = small_setup(4, 12);
-        let mut e1 = Execution::wavefront_default().sequential();
-        e1.schedule = Schedule::Wavefront {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        a.run(&e1);
-        let f1 = a.final_field();
-        let t1 = a.trace().unwrap();
-        a.run(&e2);
-        let f2 = a.final_field();
-        let t2 = a.trace().unwrap();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs Listing 5 must agree");
-        for t in 0..t1.dims()[0] {
-            for r in 0..t1.dims()[1] {
-                assert_eq!(t1.get(t, r).to_bits(), t2.get(t, r).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn traces_agree_between_schedules() {
-        let mut a = small_setup(4, 20);
-        a.run(&Execution::baseline().sequential());
-        let t_base = a.trace().unwrap();
-        let mut exec = Execution::wavefront_default().sequential();
-        exec.schedule = Schedule::Wavefront {
-            tile_x: 12,
-            tile_y: 12,
-            tile_t: 5,
-            block_x: 6,
-            block_y: 6,
-        };
-        a.run(&exec);
-        let t_wf = a.trace().unwrap();
-        // Diagonal executor, parallel: trace accumulation order may differ
-        // (atomic adds), so compare with the same tolerance.
-        exec.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 12,
-            tile_y: 12,
-            tile_t: 5,
-            block_x: 6,
-            block_y: 6,
-        };
-        exec.policy = tempest_par::Policy::Parallel;
-        a.run(&exec);
-        let t_dg = a.trace().unwrap();
-        let scale = t_base
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |s, &v| s.max(v.abs()))
-            .max(1e-20);
-        for t in 0..t_base.dims()[0] {
-            for r in 0..t_base.dims()[1] {
-                let d = (t_base.get(t, r) - t_wf.get(t, r)).abs();
-                assert!(
-                    d <= 1e-4 * scale,
-                    "trace[{t}][{r}]: {} vs {}",
-                    t_base.get(t, r),
-                    t_wf.get(t, r)
-                );
-                let d = (t_base.get(t, r) - t_dg.get(t, r)).abs();
-                assert!(
-                    d <= 1e-4 * scale,
-                    "diag trace[{t}][{r}]: {} vs {}",
-                    t_base.get(t, r),
-                    t_dg.get(t, r)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_source_agreement_within_tolerance() {
-        let domain = Domain::uniform(Shape::cube(20), 10.0);
-        let model = Model::two_layer(domain, 1800.0, 2500.0, 0.5);
-        let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, 2500.0, 60.0)
-            .with_nt(14)
-            .with_f0(25.0);
-        // Sources dense enough to share affected grid points.
-        let src = SparsePoints::dense_layout(&domain, 8, 0.5);
-        let mut a = Acoustic::new(&model, cfg, src, None);
-        a.run(&Execution::baseline().sequential());
-        let base = a.final_field();
-        let mut exec = Execution::wavefront_default().sequential();
-        exec.schedule = Schedule::Wavefront {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        a.run(&exec);
-        let wf = a.final_field();
-        let diff = base.max_abs_diff(&wf);
-        let scale = base.max_abs().max(1e-20);
-        assert!(diff <= 1e-4 * scale, "rel diff {}", diff / scale);
-
-        // Diagonal execution with the same tile geometry is bitwise equal
-        // to slab-ordered wave-front execution even with sources dense
-        // enough that neighbouring tiles share affected pencils.
-        exec.sparse = SparseMode::FusedCompressed;
-        a.run(&exec);
-        let wf = a.final_field();
-        exec.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        exec.policy = tempest_par::Policy::Parallel;
-        a.run(&exec);
-        let dg = a.final_field();
-        assert!(
-            wf.bit_equal(&dg),
-            "diagonal multi-source must be bitwise, max diff {}",
-            wf.max_abs_diff(&dg)
-        );
     }
 
     #[test]
@@ -1696,31 +785,4 @@ mod tests {
         assert!(fa.bit_equal(&b.final_field()));
     }
 
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_sparse_under_wavefront_panics() {
-        let mut a = small_setup(4, 8);
-        let mut e = Execution::wavefront_default();
-        e.sparse = SparseMode::Classic;
-        a.run(&e);
-    }
-
-    #[test]
-    fn wavefront_parallel_matches_sequential() {
-        let mut a = small_setup(4, 12);
-        let mut exec = Execution::wavefront_default().sequential();
-        exec.schedule = Schedule::Wavefront {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 4,
-            block_y: 4,
-        };
-        a.run(&exec);
-        let seq = a.final_field();
-        exec.policy = tempest_par::Policy::Parallel;
-        a.run(&exec);
-        let par = a.final_field();
-        assert!(seq.bit_equal(&par), "block parallelism must not change results");
-    }
 }

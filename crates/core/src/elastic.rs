@@ -20,21 +20,18 @@
 //! uses elastic to "demonstrate that the benefits of time-blocking … are not
 //! limited to a single pattern along the time dimension".
 
-use std::time::Instant;
-
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{KernelPath, SparseMode, WaveSolver};
 use crate::shared::LevelRing;
 use crate::sources::{ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
-use tempest_grid::{Array2, Array3, DampingMask, ElasticModel, Range3, Shape};
+use tempest_grid::{Array3, DampingMask, ElasticModel, Range3, Shape};
 use tempest_sparse::SparsePoints;
 use tempest_stencil::kernels::{staggered_diff_bwd_r, staggered_diff_fwd_r, staggered_weights};
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
 use tempest_stencil::metrics::elastic_cost;
-use tempest_tiling::{diamond, spaceblock, wavefront};
 
 /// The isotropic elastic velocity–stress propagator.
 pub struct Elastic {
@@ -136,60 +133,6 @@ impl Elastic {
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// The source bundle (inspection / exact-count oracles).
-    pub fn sources(&self) -> &SourceBundle {
-        &self.src
-    }
-
-    /// The receiver bundle, when receivers were attached.
-    pub fn receivers(&self) -> Option<&ReceiverBundle> {
-        self.rec.as_ref()
-    }
-
-    fn reset(&mut self) {
-        for r in [
-            &mut self.vx,
-            &mut self.vy,
-            &mut self.vz,
-            &mut self.txx,
-            &mut self.tyy,
-            &mut self.tzz,
-            &mut self.txy,
-            &mut self.txz,
-            &mut self.tyz,
-        ] {
-            r.clear();
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.clear();
-        }
-    }
-
-    /// Compute virtual step `vt` for `region`. Even `vt` = velocity phase of
-    /// timestep `vt/2`; odd = stress phase.
-    fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(vt));
-        let t = vt >> 1;
-        match (kernel.resolve(), self.radius, vt & 1) {
-            (Backend::Scalar, 2, 0) => self.vel_phase::<2>(t, region, mode),
-            (Backend::Scalar, 2, 1) => self.stress_phase::<2>(t, region, mode),
-            (Backend::Scalar, 4, 0) => self.vel_phase::<4>(t, region, mode),
-            (Backend::Scalar, 4, 1) => self.stress_phase::<4>(t, region, mode),
-            (Backend::Scalar, 6, 0) => self.vel_phase::<6>(t, region, mode),
-            (Backend::Scalar, 6, 1) => self.stress_phase::<6>(t, region, mode),
-            (b, 2, 0) => self.vel_phase_pencil::<2>(t, region, mode, b),
-            (b, 2, 1) => self.stress_phase_pencil::<2>(t, region, mode, b),
-            (b, 4, 0) => self.vel_phase_pencil::<4>(t, region, mode, b),
-            (b, 4, 1) => self.stress_phase_pencil::<4>(t, region, mode, b),
-            (b, 6, 0) => self.vel_phase_pencil::<6>(t, region, mode, b),
-            (b, 6, 1) => self.stress_phase_pencil::<6>(t, region, mode, b),
-            _ => panic!(
-                "elastic propagator supports space orders 4, 8, 12 (got {})",
-                self.cfg.space_order
-            ),
-        }
     }
 
     /// Velocity update: `v[t+1] = (v[t] + dt/ρ · ∇·τ[t]) · (1−η)`.
@@ -566,8 +509,79 @@ impl Elastic {
         obs::add(obs::Counter::SourceInjections, injections);
         sw.stop();
     }
+}
 
-    /// Classic per-timestep sparse operators (space-blocked baseline only).
+impl WaveSolver for Elastic {
+    fn name(&self) -> &'static str {
+        "elastic"
+    }
+
+    fn shape(&self) -> Shape {
+        self.cfg.shape()
+    }
+
+    fn num_timesteps(&self) -> usize {
+        self.cfg.nt
+    }
+
+    fn space_order(&self) -> usize {
+        self.cfg.space_order
+    }
+
+    fn radius(&self) -> usize {
+        self.radius
+    }
+
+    /// Velocity then stress: two virtual steps per timestep, which doubles
+    /// the temporal tile height in virtual steps (Fig. 8b).
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn reset(&mut self) {
+        for r in [
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+            &mut self.txx,
+            &mut self.tyy,
+            &mut self.tzz,
+            &mut self.txy,
+            &mut self.txz,
+            &mut self.tyz,
+        ] {
+            r.clear();
+        }
+        if let Some(t) = self.trace.as_mut() {
+            t.clear();
+        }
+    }
+
+    /// Compute virtual step `vt` for `region`. Even `vt` = velocity phase of
+    /// timestep `vt/2`; odd = stress phase.
+    fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(vt));
+        let t = vt >> 1;
+        match (kernel.resolve(), self.radius, vt & 1) {
+            (Backend::Scalar, 2, 0) => self.vel_phase::<2>(t, region, mode),
+            (Backend::Scalar, 2, 1) => self.stress_phase::<2>(t, region, mode),
+            (Backend::Scalar, 4, 0) => self.vel_phase::<4>(t, region, mode),
+            (Backend::Scalar, 4, 1) => self.stress_phase::<4>(t, region, mode),
+            (Backend::Scalar, 6, 0) => self.vel_phase::<6>(t, region, mode),
+            (Backend::Scalar, 6, 1) => self.stress_phase::<6>(t, region, mode),
+            (b, 2, 0) => self.vel_phase_pencil::<2>(t, region, mode, b),
+            (b, 2, 1) => self.stress_phase_pencil::<2>(t, region, mode, b),
+            (b, 4, 0) => self.vel_phase_pencil::<4>(t, region, mode, b),
+            (b, 4, 1) => self.stress_phase_pencil::<4>(t, region, mode, b),
+            (b, 6, 0) => self.vel_phase_pencil::<6>(t, region, mode, b),
+            (b, 6, 1) => self.stress_phase_pencil::<6>(t, region, mode, b),
+            _ => panic!(
+                "elastic propagator supports space orders 4, 8, 12 (got {})",
+                self.cfg.space_order
+            ),
+        }
+    }
+
     fn classic_after_step(&self, t: usize) {
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(t));
@@ -600,90 +614,50 @@ impl Elastic {
         obs::add(obs::Counter::ReceiverGathers, gathers);
         sw.stop();
     }
-}
 
-impl WaveSolver for Elastic {
-    fn name(&self) -> &'static str {
-        "elastic"
+    fn written(&self, vt: usize) -> Vec<(&LevelRing, usize)> {
+        let level = (vt >> 1) + 1;
+        let rings: &[&LevelRing] = if vt & 1 == 0 {
+            &[&self.vx, &self.vy, &self.vz]
+        } else {
+            &[&self.txx, &self.tyy, &self.tzz, &self.txy, &self.txz, &self.tyz]
+        };
+        rings.iter().map(|&r| (r, level)).collect()
     }
 
-    fn shape(&self) -> Shape {
-        self.cfg.shape()
+    /// Receivers record `vz`, written by the velocity phase.
+    fn gathered(&self, vt: usize) -> Option<usize> {
+        (vt & 1 == 0).then_some(2)
     }
 
-    fn num_timesteps(&self) -> usize {
-        self.cfg.nt
+    fn coefficients(&self) -> Vec<&[f32]> {
+        vec![
+            self.lam_dt.as_slice(),
+            self.mu_dt.as_slice(),
+            self.dtb.as_slice(),
+            self.fd.as_slice(),
+            &self.swx,
+            &self.swy,
+            &self.swz,
+            std::slice::from_ref(&self.cfg.dt),
+        ]
     }
 
-    fn space_order(&self) -> usize {
-        self.cfg.space_order
+    fn sources(&self) -> &SourceBundle {
+        &self.src
     }
 
-    fn run(&mut self, exec: &Execution) -> RunStats {
-        exec.validate();
-        crate::operator::record_backend_run(exec.kernel.resolve());
-        self.reset();
-        let shape = self.shape();
-        let nt = self.cfg.nt;
-        let nvt = 2 * nt;
-        let started = Instant::now();
-        let this: &Elastic = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nvt,
-                    spec,
-                    exec.policy,
-                    |vt, region| this.step_region(vt, region, exec.sparse, exec.kernel),
-                    |vt| {
-                        // The classic sparse ops run once per *timestep*,
-                        // after its stress phase.
-                        if classic && vt & 1 == 1 {
-                            this.classic_after_step(vt >> 1);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                // Two virtual steps per timestep: the spec conversion
-                // doubles the temporal tile height (Fig. 8b).
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute(shape, nvt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute_diagonal(shape, nvt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute_dataflow(shape, nvt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 2);
-                diamond::execute_diamond(shape, nvt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-        }
-        RunStats::new(started.elapsed(), nt, shape)
+    fn receivers(&self) -> Option<&ReceiverBundle> {
+        self.rec.as_ref()
+    }
+
+    fn trace_buffer(&self) -> Option<&TraceBuffer> {
+        self.trace.as_ref()
     }
 
     fn final_field(&mut self) -> Array3<f32> {
         let t = self.cfg.nt;
         self.vz.interior_copy(t)
-    }
-
-    fn trace(&self) -> Option<Array2<f32>> {
-        self.trace.as_ref().map(|t| t.to_array())
     }
 
     fn flops_per_point(&self) -> f64 {
@@ -695,6 +669,7 @@ impl WaveSolver for Elastic {
 mod tests {
     use super::*;
     use crate::config::EquationKind;
+    use crate::operator::Execution;
     use tempest_grid::Domain;
 
     fn setup(so: usize, nt: usize) -> Elastic {
@@ -721,200 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut e = setup(so, 12);
-            e.run(&Execution::baseline().sequential());
-            let base = e.final_field();
-            let mut exec = Execution::wavefront_default().sequential();
-            exec.schedule = Schedule::Wavefront {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            e.run(&exec);
-            let wf = e.final_field();
-            assert!(
-                base.bit_equal(&wf),
-                "so={so}: elastic WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&wf)
-            );
-        }
-    }
-
-    #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        // The staggered scheme runs two virtual steps per timestep; the
-        // diagonal executor must keep the velocity/stress interleaving (and
-        // the fused source work on odd vt) intact in every tile.
-        for so in [4usize, 8] {
-            let mut e = setup(so, 12);
-            e.run(&Execution::baseline().sequential());
-            let base = e.final_field();
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            e.run(&exec);
-            let dg = e.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: elastic diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-            exec.policy = tempest_par::Policy::Parallel;
-            e.run(&exec);
-            let par = e.final_field();
-            assert!(base.bit_equal(&par), "so={so}: parallel diagonal differs");
-        }
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
-        // Two virtual steps per timestep (velocity then stress): the tile
-        // dependency graph must keep the phase interleaving intact even
-        // though the stress phase reads same-timestep velocities.
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let mut e = setup(so, 12);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            e.run(&dg);
-            let want = e.final_field();
-            for pol in [
-                Policy::Sequential,
-                Policy::Parallel,
-                Policy::Capped { threads: 1 },
-                Policy::Capped { threads: 2 },
-                Policy::Capped { threads: 4 },
-            ] {
-                let mut df = dg;
-                df.schedule = Schedule::WavefrontDataflow {
-                    tile_x: 8,
-                    tile_y: 8,
-                    tile_t: 3,
-                    block_x: 4,
-                    block_y: 4,
-                };
-                df.policy = pol;
-                e.run(&df);
-                let got = e.final_field();
-                assert!(
-                    want.bit_equal(&got),
-                    "so={so} policy={pol:?}: elastic dataflow must match diagonal, max diff {}",
-                    want.max_abs_diff(&got)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_matches_dataflow_bitwise_across_policies() {
-        // Two virtual steps per timestep: the diamond spec conversion
-        // doubles the virtual tile height, so the slope bound is against
-        // 2·radius·tile_t·phases. Width 12·radius gives slope = radius.
-        use crate::operator::DiamondAxis;
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let radius = so / 2;
-            let mut e = setup(so, 12);
-            let mut df = Execution::wavefront_dataflow_default().sequential();
-            df.schedule = Schedule::WavefrontDataflow {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            e.run(&df);
-            let want = e.final_field();
-            for pol in [
-                Policy::Sequential,
-                Policy::Parallel,
-                Policy::Capped { threads: 1 },
-                Policy::Capped { threads: 2 },
-                Policy::Capped { threads: 4 },
-            ] {
-                let mut dm = df;
-                dm.schedule = Schedule::Diamond {
-                    width: 12 * radius,
-                    tile_t: 3,
-                    tile_c: 8,
-                    axis: DiamondAxis::X,
-                    block_x: 4,
-                    block_y: 4,
-                };
-                dm.policy = pol;
-                e.run(&dm);
-                let got = e.final_field();
-                assert!(
-                    want.bit_equal(&got),
-                    "so={so} policy={pol:?}: elastic diamond must match dataflow, max diff {}",
-                    want.max_abs_diff(&got)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_fused_sparse_modes_agree_bitwise() {
-        use crate::operator::DiamondAxis;
-        let mut e = setup(4, 10);
-        let mut e1 = Execution::diamond_default();
-        e1.schedule = Schedule::Diamond {
-            width: 24,
-            tile_t: 3,
-            tile_c: 8,
-            axis: DiamondAxis::Y,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        e.run(&e1);
-        let f1 = e.final_field();
-        e.run(&e2);
-        let f2 = e.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under elastic diamond");
-    }
-
-    #[test]
-    fn dataflow_fused_sparse_modes_agree_bitwise() {
-        let mut e = setup(4, 10);
-        let mut e1 = Execution::wavefront_dataflow_default();
-        e1.schedule = Schedule::WavefrontDataflow {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 3,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        e.run(&e1);
-        let f1 = e.final_field();
-        e.run(&e2);
-        let f2 = e.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under elastic dataflow");
-    }
-
-    #[test]
     fn all_stress_components_respond() {
         let mut e = setup(4, 16);
         e.run(&Execution::baseline().sequential());
@@ -931,32 +712,6 @@ mod tests {
                 ring.interior_max_abs(t) > 0.0,
                 "{name} must carry energy after an explosive source"
             );
-        }
-    }
-
-    #[test]
-    fn traces_agree_between_schedules() {
-        let mut e = setup(4, 14);
-        e.run(&Execution::baseline().sequential());
-        let tb = e.trace().unwrap();
-        let mut exec = Execution::wavefront_default().sequential();
-        exec.schedule = Schedule::Wavefront {
-            tile_x: 10,
-            tile_y: 10,
-            tile_t: 4,
-            block_x: 5,
-            block_y: 5,
-        };
-        e.run(&exec);
-        let tw = e.trace().unwrap();
-        let scale = tb
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |s, &v| s.max(v.abs()))
-            .max(1e-20);
-        for i in 0..tb.len() {
-            let d = (tb.as_slice()[i] - tw.as_slice()[i]).abs();
-            assert!(d <= 1e-4 * scale, "idx {i}");
         }
     }
 
@@ -979,24 +734,4 @@ mod tests {
         assert!(e.tzz.interior_max_abs(t) > 0.0);
     }
 
-    #[test]
-    fn fused_compressed_matches_fused() {
-        let mut e = setup(4, 10);
-        let mut e1 = Execution::wavefront_default().sequential();
-        e1.schedule = Schedule::Wavefront {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 3,
-            block_x: 8,
-            block_y: 8,
-        };
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        e.run(&e1);
-        let f1 = e.final_field();
-        e.run(&e2);
-        let f2 = e.final_field();
-        assert!(f1.bit_equal(&f2));
-    }
 }

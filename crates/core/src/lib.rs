@@ -29,13 +29,15 @@ pub mod config;
 pub mod elastic;
 pub mod io;
 pub mod operator;
+pub mod runpath;
 pub mod shared;
 pub mod sources;
 pub mod trace;
 pub mod tti;
 
-pub use acoustic::{Acoustic, IncrementalReport, ShotAssets};
+pub use acoustic::{Acoustic, ShotAssets};
 pub use config::SimConfig;
 pub use elastic::Elastic;
 pub use operator::{DiamondAxis, Execution, KernelPath, RunStats, WaveSolver};
+pub use runpath::IncrementalReport;
 pub use tti::Tti;

@@ -4,11 +4,15 @@
 
 use std::time::Duration;
 
-use tempest_grid::{Array2, Array3, Shape};
+use crate::runpath::IncrementalReport;
+use crate::shared::LevelRing;
+use crate::sources::{ReceiverBundle, SourceBundle};
+use crate::trace::TraceBuffer;
+use tempest_grid::{Array2, Array3, Range3, Shape};
 use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_stencil::Backend;
-use tempest_tiling::{DiamondSpec, SpaceBlockSpec, WavefrontSpec};
+use tempest_tiling::{DiamondSpec, SpaceBlockSpec, TileCache, WavefrontSpec};
 
 pub use tempest_tiling::DiamondAxis;
 
@@ -58,12 +62,6 @@ pub enum KernelPath {
 }
 
 impl KernelPath {
-    /// Compatibility alias for the pre-backend name of the portable pencil
-    /// path. Matches in patterns (structural equality), so existing
-    /// `KernelPath::Pencil` call sites keep compiling.
-    #[allow(non_upper_case_globals)]
-    pub const Pencil: KernelPath = KernelPath::Portable;
-
     /// Resolve this selection to a concrete runnable backend, applying the
     /// documented precedence. `Auto` consults the process-wide dispatcher
     /// (`TEMPEST_KERNEL`, then CPU detection); a concrete variant is
@@ -118,9 +116,9 @@ impl From<Backend> for KernelPath {
 
 /// Record which backend serves a starting run: exactly one
 /// `Counter::Backend*` bump per `run`/`run_recording`/`run_range` entry
-/// (no-op without the `obs` feature). The propagators call this after
-/// resolving `Execution::kernel`, so `Auto` runs record the backend they
-/// actually dispatched to — the "which backend am I running?" signal.
+/// (no-op without the `obs` feature). Called after resolving
+/// `Execution::kernel`, so `Auto` runs record the backend they actually
+/// dispatched to — the "which backend am I running?" signal.
 pub(crate) fn record_backend_run(b: Backend) {
     obs::add(
         match b {
@@ -142,48 +140,14 @@ pub enum Schedule {
         /// Block extent along y.
         block_y: usize,
     },
-    /// Wave-front temporal blocking (§II.B). `tile_t` is in *timesteps*
-    /// (multi-phase propagators convert to virtual steps internally); the
-    /// skew is chosen by the propagator from its dependency radius.
-    Wavefront {
-        /// Spatial tile extent along x (Table I `tile_x`).
-        tile_x: usize,
-        /// Spatial tile extent along y (Table I `tile_y`).
-        tile_y: usize,
-        /// Temporal tile height in timesteps.
-        tile_t: usize,
-        /// Intra-slab block extent along x (Table I `block_x`).
-        block_x: usize,
-        /// Intra-slab block extent along y (Table I `block_y`).
-        block_y: usize,
-    },
-    /// Wave-front temporal blocking with diagonal-parallel tile execution:
-    /// same parameters and identical (bitwise) results as [`Wavefront`],
-    /// but tiles on one anti-diagonal of a time tile run concurrently as
-    /// whole space-time tiles, with one barrier per diagonal instead of one
-    /// per slab. Coarser parallel grain, ~`tile_t×` fewer synchronisation
-    /// points; legality for `skew ≥ radius` is certified by
-    /// `tempest_tiling::legality::check_diagonal_independence`.
-    WavefrontDiagonal {
-        /// Spatial tile extent along x (Table I `tile_x`).
-        tile_x: usize,
-        /// Spatial tile extent along y (Table I `tile_y`).
-        tile_y: usize,
-        /// Temporal tile height in timesteps.
-        tile_t: usize,
-        /// Intra-slab block extent along x (Table I `block_x`).
-        block_x: usize,
-        /// Intra-slab block extent along y (Table I `block_y`).
-        block_y: usize,
-    },
-    /// Wave-front temporal blocking with dependency-driven (dataflow) tile
-    /// execution: same parameters and identical (bitwise) results as
-    /// [`Wavefront`]/[`WavefrontDiagonal`], but each space-time tile carries
+    /// Wave-front temporal blocking (§II.B): skewed parallelogram tiles run
+    /// as a dependency-driven (dataflow) plan — each space-time tile carries
     /// an atomic counter of its true predecessors and workers steal
-    /// freshly-ready tiles from per-worker deques — no barriers at all
-    /// inside a sweep, just one join at its end. Soundness of the
-    /// predecessor sets is certified by
-    /// `tempest_tiling::legality::check_dataflow_dependencies`.
+    /// freshly-ready tiles from per-worker deques, with one join per sweep
+    /// as the only barrier. `tile_t` is in *timesteps* (multi-phase
+    /// propagators convert to virtual steps internally); the skew is the
+    /// propagator's dependency radius. Soundness of the plan is certified
+    /// by `tempest_tiling::legality::check_plan`.
     WavefrontDataflow {
         /// Spatial tile extent along x (Table I `tile_x`).
         tile_x: usize,
@@ -199,12 +163,12 @@ pub enum Schedule {
     /// Diamond (multicore wavefront diamond, Malas et al. arXiv:1410.3060)
     /// temporal blocking: time × one chosen space `axis` tile into diamonds
     /// of base `width`, and a skewed wave-front of `tile_c`-wide windows
-    /// advances along the other horizontal axis. Tiles run on the dataflow
-    /// executor's dependency-counted substrate; results are bitwise
-    /// identical to the wavefront family. Legality requires
+    /// advances along the other horizontal axis. Runs through the same plan
+    /// executor as [`WavefrontDataflow`](Self::WavefrontDataflow); results
+    /// are bitwise identical. Legality requires
     /// `width ≥ 2·radius·tile_t·phases` (diamond slope at least the stencil
     /// radius per virtual step), certified by
-    /// `tempest_tiling::legality::check_diamond_dependencies`.
+    /// `tempest_tiling::legality::check_plan`.
     Diamond {
         /// Diamond base width along the diamond axis (must be a multiple of
         /// `2·tile_t·phases`).
@@ -231,10 +195,9 @@ impl Schedule {
     pub fn temporal_reuse(&self) -> usize {
         match *self {
             Schedule::SpaceBlocked { .. } => 1,
-            Schedule::Wavefront { tile_t, .. }
-            | Schedule::WavefrontDiagonal { tile_t, .. }
-            | Schedule::WavefrontDataflow { tile_t, .. }
-            | Schedule::Diamond { tile_t, .. } => tile_t.max(1),
+            Schedule::WavefrontDataflow { tile_t, .. } | Schedule::Diamond { tile_t, .. } => {
+                tile_t.max(1)
+            }
         }
     }
 }
@@ -268,48 +231,17 @@ impl Execution {
         }
     }
 
-    /// Wave-front temporal blocking with the paper's most common tuned
-    /// shape (Table I: tile 64×64, block 8×8) and a moderate temporal
-    /// height.
+    /// Wave-front temporal blocking at a moderate temporal height. The
+    /// paper's most common tuned spatial tile is 64×64 (Table I, 512³
+    /// grids); on the example grids here (96³–128³) that leaves ≤ 3 tiles
+    /// per axis — fewer ready tiles than threads — so the default is the
+    /// 16×16 tile measured fastest on those grids for all three propagators
+    /// (CHANGES.md, PR 12).
     pub fn wavefront_default() -> Self {
         Execution {
-            schedule: Schedule::Wavefront {
-                tile_x: 64,
-                tile_y: 64,
-                tile_t: 8,
-                block_x: 8,
-                block_y: 8,
-            },
-            sparse: SparseMode::FusedCompressed,
-            policy: Policy::default(),
-            kernel: KernelPath::default(),
-        }
-    }
-
-    /// Like [`wavefront_default`](Self::wavefront_default) but with the
-    /// diagonal-parallel tile executor.
-    pub fn wavefront_diagonal_default() -> Self {
-        Execution {
-            schedule: Schedule::WavefrontDiagonal {
-                tile_x: 64,
-                tile_y: 64,
-                tile_t: 8,
-                block_x: 8,
-                block_y: 8,
-            },
-            sparse: SparseMode::FusedCompressed,
-            policy: Policy::default(),
-            kernel: KernelPath::default(),
-        }
-    }
-
-    /// Like [`wavefront_default`](Self::wavefront_default) but with the
-    /// dependency-driven (dataflow) tile executor.
-    pub fn wavefront_dataflow_default() -> Self {
-        Execution {
             schedule: Schedule::WavefrontDataflow {
-                tile_x: 64,
-                tile_y: 64,
+                tile_x: 16,
+                tile_y: 16,
                 tile_t: 8,
                 block_x: 8,
                 block_y: 8,
@@ -352,13 +284,6 @@ impl Execution {
         self
     }
 
-    /// Select the portable autovectorized pencil kernels (compatibility
-    /// name; `Pencil` is an alias for [`KernelPath::Portable`]).
-    pub fn pencil_kernels(mut self) -> Self {
-        self.kernel = KernelPath::Pencil;
-        self
-    }
-
     /// Select an explicit kernel backend (or `Auto` for runtime dispatch).
     pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
         self.kernel = kernel;
@@ -366,25 +291,10 @@ impl Execution {
     }
 
     /// Convert to the tiling crate's spec given a per-virtual-step skew and
-    /// phase count. Panics if the schedule is not one of the wavefront
-    /// variants (all of which share the same tile geometry).
+    /// phase count. Panics if the schedule is not the wave-front one.
     pub fn wavefront_spec(&self, skew: usize, phases: usize) -> WavefrontSpec {
         match self.schedule {
-            Schedule::Wavefront {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            }
-            | Schedule::WavefrontDiagonal {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            }
-            | Schedule::WavefrontDataflow {
+            Schedule::WavefrontDataflow {
                 tile_x,
                 tile_y,
                 tile_t,
@@ -447,20 +357,6 @@ impl Execution {
             Schedule::SpaceBlocked { block_x, block_y } => {
                 format!("spaceblocked {block_x}x{block_y}")
             }
-            Schedule::Wavefront {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            } => format!("wavefront {tile_x}x{tile_y} t{tile_t} / {block_x}x{block_y}"),
-            Schedule::WavefrontDiagonal {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            } => format!("wavefront-diag {tile_x}x{tile_y} t{tile_t} / {block_x}x{block_y}"),
             Schedule::WavefrontDataflow {
                 tile_x,
                 tile_y,
@@ -482,30 +378,10 @@ impl Execution {
         }
     }
 
-    /// Whether this execution's schedule can run on the incremental tile
-    /// plan ([`Acoustic::run_incremental`](crate::Acoustic::run_incremental)):
-    /// the schedule must map exactly onto a tile dependency graph — the
-    /// dataflow wavefront and diamond graphs, or the space-blocked schedule's
-    /// `tile_t = 1` wavefront degeneration. The barrier-synchronised
-    /// wavefront executors have no per-tile node identity to cache against.
-    pub fn supports_incremental(&self) -> bool {
-        matches!(
-            self.schedule,
-            Schedule::SpaceBlocked { .. }
-                | Schedule::WavefrontDataflow { .. }
-                | Schedule::Diamond { .. }
-        )
-    }
-
     /// Check schedule/sparse compatibility; panics on the Fig. 4b hazard.
     pub fn validate(&self) {
-        if matches!(
-            self.schedule,
-            Schedule::Wavefront { .. }
-                | Schedule::WavefrontDiagonal { .. }
-                | Schedule::WavefrontDataflow { .. }
-                | Schedule::Diamond { .. }
-        ) && self.sparse == SparseMode::Classic
+        if !matches!(self.schedule, Schedule::SpaceBlocked { .. })
+            && self.sparse == SparseMode::Classic
         {
             panic!(
                 "classic (per-timestep) sparse operators are illegal under wave-front \
@@ -550,7 +426,13 @@ impl RunStats {
 }
 
 /// Common interface of the three wave propagators.
-pub trait WaveSolver {
+///
+/// A propagator supplies its kernels and says where its wavefields live;
+/// the schedule dispatch, the plan executor wiring and the per-tile result
+/// cache are the provided [`run`](Self::run) and
+/// [`run_incremental`](Self::run_incremental), shared by all three
+/// (`crate::runpath`).
+pub trait WaveSolver: Sync {
     /// Propagator name ("acoustic", "tti", "elastic").
     fn name(&self) -> &'static str;
 
@@ -563,8 +445,84 @@ pub trait WaveSolver {
     /// Space order of the discretisation.
     fn space_order(&self) -> usize;
 
+    /// Dependency radius per virtual step — the wave-front skew.
+    fn radius(&self) -> usize;
+
+    /// Virtual steps per timestep: 1, or 2 for the staggered
+    /// velocity–stress update whose second phase reads the first (Fig. 8b).
+    fn phases(&self) -> usize;
+
+    /// Zero every wavefield level and the receiver traces.
+    fn reset(&mut self);
+
+    /// Compute virtual step `vt` for `region`, with the fused sparse work of
+    /// `mode` (none under [`SparseMode::Classic`]).
+    ///
+    /// The caller is a legal schedule: concurrent calls write disjoint
+    /// regions of the step's own level and read settled older levels.
+    fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath);
+
+    /// The classic per-timestep sparse operators (Listing 1) of timestep
+    /// `k`, run on one thread after every region of that timestep was
+    /// stepped. Only the space-blocked schedule may call this (Fig. 4b).
+    fn classic_after_step(&self, k: usize);
+
+    /// The rings virtual step `vt` writes, each with the level written, in
+    /// a fixed order — what a cached tile must hold to stand in for the
+    /// step.
+    fn written(&self, vt: usize) -> Vec<(&LevelRing, usize)>;
+
+    /// Index into [`written(vt)`](Self::written) of the ring receivers
+    /// gather from at `vt`; `None` for a phase they do not observe.
+    fn gathered(&self, vt: usize) -> Option<usize>;
+
+    /// Every per-point parameter volume and stencil weight vector the
+    /// update reads: with the sparse layout, what decides the wavefield bit
+    /// for bit.
+    fn coefficients(&self) -> Vec<&[f32]>;
+
+    /// The source bundle.
+    fn sources(&self) -> &SourceBundle;
+
+    /// The receiver bundle, when receivers were attached.
+    fn receivers(&self) -> Option<&ReceiverBundle>;
+
+    /// The buffer fused and classic gathers accumulate into.
+    fn trace_buffer(&self) -> Option<&TraceBuffer>;
+
     /// Run the full simulation (resets state first) and return throughput.
-    fn run(&mut self, exec: &Execution) -> RunStats;
+    fn run(&mut self, exec: &Execution) -> RunStats {
+        crate::runpath::solve(self, exec, None).stats
+    }
+
+    /// Run the simulation incrementally against `cache`: diff the sparse
+    /// layout against the cache's last completed run of the same session,
+    /// mark the delta's causal cone over the tile plan, restore every clean
+    /// cached tile bit-for-bit and recompute only the rest. The result —
+    /// wavefield *and* (per-thread-cap) traces — is bitwise-identical to a
+    /// cold full run; only the work differs.
+    ///
+    /// `shot_key` distinguishes otherwise-identical solves sharing one cache
+    /// (e.g. the survey engine passes the shot index). `SparseMode::Classic`
+    /// is mapped to `FusedCompressed` (bitwise-identical wavefield; classic
+    /// per-timestep operators have no per-tile identity to cache). With the
+    /// cache disabled (`TEMPEST_CACHE_MB=0`) this is exactly
+    /// [`run`](Self::run), bit-for-bit pre-cache behaviour.
+    fn run_incremental(
+        &mut self,
+        exec: &Execution,
+        cache: &TileCache,
+        shot_key: u64,
+    ) -> IncrementalReport {
+        if !cache.enabled() {
+            return crate::runpath::solve(self, exec, None);
+        }
+        let mut ex = *exec;
+        if ex.sparse == SparseMode::Classic {
+            ex.sparse = SparseMode::FusedCompressed;
+        }
+        crate::runpath::solve(self, &ex, Some((cache, shot_key)))
+    }
 
     /// Run with telemetry: resets the observability counters, runs, and
     /// returns the aggregated [`obs::Profile`] alongside the stats plus a
@@ -606,7 +564,9 @@ pub trait WaveSolver {
     fn final_field(&mut self) -> Array3<f32>;
 
     /// Receiver data recorded by the last run, if receivers were attached.
-    fn trace(&self) -> Option<Array2<f32>>;
+    fn trace(&self) -> Option<Array2<f32>> {
+        self.trace_buffer().map(TraceBuffer::to_array)
+    }
 
     /// FLOPs per point-update (roofline model input).
     fn flops_per_point(&self) -> f64;
@@ -633,50 +593,14 @@ mod tests {
         assert_eq!(spec.skew, 2);
         assert_eq!(spec.tile_t, 8);
         // Two-phase propagators double the virtual tile height.
-        assert_eq!(e.wavefront_spec(2, 2).tile_t, 16);
+        assert_eq!(e.wavefront_spec(4, 2).tile_t, 16);
+        assert_eq!(e.schedule_label(), "wavefront-dflow 16x16 t8 / 8x8");
     }
 
     #[test]
     #[should_panic(expected = "Fig. 4b")]
     fn classic_under_wavefront_is_rejected() {
         let mut e = Execution::wavefront_default();
-        e.sparse = SparseMode::Classic;
-        e.validate();
-    }
-
-    #[test]
-    fn wavefront_diagonal_shares_tile_geometry() {
-        let e = Execution::wavefront_diagonal_default();
-        e.validate();
-        assert_eq!(e.sparse, SparseMode::FusedCompressed);
-        let spec = e.wavefront_spec(2, 1);
-        assert_eq!(spec, Execution::wavefront_default().wavefront_spec(2, 1));
-        assert_eq!(e.wavefront_spec(4, 2).tile_t, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_under_wavefront_diagonal_is_rejected() {
-        let mut e = Execution::wavefront_diagonal_default();
-        e.sparse = SparseMode::Classic;
-        e.validate();
-    }
-
-    #[test]
-    fn wavefront_dataflow_shares_tile_geometry() {
-        let e = Execution::wavefront_dataflow_default();
-        e.validate();
-        assert_eq!(e.sparse, SparseMode::FusedCompressed);
-        let spec = e.wavefront_spec(2, 1);
-        assert_eq!(spec, Execution::wavefront_default().wavefront_spec(2, 1));
-        assert_eq!(e.wavefront_spec(4, 2).tile_t, 16);
-        assert_eq!(e.schedule_label(), "wavefront-dflow 64x64 t8 / 8x8");
-    }
-
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_under_wavefront_dataflow_is_rejected() {
-        let mut e = Execution::wavefront_dataflow_default();
         e.sparse = SparseMode::Classic;
         e.validate();
     }

@@ -19,15 +19,13 @@
 //! The six rotation coefficients are precomputed into parameter volumes, so
 //! the hot loop is trigonometry-free.
 
-use std::time::Instant;
-
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{KernelPath, SparseMode, WaveSolver};
 use crate::shared::LevelRing;
 use crate::sources::{ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
-use tempest_grid::{Array2, Array3, DampingMask, Range3, Shape, TtiModel};
+use tempest_grid::{Array3, DampingMask, Range3, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
 use tempest_stencil::kernels::{
     cross_diff_r, first_derivative_weights, second_diff_axis_r, AxisWeights,
@@ -35,7 +33,6 @@ use tempest_stencil::kernels::{
 use tempest_stencil::metrics::tti_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-use tempest_tiling::{diamond, spaceblock, wavefront};
 
 /// The TTI pseudo-acoustic propagator.
 pub struct Tti {
@@ -148,40 +145,6 @@ impl Tti {
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// The source bundle (inspection / exact-count oracles).
-    pub fn sources(&self) -> &SourceBundle {
-        &self.src
-    }
-
-    /// The receiver bundle, when receivers were attached.
-    pub fn receivers(&self) -> Option<&ReceiverBundle> {
-        self.rec.as_ref()
-    }
-
-    fn reset(&mut self) {
-        self.p.clear();
-        self.q.clear();
-        if let Some(t) = self.trace.as_mut() {
-            t.clear();
-        }
-    }
-
-    fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
-        match (kernel.resolve(), self.radius) {
-            (Backend::Scalar, 2) => self.step_r::<2>(k, region, mode),
-            (Backend::Scalar, 4) => self.step_r::<4>(k, region, mode),
-            (Backend::Scalar, 6) => self.step_r::<6>(k, region, mode),
-            (backend, 2) => self.step_pencil_r::<2>(k, region, mode, backend),
-            (backend, 4) => self.step_pencil_r::<4>(k, region, mode, backend),
-            (backend, 6) => self.step_pencil_r::<6>(k, region, mode, backend),
-            _ => panic!(
-                "TTI propagator supports space orders 4, 8, 12 (radius {}, got order {})",
-                self.radius, self.cfg.space_order
-            ),
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -432,8 +395,57 @@ impl Tti {
         obs::add(obs::Counter::ReceiverGathers, gathers);
         sw.stop();
     }
+}
 
-    /// Classic per-timestep sparse operators (space-blocked baseline only).
+impl WaveSolver for Tti {
+    fn name(&self) -> &'static str {
+        "tti"
+    }
+
+    fn shape(&self) -> Shape {
+        self.cfg.shape()
+    }
+
+    fn num_timesteps(&self) -> usize {
+        self.cfg.nt
+    }
+
+    fn space_order(&self) -> usize {
+        self.cfg.space_order
+    }
+
+    fn radius(&self) -> usize {
+        self.radius
+    }
+
+    fn phases(&self) -> usize {
+        1
+    }
+
+    fn reset(&mut self) {
+        self.p.clear();
+        self.q.clear();
+        if let Some(t) = self.trace.as_mut() {
+            t.clear();
+        }
+    }
+
+    fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
+        match (kernel.resolve(), self.radius) {
+            (Backend::Scalar, 2) => self.step_r::<2>(k, region, mode),
+            (Backend::Scalar, 4) => self.step_r::<4>(k, region, mode),
+            (Backend::Scalar, 6) => self.step_r::<6>(k, region, mode),
+            (backend, 2) => self.step_pencil_r::<2>(k, region, mode, backend),
+            (backend, 4) => self.step_pencil_r::<4>(k, region, mode, backend),
+            (backend, 6) => self.step_pencil_r::<6>(k, region, mode, backend),
+            _ => panic!(
+                "TTI propagator supports space orders 4, 8, 12 (radius {}, got order {})",
+                self.radius, self.cfg.space_order
+            ),
+        }
+    }
+
     fn classic_after_step(&self, k: usize) {
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
@@ -465,85 +477,48 @@ impl Tti {
         obs::add(obs::Counter::ReceiverGathers, gathers);
         sw.stop();
     }
-}
 
-impl WaveSolver for Tti {
-    fn name(&self) -> &'static str {
-        "tti"
+    fn written(&self, k: usize) -> Vec<(&LevelRing, usize)> {
+        vec![(&self.p, k + 2), (&self.q, k + 2)]
     }
 
-    fn shape(&self) -> Shape {
-        self.cfg.shape()
+    /// Receivers record `p`.
+    fn gathered(&self, _k: usize) -> Option<usize> {
+        Some(0)
     }
 
-    fn num_timesteps(&self) -> usize {
-        self.cfg.nt
-    }
-
-    fn space_order(&self) -> usize {
-        self.cfg.space_order
-    }
-
-    fn run(&mut self, exec: &Execution) -> RunStats {
-        exec.validate();
-        crate::operator::record_backend_run(exec.kernel.resolve());
-        self.reset();
-        let shape = self.shape();
-        let nt = self.cfg.nt;
-        let started = Instant::now();
-        let this: &Tti = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nt,
-                    spec,
-                    exec.policy,
-                    |k, region| this.step_region(k, region, exec.sparse, exec.kernel),
-                    |k| {
-                        if classic {
-                            this.classic_after_step(k);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_diagonal(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_dataflow(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 1);
-                diamond::execute_diamond(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
+    fn coefficients(&self) -> Vec<&[f32]> {
+        let mut out = vec![
+            self.c1.as_slice(),
+            self.c2.as_slice(),
+            self.c3.as_slice(),
+            self.eps2.as_slice(),
+            self.delta_bar.as_slice(),
+        ];
+        out.extend(self.gz.iter().map(|g| g.as_slice()));
+        for w in [&self.wxx, &self.wyy, &self.wzz] {
+            out.push(std::slice::from_ref(&w.center));
+            out.push(&w.side);
         }
-        RunStats::new(started.elapsed(), nt, shape)
+        out.extend([&self.w1x[..], &self.w1y, &self.w1z]);
+        out
+    }
+
+    fn sources(&self) -> &SourceBundle {
+        &self.src
+    }
+
+    fn receivers(&self) -> Option<&ReceiverBundle> {
+        self.rec.as_ref()
+    }
+
+    fn trace_buffer(&self) -> Option<&TraceBuffer> {
+        self.trace.as_ref()
     }
 
     fn final_field(&mut self) -> Array3<f32> {
         let t = self.cfg.nt + 1;
         self.p.interior_copy(t)
-    }
-
-    fn trace(&self) -> Option<Array2<f32>> {
-        self.trace.as_ref().map(|t| t.to_array())
     }
 
     fn flops_per_point(&self) -> f64 {
@@ -555,6 +530,7 @@ impl WaveSolver for Tti {
 mod tests {
     use super::*;
     use crate::config::EquationKind;
+    use crate::operator::Execution;
     use tempest_grid::Domain;
 
     fn setup(theta: f32, so: usize, nt: usize) -> Tti {
@@ -598,216 +574,6 @@ mod tests {
             "p and q must evolve identically in the degenerate case"
         );
         assert!(p.max_abs() > 0.0);
-    }
-
-    #[test]
-    fn wavefront_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut t = setup(0.35, so, 12);
-            t.run(&Execution::baseline().sequential());
-            let base = t.final_field();
-            let mut exec = Execution::wavefront_default().sequential();
-            exec.schedule = Schedule::Wavefront {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            t.run(&exec);
-            let wf = t.final_field();
-            assert!(
-                base.bit_equal(&wf),
-                "so={so}: TTI WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&wf)
-            );
-        }
-    }
-
-    #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut t = setup(0.35, so, 12);
-            t.run(&Execution::baseline().sequential());
-            let base = t.final_field();
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            t.run(&exec);
-            let dg = t.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: TTI diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-            exec.policy = tempest_par::Policy::Parallel;
-            t.run(&exec);
-            let par = t.final_field();
-            assert!(base.bit_equal(&par), "so={so}: parallel diagonal differs");
-        }
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let mut t = setup(0.35, so, 12);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            t.run(&dg);
-            let want = t.final_field();
-            for pol in [
-                Policy::Sequential,
-                Policy::Parallel,
-                Policy::Capped { threads: 1 },
-                Policy::Capped { threads: 2 },
-                Policy::Capped { threads: 4 },
-            ] {
-                let mut df = dg;
-                df.schedule = Schedule::WavefrontDataflow {
-                    tile_x: 8,
-                    tile_y: 8,
-                    tile_t: 3,
-                    block_x: 4,
-                    block_y: 4,
-                };
-                df.policy = pol;
-                t.run(&df);
-                let got = t.final_field();
-                assert!(
-                    want.bit_equal(&got),
-                    "so={so} policy={pol:?}: TTI dataflow must match diagonal, max diff {}",
-                    want.max_abs_diff(&got)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_matches_dataflow_bitwise_across_policies() {
-        use crate::operator::DiamondAxis;
-        use tempest_par::Policy;
-        for so in [4usize, 8] {
-            let mut t = setup(0.35, so, 12);
-            let mut df = Execution::wavefront_dataflow_default().sequential();
-            df.schedule = Schedule::WavefrontDataflow {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            t.run(&df);
-            let want = t.final_field();
-            for pol in [
-                Policy::Sequential,
-                Policy::Parallel,
-                Policy::Capped { threads: 1 },
-                Policy::Capped { threads: 2 },
-                Policy::Capped { threads: 4 },
-            ] {
-                let mut dm = df;
-                dm.schedule = Schedule::Diamond {
-                    width: 24,
-                    tile_t: 3,
-                    tile_c: 8,
-                    axis: DiamondAxis::X,
-                    block_x: 4,
-                    block_y: 4,
-                };
-                dm.policy = pol;
-                t.run(&dm);
-                let got = t.final_field();
-                assert!(
-                    want.bit_equal(&got),
-                    "so={so} policy={pol:?}: TTI diamond must match dataflow, max diff {}",
-                    want.max_abs_diff(&got)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_fused_sparse_modes_agree_bitwise() {
-        use crate::operator::DiamondAxis;
-        let mut t = setup(0.35, 4, 12);
-        let mut e1 = Execution::diamond_default();
-        e1.schedule = Schedule::Diamond {
-            width: 24,
-            tile_t: 3,
-            tile_c: 8,
-            axis: DiamondAxis::Y,
-            block_x: 4,
-            block_y: 4,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        t.run(&e1);
-        let f1 = t.final_field();
-        t.run(&e2);
-        let f2 = t.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under TTI diamond");
-    }
-
-    #[test]
-    fn dataflow_fused_sparse_modes_agree_bitwise() {
-        let mut t = setup(0.35, 4, 12);
-        let mut e1 = Execution::wavefront_dataflow_default();
-        e1.schedule = Schedule::WavefrontDataflow {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 3,
-            block_x: 4,
-            block_y: 4,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        t.run(&e1);
-        let f1 = t.final_field();
-        t.run(&e2);
-        let f2 = t.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under TTI dataflow");
-    }
-
-    #[test]
-    fn traces_agree_between_schedules() {
-        let mut t = setup(0.35, 4, 15);
-        t.run(&Execution::baseline().sequential());
-        let tb = t.trace().unwrap();
-        let mut exec = Execution::wavefront_default().sequential();
-        exec.schedule = Schedule::Wavefront {
-            tile_x: 10,
-            tile_y: 10,
-            tile_t: 4,
-            block_x: 5,
-            block_y: 5,
-        };
-        t.run(&exec);
-        let tw = t.trace().unwrap();
-        let scale = tb
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |s, &v| s.max(v.abs()))
-            .max(1e-20);
-        for i in 0..tb.len() {
-            let d = (tb.as_slice()[i] - tw.as_slice()[i]).abs();
-            assert!(d <= 1e-4 * scale);
-        }
     }
 
     #[test]

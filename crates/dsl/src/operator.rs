@@ -288,7 +288,7 @@ impl DslOperator {
     /// (bitwise on the wavefields for single-source problems).
     pub fn run_wavefront(&mut self, tile_x: usize, tile_y: usize, tile_t: usize) {
         use tempest_sparse::{ReceiverPrecompute, SourcePrecompute};
-        use tempest_tiling::wavefront::{self, WavefrontSpec};
+        use tempest_tiling::{TilePlan, WavefrontSpec};
 
         self.reset_state();
         let phases = self.updates.len();
@@ -332,7 +332,11 @@ impl DslOperator {
             ..
         } = self;
         let mut scratch: Vec<f32> = Vec::new();
-        wavefront::execute_seq(shape, nvt, &spec, |vt, region| {
+        // Blocks are whole tiles, so each slab is one region; node order is a
+        // topological order of the plan.
+        let plan = TilePlan::wavefront(shape, nvt, &spec, skew);
+        for slab in plan.slabs.iter().flatten() {
+            let (vt, region) = (slab.vt, &slab.range);
             let k = vt / phases;
             let ui = vt % phases;
             let u = &updates[ui];
@@ -373,7 +377,7 @@ impl DslOperator {
                 let lvl = buffers[u.field.0].as_ref().unwrap().level(write);
                 pre.gather_region(lvl, region, interpolations[ii].trace.row_mut(k));
             }
-        });
+        }
     }
 
     /// Render the operator's loop nest as pseudocode in the style of the

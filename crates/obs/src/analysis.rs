@@ -85,8 +85,8 @@ pub struct TraceAnalysis {
     pub mean_imbalance: f64,
     /// Lower bound on schedule wall-clock with unlimited threads: the sum
     /// over diagonal groups of the slowest tile. For traces without tile
-    /// spans (slab-ordered / space-blocked runs) this degrades to the sum
-    /// of slab/sweep spans, which are sequential scheduling units.
+    /// spans (space-blocked runs) this degrades to the sum of sweep spans,
+    /// which are sequential scheduling units.
     pub critical_path_ns: u64,
     /// Total tile work (sum of all tile spans) — the perfectly-parallel
     /// floor for comparison against the critical path.
@@ -127,14 +127,9 @@ impl TraceAnalysis {
         }
 
         if diagonals.is_empty() {
-            // No tile spans: slab-ordered and space-blocked schedules run
-            // their scheduling units sequentially, so the critical path is
-            // just their summed duration.
-            critical = trace
-                .events_of(SpanKind::Slab)
-                .chain(trace.events_of(SpanKind::Sweep))
-                .map(|e| e.dur_ns)
-                .sum();
+            // No tile spans: the space-blocked schedule runs its sweeps
+            // sequentially, so the critical path is their summed duration.
+            critical = trace.events_of(SpanKind::Sweep).map(|e| e.dur_ns).sum();
         }
 
         let imbs: Vec<f64> = diagonals
@@ -176,7 +171,7 @@ impl TraceAnalysis {
         if self.diagonals.is_empty() {
             let _ = writeln!(
                 out,
-                "no tile spans (slab-ordered/space-blocked schedule); \
+                "no tile spans (space-blocked schedule); \
                  critical path {:.3} ms",
                 self.critical_path_ns as f64 / 1e6
             );

@@ -44,8 +44,7 @@ pub mod trace;
 /// * `ParTasks` — batch items executed by `tempest_par::run_batch`, counted
 ///   on the thread that ran them (the caller participates).
 /// * `ParPublications` — jobs published to the board for workers to claim.
-/// * `WavefrontSlabs` / `WavefrontTiles` / `WavefrontDiagonals` — wavefront
-///   executor scheduling units.
+/// * `WavefrontTiles` — tile nodes computed by the plan executor.
 /// * `DataflowReady` — tiles pushed onto a ready deque by the dataflow
 ///   executor (initial roots plus every dependency-counter zero
 ///   transition); equals the number of executed tiles, so it is
@@ -89,9 +88,7 @@ pub enum Counter {
     ReceiverGathers,
     ParTasks,
     ParPublications,
-    WavefrontSlabs,
     WavefrontTiles,
-    WavefrontDiagonals,
     DataflowReady,
     DataflowSteals,
     SpaceSweeps,
@@ -108,16 +105,14 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 19;
     pub const ALL: [Counter; Self::COUNT] = [
         Counter::StencilUpdates,
         Counter::SourceInjections,
         Counter::ReceiverGathers,
         Counter::ParTasks,
         Counter::ParPublications,
-        Counter::WavefrontSlabs,
         Counter::WavefrontTiles,
-        Counter::WavefrontDiagonals,
         Counter::DataflowReady,
         Counter::DataflowSteals,
         Counter::SpaceSweeps,
@@ -140,9 +135,7 @@ impl Counter {
             Counter::ReceiverGathers => "receiver_gathers",
             Counter::ParTasks => "par_tasks",
             Counter::ParPublications => "par_publications",
-            Counter::WavefrontSlabs => "wavefront_slabs",
             Counter::WavefrontTiles => "wavefront_tiles",
-            Counter::WavefrontDiagonals => "wavefront_diagonals",
             Counter::DataflowReady => "dataflow_ready",
             Counter::DataflowSteals => "dataflow_steals",
             Counter::SpaceSweeps => "space_sweeps",
@@ -165,33 +158,25 @@ impl Counter {
 /// dense-only share is `Stencil − Sparse`). `BarrierWait` is the time a
 /// `run_batch` caller spends waiting for workers after exhausting the batch,
 /// plus the time any `run_dataflow` participant spends idle with no ready
-/// tile to claim. `Slab`/`Diagonal`/`Sweep` are executor scheduling units;
-/// `Dataflow` is the caller-side span of one whole dependency-driven sweep
-/// (the analogue of the sum of a run's `Diagonal` phases), and `Diamond` the
-/// same for one diamond-schedule sweep.
+/// tile to claim. `Sweep` is one virtual timestep of the space-blocked
+/// executor; `Dataflow` is the caller-side span of one whole plan sweep.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Phase {
     Stencil = 0,
     Sparse,
     BarrierWait,
-    Slab,
-    Diagonal,
     Dataflow,
-    Diamond,
     Sweep,
 }
 
 impl Phase {
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 5;
     pub const ALL: [Phase; Self::COUNT] = [
         Phase::Stencil,
         Phase::Sparse,
         Phase::BarrierWait,
-        Phase::Slab,
-        Phase::Diagonal,
         Phase::Dataflow,
-        Phase::Diamond,
         Phase::Sweep,
     ];
 
@@ -200,10 +185,7 @@ impl Phase {
             Phase::Stencil => "stencil",
             Phase::Sparse => "sparse",
             Phase::BarrierWait => "barrier_wait",
-            Phase::Slab => "slab",
-            Phase::Diagonal => "diagonal",
             Phase::Dataflow => "dataflow",
-            Phase::Diamond => "diamond",
             Phase::Sweep => "sweep",
         }
     }
@@ -638,8 +620,8 @@ impl Profile {
 /// Turn a free-form label (solver name, schedule description) into a
 /// filename-safe stem: ASCII alphanumerics and `-` pass through, every run
 /// of anything else collapses to a single `_`, with no leading/trailing
-/// separator. `"wavefront-diag 32x32 t4 / 8x8"` becomes
-/// `"wavefront-diag_32x32_t4_8x8"` — one canonical separator, so writers
+/// separator. `"wavefront-dflow 32x32 t4 / 8x8"` becomes
+/// `"wavefront-dflow_32x32_t4_8x8"` — one canonical separator, so writers
 /// joining name and schedule with `__` produce unambiguous stems.
 pub fn sanitize_label(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
@@ -787,8 +769,8 @@ mod tests {
     #[test]
     fn sanitize_collapses_separator_runs() {
         assert_eq!(
-            sanitize_label("wavefront-diag 32x32 t4 / 8x8"),
-            "wavefront-diag_32x32_t4_8x8"
+            sanitize_label("wavefront-dflow 32x32 t4 / 8x8"),
+            "wavefront-dflow_32x32_t4_8x8"
         );
         assert_eq!(sanitize_label("spaceblocked 8x8"), "spaceblocked_8x8");
         assert_eq!(sanitize_label("  lead/trail  "), "lead_trail");

@@ -69,13 +69,11 @@ struct Rates {
     prev: Option<(Instant, u64, u64)>,
 }
 
-/// Scheduling units folded into the `tiles/s` rate: wavefront tiles and
-/// slabs plus space-blocked sweeps — one unit per executor dispatch,
-/// whichever schedule family is running.
+/// Scheduling units folded into the `tiles/s` rate: plan tiles plus
+/// space-blocked sweeps — one unit per executor dispatch, whichever
+/// executor is running.
 fn tile_units(p: &crate::Profile) -> u64 {
-    p.counter(Counter::WavefrontTiles)
-        + p.counter(Counter::WavefrontSlabs)
-        + p.counter(Counter::SpaceSweeps)
+    p.counter(Counter::WavefrontTiles) + p.counter(Counter::SpaceSweeps)
 }
 
 struct Shared {

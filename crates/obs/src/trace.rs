@@ -35,12 +35,9 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 // Event vocabulary (always compiled)
 // ---------------------------------------------------------------------------
 
-/// What a span measures. `Tile` is one space-time tile of the
-/// diagonal-parallel or dataflow executor; `Slab` one (vt, tile) slab of the
-/// slab-ordered executor; `Sweep` one virtual timestep of the space-blocked
-/// path; `Diagonal` the coordinator-side span of one anti-diagonal batch;
-/// `Dataflow` the coordinator-side span of one whole dependency-driven
-/// sweep; `Diamond` the same for one diamond-schedule sweep;
+/// What a span measures. `Tile` is one space-time tile computed by the plan
+/// executor; `Sweep` one virtual timestep of the space-blocked path;
+/// `Dataflow` the coordinator-side span of one whole plan sweep;
 /// `Stencil`/`Sparse` the propagator phases; `BarrierWait` the
 /// `run_batch` caller's wait for workers or a dataflow participant's idle
 /// wait for a ready tile; `Shot` one whole shot solve of the survey engine
@@ -51,11 +48,8 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 #[repr(u8)]
 pub enum SpanKind {
     Tile = 0,
-    Slab,
     Sweep,
-    Diagonal,
     Dataflow,
-    Diamond,
     Stencil,
     Sparse,
     BarrierWait,
@@ -64,14 +58,11 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 8;
     pub const ALL: [SpanKind; Self::COUNT] = [
         SpanKind::Tile,
-        SpanKind::Slab,
         SpanKind::Sweep,
-        SpanKind::Diagonal,
         SpanKind::Dataflow,
-        SpanKind::Diamond,
         SpanKind::Stencil,
         SpanKind::Sparse,
         SpanKind::BarrierWait,
@@ -82,11 +73,8 @@ impl SpanKind {
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Tile => "tile",
-            SpanKind::Slab => "slab",
             SpanKind::Sweep => "sweep",
-            SpanKind::Diagonal => "diagonal",
             SpanKind::Dataflow => "dataflow",
-            SpanKind::Diamond => "diamond",
             SpanKind::Stencil => "stencil",
             SpanKind::Sparse => "sparse",
             SpanKind::BarrierWait => "barrier_wait",
@@ -101,7 +89,7 @@ impl SpanKind {
 /// allocates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SpanArgs {
-    /// Anti-diagonal index `tx + ty` (tile/diagonal spans).
+    /// Anti-diagonal index `tx + ty` (tile spans).
     pub diagonal: i32,
     /// Tile index along x.
     pub tx: i32,
@@ -111,7 +99,7 @@ pub struct SpanArgs {
     pub t0: i32,
     /// Last virtual timestep covered (exclusive).
     pub t1: i32,
-    /// Single virtual timestep (slab/sweep/stencil/sparse spans).
+    /// Single virtual timestep (sweep/stencil/sparse spans).
     pub vt: i32,
 }
 
@@ -134,7 +122,8 @@ impl SpanArgs {
         Self::default()
     }
 
-    /// One space-time tile of the diagonal-parallel executor.
+    /// One space-time tile of a plan: its schedule coordinates (wave-front
+    /// `(xt + yt, xt, yt)`, diamond `(row, k, ct)`) and virtual-step range.
     pub fn tile(diagonal: usize, tx: usize, ty: usize, t0: usize, t1: usize) -> Self {
         SpanArgs {
             diagonal: diagonal as i32,
@@ -143,19 +132,6 @@ impl SpanArgs {
             t0: t0 as i32,
             t1: t1 as i32,
             vt: -1,
-        }
-    }
-
-    /// One slab of the slab-ordered executor: tile coordinates plus the
-    /// single virtual timestep the slab advances.
-    pub fn slab(diagonal: usize, tx: usize, ty: usize, vt: usize) -> Self {
-        SpanArgs {
-            diagonal: diagonal as i32,
-            tx: tx as i32,
-            ty: ty as i32,
-            t0: -1,
-            t1: -1,
-            vt: vt as i32,
         }
     }
 
@@ -171,16 +147,6 @@ impl SpanArgs {
     /// One shot solve of the survey engine; the shot index rides in `vt`.
     pub fn shot(index: usize) -> Self {
         Self::step(index)
-    }
-
-    /// The coordinator-side span of one anti-diagonal batch.
-    pub fn diag(diagonal: usize, t0: usize, t1: usize) -> Self {
-        SpanArgs {
-            diagonal: diagonal as i32,
-            t0: t0 as i32,
-            t1: t1 as i32,
-            ..Self::default()
-        }
     }
 }
 
@@ -615,7 +581,17 @@ mod tests {
     fn sample_trace() -> (Trace, RunMeta) {
         let trace = Trace {
             events: vec![
-                ev(0, SpanKind::Diagonal, 0, 5_000, SpanArgs::diag(0, 0, 4)),
+                ev(
+                    0,
+                    SpanKind::Dataflow,
+                    0,
+                    5_000,
+                    SpanArgs {
+                        t0: 0,
+                        t1: 4,
+                        ..SpanArgs::default()
+                    },
+                ),
                 ev(0, SpanKind::Tile, 100, 4_000, SpanArgs::tile(0, 0, 0, 0, 4)),
                 ev(1, SpanKind::Tile, 200, 3_000, SpanArgs::tile(1, 1, 0, 0, 4)),
                 ev(1, SpanKind::BarrierWait, 4_000, 500, SpanArgs::none()),
@@ -624,7 +600,7 @@ mod tests {
             dropped: 0,
             capacity: DEFAULT_CAPACITY,
         };
-        let meta = RunMeta::new("unit-test", "wavefront-diag 32x32 t4 / 8x8", 8, 64, 0.001);
+        let meta = RunMeta::new("unit-test", "wavefront-dflow 32x32 t4 / 8x8", 8, 64, 0.001);
         (trace, meta)
     }
 
@@ -683,7 +659,7 @@ mod tests {
         let path = t.write_chrome_json_in(&dir, &meta).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
-            "unit-test__wavefront-diag_32x32_t4_8x8.trace.json"
+            "unit-test__wavefront-dflow_32x32_t4_8x8.trace.json"
         );
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(crate::json::Value::parse(&body).is_ok());

@@ -21,8 +21,8 @@
 //! re-launching the process).
 //!
 //! The schedules in `tempest-tiling` hand this crate *lists of independent
-//! work items* (space blocks of one timestep, or same-diagonal wave-front
-//! tiles); this crate decides how to run them. Scheduling is dynamic: items
+//! work items* (space blocks of one timestep) or a dependency graph of
+//! space-time tiles; this crate decides how to run them. Scheduling is dynamic: items
 //! are claimed from a shared atomic counter, so imbalanced items (clipped
 //! boundary tiles vs. interior tiles) do not idle workers.
 //!
@@ -523,7 +523,7 @@ impl DataflowJob {
     /// *phase timer*: true for the publishing caller only. `run_batch`
     /// charges exactly one side too (the caller's straggler wait; its pool
     /// workers park on the board unbilled), so the profiled barrier-wait
-    /// shares of the diagonal and dataflow executors compare like with
+    /// shares of the space-blocked and plan executors compare like with
     /// like. Every park still emits a `BarrierWait` *trace span* regardless
     /// — the wait histogram keeps seeing worker idleness.
     fn help(&self, charge_idle: bool) {
@@ -659,8 +659,8 @@ impl DataflowJob {
 ///
 /// The graph must be acyclic: nodes on a cycle never become ready, so the
 /// sequential path panics and the parallel path would spin on its idle
-/// timeout forever. Validate with `legality::check_dataflow_dependencies`
-/// (in `tempest-tiling`) when in doubt.
+/// timeout forever. Validate with `legality::check_plan` (in
+/// `tempest-tiling`) when in doubt.
 pub fn run_dataflow<F>(policy: Policy, graph: &DepGraph, f: F)
 where
     F: Fn(usize) + Sync + Send,

@@ -179,9 +179,8 @@ pub struct SurveyOptions {
     /// (the default) injects nothing.
     pub inject_hang: Option<(usize, u64)>,
     /// Shared per-tile result cache for incremental recomputation. When set
-    /// (and enabled), shots running a fused sparse path under a
-    /// tile-plannable schedule solve via
-    /// [`Acoustic::run_incremental`] keyed by their shot index, so a
+    /// (and enabled), shots running a fused sparse path solve via
+    /// [`WaveSolver::run_incremental`] keyed by their shot index, so a
     /// resubmitted survey with a nudged source reuses every tile outside the
     /// change's causal cone; the autotuner also memoises its probe result
     /// here. `None` (the default) keeps the exact pre-cache execution path.
@@ -387,14 +386,9 @@ fn solve_one(
 ) -> Result<Option<Array2<f32>>, String> {
     let mut solver = build_solver(assets, spec)?;
     match cache {
-        // The incremental path only serves fused sparse runs on schedules
-        // with a tile plan; everything else (notably the default classic
-        // baseline) keeps the exact pre-cache execution path.
-        Some(c)
-            if c.enabled()
-                && exec.supports_incremental()
-                && exec.sparse != SparseMode::Classic =>
-        {
+        // The incremental path only serves fused sparse runs; the default
+        // classic baseline keeps the exact pre-cache execution path.
+        Some(c) if c.enabled() && exec.sparse != SparseMode::Classic => {
             let _ = solver.run_incremental(exec, c, shot_key);
         }
         _ => {

@@ -28,15 +28,8 @@ pub struct Candidate {
     pub block_x: usize,
     /// Intra-slab block extent along y.
     pub block_y: usize,
-    /// Use the diagonal-parallel tile executor instead of slab-ordered
-    /// execution (same tile geometry, coarser parallel grain).
-    pub diagonal: bool,
-    /// Use the dependency-driven (dataflow) tile executor: same tile
-    /// geometry, whole-sweep work stealing with a single join instead of
-    /// per-diagonal barriers. Mutually exclusive with `diagonal`.
-    pub dataflow: bool,
-    /// Use the diamond (MWD) schedule on the chosen axis. Mutually
-    /// exclusive with `diagonal` and `dataflow`.
+    /// Use the diamond (MWD) plan on the chosen axis instead of the skewed
+    /// wave-front one.
     pub diamond: Option<DiamondAxis>,
     /// Pin the row-update kernel backend for this candidate; `None` leaves
     /// the runner's default (usually the runtime-detected best) in place.
@@ -44,28 +37,10 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// The same tile geometry with the diagonal-parallel executor.
-    pub fn with_diagonal(mut self) -> Self {
-        self.diagonal = true;
-        self.dataflow = false;
-        self.diamond = None;
-        self
-    }
-
-    /// The same tile geometry with the dataflow executor.
-    pub fn with_dataflow(mut self) -> Self {
-        self.dataflow = true;
-        self.diagonal = false;
-        self.diamond = None;
-        self
-    }
-
     /// The same geometry with the diamond schedule on `axis` (`tile_x` read
     /// as the diamond width, `tile_y` as the cross window).
     pub fn with_diamond(mut self, axis: DiamondAxis) -> Self {
         self.diamond = Some(axis);
-        self.diagonal = false;
-        self.dataflow = false;
         self
     }
 
@@ -80,14 +55,8 @@ impl std::fmt::Display for Candidate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "tile {}x{} t{} / block {}x{}{}{}",
-            self.tile_x,
-            self.tile_y,
-            self.tile_t,
-            self.block_x,
-            self.block_y,
-            if self.diagonal { " / diag" } else { "" },
-            if self.dataflow { " / dflow" } else { "" }
+            "tile {}x{} t{} / block {}x{}",
+            self.tile_x, self.tile_y, self.tile_t, self.block_x, self.block_y
         )?;
         if let Some(axis) = self.diamond {
             write!(f, " / dmnd-{}", axis.name())?;
@@ -97,33 +66,6 @@ impl std::fmt::Display for Candidate {
         }
         Ok(())
     }
-}
-
-/// Duplicate each candidate with an executor variant produced by `make`:
-/// the shared generator behind [`with_diagonal_variants`] and
-/// [`with_dataflow_variants`], keeping base and variant adjacent so sweep
-/// output reads pairwise.
-fn with_variants(cands: &[Candidate], make: impl Fn(Candidate) -> Candidate) -> Vec<Candidate> {
-    let mut out = Vec::with_capacity(cands.len() * 2);
-    for &c in cands {
-        out.push(c);
-        out.push(make(c));
-    }
-    out
-}
-
-/// Duplicate each candidate with the diagonal-parallel executor enabled, so
-/// a sweep compares both execution modes over the same tile geometries.
-pub fn with_diagonal_variants(cands: &[Candidate]) -> Vec<Candidate> {
-    with_variants(cands, Candidate::with_diagonal)
-}
-
-/// Duplicate each candidate with the dataflow executor enabled, so a sweep
-/// compares barrier-free execution over the same tile geometries. Input
-/// candidates already using another tile executor keep their geometry but
-/// the variant still switches to dataflow (the flags are exclusive).
-pub fn with_dataflow_variants(cands: &[Candidate]) -> Vec<Candidate> {
-    with_variants(cands, Candidate::with_dataflow)
 }
 
 /// Extend the sweep along the kernel-backend axis: every candidate gains
@@ -312,8 +254,8 @@ where
 /// All candidates within `tie_margin` (relative, e.g. `0.03` = 3%) of the
 /// fastest time form the tie set; among them the one with the lowest
 /// barrier-wait share wins — synchronisation cost predicts how a schedule
-/// scales beyond the sweep's thread count, so between a slab and a diagonal
-/// candidate that time the same, prefer the one that waited less. Candidates
+/// scales beyond the sweep's thread count, so between two candidates that
+/// time the same, prefer the one that waited less. Candidates
 /// without telemetry (`barrier_share: None`) sort after those with it inside
 /// the tie set. With profiling off everywhere this reduces to plain
 /// time-only `autotune` ranking.
@@ -401,44 +343,10 @@ mod tests {
             ..Candidate::default()
         };
         assert_eq!(format!("{c}"), "tile 64x64 t8 / block 8x8");
-        assert_eq!(format!("{}", c.with_diagonal()), "tile 64x64 t8 / block 8x8 / diag");
-        assert_eq!(format!("{}", c.with_dataflow()), "tile 64x64 t8 / block 8x8 / dflow");
         assert_eq!(
             format!("{}", c.with_diamond(DiamondAxis::Y)),
             "tile 64x64 t8 / block 8x8 / dmnd-y"
         );
-        // The executor flags are exclusive: switching one clears the others.
-        assert!(!c.with_diagonal().with_dataflow().diagonal);
-        assert!(!c.with_dataflow().with_diagonal().dataflow);
-        assert!(c.with_diamond(DiamondAxis::X).with_dataflow().diamond.is_none());
-        assert!(!c.with_dataflow().with_diamond(DiamondAxis::X).dataflow);
-    }
-
-    #[test]
-    fn diagonal_variants_double_the_sweep() {
-        let base = quick_candidates(64, 64, &[4, 8]);
-        let both = with_diagonal_variants(&base);
-        assert_eq!(both.len(), 2 * base.len());
-        assert_eq!(both.iter().filter(|c| c.diagonal).count(), base.len());
-        // Geometry is preserved; only the executor flag differs.
-        for pair in both.chunks(2) {
-            let (a, b) = (pair[0], pair[1]);
-            assert!(!a.diagonal && b.diagonal);
-            assert_eq!(a.with_diagonal(), b);
-        }
-    }
-
-    #[test]
-    fn dataflow_variants_double_the_sweep() {
-        let base = quick_candidates(64, 64, &[4, 8]);
-        let both = with_dataflow_variants(&base);
-        assert_eq!(both.len(), 2 * base.len());
-        assert_eq!(both.iter().filter(|c| c.dataflow).count(), base.len());
-        for pair in both.chunks(2) {
-            let (a, b) = (pair[0], pair[1]);
-            assert!(!a.dataflow && b.dataflow && !b.diagonal);
-            assert_eq!(a.with_dataflow(), b);
-        }
     }
 
     #[test]
@@ -457,7 +365,6 @@ mod tests {
             let slope = c.tile_x / (2 * c.tile_t);
             assert_eq!(c.tile_x % (2 * c.tile_t), 0);
             assert!(slope >= 2, "{c}");
-            assert!(!c.diagonal && !c.dataflow);
         }
         // Both axes appear for each legal geometry.
         assert_eq!(
@@ -478,31 +385,31 @@ mod tests {
 
     #[test]
     fn measured_breaks_ties_on_barrier_share() {
-        let slab = quick_candidates(64, 64, &[4])[0];
-        let diag = slab.with_diagonal();
-        // Diagonal is 1% slower but waits far less at barriers: within a 3%
-        // margin the lower barrier share must win.
+        let skewed = quick_candidates(64, 64, &[4])[0];
+        let diamond = skewed.with_diamond(DiamondAxis::X);
+        // The diamond is 1% slower but waits far less: within a 3% margin
+        // the lower barrier share must win.
         let res = autotune_measured(
-            &[slab, diag],
+            &[skewed, diamond],
             |c| Measurement {
-                time: Duration::from_micros(if c.diagonal { 1010 } else { 1000 }),
-                barrier_share: Some(if c.diagonal { 0.05 } else { 0.40 }),
+                time: Duration::from_micros(if c.diamond.is_some() { 1010 } else { 1000 }),
+                barrier_share: Some(if c.diamond.is_some() { 0.05 } else { 0.40 }),
             },
             0.03,
         );
-        assert!(res.best.diagonal);
+        assert_eq!(res.best, diamond);
         assert_eq!(res.all.len(), 2);
 
         // Outside the margin, raw time wins regardless of barrier share.
         let res = autotune_measured(
-            &[slab, diag],
+            &[skewed, diamond],
             |c| Measurement {
-                time: Duration::from_micros(if c.diagonal { 1200 } else { 1000 }),
-                barrier_share: Some(if c.diagonal { 0.05 } else { 0.40 }),
+                time: Duration::from_micros(if c.diamond.is_some() { 1200 } else { 1000 }),
+                barrier_share: Some(if c.diamond.is_some() { 0.05 } else { 0.40 }),
             },
             0.03,
         );
-        assert!(!res.best.diagonal);
+        assert_eq!(res.best, skewed);
     }
 
     #[test]
@@ -521,17 +428,17 @@ mod tests {
     fn measured_prefers_telemetry_inside_tie_set() {
         let cands = quick_candidates(64, 64, &[4]);
         let a = cands[0];
-        let b = a.with_diagonal();
+        let b = a.with_diamond(DiamondAxis::Y);
         // Equal times; only one candidate has telemetry — it wins the tie.
         let res = autotune_measured(
             &[a, b],
             |c| Measurement {
                 time: Duration::from_micros(1000),
-                barrier_share: c.diagonal.then_some(0.2),
+                barrier_share: c.diamond.map(|_| 0.2),
             },
             0.03,
         );
-        assert!(res.best.diagonal);
+        assert_eq!(res.best, b);
         assert_eq!(res.best_measurement.barrier_share, Some(0.2));
     }
 }

@@ -1,5 +1,5 @@
 //! Diamond (MWD) temporal blocking — Malas et al., *Multicore-optimized
-//! wavefront diamond blocking* (arXiv:1410.3060), on the dataflow substrate.
+//! wavefront diamond blocking* (arXiv:1410.3060), as a plan constructor.
 //!
 //! Where the wave-front schedule ([`crate::wavefront`]) skews parallelogram
 //! tiles in both x and y, the diamond schedule tiles the `(vt, a)` plane —
@@ -32,15 +32,13 @@
 //! consecutive-step slabs leave a gap of at least `s − radius`), and with
 //! `cross_skew ≥ radius` same-diamond cross windows only read equal-or-lower
 //! `ct`. Hence every edge of [`diamond_tile_graph`] points backward in the
-//! lexicographic `(row, k, ct)` enumeration order — the graph is acyclic and
-//! [`execute_diamond`] can hand it to the same dependency-counted
-//! `tempest_par::run_dataflow` executor the wavefront dataflow schedule
-//! uses. `s < radius` creates mutual same-row reads (a cycle), which
-//! [`crate::legality::check_diamond_dependencies`] detects and rejects.
+//! lexicographic `(row, k, ct)` enumeration order — the graph is acyclic, so
+//! [`crate::TilePlan::diamond`] can snapshot it and [`crate::execute_plan`]
+//! run it exactly like a wave-front plan. `s < radius` creates mutual
+//! same-row reads (a cycle), which [`crate::legality::check_plan`] detects
+//! and rejects.
 
 use tempest_grid::{Range3, Shape};
-use tempest_obs as obs;
-use tempest_par::Policy;
 
 use crate::wavefront::{dilate_xy, xy_overlap, Slab};
 
@@ -252,7 +250,7 @@ pub fn diamond_slabs(shape: Shape, nvt: usize, spec: &DiamondSpec) -> Vec<Slab> 
 /// no diamond-specific case analysis — boundary half-diamonds and clipped
 /// cross windows are handled by the clamped slabs themselves.
 /// Anti-dependencies are transitively implied by the flow edges, which
-/// [`crate::legality::check_diamond_dependencies`] machine-checks per spec.
+/// [`crate::legality::check_plan`] machine-checks per plan.
 pub fn diamond_tile_graph(
     shape: Shape,
     nvt: usize,
@@ -292,59 +290,6 @@ pub fn diamond_tile_graph(
         preds[ia].dedup();
     }
     (tiles, preds)
-}
-
-/// Execute `nvt` virtual steps under the diamond schedule.
-///
-/// Builds [`diamond_tile_graph`] and hands it to
-/// `tempest_par::run_dataflow` — the same dependency-counted, work-stealing
-/// substrate as [`crate::wavefront::execute_dataflow`], with one join per
-/// sweep as the only global synchronisation. Inside a tile, `vt` ascends
-/// sequentially and each slab is cut into `(block_x, block_y)` blocks, so
-/// every z-pencil is still computed whole at each step: the wavefield stays
-/// bitwise identical to every other legal schedule.
-///
-/// `radius` must be the stencil's true dependency radius (and
-/// `spec.slope ≥ radius`, `spec.cross_skew ≥ radius`).
-pub fn execute_diamond<S>(
-    shape: Shape,
-    nvt: usize,
-    spec: &DiamondSpec,
-    radius: usize,
-    policy: Policy,
-    step: S,
-) where
-    S: Fn(usize, &Range3) + Sync + Send,
-{
-    let (tiles, preds) = diamond_tile_graph(shape, nvt, spec, radius);
-    let graph = tempest_par::DepGraph::from_preds(&preds);
-    // One caller-side phase/span for the whole sweep, mirroring the
-    // dataflow executor so barrier-wait shares compare fairly.
-    let sw = obs::start(obs::Phase::Diamond);
-    let _dsp = obs::trace::span(
-        obs::trace::SpanKind::Diamond,
-        obs::trace::SpanArgs {
-            t0: 0,
-            t1: nvt as i32,
-            ..Default::default()
-        },
-    );
-    tempest_par::run_dataflow(policy, &graph, |i| {
-        let tile = &tiles[i];
-        let _sp = obs::trace::span(
-            obs::trace::SpanKind::Tile,
-            obs::trace::SpanArgs::tile(tile.row, tile.k, tile.ct, tile.t0, tile.t1),
-        );
-        for vt in tile.t0..tile.t1 {
-            if let Some(slab) = diamond_slab(shape, spec, tile, vt) {
-                for b in slab.range.split_xy(spec.block_x, spec.block_y) {
-                    step(vt, &b);
-                }
-            }
-        }
-        obs::add(obs::Counter::WavefrontTiles, 1);
-    });
-    sw.stop();
 }
 
 #[cfg(test)]
@@ -506,56 +451,6 @@ mod tests {
                 if t.t0 > 0 {
                     assert!(!preds[ia].is_empty(), "row {} tile has no preds", t.row);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn execute_diamond_blocks_partition_domain() {
-        let shape = Shape::new(20, 14, 3);
-        let spec = DiamondSpec::new(3, 2, 8, 2, 3, 4, DiamondAxis::X);
-        let nvt = 7;
-        for policy in [Policy::Sequential, Policy::Parallel, Policy::Capped { threads: 2 }] {
-            let total = std::sync::atomic::AtomicUsize::new(0);
-            execute_diamond(shape, nvt, &spec, 2, policy, |_vt, b| {
-                total.fetch_add(b.len(), std::sync::atomic::Ordering::Relaxed);
-            });
-            assert_eq!(
-                total.load(std::sync::atomic::Ordering::Relaxed),
-                nvt * shape.len()
-            );
-        }
-    }
-
-    #[test]
-    fn diamond_never_steps_a_point_before_its_halo() {
-        // Dynamic check of the flow-dependence rule under the parallel
-        // executor: when a block advances to step vt, every point in its
-        // radius-dilated halo must have completed vt − 1.
-        let shape = Shape::new(23, 17, 2);
-        let spec = DiamondSpec::new(4, 2, 8, 2, 4, 4, DiamondAxis::X);
-        let radius = 2usize;
-        let nvt = 11;
-        let progress = std::sync::Mutex::new(vec![vec![-1i64; shape.ny]; shape.nx]);
-        execute_diamond(shape, nvt, &spec, radius, Policy::Parallel, |vt, b| {
-            let mut g = progress.lock().unwrap();
-            let want = vt as i64 - 1;
-            for x in b.x0.saturating_sub(radius)..(b.x1 + radius).min(shape.nx) {
-                for y in b.y0.saturating_sub(radius)..(b.y1 + radius).min(shape.ny) {
-                    assert!(g[x][y] >= want, "halo ({x},{y}) at {} < {want}", g[x][y]);
-                }
-            }
-            for x in b.x0..b.x1 {
-                for y in b.y0..b.y1 {
-                    assert_eq!(g[x][y], want, "write point ({x},{y})");
-                    g[x][y] = vt as i64;
-                }
-            }
-        });
-        let g = progress.lock().unwrap();
-        for col in g.iter() {
-            for &v in col {
-                assert_eq!(v, nvt as i64 - 1);
             }
         }
     }

@@ -1,23 +1,15 @@
 //! Incremental recomputation over the tile dependency graph.
 //!
-//! The dataflow executors ([`crate::wavefront::execute_dataflow`],
-//! [`crate::diamond::execute_diamond`]) already materialize the *exact*
-//! space-time tile dependency graph of a sweep. This module exploits it,
-//! differential-dataflow style ("only act where changes occur, do no work
-//! elsewhere"): when the sparse off-the-grid inputs of a solve change
-//! between two runs — a moved source, an edited wavelet, a different
-//! receiver set — only the tiles inside the change's causal cone need new
-//! work. Everything else is restored bit-for-bit from a bounded per-tile
-//! result cache.
+//! A [`TilePlan`] materializes the *exact* space-time tile dependency graph
+//! of a sweep. This module exploits it, differential-dataflow style ("only
+//! act where changes occur, do no work elsewhere"): when the sparse
+//! off-the-grid inputs of a solve change between two runs — a moved source,
+//! an edited wavelet, a different receiver set — only the tiles inside the
+//! change's causal cone need new work. Everything else is restored
+//! bit-for-bit from a bounded per-tile result cache.
 //!
-//! Three pieces compose:
+//! Two pieces compose with the plan executor:
 //!
-//! * [`TilePlan`] — a schedule-agnostic snapshot of one sweep: per-node slab
-//!   lists (ascending `vt`) plus the predecessor/successor edges of the tile
-//!   graph. Built from the wavefront graph ([`TilePlan::wavefront`]), the
-//!   diamond graph ([`TilePlan::diamond`]), or the space-blocked schedule
-//!   mapped onto its `tile_t = 1` wavefront degeneration
-//!   ([`TilePlan::spaceblocked`]).
 //! * [`dirty_cone`] — given a [`RunDelta`] (the changed grid rectangles),
 //!   seeds every tile whose written footprint intersects a changed cell and
 //!   propagates dirtiness forward over the successor edges. A tile outside
@@ -30,26 +22,23 @@
 //!   the tile's footprint. `TEMPEST_CACHE_MB` bounds the payload bytes
 //!   (`0` disables caching entirely).
 //!
-//! [`execute_incremental`] then drives the same `tempest_par::run_dataflow`
-//! substrate as the plain executors, but each node either *restores* its
-//! cached output (a pencil-granularity ring write, no stencil work) or
-//! *computes* it exactly as the plain executor would — same slabs, same
-//! `(block_x, block_y)` cuts, same step order — so a cold incremental run
-//! is bitwise-identical to the plain dataflow run, and a warm run is
+//! A [`crate::TileStore`] over the cache (built in `tempest-core`, which
+//! knows the wavefield rings) plugs both into [`crate::execute_plan`]: each
+//! node either *restores* its cached output (a pencil-granularity ring
+//! write, no stencil work) or *computes* it exactly as a plain sweep would —
+//! same slabs, same `(block_x, block_y)` cuts, same step order — so a cold
+//! cached run is bitwise-identical to the plain run, and a warm run is
 //! bitwise-identical to a cold one while touching only the cone.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tempest_grid::{Range3, Shape};
+use tempest_grid::Range3;
 use tempest_obs as obs;
-use tempest_par::Policy;
 
-use crate::diamond::{diamond_slab, diamond_tile_graph, DiamondSpec};
-use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
+use crate::plan::TilePlan;
+use crate::wavefront::Slab;
 
 /// Default cache budget (MiB) when `TEMPEST_CACHE_MB` is unset —
 /// deliberately conservative for shared hosts.
@@ -115,161 +104,6 @@ pub struct SourceSig {
     pub digest: u64,
     /// xy bounding box of the footprint's non-zero cells.
     pub rect: DirtyRect,
-}
-
-// ---------------------------------------------------------------------------
-// TilePlan
-// ---------------------------------------------------------------------------
-
-/// A schedule-agnostic snapshot of one sweep's tile structure: per-node
-/// slabs in ascending `vt` plus the exact dependency edges. All incremental
-/// machinery (cone marking, caching, execution) works on this one shape, so
-/// it composes with every schedule that can produce a tile graph.
-#[derive(Debug, Clone)]
-pub struct TilePlan {
-    /// Per-node slabs, ascending `vt` — exactly the slabs the plain
-    /// executor would run for that node.
-    pub slabs: Vec<Vec<Slab>>,
-    /// `preds[i]` — nodes whose outputs node `i` reads (sorted, deduped).
-    pub preds: Vec<Vec<u32>>,
-    /// `succs[i]` — nodes reading node `i`'s output (the cone edges).
-    pub succs: Vec<Vec<u32>>,
-    /// Intra-slab block extent along x.
-    pub block_x: usize,
-    /// Intra-slab block extent along y.
-    pub block_y: usize,
-    /// Virtual steps of the sweep.
-    pub nvt: usize,
-    /// Digest of the schedule geometry (kind, spec, shape, nvt, radius) —
-    /// folded into cache session keys so plans with different tilings never
-    /// share entries.
-    pub geometry: u64,
-}
-
-fn succs_of(preds: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
-    for (ia, ps) in preds.iter().enumerate() {
-        for &ib in ps {
-            succs[ib as usize].push(ia as u32);
-        }
-    }
-    succs
-}
-
-fn hash_u64(parts: &[u64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    parts.hash(&mut h);
-    h.finish()
-}
-
-impl TilePlan {
-    /// Plan of a wavefront-dataflow sweep: nodes and edges from
-    /// [`tile_graph`], slabs from [`tile_slab`].
-    pub fn wavefront(shape: Shape, nvt: usize, spec: &WavefrontSpec, radius: usize) -> Self {
-        let (tiles, preds) = tile_graph(shape, nvt, spec, radius);
-        let slabs = tiles
-            .iter()
-            .map(|t| {
-                (t.t0..t.t1)
-                    .filter_map(|vt| tile_slab(shape, spec, t, vt))
-                    .collect()
-            })
-            .collect();
-        let geometry = hash_u64(&[
-            1,
-            shape.nx as u64,
-            shape.ny as u64,
-            shape.nz as u64,
-            nvt as u64,
-            radius as u64,
-            spec.tile_x as u64,
-            spec.tile_y as u64,
-            spec.tile_t as u64,
-            spec.skew as u64,
-            spec.block_x as u64,
-            spec.block_y as u64,
-        ]);
-        let succs = succs_of(&preds);
-        TilePlan {
-            slabs,
-            succs,
-            preds,
-            block_x: spec.block_x,
-            block_y: spec.block_y,
-            nvt,
-            geometry,
-        }
-    }
-
-    /// Plan of a diamond sweep: nodes and edges from
-    /// [`diamond_tile_graph`], slabs from [`diamond_slab`].
-    pub fn diamond(shape: Shape, nvt: usize, spec: &DiamondSpec, radius: usize) -> Self {
-        let (tiles, preds) = diamond_tile_graph(shape, nvt, spec, radius);
-        let slabs = tiles
-            .iter()
-            .map(|t| {
-                (t.t0..t.t1)
-                    .filter_map(|vt| diamond_slab(shape, spec, t, vt))
-                    .collect()
-            })
-            .collect();
-        let geometry = hash_u64(&[
-            2,
-            shape.nx as u64,
-            shape.ny as u64,
-            shape.nz as u64,
-            nvt as u64,
-            radius as u64,
-            spec.tile_t as u64,
-            spec.slope as u64,
-            spec.tile_c as u64,
-            spec.cross_skew as u64,
-            spec.block_x as u64,
-            spec.block_y as u64,
-            spec.axis as u64,
-        ]);
-        let succs = succs_of(&preds);
-        TilePlan {
-            slabs,
-            succs,
-            preds,
-            block_x: spec.block_x,
-            block_y: spec.block_y,
-            nvt,
-            geometry,
-        }
-    }
-
-    /// Plan of the space-blocked schedule, mapped onto its exact `tile_t=1`
-    /// wavefront degeneration: one node per `(vt, block)`, with skew-free
-    /// slabs (at tile height 1 no skew ever applies) and the same block
-    /// decomposition as `spaceblock::execute`. The per-slab step calls are
-    /// identical to the plain schedule's, so the wavefield is bitwise
-    /// identical — only the inter-step barrier is replaced by the exact
-    /// dependency edges.
-    pub fn spaceblocked(
-        shape: Shape,
-        nvt: usize,
-        block_x: usize,
-        block_y: usize,
-        radius: usize,
-    ) -> Self {
-        let spec = WavefrontSpec::new(block_x, block_y, 1, radius.max(1), block_x, block_y);
-        let mut plan = Self::wavefront(shape, nvt, &spec, radius);
-        // Distinguish the mapping from a genuine tile_t=1 wavefront run.
-        plan.geometry = hash_u64(&[3, plan.geometry]);
-        plan
-    }
-
-    /// Number of tile nodes.
-    pub fn len(&self) -> usize {
-        self.slabs.len()
-    }
-
-    /// Whether the plan has no nodes (`nvt == 0`).
-    pub fn is_empty(&self) -> bool {
-        self.slabs.is_empty()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,22 +180,24 @@ pub struct TilePayload {
     pub slabs: Vec<SlabPayload>,
 }
 
-/// The values one slab wrote: `data` holds the `(x, y)` pencils of
-/// `slab.range` in x-major, then y, then z order.
+/// The values one slab wrote: for each wavefield the step writes, in the
+/// propagator's fixed order, the `(x, y)` pencils of `slab.range` in
+/// x-major, then y, then z order.
 #[derive(Debug, Clone)]
 pub struct SlabPayload {
     /// The slab this payload reproduces.
     pub slab: Slab,
-    /// `range.len()` f32 values, x-major / y / z.
+    /// `fields × range.len()` f32 values: field-major, then x / y / z.
     pub data: Vec<f32>,
 }
 
 impl SlabPayload {
-    /// The z-pencil at interior `(x, y)` (must lie inside the slab range).
-    pub fn pencil(&self, x: usize, y: usize) -> &[f32] {
+    /// The z-pencil of written field `field` at interior `(x, y)` (must lie
+    /// inside the slab range).
+    pub fn pencil(&self, field: usize, x: usize, y: usize) -> &[f32] {
         let r = &self.slab.range;
-        let nz = r.z1 - r.z0;
-        let base = ((x - r.x0) * (r.y1 - r.y0) + (y - r.y0)) * nz;
+        let (ny, nz) = (r.y1 - r.y0, r.z1 - r.z0);
+        let base = ((field * (r.x1 - r.x0) + (x - r.x0)) * ny + (y - r.y0)) * nz;
         &self.data[base..base + nz]
     }
 }
@@ -446,7 +282,7 @@ impl CacheStats {
 /// Epoch bumps (`begin_run`) and all map mutation happen under one mutex;
 /// the atomics (`epoch`, `tick`, hit/miss tallies) are monotonic telemetry
 /// with `Relaxed` ordering — cross-thread visibility of payloads is carried
-/// by the mutex and by the dataflow executor's spawn/join edges, never by
+/// by the mutex and by the plan executor's spawn/join edges, never by
 /// the counters (DESIGN.md §16).
 pub struct TileCache {
     cap_bytes: usize,
@@ -707,114 +543,11 @@ impl TileCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Incremental executor
-// ---------------------------------------------------------------------------
-
-/// Tallies of one incremental sweep. `reused + recomputed == total` always
-/// — the exact-count oracle the tests (and the obs counters
-/// `TilesReused` / `TilesRecomputed`) pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncrementalOutcome {
-    /// Tile nodes enumerated by the plan.
-    pub total: usize,
-    /// Nodes restored from cache.
-    pub reused: usize,
-    /// Nodes recomputed (dirty cone + cache misses).
-    pub recomputed: usize,
-}
-
-/// Run one sweep over `plan` on the dataflow substrate, restoring the nodes
-/// with `restore_ok[i] == true` and computing the rest.
-///
-/// * `step(vt, region)` — compute `region` at virtual step `vt` (identical
-///   contract to the plain executors; called with the same slab/block
-///   decomposition in the same per-node order).
-/// * `restore(i)` — write node `i`'s cached output into the wavefield (and
-///   replay its read-only side effects, e.g. receiver gathers). Runs at the
-///   node's position in the dependency order, so downstream readers observe
-///   restored values exactly as they would computed ones.
-/// * `after_compute(i)` — capture node `i`'s freshly-written output (cache
-///   insert). Runs before the node's successors are released.
-///
-/// Every node — restored or computed — executes as a dataflow task, so
-/// scheduling counters (`ParTasks`, heartbeats) stay deterministic across
-/// the two paths.
-pub fn execute_incremental<S, R, C>(
-    plan: &TilePlan,
-    policy: Policy,
-    restore_ok: &[bool],
-    step: S,
-    restore: R,
-    after_compute: C,
-) -> IncrementalOutcome
-where
-    S: Fn(usize, &Range3) + Sync + Send,
-    R: Fn(usize) + Sync + Send,
-    C: Fn(usize) + Sync + Send,
-{
-    assert_eq!(restore_ok.len(), plan.len(), "restore mask/plan mismatch");
-    let graph = tempest_par::DepGraph::from_preds(&plan.preds);
-    let reused = AtomicUsize::new(0);
-    let recomputed = AtomicUsize::new(0);
-    let sw = obs::start(obs::Phase::Dataflow);
-    let _dsp = obs::trace::span(
-        obs::trace::SpanKind::Dataflow,
-        obs::trace::SpanArgs {
-            t0: 0,
-            t1: plan.nvt as i32,
-            ..Default::default()
-        },
-    );
-    tempest_par::run_dataflow(policy, &graph, |i| {
-        let slabs = &plan.slabs[i];
-        let (t0, t1) = slabs
-            .first()
-            .zip(slabs.last())
-            .map_or((0, 0), |(a, b)| (a.vt as i32, b.vt as i32 + 1));
-        if restore_ok[i] {
-            let _sp = obs::trace::span(
-                obs::trace::SpanKind::CacheRestore,
-                obs::trace::SpanArgs {
-                    t0,
-                    t1,
-                    ..Default::default()
-                },
-            );
-            restore(i);
-            obs::add(obs::Counter::TilesReused, 1);
-            reused.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _sp = obs::trace::span(
-                obs::trace::SpanKind::Tile,
-                obs::trace::SpanArgs {
-                    t0,
-                    t1,
-                    ..Default::default()
-                },
-            );
-            for slab in slabs {
-                for b in slab.range.split_xy(plan.block_x, plan.block_y) {
-                    step(slab.vt, &b);
-                }
-            }
-            after_compute(i);
-            obs::add(obs::Counter::WavefrontTiles, 1);
-            obs::add(obs::Counter::TilesRecomputed, 1);
-            recomputed.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    sw.stop();
-    IncrementalOutcome {
-        total: plan.len(),
-        reused: reused.into_inner(),
-        recomputed: recomputed.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wavefront::WavefrontSpec;
+    use tempest_grid::Shape;
 
     fn wf_plan() -> TilePlan {
         TilePlan::wavefront(
@@ -846,37 +579,6 @@ mod tests {
                 y0,
                 y1: y0 + 2,
             },
-        }
-    }
-
-    #[test]
-    fn plan_edges_are_consistent() {
-        let plan = wf_plan();
-        assert!(!plan.is_empty());
-        for (i, ps) in plan.preds.iter().enumerate() {
-            for &p in ps {
-                assert!(
-                    plan.succs[p as usize].contains(&(i as u32)),
-                    "succ list of {p} misses {i}"
-                );
-            }
-        }
-        let nedges: usize = plan.preds.iter().map(Vec::len).sum();
-        assert_eq!(nedges, plan.succs.iter().map(Vec::len).sum::<usize>());
-    }
-
-    #[test]
-    fn spaceblocked_plan_has_one_node_per_step_and_block() {
-        let shape = Shape::new(16, 16, 3);
-        let plan = TilePlan::spaceblocked(shape, 4, 8, 8, 2);
-        assert_eq!(plan.len(), 4 * 4); // 4 steps × 2×2 blocks
-        for slabs in &plan.slabs {
-            assert_eq!(slabs.len(), 1);
-        }
-        // Skew-free: every slab is exactly one (8, 8) block.
-        for slabs in &plan.slabs {
-            let r = &slabs[0].range;
-            assert_eq!((r.x1 - r.x0, r.y1 - r.y0), (8, 8));
         }
     }
 
@@ -997,71 +699,19 @@ mod tests {
     }
 
     #[test]
-    fn execute_incremental_counts_are_exact() {
-        let plan = wf_plan();
-        let n = plan.len();
-        let restore_ok: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let expected_reused = restore_ok.iter().filter(|&&b| b).count();
-        let stepped = AtomicUsize::new(0);
-        let restored = AtomicUsize::new(0);
-        let captured = AtomicUsize::new(0);
-        let out = execute_incremental(
-            &plan,
-            Policy::Sequential,
-            &restore_ok,
-            |_vt, b| {
-                stepped.fetch_add(b.len(), Ordering::Relaxed);
-            },
-            |_i| {
-                restored.fetch_add(1, Ordering::Relaxed);
-            },
-            |_i| {
-                captured.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(out.total, n);
-        assert_eq!(out.reused + out.recomputed, out.total);
-        assert_eq!(out.reused, expected_reused);
-        assert_eq!(restored.into_inner(), expected_reused);
-        assert_eq!(captured.into_inner(), n - expected_reused);
-        assert!(stepped.into_inner() > 0);
-    }
-
-    #[test]
-    fn cold_execute_covers_every_point_like_plain_dataflow() {
-        let shape = Shape::new(20, 14, 3);
-        let plan = TilePlan::wavefront(shape, 7, &WavefrontSpec::new(8, 8, 3, 2, 3, 4), 2);
-        for policy in [Policy::Sequential, Policy::Capped { threads: 2 }] {
-            let total = AtomicUsize::new(0);
-            let out = execute_incremental(
-                &plan,
-                policy,
-                &vec![false; plan.len()],
-                |_vt, b| {
-                    total.fetch_add(b.len(), Ordering::Relaxed);
-                },
-                |_| {},
-                |_| {},
-            );
-            assert_eq!(out.reused, 0);
-            assert_eq!(total.into_inner(), 7 * shape.len());
-        }
-    }
-
-    #[test]
     fn slab_payload_pencil_indexing() {
         let range = Range3::new((2, 5), (1, 4), (0, 4));
-        let mut data = vec![0.0f32; range.len()];
-        for (i, v) in data.iter_mut().enumerate() {
-            *v = i as f32;
-        }
+        let data = (0..2 * range.len()).map(|i| i as f32).collect();
         let p = SlabPayload {
             slab: Slab { vt: 0, range },
             data,
         };
-        assert_eq!(p.pencil(2, 1)[0], 0.0);
-        assert_eq!(p.pencil(2, 2)[0], 4.0);
-        assert_eq!(p.pencil(3, 1)[0], 12.0);
-        assert_eq!(p.pencil(4, 3)[3], 35.0);
+        assert_eq!(p.pencil(0, 2, 1)[0], 0.0);
+        assert_eq!(p.pencil(0, 2, 2)[0], 4.0);
+        assert_eq!(p.pencil(0, 3, 1)[0], 12.0);
+        assert_eq!(p.pencil(0, 4, 3)[3], 35.0);
+        // The second field starts one whole range later.
+        assert_eq!(p.pencil(1, 2, 1)[0], 36.0);
+        assert_eq!(p.pencil(1, 4, 3)[3], 71.0);
     }
 }

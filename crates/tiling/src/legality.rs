@@ -5,7 +5,9 @@
 //! points that have not yet been updated through the stencil kernel updates
 //! may be affected" (Fig. 4b). This module makes such arguments machine-
 //! checkable: it replays a schedule (a sequence of [`Slab`]s) against an
-//! abstract dependency model and reports the first violation.
+//! abstract dependency model and reports the first violation; [`check_plan`]
+//! lifts that to a whole [`TilePlan`], certifying every order the executor
+//! may run it in.
 //!
 //! The model: computing virtual step `vt` of column `(x, y)` (the `z` pencil
 //! is never split, so columns are the dependency unit)
@@ -18,8 +20,8 @@
 //!    `vt − 1` value it must read has been overwritten (Fig. 7's "the green
 //!    value substitutes the yellow one" is only safe behind the wave-front).
 
-use crate::diamond::{diamond_slab, diamond_tile_graph, DiamondSpec, DiamondTile};
-use crate::wavefront::{diagonals, tile_graph, tile_slab, Slab, Tile, WavefrontSpec};
+use crate::plan::TilePlan;
+use crate::wavefront::{dilate_xy, xy_overlap, Slab};
 use tempest_grid::{Array2, Shape};
 
 /// Dependency model of a propagator for legality checking.
@@ -160,51 +162,43 @@ where
     Ok(())
 }
 
-/// A dependency conflict between two tiles scheduled concurrently on the
-/// same anti-diagonal.
+/// A violation of a tile plan's soundness.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiagonalConflict {
-    /// The reading/writing tile.
-    pub tile_a: Tile,
-    /// Its virtual step.
-    pub vt_a: usize,
-    /// The concurrently writing tile.
-    pub tile_b: Tile,
-    /// Its virtual step.
-    pub vt_b: usize,
-    /// `true` when the conflict is a same-ring-slot write/write overlap,
-    /// `false` when tile B writes a slot tile A concurrently reads.
-    pub write_write: bool,
+pub enum PlanViolation {
+    /// The dependency graph is cyclic — this node can never become ready.
+    /// Reachable for a wave-front `skew < radius`, a diamond
+    /// `slope < radius` (base width below `2·radius·tile_t`) or a diamond
+    /// `cross_skew < radius`: neighbouring same-row tiles then read each
+    /// other's previous step in both directions.
+    Cycle {
+        /// A node left with unsatisfiable predecessors.
+        node: usize,
+    },
+    /// A topological serialisation of the graph fails the replay oracle —
+    /// the predecessor sets miss a flow dependency.
+    Replay(Violation),
+    /// Two nodes the graph leaves unordered (neither is an ancestor of the
+    /// other, so they may run concurrently) have conflicting footprints.
+    Unordered {
+        /// The reading/writing node.
+        a: usize,
+        /// Its virtual step.
+        vt_a: usize,
+        /// The concurrently writing node.
+        b: usize,
+        /// Its virtual step.
+        vt_b: usize,
+        /// `true` for a same-ring-slot write/write overlap, `false` when
+        /// node B writes a slot node A concurrently reads.
+        write_write: bool,
+    },
 }
 
-/// Do the x/y footprints of two slabs overlap? (`z` is always full.)
-fn xy_overlap(a: &Slab, b: &Slab) -> bool {
-    a.range.x0 < b.range.x1
-        && b.range.x0 < a.range.x1
-        && a.range.y0 < b.range.y1
-        && b.range.y0 < a.range.y1
-}
-
-/// A slab grown by the stencil radius in x and y, clamped to the grid —
-/// the footprint its step *reads* at the previous virtual step.
-fn dilate(shape: Shape, r: usize, s: &Slab) -> Slab {
-    Slab {
-        vt: s.vt,
-        range: tempest_grid::Range3::new(
-            (s.range.x0.saturating_sub(r), (s.range.x1 + r).min(shape.nx)),
-            (s.range.y0.saturating_sub(r), (s.range.y1 + r).min(shape.ny)),
-            (s.range.z0, s.range.z1),
-        ),
-    }
-}
-
-/// May tiles `a` and `b` run concurrently with *no ordering between them*?
-///
-/// The slot-aware pairwise test shared by [`check_diagonal_independence`]
-/// and [`check_dataflow_dependencies`]. Concurrency means tile A executing
-/// step `va` may coincide with tile B at any step `vb`. Writing step `v`
-/// targets ring slot `v mod levels` and reading step `v` touches every
-/// *other* slot, so for each `(va, vb)` pair:
+/// The slot-aware conflict test over two nodes' slab sequences, one
+/// direction: does some slab of A (reading) collide with some slab of B
+/// (writing) when nothing orders the two nodes? Writing step `v` targets
+/// ring slot `v mod levels` and reading step `v` touches every *other* slot,
+/// so for each `(va, vb)` pair:
 ///
 /// * `va ≡ vb (mod levels)` — only a write/write overlap on the shared slot
 ///   could race, so the two write footprints must be spatially disjoint;
@@ -214,37 +208,6 @@ fn dilate(shape: Shape, r: usize, s: &Slab) -> Slab {
 /// Checks actual clamped footprints (certifying boundary tiles); clamping
 /// only shrinks regions and can never create an overlap the unclamped
 /// geometry excludes.
-fn tile_pair_conflict(
-    shape: Shape,
-    model: DepModel,
-    spec: &WavefrontSpec,
-    a: &Tile,
-    b: &Tile,
-) -> Option<DiagonalConflict> {
-    let slabs_of = |t: &Tile| -> Vec<Slab> {
-        (t.t0..t.t1)
-            .filter_map(|vt| tile_slab(shape, spec, t, vt))
-            .collect()
-    };
-    let (sa, sb) = (slabs_of(a), slabs_of(b));
-    for (a, b, sa, sb) in [(a, b, &sa, &sb), (b, a, &sb, &sa)] {
-        if let Some((vt_a, vt_b, write_write)) = slab_lists_conflict(shape, model, sa, sb) {
-            return Some(DiagonalConflict {
-                tile_a: *a,
-                vt_a,
-                tile_b: *b,
-                vt_b,
-                write_write,
-            });
-        }
-    }
-    None
-}
-
-/// The slot-aware conflict test over two tiles' slab sequences, one
-/// direction: does some slab of A (reading) collide with some slab of B
-/// (writing)? Callers check both orderings. Shared by the wavefront and
-/// diamond pairwise tests.
 fn slab_lists_conflict(
     shape: Shape,
     model: DepModel,
@@ -252,15 +215,11 @@ fn slab_lists_conflict(
     b_slabs: &[Slab],
 ) -> Option<(usize, usize, bool)> {
     for sa in a_slabs {
-        let ra = dilate(shape, model.radius, sa);
+        let ra = dilate_xy(&sa.range, model.radius, shape);
         for sb in b_slabs {
             let write_write = sa.vt % model.levels == sb.vt % model.levels;
-            let conflict = if write_write {
-                xy_overlap(sa, sb)
-            } else {
-                xy_overlap(&ra, sb)
-            };
-            if conflict {
+            let reads = if write_write { &sa.range } else { &ra };
+            if xy_overlap(reads, &sb.range) {
                 return Some((sa.vt, sb.vt, write_write));
             }
         }
@@ -268,114 +227,43 @@ fn slab_lists_conflict(
     None
 }
 
-/// Verify that every pair of same-diagonal tiles under `spec` is
-/// dependency-disjoint — the soundness condition of
-/// [`crate::wavefront::execute_diagonal`].
+/// Validate a plan's predecessor sets against the replay oracle — the
+/// soundness condition of [`crate::execute_plan`].
 ///
-/// Tiles on one anti-diagonal run concurrently with no ordering between
-/// them, so tile A executing step `va` may coincide with tile B executing
-/// any step `vb` of the same time tile. Writing step `v` targets ring slot
-/// `v mod levels`, and reading step `v` touches every *other* slot (the
-/// `levels − 1` preceding values). Hence for each pair and each `(va, vb)`:
-///
-/// * `va ≡ vb (mod levels)` — B writes the one slot A does not read; only a
-///   write/write overlap on the same slot could race, so the two write
-///   footprints must be spatially disjoint.
-/// * otherwise — B's written slot is among A's read slots, so B's write
-///   footprint must be disjoint from A's read footprint (its slab dilated
-///   by `radius` in x and y, clamped to the grid).
-///
-/// Geometrically both hold whenever `skew ≥ radius`: same-diagonal tiles
-/// recede in opposite senses along the diagonal, so their footprints can
-/// only touch at equal step offsets — where the slot arithmetic separates
-/// them. This function checks the actual clamped footprints, so it also
-/// certifies boundary tiles. Domain clamping only shrinks regions and can
-/// never create an overlap that the unclamped geometry excludes.
-pub fn check_diagonal_independence(
-    shape: Shape,
-    nvt: usize,
-    model: DepModel,
-    spec: &WavefrontSpec,
-) -> Result<(), DiagonalConflict> {
-    assert!(model.levels >= 2, "time buffers have at least 2 levels");
-    let mut t0 = 0usize;
-    while t0 < nvt {
-        let t1 = (t0 + spec.tile_t).min(nvt);
-        for group in diagonals(shape, spec, t0, t1) {
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i + 1..] {
-                    if let Some(c) = tile_pair_conflict(shape, model, spec, a, b) {
-                        return Err(c);
-                    }
-                }
-            }
-        }
-        t0 = t1;
-    }
-    Ok(())
-}
-
-/// A violation of the dataflow schedule's soundness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DataflowViolation {
-    /// The dependency graph is cyclic — this tile can never become ready.
-    /// Only reachable for `skew < radius`, where same-row neighbours read
-    /// each other's previous step in both directions.
-    Cycle {
-        /// A tile left with unsatisfiable predecessors.
-        tile: Tile,
-    },
-    /// A topological serialisation of the graph fails the replay oracle —
-    /// the predecessor sets miss a flow dependency.
-    Replay(Violation),
-    /// Two tiles the graph leaves unordered (neither is an ancestor of the
-    /// other, so they may run concurrently) have conflicting footprints.
-    Unordered(DiagonalConflict),
-}
-
-/// Validate the predecessor sets [`tile_graph`] builds for `spec` against
-/// the replay oracle — the soundness condition of
-/// [`crate::wavefront::execute_dataflow`].
-///
-/// Three facts together certify *every* execution order the dataflow
-/// executor can produce:
+/// Three facts together certify *every* execution order the executor can
+/// produce:
 ///
 /// 1. the graph is acyclic (Kahn's algorithm consumes every node);
 /// 2. one topological serialisation replays cleanly through
 ///    [`check_schedule`] — so that particular order is legal;
-/// 3. every *unordered* pair of tiles passes the slot-aware pairwise
-///    conflict test — so adjacent tiles in any legal order commute, and
+/// 3. every *unordered* pair of nodes passes the slot-aware pairwise
+///    conflict test — so adjacent nodes in any legal order commute, and
 ///    every other topological order replays identically.
 ///
 /// Point 3 is also where ring-buffer anti-dependencies are discharged: the
 /// graph carries only flow edges (overwrite hazards are transitively
 /// implied by chains of them), and this check machine-verifies that claim
 /// for the given `model.levels` rather than trusting the argument.
-pub fn check_dataflow_dependencies(
-    shape: Shape,
-    nvt: usize,
-    model: DepModel,
-    spec: &WavefrontSpec,
-) -> Result<(), DataflowViolation> {
+pub fn check_plan(shape: Shape, model: DepModel, plan: &TilePlan) -> Result<(), PlanViolation> {
     assert!(model.levels >= 2, "time buffers have at least 2 levels");
-    let (tiles, preds) = tile_graph(shape, nvt, spec, model.radius);
-    let order = match kahn_order(&preds) {
-        Ok(o) => o,
-        Err(stuck) => return Err(DataflowViolation::Cycle { tile: tiles[stuck] }),
-    };
-    let mut sched = Vec::new();
-    for &i in &order {
-        let t = &tiles[i as usize];
-        for vt in t.t0..t.t1 {
-            if let Some(s) = tile_slab(shape, spec, t, vt) {
-                sched.push(s);
+    let order = kahn_order(&plan.preds).map_err(|node| PlanViolation::Cycle { node })?;
+    let sched = order
+        .iter()
+        .flat_map(|&i| plan.slabs[i as usize].iter().copied());
+    check_schedule(shape, plan.nvt, model, sched).map_err(PlanViolation::Replay)?;
+    for (i, j) in unordered_pairs(&order, &plan.preds) {
+        for (a, b) in [(i, j), (j, i)] {
+            if let Some((vt_a, vt_b, write_write)) =
+                slab_lists_conflict(shape, model, &plan.slabs[a], &plan.slabs[b])
+            {
+                return Err(PlanViolation::Unordered {
+                    a,
+                    vt_a,
+                    b,
+                    vt_b,
+                    write_write,
+                });
             }
-        }
-    }
-    check_schedule(shape, nvt, model, sched).map_err(DataflowViolation::Replay)?;
-    for (i, j) in unordered_pairs(&order, &preds) {
-        if let Some(c) = tile_pair_conflict(shape, model, spec, &tiles[i], &tiles[j]) {
-            return Err(DataflowViolation::Unordered(c));
         }
     }
     Ok(())
@@ -440,107 +328,11 @@ fn unordered_pairs(order: &[u32], preds: &[Vec<u32>]) -> Vec<(usize, usize)> {
     out
 }
 
-/// A dependency conflict between two diamond tiles the graph leaves
-/// unordered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiamondConflict {
-    /// The reading/writing tile.
-    pub tile_a: DiamondTile,
-    /// Its virtual step.
-    pub vt_a: usize,
-    /// The concurrently writing tile.
-    pub tile_b: DiamondTile,
-    /// Its virtual step.
-    pub vt_b: usize,
-    /// `true` for a same-ring-slot write/write overlap, `false` when tile B
-    /// writes a slot tile A concurrently reads.
-    pub write_write: bool,
-}
-
-/// A violation of the diamond schedule's soundness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiamondViolation {
-    /// The dependency graph is cyclic — this tile can never become ready.
-    /// Reachable for `slope < radius` (adjacent same-row diamonds read each
-    /// other's previous step in both directions) or `cross_skew < radius`
-    /// (likewise for adjacent cross windows) — i.e. for diamond base widths
-    /// below `2·radius·tile_t`.
-    Cycle {
-        /// A tile left with unsatisfiable predecessors.
-        tile: DiamondTile,
-    },
-    /// A topological serialisation of the graph fails the replay oracle —
-    /// the predecessor sets miss a flow dependency.
-    Replay(Violation),
-    /// Two tiles the graph leaves unordered have conflicting footprints.
-    Unordered(DiamondConflict),
-}
-
-/// Validate the predecessor sets [`diamond_tile_graph`] builds for `spec`
-/// against the replay oracle — the soundness condition of
-/// [`crate::diamond::execute_diamond`], mirroring
-/// [`check_dataflow_dependencies`]:
-///
-/// 1. the graph is acyclic (Kahn's algorithm consumes every node);
-/// 2. one topological serialisation replays cleanly through
-///    [`check_schedule`];
-/// 3. every unordered pair of tiles passes the slot-aware pairwise conflict
-///    test, so every other topological order replays identically.
-///
-/// As for the dataflow checker, point 3 discharges the ring-buffer
-/// anti-dependencies the flow-only graph leaves implicit. Specs with
-/// `slope < radius` (diamond width below `2·radius·tile_t`) or
-/// `cross_skew < radius` fail with [`DiamondViolation::Cycle`].
-pub fn check_diamond_dependencies(
-    shape: Shape,
-    nvt: usize,
-    model: DepModel,
-    spec: &DiamondSpec,
-) -> Result<(), DiamondViolation> {
-    assert!(model.levels >= 2, "time buffers have at least 2 levels");
-    let (tiles, preds) = diamond_tile_graph(shape, nvt, spec, model.radius);
-    let order = match kahn_order(&preds) {
-        Ok(o) => o,
-        Err(stuck) => return Err(DiamondViolation::Cycle { tile: tiles[stuck] }),
-    };
-    let mut sched = Vec::new();
-    for &i in &order {
-        let t = &tiles[i as usize];
-        for vt in t.t0..t.t1 {
-            if let Some(s) = diamond_slab(shape, spec, t, vt) {
-                sched.push(s);
-            }
-        }
-    }
-    check_schedule(shape, nvt, model, sched).map_err(DiamondViolation::Replay)?;
-    let slabs_of = |t: &DiamondTile| -> Vec<Slab> {
-        (t.t0..t.t1)
-            .filter_map(|vt| diamond_slab(shape, spec, t, vt))
-            .collect()
-    };
-    let all_slabs: Vec<Vec<Slab>> = tiles.iter().map(slabs_of).collect();
-    for (i, j) in unordered_pairs(&order, &preds) {
-        for (a, b) in [(i, j), (j, i)] {
-            if let Some((vt_a, vt_b, write_write)) =
-                slab_lists_conflict(shape, model, &all_slabs[a], &all_slabs[b])
-            {
-                return Err(DiamondViolation::Unordered(DiamondConflict {
-                    tile_a: tiles[a],
-                    vt_a,
-                    tile_b: tiles[b],
-                    vt_b,
-                    write_write,
-                }));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavefront::{diagonal_slabs, slabs};
+    use crate::diamond::{DiamondAxis, DiamondSpec};
+    use crate::wavefront::{slabs, tile_graph, WavefrontSpec};
     use tempest_grid::Range3;
 
     const SHAPE: Shape = Shape {
@@ -680,30 +472,62 @@ mod tests {
         assert!(res.is_err(), "{res:?}");
     }
 
+    /// The slabs of `plan`'s nodes, node by node in `order`.
+    fn linearise(plan: &TilePlan, order: &[usize]) -> Vec<Slab> {
+        order.iter().flat_map(|&i| plan.slabs[i].iter().copied()).collect()
+    }
+
+    /// A uniformly random topological order of the plan's graph.
+    fn random_topological_order(plan: &TilePlan, rng: &mut tempest_grid::Rng64) -> Vec<usize> {
+        let mut pending: Vec<usize> = plan.preds.iter().map(Vec::len).collect();
+        let mut ready: Vec<usize> = (0..plan.len()).filter(|&i| pending[i] == 0).collect();
+        let mut order = Vec::with_capacity(plan.len());
+        while !ready.is_empty() {
+            let i = ready.swap_remove(rng.range_usize(0, ready.len()));
+            order.push(i);
+            for &s in &plan.succs[i] {
+                pending[s as usize] -= 1;
+                if pending[s as usize] == 0 {
+                    ready.push(s as usize);
+                }
+            }
+        }
+        order
+    }
+
     #[test]
-    fn diagonal_serialisation_passes_replay_checker() {
-        // The canonical diagonal-major serialisation is a valid schedule by
-        // the independent replay-based checker.
+    fn slab_order_and_diagonal_order_of_a_plan_are_legal() {
+        // The two retired barrier executors survive as linearisations: node
+        // order is the slab-ordered schedule, and sorting each time row by
+        // anti-diagonal (ties in node order) is the diagonal-major one. Both
+        // are topological orders of the plan, so both must replay cleanly.
         for (radius, levels, tile_t) in [(1usize, 3usize, 4usize), (2, 3, 4), (2, 2, 2), (4, 3, 8)]
         {
             let spec = WavefrontSpec::new(8, 8, tile_t, radius, 4, 4);
-            let sched = diagonal_slabs(SHAPE, 9, &spec);
-            assert_eq!(
-                check_schedule(SHAPE, 9, DepModel { radius, levels }, sched),
-                Ok(()),
-                "radius {radius} levels {levels} tile_t {tile_t}"
-            );
+            let plan = TilePlan::wavefront(SHAPE, 9, &spec, radius);
+            let slab_order: Vec<usize> = (0..plan.len()).collect();
+            let mut diagonal_order = slab_order.clone();
+            diagonal_order.sort_by_key(|&i| (plan.labels[i].t0, plan.labels[i].diagonal));
+            assert_ne!(slab_order, diagonal_order, "the two orders must differ");
+            for order in [slab_order, diagonal_order] {
+                assert_eq!(
+                    check_schedule(SHAPE, 9, DepModel { radius, levels }, linearise(&plan, &order)),
+                    Ok(()),
+                    "radius {radius} levels {levels} tile_t {tile_t}"
+                );
+            }
         }
     }
 
     #[test]
-    fn diagonal_independence_holds_for_legal_skew() {
+    fn wavefront_plans_legal_for_sufficient_skew() {
         for radius in [0usize, 1, 2, 4] {
             for levels in [2usize, 3] {
                 for tile_t in [1usize, 2, 4, 8] {
                     let spec = WavefrontSpec::new(8, 8, tile_t, radius.max(1), 4, 4);
+                    let plan = TilePlan::wavefront(SHAPE, 9, &spec, radius);
                     assert_eq!(
-                        check_diagonal_independence(SHAPE, 9, DepModel { radius, levels }, &spec),
+                        check_plan(SHAPE, DepModel { radius, levels }, &plan),
                         Ok(()),
                         "radius {radius} levels {levels} tile_t {tile_t}"
                     );
@@ -713,105 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_independence_rejects_shallow_skew() {
-        // skew < radius: a tile one step ahead has not receded past its
-        // diagonal neighbour's read halo.
-        let spec = WavefrontSpec::new(8, 8, 4, 1, 4, 4);
-        let model = DepModel {
-            radius: 2,
-            levels: 3,
-        };
-        let res = check_diagonal_independence(SHAPE, 9, model, &spec);
-        let c = res.expect_err("shallow skew must conflict");
-        assert_eq!(c.tile_a.diagonal(), c.tile_b.diagonal());
-        assert!(!c.write_write);
-        assert_ne!(c.vt_a, c.vt_b, "conflicts only arise between step offsets");
-    }
-
-    #[test]
-    fn diagonal_independence_randomised_specs() {
-        // Property test: any spec with skew ≥ radius is diagonal-safe, and
-        // every random interleaving of same-diagonal tile streams replays
-        // cleanly through check_schedule. With skew < radius (and real
-        // coupling plus tile_t ≥ 2) a conflict must be reported.
-        let mut rng = tempest_grid::Rng64::new(0xD1A6);
-        for case in 0..40 {
-            let radius = rng.range_usize(0, 4);
-            let levels = rng.range_usize(2, 4);
-            let tile = rng.range_usize(2, 12);
-            let tile_t = rng.range_usize(1, 6);
-            let skew = radius + rng.range_usize(0, 3);
-            let nvt = rng.range_usize(1, 9);
-            let shape = Shape::new(rng.range_usize(8, 28), rng.range_usize(8, 28), 2);
-            let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
-            let model = DepModel { radius, levels };
-            assert_eq!(
-                check_diagonal_independence(shape, nvt, model, &spec),
-                Ok(()),
-                "case {case}: {spec:?} radius {radius} levels {levels}"
-            );
-            // Random interleaving of the concurrent tiles on each diagonal.
-            let mut sched = Vec::new();
-            let mut t0 = 0usize;
-            while t0 < nvt {
-                let t1 = (t0 + spec.tile_t).min(nvt);
-                for group in crate::wavefront::diagonals(shape, &spec, t0, t1) {
-                    let mut pos: Vec<usize> = vec![t0; group.len()];
-                    let mut remaining: usize = group.len() * (t1 - t0);
-                    while remaining > 0 {
-                        let k = rng.range_usize(0, group.len());
-                        if pos[k] == t1 {
-                            continue;
-                        }
-                        if let Some(s) = tile_slab(shape, &spec, &group[k], pos[k]) {
-                            sched.push(s);
-                        }
-                        pos[k] += 1;
-                        remaining -= 1;
-                    }
-                }
-                t0 = t1;
-            }
-            assert_eq!(
-                check_schedule(shape, nvt, model, sched),
-                Ok(()),
-                "case {case}: interleaved diagonal serialisation"
-            );
-        }
-        // Illegal side: skew strictly below radius.
-        for case in 0..20 {
-            let radius = rng.range_usize(1, 5);
-            let skew = rng.range_usize(0, radius);
-            let tile_t = rng.range_usize(2, 6);
-            let tile = rng.range_usize(2, 10);
-            let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
-            let model = DepModel { radius, levels: 3 };
-            let shape = Shape::new(24, 24, 2);
-            assert!(
-                check_diagonal_independence(shape, 8, model, &spec).is_err(),
-                "case {case}: skew {skew} < radius {radius} must conflict ({spec:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn dataflow_dependencies_legal_for_sufficient_skew() {
-        for radius in [0usize, 1, 2, 4] {
-            for levels in [2usize, 3] {
-                for tile_t in [1usize, 2, 4, 8] {
-                    let spec = WavefrontSpec::new(8, 8, tile_t, radius.max(1), 4, 4);
-                    assert_eq!(
-                        check_dataflow_dependencies(SHAPE, 9, DepModel { radius, levels }, &spec),
-                        Ok(()),
-                        "radius {radius} levels {levels} tile_t {tile_t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dataflow_dependencies_reject_shallow_skew() {
+    fn wavefront_plan_rejects_shallow_skew() {
         // skew < radius makes same-row neighbours read each other's previous
         // step in both directions: a dependency cycle.
         let spec = WavefrontSpec::new(8, 8, 4, 1, 4, 4);
@@ -819,43 +545,23 @@ mod tests {
             radius: 2,
             levels: 3,
         };
-        let res = check_dataflow_dependencies(SHAPE, 9, model, &spec);
-        assert!(
-            matches!(res, Err(DataflowViolation::Cycle { .. })),
-            "{res:?}"
-        );
+        let res = check_plan(SHAPE, model, &TilePlan::wavefront(SHAPE, 9, &spec, 2));
+        assert!(matches!(res, Err(PlanViolation::Cycle { .. })), "{res:?}");
     }
 
     /// Brute-force predecessor sets by definition: B precedes A iff for some
     /// step `va ≥ 1` of A, B's slab at `va - 1` intersects the dilated
     /// footprint of A's slab at `va`.
-    fn brute_force_preds(
-        shape: Shape,
-        spec: &WavefrontSpec,
-        radius: usize,
-        tiles: &[Tile],
-    ) -> Vec<Vec<u32>> {
-        let mut preds = vec![Vec::new(); tiles.len()];
-        for (ia, a) in tiles.iter().enumerate() {
-            for (ib, b) in tiles.iter().enumerate() {
-                if ia == ib {
-                    continue;
-                }
-                'pair: for va in a.t0.max(1)..a.t1 {
-                    let vb = va - 1;
-                    if !(b.t0..b.t1).contains(&vb) {
-                        continue;
-                    }
-                    let (Some(sa), Some(sb)) = (
-                        tile_slab(shape, spec, a, va),
-                        tile_slab(shape, spec, b, vb),
-                    ) else {
-                        continue;
-                    };
-                    if xy_overlap(&dilate(shape, radius, &sa), &sb) {
-                        preds[ia].push(ib as u32);
-                        break 'pair;
-                    }
+    fn brute_force_preds(shape: Shape, radius: usize, slabs: &[Vec<Slab>]) -> Vec<Vec<u32>> {
+        let mut preds = vec![Vec::new(); slabs.len()];
+        for (ia, a) in slabs.iter().enumerate() {
+            for (ib, b) in slabs.iter().enumerate() {
+                let reads = |sa: &Slab, sb: &Slab| {
+                    sa.vt == sb.vt + 1
+                        && xy_overlap(&dilate_xy(&sa.range, radius, shape), &sb.range)
+                };
+                if ia != ib && a.iter().any(|sa| b.iter().any(|sb| reads(sa, sb))) {
+                    preds[ia].push(ib as u32);
                 }
             }
         }
@@ -863,12 +569,13 @@ mod tests {
     }
 
     #[test]
-    fn tile_graph_preds_are_exactly_the_halo_writers() {
-        // Property test (satellite): every tile's predecessor set equals the
-        // brute-force "slabs overlapping its read halo one step earlier"
-        // set, across randomised specs — boundary tiles, clipped rows and
-        // tile_t = 1 included — and the whole graph passes the replay-backed
-        // dataflow validator.
+    fn wavefront_plan_preds_are_exactly_the_halo_writers() {
+        // Property test: every tile's predecessor set equals the brute-force
+        // "slabs overlapping its read halo one step earlier" set across
+        // randomised specs — boundary tiles, clipped rows and tile_t = 1
+        // included — the whole plan passes the replay-backed validator, and
+        // a random topological order of it replays cleanly. With skew <
+        // radius (and real coupling plus tile_t ≥ 2) the plan is rejected.
         let mut rng = tempest_grid::Rng64::new(0xDF10);
         for case in 0..40 {
             let radius = rng.range_usize(0, 4);
@@ -879,16 +586,30 @@ mod tests {
             let nvt = rng.range_usize(1, 9);
             let shape = Shape::new(rng.range_usize(8, 28), rng.range_usize(8, 28), 2);
             let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
-            let (tiles, preds) = tile_graph(shape, nvt, &spec, radius);
-            let expect = brute_force_preds(shape, &spec, radius, &tiles);
+            let ctx = format!("case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}");
+            let plan = TilePlan::wavefront(shape, nvt, &spec, radius);
+            assert_eq!(plan.preds, brute_force_preds(shape, radius, &plan.slabs), "{ctx}");
+            let model = DepModel { radius, levels };
+            assert_eq!(check_plan(shape, model, &plan), Ok(()), "{ctx}");
+            let order = random_topological_order(&plan, &mut rng);
+            assert_eq!(order.len(), plan.len(), "{ctx}");
             assert_eq!(
-                preds, expect,
-                "case {case}: {spec:?} radius {radius} nvt {nvt} shape {shape:?}"
-            );
-            assert_eq!(
-                check_dataflow_dependencies(shape, nvt, DepModel { radius, levels }, &spec),
+                check_schedule(shape, nvt, model, linearise(&plan, &order)),
                 Ok(()),
-                "case {case}: {spec:?} radius {radius} levels {levels}"
+                "{ctx}: random topological order"
+            );
+        }
+        for case in 0..20 {
+            let radius = rng.range_usize(1, 5);
+            let skew = rng.range_usize(0, radius);
+            let tile_t = rng.range_usize(2, 6);
+            let tile = rng.range_usize(2, 10);
+            let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
+            let shape = Shape::new(24, 24, 2);
+            let plan = TilePlan::wavefront(shape, 8, &spec, radius);
+            assert!(
+                check_plan(shape, DepModel { radius, levels: 3 }, &plan).is_err(),
+                "case {case}: skew {skew} < radius {radius} must be rejected ({spec:?})"
             );
         }
     }
@@ -913,59 +634,16 @@ mod tests {
         }
     }
 
-    /// Brute-force diamond predecessor sets by definition: B precedes A iff
-    /// for some step `va ≥ 1` of A, B's slab at `va − 1` intersects the
-    /// dilated footprint of A's slab at `va`.
-    fn brute_force_diamond_preds(
-        shape: Shape,
-        spec: &DiamondSpec,
-        radius: usize,
-        tiles: &[DiamondTile],
-    ) -> Vec<Vec<u32>> {
-        let mut preds = vec![Vec::new(); tiles.len()];
-        for (ia, a) in tiles.iter().enumerate() {
-            for (ib, b) in tiles.iter().enumerate() {
-                if ia == ib {
-                    continue;
-                }
-                'pair: for va in a.t0.max(1)..a.t1 {
-                    let vb = va - 1;
-                    if !(b.t0..b.t1).contains(&vb) {
-                        continue;
-                    }
-                    let (Some(sa), Some(sb)) = (
-                        diamond_slab(shape, spec, a, va),
-                        diamond_slab(shape, spec, b, vb),
-                    ) else {
-                        continue;
-                    };
-                    if xy_overlap(&dilate(shape, radius, &sa), &sb) {
-                        preds[ia].push(ib as u32);
-                        break 'pair;
-                    }
-                }
-            }
-        }
-        preds
-    }
-
     #[test]
-    fn diamond_dependencies_legal_for_sufficient_slope() {
-        use crate::diamond::DiamondAxis;
+    fn diamond_plans_legal_for_sufficient_slope() {
         for radius in [0usize, 1, 2, 4] {
             for levels in [2usize, 3] {
                 for tile_t in [1usize, 2, 3] {
-                    let spec = DiamondSpec::new(
-                        tile_t,
-                        radius.max(1),
-                        8,
-                        radius,
-                        4,
-                        4,
-                        DiamondAxis::X,
-                    );
+                    let spec =
+                        DiamondSpec::new(tile_t, radius.max(1), 8, radius, 4, 4, DiamondAxis::X);
+                    let plan = TilePlan::diamond(SHAPE, 9, &spec, radius);
                     assert_eq!(
-                        check_diamond_dependencies(SHAPE, 9, DepModel { radius, levels }, &spec),
+                        check_plan(SHAPE, DepModel { radius, levels }, &plan),
                         Ok(()),
                         "radius {radius} levels {levels} tile_t {tile_t}"
                     );
@@ -975,13 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn diamond_graph_preds_are_exactly_the_halo_writers() {
-        // Property test (satellite): every diamond tile's predecessor set
-        // equals the brute-force "slabs overlapping its read halo one step
-        // earlier" set across randomised specs — boundary half-diamonds,
-        // clipped cross windows and tile_t = 1 included — and the whole
-        // graph passes the replay-backed validator.
-        use crate::diamond::{diamond_tile_graph, DiamondAxis};
+    fn diamond_plan_preds_are_exactly_the_halo_writers() {
+        // Same property as the wave-front one across randomised diamond
+        // specs — boundary half-diamonds, clipped cross windows and
+        // tile_t = 1 included.
         let mut rng = tempest_grid::Rng64::new(0xD1AD);
         for case in 0..40 {
             let radius = rng.range_usize(0, 4);
@@ -998,39 +673,30 @@ mod tests {
             };
             let shape = Shape::new(rng.range_usize(8, 28), rng.range_usize(8, 28), 2);
             let spec = DiamondSpec::new(tile_t, slope, tile_c, cross_skew, 4, 4, axis);
-            let (tiles, preds) = diamond_tile_graph(shape, nvt, &spec, radius);
-            let expect = brute_force_diamond_preds(shape, &spec, radius, &tiles);
-            assert_eq!(
-                preds, expect,
-                "case {case}: {spec:?} radius {radius} nvt {nvt} shape {shape:?}"
-            );
-            assert_eq!(
-                check_diamond_dependencies(shape, nvt, DepModel { radius, levels }, &spec),
-                Ok(()),
-                "case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}"
-            );
+            let ctx = format!("case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}");
+            let plan = TilePlan::diamond(shape, nvt, &spec, radius);
+            assert_eq!(plan.preds, brute_force_preds(shape, radius, &plan.slabs), "{ctx}");
+            assert_eq!(check_plan(shape, DepModel { radius, levels }, &plan), Ok(()), "{ctx}");
         }
     }
 
     #[test]
-    fn diamond_dependencies_reject_shallow_slope() {
+    fn diamond_plan_rejects_shallow_slope() {
         // slope < radius — a diamond base width below 2·radius·tile_t —
         // makes adjacent same-row diamonds read each other's previous step
         // in both directions: a dependency cycle.
-        use crate::diamond::DiamondAxis;
         let spec = DiamondSpec::new(2, 1, 8, 2, 4, 4, DiamondAxis::X);
         let model = DepModel {
             radius: 2,
             levels: 3,
         };
         assert!(spec.width() < 2 * model.radius * spec.tile_t);
-        let res = check_diamond_dependencies(SHAPE, 4, model, &spec);
-        assert!(matches!(res, Err(DiamondViolation::Cycle { .. })), "{res:?}");
+        let res = check_plan(SHAPE, model, &TilePlan::diamond(SHAPE, 4, &spec, 2));
+        assert!(matches!(res, Err(PlanViolation::Cycle { .. })), "{res:?}");
     }
 
     #[test]
-    fn diamond_dependencies_reject_shallow_slope_randomised() {
-        use crate::diamond::DiamondAxis;
+    fn diamond_plan_rejects_shallow_slope_randomised() {
         let mut rng = tempest_grid::Rng64::new(0xD1AE);
         for case in 0..20 {
             let radius = rng.range_usize(2, 5);
@@ -1039,14 +705,9 @@ mod tests {
             let spec = DiamondSpec::new(tile_t, slope, 8, radius, 4, 4, DiamondAxis::X);
             assert!(spec.width() < 2 * radius * tile_t);
             let shape = Shape::new(32, 24, 2);
-            let res = check_diamond_dependencies(
-                shape,
-                2 * tile_t,
-                DepModel { radius, levels: 3 },
-                &spec,
-            );
+            let plan = TilePlan::diamond(shape, 2 * tile_t, &spec, radius);
             assert!(
-                res.is_err(),
+                check_plan(shape, DepModel { radius, levels: 3 }, &plan).is_err(),
                 "case {case}: width {} < {} must be rejected ({spec:?})",
                 spec.width(),
                 2 * radius * tile_t
@@ -1055,17 +716,16 @@ mod tests {
     }
 
     #[test]
-    fn diamond_dependencies_reject_shallow_cross_skew() {
+    fn diamond_plan_rejects_shallow_cross_skew() {
         // A legal diamond width but cross_skew < radius: adjacent cross
         // windows read each other's previous step in both directions.
-        use crate::diamond::DiamondAxis;
         let spec = DiamondSpec::new(2, 2, 4, 0, 4, 4, DiamondAxis::X);
         let model = DepModel {
             radius: 2,
             levels: 3,
         };
-        let res = check_diamond_dependencies(SHAPE, 4, model, &spec);
-        assert!(matches!(res, Err(DiamondViolation::Cycle { .. })), "{res:?}");
+        let res = check_plan(SHAPE, model, &TilePlan::diamond(SHAPE, 4, &spec, 2));
+        assert!(matches!(res, Err(PlanViolation::Cycle { .. })), "{res:?}");
     }
 
     #[test]

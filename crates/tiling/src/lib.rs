@@ -3,78 +3,65 @@
 //! Loop-schedule engine: how the space-time iteration domain of an explicit
 //! stencil propagator is traversed.
 //!
-//! The paper contrasts two schedules (§I.A, Fig. 4):
+//! The paper contrasts two schedules (§I.A, Fig. 4), and the crate has one
+//! executor for each:
 //!
-//! * **Spatial blocking** ([`spaceblock`]): each timestep sweeps the whole
-//!   grid, decomposed into cache-sized `(block_x, block_y)` × full-`z`
-//!   blocks that may run in parallel. Sparse operators can run between
-//!   timesteps — no dependency hazards (Fig. 4a). This is the
-//!   highly-optimised baseline the paper compares against.
+//! * **Spatial blocking** ([`spaceblock::execute`]): each timestep sweeps
+//!   the whole grid, decomposed into cache-sized `(block_x, block_y)` ×
+//!   full-`z` blocks that may run in parallel. Sparse operators can run
+//!   between timesteps — no dependency hazards (Fig. 4a). This is the
+//!   highly-optimised baseline the paper compares against, the bitwise
+//!   reference of every equivalence oracle, and the only legal home of the
+//!   classic per-timestep sparse operators.
 //!
-//! * **Wave-front temporal blocking** ([`wavefront`], §II.B): the space-time
-//!   domain splits into parallelogram tiles of `tile_t` timesteps skewed by
-//!   the dependency radius per step; inside a tile, slabs advance through
-//!   time while their working set is cache-resident. Applying off-grid
+//! * **Temporal blocking** ([`execute_plan`], §II.B): the space-time domain
+//!   splits into tiles of `tile_t` timesteps whose working set stays
+//!   cache-resident while they advance through time. Applying off-grid
 //!   sparse operators naively under this schedule is *incorrect* (Fig. 4b) —
 //!   the precomputation scheme in `tempest-sparse` is what makes it legal.
+//!   Every temporally blocked schedule is a *plan constructor* producing a
+//!   [`TilePlan`] (per-tile slabs plus the exact flow-dependence edges):
+//!   [`wavefront`] skews parallelogram tiles by the dependency radius per
+//!   step, [`diamond`] (MWD, Malas et al. arXiv:1410.3060) tiles time × one
+//!   space axis into diamonds with a skewed wave-front along the other. The
+//!   one executor runs any plan on `tempest_par::run_dataflow` — dependency
+//!   counters, per-worker stealing deques, a single join per sweep.
 //!
-//! Both schedules drive an abstract *step function* `step(vt, region)`:
+//! Both executors drive an abstract *step function* `step(vt, region)`:
 //! "compute virtual timestep `vt` for `region`". Multi-phase propagators
 //! (elastic velocity–stress updates two field groups per timestep, the
 //! second reading same-timestep values of the first — Fig. 8b) map each
 //! phase to its own virtual step, which automatically widens the skew.
 //!
-//! The wave-front schedule has three executors: slab-ordered
-//! ([`wavefront::execute`]) parallelises the blocks of one slab between
-//! barriers; diagonal-parallel ([`wavefront::execute_diagonal`]) runs
-//! whole same-anti-diagonal space-time tiles concurrently with one barrier
-//! per diagonal — a coarser grain with ~`tile_t×` fewer synchronisation
-//! points; and dataflow ([`wavefront::execute_dataflow`]) drops the
-//! per-diagonal barriers too, running the exact tile dependency graph
-//! ([`wavefront::tile_graph`]) under dependency counters and per-worker
-//! stealing deques with a single join per sweep. All three produce
-//! bitwise-identical wavefields.
+//! [`incremental`] layers differential recomputation over a plan: a
+//! dirty-cone pass ([`dirty_cone`]) marks the causal cone of a [`RunDelta`]
+//! between two runs, and a bounded LRU [`TileCache`] of per-tile outputs
+//! lets a [`TileStore`] restore clean tiles bit-for-bit inside
+//! [`execute_plan`] so only the cone is recomputed.
 //!
-//! A fourth temporally blocked schedule, [`diamond`] (MWD, Malas et al.
-//! arXiv:1410.3060), tiles time × one chosen space axis into diamonds and
-//! runs a skewed wave-front along the other axis, reusing the dataflow
-//! executor's dependency-counted substrate via its own graph builder
-//! ([`diamond::diamond_tile_graph`]). It too is bitwise identical to the
-//! schedules above.
-//!
-//! [`incremental`] layers differential recomputation over the dataflow
-//! substrate: a schedule-agnostic [`TilePlan`] snapshot of any tile graph, a
-//! dirty-cone pass ([`dirty_cone`]) that marks the causal cone of a
-//! [`RunDelta`] between two runs, and a bounded LRU [`TileCache`] of
-//! per-tile outputs so [`incremental::execute_incremental`] restores clean
-//! tiles bit-for-bit and recomputes only the cone.
-//!
-//! [`legality`] provides a dependency checker that validates any schedule
-//! against the stencil's radius and the circular time-buffer depth
-//! (including the tile-disjointness proof obligation of the diagonal
-//! executor, [`legality::check_diagonal_independence`], and the
-//! predecessor-set soundness proofs of the dataflow and diamond executors,
-//! [`legality::check_dataflow_dependencies`] and
-//! [`legality::check_diamond_dependencies`]), and
-//! [`autotune()`](autotune()) sweeps tile/block shapes (§IV.C, Table I).
+//! [`legality`] validates any slab sequence against the stencil's radius and
+//! the circular time-buffer depth ([`legality::check_schedule`]) and proves
+//! a whole plan sound — acyclic, replayable, every unordered tile pair
+//! conflict-free ([`legality::check_plan`]); [`autotune()`](autotune())
+//! sweeps tile/block shapes (§IV.C, Table I).
 
 pub mod autotune;
 pub mod diamond;
 pub mod incremental;
 pub mod legality;
+pub mod plan;
 pub mod spaceblock;
 pub mod wavefront;
 
 pub use autotune::{
-    autotune, autotune_measured, spaceblock_candidates, with_dataflow_variants,
-    with_diagonal_variants, with_diamond_variants, Candidate, MeasuredResult, Measurement,
-    TuneResult,
+    autotune, autotune_measured, spaceblock_candidates, with_diamond_variants, Candidate,
+    MeasuredResult, Measurement, TuneResult,
 };
 pub use diamond::{DiamondAxis, DiamondSpec, DiamondTile};
 pub use incremental::{
-    cache_mb_from, dirty_cone, dirty_cone_oracle, execute_incremental, CacheStats, DirtyRect,
-    IncrementalOutcome, RunDelta, SlabPayload, SourceSig, TileCache, TilePayload, TilePlan,
-    DEFAULT_CACHE_MB,
+    cache_mb_from, dirty_cone, dirty_cone_oracle, CacheStats, DirtyRect, RunDelta, SlabPayload,
+    SourceSig, TileCache, TilePayload, DEFAULT_CACHE_MB,
 };
+pub use plan::{execute_plan, IncrementalOutcome, TilePlan, TileStore};
 pub use spaceblock::SpaceBlockSpec;
 pub use wavefront::{Slab, Tile, WavefrontSpec};

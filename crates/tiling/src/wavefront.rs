@@ -13,44 +13,21 @@
 //!   each intra-timestep phase as its own virtual step, which widens the
 //!   effective angle exactly as Fig. 8b prescribes.
 //!
-//! Execution order: time tiles are outermost and sequential; inside a time
-//! tile, spatial tiles run in lexicographic `(xt, yt)` order; inside a tile,
-//! virtual time ascends and each slab (the tile cross-section at one `vt`,
-//! shifted left by `skew·Δt`) is decomposed into `(block_x, block_y)` blocks
-//! that may run in parallel. Legality for any `skew ≥ radius` and circular
-//! buffers of ≥ 2 levels is established by the checker in
-//! [`crate::legality`] and by bitwise-equivalence tests against the
-//! spatially blocked schedule in `tempest-core`.
-//!
-//! [`execute_diagonal`] coarsens the parallel grain from intra-slab blocks
-//! to whole space-time tiles: within a time tile, spatial tiles on the same
-//! anti-diagonal `d = xt + yt` have pairwise-disjoint dependency footprints
-//! whenever `skew ≥ radius` (each tile recedes by `skew` per step, so a tile
-//! running ahead of a diagonal neighbour has already moved out of its read
-//! halo — [`crate::legality::check_diagonal_independence`] proves this per
-//! spec). Diagonals run in ascending order with a barrier between them and
-//! every tile of one diagonal runs concurrently, its `vt` range sequential
-//! inside. One barrier per diagonal instead of one per slab cuts the number
-//! of synchronisation points by roughly `tile_t×` while keeping the
-//! wavefield bitwise identical (each pencil is still computed whole, in the
-//! same z-order, with the same fused sparse work at the same `vt`).
-//!
-//! [`execute_dataflow`] removes the per-diagonal barriers as well: the
-//! space-time tiles of the *whole sweep* become nodes of a dependency graph
-//! ([`tile_graph`]) whose edges are the exact stencil flow dependencies
-//! (tile B precedes tile A iff some slab of B at step `va - 1` intersects
-//! the `radius`-dilated footprint of A's slab at step `va`), and
-//! `tempest_par::run_dataflow` drives it with dependency counters and
-//! per-worker deques — the only global synchronisation left is one join at
-//! the end of the sweep. Anti-dependencies (ring-buffer overwrites) are
-//! transitively implied by the flow edges, which
-//! [`crate::legality::check_dataflow_dependencies`] verifies per spec.
+//! This module is geometry only: it enumerates the tiles and their slabs
+//! ([`for_each_tile`], [`tile_slab`]) and builds the exact tile dependency
+//! graph ([`tile_graph`]): tile B precedes tile A iff some slab of B at step
+//! `va - 1` intersects the `radius`-dilated footprint of A's slab at step
+//! `va`. [`crate::TilePlan::wavefront`] snapshots both into a plan and
+//! [`crate::execute_plan`] runs it. The enumeration order — time tiles
+//! outermost, spatial tiles in lexicographic `(xt, yt)` order, virtual time
+//! ascending inside a tile — is one topological order of that graph; its
+//! legality for any `skew ≥ radius` and circular buffers of ≥ 2 levels is
+//! established by [`crate::legality`] and by bitwise-equivalence tests
+//! against the spatially blocked schedule in `tempest-core`.
 
 use std::collections::HashMap;
 
 use tempest_grid::{Range3, Shape};
-use tempest_obs as obs;
-use tempest_par::Policy;
 
 /// Parameters of the wave-front temporally blocked schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +117,8 @@ pub struct Tile {
 
 impl Tile {
     /// The anti-diagonal index `xt + yt` — tiles sharing it are
-    /// dependency-disjoint under `skew ≥ radius` (see module docs).
+    /// dependency-disjoint under `skew ≥ radius` (the graph leaves them
+    /// unordered), so traces group load balance by it.
     pub fn diagonal(&self) -> usize {
         self.xt + self.yt
     }
@@ -229,145 +207,6 @@ pub fn slabs(shape: Shape, nvt: usize, spec: &WavefrontSpec) -> Vec<Slab> {
     out
 }
 
-/// Execute `nvt` virtual steps under wave-front temporal blocking.
-///
-/// `step(vt, region)` must compute virtual step `vt` for `region`; blocks
-/// within one slab are independent and run under `policy`.
-pub fn execute<S>(shape: Shape, nvt: usize, spec: &WavefrontSpec, policy: Policy, step: S)
-where
-    S: Fn(usize, &Range3) + Sync + Send,
-{
-    // Same slab order as `for_each_slab`, unrolled one level so each slab's
-    // trace span can carry its tile coordinates.
-    for_each_tile(shape, nvt, spec, |tile| {
-        for vt in tile.t0..tile.t1 {
-            if let Some(slab) = tile_slab(shape, spec, tile, vt) {
-                let sw = obs::start(obs::Phase::Slab);
-                let _sp = obs::trace::span(
-                    obs::trace::SpanKind::Slab,
-                    obs::trace::SpanArgs::slab(tile.diagonal(), tile.xt, tile.yt, vt),
-                );
-                let blocks = slab.range.split_xy(spec.block_x, spec.block_y);
-                tempest_par::for_each(policy, &blocks, |b| step(slab.vt, b));
-                obs::add(obs::Counter::WavefrontSlabs, 1);
-                sw.stop();
-            }
-        }
-    });
-}
-
-/// Sequential wave-front execution with a mutable step closure.
-///
-/// Same schedule as [`execute`], single-threaded — for stateful consumers
-/// like the DSL interpreter that drive the schedule with `&mut self`.
-pub fn execute_seq<S>(shape: Shape, nvt: usize, spec: &WavefrontSpec, mut step: S)
-where
-    S: FnMut(usize, &Range3),
-{
-    for_each_slab(shape, nvt, spec, |slab| {
-        for b in slab.range.split_xy(spec.block_x, spec.block_y) {
-            step(slab.vt, &b);
-        }
-    });
-}
-
-/// The tiles with work of one time tile `[t0, t1)`, grouped by ascending
-/// anti-diagonal: `result[d]` holds every non-empty tile with `xt + yt == d`.
-/// Fully-clipped tiles are dropped, and so are trailing diagonals left empty
-/// by the clipping — the executor never pays a barrier (or emits a span) for
-/// zero work near the domain edge.
-pub fn diagonals(shape: Shape, spec: &WavefrontSpec, t0: usize, t1: usize) -> Vec<Vec<Tile>> {
-    let (ntx, nty) = row_tiles(shape, spec, t1 - t0);
-    let mut out = vec![Vec::new(); ntx + nty - 1];
-    for xt in 0..ntx {
-        for yt in 0..nty {
-            let tile = Tile { xt, yt, t0, t1 };
-            if tile_has_work(shape, spec, &tile) {
-                out[xt + yt].push(tile);
-            }
-        }
-    }
-    while out.last().is_some_and(Vec::is_empty) {
-        out.pop();
-    }
-    out
-}
-
-/// Execute `nvt` virtual steps with diagonal-parallel wave-front blocking.
-///
-/// Time tiles run sequentially; within one, anti-diagonals run in ascending
-/// order with a barrier between them, and all tiles on a diagonal run
-/// concurrently under `policy` (each tile's `vt` range sequential inside,
-/// its slabs still cut into `(block_x, block_y)` cache blocks). Parallelism
-/// per synchronisation point is whole tiles instead of one slab's blocks —
-/// legal because same-diagonal tiles are dependency-disjoint for
-/// `skew ≥ radius` and ring depth ≥ 2 (see module docs and
-/// [`crate::legality::check_diagonal_independence`]).
-pub fn execute_diagonal<S>(shape: Shape, nvt: usize, spec: &WavefrontSpec, policy: Policy, step: S)
-where
-    S: Fn(usize, &Range3) + Sync + Send,
-{
-    let mut t0 = 0usize;
-    while t0 < nvt {
-        let t1 = (t0 + spec.tile_t).min(nvt);
-        for (d, tiles) in diagonals(shape, spec, t0, t1).into_iter().enumerate() {
-            if tiles.is_empty() {
-                continue;
-            }
-            let sw = obs::start(obs::Phase::Diagonal);
-            let _dsp = obs::trace::span(
-                obs::trace::SpanKind::Diagonal,
-                obs::trace::SpanArgs::diag(d, t0, t1),
-            );
-            // `for_each` blocks until every tile completes: the barrier
-            // between diagonals. The per-tile span runs on whichever worker
-            // claimed the tile, so the trace shows the real thread placement.
-            tempest_par::for_each(policy, &tiles, |tile| {
-                let _sp = obs::trace::span(
-                    obs::trace::SpanKind::Tile,
-                    obs::trace::SpanArgs::tile(tile.diagonal(), tile.xt, tile.yt, tile.t0, tile.t1),
-                );
-                for vt in tile.t0..tile.t1 {
-                    if let Some(slab) = tile_slab(shape, spec, tile, vt) {
-                        for b in slab.range.split_xy(spec.block_x, spec.block_y) {
-                            step(vt, &b);
-                        }
-                    }
-                }
-            });
-            obs::add(obs::Counter::WavefrontDiagonals, 1);
-            obs::add(obs::Counter::WavefrontTiles, tiles.len() as u64);
-            sw.stop();
-        }
-        t0 = t1;
-    }
-}
-
-/// The slab sequence of one serialisation of the diagonal schedule:
-/// diagonal-major, same-diagonal tiles in lexicographic order, each tile's
-/// `vt` range in full before the next tile. Feeding this (or any
-/// same-diagonal permutation of it) to [`crate::legality::check_schedule`]
-/// certifies the parallel schedule, since the checker's constraints are
-/// order-insensitive within a set of dependency-disjoint tiles.
-pub fn diagonal_slabs(shape: Shape, nvt: usize, spec: &WavefrontSpec) -> Vec<Slab> {
-    let mut out = Vec::new();
-    let mut t0 = 0usize;
-    while t0 < nvt {
-        let t1 = (t0 + spec.tile_t).min(nvt);
-        for tiles in diagonals(shape, spec, t0, t1) {
-            for tile in &tiles {
-                for vt in tile.t0..tile.t1 {
-                    if let Some(slab) = tile_slab(shape, spec, tile, vt) {
-                        out.push(slab);
-                    }
-                }
-            }
-        }
-        t0 = t1;
-    }
-    out
-}
-
 /// xy-plane overlap of two ranges (z is never tiled).
 pub(crate) fn xy_overlap(a: &Range3, b: &Range3) -> bool {
     a.x0 < b.x1 && b.x0 < a.x1 && a.y0 < b.y1 && b.y0 < a.y1
@@ -398,7 +237,7 @@ fn candidate_tiles(lo: usize, hi: usize, tile: usize, off: usize, ntiles: usize)
     start..end.max(start)
 }
 
-/// Build the dependency graph of the dataflow schedule.
+/// Build the tile dependency graph of a wave-front sweep.
 ///
 /// Nodes are every tile with work across *all* time rows of the sweep, in
 /// [`for_each_tile`] order; `preds[i]` lists the nodes tile `i` truly
@@ -412,8 +251,7 @@ fn candidate_tiles(lo: usize, hi: usize, tile: usize, off: usize, ntiles: usize)
 /// to the previous-row tiles under its first slab. Anti-dependencies
 /// (ring-buffer overwrites) need no edges of their own: they are implied
 /// transitively by chains of flow edges, which
-/// [`crate::legality::check_dataflow_dependencies`] machine-checks per
-/// spec. Requires `skew ≥ radius`, like every wavefront schedule here —
+/// [`crate::legality::check_plan`] machine-checks per plan. Requires `skew ≥ radius`, like every wavefront schedule here —
 /// smaller skews make opposing same-row reads (a dependency cycle).
 pub fn tile_graph(
     shape: Shape,
@@ -472,63 +310,6 @@ pub fn tile_graph(
         preds[ia].dedup();
     }
     (tiles, preds)
-}
-
-/// Execute `nvt` virtual steps with dependency-driven (dataflow) wave-front
-/// blocking.
-///
-/// Where [`execute_diagonal`] still raises one barrier per anti-diagonal,
-/// this executor builds the exact tile dependency graph of the whole sweep
-/// ([`tile_graph`]) and hands it to `tempest_par::run_dataflow`: each tile
-/// carries an atomic counter of unfinished predecessors, finishing a tile
-/// decrements its successors and pushes freshly-ready tiles onto per-worker
-/// stealing deques, and the only global synchronisation is one join at the
-/// end. Inside a tile nothing changes — `vt` ascends sequentially and each
-/// slab is cut into `(block_x, block_y)` cache blocks — so the wavefield
-/// stays bitwise identical to every other wavefront schedule.
-///
-/// `radius` must be the stencil's true dependency radius (and `spec.skew ≥
-/// radius`), as it defines the read halo the graph edges are built from.
-pub fn execute_dataflow<S>(
-    shape: Shape,
-    nvt: usize,
-    spec: &WavefrontSpec,
-    radius: usize,
-    policy: Policy,
-    step: S,
-) where
-    S: Fn(usize, &Range3) + Sync + Send,
-{
-    let (tiles, preds) = tile_graph(shape, nvt, spec, radius);
-    let graph = tempest_par::DepGraph::from_preds(&preds);
-    // One caller-side phase/span for the whole sweep — the analogue of the
-    // sum of a run's `Diagonal` phases, so barrier-wait *shares* compare
-    // fairly across the two executors.
-    let sw = obs::start(obs::Phase::Dataflow);
-    let _dsp = obs::trace::span(
-        obs::trace::SpanKind::Dataflow,
-        obs::trace::SpanArgs {
-            t0: 0,
-            t1: nvt as i32,
-            ..Default::default()
-        },
-    );
-    tempest_par::run_dataflow(policy, &graph, |i| {
-        let tile = &tiles[i];
-        let _sp = obs::trace::span(
-            obs::trace::SpanKind::Tile,
-            obs::trace::SpanArgs::tile(tile.diagonal(), tile.xt, tile.yt, tile.t0, tile.t1),
-        );
-        for vt in tile.t0..tile.t1 {
-            if let Some(slab) = tile_slab(shape, spec, tile, vt) {
-                for b in slab.range.split_xy(spec.block_x, spec.block_y) {
-                    step(vt, &b);
-                }
-            }
-        }
-        obs::add(obs::Counter::WavefrontTiles, 1);
-    });
-    sw.stop();
 }
 
 #[cfg(test)]
@@ -621,22 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_blocks_partition_slabs() {
-        let shape = Shape::new(20, 14, 3);
-        let spec = WavefrontSpec::new(8, 8, 3, 2, 3, 4);
-        let nvt = 7;
-        // Sum of block volumes must equal nvt * grid size.
-        let total = std::sync::atomic::AtomicUsize::new(0);
-        execute(shape, nvt, &spec, Policy::Sequential, |_vt, b| {
-            total.fetch_add(b.len(), std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(
-            total.load(std::sync::atomic::Ordering::Relaxed),
-            nvt * shape.len()
-        );
-    }
-
-    #[test]
     fn skewed_only_uses_one_spatial_tile() {
         let shape = Shape::new(20, 16, 4);
         let spec = WavefrontSpec::skewed_only(shape, 4, 2, 8, 8);
@@ -680,83 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_slabs_cover_exactly_once() {
-        let shape = Shape::new(23, 17, 4);
-        for spec in [
-            WavefrontSpec::new(8, 8, 4, 2, 4, 4),
-            WavefrontSpec::new(5, 7, 3, 4, 2, 2),
-            WavefrontSpec::new(32, 32, 6, 6, 8, 8),
-            WavefrontSpec::new(8, 8, 1, 3, 4, 4), // tile_t = 1 degenerate
-        ] {
-            let nvt = 11;
-            let mut counts = Array3::<u32>::zeros(nvt, shape.nx, shape.ny);
-            for s in diagonal_slabs(shape, nvt, &spec) {
-                for x in s.range.x0..s.range.x1 {
-                    for y in s.range.y0..s.range.y1 {
-                        counts.set(s.vt, x, y, counts.get(s.vt, x, y) + 1);
-                    }
-                }
-            }
-            for vt in 0..nvt {
-                for x in 0..shape.nx {
-                    for y in 0..shape.ny {
-                        assert_eq!(counts.get(vt, x, y), 1, "({vt},{x},{y}) with {spec:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diagonals_group_by_antidiagonal() {
-        let shape = Shape::new(40, 24, 2);
-        let spec = WavefrontSpec::new(8, 8, 4, 2, 4, 4);
-        let groups = diagonals(shape, &spec, 0, 4);
-        let ntx = spec.tiles_x(shape.nx);
-        let nty = spec.tiles_y(shape.ny);
-        assert_eq!(groups.len(), ntx + nty - 1);
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, ntx * nty);
-        for (d, g) in groups.iter().enumerate() {
-            assert!(!g.is_empty());
-            for t in g {
-                assert_eq!(t.diagonal(), d);
-                assert_eq!((t.t0, t.t1), (0, 4));
-            }
-        }
-    }
-
-    #[test]
-    fn execute_diagonal_blocks_partition_domain() {
-        let shape = Shape::new(20, 14, 3);
-        let spec = WavefrontSpec::new(8, 8, 3, 2, 3, 4);
-        let nvt = 7;
-        let total = std::sync::atomic::AtomicUsize::new(0);
-        execute_diagonal(shape, nvt, &spec, Policy::Parallel, |_vt, b| {
-            total.fetch_add(b.len(), std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(
-            total.load(std::sync::atomic::Ordering::Relaxed),
-            nvt * shape.len()
-        );
-    }
-
-    #[test]
-    fn execute_diagonal_sequential_order_is_diagonal_slabs() {
-        let shape = Shape::new(20, 14, 3);
-        let spec = WavefrontSpec::new(8, 8, 3, 2, 8, 8);
-        let nvt = 5;
-        let seen = std::sync::Mutex::new(Vec::new());
-        execute_diagonal(shape, nvt, &spec, Policy::Sequential, |vt, b| {
-            seen.lock().unwrap().push(Slab { vt, range: *b });
-        });
-        // With blocks at least as large as tiles, each slab is one block:
-        // the emission order must equal the canonical serialisation.
-        let expect = diagonal_slabs(shape, nvt, &spec);
-        assert_eq!(*seen.lock().unwrap(), expect);
-    }
-
-    #[test]
     fn fully_clipped_tiles_are_skipped() {
         // tile_x = 5 with skew = 4 on a 23-wide grid: the global bound needs
         // 7 tiles along x, but the clipped last time row [9, 11) shifts by at
@@ -796,24 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn clipped_row_drops_trailing_diagonals_up_front() {
-        let shape = Shape::new(23, 17, 4);
-        let spec = WavefrontSpec::new(5, 7, 3, 4, 2, 2);
-        let full = diagonals(shape, &spec, 0, 3);
-        // Height-2 last row: fewer tiles fit the smaller skewed extent, so
-        // whole trailing anti-diagonals disappear.
-        let clipped = diagonals(shape, &spec, 9, 11);
-        assert!(clipped.len() < full.len(), "{} vs {}", clipped.len(), full.len());
-        assert!(!clipped.is_empty() && !clipped.last().unwrap().is_empty());
-        for (d, g) in clipped.iter().enumerate() {
-            for t in g {
-                assert_eq!(t.diagonal(), d);
-                assert!(tile_has_work(shape, &spec, t));
-            }
-        }
-    }
-
-    #[test]
     fn tile_graph_edges_point_backward_in_sequential_order() {
         let shape = Shape::new(23, 17, 4);
         for (spec, radius) in [
@@ -847,66 +517,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn execute_dataflow_blocks_partition_domain() {
-        let shape = Shape::new(20, 14, 3);
-        let spec = WavefrontSpec::new(8, 8, 3, 2, 3, 4);
-        let nvt = 7;
-        for policy in [Policy::Sequential, Policy::Parallel, Policy::Capped { threads: 2 }] {
-            let total = std::sync::atomic::AtomicUsize::new(0);
-            execute_dataflow(shape, nvt, &spec, 2, policy, |_vt, b| {
-                total.fetch_add(b.len(), std::sync::atomic::Ordering::Relaxed);
-            });
-            assert_eq!(
-                total.load(std::sync::atomic::Ordering::Relaxed),
-                nvt * shape.len()
-            );
-        }
-    }
-
-    #[test]
-    fn dataflow_never_steps_a_point_before_its_halo() {
-        // Dynamic check of the flow-dependence rule: when a block advances
-        // to step vt, every point in its radius-dilated halo must have
-        // completed vt - 1 (and the block's own points exactly vt - 1).
-        let shape = Shape::new(23, 17, 2);
-        let spec = WavefrontSpec::new(8, 8, 4, 2, 4, 4);
-        let radius = 2usize;
-        let nvt = 11;
-        let progress = std::sync::Mutex::new(vec![vec![-1i64; shape.ny]; shape.nx]);
-        execute_dataflow(shape, nvt, &spec, radius, Policy::Parallel, |vt, b| {
-            let mut g = progress.lock().unwrap();
-            let want = vt as i64 - 1;
-            for x in b.x0.saturating_sub(radius)..(b.x1 + radius).min(shape.nx) {
-                for y in b.y0.saturating_sub(radius)..(b.y1 + radius).min(shape.ny) {
-                    assert!(g[x][y] >= want, "halo ({x},{y}) at {} < {want}", g[x][y]);
-                }
-            }
-            for x in b.x0..b.x1 {
-                for y in b.y0..b.y1 {
-                    assert_eq!(g[x][y], want, "write point ({x},{y})");
-                    g[x][y] = vt as i64;
-                }
-            }
-        });
-        let g = progress.lock().unwrap();
-        for col in g.iter() {
-            for &v in col {
-                assert_eq!(v, nvt as i64 - 1);
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_only_has_single_diagonal() {
-        // One spatial tile ⇒ one diagonal ⇒ the diagonal executor degrades
-        // to plain per-tile execution.
-        let shape = Shape::new(20, 16, 4);
-        let spec = WavefrontSpec::skewed_only(shape, 4, 2, 8, 8);
-        let groups = diagonals(shape, &spec, 0, 4);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 1);
     }
 }

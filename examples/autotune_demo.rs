@@ -9,7 +9,7 @@
 //!
 //! With profiling compiled in and switched on, the sweep also records each
 //! candidate's barrier-wait share and uses it to break near-ties between
-//! slab-ordered and diagonal-parallel shapes:
+//! shapes:
 //!
 //! ```text
 //! TEMPEST_PROFILE=1 cargo run --release --example autotune_demo --features obs
@@ -26,14 +26,12 @@ use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
 use tempest::tiling::{
-    autotune_measured, autotune::default_candidates, with_diagonal_variants, with_diamond_variants,
-    Candidate, Measurement,
+    autotune::default_candidates, autotune_measured, with_diamond_variants, Candidate, Measurement,
 };
 
-/// Schedule for a candidate: slab-ordered, diagonal-parallel,
-/// dependency-driven dataflow, or diamond, per its
-/// `diagonal`/`dataflow`/`diamond` flags. Diamond candidates reuse `tile_x`
-/// as the diamond base width and `tile_y` as the cross-axis window.
+/// Schedule for a candidate: the skewed wave-front plan, or the diamond plan
+/// when it names a diamond axis. Diamond candidates reuse `tile_x` as the
+/// diamond base width and `tile_y` as the cross-axis window.
 fn schedule_of(c: &Candidate) -> Schedule {
     if let Some(axis) = c.diamond {
         Schedule::Diamond {
@@ -44,24 +42,8 @@ fn schedule_of(c: &Candidate) -> Schedule {
             block_x: c.block_x,
             block_y: c.block_y,
         }
-    } else if c.dataflow {
-        Schedule::WavefrontDataflow {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else if c.diagonal {
-        Schedule::WavefrontDiagonal {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
     } else {
-        Schedule::Wavefront {
+        Schedule::WavefrontDataflow {
             tile_x: c.tile_x,
             tile_y: c.tile_y,
             tile_t: c.tile_t,
@@ -83,20 +65,11 @@ fn main() {
     let src = SparsePoints::single_center(&domain, 0.37);
     let mut solver = Acoustic::new(&model, cfg, src, None);
 
-    // Each tile geometry is tried under all three wave-front executors —
-    // slab-ordered, diagonal-parallel ("/ diag") and dependency-driven
-    // dataflow ("/ dflow") — plus the diamond schedule ("/ dmnd-x",
-    // "/ dmnd-y") for every geometry whose tile width is a legal diamond
-    // base width at this stencil radius. Same bases, no duplicates.
+    // Each tile geometry is tried as a skewed wave-front plan, plus as a
+    // diamond plan ("/ dmnd-x", "/ dmnd-y") where its tile width is a legal
+    // diamond base width at this stencil radius.
     let radius = 4; // space order 8
-    let base = default_candidates(n, n, &[4, 8, 16]);
-    let mut cands = with_diagonal_variants(&base);
-    cands.extend(base.iter().map(|c| c.with_dataflow()));
-    cands.extend(
-        with_diamond_variants(&base, radius, 1)
-            .into_iter()
-            .filter(|c| c.diamond.is_some()),
-    );
+    let cands = with_diamond_variants(&default_candidates(n, n, &[4, 8, 16]), radius, 1);
     println!(
         "sweeping {} candidates on a {n}³ grid, {nt} steps each…\n",
         cands.len()
@@ -104,8 +77,7 @@ fn main() {
 
     // Candidates within 5% of the fastest are ranked by measured
     // barrier-wait share (when telemetry is recorded) — wall time alone
-    // cannot separate slab-ordered from diagonal-parallel shapes on short
-    // tuning runs.
+    // cannot separate close shapes on short tuning runs.
     let result = autotune_measured(
         &cands,
         |c| {
@@ -179,11 +151,13 @@ fn main() {
         }
     }
 
-    // Same tile geometry, barrier discipline compared head-to-head: one
-    // barrier per anti-diagonal (diagonal executor) vs one join per sweep
-    // (dataflow executor). With profiling on, the barrier-wait share is the
-    // synchronisation cost each discipline actually paid.
-    let geometry = result.best;
+    // Same tile geometry, tiling compared head-to-head: skewed wave-front
+    // vs diamond. With profiling on, the barrier-wait share is the idle
+    // time each plan's ready frontier left the workers with.
+    let geometry = Candidate {
+        diamond: None,
+        ..result.best
+    };
     let run_share = |solver: &mut Acoustic, c: &Candidate| {
         let exec = Execution {
             schedule: schedule_of(c),
@@ -195,22 +169,16 @@ fn main() {
         let share = (!profile.is_empty()).then(|| profile.barrier_wait_share());
         (stats, share)
     };
-    let (dg_stats, dg_share) = run_share(&mut solver, &geometry.with_diagonal());
-    let (df_stats, df_share) = run_share(&mut solver, &geometry.with_dataflow());
+    let (wf_stats, wf_share) = run_share(&mut solver, &geometry);
     let pct = |s: Option<f64>| s.map(|v| format!("{:>5.1}%", v * 100.0)).unwrap_or("    —".into());
-    println!("\nbarrier discipline at the tuned geometry ({geometry}):");
+    println!("\ntiling at the tuned geometry ({geometry}):");
     println!(
-        "  diagonal (barrier per anti-diagonal)  {:>8.3?}  barrier-wait {}",
-        dg_stats.elapsed,
-        pct(dg_share)
+        "  wavefront  {:>8.3?}  barrier-wait {}",
+        wf_stats.elapsed,
+        pct(wf_share)
     );
-    println!(
-        "  dataflow (single join per sweep)      {:>8.3?}  barrier-wait {}",
-        df_stats.elapsed,
-        pct(df_share)
-    );
-    // Diamond shares the single-join discipline; it only joins the
-    // comparison when the tuned tile width is a legal diamond base width.
+    // The diamond only joins the comparison when the tuned tile width is a
+    // legal diamond base width.
     match with_diamond_variants(&[geometry], radius, 1)
         .into_iter()
         .find(|c| c.diamond.is_some())
@@ -218,7 +186,7 @@ fn main() {
         Some(dm) => {
             let (dm_stats, dm_share) = run_share(&mut solver, &dm);
             println!(
-                "  diamond  (single join per sweep)      {:>8.3?}  barrier-wait {}",
+                "  diamond    {:>8.3?}  barrier-wait {}",
                 dm_stats.elapsed,
                 pct(dm_share)
             );

@@ -62,20 +62,6 @@ fn main() {
         wtb.gpoints_per_s,
         wtb.gpoints_per_s / base.gpoints_per_s
     );
-    let (diag, diag_profile, diag_trace, diag_meta) =
-        solver.run_traced(&Execution::wavefront_diagonal_default());
-    println!(
-        "wavefront-diag: {:>7.3} GPts/s  speedup {:.2}x",
-        diag.gpoints_per_s,
-        diag.gpoints_per_s / base.gpoints_per_s
-    );
-    let (dflow, dflow_profile, dflow_trace, dflow_meta) =
-        solver.run_traced(&Execution::wavefront_dataflow_default());
-    println!(
-        "wavefront-dflow: {:>6.3} GPts/s  speedup {:.2}x",
-        dflow.gpoints_per_s,
-        dflow.gpoints_per_s / base.gpoints_per_s
-    );
     let (dmnd, dmnd_profile, dmnd_trace, dmnd_meta) =
         solver.run_traced(&Execution::diamond_default());
     println!(
@@ -84,15 +70,13 @@ fn main() {
         dmnd.gpoints_per_s / base.gpoints_per_s
     );
 
-    // Head-to-head synchronisation cost: one barrier per anti-diagonal vs a
-    // single join per sweep (dataflow and diamond both run barrier-free on
-    // the dependency-counted substrate), so the barrier-wait share isolates
-    // the scheduling discipline.
-    if !diag_profile.is_empty() && !dflow_profile.is_empty() && !dmnd_profile.is_empty() {
+    // Both plans run through the one executor, so the barrier-wait share
+    // (worker idle time) isolates how wide a ready frontier each tiling
+    // geometry keeps.
+    if !wtb_profile.is_empty() && !dmnd_profile.is_empty() {
         println!(
-            "\nbarrier-wait share: diagonal {:>5.1}%  vs  dataflow {:>5.1}%  vs  diamond {:>5.1}%",
-            100.0 * diag_profile.barrier_wait_share(),
-            100.0 * dflow_profile.barrier_wait_share(),
+            "\nbarrier-wait share: wavefront {:>5.1}%  vs  diamond {:>5.1}%",
+            100.0 * wtb_profile.barrier_wait_share(),
             100.0 * dmnd_profile.barrier_wait_share()
         );
     }
@@ -100,8 +84,6 @@ fn main() {
     for (profile, trace, meta) in [
         (base_profile, base_trace, base_meta),
         (wtb_profile, wtb_trace, wtb_meta),
-        (diag_profile, diag_trace, diag_meta),
-        (dflow_profile, dflow_trace, dflow_meta),
         (dmnd_profile, dmnd_trace, dmnd_meta),
     ] {
         if profile.is_empty() {

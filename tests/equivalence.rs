@@ -1,131 +1,146 @@
 //! Cross-crate schedule-equivalence tests: the central correctness claim of
 //! the reproduction. For every propagator and space order the paper
-//! evaluates, wave-front temporal blocking with precomputed fused sparse
-//! operators must reproduce the spatially blocked baseline — bitwise for
-//! single-source problems (identical per-point arithmetic), within
-//! accumulation-order tolerance for traces.
+//! evaluates, every temporally blocked plan with precomputed fused sparse
+//! operators must reproduce the spatially blocked baseline with classic
+//! sparse operators — bitwise on the wavefield (identical per-point
+//! arithmetic), within accumulation-order tolerance on traces — whatever the
+//! thread policy, the fused sparse path, and whether the tiles were
+//! computed, captured into a cache, or restored from one.
 
+mod common;
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use common::{blocked_schedules, domain, solvers, trace_bitwise, trace_close, N};
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, Schedule, SparseMode};
-use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
-use tempest::grid::{Array2, Domain, ElasticModel, Model, Shape, TtiModel};
+use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
+use tempest::grid::Model;
+use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
+use tempest::tiling::TileCache;
 
-const N: usize = 20;
 const NT: usize = 12;
 
-fn domain() -> Domain {
-    Domain::uniform(Shape::cube(N), 10.0)
-}
-
-fn wf(tile: usize, tt: usize, block: usize) -> Execution {
-    Execution {
-        schedule: Schedule::Wavefront {
-            tile_x: tile,
-            tile_y: tile,
-            tile_t: tt,
-            block_x: block,
-            block_y: block,
-        },
-        sparse: SparseMode::FusedCompressed,
-        policy: tempest::par::Policy::Sequential,
-        kernel: KernelPath::default(),
-    }
-}
-
-fn trace_close(a: &Array2<f32>, b: &Array2<f32>, tol_rel: f32) {
-    assert_eq!(a.dims(), b.dims());
-    let scale = a
-        .as_slice()
-        .iter()
-        .fold(0.0f32, |m, &v| m.max(v.abs()))
-        .max(1e-30);
-    for i in 0..a.len() {
-        let d = (a.as_slice()[i] - b.as_slice()[i]).abs();
-        assert!(
-            d <= tol_rel * scale,
-            "trace element {i}: {} vs {} (scale {scale})",
-            a.as_slice()[i],
-            b.as_slice()[i]
-        );
-    }
-}
-
-#[test]
-fn acoustic_all_orders_bitwise() {
-    for so in [4usize, 8, 12] {
-        let d = domain();
-        let model = Model::two_layer(d, 1600.0, 2800.0, 0.5);
-        let cfg = SimConfig::new(d, so, EquationKind::Acoustic, 2800.0, 50.0)
-            .with_nt(NT)
-            .with_f0(25.0);
-        let src = SparsePoints::single_center(&d, 0.37);
-        let rec = SparsePoints::receiver_line(&d, 4, 0.2);
-        let mut s = Acoustic::new(&model, cfg, src, Some(rec));
-
+/// One row of the matrix per propagator × blocked schedule × policy × fused
+/// sparse path × {plain, cold-cached, warm-cached}. Every cell's field must
+/// equal sequential SpaceBlocked + classic bit for bit. Traces are
+/// tolerance-equal to the classic reference (fused gathers accumulate per
+/// grid point, classic ones per receiver) and — on the single-threaded
+/// policies, where gather order is deterministic — bitwise-equal to the
+/// schedule's sequential plain FusedCompressed cell, which pins Listing 4
+/// against Listing 5, cap 1 against sequential, and restored tiles' replayed
+/// gathers against computed ones.
+fn matrix(so: usize, policies: &[Policy], sparse_modes: &[SparseMode]) {
+    for mut s in solvers(so, NT, 0.37, 4) {
         s.run(&Execution::baseline().sequential());
-        let f_base = s.final_field();
-        let t_base = s.trace().unwrap();
-
-        for (tile, tt, blk) in [(8, 4, 4), (12, 3, 6), (32, 6, 8)] {
-            s.run(&wf(tile, tt, blk));
-            let f = s.final_field();
-            assert!(
-                f_base.bit_equal(&f),
-                "acoustic so{so} tile{tile} tt{tt}: max diff {}",
-                f_base.max_abs_diff(&f)
-            );
-            trace_close(&t_base, &s.trace().unwrap(), 1e-4);
+        let (f_ref, t_ref) = (s.final_field(), s.trace().unwrap());
+        assert!(
+            f_ref.max_abs() > 0.0,
+            "{} so{so}: field must be excited",
+            s.name()
+        );
+        for (sched, schedule) in blocked_schedules(s.radius(), s.phases()) {
+            let mut anchor = None;
+            for &policy in policies {
+                for &sparse in sparse_modes {
+                    let exec = Execution {
+                        schedule,
+                        sparse,
+                        policy,
+                        kernel: KernelPath::default(),
+                    };
+                    let cache = TileCache::with_capacity_mb(64);
+                    for mode in ["plain", "cold-cached", "warm-cached"] {
+                        let what =
+                            format!("{} so{so} {sched} {policy:?} {sparse:?} {mode}", s.name());
+                        if mode == "plain" {
+                            s.run(&exec);
+                        } else {
+                            let rep = s.run_incremental(&exec, &cache, 0);
+                            assert!(rep.total_tiles > 0, "{what}: no tiles enumerated");
+                            assert_eq!(rep.cold, mode == "cold-cached", "{what}");
+                            let reused = if rep.cold { 0 } else { rep.total_tiles };
+                            assert_eq!(rep.reused, reused, "{what}");
+                            assert_eq!(rep.reused + rep.recomputed, rep.total_tiles, "{what}");
+                        }
+                        let f = s.final_field();
+                        assert!(
+                            f_ref.bit_equal(&f),
+                            "{what}: max diff {}",
+                            f_ref.max_abs_diff(&f)
+                        );
+                        let t = s.trace().unwrap();
+                        trace_close(&t_ref, &t, 1e-4, &what);
+                        let first = anchor.get_or_insert_with(|| t.clone());
+                        if matches!(policy, Policy::Sequential | Policy::Capped { threads: 1 }) {
+                            trace_bitwise(first, &t, &what);
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
 #[test]
-fn tti_all_orders_bitwise() {
-    for so in [4usize, 8, 12] {
-        let d = Domain::uniform(Shape::cube(N), 20.0);
-        let model = TtiModel::homogeneous(d, 2000.0, 0.2, 0.08, 0.4, 0.2);
-        let cfg = SimConfig::new(d, so, EquationKind::Tti, model.vmax(), 40.0)
-            .with_nt(NT)
-            .with_f0(15.0);
-        let src = SparsePoints::single_center(&d, 0.37);
-        let mut s = Tti::new(&model, cfg, src, None);
+fn every_cell_matches_sequential_spaceblocked_classic() {
+    matrix(
+        4,
+        &[
+            Policy::Sequential,
+            Policy::Parallel,
+            Policy::Capped { threads: 1 },
+            Policy::Capped { threads: 2 },
+            Policy::Capped { threads: 4 },
+        ],
+        &[SparseMode::FusedCompressed, SparseMode::Fused],
+    );
+}
 
-        s.run(&Execution::baseline().sequential());
-        let f_base = s.final_field();
-        s.run(&wf(8, 4, 4));
-        let f = s.final_field();
-        assert!(
-            f_base.bit_equal(&f),
-            "tti so{so}: max diff {}",
-            f_base.max_abs_diff(&f)
+#[test]
+fn higher_space_orders_match_too() {
+    for so in [8usize, 12] {
+        matrix(
+            so,
+            &[Policy::Sequential, Policy::Parallel],
+            &[SparseMode::FusedCompressed],
         );
     }
 }
 
 #[test]
-fn elastic_all_orders_bitwise() {
-    for so in [4usize, 8, 12] {
-        let d = domain();
-        let model = ElasticModel::homogeneous(d, 3000.0, 1400.0, 2300.0);
-        let cfg = SimConfig::new(d, so, EquationKind::Elastic, 3000.0, 25.0)
-            .with_nt(NT)
-            .with_f0(25.0);
-        let src = SparsePoints::single_center(&d, 0.37);
-        let rec = SparsePoints::receiver_line(&d, 3, 0.25);
-        let mut s = Elastic::new(&model, cfg, src, Some(rec));
+fn classic_sparse_is_rejected_under_every_blocked_schedule() {
+    // `run` must refuse the Fig. 4b hazard itself, for every propagator.
+    for mut s in solvers(4, 4, 0.37, 0) {
+        for (sched, schedule) in blocked_schedules(s.radius(), s.phases()) {
+            let exec = Execution {
+                schedule,
+                sparse: SparseMode::Classic,
+                ..Execution::wavefront_default()
+            };
+            let err = catch_unwind(AssertUnwindSafe(|| s.run(&exec)))
+                .expect_err("classic sparse under temporal blocking must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            assert!(msg.contains("Fig. 4b"), "{} {sched}: {msg}", s.name());
+        }
+    }
+}
 
-        s.run(&Execution::baseline().sequential());
-        let f_base = s.final_field();
-        let t_base = s.trace().unwrap();
-        s.run(&wf(8, 3, 4));
-        let f = s.final_field();
-        assert!(
-            f_base.bit_equal(&f),
-            "elastic so{so}: max diff {}",
-            f_base.max_abs_diff(&f)
-        );
-        trace_close(&t_base, &s.trace().unwrap(), 1e-4);
+fn wavefront(tile: (usize, usize), tile_t: usize, block: (usize, usize)) -> Execution {
+    Execution {
+        schedule: Schedule::WavefrontDataflow {
+            tile_x: tile.0,
+            tile_y: tile.1,
+            tile_t,
+            block_x: block.0,
+            block_y: block.1,
+        },
+        ..Execution::wavefront_default().sequential()
     }
 }
 
@@ -133,7 +148,7 @@ fn elastic_all_orders_bitwise() {
 fn many_sources_with_shared_footprints_agree() {
     // Dense sources share affected grid points; fused accumulation order
     // differs from classic per-source order → tolerance, not bitwise.
-    let d = domain();
+    let d = domain(10.0);
     let model = Model::random(d, 1600.0, 2600.0, 3);
     let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2600.0, 40.0)
         .with_nt(10)
@@ -142,13 +157,22 @@ fn many_sources_with_shared_footprints_agree() {
     let mut s = Acoustic::new(&model, cfg, src, None);
     s.run(&Execution::baseline().sequential());
     let base = s.final_field();
-    s.run(&wf(8, 4, 4));
+    let mut exec = wavefront((8, 8), 4, (4, 4));
+    s.run(&exec);
     let f = s.final_field();
     let scale = base.max_abs().max(1e-30);
     assert!(
         base.max_abs_diff(&f) <= 1e-4 * scale,
         "rel diff {}",
         base.max_abs_diff(&f) / scale
+    );
+    // Concurrent tiles sharing affected pencils still agree bitwise with
+    // the sequential order of the same plan.
+    exec.policy = Policy::Parallel;
+    s.run(&exec);
+    assert!(
+        f.bit_equal(&s.final_field()),
+        "parallel multi-source must be bitwise"
     );
 }
 
@@ -157,7 +181,7 @@ fn spaceblocked_fused_matches_classic() {
     // The fused sparse path is also legal under plain spatial blocking —
     // an ablation the paper's scheme enables (sources become grid-aligned
     // regardless of schedule).
-    let d = domain();
+    let d = domain(10.0);
     let model = Model::homogeneous(d, 2000.0);
     let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2000.0, 40.0)
         .with_nt(10)
@@ -179,7 +203,7 @@ fn spaceblocked_fused_matches_classic() {
 fn tile_shape_never_changes_results() {
     // Property-style sweep over eccentric tile shapes, incl. tiles larger
     // than the grid and temporal tiles longer than nt.
-    let d = domain();
+    let d = domain(10.0);
     let model = Model::homogeneous(d, 2000.0);
     let cfg = SimConfig::new(d, 8, EquationKind::Acoustic, 2000.0, 40.0)
         .with_nt(9)
@@ -188,29 +212,17 @@ fn tile_shape_never_changes_results() {
     let mut s = Acoustic::new(&model, cfg, src, None);
     s.run(&Execution::baseline().sequential());
     let base = s.final_field();
-    for (tile_x, tile_y, tt, bx, by) in [
-        (5usize, 7usize, 2usize, 3usize, 5usize),
-        (64, 64, 32, 16, 16),
-        (N, N, NT, N, N),
-        (4, 32, 5, 4, 8),
+    for (tile, tt, block) in [
+        ((5usize, 7usize), 2usize, (3usize, 5usize)),
+        ((64, 64), 32, (16, 16)),
+        ((N, N), NT, (N, N)),
+        ((4, 32), 5, (4, 8)),
     ] {
-        let e = Execution {
-            schedule: Schedule::Wavefront {
-                tile_x,
-                tile_y,
-                tile_t: tt,
-                block_x: bx,
-                block_y: by,
-            },
-            sparse: SparseMode::FusedCompressed,
-            policy: tempest::par::Policy::Sequential,
-            kernel: KernelPath::default(),
-        };
-        s.run(&e);
+        s.run(&wavefront(tile, tt, block));
         let f = s.final_field();
         assert!(
             base.bit_equal(&f),
-            "tile ({tile_x},{tile_y},{tt},{bx},{by}) diverged: {}",
+            "tile {tile:?} t{tt} block {block:?} diverged: {}",
             base.max_abs_diff(&f)
         );
     }

@@ -15,7 +15,7 @@
 use tempest::grid::{Range3, Shape};
 use tempest::par::Policy;
 use tempest::tiling::spaceblock::{self, SpaceBlockSpec};
-use tempest::tiling::wavefront::{self, WavefrontSpec};
+use tempest::tiling::{execute_plan, TilePlan, WavefrontSpec};
 use std::sync::Mutex;
 
 const NX: usize = 32;
@@ -47,6 +47,13 @@ fn amp(t: usize) -> f64 {
 fn inject(state: &mut State, t: usize, x: usize) {
     let w = (t + 1) % 2;
     state[w][x + R] += amp(t);
+}
+
+/// 8-wide tiles of 4 steps along x. The grid is one cell deep in y, so one
+/// y tile wide enough to still reach it after 3 steps of skew keeps every
+/// tile's four slabs together.
+fn wavefront_spec() -> WavefrontSpec {
+    WavefrontSpec::new(8, 1 + 3 * R, 4, R, 8, 1 + 3 * R)
 }
 
 /// Reference: plain time loop, full sweeps, classic injection (Listing 1).
@@ -92,8 +99,9 @@ fn fused_under_wavefront_is_correct() {
     // blocked loop, at the region+timestep that owns it.
     let st = Mutex::new(new_state());
     let shape = Shape::new(NX, 1, 1);
-    let spec = WavefrontSpec::new(8, 1, 4, R, 8, 1);
-    wavefront::execute(shape, NT, &spec, Policy::Sequential, |t, region| {
+    let spec = wavefront_spec();
+    let plan = TilePlan::wavefront(shape, NT, &spec, R);
+    let step = |t: usize, region: &Range3| {
         let mut s = st.lock().unwrap();
         for x in region.x0..region.x1 {
             stencil_update(&mut s, t, x);
@@ -101,7 +109,8 @@ fn fused_under_wavefront_is_correct() {
                 inject(&mut s, t, SRC_X);
             }
         }
-    });
+    };
+    execute_plan(&plan, Policy::Sequential, step, None);
     let got = {
         let s = st.lock().unwrap();
         s[NT % 2][R..R + NX].to_vec()
@@ -116,12 +125,13 @@ fn classic_under_wavefront_is_wrong() {
     // each virtual step — hits regions that are at *different* timesteps.
     let st = Mutex::new(new_state());
     let shape = Shape::new(NX, 1, 1);
-    let spec = WavefrontSpec::new(8, 1, 4, R, 8, 1);
+    let spec = wavefront_spec();
     // Count how many columns of each vt have completed; when a vt's sweep
     // completes, fire the classic injection (the natural-but-wrong porting
     // of Listing 1 onto the tiled loop).
     let done = Mutex::new(vec![0usize; NT]);
-    wavefront::execute(shape, NT, &spec, Policy::Sequential, |t, region| {
+    let plan = TilePlan::wavefront(shape, NT, &spec, R);
+    let step = |t: usize, region: &Range3| {
         {
             let mut s = st.lock().unwrap();
             for x in region.x0..region.x1 {
@@ -136,7 +146,8 @@ fn classic_under_wavefront_is_wrong() {
         if fire {
             inject(&mut st.lock().unwrap(), t, SRC_X);
         }
-    });
+    };
+    execute_plan(&plan, Policy::Sequential, step, None);
     let got = {
         let s = st.lock().unwrap();
         s[NT % 2][R..R + NX].to_vec()

@@ -15,42 +15,35 @@
 //! The CI `incremental` job re-runs this suite under `TEMPEST_THREADS` of
 //! 1, 2 and 4; nothing here may depend on the pool size.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{trace_bitwise, trace_close};
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{DiamondAxis, KernelPath, Schedule, SparseMode};
-use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
-use tempest::grid::{Array2, Domain, Model, Shape};
+use tempest::core::{Execution, SimConfig, WaveSolver};
+use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
-use tempest::survey::{JobSpec, JobState, Survey, SurveyOptions, SurveyService};
-use tempest::tiling::incremental::{
-    dirty_cone, dirty_cone_oracle, DirtyRect, TileCache, TilePlan,
+use tempest::survey::{
+    run_survey, JobSpec, JobState, ShotSpec, Survey, SurveyOptions, SurveyService,
 };
-use tempest::tiling::{DiamondSpec, WavefrontSpec};
+use tempest::tiling::{
+    dirty_cone, dirty_cone_oracle, DiamondSpec, DirtyRect, TileCache, TilePlan, WavefrontSpec,
+};
 
 const N: usize = 32;
 const NT: usize = 6;
 
-fn domain() -> Domain {
-    Domain::uniform(Shape::cube(N), 10.0)
+/// The standard problems — acoustic, TTI and elastic with one off-grid
+/// source near the centre (nudged sub-cell by `frac`) and a 4-receiver line.
+fn problems(frac: f32) -> Vec<Box<dyn WaveSolver>> {
+    problems_with_receivers(frac, 4)
 }
 
-/// The standard problem: two-layer model, one off-grid source near the
-/// centre (nudged sub-cell by `frac`), a 4-receiver line.
-fn problem(frac: f32) -> Acoustic {
-    problem_with_receivers(frac, 4)
-}
-
-fn problem_with_receivers(frac: f32, receivers: usize) -> Acoustic {
-    let d = domain();
-    let model = Model::two_layer(d, 1600.0, 2800.0, 0.5);
-    let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2800.0, 50.0)
-        .with_nt(NT)
-        .with_f0(25.0);
-    let src = SparsePoints::single_center(&d, frac);
-    let rec = (receivers > 0).then(|| SparsePoints::receiver_line(&d, receivers, 0.2));
-    Acoustic::new(&model, cfg, src, rec)
+fn problems_with_receivers(frac: f32, receivers: usize) -> Vec<Box<dyn WaveSolver>> {
+    common::solvers_on(N, 4, NT, frac, receivers)
 }
 
 /// Every schedule the incremental path supports, with tile shapes small
@@ -94,37 +87,6 @@ fn exec(schedule: Schedule, policy: Policy) -> Execution {
         sparse: SparseMode::FusedCompressed,
         policy,
         kernel: KernelPath::default(),
-    }
-}
-
-fn trace_bitwise(a: &Array2<f32>, b: &Array2<f32>, what: &str) {
-    assert_eq!(a.dims(), b.dims(), "{what}: trace dims differ");
-    for i in 0..a.len() {
-        assert_eq!(
-            a.as_slice()[i].to_bits(),
-            b.as_slice()[i].to_bits(),
-            "{what}: trace element {i}: {} vs {}",
-            a.as_slice()[i],
-            b.as_slice()[i]
-        );
-    }
-}
-
-fn trace_close(a: &Array2<f32>, b: &Array2<f32>, tol_rel: f32, what: &str) {
-    assert_eq!(a.dims(), b.dims(), "{what}: trace dims differ");
-    let scale = a
-        .as_slice()
-        .iter()
-        .fold(0.0f32, |m, &v| m.max(v.abs()))
-        .max(1e-30);
-    for i in 0..a.len() {
-        let d = (a.as_slice()[i] - b.as_slice()[i]).abs();
-        assert!(
-            d <= tol_rel * scale,
-            "{what}: trace element {i}: {} vs {} (scale {scale})",
-            a.as_slice()[i],
-            b.as_slice()[i]
-        );
     }
 }
 
@@ -237,78 +199,63 @@ fn cone_extremes() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental rerun ≡ cold rerun, per schedule × thread cap
+// Incremental rerun ≡ cold rerun, per propagator × schedule × thread cap
 // ---------------------------------------------------------------------------
 
-/// The acceptance criterion: after a single moved source, the warm
-/// incremental rerun is bitwise-identical to a cold full rerun on every
-/// supported schedule at caps 1/2/4 — while recomputing strictly fewer
-/// tiles, with `reused + recomputed == total`.
-#[test]
-fn warm_rerun_is_bitwise_and_reuses_tiles() {
-    for (label, schedule) in schedules() {
-        for cap in [1usize, 2, 4] {
-            let what = format!("{label} cap{cap}");
-            let ex = exec(schedule, Policy::Capped { threads: cap });
-            let cache = TileCache::with_capacity_mb(256);
-
-            // Cold run populates the cache.
-            let mut a = problem(0.37);
-            let cold = a.run_incremental(&ex, &cache, 0);
-            assert!(cold.cold, "{what}: first run must be cold");
-            assert_eq!(cold.reused, 0, "{what}");
-            assert_eq!(cold.recomputed, cold.total_tiles, "{what}");
-            assert!(cold.total_tiles > 0, "{what}: no tiles enumerated");
-
-            // Warm rerun with the source nudged sub-cell.
-            let mut b = problem(0.61);
-            let warm = b.run_incremental(&ex, &cache, 0);
-            assert!(!warm.cold, "{what}: rerun must see the prior session");
-            assert_eq!(warm.total_tiles, cold.total_tiles, "{what}");
-            assert_eq!(
-                warm.reused + warm.recomputed,
-                warm.total_tiles,
-                "{what}: every tile is either reused or recomputed"
-            );
-            assert!(warm.reused > 0, "{what}: nudged source must leave clean tiles");
-            assert!(
-                warm.recomputed < warm.total_tiles,
-                "{what}: nudge must not dirty everything"
-            );
-            assert!(warm.recomputed > 0, "{what}: nudge must dirty its cone");
-
-            // Reference: a cold full rerun of the nudged problem.
-            let mut c = problem(0.61);
-            c.run(&ex);
-            assert!(
-                b.final_field().bit_equal(&c.final_field()),
-                "{what}: incremental field differs from cold rerun (max diff {})",
-                b.final_field().max_abs_diff(&c.final_field())
-            );
-            let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
-            if cap == 1 {
-                trace_bitwise(&tb, &tc, &what);
-            } else {
-                trace_close(&tb, &tc, 1e-4, &what);
-            }
-        }
-    }
+/// The `i`-th standard problem with the source at `frac`.
+fn problem(i: usize, frac: f32, receivers: usize) -> Box<dyn WaveSolver> {
+    problems_with_receivers(frac, receivers).swap_remove(i)
 }
 
-/// Sequential policy is the cap-1 determinism anchor: traces bitwise too.
+/// The acceptance criterion: after a single moved source, the warm
+/// incremental rerun is bitwise-identical to a cold full rerun for every
+/// propagator on every schedule at caps 1/2/4 — while recomputing strictly
+/// fewer tiles, with `reused + recomputed == total`.
 #[test]
-fn warm_rerun_sequential_traces_are_bitwise() {
-    for (label, schedule) in schedules() {
-        let ex = exec(schedule, Policy::Sequential);
-        let cache = TileCache::with_capacity_mb(256);
-        problem(0.37).run_incremental(&ex, &cache, 0);
-        let mut b = problem(0.61);
-        let warm = b.run_incremental(&ex, &cache, 0);
-        assert!(warm.reused > 0, "{label}");
-        let mut c = problem(0.61);
-        c.run(&ex);
-        assert!(b.final_field().bit_equal(&c.final_field()), "{label}");
-        trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), label);
+fn warm_rerun_is_bitwise_and_reuses_tiles() {
+    for (i, mut a) in problems(0.37).into_iter().enumerate() {
+        for (label, schedule) in schedules() {
+            for cap in [1usize, 2, 4] {
+                let what = format!("{} {label} cap{cap}", a.name());
+                let ex = exec(schedule, Policy::Capped { threads: cap });
+                let cache = TileCache::with_capacity_mb(256);
+
+                // Cold run populates the cache.
+                let cold = a.run_incremental(&ex, &cache, 0);
+                assert!(cold.cold, "{what}: first run must be cold");
+                assert_eq!(cold.reused, 0, "{what}");
+                assert_eq!(cold.recomputed, cold.total_tiles, "{what}");
+                assert!(cold.total_tiles > 0, "{what}: no tiles enumerated");
+
+                // Warm rerun with the source nudged sub-cell.
+                let mut b = problem(i, 0.61, 4);
+                let warm = b.run_incremental(&ex, &cache, 0);
+                assert!(!warm.cold, "{what}: rerun must see the prior session");
+                assert_eq!(warm.total_tiles, cold.total_tiles, "{what}");
+                assert_eq!(
+                    warm.reused + warm.recomputed,
+                    warm.total_tiles,
+                    "{what}: every tile is either reused or recomputed"
+                );
+                assert!(warm.reused > 0, "{what}: nudged source must leave clean tiles");
+                assert!(warm.recomputed > 0, "{what}: nudge must dirty its cone");
+
+                // Reference: a cold full rerun of the nudged problem.
+                let mut c = problem(i, 0.61, 4);
+                c.run(&ex);
+                assert!(
+                    b.final_field().bit_equal(&c.final_field()),
+                    "{what}: incremental field differs from cold rerun (max diff {})",
+                    b.final_field().max_abs_diff(&c.final_field())
+                );
+                let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
+                if cap == 1 {
+                    trace_bitwise(&tb, &tc, &what);
+                } else {
+                    trace_close(&tb, &tc, 1e-4, &what);
+                }
+            }
+        }
     }
 }
 
@@ -318,39 +265,25 @@ fn warm_rerun_sequential_traces_are_bitwise() {
 /// set matches a cold run bitwise.
 #[test]
 fn receiver_only_delta_recomputes_nothing() {
-    for (label, schedule) in schedules() {
-        let ex = exec(schedule, Policy::Sequential);
-        let cache = TileCache::with_capacity_mb(256);
-        problem_with_receivers(0.37, 4).run_incremental(&ex, &cache, 0);
+    for (i, mut a) in problems(0.37).into_iter().enumerate() {
+        for (label, schedule) in schedules() {
+            let what = format!("{} {label}", a.name());
+            let ex = exec(schedule, Policy::Sequential);
+            let cache = TileCache::with_capacity_mb(256);
+            a.run_incremental(&ex, &cache, 0);
 
-        let mut b = problem_with_receivers(0.37, 2);
-        let warm = b.run_incremental(&ex, &cache, 0);
-        assert!(!warm.cold, "{label}");
-        assert_eq!(warm.recomputed, 0, "{label}: receiver delta dirtied stencil tiles");
-        assert_eq!(warm.reused, warm.total_tiles, "{label}");
+            let mut b = problem(i, 0.37, 2);
+            let warm = b.run_incremental(&ex, &cache, 0);
+            assert!(!warm.cold, "{what}");
+            assert_eq!(warm.recomputed, 0, "{what}: receiver delta dirtied stencil tiles");
+            assert_eq!(warm.reused, warm.total_tiles, "{what}");
 
-        let mut c = problem_with_receivers(0.37, 2);
-        c.run(&ex);
-        assert!(b.final_field().bit_equal(&c.final_field()), "{label}");
-        trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), label);
+            let mut c = problem(i, 0.37, 2);
+            c.run(&ex);
+            assert!(b.final_field().bit_equal(&c.final_field()), "{what}");
+            trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), &what);
+        }
     }
-}
-
-/// An unchanged resubmission reuses every tile.
-#[test]
-fn identical_rerun_reuses_everything() {
-    let ex = exec(schedules()[0].1, Policy::Sequential);
-    let cache = TileCache::with_capacity_mb(256);
-    problem(0.37).run_incremental(&ex, &cache, 0);
-    let mut b = problem(0.37);
-    let warm = b.run_incremental(&ex, &cache, 0);
-    assert!(!warm.cold);
-    assert_eq!(warm.recomputed, 0);
-    assert_eq!(warm.reused, warm.total_tiles);
-    let mut c = problem(0.37);
-    c.run(&ex);
-    assert!(b.final_field().bit_equal(&c.final_field()));
-    trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), "identical rerun");
 }
 
 /// `TEMPEST_CACHE_MB=0` (a zero-capacity cache) must behave exactly like
@@ -358,21 +291,83 @@ fn identical_rerun_reuses_everything() {
 /// executor and the wavefield + trace are bitwise-identical to `run`.
 #[test]
 fn disabled_cache_is_bitwise_identical_to_plain_run() {
-    for (label, schedule) in schedules() {
-        let ex = exec(schedule, Policy::Sequential);
-        let cache = TileCache::with_capacity_mb(0);
-        assert!(!cache.enabled());
-        let mut a = problem(0.37);
-        let rep = a.run_incremental(&ex, &cache, 0);
-        assert!(rep.cold, "{label}");
-        assert_eq!(rep.total_tiles, 0, "{label}: fallback enumerates no tiles");
-        assert_eq!(rep.reused, 0, "{label}");
-        assert_eq!(rep.recomputed, 0, "{label}");
+    for (i, mut a) in problems(0.37).into_iter().enumerate() {
+        for (label, schedule) in schedules() {
+            let what = format!("{} {label}", a.name());
+            let ex = exec(schedule, Policy::Sequential);
+            let cache = TileCache::with_capacity_mb(0);
+            assert!(!cache.enabled());
+            let rep = a.run_incremental(&ex, &cache, 0);
+            assert!(rep.cold, "{what}");
+            assert_eq!(rep.total_tiles, 0, "{what}: fallback enumerates no tiles");
+            assert_eq!(rep.reused, 0, "{what}");
+            assert_eq!(rep.recomputed, 0, "{what}");
 
-        let mut b = problem(0.37);
-        b.run(&ex);
-        assert!(a.final_field().bit_equal(&b.final_field()), "{label}");
-        trace_bitwise(&a.trace().unwrap(), &b.trace().unwrap(), label);
+            let mut b = problem(i, 0.37, 4);
+            b.run(&ex);
+            assert!(a.final_field().bit_equal(&b.final_field()), "{what}");
+            trace_bitwise(&a.trace().unwrap(), &b.trace().unwrap(), &what);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tiles taller than the ring is deep
+// ---------------------------------------------------------------------------
+
+/// Regression (PR 11 finding): with `tile_t` 8 > ring depth 3 a tile's late
+/// slabs overwrite the ring slots its early slabs wrote, so a payload
+/// snapshotted after the *whole* tile ran replays wrong values into the
+/// gathers of fully reused tiles. Capture happens per slab now. Through the
+/// survey path every shot solves on one thread, so gathers must be
+/// bitwise-equal to an uncached cold solve at every fleet cap — for an
+/// identical resubmission (100 % reuse) and for a nudged shot.
+#[test]
+fn tall_tiles_replay_gathers_bitwise_through_the_survey_path() {
+    let d = Domain::uniform(Shape::cube(N), 10.0);
+    let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2800.0, 50.0)
+        .with_nt(16)
+        .with_f0(25.0);
+    let survey = |nudge: f32| {
+        let mut s = Survey::new(Model::two_layer(d, 1600.0, 2800.0, 0.5), cfg.clone())
+            .with_receivers(SparsePoints::receiver_line(&d, 6, 0.2));
+        s.add_shot(ShotSpec::at([113.0 + nudge, 161.0, 87.0]));
+        s.add_shot(ShotSpec::at([207.0, 149.0, 93.0]));
+        s
+    };
+    let schedule = Schedule::WavefrontDataflow {
+        tile_x: 16,
+        tile_y: 16,
+        tile_t: 8,
+        block_x: 8,
+        block_y: 8,
+    };
+    for cap in [1usize, 2, 4] {
+        let cache = Arc::new(TileCache::with_capacity_mb(256));
+        let opts = |cache: Option<&Arc<TileCache>>| SurveyOptions {
+            exec: exec(schedule, Policy::default()),
+            policy: Policy::Capped { threads: cap },
+            cache: cache.cloned(),
+            ..SurveyOptions::default()
+        };
+        run_survey(&survey(0.0), &opts(Some(&cache))).unwrap();
+        let filled = cache.stats();
+        for (what, nudge) in [("identical rerun", 0.0), ("nudged rerun", 3.0)] {
+            let warm = run_survey(&survey(nudge), &opts(Some(&cache))).unwrap();
+            let cold = run_survey(&survey(nudge), &opts(None)).unwrap();
+            for (w, c) in warm.iter().zip(&cold) {
+                trace_bitwise(
+                    w.gather.as_ref().unwrap(),
+                    c.gather.as_ref().unwrap(),
+                    &format!("cap{cap} {what} shot {}", w.index),
+                );
+            }
+            if nudge == 0.0 {
+                let s = cache.stats();
+                assert!(s.hits > filled.hits, "cap{cap}: rerun must restore tiles");
+                assert_eq!(s.misses, filled.misses, "cap{cap}: identical rerun reuses 100 %");
+            }
+        }
     }
 }
 
@@ -466,9 +461,9 @@ mod counters {
         for (label, schedule) in schedules() {
             let ex = exec(schedule, Policy::Sequential);
             let cache = TileCache::with_capacity_mb(256);
-            problem(0.37).run_incremental(&ex, &cache, 0);
+            problem(0, 0.37, 4).run_incremental(&ex, &cache, 0);
             obs::reset();
-            let mut b = problem(0.61);
+            let mut b = problem(0, 0.61, 4);
             let warm = b.run_incremental(&ex, &cache, 0);
             let p = obs::snapshot();
             assert_eq!(p.counter(Counter::TilesReused), warm.reused as u64, "{label}");
@@ -491,8 +486,7 @@ mod counters {
         let _g = guard();
         let ex = exec(schedules()[0].1, Policy::Sequential);
         let cache = TileCache::with_capacity_mb(0);
-        let mut a = problem(0.37);
-        a.run_incremental(&ex, &cache, 0);
+        problem(0, 0.37, 4).run_incremental(&ex, &cache, 0);
         let p = obs::snapshot();
         assert_eq!(p.counter(Counter::TilesReused), 0);
         assert_eq!(p.counter(Counter::TilesRecomputed), 0);

@@ -30,7 +30,7 @@ fn domain() -> Domain {
 /// baseline and a barrier-free dataflow temporal-blocking schedule.
 fn schedules() -> Vec<(&'static str, Execution)> {
     let sb = Execution::baseline().sequential();
-    let mut df = Execution::wavefront_dataflow_default().sequential();
+    let mut df = Execution::wavefront_default().sequential();
     df.schedule = Schedule::WavefrontDataflow {
         tile_x: 8,
         tile_y: 8,
@@ -149,8 +149,6 @@ fn kernel_path_resolution_matches_dispatcher() {
     assert_eq!(KernelPath::Auto.resolve(), choose(None));
     assert_eq!(KernelPath::Scalar.resolve(), Backend::Scalar);
     assert_eq!(KernelPath::Portable.resolve(), Backend::Portable);
-    // The compat alias points at the portable backend.
-    assert_eq!(KernelPath::Pencil, KernelPath::Portable);
     if Backend::Avx2.available() {
         assert_eq!(KernelPath::Avx2.resolve(), Backend::Avx2);
     } else {

@@ -62,28 +62,6 @@ fn schedules() -> Vec<(&'static str, Schedule, SparseMode)> {
             SparseMode::FusedCompressed,
         ),
         (
-            "wavefront",
-            Schedule::Wavefront {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            },
-            SparseMode::FusedCompressed,
-        ),
-        (
-            "wavefront-diag",
-            Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            },
-            SparseMode::FusedCompressed,
-        ),
-        (
             "wavefront-dataflow",
             Schedule::WavefrontDataflow {
                 tile_x: 8,
@@ -178,51 +156,18 @@ fn check_schedule<F: FnMut(&Execution)>(
         match schedule {
             Schedule::SpaceBlocked { .. } => {
                 assert!(p.counter(Counter::SpaceSweeps) > 0, "{label}: no sweeps");
-                assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
+                assert_eq!(p.counter(Counter::WavefrontTiles), 0, "{label}");
             }
-            Schedule::Wavefront { .. } => {
-                assert!(p.counter(Counter::WavefrontSlabs) > 0, "{label}: no slabs");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                assert!(
-                    p.counter(Counter::WavefrontDiagonals) > 0,
-                    "{label}: no diagonals"
-                );
-                assert!(
-                    p.counter(Counter::WavefrontTiles) > 0,
-                    "{label}: no tiles"
-                );
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                // The dataflow executor runs tiles without slabs phases or
-                // per-diagonal barriers — only the tile counter moves.
-                assert!(
-                    p.counter(Counter::WavefrontTiles) > 0,
-                    "{label}: no tiles"
-                );
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
-                assert!(
-                    p.counter(Counter::DataflowReady) > 0,
-                    "{label}: every tile must pass through the ready state"
-                );
-            }
-            Schedule::Diamond { .. } => {
-                // Diamond tiles run on the dataflow substrate: tile and
-                // ready counters move, no sweeps/slabs/diagonals.
-                assert!(
-                    p.counter(Counter::WavefrontTiles) > 0,
-                    "{label}: no tiles"
-                );
-                assert!(
-                    p.counter(Counter::DataflowReady) > 0,
-                    "{label}: every diamond tile must pass through the ready state"
+            Schedule::WavefrontDataflow { .. } | Schedule::Diamond { .. } => {
+                // The plan executor runs tiles under dependency counters —
+                // tile and ready counters move, no sweeps.
+                assert!(p.counter(Counter::WavefrontTiles) > 0, "{label}: no tiles");
+                assert_eq!(
+                    p.counter(Counter::DataflowReady),
+                    p.counter(Counter::WavefrontTiles),
+                    "{label}: every tile must pass through the ready state once"
                 );
                 assert_eq!(p.counter(Counter::SpaceSweeps), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
             }
         }
         let mut counts: Vec<u64> = Counter::ALL.iter().map(|&c| p.counter(c)).collect();

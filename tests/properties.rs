@@ -8,8 +8,9 @@ use tempest::grid::{Domain, Rng64, Shape};
 use tempest::sparse::wavelet::wavelet_matrix_scaled;
 use tempest::sparse::{trilinear, CompressedMask, SourcePrecompute, SparsePoints};
 use tempest::stencil::central_coeffs;
-use tempest::tiling::legality::{check_diagonal_independence, check_schedule, DepModel};
-use tempest::tiling::wavefront::{diagonal_slabs, slabs, WavefrontSpec};
+use tempest::tiling::legality::{check_plan, check_schedule, DepModel};
+use tempest::tiling::wavefront::{slabs, WavefrontSpec};
+use tempest::tiling::TilePlan;
 
 const CASES: usize = 64;
 
@@ -172,13 +173,13 @@ fn wavefront_legality() {
     }
 }
 
-/// Diagonal-parallel wave-front schedules: for any spec with skew ≥ radius,
-/// (a) same-diagonal tiles have pairwise-disjoint dependency footprints
-/// (the static independence checker passes), (b) the diagonal-major
-/// serialisation covers every space-time point exactly once and replays
-/// cleanly through the dependency checker.
+/// Wave-front plans: for any spec with skew ≥ radius, (a) the plan is sound
+/// (acyclic, replayable, unordered tiles conflict-free — so same-diagonal
+/// tiles may run concurrently), (b) the diagonal-major linearisation of its
+/// nodes covers every space-time point exactly once and replays cleanly
+/// through the dependency checker.
 #[test]
-fn diagonal_wavefront_legality() {
+fn wavefront_plan_legality() {
     let mut rng = Rng64::new(0xB8);
     for _ in 0..CASES {
         let radius = rng.range_usize(0, 4);
@@ -192,12 +193,11 @@ fn diagonal_wavefront_legality() {
         let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
         let model = DepModel { radius, levels };
         let ctx = format!("radius {radius} skew {skew} tile {tile} tile_t {tile_t} levels {levels}");
-        assert_eq!(
-            check_diagonal_independence(shape, nvt, model, &spec),
-            Ok(()),
-            "independence: {ctx}"
-        );
-        let sched = diagonal_slabs(shape, nvt, &spec);
+        let plan = TilePlan::wavefront(shape, nvt, &spec, radius);
+        assert_eq!(check_plan(shape, model, &plan), Ok(()), "plan: {ctx}");
+        let mut order: Vec<usize> = (0..plan.len()).collect();
+        order.sort_by_key(|&i| (plan.labels[i].t0, plan.labels[i].diagonal));
+        let sched: Vec<_> = order.iter().flat_map(|&i| plan.slabs[i].iter().copied()).collect();
         let mut counts = vec![0u32; nvt * nx * ny];
         for s in &sched {
             for x in s.range.x0..s.range.x1 {

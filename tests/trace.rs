@@ -1,7 +1,7 @@
 //! Integration tests for event-level tile tracing (`tempest-obs::trace`).
 //!
 //! The acceptance case from DESIGN.md §11: a traced acoustic 64³×8 run under
-//! `Schedule::WavefrontDiagonal` must produce one `tile` span per executed
+//! the wave-front plan must produce one `tile` span per executed
 //! space-time tile with correct `(diagonal, tx, ty)` arguments, drop nothing
 //! at the default ring capacity, and export Chrome trace-event JSON that
 //! parses back. The trace gate is independent of the profiling gate, and a
@@ -85,10 +85,10 @@ fn assert_well_nested(trace: &obs::trace::Trace) {
 
 #[cfg(feature = "obs")]
 #[test]
-fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
+fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
     let _g = guard();
     let mut s = acoustic64();
-    let exec = Execution::wavefront_diagonal_default();
+    let exec = Execution::wavefront_default();
     let (stats, profile, trace, meta) = s.run_traced(&exec);
     assert_eq!(stats.nt, NT);
     assert!(!profile.is_empty(), "profiling gate is on");
@@ -119,11 +119,10 @@ fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
     for e in trace.events_of(SpanKind::Tile) {
         assert_eq!(e.args.diagonal, e.args.tx + e.args.ty, "diagonal is xt+yt");
     }
-    // The coordinator records one span per anti-diagonal per time tile, and
-    // the propagator phases show up under the tiles.
-    let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
-    let time_tiles = NT.div_ceil(spec.tile_t);
-    assert_eq!(trace.count(SpanKind::Diagonal), ndiag * time_tiles);
+    // One whole-sweep coordinator span — the single join per sweep is
+    // visible in the trace shape — and the propagator phases show up under
+    // the tiles, even though tiles complete in a work-stealing order.
+    assert_eq!(trace.count(SpanKind::Dataflow), 1);
     assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
     assert!(trace.count(SpanKind::Sparse) > 0, "sparse phases traced");
     assert_well_nested(&trace);
@@ -134,7 +133,7 @@ fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
     let path = trace.write_chrome_json_in(&dir, &meta).unwrap();
     assert_eq!(
         path.file_name().unwrap().to_str().unwrap(),
-        "acoustic-so4__wavefront-diag_64x64_t8_8x8.trace.json"
+        "acoustic-so4__wavefront-dflow_16x16_t8_8x8.trace.json"
     );
     let body = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -177,45 +176,6 @@ fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
 
 #[cfg(feature = "obs")]
 #[test]
-fn traced_dataflow_run_covers_every_tile_with_zero_drops() {
-    // Satellite acceptance: the dependency-driven executor must trace one
-    // tile span per (non-empty) space-time tile with correct coordinates and
-    // lose nothing at the default ring capacity, even though tiles complete
-    // in a work-stealing order.
-    let _g = guard();
-    let mut s = acoustic64();
-    let exec = Execution::wavefront_dataflow_default();
-    let (stats, profile, trace, _) = s.run_traced(&exec);
-    assert_eq!(stats.nt, NT);
-    assert!(!profile.is_empty(), "profiling gate is on");
-    assert_eq!(trace.dropped, 0, "dataflow 64³×8 must fit the default ring");
-    assert_eq!(trace.capacity, obs::trace::DEFAULT_CAPACITY);
-
-    let spec = exec.wavefront_spec(2, 1);
-    let mut expected = Vec::new();
-    tempest::tiling::wavefront::for_each_tile(Shape::cube(N), NT, &spec, |t| expected.push(*t));
-    assert!(expected.len() > 1, "the case must actually tile");
-    assert_eq!(trace.count(SpanKind::Tile), expected.len());
-    for t in &expected {
-        let found = trace.events_of(SpanKind::Tile).any(|e| {
-            e.args.tx == t.xt as i32
-                && e.args.ty == t.yt as i32
-                && e.args.t0 == t.t0 as i32
-                && e.args.t1 == t.t1 as i32
-        });
-        assert!(found, "no tile span for {t:?}");
-    }
-    // One whole-sweep dataflow span instead of per-diagonal coordinator
-    // spans: the single join per sweep is visible in the trace shape.
-    assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert_eq!(trace.count(SpanKind::Diagonal), 0, "no diagonal barriers ran");
-    assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
-    assert_well_nested(&trace);
-    obs::trace::set_enabled(false);
-}
-
-#[cfg(feature = "obs")]
-#[test]
 fn traced_diamond_run_covers_every_tile_with_zero_drops() {
     // Satellite acceptance: the diamond schedule must trace one tile span
     // per (non-empty) diamond tile with correct (row, k, ct, t0, t1)
@@ -246,11 +206,9 @@ fn traced_diamond_run_covers_every_tile_with_zero_drops() {
         });
         assert!(found, "no tile span for {t:?}");
     }
-    // One whole-sweep diamond span; no other executor's coordinator spans.
-    assert_eq!(trace.count(SpanKind::Diamond), 1);
-    assert_eq!(trace.count(SpanKind::Dataflow), 0, "no dataflow sweep ran");
-    assert_eq!(trace.count(SpanKind::Diagonal), 0, "no diagonal barriers ran");
-    assert_eq!(trace.count(SpanKind::Slab), 0, "no slab coordinator ran");
+    // One whole-sweep coordinator span, none of the baseline's.
+    assert_eq!(trace.count(SpanKind::Dataflow), 1);
+    assert_eq!(trace.count(SpanKind::Sweep), 0, "no space-blocked sweep ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
     assert_well_nested(&trace);
     obs::trace::set_enabled(false);
@@ -258,26 +216,14 @@ fn traced_diamond_run_covers_every_tile_with_zero_drops() {
 
 #[cfg(feature = "obs")]
 #[test]
-fn slab_and_sweep_schedules_record_their_own_spans() {
+fn sweep_schedule_records_its_own_spans() {
     let _g = guard();
     let mut s = acoustic64();
-
-    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_default());
-    let spec = Execution::wavefront_default().wavefront_spec(2, 1);
-    let expected_slabs = tempest::tiling::wavefront::slabs(Shape::cube(N), NT, &spec).len();
-    assert_eq!(trace.count(SpanKind::Slab), expected_slabs);
-    assert_eq!(trace.count(SpanKind::Tile), 0, "no diagonal executor ran");
-    // Slab args carry the owning tile's coordinates and single vt.
-    for e in trace.events_of(SpanKind::Slab) {
-        assert_eq!(e.args.diagonal, e.args.tx + e.args.ty);
-        assert!(e.args.vt >= 0 && e.args.vt < NT as i32);
-    }
-    assert_well_nested(&trace);
-
     let (_, _, trace, _) = s.run_traced(&Execution::baseline());
     assert_eq!(trace.count(SpanKind::Sweep), NT, "one sweep span per timestep");
-    assert_eq!(trace.count(SpanKind::Slab), 0);
     assert_eq!(trace.count(SpanKind::Tile), 0);
+    assert_eq!(trace.count(SpanKind::Dataflow), 0);
+    assert_well_nested(&trace);
     obs::trace::set_enabled(false);
 }
 
@@ -286,9 +232,9 @@ fn slab_and_sweep_schedules_record_their_own_spans() {
 fn analysis_matches_trace_and_renders() {
     let _g = guard();
     let mut s = acoustic64();
-    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_default());
     let a = obs::analysis::TraceAnalysis::from_trace(&trace);
-    let spec = Execution::wavefront_diagonal_default().wavefront_spec(2, 1);
+    let spec = Execution::wavefront_default().wavefront_spec(2, 1);
     let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
     assert_eq!(a.diagonals.len(), ndiag * NT.div_ceil(spec.tile_t));
     let tiles: usize = a.diagonals.iter().map(|d| d.tiles).sum();
@@ -308,7 +254,7 @@ fn trace_gate_off_records_counters_but_no_events() {
     let _g = guard();
     obs::trace::set_enabled(false);
     let mut s = acoustic64();
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_default());
     assert!(!profile.is_empty(), "profiling gate unaffected by trace gate");
     assert!(trace.is_empty(), "trace gate off must record no events");
     assert_eq!(trace.dropped, 0);
@@ -331,7 +277,7 @@ fn trace_disabled_costs_no_more_than_enabled() {
         .with_f0(25.0);
     let src = SparsePoints::single_center(&d, 0.4);
     let mut s = Acoustic::new(&model, cfg, src, None);
-    let exec = Execution::wavefront_diagonal_default().sequential();
+    let exec = Execution::wavefront_default().sequential();
     s.run(&exec); // warm-up
     let mut median = |on: bool| {
         obs::trace::set_enabled(on);
@@ -369,7 +315,7 @@ fn no_feature_build_records_nothing() {
         .with_f0(25.0);
     let src = SparsePoints::single_center(&d, 0.4);
     let mut s = Acoustic::new(&model, cfg, src, None);
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_default());
     assert!(profile.is_empty());
     assert!(trace.is_empty());
     assert_eq!(trace.dropped, 0);
