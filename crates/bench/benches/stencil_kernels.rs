@@ -144,6 +144,35 @@ fn bench_cross<const R: usize>(
     report_speedups("cross_diff", so, &rows);
 }
 
+/// The centred first-derivative row at stride `sy`: the pass that fills the
+/// TTI row cache, and the shape of every composed mixed-derivative pass.
+fn bench_first_diff<const R: usize>(
+    cfg: Config,
+    so: usize,
+    u: &[f32],
+    sy: usize,
+    out_rows: &mut Vec<BenchEntry>,
+) {
+    let w = first_derivative_weights(so, 10.0);
+    let w: [f32; R] = w[..].try_into().expect("radius mismatch");
+    let (lo, hi, elems, mut out) = interior::<R>();
+    let mut rows = Vec::new();
+    for b in backends() {
+        let s = microbench::run_elems(&format!("first_diff_{}/so{so}", b.name()), cfg, elems, || {
+            for x in lo..hi {
+                for y in lo..hi {
+                    let i0 = (x * N + y) * N + lo;
+                    b.first_diff_row_r::<R>(black_box(u), i0, sy, &w, &mut out);
+                    black_box(&out);
+                }
+            }
+        });
+        out_rows.push(entry("first_diff", so, b, elems, &s));
+        rows.push((b, s));
+    }
+    report_speedups("first_diff", so, &rows);
+}
+
 fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: &mut Vec<BenchEntry>) {
     let w = staggered_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
@@ -175,6 +204,7 @@ fn bench_order<const R: usize>(
 ) {
     bench_laplacian::<R>(cfg, so, u, sx, sy, out_rows);
     bench_cross::<R>(cfg, so, u, sx, sy, out_rows);
+    bench_first_diff::<R>(cfg, so, u, sy, out_rows);
     bench_staggered::<R>(cfg, so, u, out_rows);
 }
 

@@ -16,8 +16,13 @@
 //! whose footprint is the `(2r)²` outer product of first-derivative stencils
 //! — this is why the TTI kernel "increases the operation count drastically"
 //! and sits far right of the acoustic kernel on the roofline (Fig. 11).
-//! The six rotation coefficients are precomputed into parameter volumes, so
-//! the hot loop is trigonometry-free.
+//! Each mixed derivative is evaluated as the composition of two `2r`-tap
+//! first derivatives through a per-worker row cache (see
+//! [`Tti::step_region`] and DESIGN.md §10), not as the outer product. The six
+//! rotation coefficients are precomputed into parameter volumes, so the hot
+//! loop is trigonometry-free.
+
+use std::cell::RefCell;
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
@@ -27,12 +32,23 @@ use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array3, DampingMask, Range3, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
-use tempest_stencil::kernels::{
-    cross_diff_r, first_derivative_weights, second_diff_axis_r, AxisWeights,
-};
+use tempest_stencil::kernels::{first_derivative_weights, AxisWeights};
 use tempest_stencil::metrics::tti_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
+
+thread_local! {
+    /// The calling worker's step scratch: the `D_y` row cache, one `D_x` row
+    /// and the twelve derivative rows of [`Tti::step_rows`]. Grown on first
+    /// use and reused by every later call on the thread; every value a call
+    /// reads it has written itself.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The six `n`-point rows of one field's derivative scratch.
+fn rows(d: &[f32], n: usize) -> [&[f32]; 6] {
+    std::array::from_fn(|c| &d[c * n..(c + 1) * n])
+}
 
 /// The TTI pseudo-acoustic propagator.
 pub struct Tti {
@@ -147,11 +163,47 @@ impl Tti {
         &self.cfg
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn step_r<const R: usize>(&self, k: usize, region: &Range3, mode: SparseMode) {
+    /// One stencil step over `region` — the only step body, for every
+    /// backend (`Backend::Scalar` runs the same row passes per point).
+    ///
+    /// A mixed derivative is the composition of two centred first
+    /// derivatives, `∂ab u = D_a(D_b u)`: the same taps and weights as their
+    /// `(2R)²` outer product, associated so that it costs two `2R`-tap row
+    /// passes. The outer derivative runs along `z` wherever it can, because a
+    /// region is long in `z` and narrow in `x, y`, and dilating the inner
+    /// rows by `R` is cheap only along `z`:
+    ///
+    /// 1. per *input* pencil of the region dilated by `R` along x, the row
+    ///    `D_y u` over `z0−R..z1+R` of both fields goes to the worker's row
+    ///    cache;
+    /// 2. per *output* pencil, `∂xy = D_x(D_y u)` is a first-derivative row
+    ///    *across* the cached rows, `∂yz = D_z(D_y u)` one *along* the
+    ///    pencil's own cached row, and `∂xz = D_z(D_x u)` one along a `D_x u`
+    ///    row computed on the spot; the straight second derivatives read the
+    ///    level directly, and one combine loop finishes the update.
+    ///
+    /// Every scratch value is a pure function of the level being read and is
+    /// written by this call before it reads it: nothing is carried from one
+    /// call to the next, and the result does not depend on how the domain is
+    /// cut into regions. The read footprint is the radius-`R` box, as for the
+    /// single-pass outer product this replaces.
+    fn step_rows<const R: usize>(
+        &self,
+        k: usize,
+        region: &Range3,
+        mode: SparseMode,
+        backend: Backend,
+    ) {
+        if region.is_empty() {
+            return;
+        }
         let sw = obs::start(obs::Phase::Stencil);
         // One update per grid point: the coupled p/q pair counts once.
         obs::add(obs::Counter::StencilUpdates, region.len() as u64);
+        let (nx, ny) = (region.x1 - region.x0, region.y1 - region.y0);
+        if backend != Backend::Scalar {
+            obs::add(obs::Counter::PencilRows, (nx * ny) as u64);
+        }
         // SAFETY: see `Acoustic::step_r` — identical schedule contract, two
         // fields updated together from their own older levels.
         let p0 = unsafe { self.p.level(k + 1) };
@@ -159,170 +211,109 @@ impl Tti {
         let q0 = unsafe { self.q.level(k + 1) };
         let qm = unsafe { self.q.level(k) };
         let (sx, sy) = (self.p.sx(), self.p.sy());
-        let w1x: [f32; R] = self.w1x[..].try_into().expect("radius mismatch");
-        let w1y: [f32; R] = self.w1y[..].try_into().expect("radius mismatch");
-        let w1z: [f32; R] = self.w1z[..].try_into().expect("radius mismatch");
-        // Fixed-size side weights so the straight-derivative loops unroll.
-        let wxx: [f32; R] = self.wxx.side[..].try_into().expect("radius mismatch");
-        let wyy: [f32; R] = self.wyy.side[..].try_into().expect("radius mismatch");
-        let wzz: [f32; R] = self.wzz.side[..].try_into().expect("radius mismatch");
-        let (cxx, cyy, czz) = (self.wxx.center, self.wyy.center, self.wzz.center);
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let pn = unsafe { self.p.pencil_mut(k + 2, x, y) };
-                let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
-                let base = self.p.idx(x, y, 0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                let er = self.eps2.pencil(x, y);
-                let dr = self.delta_bar.pencil(x, y);
-                let g0 = self.gz[0].pencil(x, y);
-                let g1 = self.gz[1].pencil(x, y);
-                let g2 = self.gz[2].pencil(x, y);
-                let g3 = self.gz[3].pencil(x, y);
-                let g4 = self.gz[4].pencil(x, y);
-                let g5 = self.gz[5].pencil(x, y);
-                for z in region.z0..region.z1 {
-                    let i = base + z;
-                    // Straight second derivatives of p (give Δp and feed Gz̄z̄).
-                    let pxx = second_diff_axis_r::<R>(p0, i, sx, cxx, &wxx);
-                    let pyy = second_diff_axis_r::<R>(p0, i, sy, cyy, &wyy);
-                    let pzz = second_diff_axis_r::<R>(p0, i, 1, czz, &wzz);
-                    // Mixed derivatives of p.
-                    let pxy = cross_diff_r::<R>(p0, i, sx, sy, &w1x, &w1y);
-                    let pxz = cross_diff_r::<R>(p0, i, sx, 1, &w1x, &w1z);
-                    let pyz = cross_diff_r::<R>(p0, i, sy, 1, &w1y, &w1z);
-                    // Same for q.
-                    let qxx = second_diff_axis_r::<R>(q0, i, sx, cxx, &wxx);
-                    let qyy = second_diff_axis_r::<R>(q0, i, sy, cyy, &wyy);
-                    let qzz = second_diff_axis_r::<R>(q0, i, 1, czz, &wzz);
-                    let qxy = cross_diff_r::<R>(q0, i, sx, sy, &w1x, &w1y);
-                    let qxz = cross_diff_r::<R>(q0, i, sx, 1, &w1x, &w1z);
-                    let qyz = cross_diff_r::<R>(q0, i, sy, 1, &w1y, &w1z);
-
-                    let gzz_p = g0[z] * pxx
-                        + g1[z] * pyy
-                        + g2[z] * pzz
-                        + g3[z] * pxy
-                        + g4[z] * pxz
-                        + g5[z] * pyz;
-                    let gzz_q = g0[z] * qxx
-                        + g1[z] * qyy
-                        + g2[z] * qzz
-                        + g3[z] * qxy
-                        + g4[z] * qxz
-                        + g5[z] * qyz;
-                    let gh_p = (pxx + pyy + pzz) - gzz_p;
-
-                    let rhs_p = er[z] * gh_p + dr[z] * gzz_q;
-                    let rhs_q = dr[z] * gh_p + gzz_q;
-                    pn[z] = c1r[z] * p0[i] - c2r[z] * pm[i] + c3r[z] * rhs_p;
-                    qn[z] = c1r[z] * q0[i] - c2r[z] * qm[i] + c3r[z] * rhs_q;
-                }
-                self.fused_sparse(k, x, y, region, pn, qn, c3r, mode);
-            }
-        }
-        sw.stop();
-    }
-
-    /// Pencil-kernel twin of [`step_r`](Self::step_r): the twelve derivative
-    /// volumes per point (six per field) become twelve whole-row kernel
-    /// calls per `z`-row, followed by one combine loop that replays the
-    /// scalar accumulation chain term-for-term — results stay bitwise equal.
-    #[allow(clippy::too_many_arguments)]
-    fn step_pencil_r<const R: usize>(
-        &self,
-        k: usize,
-        region: &Range3,
-        mode: SparseMode,
-        backend: Backend,
-    ) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        obs::add(
-            obs::Counter::PencilRows,
-            ((region.x1 - region.x0) * (region.y1 - region.y0)) as u64,
+        // Fixed-size weights so the row kernels unroll.
+        let (wxx, wyy, wzz): ([f32; R], [f32; R], [f32; R]) = (
+            self.wxx.side_array(),
+            self.wyy.side_array(),
+            self.wzz.side_array(),
         );
-        // SAFETY: see `step_r` — identical schedule contract.
-        let p0 = unsafe { self.p.level(k + 1) };
-        let pm = unsafe { self.p.level(k) };
-        let q0 = unsafe { self.q.level(k + 1) };
-        let qm = unsafe { self.q.level(k) };
-        let (sx, sy) = (self.p.sx(), self.p.sy());
-        let w1x: [f32; R] = self.w1x[..].try_into().expect("radius mismatch");
-        let w1y: [f32; R] = self.w1y[..].try_into().expect("radius mismatch");
-        let w1z: [f32; R] = self.w1z[..].try_into().expect("radius mismatch");
-        let wxx: [f32; R] = self.wxx.side[..].try_into().expect("radius mismatch");
-        let wyy: [f32; R] = self.wyy.side[..].try_into().expect("radius mismatch");
-        let wzz: [f32; R] = self.wzz.side[..].try_into().expect("radius mismatch");
         let (cxx, cyy, czz) = (self.wxx.center, self.wyy.center, self.wzz.center);
+        let arr = |w: &[f32]| -> [f32; R] { w.try_into().expect("radius mismatch") };
+        let (w1x, w1y, w1z) = (arr(&self.w1x), arr(&self.w1y), arr(&self.w1z));
         let n = region.z1 - region.z0;
-        // Twelve derivative rows, reused across every pencil in the region.
-        let mut d = vec![0.0f32; 12 * n];
-        let (dp, dq) = d.split_at_mut(6 * n);
-        let (pxx, r) = dp.split_at_mut(n);
-        let (pyy, r) = r.split_at_mut(n);
-        let (pzz, r) = r.split_at_mut(n);
-        let (pxy, r) = r.split_at_mut(n);
-        let (pxz, pyz) = r.split_at_mut(n);
-        let (qxx, r) = dq.split_at_mut(n);
-        let (qyy, r) = r.split_at_mut(n);
-        let (qzz, r) = r.split_at_mut(n);
-        let (qxy, r) = r.split_at_mut(n);
-        let (qxz, qyz) = r.split_at_mut(n);
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let pn = unsafe { self.p.pencil_mut(k + 2, x, y) };
-                let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
-                let i0 = self.p.idx(x, y, region.z0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                let er = self.eps2.pencil(x, y);
-                let dr = self.delta_bar.pencil(x, y);
-                let g0 = self.gz[0].pencil(x, y);
-                let g1 = self.gz[1].pencil(x, y);
-                let g2 = self.gz[2].pencil(x, y);
-                let g3 = self.gz[3].pencil(x, y);
-                let g4 = self.gz[4].pencil(x, y);
-                let g5 = self.gz[5].pencil(x, y);
-                backend.second_diff_row_r::<R>(p0, i0, sx, cxx, &wxx, pxx);
-                backend.second_diff_row_r::<R>(p0, i0, sy, cyy, &wyy, pyy);
-                backend.second_diff_row_r::<R>(p0, i0, 1, czz, &wzz, pzz);
-                backend.cross_diff_row_r::<R>(p0, i0, sx, sy, &w1x, &w1y, pxy);
-                backend.cross_diff_row_r::<R>(p0, i0, sx, 1, &w1x, &w1z, pxz);
-                backend.cross_diff_row_r::<R>(p0, i0, sy, 1, &w1y, &w1z, pyz);
-                backend.second_diff_row_r::<R>(q0, i0, sx, cxx, &wxx, qxx);
-                backend.second_diff_row_r::<R>(q0, i0, sy, cyy, &wyy, qyy);
-                backend.second_diff_row_r::<R>(q0, i0, 1, czz, &wzz, qzz);
-                backend.cross_diff_row_r::<R>(q0, i0, sx, sy, &w1x, &w1y, qxy);
-                backend.cross_diff_row_r::<R>(q0, i0, sx, 1, &w1x, &w1z, qxz);
-                backend.cross_diff_row_r::<R>(q0, i0, sy, 1, &w1y, &w1z, qyz);
-                for j in 0..n {
-                    let z = region.z0 + j;
-                    let i = i0 + j;
-                    let gzz_p = g0[z] * pxx[j]
-                        + g1[z] * pyy[j]
-                        + g2[z] * pzz[j]
-                        + g3[z] * pxy[j]
-                        + g4[z] * pxz[j]
-                        + g5[z] * pyz[j];
-                    let gzz_q = g0[z] * qxx[j]
-                        + g1[z] * qyy[j]
-                        + g2[z] * qzz[j]
-                        + g3[z] * qxy[j]
-                        + g4[z] * qxz[j]
-                        + g5[z] * qyz[j];
-                    let gh_p = (pxx[j] + pyy[j] + pzz[j]) - gzz_p;
-                    let rhs_p = er[z] * gh_p + dr[z] * gzz_q;
-                    let rhs_q = dr[z] * gh_p + gzz_q;
-                    pn[z] = c1r[z] * p0[i] - c2r[z] * pm[i] + c3r[z] * rhs_p;
-                    qn[z] = c1r[z] * q0[i] - c2r[z] * qm[i] + c3r[z] * rhs_q;
-                }
-                self.fused_sparse(k, x, y, region, pn, qn, c3r, mode);
+        // Cache layout: one slot `[D_y p | D_y q]` per input pencil, each row
+        // `z0−R..z1+R`, pencils y-fastest inside an x-plane — so `D_x` across
+        // the cache is a first-derivative row at stride `plane`.
+        let ly = n + 2 * R;
+        let plane = ny * 2 * ly;
+        let cache_len = (nx + 2 * R) * plane;
+        let scratch_len = cache_len + ly + 12 * n;
+        SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.len() < scratch_len {
+                scratch.resize(scratch_len, 0.0);
             }
-        }
+            let (cache, rest) = scratch[..scratch_len].split_at_mut(cache_len);
+            let (dx, d) = rest.split_at_mut(ly);
+            // Pass 1. `xi` counts planes from `x0 − R`, inside the x halo.
+            for xi in 0..nx + 2 * R {
+                for yi in 0..ny {
+                    let i0 =
+                        self.p.idx(region.x0, region.y0 + yi, region.z0) + xi * sx - R * sx - R;
+                    let (dyp, dyq) = cache[xi * plane + yi * 2 * ly..][..2 * ly].split_at_mut(ly);
+                    backend.first_diff_row_r::<R>(p0, i0, sy, &w1y, dyp);
+                    backend.first_diff_row_r::<R>(q0, i0, sy, &w1y, dyq);
+                }
+            }
+            // Pass 2.
+            let cache = &*cache;
+            // The second derivatives `[uxx, uyy, uzz, uxy, uxz, uyz]` of one
+            // field along the output pencil at `i0`, into the six rows of
+            // `d`; `dy` is the pencil's cached `D_y u` row at `z0`.
+            let derivatives = |u: &[f32], i0: usize, dy: usize, dx: &mut [f32], d: &mut [f32]| {
+                let (uxx, r) = d.split_at_mut(n);
+                let (uyy, r) = r.split_at_mut(n);
+                let (uzz, r) = r.split_at_mut(n);
+                let (uxy, r) = r.split_at_mut(n);
+                let (uxz, uyz) = r.split_at_mut(n);
+                backend.second_diff_row_r::<R>(u, i0, sx, cxx, &wxx, uxx);
+                backend.second_diff_row_r::<R>(u, i0, sy, cyy, &wyy, uyy);
+                backend.second_diff_row_r::<R>(u, i0, 1, czz, &wzz, uzz);
+                backend.first_diff_row_r::<R>(cache, dy, plane, &w1x, uxy);
+                backend.first_diff_row_r::<R>(u, i0 - R, sx, &w1x, dx);
+                backend.first_diff_row_r::<R>(dx, R, 1, &w1z, uxz);
+                backend.first_diff_row_r::<R>(cache, dy, 1, &w1z, uyz);
+            };
+            let (dp, dq) = d.split_at_mut(6 * n);
+            for x in region.x0..region.x1 {
+                for y in region.y0..region.y1 {
+                    let i0 = self.p.idx(x, y, region.z0);
+                    // This pencil's cached `D_y p` at `z0`; `D_y q` follows it.
+                    let dy = (x - region.x0 + R) * plane + (y - region.y0) * 2 * ly + R;
+                    derivatives(p0, i0, dy, dx, dp);
+                    derivatives(q0, i0, dy + ly, dx, dq);
+                    let [pxx, pyy, pzz, pxy, pxz, pyz] = rows(dp, n);
+                    let [qxx, qyy, qzz, qxy, qxz, qyz] = rows(dq, n);
+
+                    let zs = region.z0..region.z1;
+                    let c1r = &self.c1.pencil(x, y)[zs.clone()];
+                    let c2r = &self.c2.pencil(x, y)[zs.clone()];
+                    let c3r = self.c3.pencil(x, y);
+                    let er = &self.eps2.pencil(x, y)[zs.clone()];
+                    let dr = &self.delta_bar.pencil(x, y)[zs.clone()];
+                    let [g0, g1, g2, g3, g4, g5] =
+                        std::array::from_fn(|c| &self.gz[c].pencil(x, y)[zs.clone()]);
+                    let (p0r, pmr) = (&p0[i0..i0 + n], &pm[i0..i0 + n]);
+                    let (q0r, qmr) = (&q0[i0..i0 + n], &qm[i0..i0 + n]);
+                    // SAFETY: the schedule contract gives this call exclusive
+                    // ownership of the region's pencils at level `k + 2`.
+                    let pn = unsafe { self.p.pencil_mut(k + 2, x, y) };
+                    let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
+                    // Every row below is `n` long, so the loop carries no
+                    // bounds checks and vectorizes.
+                    let (pnr, qnr, c3z) = (&mut pn[zs.clone()], &mut qn[zs.clone()], &c3r[zs]);
+                    for j in 0..n {
+                        let gzz_p = g0[j] * pxx[j]
+                            + g1[j] * pyy[j]
+                            + g2[j] * pzz[j]
+                            + g3[j] * pxy[j]
+                            + g4[j] * pxz[j]
+                            + g5[j] * pyz[j];
+                        let gzz_q = g0[j] * qxx[j]
+                            + g1[j] * qyy[j]
+                            + g2[j] * qzz[j]
+                            + g3[j] * qxy[j]
+                            + g4[j] * qxz[j]
+                            + g5[j] * qyz[j];
+                        let gh_p = (pxx[j] + pyy[j] + pzz[j]) - gzz_p;
+                        let rhs_p = er[j] * gh_p + dr[j] * gzz_q;
+                        let rhs_q = dr[j] * gh_p + gzz_q;
+                        pnr[j] = c1r[j] * p0r[j] - c2r[j] * pmr[j] + c3z[j] * rhs_p;
+                        qnr[j] = c1r[j] * q0r[j] - c2r[j] * qmr[j] + c3z[j] * rhs_q;
+                    }
+                    self.fused_sparse(k, x, y, region, pn, qn, c3r, mode);
+                }
+            }
+        });
         sw.stop();
     }
 
@@ -432,13 +423,11 @@ impl WaveSolver for Tti {
 
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
-        match (kernel.resolve(), self.radius) {
-            (Backend::Scalar, 2) => self.step_r::<2>(k, region, mode),
-            (Backend::Scalar, 4) => self.step_r::<4>(k, region, mode),
-            (Backend::Scalar, 6) => self.step_r::<6>(k, region, mode),
-            (backend, 2) => self.step_pencil_r::<2>(k, region, mode, backend),
-            (backend, 4) => self.step_pencil_r::<4>(k, region, mode, backend),
-            (backend, 6) => self.step_pencil_r::<6>(k, region, mode, backend),
+        let backend = kernel.resolve();
+        match self.radius {
+            2 => self.step_rows::<2>(k, region, mode, backend),
+            4 => self.step_rows::<4>(k, region, mode, backend),
+            6 => self.step_rows::<6>(k, region, mode, backend),
             _ => panic!(
                 "TTI propagator supports space orders 4, 8, 12 (radius {}, got order {})",
                 self.radius, self.cfg.space_order
@@ -552,6 +541,31 @@ mod tests {
         let f = t.final_field();
         assert!(f.max_abs() > 0.0);
         assert!(f.max_abs().is_finite() && f.max_abs() < 1e6);
+    }
+
+    #[test]
+    fn nothing_is_carried_in_the_scratch_between_step_calls() {
+        // The same run stepped block by block on this thread, once with the
+        // worker scratch filled with NaN before every call: any value a call
+        // read without writing it first would poison the field. The ragged
+        // 5x3 blocks make consecutive calls lay the scratch out differently.
+        let run = |poison: bool| {
+            let mut t = setup(0.35, 8, 6);
+            t.reset();
+            let blocks = t.shape().full_range().split_xy(5, 3);
+            for k in 0..t.cfg.nt {
+                for b in &blocks {
+                    if poison {
+                        SCRATCH.with_borrow_mut(|s| s.fill(f32::NAN));
+                    }
+                    t.step_region(k, b, SparseMode::FusedCompressed, KernelPath::default());
+                }
+            }
+            t.final_field()
+        };
+        let clean = run(false);
+        assert!(clean.max_abs() > 0.0 && clean.max_abs().is_finite());
+        assert!(clean.bit_equal(&run(true)));
     }
 
     #[test]

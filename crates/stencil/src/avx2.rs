@@ -250,6 +250,68 @@ pub unsafe fn first_diff_row(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mu
     }
 }
 
+/// Centred first derivative for a whole row, compile-time radius (twin of
+/// [`crate::simd::first_diff_pencil_r`]).
+///
+/// # Safety
+/// The host CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn first_diff_row_r<const R: usize>(
+    u: &[f32],
+    i0: usize,
+    s: usize,
+    w: &[f32; R],
+    out: &mut [f32],
+) {
+    let n = out.len();
+    for k in 0..R {
+        let o = (k + 1) * s;
+        check_window(u, i0 + o, n);
+        check_window(u, i0 - o, n);
+    }
+    let p = u.as_ptr();
+    // Hoisted weight broadcasts and the ×2 unroll of the staggered rows.
+    let mut wv = [_mm256_setzero_ps(); R];
+    for k in 0..R {
+        wv[k] = _mm256_set1_ps(w[k]);
+    }
+    let mut j = 0;
+    while j + 2 * LANE <= n {
+        let mut acc0 = _mm256_setzero_ps();
+        let mut acc1 = _mm256_setzero_ps();
+        for (k, &wk) in wv.iter().enumerate() {
+            let hi = i0 + (k + 1) * s + j;
+            let lo = i0 - (k + 1) * s + j;
+            let d0 = _mm256_sub_ps(_mm256_loadu_ps(p.add(hi)), _mm256_loadu_ps(p.add(lo)));
+            let d1 = _mm256_sub_ps(
+                _mm256_loadu_ps(p.add(hi + LANE)),
+                _mm256_loadu_ps(p.add(lo + LANE)),
+            );
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(wk, d0));
+            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(wk, d1));
+        }
+        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc0);
+        _mm256_storeu_ps(out.as_mut_ptr().add(j + LANE), acc1);
+        j += 2 * LANE;
+    }
+    while j + LANE <= n {
+        let mut acc = _mm256_setzero_ps();
+        for (k, &wk) in wv.iter().enumerate() {
+            let o = (k + 1) * s;
+            let diff = _mm256_sub_ps(
+                _mm256_loadu_ps(p.add(i0 + o + j)),
+                _mm256_loadu_ps(p.add(i0 - o + j)),
+            );
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(wk, diff));
+        }
+        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
+        j += LANE;
+    }
+    for jj in j..n {
+        out[jj] = kernels::first_diff_axis_r::<R>(u, i0 + jj, s, w);
+    }
+}
+
 /// Mixed second derivative `∂²/∂a∂b` for a whole row, compile-time radius
 /// (twin of [`crate::simd::cross_diff_pencil_r`]).
 ///

@@ -138,6 +138,16 @@ pub trait KernelBackend {
     /// Centred first derivative, dynamic radius.
     fn first_diff_row(&self, u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]);
 
+    /// Centred first derivative, compile-time radius.
+    fn first_diff_row_r<const R: usize>(
+        &self,
+        u: &[f32],
+        i0: usize,
+        s: usize,
+        w: &[f32; R],
+        out: &mut [f32],
+    );
+
     /// Mixed second derivative `∂²/∂a∂b`, compile-time radius.
     #[allow(clippy::too_many_arguments)]
     fn cross_diff_row_r<const R: usize>(
@@ -245,6 +255,19 @@ impl KernelBackend for Scalar {
     fn first_diff_row(&self, u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
         for (j, o) in out.iter_mut().enumerate() {
             *o = kernels::first_diff_axis(u, i0 + j, s, w);
+        }
+    }
+
+    fn first_diff_row_r<const R: usize>(
+        &self,
+        u: &[f32],
+        i0: usize,
+        s: usize,
+        w: &[f32; R],
+        out: &mut [f32],
+    ) {
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = kernels::first_diff_axis_r::<R>(u, i0 + j, s, w);
         }
     }
 
@@ -360,6 +383,17 @@ impl KernelBackend for Portable {
 
     fn first_diff_row(&self, u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
         simd::first_diff_pencil(u, i0, s, w, out);
+    }
+
+    fn first_diff_row_r<const R: usize>(
+        &self,
+        u: &[f32],
+        i0: usize,
+        s: usize,
+        w: &[f32; R],
+        out: &mut [f32],
+    ) {
+        simd::first_diff_pencil_r::<R>(u, i0, s, w, out);
     }
 
     fn cross_diff_row_r<const R: usize>(
@@ -524,6 +558,27 @@ impl KernelBackend for Avx2 {
             assert_avx2();
             // SAFETY: AVX2 support was just asserted.
             unsafe { crate::avx2::first_diff_row(u, i0, s, w, out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (u, i0, s, w, out);
+            no_avx2()
+        }
+    }
+
+    fn first_diff_row_r<const R: usize>(
+        &self,
+        u: &[f32],
+        i0: usize,
+        s: usize,
+        w: &[f32; R],
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_avx2();
+            // SAFETY: AVX2 support was just asserted.
+            unsafe { crate::avx2::first_diff_row_r::<R>(u, i0, s, w, out) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -750,6 +805,19 @@ impl Backend {
     #[inline]
     pub fn first_diff_row(self, u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
         dispatch!(self, first_diff_row(u, i0, s, w, out))
+    }
+
+    /// Centred first derivative, compile-time radius.
+    #[inline]
+    pub fn first_diff_row_r<const R: usize>(
+        self,
+        u: &[f32],
+        i0: usize,
+        s: usize,
+        w: &[f32; R],
+        out: &mut [f32],
+    ) {
+        dispatch!(self, first_diff_row_r::<R>(u, i0, s, w, out))
     }
 
     /// Mixed second derivative `∂²/∂a∂b`, compile-time radius.
@@ -1001,6 +1069,28 @@ mod tests {
                             b.cross_diff_row_r::<$R>(&u, i0, sx, 1, &w1a, &w1a, &mut got);
                             Scalar.cross_diff_row_r::<$R>(&u, i0, sx, 1, &w1a, &w1a, &mut want);
                             assert_bits(&got, &want, b, "cross_diff_row_r", order);
+                            // The first-derivative row along every axis,
+                            // then the shapes the TTI row cache gives it:
+                            // the row dilated by `r` into the z halo (a
+                            // length that is no lane multiple) and a stride
+                            // that is the plane of a packed scratch.
+                            let plane = 3 * 2 * (n + 2 * r);
+                            for (i, s, len) in [
+                                (i0, 1, n),
+                                (i0, sy, n),
+                                (i0, sx, n),
+                                (i0 - r, sy, n + 2 * r),
+                                (i0 - r, sx, n + 2 * r),
+                                (u.len() / 2, plane, n),
+                            ] {
+                                let mut got = vec![0.0f32; len];
+                                let mut want = vec![0.0f32; len];
+                                b.first_diff_row_r::<$R>(&u, i, s, &w1a, &mut got);
+                                Scalar.first_diff_row_r::<$R>(&u, i, s, &w1a, &mut want);
+                                assert_bits(&got, &want, b, "first_diff_row_r", order);
+                                b.first_diff_row(&u, i, s, &w1, &mut got);
+                                assert_bits(&got, &want, b, "first_diff_row", order);
+                            }
                             b.staggered_fwd_row_r::<$R>(&u, i0, sy, &wsa, &mut got);
                             Scalar.staggered_fwd_row_r::<$R>(&u, i0, sy, &wsa, &mut want);
                             assert_bits(&got, &want, b, "staggered_fwd_row_r", order);
@@ -1026,9 +1116,6 @@ mod tests {
                     b.second_diff_row(&u, i0, sx, &w2, &mut got);
                     Scalar.second_diff_row(&u, i0, sx, &w2, &mut want);
                     assert_bits(&got, &want, b, "second_diff_row", order);
-                    b.first_diff_row(&u, i0, sy, &w1, &mut got);
-                    Scalar.first_diff_row(&u, i0, sy, &w1, &mut want);
-                    assert_bits(&got, &want, b, "first_diff_row", order);
                     b.staggered_fwd_row(&u, i0, 1, &ws, &mut got);
                     Scalar.staggered_fwd_row(&u, i0, 1, &ws, &mut want);
                     assert_bits(&got, &want, b, "staggered_fwd_row", order);

@@ -196,12 +196,13 @@ pub fn first_diff_axis_r<const R: usize>(u: &[f32], i: usize, s: usize, w: &[f32
     acc
 }
 
-/// Mixed second derivative `∂²/∂a∂b` at linear index `i` from the
-/// composition of two centred first derivatives (strides `s1`, `s2`,
-/// antisymmetric weights `w1`, `w2`). Used by the rotated TTI Laplacian
-/// (paper Eq. 2), whose cross terms "increase the operation count
-/// drastically": the footprint is the `(2r)²`-point outer product of the
-/// two first-derivative stencils.
+/// Mixed second derivative `∂²/∂a∂b` at linear index `i` as the `(2r)²`-point
+/// outer product of two centred first-derivative stencils (strides `s1`,
+/// `s2`, antisymmetric weights `w1`, `w2`) — the cross terms of the rotated
+/// TTI Laplacian (paper Eq. 2) that "increase the operation count
+/// drastically". The TTI propagator does not call it: it composes two
+/// [`first_diff_axis_r`] row passes instead, `2·2r` taps for the same value
+/// up to rounding.
 #[inline(always)]
 pub fn cross_diff(u: &[f32], i: usize, s1: usize, s2: usize, w1: &[f32], w2: &[f32]) -> f32 {
     let mut acc = 0.0f32;
@@ -441,6 +442,96 @@ mod tests {
         let w = first_derivative_weights(4, 1.0);
         let i = (8 * ny + 8) * nz + 1;
         assert!(cross_diff(&u, i, sx, sy, &w, &w).abs() < 1e-4);
+    }
+
+    /// `D_a(D_b u)` at `i`: the outer first derivative applied to per-point
+    /// inner first derivatives — the association the TTI propagator uses.
+    fn composed_diff(u: &[f32], i: usize, sa: usize, sb: usize, wa: &[f32], wb: &[f32]) -> f32 {
+        let mut acc = 0.0f32;
+        for (k, &wk) in wa.iter().enumerate() {
+            let o = (k + 1) * sa;
+            acc += wk * (first_diff_axis(u, i + o, sb, wb) - first_diff_axis(u, i - o, sb, wb));
+        }
+        acc
+    }
+
+    #[test]
+    fn composed_diff_exact_on_product() {
+        // f(x, y) = x·y ⇒ ∂²f/∂x∂y = 1 exactly, in either order.
+        let (nx, ny, nz) = (33, 33, 3);
+        let (sx, sy) = (ny * nz, nz);
+        let h = 0.5f32;
+        let mut u = vec![0.0f32; nx * ny * nz];
+        for x in 0..nx {
+            for y in 0..ny {
+                for z in 0..nz {
+                    u[(x * ny + y) * nz + z] = (x as f32 * h) * (y as f32 * h);
+                }
+            }
+        }
+        let i = (16 * ny + 16) * nz + 1;
+        for order in [2, 4, 8, 12] {
+            let w = first_derivative_weights(order, h);
+            for (sa, sb) in [(sx, sy), (sy, sx)] {
+                let v = composed_diff(&u, i, sa, sb, &w, &w);
+                assert!((v - 1.0).abs() < 1e-4, "order {order}: {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn composed_diff_vanishes_on_separable_quadratic() {
+        // f = x² + y²: all mixed derivatives are zero.
+        let (nx, ny, nz) = (17, 17, 3);
+        let (sx, sy) = (ny * nz, nz);
+        let mut u = vec![0.0f32; nx * ny * nz];
+        for x in 0..nx {
+            for y in 0..ny {
+                for z in 0..nz {
+                    u[(x * ny + y) * nz + z] = (x * x + y * y) as f32;
+                }
+            }
+        }
+        let w = first_derivative_weights(4, 1.0);
+        let i = (8 * ny + 8) * nz + 1;
+        assert!(composed_diff(&u, i, sx, sy, &w, &w).abs() < 1e-4);
+    }
+
+    #[test]
+    fn composed_diff_is_the_outer_product_up_to_rounding() {
+        // The same taps with the same weights, associated differently: the
+        // two may differ only by rounding, a few ulp of Σ|w_a·w_b·u| over
+        // the shared (2r)² footprint.
+        let (nx, ny, nz) = (29, 29, 29);
+        let (sx, sy) = (ny * nz, nz);
+        let mut rng = tempest_grid::Rng64::new(41);
+        let u: Vec<f32> = (0..nx * ny * nz)
+            .map(|_| rng.range_f32(-1.0, 1.0))
+            .collect();
+        let i = (14 * ny + 14) * nz + 14;
+        for order in [4usize, 8, 12] {
+            let (wa, wb) = (
+                first_derivative_weights(order, 0.7),
+                first_derivative_weights(order, 1.3),
+            );
+            for (sa, sb) in [(sx, sy), (sx, 1), (sy, 1), (1, sx), (1, sy)] {
+                let mut scale = 0.0f32;
+                for (j, &wj) in wa.iter().enumerate() {
+                    for (k, &wk) in wb.iter().enumerate() {
+                        let (oa, ob) = ((j + 1) * sa, (k + 1) * sb);
+                        for t in [i + oa + ob, i + oa - ob, i - oa + ob, i - oa - ob] {
+                            scale += (wj * wk * u[t]).abs();
+                        }
+                    }
+                }
+                let composed = composed_diff(&u, i, sa, sb, &wa, &wb);
+                let outer = cross_diff(&u, i, sa, sb, &wa, &wb);
+                assert!(
+                    (composed - outer).abs() <= 8.0 * f32::EPSILON * scale,
+                    "order {order} strides ({sa},{sb}): {composed} vs {outer}, scale {scale}"
+                );
+            }
+        }
     }
 
     #[test]

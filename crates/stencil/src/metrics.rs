@@ -55,6 +55,12 @@ pub fn first_diff_flops(r: usize) -> f64 {
     (3 * r) as f64
 }
 
+/// FLOPs of one axis' symmetric second derivative of radius `r`: the centre
+/// multiply, then per tap pair an add, a multiply and an accumulate.
+pub fn second_diff_flops(r: usize) -> f64 {
+    (3 * r + 1) as f64
+}
+
 /// Cost of the isotropic acoustic update (paper §III-A) at space order `so`.
 ///
 /// Update: `u⁺ = damp-combined(2u − u⁻ + dt²/m·(Δu + src))`.
@@ -77,21 +83,35 @@ pub fn acoustic_cost(so: usize) -> KernelCost {
 
 /// Cost of the TTI pseudo-acoustic update (paper §III-B) at space order `so`.
 ///
-/// Two coupled fields, rotated Laplacians built from cascaded first
-/// derivatives with per-point trigonometric coefficient combinations —
-/// the operation count grows steeply ("increases the operation count
-/// drastically", §III-B).
+/// Two coupled fields under a rotated Laplacian whose mixed derivatives the
+/// operation count grows steeply with ("increases the operation count
+/// drastically", §III-B). The count is what `Tti::step_region` executes per
+/// point-update: each mixed derivative as two cascaded first-derivative
+/// passes, `2·2r` taps, not the `(2r)²`-tap outer product. The cached `D_y`
+/// rows a region recomputes along its x edges depend on the caller's block
+/// shape and are not counted.
 pub fn tti_cost(so: usize) -> KernelCost {
     let r = so / 2;
-    // Per field: 3 first-derivative cascades in rotated frame (9 first
-    // diffs) + rotation algebra (~30 flops) + time update (~10).
-    let per_field = 9.0 * first_diff_flops(r) + 30.0 + 10.0;
-    let flops = 2.0 * per_field;
+    // Row passes, both fields: the straight `∂xx`, `∂yy`, `∂zz`, and per
+    // field five first-derivative passes — the cached `D_y` row, the `D_x`
+    // row, and the composed `D_x(D_y)`, `D_z(D_x)`, `D_z(D_y)`.
+    let (second_rows, first_passes) = (2 * 3, 2 * 5);
+    // Combine: the two rotated sums `G_z̄z̄ p`, `G_z̄z̄ q` (6 multiplies + 5
+    // adds each), `G_h p` (3), the two right-hand sides (3 + 2) and the two
+    // leap-frog updates (5 each).
+    let combine = 2 * 11 + 3 + 3 + 2 + 2 * 5;
+    let flops = second_rows as f64 * second_diff_flops(r)
+        + first_passes as f64 * first_diff_flops(r)
+        + combine as f64;
+    // Streams: `p`, `p⁻`, `q`, `q⁻` reads; `p⁺`, `q⁺` writes with their
+    // write-allocate reads; 11 parameter volumes (three time-update
+    // coefficients, `1+2ε`, `√(1+2δ)`, six rotation coefficients).
+    let streams = 4 + 2 * 2 + 11;
     let f = 4.0;
-    // Streams: p, p⁻, q, q⁻ reads; p⁺, q⁺ writes (+allocate); m, ε, δ, θ, φ,
-    // damp parameter streams.
-    let bytes_streaming = f * (4.0 + 4.0 + 6.0);
-    let bytes_no_reuse = f * (2.0 * (6 * r + 1) as f64 + 2.0 + 4.0 + 6.0);
+    let bytes_streaming = f * streams as f64;
+    // Every tap a load, plus the streams other than the two stencil inputs.
+    let taps = second_rows * (2 * r + 1) + first_passes * 2 * r;
+    let bytes_no_reuse = f * (streams - 2 + taps) as f64;
     KernelCost {
         flops,
         bytes_no_reuse,
@@ -147,6 +167,27 @@ mod tests {
         for so in [4, 8, 12] {
             assert!(tti_cost(so).flops > 2.0 * acoustic_cost(so).flops);
         }
+    }
+
+    #[test]
+    fn tti_cost_is_the_executed_count() {
+        // Derived from the step's structure, not from the formula: per field
+        // three straight rows of 2r+1 taps and five first-derivative passes
+        // of 2r taps (two inner rows, three composed), each tap pair an
+        // add/sub, a multiply and an accumulate; then the combine.
+        for so in [4usize, 8, 12] {
+            let r = so / 2;
+            let (fields, straight, passes) = (2, 3, 5);
+            let pair_flops = 3;
+            let row_flops = straight * (r * pair_flops + 1) + passes * r * pair_flops;
+            let combine = 40;
+            let c = tti_cost(so);
+            assert_eq!(c.flops, (fields * row_flops + combine) as f64, "so {so}");
+            assert_eq!(c.bytes_streaming, 4.0 * 19.0);
+            let taps = fields * (straight * (2 * r + 1) + passes * 2 * r);
+            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 17) as f64);
+        }
+        assert_eq!(tti_cost(8).flops, 238.0);
     }
 
     #[test]

@@ -282,8 +282,30 @@ pub fn first_diff_pencil(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f
     }
 }
 
+/// [`first_diff_pencil`] with compile-time radius: one pass over the row.
+pub fn first_diff_pencil_r<const R: usize>(
+    u: &[f32],
+    i0: usize,
+    s: usize,
+    w: &[f32; R],
+    out: &mut [f32],
+) {
+    let n = out.len();
+    let plus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 + (k + 1) * s, n));
+    let minus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 - (k + 1) * s, n));
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        let mut k = 0;
+        while k < R {
+            acc += w[k] * (plus[k][j] - minus[k][j]);
+            k += 1;
+        }
+        *o = acc;
+    }
+}
+
 /// Mixed second derivative `∂²/∂a∂b` for a whole pencil, compile-time radius
-/// (mirror of [`cross_diff_r`]; the TTI rotated-Laplacian cross terms).
+/// (mirror of [`cross_diff_r`]).
 pub fn cross_diff_pencil_r<const R: usize>(
     u: &[f32],
     i0: usize,

@@ -16,7 +16,7 @@ use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Array3, Domain, ElasticModel, Model, Shape, TtiModel};
 use tempest::sparse::SparsePoints;
-use tempest::stencil::backend::{choose, detect_best};
+use tempest::stencil::backend::{choose, detect_best, KERNEL_ENV};
 use tempest::stencil::Backend;
 
 const N: usize = 20;
@@ -146,7 +146,10 @@ fn dispatcher_honours_requests_and_falls_back() {
 
 #[test]
 fn kernel_path_resolution_matches_dispatcher() {
-    assert_eq!(KernelPath::Auto.resolve(), choose(None));
+    // `Auto` is the process default, which honours `TEMPEST_KERNEL` — CI
+    // runs this suite under each forced value.
+    let forced = std::env::var(KERNEL_ENV).ok();
+    assert_eq!(KernelPath::Auto.resolve(), choose(forced.as_deref()));
     assert_eq!(KernelPath::Scalar.resolve(), Backend::Scalar);
     assert_eq!(KernelPath::Portable.resolve(), Backend::Portable);
     if Backend::Avx2.available() {
