@@ -8,22 +8,28 @@
 //! per-point coefficients `c1 = 2/(1+η)`, `c2 = (1−η)/(1+η)`,
 //! `c3 = dt²/(m·(1+η))`.
 //!
-//! The same region-update kernel serves every schedule; the sparse source /
-//! receiver work is either skipped (classic path, applied between timesteps)
-//! or fused per pencil (Listings 4–5).
+//! The same region-update kernel serves every schedule and every backend;
+//! the sparse source / receiver work is either skipped (classic path,
+//! applied between timesteps) or fused per pencil (Listings 4–5) — both
+//! through the shared routines of [`crate::sources`].
 
 use crate::config::SimConfig;
 use crate::operator::{Execution, KernelPath, Schedule, SparseMode, WaveSolver};
-use crate::shared::{LevelRing, RingCheckpoint};
-use crate::sources::{ReceiverBundle, SourceBundle};
+use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint};
+use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array2, Array3, DampingMask, Model, Range3, Shape};
 use tempest_sparse::SparsePoints;
-use tempest_stencil::kernels::{laplacian_at, laplacian_at_r, AxisWeights};
+use tempest_stencil::kernels::AxisWeights;
 use tempest_stencil::metrics::acoustic_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
+use tempest_tiling::spaceblock;
+
+/// `row(u, i0, lap)` fills `lap` with the Laplacian row of `u` that starts at
+/// linear index `i0`.
+type LaplacianRow<'a> = dyn Fn(&[f32], usize, &mut [f32]) + 'a;
 
 /// The isotropic acoustic propagator.
 pub struct Acoustic {
@@ -196,235 +202,71 @@ impl Acoustic {
         &self.cfg
     }
 
-    /// Row-kernel twin of [`step_r`](Self::step_r): one whole-row Laplacian
-    /// call per `z`-row through the selected vector `backend`, then a
-    /// slice-zipped leap-frog combine. Bitwise-identical to the scalar path
-    /// (same per-point accumulation order; sub-lane remainders fall back to
-    /// the scalar kernel inside every backend).
-    fn step_pencil_r<const R: usize>(
+    /// The Laplacian row of `backend` at compile-time radius `R`, as
+    /// [`step_rows`](Self::step_rows) takes it.
+    fn laplacian_r<const R: usize>(
+        &self,
+        backend: Backend,
+    ) -> impl Fn(&[f32], usize, &mut [f32]) + '_ {
+        let (wx, wy, wz) = (weights(&self.wx), weights(&self.wy), weights(&self.wz));
+        let (sx, sy, center) = (self.ring.sx(), self.ring.sy(), self.center);
+        move |u, i0, lap| backend.laplacian_row_r::<R>(u, i0, sx, sy, center, &wx, &wy, &wz, lap)
+    }
+
+    /// One stencil step over `region` — the only step body, for every
+    /// backend and every radius: `laplacian` computes the row (a whole-row
+    /// kernel of the vector backends, the per-point kernel in a loop under
+    /// `Backend::Scalar`), and a slice-zipped leap-frog combine finishes the
+    /// update. Every backend replays the per-point accumulation order, so the
+    /// result is the same bit for bit whichever one runs.
+    ///
+    /// The row is a `dyn` call on purpose: one call per row costs nothing
+    /// against the row, and it keeps the three backends' row bodies out of
+    /// the pencil loop — inlined there (a generic parameter), their windows
+    /// and bounds checks spill the loop's own induction variables and the
+    /// whole step measured ~10 % slower.
+    fn step_rows(
         &self,
         k: usize,
         region: &Range3,
         mode: SparseMode,
         backend: Backend,
+        laplacian: &LaplacianRow,
     ) {
         let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        obs::add(
-            obs::Counter::PencilRows,
-            ((region.x1 - region.x0) * (region.y1 - region.y0)) as u64,
-        );
-        // SAFETY: as in step_r — disjoint region writes, settled reads.
-        let u0 = unsafe { self.ring.level(k + 1) };
-        let um = unsafe { self.ring.level(k) };
-        let (sx, sy) = (self.ring.sx(), self.ring.sy());
-        let wx: [f32; R] = self.wx[..].try_into().expect("radius mismatch");
-        let wy: [f32; R] = self.wy[..].try_into().expect("radius mismatch");
-        let wz: [f32; R] = self.wz[..].try_into().expect("radius mismatch");
-        let n = region.z1 - region.z0;
-        let mut lap = vec![0.0f32; n];
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
-                let i0 = self.ring.idx(x, y, region.z0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                backend.laplacian_row_r::<R>(u0, i0, sx, sy, self.center, &wx, &wy, &wz, &mut lap);
-                let out = &mut un[region.z0..region.z1];
-                let u0w = &u0[i0..i0 + n];
-                let umw = &um[i0..i0 + n];
-                let c1w = &c1r[region.z0..region.z1];
-                let c2w = &c2r[region.z0..region.z1];
-                let c3w = &c3r[region.z0..region.z1];
-                for j in 0..n {
-                    out[j] = c1w[j] * u0w[j] - c2w[j] * umw[j] + c3w[j] * lap[j];
-                }
-                self.fused_sparse(k, x, y, region, un, c3r, mode);
-            }
-        }
-        sw.stop();
-    }
-
-    /// Pencil twin of [`step_dyn`](Self::step_dyn) (dynamic radius).
-    fn step_pencil_dyn(&self, k: usize, region: &Range3, mode: SparseMode, backend: Backend) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        obs::add(
-            obs::Counter::PencilRows,
-            ((region.x1 - region.x0) * (region.y1 - region.y0)) as u64,
-        );
-        let u0 = unsafe { self.ring.level(k + 1) };
-        let um = unsafe { self.ring.level(k) };
-        let (sx, sy) = (self.ring.sx(), self.ring.sy());
-        let n = region.z1 - region.z0;
-        let mut lap = vec![0.0f32; n];
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
-                let i0 = self.ring.idx(x, y, region.z0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                backend.laplacian_row(
-                    u0, i0, sx, sy, self.center, &self.wx, &self.wy, &self.wz, &mut lap,
-                );
-                let out = &mut un[region.z0..region.z1];
-                let u0w = &u0[i0..i0 + n];
-                let umw = &um[i0..i0 + n];
-                let c1w = &c1r[region.z0..region.z1];
-                let c2w = &c2r[region.z0..region.z1];
-                let c3w = &c3r[region.z0..region.z1];
-                for j in 0..n {
-                    out[j] = c1w[j] * u0w[j] - c2w[j] * umw[j] + c3w[j] * lap[j];
-                }
-                self.fused_sparse(k, x, y, region, un, c3r, mode);
-            }
-        }
-        sw.stop();
-    }
-
-    fn step_r<const R: usize>(&self, k: usize, region: &Range3, mode: SparseMode) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
+        count_step(region, backend);
         // SAFETY: the schedule guarantees level k+2 writes are disjoint per
         // region and levels k, k+1 hold fully computed values (legality is
         // machine-checked in tempest-tiling and cross-validated bitwise).
-        let u0 = unsafe { self.ring.level(k + 1) };
-        let um = unsafe { self.ring.level(k) };
-        let (sx, sy) = (self.ring.sx(), self.ring.sy());
-        let wx: [f32; R] = self.wx[..].try_into().expect("radius mismatch");
-        let wy: [f32; R] = self.wy[..].try_into().expect("radius mismatch");
-        let wz: [f32; R] = self.wz[..].try_into().expect("radius mismatch");
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
-                let base = self.ring.idx(x, y, 0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    let i = base + z;
-                    let lap = laplacian_at_r::<R>(u0, i, sx, sy, self.center, &wx, &wy, &wz);
-                    un[z] = c1r[z] * u0[i] - c2r[z] * um[i] + c3r[z] * lap;
-                }
-                self.fused_sparse(k, x, y, region, un, c3r, mode);
-            }
-        }
-        sw.stop();
-    }
-
-    /// Fallback for space orders without a monomorphised kernel.
-    fn step_dyn(&self, k: usize, region: &Range3, mode: SparseMode) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        let u0 = unsafe { self.ring.level(k + 1) };
-        let um = unsafe { self.ring.level(k) };
-        let (sx, sy) = (self.ring.sx(), self.ring.sy());
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
-                let base = self.ring.idx(x, y, 0);
-                let c1r = self.c1.pencil(x, y);
-                let c2r = self.c2.pencil(x, y);
-                let c3r = self.c3.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    let i = base + z;
-                    let lap =
-                        laplacian_at(u0, i, sx, sy, self.center, &self.wx, &self.wy, &self.wz);
-                    un[z] = c1r[z] * u0[i] - c2r[z] * um[i] + c3r[z] * lap;
-                }
-                self.fused_sparse(k, x, y, region, un, c3r, mode);
-            }
-        }
-        sw.stop();
-    }
-
-    /// Fused source injection (Listings 4–5) and receiver gather for one
-    /// pencil of a freshly computed region.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn fused_sparse(
-        &self,
-        k: usize,
-        x: usize,
-        y: usize,
-        region: &Range3,
-        un: &mut [f32],
-        c3r: &[f32],
-        mode: SparseMode,
-    ) {
-        if mode == SparseMode::Classic {
-            return;
-        }
-        let sw = obs::start(obs::Phase::Sparse);
-        let mut sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
-        let mut injections = 0u64;
-        let mut gathers = 0u64;
-        match mode {
-            SparseMode::Classic => return,
-            SparseMode::Fused => {
-                // Listing 4: scan the full z2 range against the binary mask.
-                let dcmp = self.src.pre.dcmp_row(k);
-                let sm = self.src.pre.sm_pencil(x, y);
-                let sid = self.src.pre.sid_pencil(x, y);
-                for z in region.z0..region.z1 {
-                    if sm[z] != 0 {
-                        un[z] += c3r[z] * dcmp[sid[z] as usize];
-                        injections += 1;
+        let (u0, um) = unsafe { (self.ring.level(k + 1), self.ring.level(k)) };
+        let receivers = self.rec.as_ref().zip(self.trace.as_ref());
+        let zs = region.z0..region.z1;
+        let n = zs.len();
+        with_scratch(n, |lap| {
+            for x in region.x0..region.x1 {
+                for y in region.y0..region.y1 {
+                    let i0 = self.ring.idx(x, y, region.z0);
+                    laplacian(u0, i0, lap);
+                    // SAFETY: the same contract gives this call exclusive
+                    // ownership of the region's pencils at level `k + 2`.
+                    let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
+                    let c3r = self.c3.pencil(x, y);
+                    // Every row below is `n` long, so the loop carries no
+                    // bounds checks and vectorizes.
+                    let (u0w, umw) = (&u0[i0..i0 + n], &um[i0..i0 + n]);
+                    let c1w = &self.c1.pencil(x, y)[zs.clone()];
+                    let c2w = &self.c2.pencil(x, y)[zs.clone()];
+                    let (c3w, lapw, out) = (&c3r[zs.clone()], &lap[..n], &mut un[zs.clone()]);
+                    for j in 0..n {
+                        out[j] = c1w[j] * u0w[j] - c2w[j] * umw[j] + c3w[j] * lapw[j];
+                    }
+                    if let Some(mut sparse) = FusedPencil::begin(mode, k, x, y, zs.clone()) {
+                        sparse.inject(&self.src, |z, amp| un[z] += c3r[z] * amp);
+                        sparse.gather(receivers, &un[zs.clone()]);
                     }
                 }
             }
-            SparseMode::FusedCompressed => {
-                // Listing 5: only the nnz entries of this pencil.
-                let dcmp = self.src.pre.dcmp_row(k);
-                for (z, id) in self.src.comp.entries(x, y) {
-                    if z >= region.z0 && z < region.z1 {
-                        un[z] += c3r[z] * dcmp[id];
-                        injections += 1;
-                    }
-                }
-            }
-        }
-        // Fused receiver gather (mirror of the source path).
-        if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-            match mode {
-                SparseMode::Fused => {
-                    let rm = rec.pre.rm_pencil(x, y);
-                    let rid = rec.pre.rid_pencil(x, y);
-                    for z in region.z0..region.z1 {
-                        if rm[z] != 0 {
-                            let v = un[z];
-                            let contribs = rec.pre.contributions(rid[z] as usize);
-                            gathers += contribs.len() as u64;
-                            for &(r, w) in contribs {
-                                trace.add(k, r as usize, w * v);
-                            }
-                        }
-                    }
-                }
-                SparseMode::FusedCompressed => {
-                    for (z, id) in rec.comp.entries(x, y) {
-                        if z >= region.z0 && z < region.z1 {
-                            let v = un[z];
-                            let contribs = rec.pre.contributions(id);
-                            gathers += contribs.len() as u64;
-                            for &(r, w) in contribs {
-                                trace.add(k, r as usize, w * v);
-                            }
-                        }
-                    }
-                }
-                SparseMode::Classic => unreachable!(),
-            }
-        }
-        if injections + gathers == 0 {
-            // Most pencils have no sparse work; recording them would swamp
-            // the trace ring with empty spans.
-            sp.cancel();
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        obs::add(obs::Counter::ReceiverGathers, gathers);
+        });
         sw.stop();
     }
 
@@ -436,35 +278,23 @@ impl Acoustic {
     ///
     /// Runs under the spatially blocked schedule (snapshots need globally
     /// consistent time levels, which temporal blocking does not expose
-    /// between tiles).
+    /// between tiles), as [`run_range`](Self::run_range) segments.
     pub fn run_recording(&mut self, exec: &Execution, every: usize) -> Vec<Array3<f32>> {
         assert!(every >= 1);
-        assert!(
-            matches!(exec.schedule, Schedule::SpaceBlocked { .. }),
-            "snapshot recording requires the spatially blocked schedule"
-        );
-        exec.validate();
-        crate::operator::record_backend_run(exec.kernel.resolve());
-        self.reset();
-        let shape = self.shape();
         let nt = self.cfg.nt;
-        let spec = exec.spaceblock_spec();
-        let blocks = spec.blocks(shape);
-        let classic = exec.sparse == SparseMode::Classic;
         let mut snaps = Vec::with_capacity(nt / every + 1);
-        for k in 0..nt {
-            let this: &Acoustic = self;
-            tempest_par::for_each(exec.policy, &blocks, |b| {
-                this.step_region(k, b, exec.sparse, exec.kernel)
-            });
-            if classic {
-                this.classic_after_step(k);
+        let mut k = 0;
+        loop {
+            let k1 = (k + every).min(nt);
+            self.run_range(exec, k, k1);
+            if k1 - k == every {
+                snaps.push(self.field_after(k1 - 1));
             }
-            if (k + 1).is_multiple_of(every) {
-                snaps.push(self.snapshot_level(k + 2));
+            if k1 == nt {
+                return snaps;
             }
+            k = k1;
         }
-        snaps
     }
 
     /// Advance timesteps `[k0, k1)` under the spatially blocked schedule.
@@ -481,25 +311,27 @@ impl Acoustic {
         assert!(k0 <= k1 && k1 <= self.cfg.nt, "step range out of bounds");
         assert!(
             matches!(exec.schedule, Schedule::SpaceBlocked { .. }),
-            "checkpointed stepping requires the spatially blocked schedule"
+            "stepping by range (and so snapshot recording) requires the spatially blocked schedule"
         );
         exec.validate();
         if k0 == 0 {
             crate::operator::record_backend_run(exec.kernel.resolve());
             self.reset();
         }
-        let spec = exec.spaceblock_spec();
-        let blocks = spec.blocks(self.shape());
+        let this: &Acoustic = self;
         let classic = exec.sparse == SparseMode::Classic;
-        for k in k0..k1 {
-            let this: &Acoustic = self;
-            tempest_par::for_each(exec.policy, &blocks, |b| {
-                this.step_region(k, b, exec.sparse, exec.kernel)
-            });
-            if classic {
-                this.classic_after_step(k);
-            }
-        }
+        spaceblock::execute(
+            this.shape(),
+            k1 - k0,
+            exec.spaceblock_spec(),
+            exec.policy,
+            |step, block| this.step_region(k0 + step, block, exec.sparse, exec.kernel),
+            |step| {
+                if classic {
+                    this.classic_after_step(k0 + step);
+                }
+            },
+        );
     }
 
     /// Bitwise checkpoint of the wavefield ring, taken while quiescent
@@ -526,23 +358,6 @@ impl Acoustic {
     /// exactly.
     pub fn field_after(&mut self, k: usize) -> Array3<f32> {
         self.ring.interior_copy(k + 2)
-    }
-
-    /// Interior copy of a time level while quiescent (between sweeps).
-    fn snapshot_level(&self, t: usize) -> Array3<f32> {
-        // SAFETY: called between sweeps on the coordinating thread; no
-        // concurrent mutation of any ring level.
-        let lvl = unsafe { self.ring.level(t) };
-        let shape = self.shape();
-        let mut out = Array3::from_shape(shape);
-        for x in 0..shape.nx {
-            for y in 0..shape.ny {
-                let base = self.ring.idx(x, y, 0);
-                out.pencil_mut(x, y)
-                    .copy_from_slice(&lvl[base..base + shape.nz]);
-            }
-        }
-        out
     }
 }
 
@@ -580,62 +395,41 @@ impl WaveSolver for Acoustic {
 
     /// Compute timestep `k` (writing level `k + 2`) for `region`. The
     /// `KernelPath` is resolved to a concrete backend here (a cached
-    /// lookup), so every schedule picks up the same dispatch decision.
+    /// lookup), so every schedule picks up the same dispatch decision; the
+    /// radius picks the Laplacian row handed to the one step body.
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
-        match kernel.resolve() {
-            Backend::Scalar => match self.radius {
-                1 => self.step_r::<1>(k, region, mode),
-                2 => self.step_r::<2>(k, region, mode),
-                3 => self.step_r::<3>(k, region, mode),
-                4 => self.step_r::<4>(k, region, mode),
-                6 => self.step_r::<6>(k, region, mode),
-                8 => self.step_r::<8>(k, region, mode),
-                _ => self.step_dyn(k, region, mode),
-            },
-            backend => match self.radius {
-                1 => self.step_pencil_r::<1>(k, region, mode, backend),
-                2 => self.step_pencil_r::<2>(k, region, mode, backend),
-                3 => self.step_pencil_r::<3>(k, region, mode, backend),
-                4 => self.step_pencil_r::<4>(k, region, mode, backend),
-                6 => self.step_pencil_r::<6>(k, region, mode, backend),
-                8 => self.step_pencil_r::<8>(k, region, mode, backend),
-                _ => self.step_pencil_dyn(k, region, mode, backend),
-            },
+        let backend = kernel.resolve();
+        let step = |laplacian: &LaplacianRow| self.step_rows(k, region, mode, backend, laplacian);
+        match self.radius {
+            1 => step(&self.laplacian_r::<1>(backend)),
+            2 => step(&self.laplacian_r::<2>(backend)),
+            3 => step(&self.laplacian_r::<3>(backend)),
+            4 => step(&self.laplacian_r::<4>(backend)),
+            6 => step(&self.laplacian_r::<6>(backend)),
+            8 => step(&self.laplacian_r::<8>(backend)),
+            // Space orders without a monomorphised kernel.
+            _ => {
+                let (sx, sy, center) = (self.ring.sx(), self.ring.sy(), self.center);
+                step(&|u, i0, lap| {
+                    backend.laplacian_row(u, i0, sx, sy, center, &self.wx, &self.wy, &self.wz, lap)
+                })
+            }
         }
     }
 
     fn classic_after_step(&self, k: usize) {
-        let sw = obs::start(obs::Phase::Sparse);
-        let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
-        let mut injections = 0u64;
-        let mut gathers = 0u64;
-        // Source injection into the freshly computed level k+2.
-        for (st, &a) in self.src.stencils.iter().zip(self.src.amps_at(k)) {
-            for (c, w) in st.nonzero() {
-                // SAFETY: runs on one thread between sweeps.
-                let un = unsafe { self.ring.pencil_mut(k + 2, c[0], c[1]) };
-                // Group (w·a) first: bitwise-identical to the fused path,
-                // which multiplies c3 by the precomputed w·a product.
-                un[c[2]] += self.c3.get(c[0], c[1], c[2]) * (w * a);
-                injections += 1;
-            }
-        }
-        // Receiver interpolation from level k+2.
-        if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-            let u = unsafe { self.ring.level(k + 2) };
-            for (r, st) in rec.stencils.iter().enumerate() {
-                let mut acc = 0.0f32;
-                for (c, w) in st.nonzero() {
-                    acc += w * u[self.ring.idx(c[0], c[1], c[2])];
-                    gathers += 1;
-                }
-                trace.add(k, r, acc);
-            }
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        obs::add(obs::Counter::ReceiverGathers, gathers);
-        sw.stop();
+        classic_step(
+            k,
+            &self.src,
+            self.rec.as_ref().zip(self.trace.as_ref()),
+            // SAFETY: runs on one thread between sweeps, so nothing else
+            // touches the freshly computed level `k + 2`.
+            |c, amp| unsafe {
+                self.ring.pencil_mut(k + 2, c[0], c[1])[c[2]] += self.c3.get(c[0], c[1], c[2]) * amp
+            },
+            |c| unsafe { self.ring.level(k + 2)[self.ring.idx(c[0], c[1], c[2])] },
+        );
     }
 
     fn written(&self, k: usize) -> Vec<(&LevelRing, usize)> {

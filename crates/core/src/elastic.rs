@@ -22,13 +22,13 @@
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
-use crate::shared::LevelRing;
-use crate::sources::{ReceiverBundle, SourceBundle};
+use crate::shared::{count_step, weights, with_scratch, LevelRing};
+use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array3, DampingMask, ElasticModel, Range3, Shape};
 use tempest_sparse::SparsePoints;
-use tempest_stencil::kernels::{staggered_diff_bwd_r, staggered_diff_fwd_r, staggered_weights};
+use tempest_stencil::kernels::staggered_weights;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
 use tempest_stencil::metrics::elastic_cost;
@@ -76,6 +76,11 @@ impl Elastic {
         assert_eq!(model.shape(), cfg.shape(), "model/config shape mismatch");
         let shape = cfg.shape();
         let radius = cfg.radius();
+        assert!(
+            matches!(radius, 2 | 4 | 6),
+            "elastic propagator supports space orders 4, 8, 12 (got {})",
+            cfg.space_order
+        );
         let h = cfg.domain.spacing();
         let swx = staggered_weights(cfg.space_order, h[0]);
         let swy = staggered_weights(cfg.space_order, h[1]);
@@ -135,378 +140,198 @@ impl Elastic {
         &self.cfg
     }
 
-    /// Velocity update: `v[t+1] = (v[t] + dt/ρ · ∇·τ[t]) · (1−η)`.
-    fn vel_phase<const R: usize>(&self, t: usize, region: &Range3, mode: SparseMode) {
+    /// Velocity update over `region`: `v[t+1] = (v[t] + dt/ρ · ∇·τ[t]) · (1−η)`
+    /// — the only velocity step body, for every backend (`Backend::Scalar`
+    /// runs the same row passes per point). Three staggered derivative rows
+    /// per component, combined over equal-length slices in the per-point
+    /// accumulation order, so the fields are the same bits whichever backend
+    /// runs.
+    fn vel_rows<const R: usize>(
+        &self,
+        t: usize,
+        region: &Range3,
+        mode: SparseMode,
+        backend: Backend,
+    ) {
         let sw = obs::start(obs::Phase::Stencil);
-        // Each phase (velocity, stress) is its own virtual step and counts
-        // one update per grid point.
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        let mut gathers = 0u64;
-        // SAFETY: schedule contract (see Acoustic::step_r); velocity levels
-        // t+1 are written per disjoint region, all reads are level-t fields.
-        let txx = unsafe { self.txx.level(t) };
-        let tyy = unsafe { self.tyy.level(t) };
-        let tzz = unsafe { self.tzz.level(t) };
-        let txy = unsafe { self.txy.level(t) };
-        let txz = unsafe { self.txz.level(t) };
-        let tyz = unsafe { self.tyz.level(t) };
-        let vx0 = unsafe { self.vx.level(t) };
-        let vy0 = unsafe { self.vy.level(t) };
-        let vz0 = unsafe { self.vz.level(t) };
+        count_step(region, backend);
+        // SAFETY: schedule contract (see `Acoustic::step_rows`); velocity
+        // levels t+1 are written per disjoint region, all reads are level-t
+        // fields.
+        let [txx, tyy, tzz, txy, txz, tyz, vx0, vy0, vz0] = unsafe {
+            [
+                self.txx.level(t),
+                self.tyy.level(t),
+                self.tzz.level(t),
+                self.txy.level(t),
+                self.txz.level(t),
+                self.tyz.level(t),
+                self.vx.level(t),
+                self.vy.level(t),
+                self.vz.level(t),
+            ]
+        };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let swx: [f32; R] = self.swx[..].try_into().expect("radius mismatch");
-        let swy: [f32; R] = self.swy[..].try_into().expect("radius mismatch");
-        let swz: [f32; R] = self.swz[..].try_into().expect("radius mismatch");
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let vxn = unsafe { self.vx.pencil_mut(t + 1, x, y) };
-                let vyn = unsafe { self.vy.pencil_mut(t + 1, x, y) };
-                let vzn = unsafe { self.vz.pencil_mut(t + 1, x, y) };
-                let base = self.vx.idx(x, y, 0);
-                let dtb = self.dtb.pencil(x, y);
-                let fd = self.fd.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    let i = base + z;
+        let (swx, swy, swz) = (weights(&self.swx), weights(&self.swy), weights(&self.swz));
+        let receivers = self.rec.as_ref().zip(self.trace.as_ref());
+        let zs = region.z0..region.z1;
+        let n = zs.len();
+        with_scratch(3 * n, |d| {
+            // Three rows of exactly `n`, so the combine loops below carry no
+            // bounds checks.
+            let (da, r) = d.split_at_mut(n);
+            let (db, r) = r.split_at_mut(n);
+            let dc = &mut r[..n];
+            for x in region.x0..region.x1 {
+                for y in region.y0..region.y1 {
+                    let i0 = self.vx.idx(x, y, region.z0);
+                    let dtb = &self.dtb.pencil(x, y)[zs.clone()];
+                    let fd = &self.fd.pencil(x, y)[zs.clone()];
+                    // Every row is `n` long, so the loop carries no bounds
+                    // checks and vectorizes.
+                    let update =
+                        |vn: &mut [f32], v0: &[f32], da: &[f32], db: &[f32], dc: &[f32]| {
+                            let (vn, v0) = (&mut vn[zs.clone()], &v0[i0..i0 + n]);
+                            for j in 0..n {
+                                vn[j] = (v0[j] + dtb[j] * (da[j] + db[j] + dc[j])) * fd[j];
+                            }
+                        };
+                    // SAFETY: the schedule contract gives this call exclusive
+                    // ownership of the region's pencils at level `t + 1`.
+                    let [vxn, vyn, vzn] = unsafe {
+                        [
+                            self.vx.pencil_mut(t + 1, x, y),
+                            self.vy.pencil_mut(t + 1, x, y),
+                            self.vz.pencil_mut(t + 1, x, y),
+                        ]
+                    };
                     // vx lives at (i+½, j, k).
-                    let dvx = staggered_diff_fwd_r::<R>(txx, i, sx, &swx)
-                        + staggered_diff_bwd_r::<R>(txy, i, sy, &swy)
-                        + staggered_diff_bwd_r::<R>(txz, i, 1, &swz);
-                    vxn[z] = (vx0[i] + dtb[z] * dvx) * fd[z];
+                    backend.staggered_fwd_row_r::<R>(txx, i0, sx, &swx, da);
+                    backend.staggered_bwd_row_r::<R>(txy, i0, sy, &swy, db);
+                    backend.staggered_bwd_row_r::<R>(txz, i0, 1, &swz, dc);
+                    update(vxn, vx0, da, db, dc);
                     // vy lives at (i, j+½, k).
-                    let dvy = staggered_diff_bwd_r::<R>(txy, i, sx, &swx)
-                        + staggered_diff_fwd_r::<R>(tyy, i, sy, &swy)
-                        + staggered_diff_bwd_r::<R>(tyz, i, 1, &swz);
-                    vyn[z] = (vy0[i] + dtb[z] * dvy) * fd[z];
+                    backend.staggered_bwd_row_r::<R>(txy, i0, sx, &swx, da);
+                    backend.staggered_fwd_row_r::<R>(tyy, i0, sy, &swy, db);
+                    backend.staggered_bwd_row_r::<R>(tyz, i0, 1, &swz, dc);
+                    update(vyn, vy0, da, db, dc);
                     // vz lives at (i, j, k+½).
-                    let dvz = staggered_diff_bwd_r::<R>(txz, i, sx, &swx)
-                        + staggered_diff_bwd_r::<R>(tyz, i, sy, &swy)
-                        + staggered_diff_fwd_r::<R>(tzz, i, 1, &swz);
-                    vzn[z] = (vz0[i] + dtb[z] * dvz) * fd[z];
-                }
-                // Fused receiver gather of vz (the mirror of Listing 4).
-                if mode != SparseMode::Classic {
-                    if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        for (z, id) in rec.comp.entries(x, y) {
-                            if z >= region.z0 && z < region.z1 {
-                                let v = vzn[z];
-                                let contribs = rec.pre.contributions(id);
-                                gathers += contribs.len() as u64;
-                                for &(r, w) in contribs {
-                                    trace.add(t, r as usize, w * v);
-                                }
-                            }
-                        }
-                        sparse_sw.stop();
+                    backend.staggered_bwd_row_r::<R>(txz, i0, sx, &swx, da);
+                    backend.staggered_bwd_row_r::<R>(tyz, i0, sy, &swy, db);
+                    backend.staggered_fwd_row_r::<R>(tzz, i0, 1, &swz, dc);
+                    update(vzn, vz0, da, db, dc);
+                    // Receivers record the fresh `vz`.
+                    if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
+                        sparse.gather(receivers, &vzn[zs.clone()]);
                     }
                 }
             }
-        }
-        obs::add(obs::Counter::ReceiverGathers, gathers);
+        });
         sw.stop();
     }
 
-    /// Stress update: `τ[t+1] = (τ[t] + dt·(λ tr(ε̇) I + 2μ ε̇)) · (1−η)`,
-    /// strain rates from the *fresh* `v[t+1]` (the previous virtual step).
-    fn stress_phase<const R: usize>(&self, t: usize, region: &Range3, mode: SparseMode) {
+    /// Stress update over `region`:
+    /// `τ[t+1] = (τ[t] + dt·(λ tr(ε̇) I + 2μ ε̇)) · (1−η)`, strain rates from
+    /// the *fresh* `v[t+1]` (the previous virtual step) — the only stress
+    /// step body, shaped like [`vel_rows`](Self::vel_rows).
+    fn stress_rows<const R: usize>(
+        &self,
+        t: usize,
+        region: &Range3,
+        mode: SparseMode,
+        backend: Backend,
+    ) {
         let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        let mut injections = 0u64;
-        let vx1 = unsafe { self.vx.level(t + 1) };
-        let vy1 = unsafe { self.vy.level(t + 1) };
-        let vz1 = unsafe { self.vz.level(t + 1) };
-        let txx0 = unsafe { self.txx.level(t) };
-        let tyy0 = unsafe { self.tyy.level(t) };
-        let tzz0 = unsafe { self.tzz.level(t) };
-        let txy0 = unsafe { self.txy.level(t) };
-        let txz0 = unsafe { self.txz.level(t) };
-        let tyz0 = unsafe { self.tyz.level(t) };
+        count_step(region, backend);
+        // SAFETY: schedule contract (see `Acoustic::step_rows`); stress levels
+        // t+1 are written per disjoint region, reads are the settled v[t+1]
+        // and level-t stresses.
+        let [vx1, vy1, vz1, txx0, tyy0, tzz0, txy0, txz0, tyz0] = unsafe {
+            [
+                self.vx.level(t + 1),
+                self.vy.level(t + 1),
+                self.vz.level(t + 1),
+                self.txx.level(t),
+                self.tyy.level(t),
+                self.tzz.level(t),
+                self.txy.level(t),
+                self.txz.level(t),
+                self.tyz.level(t),
+            ]
+        };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let swx: [f32; R] = self.swx[..].try_into().expect("radius mismatch");
-        let swy: [f32; R] = self.swy[..].try_into().expect("radius mismatch");
-        let swz: [f32; R] = self.swz[..].try_into().expect("radius mismatch");
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let txxn = unsafe { self.txx.pencil_mut(t + 1, x, y) };
-                let tyyn = unsafe { self.tyy.pencil_mut(t + 1, x, y) };
-                let tzzn = unsafe { self.tzz.pencil_mut(t + 1, x, y) };
-                let txyn = unsafe { self.txy.pencil_mut(t + 1, x, y) };
-                let txzn = unsafe { self.txz.pencil_mut(t + 1, x, y) };
-                let tyzn = unsafe { self.tyz.pencil_mut(t + 1, x, y) };
-                let base = self.vx.idx(x, y, 0);
-                let lam = self.lam_dt.pencil(x, y);
-                let mu = self.mu_dt.pencil(x, y);
-                let mu2 = self.mu2_dt.pencil(x, y);
-                let fd = self.fd.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    let i = base + z;
+        let (swx, swy, swz) = (weights(&self.swx), weights(&self.swy), weights(&self.swz));
+        let zs = region.z0..region.z1;
+        let n = zs.len();
+        with_scratch(3 * n, |d| {
+            // Three rows of exactly `n`, so the combine loops below carry no
+            // bounds checks.
+            let (da, r) = d.split_at_mut(n);
+            let (db, r) = r.split_at_mut(n);
+            let dc = &mut r[..n];
+            for x in region.x0..region.x1 {
+                for y in region.y0..region.y1 {
+                    let i0 = self.vx.idx(x, y, region.z0);
+                    let w = i0..i0 + n;
+                    let lam = &self.lam_dt.pencil(x, y)[zs.clone()];
+                    let mu = &self.mu_dt.pencil(x, y)[zs.clone()];
+                    let mu2 = &self.mu2_dt.pencil(x, y)[zs.clone()];
+                    let fd = &self.fd.pencil(x, y)[zs.clone()];
+                    // SAFETY: the schedule contract gives this call exclusive
+                    // ownership of the region's pencils at level `t + 1`.
+                    let [txxn, tyyn, tzzn, txyn, txzn, tyzn] = unsafe {
+                        [
+                            self.txx.pencil_mut(t + 1, x, y),
+                            self.tyy.pencil_mut(t + 1, x, y),
+                            self.tzz.pencil_mut(t + 1, x, y),
+                            self.txy.pencil_mut(t + 1, x, y),
+                            self.txz.pencil_mut(t + 1, x, y),
+                            self.tyz.pencil_mut(t + 1, x, y),
+                        ]
+                    };
                     // Normal stresses live at (i, j, k).
-                    let exx = staggered_diff_bwd_r::<R>(vx1, i, sx, &swx);
-                    let eyy = staggered_diff_bwd_r::<R>(vy1, i, sy, &swy);
-                    let ezz = staggered_diff_bwd_r::<R>(vz1, i, 1, &swz);
-                    let ldiv = lam[z] * (exx + eyy + ezz);
-                    txxn[z] = (txx0[i] + ldiv + mu2[z] * exx) * fd[z];
-                    tyyn[z] = (tyy0[i] + ldiv + mu2[z] * eyy) * fd[z];
-                    tzzn[z] = (tzz0[i] + ldiv + mu2[z] * ezz) * fd[z];
+                    backend.staggered_bwd_row_r::<R>(vx1, i0, sx, &swx, da);
+                    backend.staggered_bwd_row_r::<R>(vy1, i0, sy, &swy, db);
+                    backend.staggered_bwd_row_r::<R>(vz1, i0, 1, &swz, dc);
+                    let (xx, yy, zz) =
+                        (&mut txxn[zs.clone()], &mut tyyn[zs.clone()], &mut tzzn[zs.clone()]);
+                    let (xx0, yy0, zz0) = (&txx0[w.clone()], &tyy0[w.clone()], &tzz0[w.clone()]);
+                    for j in 0..n {
+                        let (exx, eyy, ezz) = (da[j], db[j], dc[j]);
+                        let ldiv = lam[j] * (exx + eyy + ezz);
+                        xx[j] = (xx0[j] + ldiv + mu2[j] * exx) * fd[j];
+                        yy[j] = (yy0[j] + ldiv + mu2[j] * eyy) * fd[j];
+                        zz[j] = (zz0[j] + ldiv + mu2[j] * ezz) * fd[j];
+                    }
                     // Shear stresses at the edge-staggered positions.
-                    let exy = staggered_diff_fwd_r::<R>(vx1, i, sy, &swy)
-                        + staggered_diff_fwd_r::<R>(vy1, i, sx, &swx);
-                    txyn[z] = (txy0[i] + mu[z] * exy) * fd[z];
-                    let exz = staggered_diff_fwd_r::<R>(vx1, i, 1, &swz)
-                        + staggered_diff_fwd_r::<R>(vz1, i, sx, &swx);
-                    txzn[z] = (txz0[i] + mu[z] * exz) * fd[z];
-                    let eyz = staggered_diff_fwd_r::<R>(vy1, i, 1, &swz)
-                        + staggered_diff_fwd_r::<R>(vz1, i, sy, &swy);
-                    tyzn[z] = (tyz0[i] + mu[z] * eyz) * fd[z];
-                }
-                // Fused explosive source into the normal stresses.
-                match mode {
-                    SparseMode::Classic => {}
-                    SparseMode::Fused => {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        let dcmp = self.src.pre.dcmp_row(t);
-                        let sm = self.src.pre.sm_pencil(x, y);
-                        let sid = self.src.pre.sid_pencil(x, y);
-                        for z in region.z0..region.z1 {
-                            if sm[z] != 0 {
-                                let v = self.cfg.dt * dcmp[sid[z] as usize];
-                                txxn[z] += v;
-                                tyyn[z] += v;
-                                tzzn[z] += v;
-                                // One injection per masked point, not per
-                                // stress component.
-                                injections += 1;
-                            }
+                    let shear = |tn: &mut [f32], t0: &[f32], da: &[f32], db: &[f32]| {
+                        let (tn, t0) = (&mut tn[zs.clone()], &t0[w.clone()]);
+                        for j in 0..n {
+                            tn[j] = (t0[j] + mu[j] * (da[j] + db[j])) * fd[j];
                         }
-                        sparse_sw.stop();
-                    }
-                    SparseMode::FusedCompressed => {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        let dcmp = self.src.pre.dcmp_row(t);
-                        for (z, id) in self.src.comp.entries(x, y) {
-                            if z >= region.z0 && z < region.z1 {
-                                let v = self.cfg.dt * dcmp[id];
-                                txxn[z] += v;
-                                tyyn[z] += v;
-                                tzzn[z] += v;
-                                injections += 1;
-                            }
-                        }
-                        sparse_sw.stop();
+                    };
+                    backend.staggered_fwd_row_r::<R>(vx1, i0, sy, &swy, da);
+                    backend.staggered_fwd_row_r::<R>(vy1, i0, sx, &swx, db);
+                    shear(txyn, txy0, da, db);
+                    backend.staggered_fwd_row_r::<R>(vx1, i0, 1, &swz, da);
+                    backend.staggered_fwd_row_r::<R>(vz1, i0, sx, &swx, db);
+                    shear(txzn, txz0, da, db);
+                    backend.staggered_fwd_row_r::<R>(vy1, i0, 1, &swz, da);
+                    backend.staggered_fwd_row_r::<R>(vz1, i0, sy, &swy, db);
+                    shear(tyzn, tyz0, da, db);
+                    // The explosive source goes into the normal stresses: one
+                    // injection per affected point, not per component.
+                    if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
+                        sparse.inject(&self.src, |z, amp| {
+                            let v = self.cfg.dt * amp;
+                            txxn[z] += v;
+                            tyyn[z] += v;
+                            tzzn[z] += v;
+                        });
                     }
                 }
             }
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        sw.stop();
-    }
-
-    /// Pencil-kernel twin of [`vel_phase`](Self::vel_phase): three staggered
-    /// derivative rows per velocity component, combined with the exact scalar
-    /// accumulation order so the fields stay bitwise equal.
-    fn vel_phase_pencil<const R: usize>(
-        &self,
-        t: usize,
-        region: &Range3,
-        mode: SparseMode,
-        backend: Backend,
-    ) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        obs::add(
-            obs::Counter::PencilRows,
-            ((region.x1 - region.x0) * (region.y1 - region.y0)) as u64,
-        );
-        let mut gathers = 0u64;
-        // SAFETY: see `vel_phase` — identical schedule contract.
-        let txx = unsafe { self.txx.level(t) };
-        let tyy = unsafe { self.tyy.level(t) };
-        let tzz = unsafe { self.tzz.level(t) };
-        let txy = unsafe { self.txy.level(t) };
-        let txz = unsafe { self.txz.level(t) };
-        let tyz = unsafe { self.tyz.level(t) };
-        let vx0 = unsafe { self.vx.level(t) };
-        let vy0 = unsafe { self.vy.level(t) };
-        let vz0 = unsafe { self.vz.level(t) };
-        let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let swx: [f32; R] = self.swx[..].try_into().expect("radius mismatch");
-        let swy: [f32; R] = self.swy[..].try_into().expect("radius mismatch");
-        let swz: [f32; R] = self.swz[..].try_into().expect("radius mismatch");
-        let n = region.z1 - region.z0;
-        let mut d = vec![0.0f32; 3 * n];
-        let (da, r) = d.split_at_mut(n);
-        let (db, dc) = r.split_at_mut(n);
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let vxn = unsafe { self.vx.pencil_mut(t + 1, x, y) };
-                let vyn = unsafe { self.vy.pencil_mut(t + 1, x, y) };
-                let vzn = unsafe { self.vz.pencil_mut(t + 1, x, y) };
-                let i0 = self.vx.idx(x, y, region.z0);
-                let dtb = self.dtb.pencil(x, y);
-                let fd = self.fd.pencil(x, y);
-                // vx lives at (i+½, j, k).
-                backend.staggered_fwd_row_r::<R>(txx, i0, sx, &swx, da);
-                backend.staggered_bwd_row_r::<R>(txy, i0, sy, &swy, db);
-                backend.staggered_bwd_row_r::<R>(txz, i0, 1, &swz, dc);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    let dvx = da[j] + db[j] + dc[j];
-                    vxn[z] = (vx0[i] + dtb[z] * dvx) * fd[z];
-                }
-                // vy lives at (i, j+½, k).
-                backend.staggered_bwd_row_r::<R>(txy, i0, sx, &swx, da);
-                backend.staggered_fwd_row_r::<R>(tyy, i0, sy, &swy, db);
-                backend.staggered_bwd_row_r::<R>(tyz, i0, 1, &swz, dc);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    let dvy = da[j] + db[j] + dc[j];
-                    vyn[z] = (vy0[i] + dtb[z] * dvy) * fd[z];
-                }
-                // vz lives at (i, j, k+½).
-                backend.staggered_bwd_row_r::<R>(txz, i0, sx, &swx, da);
-                backend.staggered_bwd_row_r::<R>(tyz, i0, sy, &swy, db);
-                backend.staggered_fwd_row_r::<R>(tzz, i0, 1, &swz, dc);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    let dvz = da[j] + db[j] + dc[j];
-                    vzn[z] = (vz0[i] + dtb[z] * dvz) * fd[z];
-                }
-                // Fused receiver gather of vz (the mirror of Listing 4).
-                if mode != SparseMode::Classic {
-                    if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        for (z, id) in rec.comp.entries(x, y) {
-                            if z >= region.z0 && z < region.z1 {
-                                let v = vzn[z];
-                                let contribs = rec.pre.contributions(id);
-                                gathers += contribs.len() as u64;
-                                for &(r, w) in contribs {
-                                    trace.add(t, r as usize, w * v);
-                                }
-                            }
-                        }
-                        sparse_sw.stop();
-                    }
-                }
-            }
-        }
-        obs::add(obs::Counter::ReceiverGathers, gathers);
-        sw.stop();
-    }
-
-    /// Pencil-kernel twin of [`stress_phase`](Self::stress_phase).
-    fn stress_phase_pencil<const R: usize>(
-        &self,
-        t: usize,
-        region: &Range3,
-        mode: SparseMode,
-        backend: Backend,
-    ) {
-        let sw = obs::start(obs::Phase::Stencil);
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
-        obs::add(
-            obs::Counter::PencilRows,
-            ((region.x1 - region.x0) * (region.y1 - region.y0)) as u64,
-        );
-        let mut injections = 0u64;
-        let vx1 = unsafe { self.vx.level(t + 1) };
-        let vy1 = unsafe { self.vy.level(t + 1) };
-        let vz1 = unsafe { self.vz.level(t + 1) };
-        let txx0 = unsafe { self.txx.level(t) };
-        let tyy0 = unsafe { self.tyy.level(t) };
-        let tzz0 = unsafe { self.tzz.level(t) };
-        let txy0 = unsafe { self.txy.level(t) };
-        let txz0 = unsafe { self.txz.level(t) };
-        let tyz0 = unsafe { self.tyz.level(t) };
-        let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let swx: [f32; R] = self.swx[..].try_into().expect("radius mismatch");
-        let swy: [f32; R] = self.swy[..].try_into().expect("radius mismatch");
-        let swz: [f32; R] = self.swz[..].try_into().expect("radius mismatch");
-        let n = region.z1 - region.z0;
-        let mut d = vec![0.0f32; 3 * n];
-        let (da, r) = d.split_at_mut(n);
-        let (db, dc) = r.split_at_mut(n);
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let txxn = unsafe { self.txx.pencil_mut(t + 1, x, y) };
-                let tyyn = unsafe { self.tyy.pencil_mut(t + 1, x, y) };
-                let tzzn = unsafe { self.tzz.pencil_mut(t + 1, x, y) };
-                let txyn = unsafe { self.txy.pencil_mut(t + 1, x, y) };
-                let txzn = unsafe { self.txz.pencil_mut(t + 1, x, y) };
-                let tyzn = unsafe { self.tyz.pencil_mut(t + 1, x, y) };
-                let i0 = self.vx.idx(x, y, region.z0);
-                let lam = self.lam_dt.pencil(x, y);
-                let mu = self.mu_dt.pencil(x, y);
-                let mu2 = self.mu2_dt.pencil(x, y);
-                let fd = self.fd.pencil(x, y);
-                // Normal stresses live at (i, j, k).
-                backend.staggered_bwd_row_r::<R>(vx1, i0, sx, &swx, da);
-                backend.staggered_bwd_row_r::<R>(vy1, i0, sy, &swy, db);
-                backend.staggered_bwd_row_r::<R>(vz1, i0, 1, &swz, dc);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    let (exx, eyy, ezz) = (da[j], db[j], dc[j]);
-                    let ldiv = lam[z] * (exx + eyy + ezz);
-                    txxn[z] = (txx0[i] + ldiv + mu2[z] * exx) * fd[z];
-                    tyyn[z] = (tyy0[i] + ldiv + mu2[z] * eyy) * fd[z];
-                    tzzn[z] = (tzz0[i] + ldiv + mu2[z] * ezz) * fd[z];
-                }
-                // Shear stresses at the edge-staggered positions.
-                backend.staggered_fwd_row_r::<R>(vx1, i0, sy, &swy, da);
-                backend.staggered_fwd_row_r::<R>(vy1, i0, sx, &swx, db);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    txyn[z] = (txy0[i] + mu[z] * (da[j] + db[j])) * fd[z];
-                }
-                backend.staggered_fwd_row_r::<R>(vx1, i0, 1, &swz, da);
-                backend.staggered_fwd_row_r::<R>(vz1, i0, sx, &swx, db);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    txzn[z] = (txz0[i] + mu[z] * (da[j] + db[j])) * fd[z];
-                }
-                backend.staggered_fwd_row_r::<R>(vy1, i0, 1, &swz, da);
-                backend.staggered_fwd_row_r::<R>(vz1, i0, sy, &swy, db);
-                for j in 0..n {
-                    let (z, i) = (region.z0 + j, i0 + j);
-                    tyzn[z] = (tyz0[i] + mu[z] * (da[j] + db[j])) * fd[z];
-                }
-                // Fused explosive source into the normal stresses.
-                match mode {
-                    SparseMode::Classic => {}
-                    SparseMode::Fused => {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        let dcmp = self.src.pre.dcmp_row(t);
-                        let sm = self.src.pre.sm_pencil(x, y);
-                        let sid = self.src.pre.sid_pencil(x, y);
-                        for z in region.z0..region.z1 {
-                            if sm[z] != 0 {
-                                let v = self.cfg.dt * dcmp[sid[z] as usize];
-                                txxn[z] += v;
-                                tyyn[z] += v;
-                                tzzn[z] += v;
-                                injections += 1;
-                            }
-                        }
-                        sparse_sw.stop();
-                    }
-                    SparseMode::FusedCompressed => {
-                        let sparse_sw = obs::start(obs::Phase::Sparse);
-                        let dcmp = self.src.pre.dcmp_row(t);
-                        for (z, id) in self.src.comp.entries(x, y) {
-                            if z >= region.z0 && z < region.z1 {
-                                let v = self.cfg.dt * dcmp[id];
-                                txxn[z] += v;
-                                tyyn[z] += v;
-                                tzzn[z] += v;
-                                injections += 1;
-                            }
-                        }
-                        sparse_sw.stop();
-                    }
-                }
-            }
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
+        });
         sw.stop();
     }
 }
@@ -561,58 +386,33 @@ impl WaveSolver for Elastic {
     /// timestep `vt/2`; odd = stress phase.
     fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(vt));
-        let t = vt >> 1;
-        match (kernel.resolve(), self.radius, vt & 1) {
-            (Backend::Scalar, 2, 0) => self.vel_phase::<2>(t, region, mode),
-            (Backend::Scalar, 2, 1) => self.stress_phase::<2>(t, region, mode),
-            (Backend::Scalar, 4, 0) => self.vel_phase::<4>(t, region, mode),
-            (Backend::Scalar, 4, 1) => self.stress_phase::<4>(t, region, mode),
-            (Backend::Scalar, 6, 0) => self.vel_phase::<6>(t, region, mode),
-            (Backend::Scalar, 6, 1) => self.stress_phase::<6>(t, region, mode),
-            (b, 2, 0) => self.vel_phase_pencil::<2>(t, region, mode, b),
-            (b, 2, 1) => self.stress_phase_pencil::<2>(t, region, mode, b),
-            (b, 4, 0) => self.vel_phase_pencil::<4>(t, region, mode, b),
-            (b, 4, 1) => self.stress_phase_pencil::<4>(t, region, mode, b),
-            (b, 6, 0) => self.vel_phase_pencil::<6>(t, region, mode, b),
-            (b, 6, 1) => self.stress_phase_pencil::<6>(t, region, mode, b),
-            _ => panic!(
-                "elastic propagator supports space orders 4, 8, 12 (got {})",
-                self.cfg.space_order
-            ),
+        let (t, backend) = (vt >> 1, kernel.resolve());
+        match (self.radius, vt & 1) {
+            (2, 0) => self.vel_rows::<2>(t, region, mode, backend),
+            (2, _) => self.stress_rows::<2>(t, region, mode, backend),
+            (4, 0) => self.vel_rows::<4>(t, region, mode, backend),
+            (4, _) => self.stress_rows::<4>(t, region, mode, backend),
+            (6, 0) => self.vel_rows::<6>(t, region, mode, backend),
+            (6, _) => self.stress_rows::<6>(t, region, mode, backend),
+            (r, _) => unreachable!("Elastic::new admits radii 2, 4 and 6 only (got {r})"),
         }
     }
 
     fn classic_after_step(&self, t: usize) {
-        let sw = obs::start(obs::Phase::Sparse);
-        let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(t));
-        let mut injections = 0u64;
-        let mut gathers = 0u64;
-        for (st, &a) in self.src.stencils.iter().zip(self.src.amps_at(t)) {
-            for (c, w) in st.nonzero() {
-                let v = self.cfg.dt * (w * a);
-                // SAFETY: single-threaded between sweeps.
-                unsafe {
-                    self.txx.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
-                    self.tyy.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
-                    self.tzz.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
-                }
-                injections += 1;
-            }
-        }
-        if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-            let vz = unsafe { self.vz.level(t + 1) };
-            for (r, st) in rec.stencils.iter().enumerate() {
-                let mut acc = 0.0f32;
-                for (c, w) in st.nonzero() {
-                    acc += w * vz[self.vz.idx(c[0], c[1], c[2])];
-                    gathers += 1;
-                }
-                trace.add(t, r, acc);
-            }
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        obs::add(obs::Counter::ReceiverGathers, gathers);
-        sw.stop();
+        classic_step(
+            t,
+            &self.src,
+            self.rec.as_ref().zip(self.trace.as_ref()),
+            // SAFETY: runs on one thread between sweeps, so nothing else
+            // touches the freshly computed level `t + 1` of any field.
+            |c, amp| unsafe {
+                let v = self.cfg.dt * amp;
+                self.txx.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
+                self.tyy.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
+                self.tzz.pencil_mut(t + 1, c[0], c[1])[c[2]] += v;
+            },
+            |c| unsafe { self.vz.level(t + 1)[self.vz.idx(c[0], c[1], c[2])] },
+        );
     }
 
     fn written(&self, vt: usize) -> Vec<(&LevelRing, usize)> {
@@ -693,6 +493,12 @@ mod tests {
         assert!(f.max_abs().is_finite() && f.max_abs() < 1e6);
         let tr = e.trace().unwrap();
         assert!(tr.as_slice().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "supports space orders 4, 8, 12")]
+    fn unsupported_space_order_is_rejected_at_construction() {
+        let _ = setup(6, 4);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::operator::{record_backend_run, Execution, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::sources::FusedPencil;
 use tempest_grid::Range3;
-use tempest_obs as obs;
 use tempest_tiling::{
     dirty_cone, execute_plan, spaceblock, DirtyRect, SlabPayload, SourceSig, TileCache,
     TilePayload, TilePlan, TileStore,
@@ -137,6 +137,8 @@ struct CacheStore<'a, S: WaveSolver + ?Sized> {
     solver: &'a S,
     plan: &'a TilePlan,
     cache: &'a TileCache,
+    /// The run's fused sparse path, replayed by restored slabs' gathers.
+    sparse: SparseMode,
     session: u64,
     sigs: Vec<SourceSig>,
     receivers: u64,
@@ -187,6 +189,7 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
             solver,
             plan,
             cache,
+            sparse,
             session,
             sigs,
             receivers,
@@ -206,10 +209,10 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
     /// Write one cached slab back to the rings — bit-for-bit what its step
     /// calls would have produced — then replay the slab's receiver gathers
     /// against the *current* receiver bundle in the exact compute order
-    /// (blocks in `split_xy` order, x then y, ascending z), reading the
-    /// gathered values from the payload. Counts `ReceiverGathers` like the
-    /// fused path; stencil/injection counters stay untouched — no such work
-    /// happens.
+    /// (blocks in `split_xy` order, x then y, ascending z): the step bodies'
+    /// own gather routine, reading the payload row instead of a freshly
+    /// stepped one. Counts `ReceiverGathers` like the fused path;
+    /// stencil/injection counters stay untouched — no such work happens.
     fn restore_slab(&self, sp: &SlabPayload) {
         let (vt, r) = (sp.slab.vt, sp.slab.range);
         for (field, (ring, level)) in self.solver.written(vt).into_iter().enumerate() {
@@ -222,32 +225,20 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
                 }
             }
         }
-        let (Some(rec), Some(trace), Some(field)) = (
-            self.solver.receivers(),
-            self.solver.trace_buffer(),
-            self.solver.gathered(vt),
-        ) else {
+        let receivers = self.solver.receivers().zip(self.solver.trace_buffer());
+        let (Some(field), Some(_)) = (self.solver.gathered(vt), receivers) else {
             return;
         };
         let k = vt / self.solver.phases();
-        let mut gathers = 0u64;
         for b in r.split_xy(self.plan.block_x, self.plan.block_y) {
             for x in b.x0..b.x1 {
                 for y in b.y0..b.y1 {
-                    for (z, id) in rec.comp.entries(x, y) {
-                        if z >= b.z0 && z < b.z1 {
-                            let v = sp.pencil(field, x, y)[z - r.z0];
-                            let contribs = rec.pre.contributions(id);
-                            gathers += contribs.len() as u64;
-                            for &(rr, w) in contribs {
-                                trace.add(k, rr as usize, w * v);
-                            }
-                        }
+                    if let Some(mut sparse) = FusedPencil::begin(self.sparse, k, x, y, b.z0..b.z1) {
+                        sparse.gather(receivers, sp.pencil(field, x, y));
                     }
                 }
             }
         }
-        obs::add(obs::Counter::ReceiverGathers, gathers);
     }
 }
 

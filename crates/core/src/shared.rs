@@ -1,4 +1,5 @@
-//! Shared wavefield storage for parallel block updates.
+//! Shared wavefield storage for parallel block updates, and the per-worker
+//! row scratch of the step bodies that update it.
 //!
 //! A stencil sweep updates disjoint `(x, y)` blocks of one time level in
 //! parallel while *reading* other time levels. Rust's `&mut` aliasing rules
@@ -10,8 +11,46 @@
 //! propagators are additionally validated bit-for-bit against purely
 //! sequential references.
 
-use std::cell::UnsafeCell;
-use tempest_grid::{Array3, Shape};
+use std::cell::{RefCell, UnsafeCell};
+use tempest_grid::{Array3, Range3, Shape};
+use tempest_obs as obs;
+use tempest_stencil::Backend;
+
+thread_local! {
+    /// The calling worker's step scratch (see [`with_scratch`]).
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lend `len` values of the calling worker's row scratch to one step call:
+/// the derivative rows of every propagator's step body live here. Grown on
+/// first use and reused by every later call on the thread, so its contents
+/// on entry are whatever the last call left: a step body must write every
+/// value before it reads it, and carries nothing from one call to the next.
+pub(crate) fn with_scratch<T>(len: usize, body: impl FnOnce(&mut [f32]) -> T) -> T {
+    SCRATCH.with_borrow_mut(|scratch| {
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        body(&mut scratch[..len])
+    })
+}
+
+/// Count one step call over `region`: an update per grid point (a coupled
+/// field pair counts once; each staggered phase is its own virtual step), and
+/// — on the vector backends only — a row per pencil.
+pub(crate) fn count_step(region: &Range3, backend: Backend) {
+    obs::add(obs::Counter::StencilUpdates, region.len() as u64);
+    if backend != Backend::Scalar {
+        let rows = (region.x1 - region.x0) * (region.y1 - region.y0);
+        obs::add(obs::Counter::PencilRows, rows as u64);
+    }
+}
+
+/// Stencil weights as a fixed-size array, so the const-radius row kernels
+/// unroll. Panics unless `R` is the radius the weights were built for.
+pub(crate) fn weights<const R: usize>(w: &[f32]) -> [f32; R] {
+    w.try_into().expect("radius mismatch")
+}
 
 /// A circular ring of padded f32 volumes over the time dimension, with
 /// unchecked shared mutation.
@@ -219,6 +258,74 @@ impl RingCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nothing_is_carried_in_the_scratch_between_step_calls() {
+        use crate::config::{EquationKind, SimConfig};
+        use crate::operator::{KernelPath, SparseMode, WaveSolver};
+        use crate::{Acoustic, Elastic, Tti};
+        use tempest_grid::{Domain, ElasticModel, Model, TtiModel};
+        use tempest_sparse::SparsePoints;
+
+        // The same run stepped block by block on this thread, once with the
+        // worker scratch filled with NaN before every call: any value a call
+        // read without writing it first would poison the field. The ragged
+        // 5x3 blocks make consecutive calls lay the scratch out differently.
+        let d = Domain::uniform(Shape::cube(20), 20.0);
+        let cfg = |kind, vmax| {
+            SimConfig::new(d, 8, kind, vmax, 80.0)
+                .with_nt(6)
+                .with_f0(15.0)
+                .with_boundary(4, 0.3)
+        };
+        let (src, rec) = (
+            SparsePoints::single_center(&d, 0.4),
+            SparsePoints::receiver_line(&d, 4, 0.2),
+        );
+        let tti = TtiModel::homogeneous(d, 2000.0, 0.2, 0.1, 0.35, 0.3);
+        let mut solvers: Vec<Box<dyn WaveSolver>> = vec![
+            Box::new(Acoustic::new(
+                &Model::homogeneous(d, 2000.0),
+                cfg(EquationKind::Acoustic, 2000.0),
+                src.clone(),
+                Some(rec.clone()),
+            )),
+            Box::new(Tti::new(
+                &tti,
+                cfg(EquationKind::Tti, tti.vmax()),
+                src.clone(),
+                Some(rec.clone()),
+            )),
+            Box::new(Elastic::new(
+                &ElasticModel::homogeneous(d, 3000.0, 1400.0, 2200.0),
+                cfg(EquationKind::Elastic, 3000.0),
+                src,
+                Some(rec),
+            )),
+        ];
+        for s in &mut solvers {
+            let mut run = |poison: bool| {
+                s.reset();
+                let blocks = s.shape().full_range().split_xy(5, 3);
+                for vt in 0..s.num_timesteps() * s.phases() {
+                    for b in &blocks {
+                        if poison {
+                            SCRATCH.with_borrow_mut(|scratch| scratch.fill(f32::NAN));
+                        }
+                        s.step_region(vt, b, SparseMode::FusedCompressed, KernelPath::default());
+                    }
+                }
+                s.final_field()
+            };
+            let clean = run(false);
+            assert!(
+                clean.max_abs() > 0.0 && clean.max_abs().is_finite(),
+                "{}",
+                s.name()
+            );
+            assert!(clean.bit_equal(&run(true)), "{}", s.name());
+        }
+    }
 
     #[test]
     fn indexing_matches_padded_layout() {

@@ -1,8 +1,18 @@
 //! Source / receiver bundles: everything a propagator needs for both the
 //! classic (Listing 1) and the precomputed-fused (Listings 4–5) sparse-
-//! operator paths, built once per simulation.
+//! operator paths, built once per simulation — and the two paths themselves,
+//! written once for all three propagators: [`classic_step`] and
+//! [`FusedPencil`]. A propagator contributes only *where an amplitude lands*
+//! (which fields, at what scale) and *which freshly written row receivers
+//! read*; the walk over affected points, the mode switch, the clipping to
+//! the region, the counters and the trace span are here.
 
+use std::ops::Range;
+
+use crate::operator::SparseMode;
+use crate::trace::TraceBuffer;
 use tempest_grid::{Array2, Domain};
+use tempest_obs as obs;
 use tempest_sparse::interp::trilinear_all;
 use tempest_sparse::wavelet::wavelet_matrix;
 use tempest_sparse::{
@@ -91,6 +101,185 @@ impl ReceiverBundle {
     /// Number of receivers.
     pub fn num_receivers(&self) -> usize {
         self.points.len()
+    }
+}
+
+/// The classic sparse operators of timestep `k` (Listing 1), run on one
+/// thread after every region of the timestep was stepped: each source adds
+/// its interpolation-weighted amplitude through `apply(point, w·a)`, then
+/// each receiver interpolates the injected field through `value(point)`.
+pub(crate) fn classic_step(
+    k: usize,
+    src: &SourceBundle,
+    receivers: Option<(&ReceiverBundle, &TraceBuffer)>,
+    mut apply: impl FnMut([usize; 3], f32),
+    value: impl Fn([usize; 3]) -> f32,
+) {
+    let sw = obs::start(obs::Phase::Sparse);
+    let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
+    let mut injections = 0u64;
+    let mut gathers = 0u64;
+    for (st, &a) in src.stencils.iter().zip(src.amps_at(k)) {
+        for (c, w) in st.nonzero() {
+            // Group (w·a) first: bitwise-identical to the fused path, which
+            // applies the precomputed w·a product.
+            apply(c, w * a);
+            injections += 1;
+        }
+    }
+    if let Some((rec, trace)) = receivers {
+        for (r, st) in rec.stencils.iter().enumerate() {
+            let mut acc = 0.0f32;
+            for (c, w) in st.nonzero() {
+                acc += w * value(c);
+                gathers += 1;
+            }
+            trace.add(k, r, acc);
+        }
+    }
+    obs::add(obs::Counter::SourceInjections, injections);
+    obs::add(obs::Counter::ReceiverGathers, gathers);
+    sw.stop();
+}
+
+/// The fused sparse operators of timestep `k` on one freshly stepped pencil
+/// `(x, y)`, clipped to the region's `zs`: Listing 4 (`SparseMode::Fused`,
+/// the `z` range scanned against the binary mask) or Listing 5
+/// (`FusedCompressed`, the pencil's `Sp_SID` entries walked), for the source
+/// injection and its receiver mirror alike. Both visit the affected points
+/// in ascending `z`, so the two modes produce the same bits.
+///
+/// Opened once per pencil, then [`inject`](Self::inject) and/or
+/// [`gather`](Self::gather); dropping it records `SourceInjections` (one per
+/// affected point), `ReceiverGathers` (one per receiver contribution), the
+/// `Phase::Sparse` time and a `SpanKind::Sparse` span.
+pub(crate) struct FusedPencil {
+    compressed: bool,
+    k: usize,
+    x: usize,
+    y: usize,
+    zs: Range<usize>,
+    injections: u64,
+    gathers: u64,
+    span: obs::trace::Span,
+    _sw: obs::Stopwatch,
+}
+
+impl FusedPencil {
+    /// `None` under [`SparseMode::Classic`], whose operators run between
+    /// sweeps instead ([`classic_step`]).
+    #[inline]
+    pub(crate) fn begin(
+        mode: SparseMode,
+        k: usize,
+        x: usize,
+        y: usize,
+        zs: Range<usize>,
+    ) -> Option<Self> {
+        let compressed = match mode {
+            SparseMode::Classic => return None,
+            SparseMode::Fused => false,
+            SparseMode::FusedCompressed => true,
+        };
+        Some(FusedPencil {
+            compressed,
+            k,
+            x,
+            y,
+            zs,
+            injections: 0,
+            gathers: 0,
+            span: obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k)),
+            _sw: obs::start(obs::Phase::Sparse),
+        })
+    }
+
+    /// Call `f(z, id)` for every affected point of the pencil inside `zs`,
+    /// in ascending `z`; `dense` lends the pencil's mask and ID rows to the
+    /// Listing-4 scan.
+    #[inline]
+    fn affected<'a>(
+        &self,
+        dense: impl FnOnce() -> (&'a [u8], &'a [i32]),
+        comp: &CompressedMask,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        if !self.compressed {
+            let (mask, ids) = dense();
+            for z in self.zs.clone() {
+                if mask[z] != 0 {
+                    f(z, ids[z] as usize);
+                }
+            }
+        } else if comp.count(self.x, self.y) != 0 {
+            // Nearly every pencil fails the test above: that is all the
+            // compressed scheme costs a pencil without sparse work.
+            for (z, id) in comp.entries(self.x, self.y) {
+                if self.zs.contains(&z) {
+                    f(z, id);
+                }
+            }
+        }
+    }
+
+    /// Source injection: `apply(z, amp)` adds the decomposed, grid-aligned
+    /// amplitude of timestep `k` at every affected `z` of the pencil.
+    #[inline]
+    pub(crate) fn inject(&mut self, src: &SourceBundle, mut apply: impl FnMut(usize, f32)) {
+        let (k, x, y) = (self.k, self.x, self.y);
+        let mut injections = 0u64;
+        self.affected(
+            || (src.pre.sm_pencil(x, y), src.pre.sid_pencil(x, y)),
+            &src.comp,
+            |z, id| {
+                apply(z, src.pre.dcmp_row(k)[id]);
+                injections += 1;
+            },
+        );
+        self.injections += injections;
+    }
+
+    /// Receiver gather from `fresh`, the `zs` part of the row receivers read
+    /// as the step (and any injection) just left it. A no-op without
+    /// receivers.
+    #[inline]
+    pub(crate) fn gather(
+        &mut self,
+        receivers: Option<(&ReceiverBundle, &TraceBuffer)>,
+        fresh: &[f32],
+    ) {
+        let Some((rec, trace)) = receivers else {
+            return;
+        };
+        debug_assert_eq!(fresh.len(), self.zs.len());
+        let (k, x, y, z0) = (self.k, self.x, self.y, self.zs.start);
+        let mut gathers = 0u64;
+        self.affected(
+            || (rec.pre.rm_pencil(x, y), rec.pre.rid_pencil(x, y)),
+            &rec.comp,
+            |z, id| {
+                let v = fresh[z - z0];
+                let contribs = rec.pre.contributions(id);
+                gathers += contribs.len() as u64;
+                for &(r, w) in contribs {
+                    trace.add(k, r as usize, w * v);
+                }
+            },
+        );
+        self.gathers += gathers;
+    }
+}
+
+impl Drop for FusedPencil {
+    #[inline]
+    fn drop(&mut self) {
+        if self.injections + self.gathers == 0 {
+            // Most pencils have no sparse work; recording them would swamp
+            // the trace ring with empty spans.
+            self.span.cancel();
+        }
+        obs::add(obs::Counter::SourceInjections, self.injections);
+        obs::add(obs::Counter::ReceiverGathers, self.gathers);
     }
 }
 

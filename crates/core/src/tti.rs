@@ -22,12 +22,10 @@
 //! rotation coefficients are precomputed into parameter volumes, so the hot
 //! loop is trigonometry-free.
 
-use std::cell::RefCell;
-
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
-use crate::shared::LevelRing;
-use crate::sources::{ReceiverBundle, SourceBundle};
+use crate::shared::{count_step, weights, with_scratch, LevelRing};
+use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array3, DampingMask, Range3, Shape, TtiModel};
@@ -36,14 +34,6 @@ use tempest_stencil::kernels::{first_derivative_weights, AxisWeights};
 use tempest_stencil::metrics::tti_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-
-thread_local! {
-    /// The calling worker's step scratch: the `D_y` row cache, one `D_x` row
-    /// and the twelve derivative rows of [`Tti::step_rows`]. Grown on first
-    /// use and reused by every later call on the thread; every value a call
-    /// reads it has written itself.
-    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The six `n`-point rows of one field's derivative scratch.
 fn rows(d: &[f32], n: usize) -> [&[f32]; 6] {
@@ -91,6 +81,11 @@ impl Tti {
         assert_eq!(model.shape(), cfg.shape(), "model/config shape mismatch");
         let shape = cfg.shape();
         let radius = cfg.radius();
+        assert!(
+            matches!(radius, 2 | 4 | 6),
+            "TTI propagator supports space orders 4, 8, 12 (radius {radius}, got order {})",
+            cfg.space_order
+        );
         let h = cfg.domain.spacing();
         let wxx = AxisWeights::second_derivative(cfg.space_order, h[0]);
         let wyy = AxisWeights::second_derivative(cfg.space_order, h[1]);
@@ -198,13 +193,9 @@ impl Tti {
             return;
         }
         let sw = obs::start(obs::Phase::Stencil);
-        // One update per grid point: the coupled p/q pair counts once.
-        obs::add(obs::Counter::StencilUpdates, region.len() as u64);
+        count_step(region, backend);
         let (nx, ny) = (region.x1 - region.x0, region.y1 - region.y0);
-        if backend != Backend::Scalar {
-            obs::add(obs::Counter::PencilRows, (nx * ny) as u64);
-        }
-        // SAFETY: see `Acoustic::step_r` — identical schedule contract, two
+        // SAFETY: see `Acoustic::step_rows` — identical schedule contract, two
         // fields updated together from their own older levels.
         let p0 = unsafe { self.p.level(k + 1) };
         let pm = unsafe { self.p.level(k) };
@@ -218,8 +209,8 @@ impl Tti {
             self.wzz.side_array(),
         );
         let (cxx, cyy, czz) = (self.wxx.center, self.wyy.center, self.wzz.center);
-        let arr = |w: &[f32]| -> [f32; R] { w.try_into().expect("radius mismatch") };
-        let (w1x, w1y, w1z) = (arr(&self.w1x), arr(&self.w1y), arr(&self.w1z));
+        let (w1x, w1y, w1z) = (weights(&self.w1x), weights(&self.w1y), weights(&self.w1z));
+        let receivers = self.rec.as_ref().zip(self.trace.as_ref());
         let n = region.z1 - region.z0;
         // Cache layout: one slot `[D_y p | D_y q]` per input pencil, each row
         // `z0−R..z1+R`, pencils y-fastest inside an x-plane — so `D_x` across
@@ -227,12 +218,9 @@ impl Tti {
         let ly = n + 2 * R;
         let plane = ny * 2 * ly;
         let cache_len = (nx + 2 * R) * plane;
-        let scratch_len = cache_len + ly + 12 * n;
-        SCRATCH.with_borrow_mut(|scratch| {
-            if scratch.len() < scratch_len {
-                scratch.resize(scratch_len, 0.0);
-            }
-            let (cache, rest) = scratch[..scratch_len].split_at_mut(cache_len);
+        // The `D_y` row cache, one `D_x` row and the twelve derivative rows.
+        with_scratch(cache_len + ly + 12 * n, |scratch| {
+            let (cache, rest) = scratch.split_at_mut(cache_len);
             let (dx, d) = rest.split_at_mut(ly);
             // Pass 1. `xi` counts planes from `x0 − R`, inside the x halo.
             for xi in 0..nx + 2 * R {
@@ -290,7 +278,8 @@ impl Tti {
                     let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
                     // Every row below is `n` long, so the loop carries no
                     // bounds checks and vectorizes.
-                    let (pnr, qnr, c3z) = (&mut pn[zs.clone()], &mut qn[zs.clone()], &c3r[zs]);
+                    let (pnr, qnr, c3z) =
+                        (&mut pn[zs.clone()], &mut qn[zs.clone()], &c3r[zs.clone()]);
                     for j in 0..n {
                         let gzz_p = g0[j] * pxx[j]
                             + g1[j] * pyy[j]
@@ -310,80 +299,19 @@ impl Tti {
                         pnr[j] = c1r[j] * p0r[j] - c2r[j] * pmr[j] + c3z[j] * rhs_p;
                         qnr[j] = c1r[j] * q0r[j] - c2r[j] * qmr[j] + c3z[j] * rhs_q;
                     }
-                    self.fused_sparse(k, x, y, region, pn, qn, c3r, mode);
+                    if let Some(mut sparse) = FusedPencil::begin(mode, k, x, y, zs.clone()) {
+                        // Both fields receive the source, as in Devito's TTI
+                        // operator; receivers record `p`.
+                        sparse.inject(&self.src, |z, amp| {
+                            let v = c3r[z] * amp;
+                            pn[z] += v;
+                            qn[z] += v;
+                        });
+                        sparse.gather(receivers, &pn[zs]);
+                    }
                 }
             }
         });
-        sw.stop();
-    }
-
-    /// Fused source injection (into both fields, as Devito's TTI operator
-    /// does) and receiver gather of `p`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn fused_sparse(
-        &self,
-        k: usize,
-        x: usize,
-        y: usize,
-        region: &Range3,
-        pn: &mut [f32],
-        qn: &mut [f32],
-        c3r: &[f32],
-        mode: SparseMode,
-    ) {
-        if mode == SparseMode::Classic {
-            return;
-        }
-        let sw = obs::start(obs::Phase::Sparse);
-        let mut sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
-        let mut injections = 0u64;
-        let mut gathers = 0u64;
-        match mode {
-            SparseMode::Classic => return,
-            SparseMode::Fused => {
-                let dcmp = self.src.pre.dcmp_row(k);
-                let sm = self.src.pre.sm_pencil(x, y);
-                let sid = self.src.pre.sid_pencil(x, y);
-                for z in region.z0..region.z1 {
-                    if sm[z] != 0 {
-                        let v = c3r[z] * dcmp[sid[z] as usize];
-                        pn[z] += v;
-                        qn[z] += v;
-                        // The coupled p/q pair receives one injection.
-                        injections += 1;
-                    }
-                }
-            }
-            SparseMode::FusedCompressed => {
-                let dcmp = self.src.pre.dcmp_row(k);
-                for (z, id) in self.src.comp.entries(x, y) {
-                    if z >= region.z0 && z < region.z1 {
-                        let v = c3r[z] * dcmp[id];
-                        pn[z] += v;
-                        qn[z] += v;
-                        injections += 1;
-                    }
-                }
-            }
-        }
-        if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-            for (z, id) in rec.comp.entries(x, y) {
-                if z >= region.z0 && z < region.z1 {
-                    let v = pn[z];
-                    let contribs = rec.pre.contributions(id);
-                    gathers += contribs.len() as u64;
-                    for &(r, w) in contribs {
-                        trace.add(k, r as usize, w * v);
-                    }
-                }
-            }
-        }
-        if injections + gathers == 0 {
-            sp.cancel();
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        obs::add(obs::Counter::ReceiverGathers, gathers);
         sw.stop();
     }
 }
@@ -428,43 +356,24 @@ impl WaveSolver for Tti {
             2 => self.step_rows::<2>(k, region, mode, backend),
             4 => self.step_rows::<4>(k, region, mode, backend),
             6 => self.step_rows::<6>(k, region, mode, backend),
-            _ => panic!(
-                "TTI propagator supports space orders 4, 8, 12 (radius {}, got order {})",
-                self.radius, self.cfg.space_order
-            ),
+            r => unreachable!("Tti::new admits radii 2, 4 and 6 only (got {r})"),
         }
     }
 
     fn classic_after_step(&self, k: usize) {
-        let sw = obs::start(obs::Phase::Sparse);
-        let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
-        let mut injections = 0u64;
-        let mut gathers = 0u64;
-        for (st, &a) in self.src.stencils.iter().zip(self.src.amps_at(k)) {
-            for (c, w) in st.nonzero() {
-                let v = self.c3.get(c[0], c[1], c[2]) * (w * a);
-                // SAFETY: single-threaded between sweeps.
-                unsafe {
-                    self.p.pencil_mut(k + 2, c[0], c[1])[c[2]] += v;
-                    self.q.pencil_mut(k + 2, c[0], c[1])[c[2]] += v;
-                }
-                injections += 1;
-            }
-        }
-        if let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) {
-            let p = unsafe { self.p.level(k + 2) };
-            for (r, st) in rec.stencils.iter().enumerate() {
-                let mut acc = 0.0f32;
-                for (c, w) in st.nonzero() {
-                    acc += w * p[self.p.idx(c[0], c[1], c[2])];
-                    gathers += 1;
-                }
-                trace.add(k, r, acc);
-            }
-        }
-        obs::add(obs::Counter::SourceInjections, injections);
-        obs::add(obs::Counter::ReceiverGathers, gathers);
-        sw.stop();
+        classic_step(
+            k,
+            &self.src,
+            self.rec.as_ref().zip(self.trace.as_ref()),
+            // SAFETY: runs on one thread between sweeps, so nothing else
+            // touches the freshly computed level `k + 2` of either field.
+            |c, amp| unsafe {
+                let v = self.c3.get(c[0], c[1], c[2]) * amp;
+                self.p.pencil_mut(k + 2, c[0], c[1])[c[2]] += v;
+                self.q.pencil_mut(k + 2, c[0], c[1])[c[2]] += v;
+            },
+            |c| unsafe { self.p.level(k + 2)[self.p.idx(c[0], c[1], c[2])] },
+        );
     }
 
     fn written(&self, k: usize) -> Vec<(&LevelRing, usize)> {
@@ -544,28 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn nothing_is_carried_in_the_scratch_between_step_calls() {
-        // The same run stepped block by block on this thread, once with the
-        // worker scratch filled with NaN before every call: any value a call
-        // read without writing it first would poison the field. The ragged
-        // 5x3 blocks make consecutive calls lay the scratch out differently.
-        let run = |poison: bool| {
-            let mut t = setup(0.35, 8, 6);
-            t.reset();
-            let blocks = t.shape().full_range().split_xy(5, 3);
-            for k in 0..t.cfg.nt {
-                for b in &blocks {
-                    if poison {
-                        SCRATCH.with_borrow_mut(|s| s.fill(f32::NAN));
-                    }
-                    t.step_region(k, b, SparseMode::FusedCompressed, KernelPath::default());
-                }
-            }
-            t.final_field()
-        };
-        let clean = run(false);
-        assert!(clean.max_abs() > 0.0 && clean.max_abs().is_finite());
-        assert!(clean.bit_equal(&run(true)));
+    #[should_panic(expected = "supports space orders 4, 8, 12")]
+    fn unsupported_space_order_is_rejected_at_construction() {
+        let _ = setup(0.35, 6, 4);
     }
 
     #[test]

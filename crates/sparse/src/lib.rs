@@ -16,9 +16,11 @@
 //!    (Fig. 5b/5c);
 //! 3. **decompose** the off-grid wavelets into per-affected-point, grid-
 //!    aligned wavelets `src_dcmp[t][id]` (Listing 3, Fig. 5d);
-//! 4. **fuse** injection into the stencil loop nest (Listing 4) — the fused
-//!    per-pencil apply lives here, called from the schedules in
-//!    `tempest-tiling` / `tempest-core`;
+//! 4. **fuse** injection into the stencil loop nest (Listing 4) — this
+//!    crate supplies the structures ([`precompute::SourcePrecompute`]'s
+//!    `SM`/`SID`/`src_dcmp`); the fused per-pencil apply itself is
+//!    `tempest_core::sources::FusedPencil`, called from each propagator's
+//!    step body;
 //! 5. **compress** the iteration space with `nnz_mask` / `Sp_SID`
 //!    (Listing 5, Fig. 6) — [`compressed::CompressedMask`].
 //!

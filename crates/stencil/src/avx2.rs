@@ -16,8 +16,9 @@
 //!
 //! Every function here is `unsafe` and `#[target_feature(enable = "avx2")]`:
 //! calling one on a CPU without AVX2 is undefined behaviour. The only
-//! callers are the [`crate::backend::Avx2`] backend methods, which assert
-//! `is_x86_feature_detected!("avx2")` before entering. Bounds safety is
+//! callers are the `Avx2` arms of the [`crate::backend::Backend`] row
+//! methods, which assert `is_x86_feature_detected!("avx2")` before entering.
+//! Bounds safety is
 //! re-established inside each function by the row-level window checks (the
 //! same checks, panicking at the same inputs, as the portable kernels);
 //! after they pass, every pointer the lane loop dereferences is in bounds.
@@ -29,7 +30,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::kernels::{self, AxisWeights};
+use crate::kernels;
 use crate::simd::LANE;
 
 /// Row-level bounds check for one offset window `u[start .. start + n]` —
@@ -179,74 +180,6 @@ pub unsafe fn second_diff_row_r<const R: usize>(
     }
     for jj in j..n {
         out[jj] = kernels::second_diff_axis_r::<R>(u, i0 + jj, s, center, side);
-    }
-}
-
-/// Second derivative along one axis, dynamic radius (twin of
-/// [`crate::simd::second_diff_pencil`]).
-///
-/// # Safety
-/// The host CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn second_diff_row(u: &[f32], i0: usize, s: usize, w: &AxisWeights, out: &mut [f32]) {
-    let n = out.len();
-    check_window(u, i0, n);
-    for k in 0..w.side.len() {
-        let o = (k + 1) * s;
-        check_window(u, i0 + o, n);
-        check_window(u, i0 - o, n);
-    }
-    let p = u.as_ptr();
-    let vc = _mm256_set1_ps(w.center);
-    let mut j = 0;
-    while j + LANE <= n {
-        let mut acc = _mm256_mul_ps(vc, _mm256_loadu_ps(p.add(i0 + j)));
-        for (k, &wk) in w.side.iter().enumerate() {
-            let o = (k + 1) * s;
-            let sum = _mm256_add_ps(
-                _mm256_loadu_ps(p.add(i0 + o + j)),
-                _mm256_loadu_ps(p.add(i0 - o + j)),
-            );
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wk), sum));
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-        j += LANE;
-    }
-    for jj in j..n {
-        out[jj] = kernels::second_diff_axis(u, i0 + jj, s, w);
-    }
-}
-
-/// Centred first derivative for a whole row, dynamic radius (twin of
-/// [`crate::simd::first_diff_pencil`]).
-///
-/// # Safety
-/// The host CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn first_diff_row(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    for k in 0..w.len() {
-        let o = (k + 1) * s;
-        check_window(u, i0 + o, n);
-        check_window(u, i0 - o, n);
-    }
-    let p = u.as_ptr();
-    let mut j = 0;
-    while j + LANE <= n {
-        let mut acc = _mm256_setzero_ps();
-        for (k, &wk) in w.iter().enumerate() {
-            let o = (k + 1) * s;
-            let diff = _mm256_sub_ps(
-                _mm256_loadu_ps(p.add(i0 + o + j)),
-                _mm256_loadu_ps(p.add(i0 - o + j)),
-            );
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wk), diff));
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-        j += LANE;
-    }
-    for jj in j..n {
-        out[jj] = kernels::first_diff_axis(u, i0 + jj, s, w);
     }
 }
 
@@ -489,67 +422,5 @@ pub unsafe fn staggered_bwd_row_r<const R: usize>(
     }
     for jj in j..n {
         out[jj] = kernels::staggered_diff_bwd_r::<R>(u, i0 + jj, s, w);
-    }
-}
-
-/// Staggered forward derivative, dynamic radius (twin of
-/// [`crate::simd::staggered_pencil_fwd`]).
-///
-/// # Safety
-/// The host CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn staggered_fwd_row(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    for k in 0..w.len() {
-        check_window(u, i0 + (k + 1) * s, n);
-        check_window(u, i0 - k * s, n);
-    }
-    let p = u.as_ptr();
-    let mut j = 0;
-    while j + LANE <= n {
-        let mut acc = _mm256_setzero_ps();
-        for (k, &wk) in w.iter().enumerate() {
-            let diff = _mm256_sub_ps(
-                _mm256_loadu_ps(p.add(i0 + (k + 1) * s + j)),
-                _mm256_loadu_ps(p.add(i0 - k * s + j)),
-            );
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wk), diff));
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-        j += LANE;
-    }
-    for jj in j..n {
-        out[jj] = kernels::staggered_diff_fwd(u, i0 + jj, s, w);
-    }
-}
-
-/// Staggered backward derivative, dynamic radius (twin of
-/// [`crate::simd::staggered_pencil_bwd`]).
-///
-/// # Safety
-/// The host CPU must support AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn staggered_bwd_row(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    for k in 0..w.len() {
-        check_window(u, i0 + k * s, n);
-        check_window(u, i0 - (k + 1) * s, n);
-    }
-    let p = u.as_ptr();
-    let mut j = 0;
-    while j + LANE <= n {
-        let mut acc = _mm256_setzero_ps();
-        for (k, &wk) in w.iter().enumerate() {
-            let diff = _mm256_sub_ps(
-                _mm256_loadu_ps(p.add(i0 + k * s + j)),
-                _mm256_loadu_ps(p.add(i0 - (k + 1) * s + j)),
-            );
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wk), diff));
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-        j += LANE;
-    }
-    for jj in j..n {
-        out[jj] = kernels::staggered_diff_bwd(u, i0 + jj, s, w);
     }
 }

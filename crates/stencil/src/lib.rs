@@ -20,11 +20,14 @@
 //! factors at construction time, keeping the hot loop multiply–add only.
 //!
 //! Three interchangeable row-granularity implementations of these kernels —
-//! per-point [`backend::Scalar`], autovectorizer-shaped [`backend::Portable`]
-//! ([`simd`]) and explicit-intrinsics [`backend::Avx2`] ([`avx2`]) — sit
-//! behind the [`backend::KernelBackend`] trait, selected at runtime by the
-//! [`backend`] dispatcher (CPU feature detection, `TEMPEST_KERNEL`
-//! override). All are bitwise-identical by contract.
+//! per-point `Scalar` ([`kernels`]), autovectorizer-shaped `Portable`
+//! ([`simd`]) and explicit-intrinsics `Avx2` ([`avx2`]) — are the variants of
+//! the [`backend::Backend`] enum: each row kernel is one method with one
+//! `match` arm per variant, selected at runtime by the [`backend`] dispatcher
+//! (CPU feature detection, `TEMPEST_KERNEL` override). All are
+//! bitwise-identical by contract. Every row kernel has a compile-time-radius
+//! form; only the Laplacian also has a dynamic-radius one (acoustic at space
+//! orders without a monomorphised kernel).
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
@@ -35,7 +38,7 @@ pub mod kernels;
 pub mod metrics;
 pub mod simd;
 
-pub use backend::{Backend, BackendCaps, KernelBackend};
+pub use backend::{Backend, BackendCaps};
 pub use coeffs::{central_coeffs, fornberg_weights, staggered_coeffs};
 pub use descriptor::StencilDescriptor;
 pub use kernels::AxisWeights;

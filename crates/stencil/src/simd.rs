@@ -1,12 +1,11 @@
 //! Pencil-granularity SIMD kernels: explicit fixed-width lanes over whole
 //! contiguous `z`-rows.
 //!
-//! These kernels are the [`crate::backend::Portable`] backend — one of the
-//! three runtime-selectable [`crate::backend::KernelBackend`]
-//! implementations (per-point `Scalar`, this module, and the explicit
-//! AVX2-intrinsics [`crate::avx2`] module). Backend selection order and the
-//! `--kernel` > `TEMPEST_KERNEL` > detected-best override precedence are
-//! documented in [`crate::backend`].
+//! These kernels are the `Portable` arm of every [`crate::backend::Backend`]
+//! row method — one of three runtime-selectable implementations (per-point
+//! `Scalar`, this module, and the explicit AVX2-intrinsics [`crate::avx2`]
+//! module). Backend selection order and the `--kernel` > `TEMPEST_KERNEL` >
+//! detected-best override precedence are documented in [`crate::backend`].
 //!
 //! The per-point kernels in [`crate::kernels`] are correct but ask a lot of
 //! the compiler: every call re-proves slice bounds for `2·r·3 + 1` indexed
@@ -24,8 +23,8 @@
 //!    carries no per-point checks at all.
 //! 2. **Vectorizer-friendly row loops.** With the windows hoisted, each
 //!    kernel body is a single pass over `j` (compile-time radius) or one
-//!    pass per stencil offset (dynamic radius) whose iterations are
-//!    independent — the exact shape LLVM's loop vectorizer compiles to
+//!    pass per stencil offset (the dynamic-radius Laplacian) whose iterations
+//!    are independent — the exact shape LLVM's loop vectorizer compiles to
 //!    [`LANE`]-wide vector loads, multiplies and adds. This beats hand-rolled
 //!    lane values on stable Rust: an explicit `[f32; W]` dataflow gets
 //!    scalarized by SROA and only partially re-vectorized by SLP (measured
@@ -50,8 +49,6 @@
 //! `LevelRing::new_lane_aligned`) give every pencil the same lane phase,
 //! which keeps the vector body/epilogue split uniform across rows and lets
 //! aligned loads hit full cache lines.
-
-use crate::kernels::AxisWeights;
 
 /// The lane width the pencil kernels are laid out for: 8 × f32 = 256 bits
 /// (one AVX2 register; on narrower targets LLVM splits it into two 128-bit
@@ -142,7 +139,7 @@ fn window(u: &[f32], start: usize, n: usize) -> &[f32] {
     &u[start..start + n]
 }
 
-/// One accumulation pass of a multipass (dynamic-radius) kernel:
+/// One accumulation pass of the multipass (dynamic-radius) Laplacian:
 /// `out[j] += wk * (p[j] + m[j])` over the whole row — the same term, in the
 /// same chain position, the scalar kernel adds for this offset pair.
 #[inline(always)]
@@ -152,30 +149,9 @@ fn axpy_sum(out: &mut [f32], wk: f32, p: &[f32], m: &[f32]) {
     }
 }
 
-/// As [`axpy_sum`] but with a difference: `out[j] += wk * (p[j] - m[j])`.
-#[inline(always)]
-fn axpy_diff(out: &mut [f32], wk: f32, p: &[f32], m: &[f32]) {
-    for ((o, &pv), &mv) in out.iter_mut().zip(p).zip(m) {
-        *o += wk * (pv - mv);
-    }
-}
-
-/// Second derivative along one axis for a whole pencil: `out[j]` receives
-/// the value of [`second_diff_axis`](crate::kernels::second_diff_axis) at
-/// linear index `i0 + j` (stride `s`, dynamic radius).
-pub fn second_diff_pencil(u: &[f32], i0: usize, s: usize, w: &AxisWeights, out: &mut [f32]) {
-    let n = out.len();
-    let c = window(u, i0, n);
-    for (o, &cv) in out.iter_mut().zip(c) {
-        *o = w.center * cv;
-    }
-    for (k, &wk) in w.side.iter().enumerate() {
-        let o = (k + 1) * s;
-        axpy_sum(out, wk, window(u, i0 + o, n), window(u, i0 - o, n));
-    }
-}
-
-/// [`second_diff_pencil`] with compile-time radius (fully unrolled weights).
+/// Second derivative along one axis for a whole pencil, compile-time radius:
+/// `out[j]` receives [`second_diff_axis_r`](crate::kernels::second_diff_axis_r)
+/// at linear index `i0 + j` (stride `s`).
 pub fn second_diff_pencil_r<const R: usize>(
     u: &[f32],
     i0: usize,
@@ -272,17 +248,9 @@ pub fn laplacian_pencil(
 }
 
 /// Centred first derivative for a whole pencil (antisymmetric weights,
-/// dynamic radius; mirror of [`first_diff_axis`]).
-pub fn first_diff_pencil(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    out.fill(0.0);
-    for (k, &wk) in w.iter().enumerate() {
-        let o = (k + 1) * s;
-        axpy_diff(out, wk, window(u, i0 + o, n), window(u, i0 - o, n));
-    }
-}
-
-/// [`first_diff_pencil`] with compile-time radius: one pass over the row.
+/// compile-time radius; mirror of
+/// [`first_diff_axis_r`](crate::kernels::first_diff_axis_r)): one pass over
+/// the row.
 pub fn first_diff_pencil_r<const R: usize>(
     u: &[f32],
     i0: usize,
@@ -349,26 +317,8 @@ pub fn cross_diff_pencil_r<const R: usize>(
 }
 
 /// Staggered forward first derivative (at `i + ½`) for a whole pencil,
-/// dynamic radius (mirror of [`staggered_diff_fwd`]).
-pub fn staggered_pencil_fwd(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    out.fill(0.0);
-    for (k, &wk) in w.iter().enumerate() {
-        axpy_diff(out, wk, window(u, i0 + (k + 1) * s, n), window(u, i0 - k * s, n));
-    }
-}
-
-/// Staggered backward first derivative (at `i − ½`) for a whole pencil,
-/// dynamic radius (mirror of [`staggered_diff_bwd`]).
-pub fn staggered_pencil_bwd(u: &[f32], i0: usize, s: usize, w: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    out.fill(0.0);
-    for (k, &wk) in w.iter().enumerate() {
-        axpy_diff(out, wk, window(u, i0 + k * s, n), window(u, i0 - (k + 1) * s, n));
-    }
-}
-
-/// [`staggered_pencil_fwd`] with compile-time radius.
+/// compile-time radius (mirror of
+/// [`staggered_diff_fwd_r`](crate::kernels::staggered_diff_fwd_r)).
 pub fn staggered_pencil_fwd_r<const R: usize>(
     u: &[f32],
     i0: usize,
@@ -390,7 +340,9 @@ pub fn staggered_pencil_fwd_r<const R: usize>(
     }
 }
 
-/// [`staggered_pencil_bwd`] with compile-time radius.
+/// Staggered backward first derivative (at `i − ½`) for a whole pencil,
+/// compile-time radius (mirror of
+/// [`staggered_diff_bwd_r`](crate::kernels::staggered_diff_bwd_r)).
 pub fn staggered_pencil_bwd_r<const R: usize>(
     u: &[f32],
     i0: usize,
@@ -417,7 +369,7 @@ mod tests {
     use super::*;
     use crate::kernels::{
         cross_diff, first_derivative_weights, first_diff_axis, laplacian_at, laplacian_at_r,
-        second_diff_axis, staggered_diff_bwd, staggered_diff_fwd, staggered_weights,
+        second_diff_axis, staggered_diff_bwd, staggered_diff_fwd, staggered_weights, AxisWeights,
     };
     use tempest_grid::Rng64;
 
@@ -444,6 +396,10 @@ mod tests {
         ];
         cases.retain(|&(z0, n)| z0 + n + r <= nz);
         cases
+    }
+
+    fn arr<const R: usize>(w: &[f32]) -> [f32; R] {
+        w.try_into().expect("radius mismatch")
     }
 
     #[test]
@@ -533,27 +489,21 @@ mod tests {
                 for &(z0, n) in &row_cases(nz, r) {
                     let i0 = (r * ny + r) * nz + z0;
                     let mut out = vec![0.0f32; n];
-                    second_diff_pencil(&u, i0, s, &w, &mut out);
-                    for (j, &v) in out.iter().enumerate() {
-                        let want = second_diff_axis(&u, i0 + j, s, &w);
-                        assert_eq!(v.to_bits(), want.to_bits(), "order {order} s {s} j {j}");
-                    }
-                    // Const-radius variant must agree too.
-                    let mut out_r = vec![0.0f32; n];
                     match r {
                         2 => second_diff_pencil_r::<2>(
-                            &u, i0, s, w.center, &w.side_array(), &mut out_r,
+                            &u, i0, s, w.center, &w.side_array(), &mut out,
                         ),
                         4 => second_diff_pencil_r::<4>(
-                            &u, i0, s, w.center, &w.side_array(), &mut out_r,
+                            &u, i0, s, w.center, &w.side_array(), &mut out,
                         ),
                         6 => second_diff_pencil_r::<6>(
-                            &u, i0, s, w.center, &w.side_array(), &mut out_r,
+                            &u, i0, s, w.center, &w.side_array(), &mut out,
                         ),
                         _ => unreachable!(),
                     }
-                    for (a, b) in out.iter().zip(&out_r) {
-                        assert_eq!(a.to_bits(), b.to_bits());
+                    for (j, &v) in out.iter().enumerate() {
+                        let want = second_diff_axis(&u, i0 + j, s, &w);
+                        assert_eq!(v.to_bits(), want.to_bits(), "order {order} s {s} j {j}");
                     }
                 }
             }
@@ -607,7 +557,12 @@ mod tests {
             for &(z0, n) in &row_cases(nz, r) {
                 let i0 = (r * ny + r) * nz + z0;
                 let mut out = vec![0.0f32; n];
-                first_diff_pencil(&u, i0, sx, &w, &mut out);
+                match r {
+                    2 => first_diff_pencil_r::<2>(&u, i0, sx, &arr(&w), &mut out),
+                    4 => first_diff_pencil_r::<4>(&u, i0, sx, &arr(&w), &mut out),
+                    6 => first_diff_pencil_r::<6>(&u, i0, sx, &arr(&w), &mut out),
+                    _ => unreachable!(),
+                }
                 for (j, &v) in out.iter().enumerate() {
                     assert_eq!(
                         v.to_bits(),
@@ -669,25 +624,18 @@ mod tests {
                 for s in [sx, sy, 1usize] {
                     let mut f = vec![0.0f32; n];
                     let mut b = vec![0.0f32; n];
-                    staggered_pencil_fwd(&u, i0, s, &w, &mut f);
-                    staggered_pencil_bwd(&u, i0, s, &w, &mut b);
-                    let mut f_r = vec![0.0f32; n];
-                    let mut b_r = vec![0.0f32; n];
                     match r {
                         2 => {
-                            let a: [f32; 2] = w.clone().try_into().unwrap();
-                            staggered_pencil_fwd_r::<2>(&u, i0, s, &a, &mut f_r);
-                            staggered_pencil_bwd_r::<2>(&u, i0, s, &a, &mut b_r);
+                            staggered_pencil_fwd_r::<2>(&u, i0, s, &arr(&w), &mut f);
+                            staggered_pencil_bwd_r::<2>(&u, i0, s, &arr(&w), &mut b);
                         }
                         4 => {
-                            let a: [f32; 4] = w.clone().try_into().unwrap();
-                            staggered_pencil_fwd_r::<4>(&u, i0, s, &a, &mut f_r);
-                            staggered_pencil_bwd_r::<4>(&u, i0, s, &a, &mut b_r);
+                            staggered_pencil_fwd_r::<4>(&u, i0, s, &arr(&w), &mut f);
+                            staggered_pencil_bwd_r::<4>(&u, i0, s, &arr(&w), &mut b);
                         }
                         6 => {
-                            let a: [f32; 6] = w.clone().try_into().unwrap();
-                            staggered_pencil_fwd_r::<6>(&u, i0, s, &a, &mut f_r);
-                            staggered_pencil_bwd_r::<6>(&u, i0, s, &a, &mut b_r);
+                            staggered_pencil_fwd_r::<6>(&u, i0, s, &arr(&w), &mut f);
+                            staggered_pencil_bwd_r::<6>(&u, i0, s, &arr(&w), &mut b);
                         }
                         _ => unreachable!(),
                     }
@@ -696,8 +644,6 @@ mod tests {
                         let wb = staggered_diff_bwd(&u, i0 + j, s, &w);
                         assert_eq!(vf.to_bits(), wf.to_bits(), "fwd order {order} s {s} j {j}");
                         assert_eq!(vb.to_bits(), wb.to_bits(), "bwd order {order} s {s} j {j}");
-                        assert_eq!(f_r[j].to_bits(), wf.to_bits());
-                        assert_eq!(b_r[j].to_bits(), wb.to_bits());
                     }
                 }
             }

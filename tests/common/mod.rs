@@ -25,7 +25,8 @@ pub fn solvers(so: usize, nt: usize, frac: f32, receivers: usize) -> Vec<Box<dyn
 /// Acoustic, TTI and elastic propagators on an `n`³ grid at space order
 /// `so` over `nt` steps: layered/anisotropic models, absorbing layers, one
 /// off-grid source near the centre (`frac` moves it sub-cell) and a
-/// `receivers`-long line.
+/// `receivers`-long line. At a space order other than 4, 8 or 12 only the
+/// acoustic propagator exists (its dynamic-radius Laplacian route).
 pub fn solvers_on(
     n: usize,
     so: usize,
@@ -51,6 +52,9 @@ pub fn solvers_on(
         src,
         rec,
     );
+    if !matches!(so, 4 | 8 | 12) {
+        return vec![Box::new(acoustic)];
+    }
     let (src, rec) = sparse(&d);
     let elastic = Elastic::new(
         &ElasticModel::homogeneous(d, 3000.0, 1400.0, 2300.0),

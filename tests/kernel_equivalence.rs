@@ -15,6 +15,7 @@ use tempest::core::operator::KernelPath;
 use tempest::core::Execution;
 use tempest::grid::Array3;
 use tempest::par::Policy;
+use tempest::stencil::Backend;
 
 const NT: usize = 10;
 
@@ -29,7 +30,8 @@ fn assert_bitwise(label: &str, scalar: &Array3<f32>, pencil: &Array3<f32>) {
 
 #[test]
 fn scalar_vs_pencil_bitwise_all_propagators_orders_and_schedules() {
-    for so in [4usize, 8, 12] {
+    // SO 10 (acoustic alone) takes the dynamic-radius Laplacian row.
+    for so in [4usize, 8, 10, 12] {
         for mut s in solvers(so, NT, 0.4, 4) {
             let mut execs = vec![("spaceblocked", Execution::baseline().sequential())];
             for (name, schedule) in blocked_schedules(s.radius(), s.phases()) {
@@ -57,19 +59,28 @@ fn scalar_vs_pencil_bitwise_all_propagators_orders_and_schedules() {
 #[test]
 fn parallel_pencil_matches_sequential_scalar_bitwise() {
     // The strongest cross-cutting claim: parallel wave-front execution on
-    // the pencil path reproduces the sequential space-blocked scalar
-    // baseline bit-for-bit.
-    for mut s in solvers(8, NT, 0.4, 0) {
-        s.run(&Execution::baseline().sequential().scalar_kernels());
-        let base = s.final_field();
-        let (_, schedule) = blocked_schedules(s.radius(), s.phases())[0];
-        let exec = Execution {
-            schedule,
-            policy: Policy::Parallel,
-            ..Execution::wavefront_default().with_kernel(KernelPath::Portable)
-        };
-        s.run(&exec);
-        let label = format!("{} parallel wavefront pencil vs scalar baseline", s.name());
-        assert_bitwise(&label, &base, &s.final_field());
+    // every vector backend reproduces the sequential space-blocked scalar
+    // baseline bit-for-bit — at SO 10 too, where the acoustic step body runs
+    // the dynamic-radius Laplacian row.
+    for so in [8usize, 10] {
+        for mut s in solvers(so, NT, 0.4, 0) {
+            s.run(&Execution::baseline().sequential().scalar_kernels());
+            let base = s.final_field();
+            let (_, schedule) = blocked_schedules(s.radius(), s.phases())[0];
+            for backend in Backend::ALL {
+                if backend == Backend::Scalar || !backend.available() {
+                    continue;
+                }
+                let exec = Execution {
+                    schedule,
+                    policy: Policy::Parallel,
+                    ..Execution::wavefront_default().with_kernel(KernelPath::from(backend))
+                };
+                s.run(&exec);
+                let label =
+                    format!("{} so={so} parallel wavefront {backend} vs scalar baseline", s.name());
+                assert_bitwise(&label, &base, &s.final_field());
+            }
+        }
     }
 }

@@ -13,6 +13,8 @@
 
 #![cfg(feature = "obs")]
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -24,6 +26,7 @@ use tempest::grid::{Domain, ElasticModel, Model, Rng64, Shape, TtiModel};
 use tempest::obs::{self, Counter, Phase};
 use tempest::par::{for_each, Policy, Progress};
 use tempest::sparse::SparsePoints;
+use tempest::stencil::Backend;
 
 const N: usize = 16;
 const NT: usize = 6;
@@ -253,6 +256,48 @@ fn elastic_counts_match_oracle_for_all_schedules() {
     for (label, schedule, sparse) in schedules() {
         check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
     }
+}
+
+#[test]
+fn fused_sparse_telemetry_is_uniform_across_propagators_and_modes() {
+    // The fused sparse scheme is one routine for all three propagators, so
+    // its telemetry cannot depend on which one runs: Listing 4 (`Fused`) and
+    // Listing 5 (`FusedCompressed`) visit the same affected points, every
+    // propagator's sparse work shows up as `Sparse` spans under a traced
+    // wave-front run, and the scalar kernel path counts no pencil rows.
+    let _g = guard();
+    obs::trace::set_enabled(true);
+    for mut s in common::solvers(4, NT, 0.37, 4) {
+        let oracle = fused_oracle(0, s.sources(), s.receivers(), NT as u64);
+        for sparse in [SparseMode::Fused, SparseMode::FusedCompressed] {
+            for kernel in [KernelPath::Scalar, KernelPath::default()] {
+                let what = format!("{} {sparse:?} {}", s.name(), kernel.label());
+                let exec = Execution {
+                    schedule: Schedule::WavefrontDataflow {
+                        tile_x: 8,
+                        tile_y: 8,
+                        tile_t: 3,
+                        block_x: 4,
+                        block_y: 4,
+                    },
+                    sparse,
+                    policy: Policy::Capped { threads: 2 },
+                    kernel,
+                };
+                let (_, p, trace, _) = s.run_traced(&exec);
+                assert_eq!(p.counter(Counter::SourceInjections), oracle.injections, "{what}");
+                assert_eq!(p.counter(Counter::ReceiverGathers), oracle.gathers, "{what}");
+                assert!(trace.count(obs::trace::SpanKind::Sparse) >= 1, "{what}: no sparse span");
+                let rows = p.counter(Counter::PencilRows);
+                if kernel.resolve() == Backend::Scalar {
+                    assert_eq!(rows, 0, "{what}: the scalar path runs no vector rows");
+                } else {
+                    assert!(rows > 0, "{what}: vector backends count their rows");
+                }
+            }
+        }
+    }
+    obs::trace::set_enabled(false);
 }
 
 #[test]

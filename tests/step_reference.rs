@@ -1,0 +1,467 @@
+//! Every propagator's step against an independent oracle, under every way
+//! of cutting the domain into regions.
+//!
+//! The production step bodies (`Acoustic::step_rows`, `Tti::step_rows`,
+//! `Elastic::{vel_rows, stress_rows}`) compute whole derivative rows into a
+//! per-worker scratch and combine them over slices; TTI additionally
+//! evaluates each mixed derivative as a composition of two first-derivative
+//! row passes through a row cache. The oracles here share none of that: per
+//! point, no rows, no scratch, no regions, they apply the per-point kernels
+//! of `tempest::stencil::kernels` directly — the Laplacian for acoustic,
+//! `∂xy = D_x(D_y u)`, `∂xz = D_z(D_x u)`, `∂yz = D_z(D_y u)` for TTI, the
+//! staggered forward/backward differences for elastic — to the solver's
+//! public coefficient volumes and ring levels. The production step must
+//! equal its oracle bit for bit on every backend (`Scalar` included), and
+//! must keep doing so however the same levels are stepped: whole domain, 1×1
+//! blocks, random `split_xy` shapes, z-sub-ranges, on any number of workers.
+//! Scratch indexing is the risky part: the grid is non-cubic so a transposed
+//! extent cannot cancel out, and small enough that at SO 12 every pencil's
+//! dilated window reaches into an x or y halo.
+
+use tempest::core::config::EquationKind;
+use tempest::core::operator::{KernelPath, SparseMode};
+use tempest::core::shared::LevelRing;
+use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
+use tempest::grid::{Domain, ElasticModel, Model, Range3, Rng64, Shape, TtiModel};
+use tempest::par::{for_each, Policy};
+use tempest::sparse::SparsePoints;
+use tempest::stencil::kernels::{
+    first_diff_axis_r, laplacian_at, laplacian_at_r, second_diff_axis_r, staggered_diff_bwd_r,
+    staggered_diff_fwd_r,
+};
+use tempest::stencil::Backend;
+
+/// The timestep under test: a leap-frog step reads levels `K` and `K + 1`
+/// and writes `K + 2`; the staggered phases read `K` (and the fresh
+/// velocities at `K + 1`) and write `K + 1`.
+const K: usize = 1;
+
+fn shape() -> Shape {
+    Shape::new(19, 13, 21)
+}
+
+fn domain() -> Domain {
+    Domain::uniform(shape(), 20.0)
+}
+
+fn config(so: usize, kind: EquationKind, vmax: f32) -> SimConfig {
+    SimConfig::new(domain(), so, kind, vmax, 40.0)
+        .with_nt(4)
+        .with_boundary(3, 0.3)
+}
+
+fn source() -> SparsePoints {
+    SparsePoints::single_center(&domain(), 0.4)
+}
+
+/// Seeded random wavefields in every level of every ring of `s`; the halos
+/// stay zero, as in a run.
+fn randomize(s: &dyn WaveSolver, seed: u64) {
+    let mut rng = Rng64::new(seed ^ 0x5EED);
+    for phase in 0..s.phases() {
+        for (ring, _) in s.written(phase) {
+            for level in 0..ring.num_levels() {
+                for x in 0..shape().nx {
+                    for y in 0..shape().ny {
+                        // SAFETY: nothing else touches the rings here.
+                        for v in unsafe { ring.pencil_mut(level, x, y) } {
+                            *v = rng.range_f32(-1.0, 1.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The interior of `ring` at `level`, densely indexed.
+fn interior(ring: &LevelRing, level: usize) -> Vec<f32> {
+    let s = shape();
+    let mut out = Vec::with_capacity(s.len());
+    // SAFETY: no step is in flight.
+    let lvl = unsafe { ring.level(level) };
+    for x in 0..s.nx {
+        for y in 0..s.ny {
+            let base = ring.idx(x, y, 0);
+            out.extend_from_slice(&lvl[base..base + s.nz]);
+        }
+    }
+    out
+}
+
+/// The interior of every level virtual step `vt` writes, as bits.
+fn written_bits(s: &dyn WaveSolver, vt: usize) -> Vec<u32> {
+    s.written(vt)
+        .into_iter()
+        .flat_map(|(ring, level)| interior(ring, level))
+        .map(f32::to_bits)
+        .collect()
+}
+
+/// Scribble over the written level so a skipped point cannot pass.
+fn spoil_written(s: &dyn WaveSolver, vt: usize) {
+    for (ring, level) in s.written(vt) {
+        for x in 0..shape().nx {
+            for y in 0..shape().ny {
+                // SAFETY: no step is in flight.
+                unsafe { ring.pencil_mut(level, x, y) }.fill(f32::NAN);
+            }
+        }
+    }
+}
+
+fn arr<const R: usize>(w: &[f32]) -> [f32; R] {
+    w.try_into().expect("radius mismatch")
+}
+
+/// One oracle value per written field per interior point, fields in
+/// `written(vt)` order: `point(i, c)` gets the ring index and the dense
+/// index of the point.
+fn per_point<const F: usize>(
+    ring: &LevelRing,
+    point: impl Fn(usize, usize) -> [f32; F],
+) -> Vec<u32> {
+    let s = shape();
+    let mut fields: [Vec<u32>; F] = std::array::from_fn(|_| Vec::with_capacity(s.len()));
+    for (x, y, z) in s.iter() {
+        let values = point(ring.idx(x, y, z), (x * s.ny + y) * s.nz + z);
+        for (field, v) in fields.iter_mut().zip(values) {
+            field.push(v.to_bits());
+        }
+    }
+    fields.concat()
+}
+
+/// Acoustic step `K`: `u⁺ = c1·u − c2·u⁻ + c3·Δu`. `R = 0` takes the
+/// dynamic-radius Laplacian (space orders without a monomorphised kernel).
+fn naive_acoustic<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+    let coeff = s.coefficients();
+    let [c1, c2, c3, wx, wy, wz] = [coeff[0], coeff[1], coeff[2], coeff[3], coeff[4], coeff[5]];
+    let center = coeff[6][0];
+    let ring = s.written(K)[0].0;
+    let (sx, sy) = (ring.sx(), ring.sy());
+    // SAFETY: no step is in flight.
+    let (u0, um) = unsafe { (ring.level(K + 1), ring.level(K)) };
+    per_point(ring, |i, c| {
+        let lap = if R == 0 {
+            laplacian_at(u0, i, sx, sy, center, wx, wy, wz)
+        } else {
+            laplacian_at_r::<R>(u0, i, sx, sy, center, &arr(wx), &arr(wy), &arr(wz))
+        };
+        [c1[c] * u0[i] - c2[c] * um[i] + c3[c] * lap]
+    })
+}
+
+/// `D_outer(D_inner u)` at `i`: the outer first derivative applied to
+/// per-point inner first derivatives.
+fn composed<const R: usize>(
+    u: &[f32],
+    i: usize,
+    (s_outer, w_outer): (usize, &[f32; R]),
+    (s_inner, w_inner): (usize, &[f32; R]),
+) -> f32 {
+    let mut acc = 0.0f32;
+    for (k, wk) in w_outer.iter().enumerate() {
+        let o = (k + 1) * s_outer;
+        acc += wk
+            * (first_diff_axis_r::<R>(u, i + o, s_inner, w_inner)
+                - first_diff_axis_r::<R>(u, i - o, s_inner, w_inner));
+    }
+    acc
+}
+
+/// TTI step `K` of the coupled `(p, q)` pair.
+fn naive_tti<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+    let coeff = s.coefficients();
+    let [c1, c2, c3, eps2, delta_bar] = [coeff[0], coeff[1], coeff[2], coeff[3], coeff[4]];
+    let g = &coeff[5..11];
+    let (cxx, wxx) = (coeff[11][0], arr::<R>(coeff[12]));
+    let (cyy, wyy) = (coeff[13][0], arr::<R>(coeff[14]));
+    let (czz, wzz) = (coeff[15][0], arr::<R>(coeff[16]));
+    let (w1x, w1y, w1z) = (
+        arr::<R>(coeff[17]),
+        arr::<R>(coeff[18]),
+        arr::<R>(coeff[19]),
+    );
+    let rings: Vec<&LevelRing> = s.written(K).into_iter().map(|(r, _)| r).collect();
+    let (sx, sy) = (rings[0].sx(), rings[0].sy());
+    // SAFETY: no step is in flight.
+    let [p0, pm, q0, qm] = unsafe {
+        [
+            rings[0].level(K + 1),
+            rings[0].level(K),
+            rings[1].level(K + 1),
+            rings[1].level(K),
+        ]
+    };
+    let second = |u: &[f32], i: usize| {
+        [
+            second_diff_axis_r::<R>(u, i, sx, cxx, &wxx),
+            second_diff_axis_r::<R>(u, i, sy, cyy, &wyy),
+            second_diff_axis_r::<R>(u, i, 1, czz, &wzz),
+            composed::<R>(u, i, (sx, &w1x), (sy, &w1y)),
+            composed::<R>(u, i, (1, &w1z), (sx, &w1x)),
+            composed::<R>(u, i, (1, &w1z), (sy, &w1y)),
+        ]
+    };
+    per_point(rings[0], |i, c| {
+        let [pxx, pyy, pzz, pxy, pxz, pyz] = second(p0, i);
+        let [qxx, qyy, qzz, qxy, qxz, qyz] = second(q0, i);
+        let gzz_p = g[0][c] * pxx
+            + g[1][c] * pyy
+            + g[2][c] * pzz
+            + g[3][c] * pxy
+            + g[4][c] * pxz
+            + g[5][c] * pyz;
+        let gzz_q = g[0][c] * qxx
+            + g[1][c] * qyy
+            + g[2][c] * qzz
+            + g[3][c] * qxy
+            + g[4][c] * qxz
+            + g[5][c] * qyz;
+        let gh_p = (pxx + pyy + pzz) - gzz_p;
+        let rhs_p = eps2[c] * gh_p + delta_bar[c] * gzz_q;
+        let rhs_q = delta_bar[c] * gh_p + gzz_q;
+        [
+            c1[c] * p0[i] - c2[c] * pm[i] + c3[c] * rhs_p,
+            c1[c] * q0[i] - c2[c] * qm[i] + c3[c] * rhs_q,
+        ]
+    })
+}
+
+/// The nine elastic rings in `[vx, vy, vz, txx, tyy, tzz, txy, txz, tyz]`
+/// order, and the staggered weights along x, y, z.
+fn elastic_parts<const R: usize>(s: &dyn WaveSolver) -> (Vec<&LevelRing>, [[f32; R]; 3]) {
+    let rings = [2 * K, 2 * K + 1]
+        .into_iter()
+        .flat_map(|vt| s.written(vt))
+        .map(|(ring, _)| ring)
+        .collect();
+    let coeff = s.coefficients();
+    (rings, [arr(coeff[4]), arr(coeff[5]), arr(coeff[6])])
+}
+
+/// Elastic velocity phase of timestep `K`:
+/// `v⁺ = (v + dt/ρ · ∇·τ) · (1−η)`, each component at its staggered
+/// position.
+fn naive_elastic_vel<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+    let coeff = s.coefficients();
+    let (dtb, fd) = (coeff[2], coeff[3]);
+    let (rings, [swx, swy, swz]) = elastic_parts::<R>(s);
+    let (sx, sy) = (rings[0].sx(), rings[0].sy());
+    // SAFETY: no step is in flight.
+    let [vx, vy, vz, txx, tyy, tzz, txy, txz, tyz] =
+        std::array::from_fn(|f| unsafe { rings[f].level(K) });
+    per_point(rings[0], |i, c| {
+        let dvx = staggered_diff_fwd_r::<R>(txx, i, sx, &swx)
+            + staggered_diff_bwd_r::<R>(txy, i, sy, &swy)
+            + staggered_diff_bwd_r::<R>(txz, i, 1, &swz);
+        let dvy = staggered_diff_bwd_r::<R>(txy, i, sx, &swx)
+            + staggered_diff_fwd_r::<R>(tyy, i, sy, &swy)
+            + staggered_diff_bwd_r::<R>(tyz, i, 1, &swz);
+        let dvz = staggered_diff_bwd_r::<R>(txz, i, sx, &swx)
+            + staggered_diff_bwd_r::<R>(tyz, i, sy, &swy)
+            + staggered_diff_fwd_r::<R>(tzz, i, 1, &swz);
+        [
+            (vx[i] + dtb[c] * dvx) * fd[c],
+            (vy[i] + dtb[c] * dvy) * fd[c],
+            (vz[i] + dtb[c] * dvz) * fd[c],
+        ]
+    })
+}
+
+/// Elastic stress phase of timestep `K`:
+/// `τ⁺ = (τ + dt·(λ tr(ε̇) I + 2μ ε̇)) · (1−η)`, strain rates from the
+/// velocities at level `K + 1`.
+fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+    let coeff = s.coefficients();
+    let (lam, mu, fd) = (coeff[0], coeff[1], coeff[3]);
+    let (rings, [swx, swy, swz]) = elastic_parts::<R>(s);
+    let (sx, sy) = (rings[0].sx(), rings[0].sy());
+    // SAFETY: no step is in flight.
+    let [vx, vy, vz] = std::array::from_fn(|f| unsafe { rings[f].level(K + 1) });
+    let [txx, tyy, tzz, txy, txz, tyz] = std::array::from_fn(|f| unsafe { rings[3 + f].level(K) });
+    per_point(rings[0], |i, c| {
+        let exx = staggered_diff_bwd_r::<R>(vx, i, sx, &swx);
+        let eyy = staggered_diff_bwd_r::<R>(vy, i, sy, &swy);
+        let ezz = staggered_diff_bwd_r::<R>(vz, i, 1, &swz);
+        let ldiv = lam[c] * (exx + eyy + ezz);
+        let mu2 = 2.0 * mu[c];
+        let exy =
+            staggered_diff_fwd_r::<R>(vx, i, sy, &swy) + staggered_diff_fwd_r::<R>(vy, i, sx, &swx);
+        let exz =
+            staggered_diff_fwd_r::<R>(vx, i, 1, &swz) + staggered_diff_fwd_r::<R>(vz, i, sx, &swx);
+        let eyz =
+            staggered_diff_fwd_r::<R>(vy, i, 1, &swz) + staggered_diff_fwd_r::<R>(vz, i, sy, &swy);
+        [
+            (txx[i] + ldiv + mu2 * exx) * fd[c],
+            (tyy[i] + ldiv + mu2 * eyy) * fd[c],
+            (tzz[i] + ldiv + mu2 * ezz) * fd[c],
+            (txy[i] + mu[c] * exy) * fd[c],
+            (txz[i] + mu[c] * exz) * fd[c],
+            (tyz[i] + mu[c] * eyz) * fd[c],
+        ]
+    })
+}
+
+/// One step under test: a propagator over a random medium with random
+/// wavefields, the virtual step to take, and what it must write.
+struct Case {
+    solver: Box<dyn WaveSolver>,
+    vt: usize,
+    want: Vec<u32>,
+}
+
+/// The cases of space order `so`: acoustic, TTI and both elastic phases at
+/// the orders all three support, acoustic alone (its dynamic-radius
+/// Laplacian) elsewhere.
+fn cases(so: usize) -> Vec<Case> {
+    let d = domain();
+    let seed = 11 + so as u64;
+    let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(
+        &Model::random(d, 1500.0, 4500.0, seed),
+        config(so, EquationKind::Acoustic, 4500.0),
+        source(),
+        None,
+    ));
+    randomize(&*acoustic, seed);
+    let want = match so / 2 {
+        2 => naive_acoustic::<2>(&*acoustic),
+        4 => naive_acoustic::<4>(&*acoustic),
+        6 => naive_acoustic::<6>(&*acoustic),
+        _ => naive_acoustic::<0>(&*acoustic),
+    };
+    let mut out = vec![Case {
+        solver: acoustic,
+        vt: K,
+        want,
+    }];
+    if !matches!(so, 4 | 8 | 12) {
+        return out;
+    }
+
+    // Every rotation coefficient of the random TTI medium is non-trivial.
+    let model = TtiModel::random(d, 1500.0, 4500.0, seed);
+    let tti: Box<dyn WaveSolver> = Box::new(Tti::new(
+        &model,
+        config(so, EquationKind::Tti, model.vmax()),
+        source(),
+        None,
+    ));
+    randomize(&*tti, seed);
+    let want = match so / 2 {
+        2 => naive_tti::<2>(&*tti),
+        4 => naive_tti::<4>(&*tti),
+        _ => naive_tti::<6>(&*tti),
+    };
+    out.push(Case {
+        solver: tti,
+        vt: K,
+        want,
+    });
+
+    for phase in 0..2 {
+        let elastic: Box<dyn WaveSolver> = Box::new(Elastic::new(
+            &ElasticModel::random(d, 1500.0, 4500.0, seed),
+            config(so, EquationKind::Elastic, 4500.0),
+            source(),
+            None,
+        ));
+        randomize(&*elastic, seed);
+        let naive = match (so / 2, phase) {
+            (2, 0) => naive_elastic_vel::<2>,
+            (4, 0) => naive_elastic_vel::<4>,
+            (_, 0) => naive_elastic_vel::<6>,
+            (2, _) => naive_elastic_stress::<2>,
+            (4, _) => naive_elastic_stress::<4>,
+            (_, _) => naive_elastic_stress::<6>,
+        };
+        let want = naive(&*elastic);
+        out.push(Case {
+            solver: elastic,
+            vt: 2 * K + phase,
+            want,
+        });
+    }
+    out
+}
+
+/// Cut `lo..hi` at seeded random points into parts of 1 to `max` cells.
+fn random_cuts(rng: &mut Rng64, lo: usize, hi: usize, max: usize) -> Vec<(usize, usize)> {
+    let mut cuts = Vec::new();
+    let mut a = lo;
+    while a < hi {
+        let b = (a + rng.range_usize(1, max + 1)).min(hi);
+        cuts.push((a, b));
+        a = b;
+    }
+    cuts
+}
+
+/// Ways of covering the domain exactly once with regions.
+fn decompositions(seed: u64) -> Vec<(String, Vec<Range3>)> {
+    let full = shape().full_range();
+    let mut out = vec![
+        ("whole domain".to_string(), vec![full]),
+        ("1x1 blocks".to_string(), full.split_xy(1, 1)),
+        ("8x8 blocks".to_string(), full.split_xy(8, 8)),
+    ];
+    let mut rng = Rng64::new(seed);
+    for _ in 0..3 {
+        let (bx, by) = (rng.range_usize(1, 12), rng.range_usize(1, 12));
+        out.push((format!("{bx}x{by} blocks"), full.split_xy(bx, by)));
+    }
+    // z-sub-ranges of ragged xy parts: rows shorter than a lane, unaligned
+    // row starts, and regions whose z-dilated rows end inside the z halo.
+    let mut ragged = Vec::new();
+    for &x in &random_cuts(&mut rng, 0, full.x1, 7) {
+        for &y in &random_cuts(&mut rng, 0, full.y1, 7) {
+            for &z in &random_cuts(&mut rng, 0, full.z1, 9) {
+                ragged.push(Range3::new(x, y, z));
+            }
+        }
+    }
+    out.push(("ragged xyz parts".to_string(), ragged));
+    out
+}
+
+fn backends() -> Vec<Backend> {
+    Backend::ALL.into_iter().filter(|b| b.available()).collect()
+}
+
+#[test]
+fn step_equals_the_naive_reference_under_every_decomposition() {
+    let policies = [
+        Policy::Sequential,
+        Policy::Parallel,
+        Policy::Capped { threads: 1 },
+        Policy::Capped { threads: 2 },
+        Policy::Capped { threads: 4 },
+    ];
+    for so in [4usize, 8, 10, 12] {
+        for Case { solver, vt, want } in cases(so) {
+            let s = &*solver;
+            for backend in backends() {
+                for (name, regions) in decompositions(so as u64) {
+                    let covered: usize = regions.iter().map(Range3::len).sum();
+                    assert_eq!(covered, shape().len(), "{name} must cover the domain once");
+                    for policy in policies {
+                        spoil_written(s, vt);
+                        for_each(policy, &regions, |r| {
+                            s.step_region(vt, r, SparseMode::Classic, KernelPath::from(backend));
+                        });
+                        let got = written_bits(s, vt);
+                        let diverged = got.iter().zip(&want).position(|(g, w)| g != w);
+                        assert_eq!(
+                            diverged,
+                            None,
+                            "{} vt {vt} so {so} {backend} {name} {policy:?}: first differing \
+                             value index",
+                            s.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

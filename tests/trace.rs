@@ -1,15 +1,18 @@
 //! Integration tests for event-level tile tracing (`tempest-obs::trace`).
 //!
-//! The acceptance case from DESIGN.md §11: a traced acoustic 64³×8 run under
-//! the wave-front plan must produce one `tile` span per executed
-//! space-time tile with correct `(diagonal, tx, ty)` arguments, drop nothing
-//! at the default ring capacity, and export Chrome trace-event JSON that
-//! parses back. The trace gate is independent of the profiling gate, and a
-//! build without `--features obs` (or with the runtime switch off) must
-//! record nothing.
+//! The acceptance case from DESIGN.md §11: a traced 64³×8 run of each
+//! propagator under the wave-front plan must produce one `tile` span per
+//! executed space-time tile with correct `(diagonal, tx, ty)` arguments, the
+//! stencil and sparse phases under them, drop nothing at the default ring
+//! capacity, and export Chrome trace-event JSON that parses back. The trace
+//! gate is independent of the profiling gate, and a build without
+//! `--features obs` (or with the runtime switch off) must record nothing.
 //!
 //! Rings are process-global, so every recording test serialises on a mutex
 //! and resets both telemetry layers before running.
+
+#[cfg(feature = "obs")]
+mod common;
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -87,25 +90,38 @@ fn assert_well_nested(trace: &obs::trace::Trace) {
 #[test]
 fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
     let _g = guard();
-    let mut s = acoustic64();
+    for mut s in common::solvers_on(N, 4, NT, 0.37, 4) {
+        traced_wavefront_run(&mut *s);
+    }
+    obs::trace::set_enabled(false);
+}
+
+/// The acceptance run for one propagator: every tile traced with its
+/// coordinates, the stencil and sparse phases under them, nothing dropped,
+/// and the export parses back.
+#[cfg(feature = "obs")]
+fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     let exec = Execution::wavefront_default();
     let (stats, profile, trace, meta) = s.run_traced(&exec);
+    let name = s.name();
     assert_eq!(stats.nt, NT);
     assert!(!profile.is_empty(), "profiling gate is on");
     assert!(!trace.is_empty(), "tracing gate is on");
 
     // Zero drops at the default ring capacity (DESIGN.md §11 sizing claim).
-    assert_eq!(trace.dropped, 0, "64³×8 must fit the default ring");
+    assert_eq!(trace.dropped, 0, "{name}: 64³×8 must fit the default ring");
     assert_eq!(trace.capacity, obs::trace::DEFAULT_CAPACITY);
 
     // One tile span per space-time tile of the schedule, each carrying its
-    // (diagonal, tx, ty, t0, t1) coordinates. Acoustic is single-phase with
-    // dependency radius space_order/2 = 2.
-    let spec = exec.wavefront_spec(2, 1);
+    // (diagonal, tx, ty, t0, t1) coordinates, in the propagator's own
+    // virtual steps and at its own dependency radius.
+    let spec = exec.wavefront_spec(s.radius(), s.phases());
     let mut expected = Vec::new();
-    tempest::tiling::wavefront::for_each_tile(Shape::cube(N), NT, &spec, |t| expected.push(*t));
+    tempest::tiling::wavefront::for_each_tile(Shape::cube(N), NT * s.phases(), &spec, |t| {
+        expected.push(*t)
+    });
     assert!(expected.len() > 1, "the case must actually tile");
-    assert_eq!(trace.count(SpanKind::Tile), expected.len());
+    assert_eq!(trace.count(SpanKind::Tile), expected.len(), "{name}");
     for t in &expected {
         let found = trace.events_of(SpanKind::Tile).any(|e| {
             e.args.diagonal == t.diagonal() as i32
@@ -123,8 +139,8 @@ fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
     // visible in the trace shape — and the propagator phases show up under
     // the tiles, even though tiles complete in a work-stealing order.
     assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
-    assert!(trace.count(SpanKind::Sparse) > 0, "sparse phases traced");
+    assert!(trace.count(SpanKind::Stencil) > 0, "{name}: stencil phases traced");
+    assert!(trace.count(SpanKind::Sparse) > 0, "{name}: sparse phases traced");
     assert_well_nested(&trace);
 
     // Export → parse back. The stem uses sanitized labels: separator runs
@@ -133,7 +149,7 @@ fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
     let path = trace.write_chrome_json_in(&dir, &meta).unwrap();
     assert_eq!(
         path.file_name().unwrap().to_str().unwrap(),
-        "acoustic-so4__wavefront-dflow_16x16_t8_8x8.trace.json"
+        format!("{name}-so4__wavefront-dflow_16x16_t8_8x8.trace.json")
     );
     let body = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -171,7 +187,6 @@ fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
     }
     assert_eq!(tiles_in_json, expected.len());
     assert_eq!(v.get("otherData").unwrap().get("dropped").unwrap().as_u64(), Some(0));
-    obs::trace::set_enabled(false);
 }
 
 #[cfg(feature = "obs")]
