@@ -14,7 +14,9 @@
 //! through the shared routines of [`crate::sources`].
 
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, Schedule, SparseMode, WaveSolver};
+use std::sync::{Arc, OnceLock};
+
+use crate::operator::{digest_values, Execution, KernelPath, Schedule, SparseMode, WaveSolver};
 use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -43,6 +45,9 @@ pub struct Acoustic {
     wz: Vec<f32>,
     center: f32,
     radius: usize,
+    /// [`WaveSolver::coefficient_digest`], filled on first use and shared
+    /// with every solver built from the same [`ShotAssets`].
+    digest: Arc<OnceLock<u64>>,
     src: SourceBundle,
     rec: Option<ReceiverBundle>,
     trace: Option<TraceBuffer>,
@@ -70,6 +75,9 @@ pub struct ShotAssets {
     /// Ricker samples at `cfg.f0` — one column of the per-shot wavelet
     /// matrix, shared so shots do not re-evaluate the transcendentals.
     ricker: Vec<f32>,
+    /// Digest of the coefficient volumes and weights above, computed by the
+    /// first cached solve that asks for it and never by an uncached one.
+    digest: Arc<OnceLock<u64>>,
 }
 
 impl ShotAssets {
@@ -113,6 +121,7 @@ impl ShotAssets {
             radius,
             rec,
             ricker,
+            digest: Arc::default(),
         }
     }
 
@@ -175,6 +184,7 @@ impl Acoustic {
             wz: assets.wz.clone(),
             center: assets.center,
             radius: assets.radius,
+            digest: Arc::clone(&assets.digest),
             src,
             rec,
             trace,
@@ -452,6 +462,12 @@ impl WaveSolver for Acoustic {
         ]
     }
 
+    fn coefficient_digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| digest_values(&self.coefficients()))
+    }
+
     fn sources(&self) -> &SourceBundle {
         &self.src
     }
@@ -558,6 +574,40 @@ mod tests {
         // And a plain run reproduces the same final state.
         a.run(&Execution::baseline().sequential());
         assert!(a.final_field().bit_equal(&final_field));
+    }
+
+    #[test]
+    fn coefficient_digest_is_shared_by_solvers_of_one_assets() {
+        let domain = Domain::uniform(Shape::cube(12), 10.0);
+        let model = Model::two_layer(domain, 1600.0, 2800.0, 0.5);
+        let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, 2800.0, 20.0)
+            .with_nt(4)
+            .with_boundary(2, 0.3);
+        let src = |frac| SparsePoints::single_center(&domain, frac);
+        let assets = ShotAssets::new(&model, cfg.clone(), None);
+        let a = Acoustic::from_assets(&assets, src(0.2));
+        let b = Acoustic::from_assets(&assets, src(0.7));
+        assert!(
+            assets.digest.get().is_none(),
+            "building solvers must not walk the volumes"
+        );
+        // The first solver asked fills the one cell all of them read.
+        let digest = a.coefficient_digest();
+        assert_eq!(assets.digest.get(), Some(&digest));
+        assert!(Arc::ptr_eq(&a.digest, &b.digest));
+        assert_eq!(b.coefficient_digest(), digest);
+        // It is the default walk, whichever constructor built the solver,
+        // and it tells models apart.
+        assert_eq!(digest, digest_values(&a.coefficients()));
+        let fresh = Acoustic::new(&model, cfg.clone(), src(0.2), None);
+        assert_eq!(fresh.coefficient_digest(), digest);
+        let other = Acoustic::new(
+            &Model::two_layer(domain, 1600.0, 2801.0, 0.5),
+            cfg,
+            src(0.2),
+            None,
+        );
+        assert_ne!(other.coefficient_digest(), digest);
     }
 
     #[test]

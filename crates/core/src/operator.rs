@@ -2,6 +2,8 @@
 //! path, how parallel — and the throughput statistics of a run (the
 //! GPoints/s metric of the paper's Fig. 9).
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::Hasher;
 use std::time::Duration;
 
 use crate::runpath::IncrementalReport;
@@ -425,6 +427,18 @@ impl RunStats {
     }
 }
 
+/// Digest of a list of value vectors, bit for bit and length-delimited.
+pub(crate) fn digest_values(volumes: &[&[f32]]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for values in volumes {
+        h.write_usize(values.len());
+        for &v in *values {
+            h.write_u32(v.to_bits());
+        }
+    }
+    h.finish()
+}
+
 /// Common interface of the three wave propagators.
 ///
 /// A propagator supplies its kernels and says where its wavefields live;
@@ -481,6 +495,14 @@ pub trait WaveSolver: Sync {
     /// for bit.
     fn coefficients(&self) -> Vec<&[f32]>;
 
+    /// Digest of [`coefficients`](Self::coefficients) — the model's share
+    /// of a tile-cache session key. Walking every value is the default;
+    /// a propagator whose volumes are shared between solvers may compute it
+    /// once for all of them.
+    fn coefficient_digest(&self) -> u64 {
+        digest_values(&self.coefficients())
+    }
+
     /// The source bundle.
     fn sources(&self) -> &SourceBundle;
 
@@ -497,8 +519,9 @@ pub trait WaveSolver: Sync {
 
     /// Run the simulation incrementally against `cache`: diff the sparse
     /// layout against the cache's last completed run of the same session,
-    /// mark the delta's causal cone over the tile plan, restore every clean
-    /// cached tile bit-for-bit and recompute only the rest. The result —
+    /// mark the delta's light cone over the tile plan, restore every clean
+    /// cached tile (its gathers always, its wavefield where something reads
+    /// it) and recompute only the rest. The result —
     /// wavefield *and* (per-thread-cap) traces — is bitwise-identical to a
     /// cold full run; only the work differs.
     ///

@@ -5,11 +5,16 @@
 //! goes to `spaceblock::execute` (the only place the classic sparse
 //! operators may run), every temporally blocked schedule becomes a
 //! [`TilePlan`] for `execute_plan`. A cached solve is the same plan sweep
-//! with a [`CacheStore`] attached: it diffs the sparse layout against the
-//! cache's last completed run of the session, restores the tiles outside
-//! the delta's causal cone, and captures every recomputed slab right after
-//! it was stepped — generic over the propagator through
-//! [`WaveSolver::written`] and [`WaveSolver::gathered`].
+//! with a [`CacheStore`] attached. The store is the sweep's inspector: before
+//! a tile runs it diffs the sparse layout against the cache's last completed
+//! run of the session, looks up every node outside the delta's light cone,
+//! and decides which of those must also be written back into the rings —
+//! the ones a recomputed node can still read, and the ones that hold the
+//! sweep's end state. During the sweep a restored node replays its receiver
+//! gathers from the payload and copies pencils only if so marked; every
+//! recomputed slab is captured right after it was stepped. All of it is
+//! generic over the propagator through [`WaveSolver::written`] and
+//! [`WaveSolver::gathered`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -19,6 +24,7 @@ use std::time::Instant;
 use crate::operator::{record_backend_run, Execution, RunStats, Schedule, SparseMode, WaveSolver};
 use crate::sources::FusedPencil;
 use tempest_grid::Range3;
+use tempest_obs as obs;
 use tempest_tiling::{
     dirty_cone, execute_plan, spaceblock, DirtyRect, SlabPayload, SourceSig, TileCache,
     TilePayload, TilePlan, TileStore,
@@ -39,6 +45,14 @@ pub struct IncrementalReport {
     pub reused: usize,
     /// Nodes recomputed.
     pub recomputed: usize,
+    /// Restored nodes whose payload was also copied into the rings (the
+    /// others only replayed their gathers); mirrors `TilesWrittenBack`.
+    pub written_back: usize,
+    /// Wavefield bytes the restored nodes stand for — stencil output served
+    /// from the cache instead of being stepped.
+    pub restored_bytes: usize,
+    /// Wavefield bytes the recomputed nodes stepped (and captured).
+    pub recomputed_bytes: usize,
     /// True when no completed prior run was available (or the cache is
     /// disabled) and everything ran from scratch.
     pub cold: bool,
@@ -91,6 +105,7 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
             radius,
         )),
     };
+    let (mut written_back, mut restored_bytes, mut recomputed_bytes) = (0, 0, 0);
     let (tally, cold) = match (&plan, cached) {
         (None, _) => {
             let classic = exec.sparse == SparseMode::Classic;
@@ -117,6 +132,7 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
             let store = CacheStore::begin(solver, plan, cache, exec.sparse, shot_key);
             let outcome = execute_plan(plan, exec.policy, step, Some(&store));
             let cold = store.cold;
+            (written_back, restored_bytes, recomputed_bytes) = store.work();
             store.finish();
             (Some(outcome), cold)
         }
@@ -128,6 +144,9 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
         total_tiles,
         reused,
         recomputed,
+        written_back,
+        restored_bytes,
+        recomputed_bytes,
         cold,
     }
 }
@@ -142,11 +161,17 @@ struct CacheStore<'a, S: WaveSolver + ?Sized> {
     session: u64,
     sigs: Vec<SourceSig>,
     receivers: u64,
+    /// xy bounding box of the receivers' footprints: a restored slab outside
+    /// it has no gather to replay.
+    receiver_rect: DirtyRect,
     /// Per-node digest of the sources intersecting the node's footprint.
     masks: Vec<u64>,
     /// The payload of every node outside the dirty cone the cache still
-    /// holds.
+    /// holds; the other nodes are computed.
     restores: Vec<Option<Arc<TilePayload>>>,
+    /// Restored nodes that also copy their payload into the rings: a
+    /// computed node may read it, or it is part of the sweep's end state.
+    write_back: Vec<bool>,
     /// Slabs captured so far per node being recomputed; inserted into the
     /// cache when the node's last slab arrives. Each node runs as one task,
     /// so the locks never contend.
@@ -157,7 +182,8 @@ struct CacheStore<'a, S: WaveSolver + ?Sized> {
 
 impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
     /// Open a run of the session: diff the sparse layout against the
-    /// cached run, mark the delta's cone, and look up every clean node.
+    /// cached run, mark the delta's cone, look up every clean node and
+    /// decide which of them a computed node or the end state will read.
     fn begin(
         solver: &'a S,
         plan: &'a TilePlan,
@@ -166,11 +192,11 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
         shot_key: u64,
     ) -> Self {
         let sigs = source_sigs(solver);
-        let receivers = receiver_digest(solver);
+        let (receivers, receiver_rect) = receiver_digest(solver);
         let session = session_key(solver, plan.geometry, sparse, shot_key);
         let masks = node_masks(plan, &sigs);
         let delta = cache.begin_run(session, &sigs, receivers);
-        let restores = match &delta {
+        let restores: Vec<_> = match &delta {
             Some(d) => dirty_cone(plan, &d.rects)
                 .iter()
                 .zip(&masks)
@@ -185,6 +211,7 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
                 .collect(),
             None => vec![None; plan.len()],
         };
+        let write_back = write_back_set(solver, plan, &restores);
         CacheStore {
             solver,
             plan,
@@ -193,8 +220,10 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
             session,
             sigs,
             receivers,
+            receiver_rect,
             masks,
             restores,
+            write_back,
             pending: (0..plan.len()).map(|_| Mutex::new(Vec::new())).collect(),
             cold: delta.is_none(),
         }
@@ -206,14 +235,28 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
             .finish_run(self.session, self.sigs, self.receivers);
     }
 
-    /// Write one cached slab back to the rings — bit-for-bit what its step
-    /// calls would have produced — then replay the slab's receiver gathers
-    /// against the *current* receiver bundle in the exact compute order
-    /// (blocks in `split_xy` order, x then y, ascending z): the step bodies'
-    /// own gather routine, reading the payload row instead of a freshly
-    /// stepped one. Counts `ReceiverGathers` like the fused path;
-    /// stencil/injection counters stay untouched — no such work happens.
-    fn restore_slab(&self, sp: &SlabPayload) {
+    /// `(written_back, restored_bytes, recomputed_bytes)` of the sweep: how
+    /// many restored nodes copy their payload into the rings, and the
+    /// wavefield bytes the restored and the computed nodes stand for.
+    fn work(&self) -> (usize, usize, usize) {
+        let fields: Vec<usize> = (0..self.solver.phases())
+            .map(|vt| self.solver.written(vt).len())
+            .collect();
+        let bytes_of = |restored: bool| -> usize {
+            let nodes = self.plan.slabs.iter().zip(&self.restores);
+            nodes
+                .filter(|(_, payload)| payload.is_some() == restored)
+                .flat_map(|(slabs, _)| slabs)
+                .map(|s| fields[s.vt % fields.len()] * s.range.len() * std::mem::size_of::<f32>())
+                .sum()
+        };
+        let written_back = self.write_back.iter().filter(|&&w| w).count();
+        (written_back, bytes_of(true), bytes_of(false))
+    }
+
+    /// Copy one cached slab into the rings — bit-for-bit what its step calls
+    /// would have left there.
+    fn write_slab(&self, sp: &SlabPayload) {
         let (vt, r) = (sp.slab.vt, sp.slab.range);
         for (field, (ring, level)) in self.solver.written(vt).into_iter().enumerate() {
             for x in r.x0..r.x1 {
@@ -225,10 +268,23 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
                 }
             }
         }
+    }
+
+    /// Replay one cached slab's receiver gathers against the *current*
+    /// receiver bundle in the exact compute order (blocks in `split_xy`
+    /// order, x then y, ascending z): the step bodies' own gather routine,
+    /// reading the payload row instead of a freshly stepped one. Counts
+    /// `ReceiverGathers` like the fused path; stencil/injection counters
+    /// stay untouched — no such work happens.
+    fn replay_gathers(&self, sp: &SlabPayload) {
+        let (vt, r) = (sp.slab.vt, sp.slab.range);
         let receivers = self.solver.receivers().zip(self.solver.trace_buffer());
         let (Some(field), Some(_)) = (self.solver.gathered(vt), receivers) else {
             return;
         };
+        if !self.receiver_rect.overlaps(&r) {
+            return;
+        }
         let k = vt / self.solver.phases();
         for b in r.split_xy(self.plan.block_x, self.plan.block_y) {
             for x in b.x0..b.x1 {
@@ -247,7 +303,13 @@ impl<S: WaveSolver + ?Sized> TileStore for CacheStore<'_, S> {
         let Some(payload) = self.restores[node].as_deref() else {
             return false;
         };
-        payload.slabs.iter().for_each(|sp| self.restore_slab(sp));
+        for sp in &payload.slabs {
+            if self.write_back[node] {
+                self.write_slab(sp);
+            }
+            self.replay_gathers(sp);
+        }
+        obs::add(obs::Counter::TilesWrittenBack, self.write_back[node] as u64);
         true
     }
 
@@ -283,6 +345,54 @@ impl<S: WaveSolver + ?Sized> TileStore for CacheStore<'_, S> {
                 .insert(self.session, node as u32, self.masks[node], payload);
         }
     }
+}
+
+/// Which restored nodes must copy their payload into the rings
+/// (`restores[i]` is `None` for a node that will be computed).
+///
+/// A value lives in its ring for `window = depth · phases` virtual steps —
+/// `depth` levels, one written per timestep — before its slot is reused, so
+/// a step at `vt` reads nothing written before `vt − (window − 1)`. Plan
+/// edges are the distance-1 flow dependences (the slab at `vt − 1` under the
+/// radius-dilated slab at `vt`), so the writer of a cell read `j` steps back
+/// is the reader or at most `j` predecessor hops from it: every cell a
+/// computed node reads was written by a computed node or by a restored one
+/// within `window − 1` hops. The restored nodes whose slabs fall in the
+/// sweep's last `window` steps hold the levels still in the rings when it
+/// ends — `final_field()` and the solver's end state. Nothing reads the rest.
+fn write_back_set<S: WaveSolver + ?Sized>(
+    solver: &S,
+    plan: &TilePlan,
+    restores: &[Option<Arc<TilePayload>>],
+) -> Vec<bool> {
+    let phases = solver.phases();
+    let depth = (0..phases)
+        .flat_map(|vt| solver.written(vt))
+        .map(|(ring, _)| ring.num_levels())
+        .max()
+        .expect("every step writes a ring");
+    let window = depth * phases;
+    let mut read: Vec<bool> = restores.iter().map(Option::is_none).collect();
+    let mut frontier: Vec<u32> = (0..plan.len() as u32)
+        .filter(|&i| read[i as usize])
+        .collect();
+    for _ in 1..window {
+        let mut next = Vec::new();
+        for &i in &frontier {
+            for &p in &plan.preds[i as usize] {
+                if !std::mem::replace(&mut read[p as usize], true) {
+                    next.push(p);
+                }
+            }
+        }
+        frontier = next;
+    }
+    (0..plan.len())
+        .map(|i| {
+            let live = || plan.slabs[i].iter().any(|s| s.vt + window >= plan.nvt);
+            restores[i].is_some() && (read[i] || live())
+        })
+        .collect()
 }
 
 /// Per-source change signatures: a digest of everything that shapes the
@@ -322,12 +432,14 @@ fn source_sigs<S: WaveSolver + ?Sized>(solver: &S) -> Vec<SourceSig> {
         .collect()
 }
 
-/// Digest of the receiver layout (positions + interpolation stencils).
-/// Tracked separately from the session key: receivers are read-only
-/// gathers, so a changed receiver set dirties zero stencil tiles —
-/// restored tiles replay their gathers against the *current* bundle.
-fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> u64 {
+/// Digest of the receiver layout (positions + interpolation stencils) and
+/// the xy bounding box of its footprints. Tracked separately from the
+/// session key: receivers are read-only gathers, so a changed receiver set
+/// dirties zero stencil tiles — restored tiles replay their gathers against
+/// the *current* bundle.
+fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> (u64, DirtyRect) {
     let mut h = DefaultHasher::new();
+    let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0usize, usize::MAX, 0usize);
     if let Some(rec) = solver.receivers() {
         h.write_u8(1);
         for c in rec.points.coords() {
@@ -341,15 +453,20 @@ fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> u64 {
                 h.write_usize(c[1]);
                 h.write_usize(c[2]);
                 h.write_u32(w.to_bits());
+                x0 = x0.min(c[0]);
+                x1 = x1.max(c[0] + 1);
+                y0 = y0.min(c[1]);
+                y1 = y1.max(c[1] + 1);
             }
         }
     }
-    h.finish()
+    (h.finish(), DirtyRect { x0, x1, y0, y1 })
 }
 
 /// Session key: everything that (besides the sparse layout tracked by the
 /// per-run delta) determines the wavefield bit-for-bit — the propagator,
-/// its coefficient volumes (model + damping + dt) and stencil weights, the
+/// the digest of its coefficient volumes (model + damping + dt) and stencil
+/// weights ([`WaveSolver::coefficient_digest`]), the
 /// schedule geometry and sparse path, plus the caller's shot identity. The
 /// kernel backend is deliberately *excluded*: every backend is
 /// bitwise-identical (the kernel-equivalence oracle), so cached tiles stay
@@ -364,12 +481,7 @@ fn session_key<S: WaveSolver + ?Sized>(
     h.write(solver.name().as_bytes());
     h.write_usize(solver.space_order());
     h.write_usize(solver.num_timesteps());
-    for values in solver.coefficients() {
-        h.write_usize(values.len());
-        for &v in values {
-            h.write_u32(v.to_bits());
-        }
-    }
+    h.write_u64(solver.coefficient_digest());
     h.write_u8(sparse as u8);
     h.write_u64(plan_geometry);
     h.write_u64(shot_key);
@@ -394,4 +506,140 @@ fn node_masks(plan: &TilePlan, sigs: &[SourceSig]) -> Vec<u64> {
             h.finish()
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{EquationKind, SimConfig};
+    use crate::operator::KernelPath;
+    use crate::{Acoustic, Elastic, ShotAssets, Tti};
+    use tempest_grid::{Domain, ElasticModel, Model, Shape, TtiModel};
+    use tempest_par::Policy;
+    use tempest_sparse::SparsePoints;
+
+    const N: usize = 28;
+
+    /// Acoustic, TTI and elastic over four sources: three fixed ones and one
+    /// near a corner, `nudge` cells along x from its first position.
+    fn solvers(nudge: f32) -> Vec<Box<dyn WaveSolver>> {
+        let d = Domain::uniform(Shape::cube(N), 10.0);
+        let cells = [
+            [3.2 + nudge, 3.4, 14.3],
+            [20.4, 6.6, 12.7],
+            [7.5, 21.3, 15.6],
+            [19.7, 20.2, 13.4],
+        ];
+        let src = SparsePoints::new(&d, cells.map(|c| c.map(|v| v * 10.0)).to_vec());
+        let rec = Some(SparsePoints::receiver_line(&d, 5, 0.2));
+        let cfg = |kind, vmax| {
+            SimConfig::new(d, 4, kind, vmax, 30.0)
+                .with_nt(8)
+                .with_f0(25.0)
+                .with_boundary(3, 0.3)
+        };
+        let tti = TtiModel::homogeneous(d, 2000.0, 0.2, 0.08, 0.4, 0.2);
+        vec![
+            Box::new(Acoustic::new(
+                &Model::two_layer(d, 1600.0, 2800.0, 0.5),
+                cfg(EquationKind::Acoustic, 2800.0),
+                src.clone(),
+                rec.clone(),
+            )),
+            Box::new(Tti::new(
+                &tti,
+                cfg(EquationKind::Tti, tti.vmax()),
+                src.clone(),
+                rec.clone(),
+            )),
+            Box::new(Elastic::new(
+                &ElasticModel::homogeneous(d, 3000.0, 1400.0, 2300.0),
+                cfg(EquationKind::Elastic, 3000.0),
+                src,
+                rec,
+            )),
+        ]
+    }
+
+    /// The physical oracle of the dirty cone: solve the problem cold with the
+    /// corner source at A and, independently, at B, each into a cache of its
+    /// own. Every node the cone of the A→B delta calls clean must hold the
+    /// same payload in both caches, bit for bit — nothing here consults the
+    /// cone's closed form, the plan's edges or a restore.
+    #[test]
+    fn nodes_the_cone_calls_clean_are_bit_identical_across_independent_cold_runs() {
+        // One node per (step, 4×4 block): the finest grain the cone is
+        // ever asked about.
+        let exec = Execution {
+            schedule: Schedule::SpaceBlocked {
+                block_x: 4,
+                block_y: 4,
+            },
+            sparse: SparseMode::FusedCompressed,
+            policy: Policy::Sequential,
+            kernel: KernelPath::default(),
+        };
+        for (mut a, mut b) in solvers(0.0).into_iter().zip(solvers(0.3)) {
+            let name = a.name();
+            let caches = [
+                TileCache::with_capacity_mb(64),
+                TileCache::with_capacity_mb(64),
+            ];
+            solve(&mut *a, &exec, Some((&caches[0], 0)));
+            solve(&mut *b, &exec, Some((&caches[1], 0)));
+
+            let nvt = a.num_timesteps() * a.phases();
+            let plan = TilePlan::spaceblocked(a.shape(), nvt, 4, 4, a.radius());
+            let key = session_key(&*a, plan.geometry, exec.sparse, 0);
+            assert_eq!(
+                key,
+                session_key(&*b, plan.geometry, exec.sparse, 0),
+                "{name}"
+            );
+            // The delta a rerun of B against A's session would see.
+            let (sigs_a, sigs_b) = (source_sigs(&*a), source_sigs(&*b));
+            let delta = caches[0]
+                .begin_run(key, &sigs_b, receiver_digest(&*b).0)
+                .expect("A's run completed");
+            let dirty = dirty_cone(&plan, &delta.rects);
+            let (masks_a, masks_b) = (node_masks(&plan, &sigs_a), node_masks(&plan, &sigs_b));
+
+            let (mut busy_clean, mut changed) = (0, 0);
+            for node in 0..plan.len() {
+                let pa = caches[0].lookup(key, node as u32, masks_a[node]);
+                let pb = caches[1].lookup(key, node as u32, masks_b[node]);
+                let (pa, pb) = (pa.expect("A captured it"), pb.expect("B captured it"));
+                let bits = |p: &TilePayload| -> Vec<u32> {
+                    p.slabs
+                        .iter()
+                        .flat_map(|s| s.data.iter().map(|v| v.to_bits()))
+                        .collect()
+                };
+                let same = bits(&pa) == bits(&pb);
+                if dirty[node] {
+                    changed += !same as usize;
+                } else {
+                    assert!(same, "{name}: clean node {node} differs between the runs");
+                    busy_clean += bits(&pa).iter().any(|&b| b << 1 != 0) as usize;
+                }
+            }
+            assert!(busy_clean > 0, "{name}: every clean node is all zeros");
+            assert!(changed > 0, "{name}: the nudge changed no dirty node");
+        }
+    }
+
+    /// The coefficient digest folds into the session key the same way
+    /// whichever constructor built the solver.
+    #[test]
+    fn session_key_is_the_same_through_shared_assets() {
+        let d = Domain::uniform(Shape::cube(12), 10.0);
+        let model = Model::two_layer(d, 1600.0, 2800.0, 0.5);
+        let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2800.0, 20.0).with_nt(4);
+        let src = SparsePoints::single_center(&d, 0.4);
+        let direct = Acoustic::new(&model, cfg.clone(), src.clone(), None);
+        let assets = ShotAssets::new(&model, cfg, None);
+        let shared = Acoustic::from_assets(&assets, src);
+        let key = |s: &Acoustic| session_key(s, 7, SparseMode::FusedCompressed, 3);
+        assert_eq!(key(&direct), key(&shared));
+    }
 }

@@ -77,6 +77,11 @@ pub mod trace;
 ///   always sum to the number of tiles the plan enumerates (the exact-count
 ///   oracle of `tests/incremental.rs`). `TilesReused` is deterministic for a
 ///   given cache state; a cold run records zero.
+/// * `TilesWrittenBack` — restored tile nodes whose payload was also copied
+///   into the wavefield rings, because a recomputed node within reading
+///   distance or the sweep's end state needs it (the rest only replayed
+///   their receiver gathers). At most `TilesReused`; a function of the plan
+///   and the delta, so deterministic across thread caps.
 /// * `CacheEvictions` — `TileCache` entries dropped to hold the
 ///   `TEMPEST_CACHE_MB` budget (LRU order). Depends on insertion order, so
 ///   not deterministic across thread caps.
@@ -101,11 +106,12 @@ pub enum Counter {
     BackendAvx2,
     TilesReused,
     TilesRecomputed,
+    TilesWrittenBack,
     CacheEvictions,
 }
 
 impl Counter {
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 20;
     pub const ALL: [Counter; Self::COUNT] = [
         Counter::StencilUpdates,
         Counter::SourceInjections,
@@ -125,6 +131,7 @@ impl Counter {
         Counter::BackendAvx2,
         Counter::TilesReused,
         Counter::TilesRecomputed,
+        Counter::TilesWrittenBack,
         Counter::CacheEvictions,
     ];
 
@@ -148,6 +155,7 @@ impl Counter {
             Counter::BackendAvx2 => "backend_avx2",
             Counter::TilesReused => "tiles_reused",
             Counter::TilesRecomputed => "tiles_recomputed",
+            Counter::TilesWrittenBack => "tiles_written_back",
             Counter::CacheEvictions => "cache_evictions",
         }
     }

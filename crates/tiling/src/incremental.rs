@@ -11,11 +11,14 @@
 //! Two pieces compose with the plan executor:
 //!
 //! * [`dirty_cone`] — given a [`RunDelta`] (the changed grid rectangles),
-//!   seeds every tile whose written footprint intersects a changed cell and
-//!   propagates dirtiness forward over the successor edges. A tile outside
-//!   the cone has bitwise-unchanged inputs *and* injections, so its output
-//!   is bitwise-unchanged — the invariant the property tests pin against a
-//!   brute-force transitive-closure oracle.
+//!   marks the delta's *domain of influence*: a change travels at most
+//!   `plan.radius` cells per virtual step, so a node is dirty iff one of its
+//!   slabs `(vt, range)` meets a changed rectangle dilated by `radius·vt`
+//!   cells. A node outside the cone reads no changed value and holds no
+//!   changed injection, so its output is bitwise-unchanged whatever its
+//!   predecessors in the graph did — the invariant the property tests pin
+//!   against a cell-level brute force, the graph closure it is a subset of,
+//!   and the payloads of two independent cold runs.
 //! * [`TileCache`] — a bounded, LRU-evicting store of per-tile outputs,
 //!   content-addressed by a session key (model + config + schedule
 //!   geometry), the tile id, and a digest of the sparse points intersecting
@@ -24,11 +27,13 @@
 //!
 //! A [`crate::TileStore`] over the cache (built in `tempest-core`, which
 //! knows the wavefield rings) plugs both into [`crate::execute_plan`]: each
-//! node either *restores* its cached output (a pencil-granularity ring
-//! write, no stencil work) or *computes* it exactly as a plain sweep would —
-//! same slabs, same `(block_x, block_y)` cuts, same step order — so a cold
-//! cached run is bitwise-identical to the plain run, and a warm run is
-//! bitwise-identical to a cold one while touching only the cone.
+//! node either *restores* its cached output (a gather replay from the
+//! payload, plus a pencil-granularity ring write where a computed node or
+//! the sweep's end state will read it — no stencil work) or *computes* it
+//! exactly as a plain sweep would — same slabs, same `(block_x, block_y)`
+//! cuts, same step order — so a cold cached run is bitwise-identical to the
+//! plain run, and a warm run is bitwise-identical to a cold one while
+//! touching only the cone.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,63 +115,35 @@ pub struct SourceSig {
 // Dirty cone
 // ---------------------------------------------------------------------------
 
-/// Mark every node inside the causal cone of `rects`: seeds are the nodes
-/// whose *written* footprint (any slab, any `vt` — sparse sources fire at
-/// every step) intersects a changed rectangle, and dirtiness propagates
-/// forward over the successor edges. Because the edges are the exact
-/// radius-dilated flow dependences, a node outside the cone neither contains
-/// a changed injection nor (transitively) reads a value produced by one —
-/// its output is bitwise-unchanged.
+/// Mark every node inside the domain of influence of `rects`. Sparse
+/// sources fire at every step, so each rect is changed at every `vt`; a step
+/// reads the radius-`r` box of the previous level (and its own cell further
+/// back), so the cells that can differ at `vt` are the rects dilated by
+/// `plan.radius · vt` in x and y. A node is dirty iff one of its slabs
+/// `(vt, range)` meets that set.
+///
+/// A clean node may well have a dirty predecessor (a wave-front tile depends
+/// on its upper-left neighbours of the same time row): the cells it reads
+/// from that predecessor are outside the dilated rects, hence unchanged.
 pub fn dirty_cone(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
-    let mut dirty = vec![false; plan.len()];
-    let mut queue: Vec<u32> = Vec::new();
-    for (i, slabs) in plan.slabs.iter().enumerate() {
-        if slabs
-            .iter()
-            .any(|s| rects.iter().any(|r| r.overlaps(&s.range)))
-        {
-            dirty[i] = true;
-            queue.push(i as u32);
-        }
-    }
-    while let Some(i) = queue.pop() {
-        for &s in &plan.succs[i as usize] {
-            if !dirty[s as usize] {
-                dirty[s as usize] = true;
-                queue.push(s);
-            }
-        }
-    }
-    dirty
-}
-
-/// Brute-force oracle for [`dirty_cone`]: same seed rule, then an O(n²)
-/// fixpoint over the *predecessor* lists ("dirty if any predecessor is
-/// dirty") instead of a forward traversal — an independently-derived
-/// transitive closure the property tests compare against.
-pub fn dirty_cone_oracle(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
-    let mut dirty: Vec<bool> = plan
-        .slabs
+    let rects: Vec<&DirtyRect> = rects.iter().filter(|r| !r.is_empty()).collect();
+    plan.slabs
         .iter()
         .map(|slabs| {
-            slabs
-                .iter()
-                .any(|s| rects.iter().any(|r| r.overlaps(&s.range)))
+            slabs.iter().any(|s| {
+                let reach = plan.radius * s.vt;
+                rects.iter().any(|r| {
+                    DirtyRect {
+                        x0: r.x0.saturating_sub(reach),
+                        x1: r.x1 + reach,
+                        y0: r.y0.saturating_sub(reach),
+                        y1: r.y1 + reach,
+                    }
+                    .overlaps(&s.range)
+                })
+            })
         })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..dirty.len() {
-            if !dirty[i] && plan.preds[i].iter().any(|&p| dirty[p as usize]) {
-                dirty[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    dirty
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -582,22 +559,29 @@ mod tests {
         }
     }
 
+    /// The closed form on a hand-checked case: a 2×2 rect at the origin of
+    /// a radius-2 plan reaches x, y < 2 + 2·vt.
     #[test]
-    fn cone_equals_oracle_on_sample_rects() {
+    fn cone_grows_by_the_radius_per_step() {
         let plan = wf_plan();
-        for rect in [
-            DirtyRect { x0: 0, x1: 2, y0: 0, y1: 2 },
-            DirtyRect { x0: 21, x1: 23, y0: 15, y1: 17 },
-            DirtyRect { x0: 10, x1: 12, y0: 5, y1: 7 },
-        ] {
-            assert_eq!(dirty_cone(&plan, &[rect]), dirty_cone_oracle(&plan, &[rect]));
+        let dirty = dirty_cone(&plan, &[DirtyRect { x0: 0, x1: 2, y0: 0, y1: 2 }]);
+        for (i, slabs) in plan.slabs.iter().enumerate() {
+            let reached = slabs.iter().any(|s| {
+                let edge = 2 + plan.radius * s.vt;
+                s.range.x0 < edge && s.range.y0 < edge
+            });
+            assert_eq!(dirty[i], reached, "node {i}: {slabs:?}");
         }
+        assert!(dirty.iter().any(|&d| d) && dirty.iter().any(|&d| !d));
     }
 
     #[test]
     fn empty_delta_dirties_nothing_full_rect_everything() {
         let plan = wf_plan();
         assert!(dirty_cone(&plan, &[]).iter().all(|&d| !d));
+        // An empty rect has no cell to dilate.
+        let empty = DirtyRect { x0: 5, x1: 5, y0: 0, y1: 17 };
+        assert!(dirty_cone(&plan, &[empty]).iter().all(|&d| !d));
         let all = DirtyRect { x0: 0, x1: 23, y0: 0, y1: 17 };
         assert!(dirty_cone(&plan, &[all]).iter().all(|&d| d));
     }

@@ -59,8 +59,8 @@ pub use autotune::{
 };
 pub use diamond::{DiamondAxis, DiamondSpec, DiamondTile};
 pub use incremental::{
-    cache_mb_from, dirty_cone, dirty_cone_oracle, CacheStats, DirtyRect, RunDelta, SlabPayload,
-    SourceSig, TileCache, TilePayload, DEFAULT_CACHE_MB,
+    cache_mb_from, dirty_cone, CacheStats, DirtyRect, RunDelta, SlabPayload, SourceSig, TileCache,
+    TilePayload, DEFAULT_CACHE_MB,
 };
 pub use plan::{execute_plan, IncrementalOutcome, TilePlan, TileStore};
 pub use spaceblock::SpaceBlockSpec;

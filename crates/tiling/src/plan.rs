@@ -54,6 +54,10 @@ pub struct TilePlan {
     pub block_y: usize,
     /// Virtual steps of the sweep.
     pub nvt: usize,
+    /// The stencil's dependency radius per virtual step the edges were built
+    /// from: how far a change travels in x and y per step (the dirty cone's
+    /// slope).
+    pub radius: usize,
     /// Digest of the schedule geometry (kind, spec, shape, nvt, radius) —
     /// folded into cache session keys so plans with different tilings never
     /// share entries.
@@ -73,6 +77,7 @@ impl TilePlan {
         labels: Vec<SpanArgs>,
         (block_x, block_y): (usize, usize),
         nvt: usize,
+        radius: usize,
         geometry: u64,
     ) -> Self {
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
@@ -89,6 +94,7 @@ impl TilePlan {
             block_x,
             block_y,
             nvt,
+            radius,
             geometry,
         }
     }
@@ -131,6 +137,7 @@ impl TilePlan {
             labels,
             (spec.block_x, spec.block_y),
             nvt,
+            radius,
             geometry,
         )
     }
@@ -173,6 +180,7 @@ impl TilePlan {
             labels,
             (spec.block_x, spec.block_y),
             nvt,
+            radius,
             geometry,
         )
     }
@@ -210,12 +218,16 @@ impl TilePlan {
 }
 
 /// The two hooks a per-tile result store adds to a plan sweep. Both run
-/// inside the node's own dataflow task, so downstream readers observe a
-/// restored node exactly as they would a computed one.
+/// inside the node's own dataflow task, ordered by the plan's edges like the
+/// step calls they stand in for. A restored node need not leave its whole
+/// output in the wavefield; the store's obligation is that every cell a
+/// computed node reads holds what a computed node would have left there
+/// (DESIGN.md §16, "what a restore writes").
 pub trait TileStore: Sync {
-    /// Try to write node `node`'s stored output into the wavefield (and
-    /// replay its read-only side effects, e.g. receiver gathers) instead of
-    /// computing it. `false` means the executor must compute the node.
+    /// Try to stand in for computing node `node`: replay its read-only side
+    /// effects (receiver gathers) and write as much of its stored output
+    /// into the wavefield as a later reader needs. `false` means the
+    /// executor must compute the node.
     fn restore(&self, node: usize) -> bool;
 
     /// Record what slab `slab` (an index into `plan.slabs[node]`) just

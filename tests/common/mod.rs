@@ -34,10 +34,23 @@ pub fn solvers_on(
     frac: f32,
     receivers: usize,
 ) -> Vec<Box<dyn WaveSolver>> {
+    let center = |d: &Domain| SparsePoints::single_center(d, frac);
+    solvers_with(n, so, nt, center, receivers)
+}
+
+/// [`solvers_on`] with the sources `sources` places on each propagator's
+/// domain (the three differ in grid spacing).
+pub fn solvers_with(
+    n: usize,
+    so: usize,
+    nt: usize,
+    sources: impl Fn(&Domain) -> SparsePoints,
+    receivers: usize,
+) -> Vec<Box<dyn WaveSolver>> {
     let domain = |spacing| Domain::uniform(Shape::cube(n), spacing);
     let sparse = |d: &Domain| {
         (
-            SparsePoints::single_center(d, frac),
+            sources(d),
             (receivers > 0).then(|| SparsePoints::receiver_line(d, receivers, 0.2)),
         )
     };

@@ -8,16 +8,23 @@
 //! within accumulation-order tolerance at higher caps — exactly the
 //! determinism contract the non-incremental schedules already satisfy.
 //!
-//! The cone pass itself is property-tested against a brute-force oracle
-//! (transitive closure of halo-overlap successors from the seed tiles) over
-//! wavefront, tile_t = 1 (spaceblocked) and diamond tile graphs.
+//! The cone is the delta's domain of influence — the changed rectangles
+//! dilated by `radius · vt` — and is property-tested over wavefront,
+//! tile_t = 1 (spaceblocked) and diamond tile graphs against a cell-level
+//! brute force and against the successor closure it must be a subset of
+//! (the third oracle, payload equality of two independent cold runs, needs
+//! the session keys and lives in `tempest-core`'s `runpath` unit tests).
+//!
+//! Every fixture but one has a single source, so every clean tile there is
+//! all zeros and a restore that wrote nothing back would pass; the busy-field
+//! fixture (six sources, one nudged) is what pins *what a restore writes*.
 //!
 //! The CI `incremental` job re-runs this suite under `TEMPEST_THREADS` of
 //! 1, 2 and 4; nothing here may depend on the pool size.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use common::{trace_bitwise, trace_close};
 use tempest::core::config::EquationKind;
@@ -29,9 +36,7 @@ use tempest::sparse::SparsePoints;
 use tempest::survey::{
     run_survey, JobSpec, JobState, ShotSpec, Survey, SurveyOptions, SurveyService,
 };
-use tempest::tiling::{
-    dirty_cone, dirty_cone_oracle, DiamondSpec, DirtyRect, TileCache, TilePlan, WavefrontSpec,
-};
+use tempest::tiling::{dirty_cone, DiamondSpec, DirtyRect, TileCache, TilePlan, WavefrontSpec};
 
 const N: usize = 32;
 const NT: usize = 6;
@@ -81,6 +86,15 @@ fn schedules() -> Vec<(&'static str, Schedule)> {
     ]
 }
 
+/// The obs counters are process-wide. The exact-count tests (`counters`,
+/// `--features obs`) hold this lock exclusively and every other test that
+/// runs a solve holds it shared, so none records into a counted window.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn solving() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(|e| e.into_inner())
+}
+
 fn exec(schedule: Schedule, policy: Policy) -> Execution {
     Execution {
         schedule,
@@ -109,10 +123,75 @@ impl Lcg {
     }
 }
 
-/// `dirty_cone` must equal the brute-force transitive closure over every
-/// plan family — wavefront parallelograms, the degenerate tile_t = 1
-/// (spaceblocked) plan, and the diamond (MWD) graph — for corner-touching,
-/// full-domain and random deltas alike.
+/// Cell-level brute force of the cone: the cells that can differ at `vt` are
+/// those within `radius` of a cell that could differ at `vt − 1`, plus the
+/// rects (sources fire at every step); a node is dirty iff one of its slabs
+/// holds such a cell.
+fn cone_by_cells(plan: &TilePlan, shape: Shape, rects: &[DirtyRect]) -> Vec<bool> {
+    let r = plan.radius;
+    let mut levels: Vec<Vec<bool>> = Vec::with_capacity(plan.nvt);
+    for vt in 0..plan.nvt {
+        let mut cells = vec![false; shape.nx * shape.ny];
+        if vt > 0 {
+            for x in 0..shape.nx {
+                for y in 0..shape.ny {
+                    if levels[vt - 1][x * shape.ny + y] {
+                        for nx in x.saturating_sub(r)..(x + r + 1).min(shape.nx) {
+                            for ny in y.saturating_sub(r)..(y + r + 1).min(shape.ny) {
+                                cells[nx * shape.ny + ny] = true;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for rect in rects {
+            for x in rect.x0..rect.x1 {
+                for y in rect.y0..rect.y1 {
+                    cells[x * shape.ny + y] = true;
+                }
+            }
+        }
+        levels.push(cells);
+    }
+    plan.slabs
+        .iter()
+        .map(|slabs| {
+            slabs.iter().any(|s| {
+                (s.range.x0..s.range.x1)
+                    .any(|x| (s.range.y0..s.range.y1).any(|y| levels[s.vt][x * shape.ny + y]))
+            })
+        })
+        .collect()
+}
+
+/// The graph closure the cone used to be: nodes whose slabs hold a changed
+/// cell, and every node reachable from them over the successor edges.
+fn successor_closure(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
+    let mut dirty: Vec<bool> = plan
+        .slabs
+        .iter()
+        .map(|slabs| {
+            slabs
+                .iter()
+                .any(|s| rects.iter().any(|r| r.overlaps(&s.range)))
+        })
+        .collect();
+    let mut queue: Vec<usize> = (0..plan.len()).filter(|&i| dirty[i]).collect();
+    while let Some(i) = queue.pop() {
+        for &s in &plan.succs[i] {
+            if !std::mem::replace(&mut dirty[s as usize], true) {
+                queue.push(s as usize);
+            }
+        }
+    }
+    dirty
+}
+
+/// `dirty_cone` must equal the cell-level brute force, and stay inside the
+/// successor closure, over every plan family — wavefront parallelograms, the
+/// degenerate tile_t = 1 (spaceblocked) plan, and the diamond (MWD) graph —
+/// for corner-touching, full-domain and random deltas alike.
 #[test]
 fn dirty_cone_matches_oracle_across_plans() {
     let shape = Shape::new(23, 17, 4);
@@ -169,13 +248,27 @@ fn dirty_cone_matches_oracle_across_plans() {
                     .collect(),
             );
         }
+        let mut narrower = 0;
         for rects in &cases {
+            let cone = dirty_cone(plan, rects);
             assert_eq!(
-                dirty_cone(plan, rects),
-                dirty_cone_oracle(plan, rects),
-                "{label}: cone disagrees with oracle for {rects:?}"
+                cone,
+                cone_by_cells(plan, shape, rects),
+                "{label}: cone disagrees with the cell-level oracle for {rects:?}"
             );
+            let closure = successor_closure(plan, rects);
+            for (i, (&c, &g)) in cone.iter().zip(&closure).enumerate() {
+                assert!(
+                    !c || g,
+                    "{label}: node {i} dirty outside the closure for {rects:?}"
+                );
+            }
+            narrower += (cone != closure) as usize;
         }
+        assert!(
+            narrower > 0,
+            "{label}: the cone never beat the graph closure"
+        );
     }
 }
 
@@ -213,6 +306,7 @@ fn problem(i: usize, frac: f32, receivers: usize) -> Box<dyn WaveSolver> {
 /// fewer tiles, with `reused + recomputed == total`.
 #[test]
 fn warm_rerun_is_bitwise_and_reuses_tiles() {
+    let _solving = solving();
     for (i, mut a) in problems(0.37).into_iter().enumerate() {
         for (label, schedule) in schedules() {
             for cap in [1usize, 2, 4] {
@@ -265,6 +359,7 @@ fn warm_rerun_is_bitwise_and_reuses_tiles() {
 /// set matches a cold run bitwise.
 #[test]
 fn receiver_only_delta_recomputes_nothing() {
+    let _solving = solving();
     for (i, mut a) in problems(0.37).into_iter().enumerate() {
         for (label, schedule) in schedules() {
             let what = format!("{} {label}", a.name());
@@ -291,6 +386,7 @@ fn receiver_only_delta_recomputes_nothing() {
 /// executor and the wavefield + trace are bitwise-identical to `run`.
 #[test]
 fn disabled_cache_is_bitwise_identical_to_plain_run() {
+    let _solving = solving();
     for (i, mut a) in problems(0.37).into_iter().enumerate() {
         for (label, schedule) in schedules() {
             let what = format!("{} {label}", a.name());
@@ -312,6 +408,182 @@ fn disabled_cache_is_bitwise_identical_to_plain_run() {
 }
 
 // ---------------------------------------------------------------------------
+// Busy field: clean tiles that are not all zeros
+// ---------------------------------------------------------------------------
+
+/// Acoustic, TTI and elastic on a 40³ grid over 12 steps with six sources —
+/// five fixed ones spread over the xy plane and one near a corner, `nudge`
+/// cells along x from its first position — and a 9-receiver line. The fixed
+/// sources fill the tiles outside the corner source's light cone with
+/// non-zero values, so what a restored tile leaves in the rings (or fails
+/// to) shows in every tile that reads it.
+fn busy_problems(nudge: f32) -> Vec<Box<dyn WaveSolver>> {
+    common::solvers_with(40, 4, 12, busy_sources(nudge), 9)
+}
+
+fn busy_sources(nudge: f32) -> impl Fn(&Domain) -> SparsePoints {
+    move |d| {
+        let (o, h) = (d.origin(), d.spacing());
+        let cells = [
+            [3.2 + nudge, 3.4, 20.3],
+            [9.4, 30.6, 18.7],
+            [20.5, 19.3, 21.6],
+            [31.7, 8.2, 19.4],
+            [30.3, 31.8, 22.1],
+            [14.6, 15.9, 12.8],
+        ];
+        let at = |c: [f32; 3]| [o[0] + c[0] * h[0], o[1] + c[1] * h[1], o[2] + c[2] * h[2]];
+        SparsePoints::new(d, cells.into_iter().map(at).collect())
+    }
+}
+
+/// The incremental schedules on 8×8 tiles, plus a wave-front tile taller
+/// than every ring is deep.
+fn busy_schedules() -> Vec<(&'static str, Schedule)> {
+    let wavefront = |tile_t| Schedule::WavefrontDataflow {
+        tile_x: 8,
+        tile_y: 8,
+        tile_t,
+        block_x: 4,
+        block_y: 4,
+    };
+    let mut all = schedules();
+    all[1] = ("wavefront t3", wavefront(3));
+    all.insert(2, ("wavefront t5", wavefront(5)));
+    all
+}
+
+/// Warm reruns on a busy field: nudge the corner source 0.3 cell, then move
+/// it back. Each rerun restores the tiles outside the nudge's light cone —
+/// tiles full of the other five sources' wavefield — and must leave the
+/// final field bit-equal to a cold run of the same problem (traces too when
+/// sequential). Fails if a restored tile a recomputed one reads is not
+/// written back (one successor hop is not enough), or if the cone is one
+/// cell too narrow. The cold fill runs the scalar kernels and the reruns the
+/// default backend: a cached payload stays valid across a backend switch.
+#[test]
+fn busy_field_reruns_are_bitwise_on_every_schedule() {
+    let _solving = solving();
+    const NUDGE: f32 = 0.3;
+    let fresh = |i: usize, nudge: f32| busy_problems(nudge).swap_remove(i);
+    for i in 0..3 {
+        for (label, schedule) in busy_schedules() {
+            for policy in [Policy::Sequential, Policy::Capped { threads: 2 }] {
+                let ex = exec(schedule, policy);
+                let cache = TileCache::with_capacity_mb(256);
+                let mut a = fresh(i, 0.0);
+                let what = format!("{} {label} {policy:?}", a.name());
+                let cold = a.run_incremental(&ex.scalar_kernels(), &cache, 0);
+                assert!(cold.cold && cold.reused == 0, "{what}");
+                let field = a.final_field();
+                let nonzero = field.as_slice().iter().filter(|v| **v != 0.0).count();
+                assert!(
+                    4 * nonzero > field.len(),
+                    "{what}: only {nonzero} of {} final values are non-zero",
+                    field.len()
+                );
+
+                for (step, nudge) in [("nudged", NUDGE), ("moved back", 0.0)] {
+                    let what = format!("{what} {step}");
+                    let mut b = fresh(i, nudge);
+                    let warm = b.run_incremental(&ex, &cache, 0);
+                    assert!(!warm.cold, "{what}");
+                    assert_eq!(warm.reused + warm.recomputed, warm.total_tiles, "{what}");
+                    assert!(
+                        0 < warm.reused && warm.reused < warm.total_tiles,
+                        "{what}: reused {} of {}",
+                        warm.reused,
+                        warm.total_tiles
+                    );
+                    assert!(warm.written_back <= warm.reused, "{what}");
+
+                    let mut c = fresh(i, nudge);
+                    c.run(&ex);
+                    assert!(
+                        b.final_field().bit_equal(&c.final_field()),
+                        "{what}: warm field differs from a cold run (max diff {})",
+                        b.final_field().max_abs_diff(&c.final_field())
+                    );
+                    let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
+                    if policy == Policy::Sequential {
+                        trace_bitwise(&tb, &tc, &what);
+                    } else {
+                        trace_close(&tb, &tc, 1e-4, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The tile plan `run_incremental` sweeps for `solver` under `schedule`.
+fn plan_of(solver: &dyn WaveSolver, schedule: Schedule) -> TilePlan {
+    let (shape, radius, phases) = (solver.shape(), solver.radius(), solver.phases());
+    let nvt = solver.num_timesteps() * phases;
+    let ex = exec(schedule, Policy::Sequential);
+    match schedule {
+        Schedule::SpaceBlocked { block_x, block_y } => {
+            TilePlan::spaceblocked(shape, nvt, block_x, block_y, radius)
+        }
+        Schedule::WavefrontDataflow { .. } => {
+            TilePlan::wavefront(shape, nvt, &ex.wavefront_spec(radius, phases), radius)
+        }
+        Schedule::Diamond { .. } => {
+            TilePlan::diamond(shape, nvt, &ex.diamond_spec(radius, phases), radius)
+        }
+    }
+}
+
+/// The report states the work avoided as data. A cold fill restores nothing.
+/// A receiver-only delta recomputes nothing, and writes back exactly the
+/// nodes holding one of the acoustic ring's three levels still live when the
+/// sweep ends — every other restore is a gather replay. A nudged source on
+/// the busy field writes back fewer nodes than it restores.
+#[test]
+fn report_counts_the_work_avoided() {
+    let _solving = solving();
+    let field_bytes = NT * N * N * N * std::mem::size_of::<f32>();
+    for (label, schedule) in schedules() {
+        let ex = exec(schedule, Policy::Sequential);
+        let cache = TileCache::with_capacity_mb(256);
+        let mut a = problem(0, 0.37, 4);
+        let cold = a.run_incremental(&ex, &cache, 0);
+        assert_eq!((cold.written_back, cold.restored_bytes), (0, 0), "{label}");
+        assert_eq!(cold.recomputed_bytes, field_bytes, "{label}");
+
+        let warm = problem(0, 0.37, 2).run_incremental(&ex, &cache, 0);
+        assert_eq!((warm.recomputed, warm.recomputed_bytes), (0, 0), "{label}");
+        assert_eq!(warm.restored_bytes, field_bytes, "{label}");
+        let live = plan_of(&*a, schedule)
+            .slabs
+            .iter()
+            .filter(|slabs| slabs.iter().any(|s| s.vt + 3 >= NT))
+            .count();
+        assert_eq!(warm.written_back, live, "{label}");
+        assert!(warm.written_back < warm.reused, "{label}");
+    }
+
+    let ex = exec(busy_schedules()[1].1, Policy::Sequential);
+    let cache = TileCache::with_capacity_mb(256);
+    busy_problems(0.0)
+        .swap_remove(0)
+        .run_incremental(&ex, &cache, 0);
+    let warm = busy_problems(0.3)
+        .swap_remove(0)
+        .run_incremental(&ex, &cache, 0);
+    assert!(
+        0 < warm.written_back && warm.written_back < warm.reused,
+        "busy: {} written back of {} reused",
+        warm.written_back,
+        warm.reused
+    );
+    assert_eq!(
+        warm.restored_bytes + warm.recomputed_bytes,
+        12 * 40 * 40 * 40 * std::mem::size_of::<f32>()
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Tiles taller than the ring is deep
 // ---------------------------------------------------------------------------
 
@@ -324,6 +596,7 @@ fn disabled_cache_is_bitwise_identical_to_plain_run() {
 /// identical resubmission (100 % reuse) and for a nudged shot.
 #[test]
 fn tall_tiles_replay_gathers_bitwise_through_the_survey_path() {
+    let _solving = solving();
     let d = Domain::uniform(Shape::cube(N), 10.0);
     let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2800.0, 50.0)
         .with_nt(16)
@@ -380,6 +653,7 @@ fn tall_tiles_replay_gathers_bitwise_through_the_survey_path() {
 /// cache, and both jobs' gathers are byte-identical.
 #[test]
 fn service_reuses_tiles_across_jobs() {
+    let _solving = solving();
     let svc = SurveyService::paused();
     let Some(cache) = svc.tile_cache().cloned() else {
         // TEMPEST_CACHE_MB=0 in the environment disables the service cache;
@@ -440,14 +714,13 @@ fn service_reuses_tiles_across_jobs() {
 #[cfg(feature = "obs")]
 mod counters {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::RwLockWriteGuard;
     use tempest::obs::{self, Counter};
 
-    /// Global-counter tests cannot overlap: the registry is process-wide.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn guard() -> MutexGuard<'static, ()> {
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    /// Global-counter tests cannot overlap each other or any other solve:
+    /// the registry is process-wide.
+    fn guard() -> RwLockWriteGuard<'static, ()> {
+        let g = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
         obs::set_enabled(true);
         obs::reset();
         g
@@ -477,7 +750,47 @@ mod counters {
                 warm.total_tiles as u64,
                 "{label}: counter sum must equal the enumerated tile count"
             );
+            assert_eq!(
+                p.counter(Counter::TilesWrittenBack),
+                warm.written_back as u64,
+                "{label}"
+            );
         }
+    }
+
+    /// `TilesWrittenBack` mirrors the report: zero on a cold fill, the live
+    /// nodes on a receiver-only delta, fewer than `TilesReused` after a
+    /// nudge on the busy field.
+    #[test]
+    fn written_back_counter_is_exact() {
+        let _g = guard();
+        let ex = exec(busy_schedules()[1].1, Policy::Sequential);
+        let cache = TileCache::with_capacity_mb(256);
+        let run = |nudge: f32, receivers: usize| {
+            obs::reset();
+            let mut s =
+                common::solvers_with(40, 4, 12, busy_sources(nudge), receivers).swap_remove(0);
+            (s.run_incremental(&ex, &cache, 0), obs::snapshot())
+        };
+        let (cold, p) = run(0.0, 9);
+        assert!(cold.cold);
+        assert_eq!(p.counter(Counter::TilesReused), 0);
+        assert_eq!(p.counter(Counter::TilesWrittenBack), 0);
+
+        let (receivers_only, p) = run(0.0, 5);
+        assert_eq!(p.counter(Counter::TilesRecomputed), 0);
+        assert_eq!(
+            p.counter(Counter::TilesWrittenBack),
+            receivers_only.written_back as u64
+        );
+        assert!(receivers_only.written_back > 0);
+
+        let (nudged, p) = run(0.3, 5);
+        assert_eq!(
+            p.counter(Counter::TilesWrittenBack),
+            nudged.written_back as u64
+        );
+        assert!(p.counter(Counter::TilesWrittenBack) < p.counter(Counter::TilesReused));
     }
 
     /// The disabled-cache fallback records none of the new counters.
@@ -490,6 +803,7 @@ mod counters {
         let p = obs::snapshot();
         assert_eq!(p.counter(Counter::TilesReused), 0);
         assert_eq!(p.counter(Counter::TilesRecomputed), 0);
+        assert_eq!(p.counter(Counter::TilesWrittenBack), 0);
         assert_eq!(p.counter(Counter::CacheEvictions), 0);
     }
 }
