@@ -13,9 +13,9 @@
 //! applied between timesteps) or fused per pencil (Listings 4–5) — both
 //! through the shared routines of [`crate::sources`].
 
-use crate::config::SimConfig;
 use std::sync::{Arc, OnceLock};
 
+use crate::config::SimConfig;
 use crate::operator::{digest_values, Execution, KernelPath, Schedule, SparseMode, WaveSolver};
 use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};

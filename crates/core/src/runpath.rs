@@ -25,6 +25,7 @@ use crate::operator::{record_backend_run, Execution, RunStats, Schedule, SparseM
 use crate::sources::FusedPencil;
 use tempest_grid::Range3;
 use tempest_obs as obs;
+use tempest_sparse::InterpStencil;
 use tempest_tiling::{
     dirty_cone, execute_plan, spaceblock, DirtyRect, SlabPayload, SourceSig, TileCache,
     TilePayload, TilePlan, TileStore,
@@ -192,7 +193,8 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
         shot_key: u64,
     ) -> Self {
         let sigs = source_sigs(solver);
-        let (receivers, receiver_rect) = receiver_digest(solver);
+        let receivers = receiver_digest(solver);
+        let receiver_rect = footprint_rect(solver.receivers().map_or(&[], |r| &r.stencils));
         let session = session_key(solver, plan.geometry, sparse, shot_key);
         let masks = node_masks(plan, &sigs);
         let delta = cache.begin_run(session, &sigs, receivers);
@@ -407,39 +409,43 @@ fn source_sigs<S: WaveSolver + ?Sized>(solver: &S) -> Vec<SourceSig> {
             for &c in &coords[s] {
                 h.write_u32(c.to_bits());
             }
-            let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0usize, usize::MAX, 0usize);
             for (c, w) in src.stencils[s].nonzero() {
                 h.write_usize(c[0]);
                 h.write_usize(c[1]);
                 h.write_usize(c[2]);
                 h.write_u32(w.to_bits());
-                x0 = x0.min(c[0]);
-                x1 = x1.max(c[0] + 1);
-                y0 = y0.min(c[1]);
-                y1 = y1.max(c[1] + 1);
             }
             for t in 0..src.wavelets.dims()[0] {
                 h.write_u32(src.wavelets.get(t, s).to_bits());
             }
-            if x0 == usize::MAX {
-                (x0, x1, y0, y1) = (0, 0, 0, 0);
-            }
             SourceSig {
                 digest: h.finish(),
-                rect: DirtyRect { x0, x1, y0, y1 },
+                rect: footprint_rect(std::slice::from_ref(&src.stencils[s])),
             }
         })
         .collect()
 }
 
-/// Digest of the receiver layout (positions + interpolation stencils) and
-/// the xy bounding box of its footprints. Tracked separately from the
-/// session key: receivers are read-only gathers, so a changed receiver set
-/// dirties zero stencil tiles — restored tiles replay their gathers against
-/// the *current* bundle.
-fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> (u64, DirtyRect) {
+/// xy bounding box of the non-zero footprint cells of `stencils` (the empty
+/// rect at the origin when there are none).
+fn footprint_rect(stencils: &[InterpStencil]) -> DirtyRect {
+    let cells = || stencils.iter().flat_map(|st| st.nonzero()).map(|(c, _)| c);
+    let lo = |a: usize| cells().map(|c| c[a]).min().unwrap_or(0);
+    let hi = |a: usize| cells().map(|c| c[a] + 1).max().unwrap_or(0);
+    DirtyRect {
+        x0: lo(0),
+        x1: hi(0),
+        y0: lo(1),
+        y1: hi(1),
+    }
+}
+
+/// Digest of the receiver layout (positions + interpolation stencils).
+/// Tracked separately from the session key: receivers are read-only
+/// gathers, so a changed receiver set dirties zero stencil tiles —
+/// restored tiles replay their gathers against the *current* bundle.
+fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> u64 {
     let mut h = DefaultHasher::new();
-    let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0usize, usize::MAX, 0usize);
     if let Some(rec) = solver.receivers() {
         h.write_u8(1);
         for c in rec.points.coords() {
@@ -453,14 +459,10 @@ fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> (u64, DirtyRect) {
                 h.write_usize(c[1]);
                 h.write_usize(c[2]);
                 h.write_u32(w.to_bits());
-                x0 = x0.min(c[0]);
-                x1 = x1.max(c[0] + 1);
-                y0 = y0.min(c[1]);
-                y1 = y1.max(c[1] + 1);
             }
         }
     }
-    (h.finish(), DirtyRect { x0, x1, y0, y1 })
+    h.finish()
 }
 
 /// Session key: everything that (besides the sparse layout tracked by the
@@ -599,7 +601,7 @@ mod tests {
             // The delta a rerun of B against A's session would see.
             let (sigs_a, sigs_b) = (source_sigs(&*a), source_sigs(&*b));
             let delta = caches[0]
-                .begin_run(key, &sigs_b, receiver_digest(&*b).0)
+                .begin_run(key, &sigs_b, receiver_digest(&*b))
                 .expect("A's run completed");
             let dirty = dirty_cone(&plan, &delta.rects);
             let (masks_a, masks_b) = (node_masks(&plan, &sigs_a), node_masks(&plan, &sigs_b));

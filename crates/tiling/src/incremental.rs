@@ -77,6 +77,16 @@ impl DirtyRect {
     pub fn is_empty(&self) -> bool {
         self.x0 >= self.x1 || self.y0 >= self.y1
     }
+
+    /// The rectangle grown by `by` cells on every side (clipped at 0).
+    fn dilated(&self, by: usize) -> DirtyRect {
+        DirtyRect {
+            x0: self.x0.saturating_sub(by),
+            x1: self.x1 + by,
+            y0: self.y0.saturating_sub(by),
+            y1: self.y1 + by,
+        }
+    }
 }
 
 /// What changed between two runs of the same session: the union of grid
@@ -132,15 +142,7 @@ pub fn dirty_cone(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
         .map(|slabs| {
             slabs.iter().any(|s| {
                 let reach = plan.radius * s.vt;
-                rects.iter().any(|r| {
-                    DirtyRect {
-                        x0: r.x0.saturating_sub(reach),
-                        x1: r.x1 + reach,
-                        y0: r.y0.saturating_sub(reach),
-                        y1: r.y1 + reach,
-                    }
-                    .overlaps(&s.range)
-                })
+                rects.iter().any(|r| r.dilated(reach).overlaps(&s.range))
             })
         })
         .collect()
