@@ -15,10 +15,18 @@
 //! Per-backend rows are merged into `results/BENCH_<host>.json` (keyed
 //! `microbench-so{so}/{kernel shape}/{backend}`) so the comparison is on
 //! record next to the tempest-report matrix.
+//!
+//! The `*_subnormal_*` rows sweep a volume filled with subnormal values —
+//! the leading edge of a point source's wavefield — once in the default
+//! floating-point mode (`gradual`: every load feeds a microcode assist) and
+//! once under `tempest_par::FlushGuard` (`flushed`: the mode every solve
+//! runs in). Their ratio is the per-row cost that flush mode removes;
+//! committed at `results/stencil_kernels_subnormal.txt`.
 
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config, Sample};
 use tempest_bench::perf_report::{host_name, BenchEntry, BenchReport};
+use tempest_par::FlushGuard;
 use tempest_stencil::kernels::{first_derivative_weights, staggered_weights, AxisWeights};
 use tempest_stencil::Backend;
 
@@ -30,6 +38,16 @@ fn grid() -> (Vec<f32>, usize, usize) {
         *v = ((i * 2_654_435_761) % 1000) as f32 * 1e-3 - 0.5;
     }
     (u, N * N, N)
+}
+
+/// The grid with every value subnormal (1.4e-45 … 1.2e-38, both signs).
+fn subnormal_grid() -> Vec<f32> {
+    (0..N * N * N)
+        .map(|i| {
+            let mantissa = 1 + (i * 2_654_435_761 % 0x7F_FFFE) as u32;
+            f32::from_bits(mantissa | ((i as u32 & 1) << 31))
+        })
+        .collect()
 }
 
 /// Interior extent, elements covered, and a scratch row for row calls.
@@ -78,20 +96,21 @@ fn report_speedups(name: &str, so: usize, rows: &[(Backend, Sample)]) {
 }
 
 fn bench_laplacian<const R: usize>(
+    shape: &str,
     cfg: Config,
     so: usize,
     u: &[f32],
     sx: usize,
     sy: usize,
     out_rows: &mut Vec<BenchEntry>,
-) {
+) -> Vec<(Backend, Sample)> {
     let w = AxisWeights::second_derivative(so, 10.0);
     let side: [f32; R] = w.side_array();
     let center = 3.0 * w.center;
     let (lo, hi, elems, mut out) = interior::<R>();
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("laplacian_{}/so{so}", b.name()), cfg, elems, || {
+        let s = microbench::run_elems(&format!("{shape}_{}/so{so}", b.name()), cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
                     let i0 = (x * N + y) * N + lo;
@@ -110,10 +129,11 @@ fn bench_laplacian<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry("laplacian", so, b, elems, &s));
+        out_rows.push(entry(shape, so, b, elems, &s));
         rows.push((b, s));
     }
-    report_speedups("laplacian", so, &rows);
+    report_speedups(shape, so, &rows);
+    rows
 }
 
 fn bench_cross<const R: usize>(
@@ -147,18 +167,19 @@ fn bench_cross<const R: usize>(
 /// The centred first-derivative row at stride `sy`: the pass that fills the
 /// TTI row cache, and the shape of every composed mixed-derivative pass.
 fn bench_first_diff<const R: usize>(
+    shape: &str,
     cfg: Config,
     so: usize,
     u: &[f32],
     sy: usize,
     out_rows: &mut Vec<BenchEntry>,
-) {
+) -> Vec<(Backend, Sample)> {
     let w = first_derivative_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
     let (lo, hi, elems, mut out) = interior::<R>();
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("first_diff_{}/so{so}", b.name()), cfg, elems, || {
+        let s = microbench::run_elems(&format!("{shape}_{}/so{so}", b.name()), cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
                     let i0 = (x * N + y) * N + lo;
@@ -167,10 +188,48 @@ fn bench_first_diff<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry("first_diff", so, b, elems, &s));
+        out_rows.push(entry(shape, so, b, elems, &s));
         rows.push((b, s));
     }
-    report_speedups("first_diff", so, &rows);
+    report_speedups(shape, so, &rows);
+    rows
+}
+
+/// The Laplacian and first-derivative rows over subnormal input, outside and
+/// inside flush mode, and what the mode saves per backend.
+fn bench_subnormal<const R: usize>(
+    cfg: Config,
+    so: usize,
+    tiny: &[f32],
+    sx: usize,
+    sy: usize,
+    out_rows: &mut Vec<BenchEntry>,
+) {
+    let sweep = |mode: &str, out_rows: &mut Vec<BenchEntry>| {
+        let lap = format!("laplacian_subnormal_{mode}");
+        let fd = format!("first_diff_subnormal_{mode}");
+        [
+            bench_laplacian::<R>(&lap, cfg, so, tiny, sx, sy, out_rows),
+            bench_first_diff::<R>(&fd, cfg, so, tiny, sy, out_rows),
+        ]
+    };
+    let gradual = sweep("gradual", out_rows);
+    let flushed = {
+        let _fp = FlushGuard::enter();
+        sweep("flushed", out_rows)
+    };
+    for (name, (g, f)) in ["laplacian", "first_diff"]
+        .iter()
+        .zip(gradual.iter().zip(&flushed))
+    {
+        for ((b, g), (_, f)) in g.iter().zip(f) {
+            let ratio = g.median.as_secs_f64() / f.median.as_secs_f64().max(1e-12);
+            println!(
+                "  {name}_subnormal/so{so}: {} flushed {ratio:.2}x over gradual",
+                b.name()
+            );
+        }
+    }
 }
 
 fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: &mut Vec<BenchEntry>) {
@@ -202,9 +261,9 @@ fn bench_order<const R: usize>(
     sy: usize,
     out_rows: &mut Vec<BenchEntry>,
 ) {
-    bench_laplacian::<R>(cfg, so, u, sx, sy, out_rows);
+    bench_laplacian::<R>("laplacian", cfg, so, u, sx, sy, out_rows);
     bench_cross::<R>(cfg, so, u, sx, sy, out_rows);
-    bench_first_diff::<R>(cfg, so, u, sy, out_rows);
+    bench_first_diff::<R>("first_diff", cfg, so, u, sy, out_rows);
     bench_staggered::<R>(cfg, so, u, out_rows);
 }
 
@@ -249,5 +308,8 @@ fn main() {
     bench_order::<2>(cfg, 4, &u, sx, sy, &mut rows);
     bench_order::<4>(cfg, 8, &u, sx, sy, &mut rows);
     bench_order::<6>(cfg, 12, &u, sx, sy, &mut rows);
+    let tiny = subnormal_grid();
+    bench_subnormal::<2>(cfg, 4, &tiny, sx, sy, &mut rows);
+    bench_subnormal::<4>(cfg, 8, &tiny, sx, sy, &mut rows);
     record_entries(rows);
 }

@@ -7,6 +7,7 @@ use crate::field::{Context, FieldHandle, FieldId, FieldKind};
 use crate::lower::{lower, LowExpr};
 use crate::solve::Update;
 use tempest_grid::{Array2, Array3, TimeBuffer};
+use tempest_par::FlushGuard;
 use tempest_sparse::interp::trilinear_all;
 use tempest_sparse::{InterpStencil, SparsePoints};
 
@@ -146,6 +147,7 @@ impl DslOperator {
     /// Execute all `nt` timesteps (Listing-1 structure: dense updates, then
     /// source injection, then receiver interpolation, per step).
     pub fn run(&mut self) {
+        let _fp = FlushGuard::enter();
         self.reset_state();
         let shape = self.ctx.domain().shape();
         for k in 0..self.nt {
@@ -290,6 +292,7 @@ impl DslOperator {
         use tempest_sparse::{ReceiverPrecompute, SourcePrecompute};
         use tempest_tiling::{TilePlan, WavefrontSpec};
 
+        let _fp = FlushGuard::enter();
         self.reset_state();
         let phases = self.updates.len();
         let skew = self

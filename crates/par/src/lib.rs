@@ -33,6 +33,11 @@
 //! from the opposite deque end when their own runs dry, so the only global
 //! synchronisation is one join at the end of the whole graph — no per-level
 //! barriers.
+//!
+//! This crate also owns the workspace's *floating-point environment*
+//! (DESIGN.md §17): pool workers flush subnormals for good, and every entry
+//! point holds a [`FlushGuard`] on the calling thread, so the items of one
+//! dispatch compute the same bits whichever thread claims them.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -93,6 +98,148 @@ pub fn available_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+// ---------------------------------------------------------------------------
+// The floating-point environment (DESIGN.md §17).
+// ---------------------------------------------------------------------------
+
+/// Per architecture: the bits of the floating-point control register that
+/// make subnormal operands read as zero and subnormal results flush to zero,
+/// and the one primitive that touches them.
+///
+/// `swap_flush_bits(bits)` replaces the flush bits of the calling thread's
+/// control register with `bits` (a subset of `FLUSH`) and returns the ones
+/// it held; rounding mode, exception masks and sticky flags are left as
+/// found, and the register is not written when nothing changes. It is
+/// `#[inline(never)]`: the mode switch is a call boundary, so the optimiser
+/// cannot move a caller's floating-point instruction across it.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod fp_control {
+    pub type Word = u32;
+    /// `MXCSR.FTZ` (bit 15) and `MXCSR.DAZ` (bit 6).
+    pub const FLUSH: Word = (1 << 15) | (1 << 6);
+
+    #[inline(never)]
+    pub fn swap_flush_bits(bits: Word) -> Word {
+        let mut csr: Word = 0;
+        // SAFETY: `stmxcsr`/`ldmxcsr` move four bytes between MXCSR and a
+        // live, aligned `u32` on this stack frame (SSE is part of the
+        // x86_64 baseline), and only the FTZ and DAZ bits of what was read
+        // are changed, so no exception becomes unmasked. What the
+        // instructions cannot promise is Rust's own assumption: the compiler
+        // takes every floating-point operation to run in the *default*
+        // environment, so where it evaluates one at compile time — constant
+        // operands — it computes the gradual-underflow result whatever the
+        // run-time mode. The step bodies and sparse operators that run in
+        // flush mode are data-dependent loops over wavefields, coefficient
+        // volumes and wavelets read from memory, none of it known at compile
+        // time, so the hardware computes every value the mode can affect;
+        // no value in them is NaN-boxed, compared for subnormality or
+        // otherwise relies on gradual underflow; and every oracle compares
+        // two runs made in the same mode. Code that needs gradual underflow
+        // must not run inside a `FlushGuard` or on a pool worker.
+        unsafe {
+            std::arch::asm!(
+                "stmxcsr [{p}]",
+                p = in(reg) &mut csr,
+                options(nostack, preserves_flags)
+            );
+            if csr & FLUSH != bits {
+                let new = (csr & !FLUSH) | bits;
+                std::arch::asm!("ldmxcsr [{p}]", p = in(reg) &new, options(nostack, readonly));
+            }
+        }
+        csr & FLUSH
+    }
+}
+#[cfg(all(target_arch = "aarch64", not(miri)))]
+mod fp_control {
+    pub type Word = u64;
+    /// `FPCR.FZ` (bit 24): flushes single- and double-precision operands and
+    /// results alike.
+    pub const FLUSH: Word = 1 << 24;
+
+    #[inline(never)]
+    pub fn swap_flush_bits(bits: Word) -> Word {
+        let fpcr: Word;
+        // SAFETY: as for x86_64 — FPCR is readable and writable at EL0, only
+        // its FZ bit is changed, and the same caveat about Rust's default
+        // environment applies.
+        unsafe {
+            std::arch::asm!("mrs {r}, fpcr", r = out(reg) fpcr, options(nomem, nostack, preserves_flags));
+            if fpcr & FLUSH != bits {
+                let new = (fpcr & !FLUSH) | bits;
+                std::arch::asm!("msr fpcr, {r}", r = in(reg) new, options(nomem, nostack, preserves_flags));
+            }
+        }
+        fpcr & FLUSH
+    }
+}
+#[cfg(not(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri))))]
+mod fp_control {
+    pub type Word = u32;
+    /// No flush mode: subnormals stay gradual on this target (and under
+    /// Miri, which does not model the control register).
+    pub const FLUSH: Word = 0;
+
+    pub fn swap_flush_bits(bits: Word) -> Word {
+        bits
+    }
+}
+use fp_control::{swap_flush_bits, Word, FLUSH};
+
+/// Put the calling thread into flush mode for the rest of its life: for
+/// threads this workspace spawns to step wavefields (the pool's workers, the
+/// survey service's scheduler), which run nothing else.
+pub fn flush_subnormals_on_this_thread() {
+    swap_flush_bits(FLUSH);
+}
+
+/// The system's one floating-point environment, held for a scope: while a
+/// `FlushGuard` lives, subnormal operands read as zero and subnormal results
+/// flush to zero on the thread that entered it — the mode every pool worker
+/// is in permanently. Dropping the guard restores the mode the thread was in
+/// before, so guards nest and a library caller's own arithmetic keeps
+/// gradual underflow once `run` returns.
+///
+/// Every entry point of this crate holds one on the calling thread, so the
+/// items of a dispatch see one mode whichever thread claims them; the sweep
+/// executors of `tempest-tiling` hold one around what they run between
+/// dispatches.
+#[must_use = "the mode ends when the guard is dropped"]
+pub struct FlushGuard {
+    prev: Word,
+    /// The control register is per thread: the guard must drop where it was
+    /// entered.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl FlushGuard {
+    /// Enter flush mode on the calling thread until the guard drops.
+    pub fn enter() -> Self {
+        FlushGuard {
+            prev: swap_flush_bits(FLUSH),
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
+impl Drop for FlushGuard {
+    fn drop(&mut self) {
+        swap_flush_bits(self.prev);
+    }
+}
+
+/// Is the calling thread in flush mode right now? Measured, not read off the
+/// register: a subnormal product and a subnormal operand, both hidden from
+/// the compiler's constant folder, so the hardware does the arithmetic.
+/// Always `false` on a target without a flush mode. For tests and probes.
+pub fn subnormals_flushed() -> bool {
+    use std::hint::black_box;
+    let result_flushed = black_box(f32::MIN_POSITIVE) * black_box(0.5f32) == 0.0;
+    let operand_zeroed = black_box(f32::from_bits(1)) * black_box(1.0e30f32) == 0.0;
+    result_flushed && operand_zeroed
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +452,7 @@ fn pool() -> &'static Pool {
 }
 
 fn worker_loop(id: usize, board: Arc<Board>) {
+    flush_subnormals_on_this_thread();
     let mut last_seen = 0u64;
     loop {
         let job = {
@@ -665,6 +813,7 @@ pub fn run_dataflow<F>(policy: Policy, graph: &DepGraph, f: F)
 where
     F: Fn(usize) + Sync + Send,
 {
+    let _fp = FlushGuard::enter();
     let n = graph.len();
     if n == 0 {
         return;
@@ -782,6 +931,7 @@ where
     T: Sync,
     F: Fn(&T) + Sync + Send,
 {
+    let _fp = FlushGuard::enter();
     match effective(policy, items.len()) {
         Policy::Sequential => {
             items.iter().for_each(&f);
@@ -797,6 +947,7 @@ pub fn for_each_index<F>(policy: Policy, n: usize, f: F)
 where
     F: Fn(usize) + Sync + Send,
 {
+    let _fp = FlushGuard::enter();
     match effective(policy, n) {
         Policy::Sequential => {
             (0..n).for_each(f);
@@ -816,6 +967,7 @@ where
     F: Fn(usize, &mut [T]) + Sync + Send,
 {
     assert!(chunk > 0, "chunk size must be non-zero");
+    let _fp = FlushGuard::enter();
     let len = data.len();
     let n = len.div_ceil(chunk);
     match effective(policy, n) {
@@ -849,6 +1001,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync + Send,
 {
+    let _fp = FlushGuard::enter();
     match effective(policy, items.len()) {
         Policy::Sequential => {
             let out: Vec<U> = items.iter().map(f).collect();
@@ -1269,6 +1422,159 @@ mod tests {
         });
         for hw in &hws {
             assert_eq!(hw.peak(), 1, "nested batch escaped its owning thread");
+        }
+    }
+
+    /// The floating-point environment: only where the target has one.
+    #[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+    mod flush_mode {
+        use super::*;
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+        use std::time::{Duration, Instant};
+
+        #[test]
+        fn guards_nest_and_restore_the_callers_mode() {
+            assert!(
+                !subnormals_flushed(),
+                "a test thread starts in the default mode"
+            );
+            {
+                let _outer = FlushGuard::enter();
+                assert!(subnormals_flushed());
+                {
+                    let _inner = FlushGuard::enter();
+                    assert!(subnormals_flushed());
+                }
+                assert!(
+                    subnormals_flushed(),
+                    "the inner guard must restore the outer guard's mode, not the default"
+                );
+            }
+            assert!(
+                !subnormals_flushed(),
+                "mode leaked past the outermost guard"
+            );
+
+            let caught = std::panic::catch_unwind(|| {
+                let _fp = FlushGuard::enter();
+                panic!("boom");
+            });
+            assert!(caught.is_err());
+            assert!(!subnormals_flushed(), "mode leaked across an unwind");
+
+            // A guard on a permanently flushed thread (a pool worker making a
+            // nested dispatch) must not switch the mode off when it drops.
+            std::thread::spawn(|| {
+                flush_subnormals_on_this_thread();
+                drop(FlushGuard::enter());
+                assert!(subnormals_flushed());
+            })
+            .join()
+            .unwrap();
+        }
+
+        /// What the items of one dispatch saw: which threads ran them, and
+        /// how many ran outside flush mode.
+        struct RollCall {
+            want: usize,
+            seen: Mutex<HashSet<ThreadId>>,
+            gradual: AtomicUsize,
+        }
+
+        impl RollCall {
+            /// One item: report, then hold the item until `want` threads have
+            /// reported, so that each of them has to claim one. The wait is
+            /// bounded: a concurrent test's dispatch can take the board
+            /// before a worker wakes, and then the caller runs it all.
+            fn item(&self) {
+                if !subnormals_flushed() {
+                    self.gradual.fetch_add(1, Ordering::Relaxed);
+                }
+                self.seen
+                    .lock()
+                    .unwrap()
+                    .insert(std::thread::current().id());
+                let deadline = Instant::now() + Duration::from_millis(20);
+                while self.seen.lock().unwrap().len() < self.want && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
+        type Entry<'a> = (&'a str, &'a dyn Fn(Policy, usize, &(dyn Fn() + Sync)));
+
+        #[test]
+        fn every_participant_of_every_entry_point_is_in_flush_mode() {
+            let entries: [Entry; 5] = [
+                ("for_each", &|p, n, item| {
+                    for_each(p, &vec![(); n], |_| item())
+                }),
+                ("for_each_index", &|p, n, item| {
+                    for_each_index(p, n, |_| item())
+                }),
+                ("for_each_chunk_mut", &|p, n, item| {
+                    for_each_chunk_mut(p, &mut vec![0u8; n], 1, |_, _| item())
+                }),
+                ("map_collect", &|p, n, item| {
+                    map_collect(p, &vec![(); n], |_| item());
+                }),
+                ("run_dataflow", &|p, n, item| {
+                    run_dataflow(p, &DepGraph::from_preds(&vec![vec![]; n]), |_| item())
+                }),
+            ];
+            let policies = [
+                Policy::Sequential,
+                Policy::Parallel,
+                Policy::Capped { threads: 1 },
+                Policy::Capped { threads: 2 },
+                Policy::Capped { threads: 4 },
+            ];
+            for (name, dispatch) in entries {
+                for policy in policies {
+                    // The caller plus the workers `policy` lets join it.
+                    let want = match effective(policy, usize::MAX) {
+                        Policy::Sequential => 1,
+                        p => cap_of(p).min(pool().workers + 1),
+                    };
+                    // Repeat until every one of them has been seen at once.
+                    let mut most = 0;
+                    for _ in 0..200 {
+                        let roll = RollCall {
+                            want,
+                            seen: Mutex::new(HashSet::new()),
+                            gradual: AtomicUsize::new(0),
+                        };
+                        dispatch(policy, 2 * want, &|| roll.item());
+                        assert_eq!(
+                            roll.gradual.load(Ordering::Relaxed),
+                            0,
+                            "{name} {policy:?}: items ran outside flush mode"
+                        );
+                        assert!(
+                            !subnormals_flushed(),
+                            "{name} {policy:?}: the caller was left in flush mode"
+                        );
+                        most = most.max(roll.seen.into_inner().unwrap().len());
+                        if most == want {
+                            break;
+                        }
+                    }
+                    assert_eq!(most, want, "{name} {policy:?}: participants seen");
+                }
+            }
+        }
+
+        #[test]
+        fn nested_dispatch_keeps_the_outer_items_mode() {
+            for_each_index(Policy::Parallel, 8, |_| {
+                for_each_index(Policy::Parallel, 4, |_| assert!(subnormals_flushed()));
+                assert!(
+                    subnormals_flushed(),
+                    "the nested dispatch's guard cleared the mode"
+                );
+            });
+            assert!(!subnormals_flushed());
         }
     }
 

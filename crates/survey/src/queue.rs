@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use tempest_grid::Array2;
 use tempest_obs as obs;
 use tempest_obs::metrics::{Gauge, JobSnapshot};
-use tempest_par::with_thread_budget;
+use tempest_par::{flush_subnormals_on_this_thread, with_thread_budget};
 use tempest_tiling::TileCache;
 
 use crate::engine::{panic_message, run_survey_streaming, Survey, SurveyOptions};
@@ -627,6 +627,9 @@ fn pick(st: &mut ServiceState) -> Option<JobId> {
 }
 
 fn scheduler_loop(inner: Arc<Inner>) {
+    // Every job's solves run on or under this thread: one floating-point
+    // environment for all of them, whatever runs between dispatches.
+    flush_subnormals_on_this_thread();
     loop {
         let id = {
             let mut st = inner.state.lock().unwrap();

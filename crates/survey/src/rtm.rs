@@ -36,7 +36,7 @@ use tempest_core::shared::RingCheckpoint;
 use tempest_core::{Acoustic, Execution, ShotAssets, WaveSolver};
 use tempest_grid::{Array2, Array3};
 use tempest_obs as obs;
-use tempest_par::{with_thread_budget, Policy};
+use tempest_par::{with_thread_budget, FlushGuard, Policy};
 use tempest_sparse::SparsePoints;
 
 use crate::engine::{build_solver, panic_message, ShotError, ShotSpec, Survey};
@@ -101,6 +101,9 @@ pub fn rtm_image(
     observed: &[Array2<f32>],
     opts: &RtmOptions,
 ) -> Result<Array3<f32>, ShotError> {
+    // Residuals, correlation and the stack are arithmetic on wavefields:
+    // one mode for the shots' threads and for the stack on this one.
+    let _fp = FlushGuard::enter();
     let n = survey.len();
     assert_eq!(observed.len(), n, "one observed gather per shot");
     let receivers = survey

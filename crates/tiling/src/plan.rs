@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tempest_grid::{Range3, Shape};
 use tempest_obs as obs;
 use tempest_obs::trace::{SpanArgs, SpanKind};
-use tempest_par::Policy;
+use tempest_par::{FlushGuard, Policy};
 
 use crate::diamond::{diamond_slab, diamond_tile_graph, DiamondSpec};
 use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
@@ -258,7 +258,8 @@ pub struct IncrementalOutcome {
 /// The plan's graph must be acyclic ([`crate::legality::check_plan`]).
 /// Every node — restored or computed — executes as a dataflow task, so the
 /// scheduling counters (`ParTasks`, `DataflowReady`) are the same with and
-/// without a store.
+/// without a store. The whole sweep, store hooks included, runs in flush
+/// mode ([`FlushGuard`]).
 pub fn execute_plan<S>(
     plan: &TilePlan,
     policy: Policy,
@@ -268,6 +269,7 @@ pub fn execute_plan<S>(
 where
     S: Fn(usize, &Range3) + Sync + Send,
 {
+    let _fp = FlushGuard::enter();
     let graph = tempest_par::DepGraph::from_preds(&plan.preds);
     let reused = AtomicUsize::new(0);
     // One caller-side phase/span for the whole sweep: its `BarrierWait`
@@ -502,5 +504,48 @@ mod tests {
         }
         assert_eq!(captures, expect);
         assert_eq!(seen_nodes.len(), plan.len() - expected_reused);
+    }
+
+    #[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+    mod flush_mode {
+        use super::*;
+        use tempest_par::subnormals_flushed;
+
+        /// Counts the step calls and store hooks that fire outside flush mode.
+        struct ModeProbe(AtomicUsize);
+
+        impl ModeProbe {
+            fn check(&self) {
+                if !subnormals_flushed() {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+
+        impl TileStore for ModeProbe {
+            fn restore(&self, node: usize) -> bool {
+                self.check();
+                node.is_multiple_of(3)
+            }
+
+            fn capture(&self, _node: usize, _slab: usize) {
+                self.check();
+            }
+        }
+
+        #[test]
+        fn steps_and_store_hooks_run_in_flush_mode() {
+            for plan in [wf_plan(), dm_plan()] {
+                for policy in [Policy::Sequential, Policy::Parallel] {
+                    let probe = ModeProbe(AtomicUsize::new(0));
+                    execute_plan(&plan, policy, |_, _| probe.check(), Some(&probe));
+                    assert_eq!(probe.0.into_inner(), 0, "{policy:?}");
+                    assert!(
+                        !subnormals_flushed(),
+                        "{policy:?}: the caller was left in flush mode"
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use tempest_grid::{Range3, Shape};
 use tempest_obs as obs;
-use tempest_par::Policy;
+use tempest_par::{FlushGuard, Policy};
 
 /// Block shape of the spatially blocked schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +38,8 @@ impl SpaceBlockSpec {
 ///
 /// For each `vt` in `0..nvt`: run `step(vt, block)` over all blocks (in
 /// parallel under `policy`), then `after_step(vt)` on the calling thread.
+/// The whole sweep runs in flush mode ([`FlushGuard`]): `after_step` is the
+/// classic sparse operators, which read the field the blocks just wrote.
 pub fn execute<S, A>(
     shape: Shape,
     nvt: usize,
@@ -49,6 +51,7 @@ pub fn execute<S, A>(
     S: Fn(usize, &Range3) + Sync + Send,
     A: FnMut(usize),
 {
+    let _fp = FlushGuard::enter();
     let blocks = spec.blocks(shape);
     for vt in 0..nvt {
         let sw = obs::start(obs::Phase::Sweep);
@@ -123,6 +126,34 @@ mod tests {
             );
         }
         assert_eq!(seen, vec![nblocks, nblocks]);
+    }
+
+    #[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+    #[test]
+    fn blocks_and_after_step_run_in_flush_mode() {
+        use tempest_par::subnormals_flushed;
+        let s = Shape::new(16, 16, 2);
+        for policy in [Policy::Sequential, Policy::Parallel] {
+            let gradual = AtomicUsize::new(0);
+            let check = || {
+                if !subnormals_flushed() {
+                    gradual.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            execute(
+                s,
+                2,
+                SpaceBlockSpec::new(4, 4),
+                policy,
+                |_, _| check(),
+                |_| check(),
+            );
+            assert_eq!(gradual.into_inner(), 0, "{policy:?}");
+            assert!(
+                !subnormals_flushed(),
+                "{policy:?}: the caller was left in flush mode"
+            );
+        }
     }
 
     #[test]

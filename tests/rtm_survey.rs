@@ -7,7 +7,7 @@
 use tempest::core::config::EquationKind;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Array2, Array3, Domain, Model, Shape};
-use tempest::par::Policy;
+use tempest::par::{FlushGuard, Policy};
 use tempest::sparse::wavelet::wavelet_matrix;
 use tempest::sparse::SparsePoints;
 use tempest::survey::{rtm_image, run_survey, RtmOptions, Survey, SurveyOptions};
@@ -76,6 +76,10 @@ fn surveys(s: &Setup) -> (Survey, Survey) {
 /// the smooth model, time-reversed residual re-injected at the receivers,
 /// zero-lag correlation — summed over shots in index order.
 fn reference_images_and_gathers(s: &Setup) -> (Array3<f32>, Vec<Array2<f32>>) {
+    // `rtm_image` correlates and stacks in the system's floating-point
+    // environment (DESIGN.md §17); so must arithmetic it is compared with bit
+    // for bit.
+    let _fp = FlushGuard::enter();
     let exec = Execution::baseline().sequential();
     let mut image = Array3::<f32>::zeros(N, N, N);
     let mut observed_all = Vec::new();

@@ -17,13 +17,22 @@
 //! Scratch indexing is the risky part: the grid is non-cubic so a transposed
 //! extent cannot cancel out, and small enough that at SO 12 every pencil's
 //! dilated window reaches into an x or y halo.
+//!
+//! Two input fixtures: O(1) random wavefields, and a *front* whose levels
+//! fall from 1e-30 to 1e-45 across the grid — the leading edge of a point
+//! source's wavefield, where operands and results are subnormal. The step
+//! runs in the system's floating-point environment (DESIGN.md §17: subnormals
+//! read as zero and flush to zero), so the oracle is evaluated under a
+//! `FlushGuard` too; a control shows that the same oracle outside the guard
+//! produces subnormal values from the front, i.e. that the fixture reaches
+//! the range where the mode matters.
 
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, SparseMode};
 use tempest::core::shared::LevelRing;
 use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Domain, ElasticModel, Model, Range3, Rng64, Shape, TtiModel};
-use tempest::par::{for_each, Policy};
+use tempest::par::{for_each, FlushGuard, Policy};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::kernels::{
     first_diff_axis_r, laplacian_at, laplacian_at_r, second_diff_axis_r, staggered_diff_bwd_r,
@@ -54,9 +63,33 @@ fn source() -> SparsePoints {
     SparsePoints::single_center(&domain(), 0.4)
 }
 
-/// Seeded random wavefields in every level of every ring of `s`; the halos
-/// stay zero, as in a run.
-fn randomize(s: &dyn WaveSolver, seed: u64) {
+/// What the wavefields hold before the step under test.
+#[derive(Clone, Copy, Debug)]
+enum Fixture {
+    /// Seeded random values in `[-1, 1)`.
+    Unit,
+    /// A front along x: magnitudes fall from 1e-30 at `x = 0` to 1e-45 (the
+    /// smallest subnormal is 1.4e-45) at the far face, random sign and
+    /// mantissa — normal, then subnormal, then zero.
+    Front,
+}
+
+impl Fixture {
+    fn value(self, rng: &mut Rng64, x: usize) -> f32 {
+        let v = rng.range_f32(-1.0, 1.0);
+        match self {
+            Fixture::Unit => v,
+            Fixture::Front => {
+                let decades = -30.0 - 15.0 * x as f64 / (shape().nx - 1) as f64;
+                (v as f64 * 10f64.powf(decades)) as f32
+            }
+        }
+    }
+}
+
+/// Seeded wavefields in every level of every ring of `s`; the halos stay
+/// zero, as in a run.
+fn fill(s: &dyn WaveSolver, seed: u64, fixture: Fixture) {
     let mut rng = Rng64::new(seed ^ 0x5EED);
     for phase in 0..s.phases() {
         for (ring, _) in s.written(phase) {
@@ -65,7 +98,7 @@ fn randomize(s: &dyn WaveSolver, seed: u64) {
                     for y in 0..shape().ny {
                         // SAFETY: nothing else touches the rings here.
                         for v in unsafe { ring.pencil_mut(level, x, y) } {
-                            *v = rng.range_f32(-1.0, 1.0);
+                            *v = fixture.value(&mut rng, x);
                         }
                     }
                 }
@@ -304,18 +337,27 @@ fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
     })
 }
 
-/// One step under test: a propagator over a random medium with random
-/// wavefields, the virtual step to take, and what it must write.
+/// One step under test: a propagator over a random medium with its
+/// wavefields filled, the virtual step to take, and the oracle of what it
+/// must write.
 struct Case {
     solver: Box<dyn WaveSolver>,
     vt: usize,
-    want: Vec<u32>,
+    naive: fn(&dyn WaveSolver) -> Vec<u32>,
+}
+
+impl Case {
+    /// The oracle, evaluated in the mode the step runs in.
+    fn want(&self) -> Vec<u32> {
+        let _fp = FlushGuard::enter();
+        (self.naive)(&*self.solver)
+    }
 }
 
 /// The cases of space order `so`: acoustic, TTI and both elastic phases at
 /// the orders all three support, acoustic alone (its dynamic-radius
 /// Laplacian) elsewhere.
-fn cases(so: usize) -> Vec<Case> {
+fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
     let d = domain();
     let seed = 11 + so as u64;
     let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(
@@ -324,17 +366,17 @@ fn cases(so: usize) -> Vec<Case> {
         source(),
         None,
     ));
-    randomize(&*acoustic, seed);
-    let want = match so / 2 {
-        2 => naive_acoustic::<2>(&*acoustic),
-        4 => naive_acoustic::<4>(&*acoustic),
-        6 => naive_acoustic::<6>(&*acoustic),
-        _ => naive_acoustic::<0>(&*acoustic),
+    fill(&*acoustic, seed, fixture);
+    let naive = match so / 2 {
+        2 => naive_acoustic::<2>,
+        4 => naive_acoustic::<4>,
+        6 => naive_acoustic::<6>,
+        _ => naive_acoustic::<0>,
     };
     let mut out = vec![Case {
         solver: acoustic,
         vt: K,
-        want,
+        naive,
     }];
     if !matches!(so, 4 | 8 | 12) {
         return out;
@@ -348,16 +390,16 @@ fn cases(so: usize) -> Vec<Case> {
         source(),
         None,
     ));
-    randomize(&*tti, seed);
-    let want = match so / 2 {
-        2 => naive_tti::<2>(&*tti),
-        4 => naive_tti::<4>(&*tti),
-        _ => naive_tti::<6>(&*tti),
+    fill(&*tti, seed, fixture);
+    let naive = match so / 2 {
+        2 => naive_tti::<2>,
+        4 => naive_tti::<4>,
+        _ => naive_tti::<6>,
     };
     out.push(Case {
         solver: tti,
         vt: K,
-        want,
+        naive,
     });
 
     for phase in 0..2 {
@@ -367,7 +409,7 @@ fn cases(so: usize) -> Vec<Case> {
             source(),
             None,
         ));
-        randomize(&*elastic, seed);
+        fill(&*elastic, seed, fixture);
         let naive = match (so / 2, phase) {
             (2, 0) => naive_elastic_vel::<2>,
             (4, 0) => naive_elastic_vel::<4>,
@@ -376,11 +418,10 @@ fn cases(so: usize) -> Vec<Case> {
             (4, _) => naive_elastic_stress::<4>,
             (_, _) => naive_elastic_stress::<6>,
         };
-        let want = naive(&*elastic);
         out.push(Case {
             solver: elastic,
             vt: 2 * K + phase,
-            want,
+            naive,
         });
     }
     out
@@ -429,8 +470,9 @@ fn backends() -> Vec<Backend> {
     Backend::ALL.into_iter().filter(|b| b.available()).collect()
 }
 
-#[test]
-fn step_equals_the_naive_reference_under_every_decomposition() {
+/// Every case of every space order in `orders`, on every backend, under
+/// every decomposition and policy, against its oracle.
+fn check(orders: &[usize], fixture: Fixture) {
     let policies = [
         Policy::Sequential,
         Policy::Parallel,
@@ -438,9 +480,9 @@ fn step_equals_the_naive_reference_under_every_decomposition() {
         Policy::Capped { threads: 2 },
         Policy::Capped { threads: 4 },
     ];
-    for so in [4usize, 8, 10, 12] {
-        for Case { solver, vt, want } in cases(so) {
-            let s = &*solver;
+    for &so in orders {
+        for case in cases(so, fixture) {
+            let (s, vt, want) = (&*case.solver, case.vt, case.want());
             for backend in backends() {
                 for (name, regions) in decompositions(so as u64) {
                     let covered: usize = regions.iter().map(Range3::len).sum();
@@ -455,13 +497,56 @@ fn step_equals_the_naive_reference_under_every_decomposition() {
                         assert_eq!(
                             diverged,
                             None,
-                            "{} vt {vt} so {so} {backend} {name} {policy:?}: first differing \
-                             value index",
+                            "{} {fixture:?} vt {vt} so {so} {backend} {name} {policy:?}: first \
+                             differing value index",
                             s.name()
                         );
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn step_equals_the_naive_reference_under_every_decomposition() {
+    check(&[4, 8, 10, 12], Fixture::Unit);
+}
+
+#[test]
+fn step_equals_the_naive_reference_on_a_subnormal_front() {
+    check(&[4, 8, 12], Fixture::Front);
+}
+
+fn subnormals(bits: &[u32]) -> usize {
+    bits.iter()
+        .filter(|&&b| f32::from_bits(b).is_subnormal())
+        .count()
+}
+
+/// The control: outside the guard the oracle turns the front into subnormal
+/// values; inside it, into none. Only where the target has a flush mode.
+#[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+#[test]
+fn the_front_fixture_reaches_the_subnormal_range() {
+    for so in [4usize, 8, 12] {
+        for case in cases(so, Fixture::Front) {
+            let what = format!("{} vt {} so {so}", case.solver.name(), case.vt);
+            let gradual = (case.naive)(&*case.solver);
+            let flushed = case.want();
+            assert!(
+                subnormals(&gradual) > 0,
+                "{what}: the fixture misses the range"
+            );
+            assert_eq!(
+                subnormals(&flushed),
+                0,
+                "{what}: flush mode left subnormals"
+            );
+            assert!(
+                flushed.iter().any(|&b| f32::from_bits(b) != 0.0),
+                "{what}: the front must also hold values flush mode keeps"
+            );
         }
     }
 }
