@@ -12,8 +12,8 @@
 //! ablations: hoisted bounds checks and lane structure (scalar → portable),
 //! then explicit unaligned 256-bit loads (portable → avx2).
 //!
-//! Per-backend rows are merged into `results/BENCH_<host>.json` (keyed
-//! `microbench-so{so}/{kernel shape}/{backend}`) so the comparison is on
+//! Per-backend rows are written to `results/BENCH_<host>_stencil_kernels.json`
+//! (model `microbench-so{so}`, schedule = kernel shape, kernel = backend), on
 //! record next to the tempest-report matrix.
 //!
 //! The `*_subnormal_*` rows sweep a volume filled with subnormal values —
@@ -76,7 +76,6 @@ fn entry(shape: &str, so: usize, backend: Backend, elems: u64, s: &Sample) -> Be
         dropped_events: 0,
         ai: 0.0,
         roof_pct: 0.0,
-        reuse_pct: 0.0,
     }
 }
 
@@ -267,29 +266,21 @@ fn bench_order<const R: usize>(
     bench_staggered::<R>(cfg, so, u, out_rows);
 }
 
-/// Merge the per-backend rows into the host's bench report (same pattern as
-/// the schedule head-to-heads in `benches/schedules.rs`). `cargo bench`
+/// Write the per-backend rows as this bench's own report file. `cargo bench`
 /// runs with the package as CWD, so resolve `results/` against the
 /// workspace root.
 fn record_entries(entries: Vec<BenchEntry>) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crates/bench has a workspace root two levels up")
-        .to_path_buf();
-    let dir = root.join("results");
-    let path = dir.join(format!("BENCH_{}.json", host_name()));
-    let mut report = BenchReport::read(&path).unwrap_or(BenchReport {
-        host: host_name(),
+        .join("results");
+    let report = BenchReport {
+        host: format!("{}_stencil_kernels", host_name()),
         threads: tempest_par::available_threads(),
-        size: 64,
-        nt: 8,
+        entries,
         ..Default::default()
-    });
-    for e in entries {
-        report.entries.retain(|old| old.key() != e.key());
-        report.entries.push(e);
-    }
+    };
     match report.write(&dir) {
         Ok(p) => println!("stencil_kernels: recorded in {}", p.display()),
         Err(e) => eprintln!("stencil_kernels: could not write report: {e}"),

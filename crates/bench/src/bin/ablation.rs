@@ -51,8 +51,6 @@ fn scalar_vs_pencil(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diamond: None,
-        kernel: None,
     };
     let backends: Vec<Backend> = Backend::ALL.into_iter().filter(|b| b.available()).collect();
     let mut run = |model: &str, s: &mut dyn tempest_core::WaveSolver| {
@@ -120,8 +118,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diamond: None,
-        kernel: None,
     };
     let tiled = Candidate {
         tile_x: 16,
@@ -129,8 +125,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diamond: None,
-        kernel: None,
     };
     for (label, c) in [("pure skewing", skew_only), ("tiled wavefront", tiled)] {
         let st = sweep::measure(&mut s, &sweep::exec_wavefront(&c), 1);
@@ -152,8 +146,6 @@ fn listing4_vs_listing5(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diamond: None,
-        kernel: None,
     };
     let counts = if args.fast {
         vec![1usize, 64]
@@ -202,8 +194,6 @@ fn tile_height_sweep(args: &HarnessArgs) {
             tile_t: tt,
             block_x: 8,
             block_y: 8,
-            diamond: None,
-            kernel: None,
         };
         let st = sweep::measure(&mut s, &sweep::exec_wavefront(&c), 1);
         if tt == 1 {

@@ -1,26 +1,19 @@
-//! Perf-regression reporting pipeline: measure the model × schedule ×
-//! kernel matrix, fold profile + trace telemetry into `BENCH_<host>.json`,
-//! and optionally gate against a committed baseline.
+//! Perf reporting pipeline: measure the model × schedule × kernel matrix
+//! and fold profile + trace telemetry into `BENCH_<host>.json`. Regressions
+//! are judged by `benchmark/run.sh` (paper-regime workloads, alternating
+//! pairs), not here.
 //!
 //! ```text
 //! cargo run -p tempest-bench --release --features obs --bin tempest-report -- \
 //!     [--size 64] [--nt 8] [--so 4] [--fast] [--model acoustic,tti,elastic] \
-//!     [--schedules spaceblocked,wavefront-dataflow,diamond] [--list-schedules] \
+//!     [--schedules spaceblocked,wavefront-dataflow,survey] [--list-schedules] \
 //!     [--kernel auto|scalar|portable|avx2|both] [--list-kernels] \
-//!     [--repeats 2] [--out results] [--trace] \
-//!     [--baseline results/baseline.json] [--check-baseline] [--write-baseline] \
-//!     [--threshold 0.15]
+//!     [--repeats 2] [--out results] [--trace]
 //! ```
-//!
-//! `--check-baseline` exits nonzero when any matrix entry's throughput falls
-//! more than `--threshold` (default 15%) below the committed baseline. A
-//! missing baseline or one measured at a different problem size skips the
-//! gate (soft pass) — regenerate with `--write-baseline` after intentional
-//! performance changes.
 
 use std::path::PathBuf;
 
-use tempest_bench::perf_report::{check_regressions, git_sha, host_name, BenchReport};
+use tempest_bench::perf_report::{git_sha, host_name, BenchReport};
 use tempest_bench::report::{f3, Table};
 use tempest_bench::roofline::{measure_bandwidth_gbs, measure_peak_gflops};
 use tempest_bench::{setup, sweep};
@@ -43,10 +36,6 @@ struct ReportArgs {
     fast: bool,
     out: PathBuf,
     trace: bool,
-    baseline: PathBuf,
-    check_baseline: bool,
-    write_baseline: bool,
-    threshold: f64,
 }
 
 fn parse_args() -> ReportArgs {
@@ -62,10 +51,6 @@ fn parse_args() -> ReportArgs {
         fast: false,
         out: PathBuf::from("results"),
         trace: false,
-        baseline: PathBuf::from("results").join("baseline.json"),
-        check_baseline: false,
-        write_baseline: false,
-        threshold: 0.15,
     };
     let mut i = 1;
     while i < argv.len() {
@@ -133,34 +118,16 @@ fn parse_args() -> ReportArgs {
                     println!("{label:20} {}", exec.schedule_label());
                 }
                 println!("{SURVEY_SCHEDULE:20} multi-shot survey engine (shot-level sharding)");
-                println!(
-                    "{INCREMENTAL_SCHEDULE:20} nudged-source warm rerun through the tile cache"
-                );
                 std::process::exit(0);
-            }
-            "--baseline" => {
-                i += 1;
-                a.baseline = PathBuf::from(argv.get(i).expect("--baseline needs a path"));
-            }
-            "--check-baseline" => a.check_baseline = true,
-            "--write-baseline" => a.write_baseline = true,
-            "--threshold" => {
-                i += 1;
-                a.threshold = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t: &f64| t > 0.0 && t < 1.0)
-                    .expect("--threshold needs a fraction in (0, 1)");
             }
             "--help" | "-h" => {
                 eprintln!(
                     "options: --size N --nt N --so N --fast \
                      --model acoustic,tti,elastic \
-                     --schedules spaceblocked,wavefront-dataflow,diamond,survey,incremental \
+                     --schedules spaceblocked,wavefront-dataflow,survey \
                      --list-schedules \
                      --kernel auto|scalar|portable|avx2|both --list-kernels \
-                     --repeats N --out DIR --trace \
-                     --baseline PATH --check-baseline --write-baseline --threshold F"
+                     --repeats N --out DIR --trace"
                 );
                 std::process::exit(0);
             }
@@ -171,8 +138,8 @@ fn parse_args() -> ReportArgs {
     a
 }
 
-/// Matrix rows are keyed by the *resolved* backend name, never "auto" — the
-/// committed baseline stays meaningful across hosts that resolve differently.
+/// Matrix rows are keyed by the *resolved* backend name, never "auto" —
+/// reports stay comparable across hosts that resolve differently.
 fn kernel_label(k: KernelPath) -> &'static str {
     k.resolve().name()
 }
@@ -232,30 +199,21 @@ fn list_kernels() {
 /// run through `tempest-survey`, reported as one extra matrix row.
 const SURVEY_SCHEDULE: &str = "survey";
 
-/// The incremental pseudo-schedule: a cold acoustic solve followed by a
-/// nudged-source warm rerun through the tile cache (DESIGN.md §16),
-/// reported as one extra matrix row whose throughput is the warm rerun.
-const INCREMENTAL_SCHEDULE: &str = "incremental";
-
-/// The measured schedules: tuned-shape defaults rather than a tuning sweep —
-/// the gate wants stable, comparable configurations, not the fastest ones.
+/// The measured schedules: the shipped defaults rather than a tuning sweep —
+/// stable, comparable configurations, not the fastest ones.
 fn schedules(filter: Option<&[String]>) -> Vec<(&'static str, Execution)> {
     let all = vec![
         ("spaceblocked", Execution::baseline()),
         ("wavefront-dataflow", Execution::wavefront_default()),
-        ("diamond", Execution::diamond_default()),
     ];
     match filter {
         None => all,
         Some(names) => {
             for n in names {
-                if n != SURVEY_SCHEDULE
-                    && n != INCREMENTAL_SCHEDULE
-                    && !all.iter().any(|(label, _)| label == n)
-                {
+                if n != SURVEY_SCHEDULE && !all.iter().any(|(label, _)| label == n) {
                     eprintln!(
-                        "unknown schedule {n:?} (want one of {:?}, {SURVEY_SCHEDULE:?} or \
-                         {INCREMENTAL_SCHEDULE:?}; see --list-schedules)",
+                        "unknown schedule {n:?} (want one of {:?} or {SURVEY_SCHEDULE:?}; \
+                         see --list-schedules)",
                         all.iter().map(|(l, _)| *l).collect::<Vec<_>>()
                     );
                     std::process::exit(2);
@@ -271,12 +229,6 @@ fn schedules(filter: Option<&[String]>) -> Vec<(&'static str, Execution)> {
 /// Whether the `--schedules` filter keeps the survey row (kept by default).
 fn wants_survey(filter: Option<&[String]>) -> bool {
     filter.map(|names| names.iter().any(|n| n == SURVEY_SCHEDULE)).unwrap_or(true)
-}
-
-/// Whether the `--schedules` filter keeps the incremental row (kept by
-/// default).
-fn wants_incremental(filter: Option<&[String]>) -> bool {
-    filter.map(|names| names.iter().any(|n| n == INCREMENTAL_SCHEDULE)).unwrap_or(true)
 }
 
 /// Analytic per-point cost of a model at space order `so` — the roofline's
@@ -342,7 +294,7 @@ fn main() {
         "tempest-report — throughput and load-balance matrix",
         &[
             "model", "schedule", "kernel", "GPts/s", "barrier%", "imbalance", "critpath ms",
-            "drops", "AI", "roof%", "reuse%",
+            "drops", "AI", "roof%",
         ],
     );
     let mut report = BenchReport {
@@ -405,7 +357,6 @@ fn main() {
                     entry.dropped_events.to_string(),
                     format!("{:.2}", entry.ai),
                     format!("{:.1}", 100.0 * entry.roof_pct),
-                    format!("{:.1}", entry.reuse_pct),
                 ]);
                 report.entries.push(entry);
             }
@@ -452,56 +403,10 @@ fn main() {
             entry.dropped_events.to_string(),
             format!("{:.2}", entry.ai),
             format!("{:.1}", 100.0 * entry.roof_pct),
-            format!("{:.1}", entry.reuse_pct),
         ]);
         report.entries.push(entry);
     }
 
-    // The incremental row: a cold solve populates the tile cache, then the
-    // same problem with its source nudged sub-cell reruns incrementally
-    // (DESIGN.md §16). SpaceBlocked gives the finest-grained tile plan
-    // (tile_t=1, 8×8 blocks), so reuse reflects the dirty cone, not tile
-    // granularity. Like the survey row, it never trips an old baseline —
-    // the pseudo-schedule key is absent from reports that predate it.
-    if wants_incremental(args.schedules.as_deref()) {
-        let exec = sweep::with_kernel(Execution::baseline(), KernelPath::Auto);
-        let inc_kernel = kernel_label(KernelPath::Auto);
-        let (mut entry, cold_gpts) = BenchReport::measure_incremental_entry(
-            args.size,
-            args.so,
-            args.nt,
-            &exec,
-            inc_kernel,
-        );
-        let cost = model_cost("acoustic", args.so);
-        entry.ai = cost.ai_streaming();
-        roof.push(
-            &format!("{}/{INCREMENTAL_SCHEDULE} t1", entry.model),
-            entry.ai,
-            entry.gpts_per_s,
-            cost.flops,
-        );
-        entry.roof_pct = roof.roof_share(roof.entries.last().unwrap());
-        println!(
-            "  acoustic {INCREMENTAL_SCHEDULE} {inc_kernel}: cold {:.3} → warm {:.3} GPts/s \
-             ({:.1}% tiles reused)",
-            cold_gpts, entry.gpts_per_s, entry.reuse_pct,
-        );
-        table.row(&[
-            entry.model.clone(),
-            entry.schedule.clone(),
-            entry.kernel.clone(),
-            f3(entry.gpts_per_s),
-            format!("{:.1}", 100.0 * entry.barrier_wait_share),
-            format!("{:.2}", entry.worst_imbalance),
-            format!("{:.3}", entry.critical_path_ms),
-            entry.dropped_events.to_string(),
-            format!("{:.2}", entry.ai),
-            format!("{:.1}", 100.0 * entry.roof_pct),
-            format!("{:.1}", entry.reuse_pct),
-        ]);
-        report.entries.push(entry);
-    }
     table.print();
     print!("{}", roof.render());
 
@@ -510,52 +415,6 @@ fn main() {
         Err(e) => {
             eprintln!("cannot write report: {e}");
             std::process::exit(2);
-        }
-    }
-
-    if args.write_baseline {
-        if let Some(dir) = args.baseline.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&args.baseline, report.to_json()) {
-            Ok(()) => println!("baseline → {}", args.baseline.display()),
-            Err(e) => {
-                eprintln!("cannot write baseline: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if args.check_baseline {
-        let baseline = match BenchReport::read(&args.baseline) {
-            Ok(b) => b,
-            Err(e) => {
-                println!("perf gate skipped: {e}");
-                return;
-            }
-        };
-        match check_regressions(&report, &baseline, args.threshold) {
-            Err(why) => println!("perf gate skipped: {why}"),
-            Ok(regs) if regs.is_empty() => {
-                println!(
-                    "perf gate passed: no entry more than {:.0}% below baseline ({})",
-                    100.0 * args.threshold,
-                    args.baseline.display()
-                );
-            }
-            Ok(regs) => {
-                eprintln!("perf gate FAILED — {} regression(s):", regs.len());
-                for r in &regs {
-                    eprintln!(
-                        "  {}: {:.3} → {:.3} GPts/s ({:.0}% of baseline)",
-                        r.key,
-                        r.baseline_gpts,
-                        r.current_gpts,
-                        100.0 * r.ratio
-                    );
-                }
-                std::process::exit(1);
-            }
         }
     }
 }

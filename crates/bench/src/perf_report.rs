@@ -1,20 +1,15 @@
-//! Machine-readable benchmark reports and the perf-regression gate.
+//! Machine-readable benchmark reports.
 //!
 //! [`BenchReport`] folds throughput, profile shares, and trace-derived load
 //! metrics for a model × schedule × kernel matrix into one JSON document
-//! (`BENCH_<host>.json`). A committed `results/baseline.json` (same format)
-//! gives `tempest-report --check-baseline` something to diff against:
-//! entries whose GPts/s fall more than a threshold below the baseline are
-//! regressions and make the binary exit nonzero — the repo's first perf
-//! gate (ROADMAP: "fast as the hardware allows" needs a guardrail, not just
-//! a number).
+//! (`BENCH_<host>.json`). Regressions are judged by `benchmark/run.sh`, not
+//! from these files.
 
 use std::path::{Path, PathBuf};
 
 use tempest_core::{Execution, WaveSolver};
 use tempest_obs as obs;
 use tempest_obs::analysis::TraceAnalysis;
-use tempest_obs::json::Value;
 
 /// One measured cell of the model × schedule × kernel matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,22 +32,10 @@ pub struct BenchEntry {
     /// Trace events dropped by ring overflow during the kept run.
     pub dropped_events: u64,
     /// Operational intensity (FLOP/byte) under the schedule's streaming
-    /// traffic model (0 when the roofline pass was skipped — absent from
-    /// reports written before the roofline column existed).
+    /// traffic model (0 when the roofline pass was skipped).
     pub ai: f64,
     /// Share of the attainable roofline ceiling reached (0 when skipped).
     pub roof_pct: f64,
-    /// Percentage of tile nodes restored from the incremental cache instead
-    /// of recomputed (DESIGN.md §16). Only the `incremental` pseudo-row
-    /// populates this; 0 everywhere else and in pre-cache reports.
-    pub reuse_pct: f64,
-}
-
-impl BenchEntry {
-    /// Stable lookup key for baseline comparison.
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}", self.model, self.schedule, self.kernel)
-    }
 }
 
 /// A full report: measurement context plus the entry matrix.
@@ -63,24 +46,13 @@ pub struct BenchReport {
     /// Grid edge length the matrix ran at.
     pub size: usize,
     pub nt: usize,
-    /// Short git revision the report was measured at (empty when unknown —
-    /// reports written before metadata stamping carry no revision).
+    /// Short git revision the report was measured at.
     pub git_sha: String,
     /// Resolved `KernelPath::Auto` backend on the measuring host.
     pub kernel_backend: String,
     /// `TEMPEST_THREADS` as set for the run (empty when unset).
     pub tempest_threads: String,
     pub entries: Vec<BenchEntry>,
-}
-
-/// One detected regression.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    pub key: String,
-    pub baseline_gpts: f64,
-    pub current_gpts: f64,
-    /// `current / baseline` (< 1 means slower).
-    pub ratio: f64,
 }
 
 /// Clamp to a finite value so the hand-rolled JSON never emits NaN/inf.
@@ -125,58 +97,8 @@ impl BenchReport {
             dropped_events: trace.dropped,
             ai: 0.0,
             roof_pct: 0.0,
-            reuse_pct: 0.0,
         };
         (entry, trace, meta)
-    }
-
-    /// Measure the incremental-recomputation path (DESIGN.md §16) as one
-    /// pseudo-row: a cold acoustic solve populates a fresh
-    /// [`tempest_tiling::TileCache`], then the identical problem with its
-    /// single source nudged sub-cell reruns through
-    /// [`tempest_core::Acoustic::run_incremental`]. The row's throughput is
-    /// the *warm rerun* — the interactive-rework latency the cache exists to
-    /// cut — and `reuse_pct` records how much of the tile graph it restored
-    /// instead of recomputing. Returns the entry plus the cold-run GPts/s
-    /// for context. The schedule label is the fixed pseudo-name
-    /// `incremental`, so (like the `survey` row) it never collides with a
-    /// baseline entry measured before the row existed.
-    pub fn measure_incremental_entry(
-        size: usize,
-        so: usize,
-        nt: usize,
-        exec: &Execution,
-        kernel_label: &str,
-    ) -> (BenchEntry, f64) {
-        use tempest_grid::{Domain, Shape};
-        use tempest_sparse::SparsePoints;
-
-        let domain = Domain::uniform(Shape::cube(size), 10.0);
-        // Generously sized private cache: the row measures reuse, not
-        // eviction pressure (TEMPEST_CACHE_MB stays in charge elsewhere).
-        let cache = tempest_tiling::TileCache::with_capacity_mb(256);
-        let run = |frac: f32| {
-            let src = SparsePoints::single_center(&domain, frac);
-            let mut solver = crate::setup::acoustic_with_sources(size, so, nt, src);
-            solver.run_incremental(exec, &cache, 0)
-        };
-        let cold = run(0.37);
-        let warm = run(0.63);
-        let entry = BenchEntry {
-            model: format!("acoustic-so{so}"),
-            schedule: "incremental".to_string(),
-            kernel: kernel_label.to_string(),
-            gpts_per_s: warm.stats.gpoints_per_s,
-            elapsed_s: warm.stats.elapsed.as_secs_f64(),
-            barrier_wait_share: 0.0,
-            worst_imbalance: 1.0,
-            critical_path_ms: 0.0,
-            dropped_events: 0,
-            ai: 0.0,
-            roof_pct: 0.0,
-            reuse_pct: 100.0 * warm.reuse_rate(),
-        };
-        (entry, cold.stats.gpoints_per_s)
     }
 
     /// Measure a whole multi-shot survey (shot-level sharding over the
@@ -184,8 +106,7 @@ impl BenchReport {
     /// best of `repeats`. Throughput counts every shot's full time loop over
     /// the nominal grid — the same point-update definition as
     /// [`tempest_core::RunStats`] — so the row is comparable to the
-    /// single-shot schedule rows. The schedule label encodes the shot count
-    /// so baselines keyed on it stay stable.
+    /// single-shot schedule rows. The schedule label encodes the shot count.
     pub fn measure_survey_entry(
         survey: &tempest_survey::Survey,
         opts: &tempest_survey::SurveyOptions,
@@ -221,7 +142,6 @@ impl BenchReport {
             dropped_events: trace.dropped,
             ai: 0.0,
             roof_pct: 0.0,
-            reuse_pct: 0.0,
         };
         (entry, trace)
     }
@@ -254,7 +174,7 @@ impl BenchReport {
                  \"gpts_per_s\": {:.6}, \"elapsed_s\": {:.9}, \
                  \"barrier_wait_share\": {:.6}, \"worst_imbalance\": {:.4}, \
                  \"critical_path_ms\": {:.6}, \"dropped_events\": {}, \
-                 \"ai\": {:.6}, \"roof_pct\": {:.6}, \"reuse_pct\": {:.6}}}",
+                 \"ai\": {:.6}, \"roof_pct\": {:.6}}}",
                 obs::sanitize_label(&e.model),
                 obs::sanitize_label(&e.schedule),
                 obs::sanitize_label(&e.kernel),
@@ -266,80 +186,11 @@ impl BenchReport {
                 e.dropped_events,
                 fin(e.ai),
                 fin(e.roof_pct),
-                fin(e.reuse_pct),
             );
             s.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
         }
         s.push_str("  ]\n}\n");
         s
-    }
-
-    /// Parse a report previously written by [`to_json`].
-    pub fn from_json(doc: &str) -> Result<BenchReport, String> {
-        let v = Value::parse(doc)?;
-        let num = |o: &Value, k: &str| {
-            o.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
-        let uint = |o: &Value, k: &str| {
-            o.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer field {k:?}"))
-        };
-        let text = |o: &Value, k: &str| {
-            o.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {k:?}"))
-        };
-        let mut entries = Vec::new();
-        for e in v
-            .get("entries")
-            .and_then(Value::as_arr)
-            .ok_or("missing entries array")?
-        {
-            entries.push(BenchEntry {
-                model: text(e, "model")?,
-                schedule: text(e, "schedule")?,
-                kernel: text(e, "kernel")?,
-                gpts_per_s: num(e, "gpts_per_s")?,
-                elapsed_s: num(e, "elapsed_s")?,
-                barrier_wait_share: num(e, "barrier_wait_share")?,
-                worst_imbalance: num(e, "worst_imbalance")?,
-                critical_path_ms: num(e, "critical_path_ms")?,
-                dropped_events: uint(e, "dropped_events")?,
-                // Optional: absent from reports predating the roofline
-                // column, so a committed baseline stays readable.
-                ai: e.get("ai").and_then(Value::as_f64).unwrap_or(0.0),
-                roof_pct: e.get("roof_pct").and_then(Value::as_f64).unwrap_or(0.0),
-                reuse_pct: e.get("reuse_pct").and_then(Value::as_f64).unwrap_or(0.0),
-            });
-        }
-        let opt_text = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .unwrap_or_default()
-        };
-        Ok(BenchReport {
-            host: text(&v, "host")?,
-            threads: uint(&v, "threads")? as usize,
-            size: uint(&v, "size")? as usize,
-            nt: uint(&v, "nt")? as usize,
-            // Optional metadata stamps (absent from pre-stamping reports).
-            git_sha: opt_text("git_sha"),
-            kernel_backend: opt_text("kernel_backend"),
-            tempest_threads: opt_text("tempest_threads"),
-            entries,
-        })
-    }
-
-    /// Load a report from a file.
-    pub fn read(path: &Path) -> Result<BenchReport, String> {
-        let doc = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&doc)
     }
 
     /// Write `BENCH_<host>.json` into `dir` (created if needed).
@@ -349,48 +200,6 @@ impl BenchReport {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// Entry lookup by key.
-    pub fn find(&self, key: &str) -> Option<&BenchEntry> {
-        self.entries.iter().find(|e| e.key() == key)
-    }
-}
-
-/// Compare `current` against `baseline`: every baseline entry present in
-/// `current` whose throughput fell below `(1 − threshold) ×` baseline is a
-/// regression. Returns `Err` when the two reports measured different
-/// problems (size/nt mismatch) — throughput is not comparable then, and the
-/// caller should skip the gate rather than fail it.
-pub fn check_regressions(
-    current: &BenchReport,
-    baseline: &BenchReport,
-    threshold: f64,
-) -> Result<Vec<Regression>, String> {
-    if current.size != baseline.size || current.nt != baseline.nt {
-        return Err(format!(
-            "baseline measured {}³×{} but current run is {}³×{}; not comparable",
-            baseline.size, baseline.nt, current.size, current.nt
-        ));
-    }
-    let mut out = Vec::new();
-    for base in &baseline.entries {
-        if base.gpts_per_s <= 0.0 {
-            continue;
-        }
-        if let Some(cur) = current.find(&base.key()) {
-            let ratio = cur.gpts_per_s / base.gpts_per_s;
-            if ratio < 1.0 - threshold {
-                out.push(Regression {
-                    key: base.key(),
-                    baseline_gpts: base.gpts_per_s,
-                    current_gpts: cur.gpts_per_s,
-                    ratio,
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| a.ratio.partial_cmp(&b.ratio).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(out)
 }
 
 /// Best-effort short git revision for report stamping: `git rev-parse`
@@ -451,7 +260,6 @@ mod tests {
             dropped_events: 0,
             ai: 1.4,
             roof_pct: 0.35,
-            reuse_pct: 0.0,
         }
     }
 
@@ -469,37 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let r = report(vec![entry("acoustic-so4", 0.5), entry("tti-so4", 0.1)]);
-        let parsed = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn parses_reports_without_metadata_or_roofline_fields() {
-        // A baseline committed before the metadata/roofline stamps existed
-        // must stay readable (the perf gate reads old files).
-        let old = r#"{
-  "host": "old-host",
-  "threads": 2,
-  "size": 32,
-  "nt": 4,
-  "entries": [
-    {"model": "acoustic-so4", "schedule": "spaceblocked_8x8", "kernel": "pencil",
-     "gpts_per_s": 0.5, "elapsed_s": 0.01, "barrier_wait_share": 0.0,
-     "worst_imbalance": 1.0, "critical_path_ms": 1.0, "dropped_events": 0}
-  ]
-}"#;
-        let parsed = BenchReport::from_json(old).unwrap();
-        assert_eq!(parsed.git_sha, "");
-        assert_eq!(parsed.kernel_backend, "");
-        assert_eq!(parsed.tempest_threads, "");
-        assert_eq!(parsed.entries[0].ai, 0.0);
-        assert_eq!(parsed.entries[0].roof_pct, 0.0);
-        assert_eq!(parsed.entries[0].reuse_pct, 0.0);
-    }
-
-    #[test]
     fn git_sha_is_label_safe() {
         let s = git_sha();
         assert!(!s.is_empty());
@@ -512,37 +289,10 @@ mod tests {
         bad.worst_imbalance = f64::INFINITY;
         let js = report(vec![bad]).to_json();
         assert!(!js.contains("NaN") && !js.contains("inf"), "bad JSON: {js}");
-        let parsed = BenchReport::from_json(&js).unwrap();
-        assert_eq!(parsed.entries[0].gpts_per_s, 0.0);
-        assert_eq!(parsed.entries[0].worst_imbalance, 0.0);
-    }
-
-    #[test]
-    fn detects_synthetic_regression() {
-        let baseline = report(vec![entry("acoustic-so4", 1.0), entry("tti-so4", 0.2)]);
-        let mut current = baseline.clone();
-        current.entries[0].gpts_per_s = 0.5; // 50% slower
-        current.entries[1].gpts_per_s = 0.19; // 5% slower — within threshold
-        let regs = check_regressions(&current, &baseline, 0.15).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "acoustic-so4/wavefront-dflow_16x16_t8_8x8/pencil");
-        assert!((regs[0].ratio - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn improvement_and_missing_entries_pass() {
-        let baseline = report(vec![entry("acoustic-so4", 1.0), entry("elastic-so4", 0.3)]);
-        let current = report(vec![entry("acoustic-so4", 1.4)]);
-        // elastic missing from current: skipped, not a failure
-        assert!(check_regressions(&current, &baseline, 0.15).unwrap().is_empty());
-    }
-
-    #[test]
-    fn mismatched_problem_size_is_not_comparable() {
-        let baseline = report(vec![entry("acoustic-so4", 1.0)]);
-        let mut current = baseline.clone();
-        current.size = 128;
-        assert!(check_regressions(&current, &baseline, 0.15).is_err());
+        let parsed = tempest_obs::json::Value::parse(&js).unwrap();
+        let e = &parsed.get("entries").and_then(|v| v.as_arr()).unwrap()[0];
+        assert_eq!(e.get("gpts_per_s").and_then(|v| v.as_f64()), Some(0.0));
+        assert_eq!(e.get("worst_imbalance").and_then(|v| v.as_f64()), Some(0.0));
     }
 
     #[test]
@@ -551,7 +301,7 @@ mod tests {
         let dir = std::env::temp_dir().join("tempest-bench-report-test");
         let path = r.write(&dir).unwrap();
         assert_eq!(path.file_name().unwrap().to_str().unwrap(), "BENCH_test-host.json");
-        assert!(BenchReport::read(&path).is_ok());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), r.to_json());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -573,29 +323,8 @@ mod tests {
         );
         assert_eq!(e.model, "acoustic-so4");
         assert_eq!(e.schedule, "survey_2shot");
-        assert_eq!(e.key(), "acoustic-so4/survey_2shot/pencil");
         assert!(e.gpts_per_s > 0.0);
         assert!(e.elapsed_s > 0.0);
-    }
-
-    #[test]
-    fn measure_incremental_entry_reports_reuse() {
-        // SpaceBlocked → a tile_t=1 plan of 8×8 blocks, fine-grained enough
-        // that a sub-cell source nudge leaves tiles outside its cone clean
-        // even on this small grid.
-        let exec = Execution::baseline();
-        let (e, cold_gpts) = BenchReport::measure_incremental_entry(32, 4, 4, &exec, "pencil");
-        assert_eq!(e.model, "acoustic-so4");
-        assert_eq!(e.schedule, "incremental");
-        assert_eq!(e.key(), "acoustic-so4/incremental/pencil");
-        assert!(e.gpts_per_s > 0.0);
-        assert!(cold_gpts > 0.0);
-        // A sub-cell source nudge must leave most of the tile graph clean.
-        assert!(
-            e.reuse_pct > 0.0 && e.reuse_pct < 100.0,
-            "unexpected reuse: {}",
-            e.reuse_pct
-        );
     }
 
     #[test]

@@ -12,34 +12,20 @@ use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_tiling::{autotune, autotune_measured, Candidate, MeasuredResult, Measurement, TuneResult};
 
-/// Execution for a WTB candidate: the skewed wave-front plan, or the
-/// diamond plan when the candidate names a diamond axis. Diamond candidates
-/// reuse `tile_x` as the diamond base width and `tile_y` as the cross-axis
-/// window extent.
+/// Execution for a WTB candidate: the wave-front plan with fused sparse
+/// operators.
 pub fn exec_wavefront(c: &Candidate) -> Execution {
-    let schedule = if let Some(axis) = c.diamond {
-        Schedule::Diamond {
-            width: c.tile_x,
-            tile_t: c.tile_t,
-            tile_c: c.tile_y,
-            axis,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else {
-        Schedule::WavefrontDataflow {
+    Execution {
+        schedule: Schedule::WavefrontDataflow {
             tile_x: c.tile_x,
             tile_y: c.tile_y,
             tile_t: c.tile_t,
             block_x: c.block_x,
             block_y: c.block_y,
-        }
-    };
-    Execution {
-        schedule,
+        },
         sparse: SparseMode::FusedCompressed,
         policy: Policy::default(),
-        kernel: c.kernel.map(KernelPath::from).unwrap_or_default(),
+        kernel: KernelPath::default(),
     }
 }
 
@@ -194,26 +180,13 @@ mod tests {
 
     #[test]
     fn candidates_map_to_their_plan_schedule() {
-        use tempest_tiling::DiamondAxis;
         let base = Candidate {
             tile_x: 16,
             tile_y: 8,
             tile_t: 4,
             block_x: 8,
             block_y: 8,
-            ..Candidate::default()
         };
-        let c = base.with_diamond(DiamondAxis::Y);
-        assert!(matches!(
-            exec_wavefront(&c).schedule,
-            Schedule::Diamond {
-                width: 16,
-                tile_t: 4,
-                tile_c: 8,
-                axis: DiamondAxis::Y,
-                ..
-            }
-        ));
         assert!(matches!(
             exec_wavefront(&base).schedule,
             Schedule::WavefrontDataflow { tile_x: 16, tile_y: 8, tile_t: 4, .. }

@@ -38,6 +38,6 @@ pub mod tti;
 pub use acoustic::{Acoustic, ShotAssets};
 pub use config::SimConfig;
 pub use elastic::Elastic;
-pub use operator::{DiamondAxis, Execution, KernelPath, RunStats, WaveSolver};
+pub use operator::{Execution, KernelPath, RunStats, WaveSolver};
 pub use runpath::IncrementalReport;
 pub use tti::Tti;

@@ -14,9 +14,8 @@ use tempest_grid::{Array2, Array3, Range3, Shape};
 use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_stencil::Backend;
-use tempest_tiling::{DiamondSpec, SpaceBlockSpec, TileCache, WavefrontSpec};
+use tempest_tiling::{SpaceBlockSpec, TileCache, WavefrontSpec};
 
-pub use tempest_tiling::DiamondAxis;
 
 /// How the off-grid sparse operators execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +131,8 @@ pub(crate) fn record_backend_run(b: Backend) {
     );
 }
 
-/// Which loop schedule traverses the space-time domain.
+/// Which loop schedule traverses the space-time domain: the paper's
+/// baseline and the paper's contribution, one plan constructor each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Per-timestep spatial blocking (the baseline of Fig. 9).
@@ -162,30 +162,6 @@ pub enum Schedule {
         /// Intra-slab block extent along y (Table I `block_y`).
         block_y: usize,
     },
-    /// Diamond (multicore wavefront diamond, Malas et al. arXiv:1410.3060)
-    /// temporal blocking: time × one chosen space `axis` tile into diamonds
-    /// of base `width`, and a skewed wave-front of `tile_c`-wide windows
-    /// advances along the other horizontal axis. Runs through the same plan
-    /// executor as [`WavefrontDataflow`](Self::WavefrontDataflow); results
-    /// are bitwise identical. Legality requires
-    /// `width ≥ 2·radius·tile_t·phases` (diamond slope at least the stencil
-    /// radius per virtual step), certified by
-    /// `tempest_tiling::legality::check_plan`.
-    Diamond {
-        /// Diamond base width along the diamond axis (must be a multiple of
-        /// `2·tile_t·phases`).
-        width: usize,
-        /// Temporal tile height in timesteps.
-        tile_t: usize,
-        /// Cross-axis window extent.
-        tile_c: usize,
-        /// Which horizontal axis the diamonds tile.
-        axis: DiamondAxis,
-        /// Intra-slab block extent along x.
-        block_x: usize,
-        /// Intra-slab block extent along y.
-        block_y: usize,
-    },
 }
 
 impl Schedule {
@@ -197,9 +173,7 @@ impl Schedule {
     pub fn temporal_reuse(&self) -> usize {
         match *self {
             Schedule::SpaceBlocked { .. } => 1,
-            Schedule::WavefrontDataflow { tile_t, .. } | Schedule::Diamond { tile_t, .. } => {
-                tile_t.max(1)
-            }
+            Schedule::WavefrontDataflow { tile_t, .. } => tile_t.max(1),
         }
     }
 }
@@ -254,25 +228,6 @@ impl Execution {
         }
     }
 
-    /// Diamond temporal blocking with a shape matching the wavefront
-    /// defaults: width 64 (slope 4 at `tile_t` 8), cross windows 64 wide,
-    /// diamonds along x, 8×8 intra-slab blocks.
-    pub fn diamond_default() -> Self {
-        Execution {
-            schedule: Schedule::Diamond {
-                width: 64,
-                tile_t: 8,
-                tile_c: 64,
-                axis: DiamondAxis::X,
-                block_x: 8,
-                block_y: 8,
-            },
-            sparse: SparseMode::FusedCompressed,
-            policy: Policy::default(),
-            kernel: KernelPath::default(),
-        }
-    }
-
     /// Force sequential execution (reproducible timings on shared machines).
     pub fn sequential(mut self) -> Self {
         self.policy = Policy::Sequential;
@@ -310,46 +265,18 @@ impl Execution {
                 block_x,
                 block_y,
             ),
-            _ => panic!("not a wavefront schedule"),
+            Schedule::SpaceBlocked { .. } => panic!("not a wavefront schedule"),
         }
     }
 
-    /// Convert to the tiling crate's diamond spec given the stencil radius
-    /// and phase count. The diamond slope is `width / (2·tile_t·phases)`;
-    /// legality (slope ≥ radius per virtual step) requires
-    /// `width ≥ 2·radius·tile_t·phases`. Panics if the schedule is not
-    /// `Diamond` or the width violates that bound.
-    pub fn diamond_spec(&self, radius: usize, phases: usize) -> DiamondSpec {
-        match self.schedule {
-            Schedule::Diamond {
-                width,
-                tile_t,
-                tile_c,
-                axis,
-                block_x,
-                block_y,
-            } => {
-                let tv = (tile_t * phases).max(1);
-                assert!(
-                    width % (2 * tv) == 0 && width / (2 * tv) >= radius.max(1),
-                    "diamond width {width} is illegal for radius {radius} at tile_t {tile_t} \
-                     × {phases} phase(s): the width must be a multiple of 2·tile_t·phases \
-                     = {} with slope width/(2·tile_t·phases) ≥ radius, i.e. width ≥ {}",
-                    2 * tv,
-                    2 * radius.max(1) * tv,
-                );
-                DiamondSpec::new(tv, width / (2 * tv), tile_c, radius, block_x, block_y, axis)
-            }
-            _ => panic!("not a diamond schedule"),
-        }
-    }
-
-    /// Convert to the tiling crate's space-block spec. Panics if the
-    /// schedule is not `SpaceBlocked`.
+    /// The `(block_x, block_y)` cache blocks the schedule cuts a swept
+    /// region into, as the tiling crate's space-block spec.
     pub fn spaceblock_spec(&self) -> SpaceBlockSpec {
         match self.schedule {
-            Schedule::SpaceBlocked { block_x, block_y } => SpaceBlockSpec::new(block_x, block_y),
-            _ => panic!("not a space-blocked schedule"),
+            Schedule::SpaceBlocked { block_x, block_y }
+            | Schedule::WavefrontDataflow {
+                block_x, block_y, ..
+            } => SpaceBlockSpec::new(block_x, block_y),
         }
     }
 
@@ -366,17 +293,6 @@ impl Execution {
                 block_x,
                 block_y,
             } => format!("wavefront-dflow {tile_x}x{tile_y} t{tile_t} / {block_x}x{block_y}"),
-            Schedule::Diamond {
-                width,
-                tile_t,
-                tile_c,
-                axis,
-                block_x,
-                block_y,
-            } => format!(
-                "diamond-{} w{width} t{tile_t} c{tile_c} / {block_x}x{block_y}",
-                axis.name()
-            ),
         }
     }
 
@@ -626,74 +542,6 @@ mod tests {
         let mut e = Execution::wavefront_default();
         e.sparse = SparseMode::Classic;
         e.validate();
-    }
-
-    #[test]
-    fn diamond_default_spec_conversion() {
-        let e = Execution::diamond_default();
-        e.validate();
-        assert_eq!(e.sparse, SparseMode::FusedCompressed);
-        assert_eq!(e.schedule_label(), "diamond-x w64 t8 c64 / 8x8");
-        // Single-phase: slope = 64 / (2·8) = 4, legal up to radius 4.
-        let spec = e.diamond_spec(2, 1);
-        assert_eq!(spec.tile_t, 8);
-        assert_eq!(spec.slope, 4);
-        assert_eq!(spec.cross_skew, 2);
-        assert_eq!(spec.width(), 64);
-        // Two-phase: virtual tile height 16, slope 2.
-        let spec2 = e.diamond_spec(2, 2);
-        assert_eq!(spec2.tile_t, 16);
-        assert_eq!(spec2.slope, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "width ≥ 64")]
-    fn diamond_spec_rejects_shallow_slope() {
-        // radius 8 needs width ≥ 2·8·4·1 = 64, but width is 32.
-        let e = Execution {
-            schedule: Schedule::Diamond {
-                width: 32,
-                tile_t: 4,
-                tile_c: 16,
-                axis: DiamondAxis::X,
-                block_x: 8,
-                block_y: 8,
-            },
-            ..Execution::diamond_default()
-        };
-        let _ = e.diamond_spec(8, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 2·tile_t·phases")]
-    fn diamond_spec_rejects_indivisible_width() {
-        // 48 is not a multiple of 2·8·2 = 32.
-        let e = Execution {
-            schedule: Schedule::Diamond {
-                width: 48,
-                tile_t: 8,
-                tile_c: 16,
-                axis: DiamondAxis::Y,
-                block_x: 8,
-                block_y: 8,
-            },
-            ..Execution::diamond_default()
-        };
-        let _ = e.diamond_spec(1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_under_diamond_is_rejected() {
-        let mut e = Execution::diamond_default();
-        e.sparse = SparseMode::Classic;
-        e.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "not a diamond")]
-    fn diamond_spec_conversion_checks_kind() {
-        let _ = Execution::wavefront_default().diamond_spec(2, 1);
     }
 
     #[test]

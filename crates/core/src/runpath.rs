@@ -99,12 +99,6 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
             &exec.wavefront_spec(radius, phases),
             radius,
         )),
-        Schedule::Diamond { .. } => Some(TilePlan::diamond(
-            shape,
-            nvt,
-            &exec.diamond_spec(radius, phases),
-            radius,
-        )),
     };
     let (mut written_back, mut restored_bytes, mut recomputed_bytes) = (0, 0, 0);
     let (tally, cold) = match (&plan, cached) {

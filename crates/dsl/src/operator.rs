@@ -187,8 +187,6 @@ impl DslOperator {
                     .map(|u| u.time_order)
                     .expect("injection target must have an update");
                 let write = k + time_order;
-                let scales: Vec<f32> = Vec::new();
-                let _ = scales;
                 for (s, st) in inj.stencils.iter().enumerate() {
                     let a = inj.wavelets.get(k, s);
                     for (c, w) in st.nonzero() {

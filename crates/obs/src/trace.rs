@@ -122,8 +122,8 @@ impl SpanArgs {
         Self::default()
     }
 
-    /// One space-time tile of a plan: its schedule coordinates (wave-front
-    /// `(xt + yt, xt, yt)`, diamond `(row, k, ct)`) and virtual-step range.
+    /// One space-time tile of a plan: its wave-front coordinates
+    /// `(xt + yt, xt, yt)` and virtual-step range.
     pub fn tile(diagonal: usize, tx: usize, ty: usize, t0: usize, t1: usize) -> Self {
         SpanArgs {
             diagonal: diagonal as i32,

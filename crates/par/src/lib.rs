@@ -958,84 +958,6 @@ where
     }
 }
 
-/// Apply `f` to disjoint mutable chunks of `data` of length `chunk`.
-///
-/// The per-chunk closure receives `(chunk_index, chunk_slice)`.
-pub fn for_each_chunk_mut<T, F>(policy: Policy, data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync + Send,
-{
-    assert!(chunk > 0, "chunk size must be non-zero");
-    let _fp = FlushGuard::enter();
-    let len = data.len();
-    let n = len.div_ceil(chunk);
-    match effective(policy, n) {
-        Policy::Sequential => {
-            data.chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(i, c)| f(i, c));
-            obs::add(obs::Counter::ParTasks, n as u64);
-            obs::metrics::heartbeat(n as u64);
-        }
-        p => {
-            let base = data.as_mut_ptr() as usize;
-            run_batch(n, cap_of(p), &|i| {
-                let start = i * chunk;
-                let end = (start + chunk).min(len);
-                // SAFETY: chunk i covers [start, end) — indices are claimed
-                // at most once, so the slices are disjoint.
-                let s = unsafe {
-                    std::slice::from_raw_parts_mut((base as *mut T).add(start), end - start)
-                };
-                f(i, s);
-            });
-        }
-    }
-}
-
-/// Map items and collect results in input order.
-pub fn map_collect<T, U, F>(policy: Policy, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync + Send,
-{
-    let _fp = FlushGuard::enter();
-    match effective(policy, items.len()) {
-        Policy::Sequential => {
-            let out: Vec<U> = items.iter().map(f).collect();
-            obs::add(obs::Counter::ParTasks, out.len() as u64);
-            obs::metrics::heartbeat(out.len() as u64);
-            out
-        }
-        p => {
-            let n = items.len();
-            let mut out: Vec<std::mem::MaybeUninit<U>> = Vec::with_capacity(n);
-            // SAFETY: every slot in 0..n is written exactly once below
-            // before assume-init.
-            unsafe { out.set_len(n) };
-            let base = out.as_mut_ptr() as usize;
-            run_batch(n, cap_of(p), &|i| {
-                let v = f(&items[i]);
-                // SAFETY: slot i is owned by the claimant of index i.
-                unsafe {
-                    (base as *mut std::mem::MaybeUninit<U>)
-                        .add(i)
-                        .write(std::mem::MaybeUninit::new(v));
-                }
-            });
-            // SAFETY: run_batch returns only after all n writes completed.
-            unsafe {
-                let ptr = out.as_mut_ptr() as *mut U;
-                let cap = out.capacity();
-                std::mem::forget(out);
-                Vec::from_raw_parts(ptr, n, cap)
-            }
-        }
-    }
-}
-
 /// A monotone counter shared across worker threads (progress accounting in
 /// long benchmark sweeps).
 #[derive(Debug, Default)]
@@ -1089,28 +1011,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn chunks_are_disjoint_and_cover() {
-        let mut data = vec![0u32; 103];
-        for_each_chunk_mut(Policy::Parallel, &mut data, 10, |i, c| {
-            for v in c.iter_mut() {
-                *v += 1 + i as u32;
-            }
-        });
-        for (k, &v) in data.iter().enumerate() {
-            assert_eq!(v, 1 + (k / 10) as u32);
-        }
-    }
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let items: Vec<i32> = (0..64).collect();
-        let out = map_collect(Policy::Parallel, &items, |&v| v * v);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, (i as i32) * (i as i32));
-        }
     }
 
     #[test]
@@ -1506,18 +1406,12 @@ mod tests {
 
         #[test]
         fn every_participant_of_every_entry_point_is_in_flush_mode() {
-            let entries: [Entry; 5] = [
+            let entries: [Entry; 3] = [
                 ("for_each", &|p, n, item| {
                     for_each(p, &vec![(); n], |_| item())
                 }),
                 ("for_each_index", &|p, n, item| {
                     for_each_index(p, n, |_| item())
-                }),
-                ("for_each_chunk_mut", &|p, n, item| {
-                    for_each_chunk_mut(p, &mut vec![0u8; n], 1, |_, _| item())
-                }),
-                ("map_collect", &|p, n, item| {
-                    map_collect(p, &vec![(); n], |_| item());
                 }),
                 ("run_dataflow", &|p, n, item| {
                     run_dataflow(p, &DepGraph::from_preds(&vec![vec![]; n]), |_| item())
@@ -1590,12 +1484,5 @@ mod tests {
     fn available_threads_positive_and_cached() {
         assert!(available_threads() >= 1);
         assert_eq!(available_threads(), available_threads());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_chunk_rejected() {
-        let mut d = [0u8; 4];
-        for_each_chunk_mut(Policy::Sequential, &mut d, 0, |_, _| {});
     }
 }

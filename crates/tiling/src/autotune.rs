@@ -9,17 +9,12 @@
 
 use std::time::Duration;
 
-use crate::diamond::DiamondAxis;
-use tempest_stencil::Backend;
-
 /// One tunable schedule configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Candidate {
-    /// Spatial tile extent along x. For diamond candidates this doubles as
-    /// the diamond base width (the diamond axis extent).
+    /// Spatial tile extent along x.
     pub tile_x: usize,
-    /// Spatial tile extent along y. For diamond candidates this doubles as
-    /// the cross-axis window extent.
+    /// Spatial tile extent along y.
     pub tile_y: usize,
     /// Temporal tile height in *timesteps* (the runner converts to virtual
     /// steps for multi-phase propagators).
@@ -28,27 +23,6 @@ pub struct Candidate {
     pub block_x: usize,
     /// Intra-slab block extent along y.
     pub block_y: usize,
-    /// Use the diamond (MWD) plan on the chosen axis instead of the skewed
-    /// wave-front one.
-    pub diamond: Option<DiamondAxis>,
-    /// Pin the row-update kernel backend for this candidate; `None` leaves
-    /// the runner's default (usually the runtime-detected best) in place.
-    pub kernel: Option<Backend>,
-}
-
-impl Candidate {
-    /// The same geometry with the diamond schedule on `axis` (`tile_x` read
-    /// as the diamond width, `tile_y` as the cross window).
-    pub fn with_diamond(mut self, axis: DiamondAxis) -> Self {
-        self.diamond = Some(axis);
-        self
-    }
-
-    /// The same schedule pinned to a specific kernel backend.
-    pub fn with_kernel(mut self, backend: Backend) -> Self {
-        self.kernel = Some(backend);
-        self
-    }
 }
 
 impl std::fmt::Display for Candidate {
@@ -57,51 +31,8 @@ impl std::fmt::Display for Candidate {
             f,
             "tile {}x{} t{} / block {}x{}",
             self.tile_x, self.tile_y, self.tile_t, self.block_x, self.block_y
-        )?;
-        if let Some(axis) = self.diamond {
-            write!(f, " / dmnd-{}", axis.name())?;
-        }
-        if let Some(backend) = self.kernel {
-            write!(f, " / k-{}", backend.name())?;
-        }
-        Ok(())
+        )
     }
-}
-
-/// Extend the sweep along the kernel-backend axis: every candidate gains
-/// one variant per *available* backend (unavailable ones — e.g. AVX2 on a
-/// host without it — are skipped, not failed). Bases keep `kernel: None`
-/// so the runner's default stays in the ranking as its own row.
-pub fn with_kernel_variants(cands: &[Candidate]) -> Vec<Candidate> {
-    let mut out = Vec::with_capacity(cands.len() * (1 + Backend::ALL.len()));
-    for &c in cands {
-        out.push(c);
-        for b in Backend::ALL {
-            if b.available() {
-                out.push(c.with_kernel(b));
-            }
-        }
-    }
-    out
-}
-
-/// Extend the sweep with diamond-schedule variants: every candidate whose
-/// `tile_x` is a legal diamond width for the given stencil — divisible by
-/// `2·tile_t·phases` with a slope quotient ≥ `radius` (the
-/// `width ≥ 2·radius·tile_t` legality bound) — gains one variant per axis
-/// choice. Bases are kept, so the measured tie-breaking of
-/// [`autotune_measured`] decides between skewed and diamond tiling on equal
-/// geometry.
-pub fn with_diamond_variants(cands: &[Candidate], radius: usize, phases: usize) -> Vec<Candidate> {
-    let mut out = cands.to_vec();
-    for &c in cands {
-        let tv = (c.tile_t * phases).max(1);
-        if c.tile_x % (2 * tv) == 0 && c.tile_x / (2 * tv) >= radius.max(1) {
-            out.push(c.with_diamond(DiamondAxis::X));
-            out.push(c.with_diamond(DiamondAxis::Y));
-        }
-    }
-    out
 }
 
 /// One candidate measurement: wall-clock plus (when the observability layer
@@ -173,7 +104,6 @@ pub fn default_candidates(nx: usize, ny: usize, tile_ts: &[usize]) -> Vec<Candid
                     tile_t: tt,
                     block_x: bx,
                     block_y: bx,
-                    ..Candidate::default()
                 });
             }
         }
@@ -195,7 +125,6 @@ pub fn quick_candidates(nx: usize, ny: usize, tile_ts: &[usize]) -> Vec<Candidat
                 tile_t: tt,
                 block_x: 8,
                 block_y: 8,
-                ..Candidate::default()
             });
         }
     }
@@ -340,41 +269,8 @@ mod tests {
             tile_t: 8,
             block_x: 8,
             block_y: 8,
-            ..Candidate::default()
         };
         assert_eq!(format!("{c}"), "tile 64x64 t8 / block 8x8");
-        assert_eq!(
-            format!("{}", c.with_diamond(DiamondAxis::Y)),
-            "tile 64x64 t8 / block 8x8 / dmnd-y"
-        );
-    }
-
-    #[test]
-    fn diamond_variants_extend_only_legal_widths() {
-        // Base width must be divisible by 2·tile_t·phases with slope ≥
-        // radius; illegal geometries keep only their base candidate.
-        let base = quick_candidates(64, 64, &[4, 8]); // tiles 8, 16, 64
-        let out = with_diamond_variants(&base, 2, 1);
-        // Legal at radius 2: tile 64 t4 (slope 8), tile 64 t8 (slope 4),
-        // tile 16 t4 (slope 2). Illegal: tile 16 t8 and tile 8 t4 (slope 1),
-        // tile 8 t8 (width not divisible by 2·tile_t).
-        let diamonds: Vec<_> = out.iter().filter(|c| c.diamond.is_some()).collect();
-        assert_eq!(out.len(), base.len() + diamonds.len());
-        assert!(!diamonds.is_empty());
-        for c in &diamonds {
-            let slope = c.tile_x / (2 * c.tile_t);
-            assert_eq!(c.tile_x % (2 * c.tile_t), 0);
-            assert!(slope >= 2, "{c}");
-        }
-        // Both axes appear for each legal geometry.
-        assert_eq!(
-            diamonds.iter().filter(|c| c.diamond == Some(DiamondAxis::X)).count(),
-            diamonds.iter().filter(|c| c.diamond == Some(DiamondAxis::Y)).count()
-        );
-        // Multi-phase propagators tighten the bound: with phases = 2 the
-        // same base set loses the slope-2 geometries.
-        let out2 = with_diamond_variants(&base, 2, 2);
-        assert!(out2.iter().filter(|c| c.diamond.is_some()).count() < diamonds.len());
     }
 
     #[test]
@@ -385,31 +281,31 @@ mod tests {
 
     #[test]
     fn measured_breaks_ties_on_barrier_share() {
-        let skewed = quick_candidates(64, 64, &[4])[0];
-        let diamond = skewed.with_diamond(DiamondAxis::X);
-        // The diamond is 1% slower but waits far less: within a 3% margin
+        let cands = quick_candidates(64, 64, &[4]);
+        let (small, wide) = (cands[0], cands[1]);
+        // The wide tile is 1% slower but waits far less: within a 3% margin
         // the lower barrier share must win.
         let res = autotune_measured(
-            &[skewed, diamond],
+            &[small, wide],
             |c| Measurement {
-                time: Duration::from_micros(if c.diamond.is_some() { 1010 } else { 1000 }),
-                barrier_share: Some(if c.diamond.is_some() { 0.05 } else { 0.40 }),
+                time: Duration::from_micros(if *c == wide { 1010 } else { 1000 }),
+                barrier_share: Some(if *c == wide { 0.05 } else { 0.40 }),
             },
             0.03,
         );
-        assert_eq!(res.best, diamond);
+        assert_eq!(res.best, wide);
         assert_eq!(res.all.len(), 2);
 
         // Outside the margin, raw time wins regardless of barrier share.
         let res = autotune_measured(
-            &[skewed, diamond],
+            &[small, wide],
             |c| Measurement {
-                time: Duration::from_micros(if c.diamond.is_some() { 1200 } else { 1000 }),
-                barrier_share: Some(if c.diamond.is_some() { 0.05 } else { 0.40 }),
+                time: Duration::from_micros(if *c == wide { 1200 } else { 1000 }),
+                barrier_share: Some(if *c == wide { 0.05 } else { 0.40 }),
             },
             0.03,
         );
-        assert_eq!(res.best, skewed);
+        assert_eq!(res.best, small);
     }
 
     #[test]
@@ -427,14 +323,13 @@ mod tests {
     #[test]
     fn measured_prefers_telemetry_inside_tie_set() {
         let cands = quick_candidates(64, 64, &[4]);
-        let a = cands[0];
-        let b = a.with_diamond(DiamondAxis::Y);
+        let (a, b) = (cands[0], cands[1]);
         // Equal times; only one candidate has telemetry — it wins the tie.
         let res = autotune_measured(
             &[a, b],
             |c| Measurement {
                 time: Duration::from_micros(1000),
-                barrier_share: c.diamond.map(|_| 0.2),
+                barrier_share: (*c == b).then_some(0.2),
             },
             0.03,
         );

@@ -166,10 +166,9 @@ where
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanViolation {
     /// The dependency graph is cyclic — this node can never become ready.
-    /// Reachable for a wave-front `skew < radius`, a diamond
-    /// `slope < radius` (base width below `2·radius·tile_t`) or a diamond
-    /// `cross_skew < radius`: neighbouring same-row tiles then read each
-    /// other's previous step in both directions.
+    /// Reachable only for a wave-front `skew < radius`: neighbouring
+    /// same-row tiles then read each other's previous step in both
+    /// directions.
     Cycle {
         /// A node left with unsatisfiable predecessors.
         node: usize,
@@ -331,7 +330,6 @@ fn unordered_pairs(order: &[u32], preds: &[Vec<u32>]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diamond::{DiamondAxis, DiamondSpec};
     use crate::wavefront::{slabs, tile_graph, WavefrontSpec};
     use tempest_grid::Range3;
 
@@ -580,12 +578,12 @@ mod tests {
         for case in 0..40 {
             let radius = rng.range_usize(0, 4);
             let levels = rng.range_usize(2, 4);
-            let tile = rng.range_usize(2, 12);
+            let (tile_x, tile_y) = (rng.range_usize(2, 12), rng.range_usize(2, 12));
             let tile_t = rng.range_usize(1, 6);
             let skew = radius + rng.range_usize(0, 3);
             let nvt = rng.range_usize(1, 9);
             let shape = Shape::new(rng.range_usize(8, 28), rng.range_usize(8, 28), 2);
-            let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
+            let spec = WavefrontSpec::new(tile_x, tile_y, tile_t, skew, 4, 4);
             let ctx = format!("case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}");
             let plan = TilePlan::wavefront(shape, nvt, &spec, radius);
             assert_eq!(plan.preds, brute_force_preds(shape, radius, &plan.slabs), "{ctx}");
@@ -632,100 +630,6 @@ mod tests {
                     .any(|b| b.xt == a.xt && b.yt == a.yt && b.t1 == a.t0));
             }
         }
-    }
-
-    #[test]
-    fn diamond_plans_legal_for_sufficient_slope() {
-        for radius in [0usize, 1, 2, 4] {
-            for levels in [2usize, 3] {
-                for tile_t in [1usize, 2, 3] {
-                    let spec =
-                        DiamondSpec::new(tile_t, radius.max(1), 8, radius, 4, 4, DiamondAxis::X);
-                    let plan = TilePlan::diamond(SHAPE, 9, &spec, radius);
-                    assert_eq!(
-                        check_plan(SHAPE, DepModel { radius, levels }, &plan),
-                        Ok(()),
-                        "radius {radius} levels {levels} tile_t {tile_t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_plan_preds_are_exactly_the_halo_writers() {
-        // Same property as the wave-front one across randomised diamond
-        // specs — boundary half-diamonds, clipped cross windows and
-        // tile_t = 1 included.
-        let mut rng = tempest_grid::Rng64::new(0xD1AD);
-        for case in 0..40 {
-            let radius = rng.range_usize(0, 4);
-            let levels = rng.range_usize(2, 4);
-            let tile_t = rng.range_usize(1, 5);
-            let slope = radius.max(1) + rng.range_usize(0, 3);
-            let tile_c = rng.range_usize(2, 12);
-            let cross_skew = radius + rng.range_usize(0, 3);
-            let nvt = rng.range_usize(1, 9);
-            let axis = if rng.range_usize(0, 2) == 0 {
-                DiamondAxis::X
-            } else {
-                DiamondAxis::Y
-            };
-            let shape = Shape::new(rng.range_usize(8, 28), rng.range_usize(8, 28), 2);
-            let spec = DiamondSpec::new(tile_t, slope, tile_c, cross_skew, 4, 4, axis);
-            let ctx = format!("case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}");
-            let plan = TilePlan::diamond(shape, nvt, &spec, radius);
-            assert_eq!(plan.preds, brute_force_preds(shape, radius, &plan.slabs), "{ctx}");
-            assert_eq!(check_plan(shape, DepModel { radius, levels }, &plan), Ok(()), "{ctx}");
-        }
-    }
-
-    #[test]
-    fn diamond_plan_rejects_shallow_slope() {
-        // slope < radius — a diamond base width below 2·radius·tile_t —
-        // makes adjacent same-row diamonds read each other's previous step
-        // in both directions: a dependency cycle.
-        let spec = DiamondSpec::new(2, 1, 8, 2, 4, 4, DiamondAxis::X);
-        let model = DepModel {
-            radius: 2,
-            levels: 3,
-        };
-        assert!(spec.width() < 2 * model.radius * spec.tile_t);
-        let res = check_plan(SHAPE, model, &TilePlan::diamond(SHAPE, 4, &spec, 2));
-        assert!(matches!(res, Err(PlanViolation::Cycle { .. })), "{res:?}");
-    }
-
-    #[test]
-    fn diamond_plan_rejects_shallow_slope_randomised() {
-        let mut rng = tempest_grid::Rng64::new(0xD1AE);
-        for case in 0..20 {
-            let radius = rng.range_usize(2, 5);
-            let slope = rng.range_usize(1, radius);
-            let tile_t = rng.range_usize(2, 5);
-            let spec = DiamondSpec::new(tile_t, slope, 8, radius, 4, 4, DiamondAxis::X);
-            assert!(spec.width() < 2 * radius * tile_t);
-            let shape = Shape::new(32, 24, 2);
-            let plan = TilePlan::diamond(shape, 2 * tile_t, &spec, radius);
-            assert!(
-                check_plan(shape, DepModel { radius, levels: 3 }, &plan).is_err(),
-                "case {case}: width {} < {} must be rejected ({spec:?})",
-                spec.width(),
-                2 * radius * tile_t
-            );
-        }
-    }
-
-    #[test]
-    fn diamond_plan_rejects_shallow_cross_skew() {
-        // A legal diamond width but cross_skew < radius: adjacent cross
-        // windows read each other's previous step in both directions.
-        let spec = DiamondSpec::new(2, 2, 4, 0, 4, 4, DiamondAxis::X);
-        let model = DepModel {
-            radius: 2,
-            levels: 3,
-        };
-        let res = check_plan(SHAPE, model, &TilePlan::diamond(SHAPE, 4, &spec, 2));
-        assert!(matches!(res, Err(PlanViolation::Cycle { .. })), "{res:?}");
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //!   cache-resident while they advance through time. Applying off-grid
 //!   sparse operators naively under this schedule is *incorrect* (Fig. 4b) —
 //!   the precomputation scheme in `tempest-sparse` is what makes it legal.
-//!   Every temporally blocked schedule is a *plan constructor* producing a
-//!   [`TilePlan`] (per-tile slabs plus the exact flow-dependence edges):
-//!   [`wavefront`] skews parallelogram tiles by the dependency radius per
-//!   step, [`diamond`] (MWD, Malas et al. arXiv:1410.3060) tiles time × one
-//!   space axis into diamonds with a skewed wave-front along the other. The
-//!   one executor runs any plan on `tempest_par::run_dataflow` — dependency
+//!   The schedule is a *plan constructor* producing a [`TilePlan`] (per-tile
+//!   slabs plus the exact flow-dependence edges): [`wavefront`] skews
+//!   parallelogram tiles by the dependency radius per step. The one
+//!   executor runs the plan on `tempest_par::run_dataflow` — dependency
 //!   counters, per-worker stealing deques, a single join per sweep.
 //!
 //! Both executors drive an abstract *step function* `step(vt, region)`:
@@ -46,7 +44,6 @@
 //! sweeps tile/block shapes (§IV.C, Table I).
 
 pub mod autotune;
-pub mod diamond;
 pub mod incremental;
 pub mod legality;
 pub mod plan;
@@ -54,10 +51,9 @@ pub mod spaceblock;
 pub mod wavefront;
 
 pub use autotune::{
-    autotune, autotune_measured, spaceblock_candidates, with_diamond_variants, Candidate,
-    MeasuredResult, Measurement, TuneResult,
+    autotune, autotune_measured, spaceblock_candidates, Candidate, MeasuredResult, Measurement,
+    TuneResult,
 };
-pub use diamond::{DiamondAxis, DiamondSpec, DiamondTile};
 pub use incremental::{
     cache_mb_from, dirty_cone, CacheStats, DirtyRect, RunDelta, SlabPayload, SourceSig, TileCache,
     TilePayload, DEFAULT_CACHE_MB,

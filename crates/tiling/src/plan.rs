@@ -4,10 +4,9 @@
 //! Every temporally blocked schedule is a *plan constructor*: it enumerates
 //! its space-time tiles, cuts each into per-step slabs and records the exact
 //! flow-dependence edges between tiles. The result is one schedule-agnostic
-//! [`TilePlan`] — built from the wave-front graph ([`TilePlan::wavefront`]),
-//! the diamond graph ([`TilePlan::diamond`]), or the space-blocked schedule
-//! mapped onto its `tile_t = 1` wave-front degeneration
-//! ([`TilePlan::spaceblocked`]).
+//! [`TilePlan`] — built from the wave-front graph ([`TilePlan::wavefront`])
+//! or the space-blocked schedule mapped onto its `tile_t = 1` wave-front
+//! degeneration ([`TilePlan::spaceblocked`]).
 //!
 //! [`execute_plan`] is the one executor: it hands the plan's graph to
 //! `tempest_par::run_dataflow` (dependency counters, per-worker stealing
@@ -29,7 +28,6 @@ use tempest_obs as obs;
 use tempest_obs::trace::{SpanArgs, SpanKind};
 use tempest_par::{FlushGuard, Policy};
 
-use crate::diamond::{diamond_slab, diamond_tile_graph, DiamondSpec};
 use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
 
 /// A schedule-agnostic snapshot of one sweep's tile structure: per-node
@@ -71,34 +69,6 @@ fn hash_u64(parts: &[u64]) -> u64 {
 }
 
 impl TilePlan {
-    fn from_graph(
-        slabs: Vec<Vec<Slab>>,
-        preds: Vec<Vec<u32>>,
-        labels: Vec<SpanArgs>,
-        (block_x, block_y): (usize, usize),
-        nvt: usize,
-        radius: usize,
-        geometry: u64,
-    ) -> Self {
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
-        for (ia, ps) in preds.iter().enumerate() {
-            for &ib in ps {
-                succs[ib as usize].push(ia as u32);
-            }
-        }
-        TilePlan {
-            slabs,
-            preds,
-            succs,
-            labels,
-            block_x,
-            block_y,
-            nvt,
-            radius,
-            geometry,
-        }
-    }
-
     /// Plan of a wave-front sweep: nodes and edges from [`tile_graph`],
     /// slabs from [`tile_slab`]. `radius` must be the stencil's true
     /// dependency radius (and `spec.skew ≥ radius`): it defines the read
@@ -131,58 +101,23 @@ impl TilePlan {
             spec.block_x as u64,
             spec.block_y as u64,
         ]);
-        Self::from_graph(
+        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
+        for (ia, ps) in preds.iter().enumerate() {
+            for &ib in ps {
+                succs[ib as usize].push(ia as u32);
+            }
+        }
+        TilePlan {
             slabs,
             preds,
+            succs,
             labels,
-            (spec.block_x, spec.block_y),
+            block_x: spec.block_x,
+            block_y: spec.block_y,
             nvt,
             radius,
             geometry,
-        )
-    }
-
-    /// Plan of a diamond sweep: nodes and edges from
-    /// [`diamond_tile_graph`], slabs from [`diamond_slab`]. Needs
-    /// `spec.slope ≥ radius` and `spec.cross_skew ≥ radius`.
-    pub fn diamond(shape: Shape, nvt: usize, spec: &DiamondSpec, radius: usize) -> Self {
-        let (tiles, preds) = diamond_tile_graph(shape, nvt, spec, radius);
-        let slabs = tiles
-            .iter()
-            .map(|t| {
-                (t.t0..t.t1)
-                    .filter_map(|vt| diamond_slab(shape, spec, t, vt))
-                    .collect()
-            })
-            .collect();
-        let labels = tiles
-            .iter()
-            .map(|t| SpanArgs::tile(t.row, t.k, t.ct, t.t0, t.t1))
-            .collect();
-        let geometry = hash_u64(&[
-            2,
-            shape.nx as u64,
-            shape.ny as u64,
-            shape.nz as u64,
-            nvt as u64,
-            radius as u64,
-            spec.tile_t as u64,
-            spec.slope as u64,
-            spec.tile_c as u64,
-            spec.cross_skew as u64,
-            spec.block_x as u64,
-            spec.block_y as u64,
-            spec.axis as u64,
-        ]);
-        Self::from_graph(
-            slabs,
-            preds,
-            labels,
-            (spec.block_x, spec.block_y),
-            nvt,
-            radius,
-            geometry,
-        )
+        }
     }
 
     /// Plan of the space-blocked schedule, mapped onto its exact `tile_t=1`
@@ -319,30 +254,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diamond::DiamondAxis;
     use std::sync::Mutex;
 
-    fn wf_plan() -> TilePlan {
-        TilePlan::wavefront(
-            Shape::new(23, 17, 4),
-            11,
-            &WavefrontSpec::new(8, 8, 4, 2, 4, 4),
-            2,
-        )
+    fn plan_of(spec: WavefrontSpec) -> TilePlan {
+        TilePlan::wavefront(Shape::new(23, 17, 4), 11, &spec, 2)
     }
 
-    fn dm_plan() -> TilePlan {
-        TilePlan::diamond(
-            Shape::new(23, 17, 4),
-            11,
-            &DiamondSpec::new(4, 2, 8, 2, 4, 4, DiamondAxis::X),
-            2,
-        )
+    fn wf_plan() -> TilePlan {
+        plan_of(WavefrontSpec::new(8, 8, 4, 2, 4, 4))
+    }
+
+    /// Non-square tiles and blocks: an x/y transposition in slabs or edges
+    /// cannot cancel out.
+    fn wf_xy_plan() -> TilePlan {
+        plan_of(WavefrontSpec::new(8, 12, 4, 2, 4, 2))
     }
 
     #[test]
     fn plan_edges_are_consistent() {
-        for plan in [wf_plan(), dm_plan()] {
+        for plan in [wf_plan(), wf_xy_plan()] {
             assert!(!plan.is_empty());
             assert_eq!(plan.labels.len(), plan.len());
             for (i, ps) in plan.preds.iter().enumerate() {
@@ -378,12 +308,7 @@ mod tests {
         let nvt = 7;
         let plans = [
             TilePlan::wavefront(shape, nvt, &WavefrontSpec::new(8, 8, 3, 2, 3, 4), 2),
-            TilePlan::diamond(
-                shape,
-                nvt,
-                &DiamondSpec::new(3, 2, 8, 2, 3, 4, DiamondAxis::X),
-                2,
-            ),
+            TilePlan::wavefront(shape, nvt, &WavefrontSpec::new(8, 12, 3, 2, 3, 4), 2),
         ];
         for plan in &plans {
             for policy in [
@@ -414,7 +339,7 @@ mod tests {
         // own points exactly vt - 1).
         let shape = Shape::new(23, 17, 4);
         let (radius, nvt) = (2usize, 11);
-        for plan in [wf_plan(), dm_plan()] {
+        for plan in [wf_plan(), wf_xy_plan()] {
             let progress = Mutex::new(vec![vec![-1i64; shape.ny]; shape.nx]);
             execute_plan(
                 &plan,
@@ -535,7 +460,7 @@ mod tests {
 
         #[test]
         fn steps_and_store_hooks_run_in_flush_mode() {
-            for plan in [wf_plan(), dm_plan()] {
+            for plan in [wf_plan(), wf_xy_plan()] {
                 for policy in [Policy::Sequential, Policy::Parallel] {
                     let probe = ModeProbe(AtomicUsize::new(0));
                     execute_plan(&plan, policy, |_, _| probe.check(), Some(&probe));

@@ -25,31 +25,16 @@ use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
-use tempest::tiling::{
-    autotune::default_candidates, autotune_measured, with_diamond_variants, Candidate, Measurement,
-};
+use tempest::tiling::{autotune::default_candidates, autotune_measured, Candidate, Measurement};
 
-/// Schedule for a candidate: the skewed wave-front plan, or the diamond plan
-/// when it names a diamond axis. Diamond candidates reuse `tile_x` as the
-/// diamond base width and `tile_y` as the cross-axis window.
+/// The wave-front schedule of a candidate.
 fn schedule_of(c: &Candidate) -> Schedule {
-    if let Some(axis) = c.diamond {
-        Schedule::Diamond {
-            width: c.tile_x,
-            tile_t: c.tile_t,
-            tile_c: c.tile_y,
-            axis,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else {
-        Schedule::WavefrontDataflow {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
+    Schedule::WavefrontDataflow {
+        tile_x: c.tile_x,
+        tile_y: c.tile_y,
+        tile_t: c.tile_t,
+        block_x: c.block_x,
+        block_y: c.block_y,
     }
 }
 
@@ -65,11 +50,7 @@ fn main() {
     let src = SparsePoints::single_center(&domain, 0.37);
     let mut solver = Acoustic::new(&model, cfg, src, None);
 
-    // Each tile geometry is tried as a skewed wave-front plan, plus as a
-    // diamond plan ("/ dmnd-x", "/ dmnd-y") where its tile width is a legal
-    // diamond base width at this stencil radius.
-    let radius = 4; // space order 8
-    let cands = with_diamond_variants(&default_candidates(n, n, &[4, 8, 16]), radius, 1);
+    let cands = default_candidates(n, n, &[4, 8, 16]);
     println!(
         "sweeping {} candidates on a {n}³ grid, {nt} steps each…\n",
         cands.len()
@@ -149,53 +130,5 @@ fn main() {
             Ok(path) => println!("trace written to {}", path.display()),
             Err(err) => eprintln!("could not write trace JSON: {err}"),
         }
-    }
-
-    // Same tile geometry, tiling compared head-to-head: skewed wave-front
-    // vs diamond. With profiling on, the barrier-wait share is the idle
-    // time each plan's ready frontier left the workers with.
-    let geometry = Candidate {
-        diamond: None,
-        ..result.best
-    };
-    let run_share = |solver: &mut Acoustic, c: &Candidate| {
-        let exec = Execution {
-            schedule: schedule_of(c),
-            sparse: SparseMode::FusedCompressed,
-            policy: Policy::default(),
-            kernel: KernelPath::default(),
-        };
-        let (stats, profile, _) = solver.run_profiled(&exec);
-        let share = (!profile.is_empty()).then(|| profile.barrier_wait_share());
-        (stats, share)
-    };
-    let (wf_stats, wf_share) = run_share(&mut solver, &geometry);
-    let pct = |s: Option<f64>| s.map(|v| format!("{:>5.1}%", v * 100.0)).unwrap_or("    —".into());
-    println!("\ntiling at the tuned geometry ({geometry}):");
-    println!(
-        "  wavefront  {:>8.3?}  barrier-wait {}",
-        wf_stats.elapsed,
-        pct(wf_share)
-    );
-    // The diamond only joins the comparison when the tuned tile width is a
-    // legal diamond base width.
-    match with_diamond_variants(&[geometry], radius, 1)
-        .into_iter()
-        .find(|c| c.diamond.is_some())
-    {
-        Some(dm) => {
-            let (dm_stats, dm_share) = run_share(&mut solver, &dm);
-            println!(
-                "  diamond    {:>8.3?}  barrier-wait {}",
-                dm_stats.elapsed,
-                pct(dm_share)
-            );
-        }
-        None => println!(
-            "  diamond: tile width {} is not a legal diamond base width at \
-             radius {radius}, tile_t {} (needs a multiple of 2·tile_t with \
-             width/(2·tile_t) ≥ radius)",
-            geometry.tile_x, geometry.tile_t
-        ),
     }
 }

@@ -62,29 +62,10 @@ fn main() {
         wtb.gpoints_per_s,
         wtb.gpoints_per_s / base.gpoints_per_s
     );
-    let (dmnd, dmnd_profile, dmnd_trace, dmnd_meta) =
-        solver.run_traced(&Execution::diamond_default());
-    println!(
-        "diamond  : {:>7.3} GPts/s  speedup {:.2}x",
-        dmnd.gpoints_per_s,
-        dmnd.gpoints_per_s / base.gpoints_per_s
-    );
-
-    // Both plans run through the one executor, so the barrier-wait share
-    // (worker idle time) isolates how wide a ready frontier each tiling
-    // geometry keeps.
-    if !wtb_profile.is_empty() && !dmnd_profile.is_empty() {
-        println!(
-            "\nbarrier-wait share: wavefront {:>5.1}%  vs  diamond {:>5.1}%",
-            100.0 * wtb_profile.barrier_wait_share(),
-            100.0 * dmnd_profile.barrier_wait_share()
-        );
-    }
 
     for (profile, trace, meta) in [
         (base_profile, base_trace, base_meta),
         (wtb_profile, wtb_trace, wtb_meta),
-        (dmnd_profile, dmnd_trace, dmnd_meta),
     ] {
         if profile.is_empty() {
             continue; // profiling off (or built without --features obs)

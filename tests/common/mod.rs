@@ -4,7 +4,7 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use tempest::core::config::EquationKind;
-use tempest::core::operator::{DiamondAxis, Schedule};
+use tempest::core::operator::Schedule;
 use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Array2, Domain, ElasticModel, Model, Shape, TtiModel};
 use tempest::sparse::SparsePoints;
@@ -95,9 +95,11 @@ pub fn solvers_with(
 
 /// The temporally blocked schedules of the matrix, legal for a propagator
 /// of dependency `radius` and `phases` virtual steps per timestep: the
-/// wave-front plan, the diamond plan at its narrowest legal width, the
-/// `tile_t = 1` degeneration (per-timestep spatial blocking as a plan) and
-/// pure time skewing (one spatial tile covering the whole skewed domain).
+/// wave-front plan on square tiles, on non-square tiles and blocks (the one
+/// row an x/y transposition in slab ranges, halo dilation or dirty-cone
+/// rects cannot pass), the `tile_t = 1` degeneration (per-timestep spatial
+/// blocking as a plan) and pure time skewing (one spatial tile covering the
+/// whole skewed domain).
 pub fn blocked_schedules(radius: usize, phases: usize) -> Vec<(&'static str, Schedule)> {
     // Taller than every ring is deep (3 levels, or 2 per staggered phase), so
     // a tile's late slabs overwrite the slots its early slabs wrote.
@@ -113,14 +115,13 @@ pub fn blocked_schedules(radius: usize, phases: usize) -> Vec<(&'static str, Sch
     vec![
         ("wavefront", wavefront(8, tile_t)),
         (
-            "diamond",
-            Schedule::Diamond {
-                width: 2 * tile_t * phases * radius,
+            "wavefront-xy",
+            Schedule::WavefrontDataflow {
+                tile_x: 8,
+                tile_y: 12,
                 tile_t,
-                tile_c: 8,
-                axis: DiamondAxis::X,
                 block_x: 4,
-                block_y: 4,
+                block_y: 2,
             },
         ),
         ("tile_t=1", wavefront(8, 1)),

@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tempest::core::config::EquationKind;
-use tempest::core::operator::{DiamondAxis, KernelPath, Schedule, SparseMode};
+use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::sources::{ReceiverBundle, SourceBundle};
 use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Domain, ElasticModel, Model, Rng64, Shape, TtiModel};
@@ -76,16 +76,13 @@ fn schedules() -> Vec<(&'static str, Schedule, SparseMode)> {
             SparseMode::FusedCompressed,
         ),
         (
-            "diamond",
-            // Width 24 at tile_t 3: slope 4 single-phase (acoustic/TTI,
-            // radius 2) and slope 2 two-phase (elastic so4, radius 2).
-            Schedule::Diamond {
-                width: 24,
-                tile_t: 3,
-                tile_c: 8,
-                axis: DiamondAxis::X,
+            "wavefront-xy",
+            Schedule::WavefrontDataflow {
+                tile_x: 8,
+                tile_y: 12,
+                tile_t: 4,
                 block_x: 4,
-                block_y: 4,
+                block_y: 2,
             },
             SparseMode::FusedCompressed,
         ),
@@ -161,7 +158,7 @@ fn check_schedule<F: FnMut(&Execution)>(
                 assert!(p.counter(Counter::SpaceSweeps) > 0, "{label}: no sweeps");
                 assert_eq!(p.counter(Counter::WavefrontTiles), 0, "{label}");
             }
-            Schedule::WavefrontDataflow { .. } | Schedule::Diamond { .. } => {
+            Schedule::WavefrontDataflow { .. } => {
                 // The plan executor runs tiles under dependency counters —
                 // tile and ready counters move, no sweeps.
                 assert!(p.counter(Counter::WavefrontTiles) > 0, "{label}: no tiles");

@@ -139,6 +139,7 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     // visible in the trace shape — and the propagator phases show up under
     // the tiles, even though tiles complete in a work-stealing order.
     assert_eq!(trace.count(SpanKind::Dataflow), 1);
+    assert_eq!(trace.count(SpanKind::Sweep), 0, "{name}: no space-blocked sweep ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "{name}: stencil phases traced");
     assert!(trace.count(SpanKind::Sparse) > 0, "{name}: sparse phases traced");
     assert_well_nested(&trace);
@@ -187,46 +188,6 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     }
     assert_eq!(tiles_in_json, expected.len());
     assert_eq!(v.get("otherData").unwrap().get("dropped").unwrap().as_u64(), Some(0));
-}
-
-#[cfg(feature = "obs")]
-#[test]
-fn traced_diamond_run_covers_every_tile_with_zero_drops() {
-    // Satellite acceptance: the diamond schedule must trace one tile span
-    // per (non-empty) diamond tile with correct (row, k, ct, t0, t1)
-    // coordinates and lose nothing at the default ring capacity.
-    let _g = guard();
-    let mut s = acoustic64();
-    let exec = Execution::diamond_default();
-    let (stats, profile, trace, _) = s.run_traced(&exec);
-    assert_eq!(stats.nt, NT);
-    assert!(!profile.is_empty(), "profiling gate is on");
-    assert_eq!(trace.dropped, 0, "diamond 64³×8 must fit the default ring");
-    assert_eq!(trace.capacity, obs::trace::DEFAULT_CAPACITY);
-
-    let spec = exec.diamond_spec(2, 1);
-    let mut expected = Vec::new();
-    tempest::tiling::diamond::for_each_diamond_tile(Shape::cube(N), NT, &spec, |t| {
-        expected.push(*t)
-    });
-    assert!(expected.len() > 1, "the case must actually tile");
-    assert_eq!(trace.count(SpanKind::Tile), expected.len());
-    for t in &expected {
-        let found = trace.events_of(SpanKind::Tile).any(|e| {
-            e.args.diagonal == t.row as i32
-                && e.args.tx == t.k as i32
-                && e.args.ty == t.ct as i32
-                && e.args.t0 == t.t0 as i32
-                && e.args.t1 == t.t1 as i32
-        });
-        assert!(found, "no tile span for {t:?}");
-    }
-    // One whole-sweep coordinator span, none of the baseline's.
-    assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert_eq!(trace.count(SpanKind::Sweep), 0, "no space-blocked sweep ran");
-    assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
-    assert_well_nested(&trace);
-    obs::trace::set_enabled(false);
 }
 
 #[cfg(feature = "obs")]
