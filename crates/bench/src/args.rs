@@ -99,7 +99,7 @@ impl HarnessArgs {
                         .and_then(|v| KernelPath::parse(v))
                         .unwrap_or_else(|| {
                             panic!(
-                                "--kernel needs 'auto', 'scalar', 'portable'/'pencil' or 'avx2', \
+                                "--kernel needs 'auto', 'scalar', 'portable' or 'avx2', \
                                  got {:?}",
                                 argv.get(i)
                             )
@@ -113,7 +113,7 @@ impl HarnessArgs {
                          --profile (per-phase profile table + JSON) \
                          --trace (event traces, Chrome JSON under results/trace/) \
                          --kernel auto|scalar|portable|avx2 (row-kernel backend, default auto \
-                         = best available; 'pencil' is accepted as an alias for portable)"
+                         = best available)"
                     );
                     std::process::exit(0);
                 }
@@ -179,11 +179,6 @@ mod tests {
         assert_eq!(
             HarnessArgs::parse_from(&sv(&["--kernel", "scalar"]), 64, 8).kernel,
             KernelPath::Scalar
-        );
-        // "pencil" stays accepted as a compatibility alias for portable.
-        assert_eq!(
-            HarnessArgs::parse_from(&sv(&["--kernel", "pencil"]), 64, 8).kernel,
-            KernelPath::Portable
         );
         assert_eq!(
             HarnessArgs::parse_from(&sv(&["--kernel", "avx2"]), 64, 8).kernel,

@@ -145,7 +145,7 @@ fn kernel_label(k: KernelPath) -> &'static str {
 }
 
 /// Parse `--kernel`: one name per `KernelPath::parse` (`auto`, `scalar`,
-/// `pencil`/`portable`, `avx2`), a comma list of those, or the sweep words
+/// `portable`, `avx2`), a comma list of those, or the sweep words
 /// `both`/`all` (= every backend *available* on this host, so a CI loop can
 /// pass the same flag everywhere). Unknown names exit 2, matching the
 /// `--schedules` contract.
@@ -192,7 +192,6 @@ fn list_kernels() {
         "auto       resolves to the best available backend (currently: {})",
         tempest_stencil::backend::detect_best()
     );
-    println!("pencil     alias for portable");
 }
 
 /// The survey pseudo-schedule: not an [`Execution`] but a whole multi-shot

@@ -251,7 +251,7 @@ mod tests {
         BenchEntry {
             model: model.into(),
             schedule: "wavefront-dflow_16x16_t8_8x8".into(),
-            kernel: "pencil".into(),
+            kernel: "portable".into(),
             gpts_per_s: gpts,
             elapsed_s: 0.01,
             barrier_wait_share: 0.05,
@@ -319,7 +319,7 @@ mod tests {
             &s,
             &tempest_survey::SurveyOptions::default(),
             1,
-            "pencil",
+            "portable",
         );
         assert_eq!(e.model, "acoustic-so4");
         assert_eq!(e.schedule, "survey_2shot");
@@ -331,7 +331,7 @@ mod tests {
     fn measure_entry_produces_throughput() {
         let mut s = crate::setup::acoustic(16, 4, 4, 3);
         let (e, _trace, meta) =
-            BenchReport::measure_entry(&mut s, &Execution::baseline().sequential(), 1, "pencil");
+            BenchReport::measure_entry(&mut s, &Execution::baseline().sequential(), 1, "portable");
         assert_eq!(e.model, "acoustic-so4");
         assert_eq!(e.schedule, "spaceblocked_8x8");
         assert!(e.gpts_per_s > 0.0);

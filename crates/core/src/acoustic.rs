@@ -27,7 +27,6 @@ use tempest_stencil::kernels::AxisWeights;
 use tempest_stencil::metrics::acoustic_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-use tempest_tiling::spaceblock;
 
 /// `row(u, i0, lap)` fills `lap` with the Laplacian row of `u` that starts at
 /// linear index `i0`.
@@ -323,25 +322,7 @@ impl Acoustic {
             matches!(exec.schedule, Schedule::SpaceBlocked { .. }),
             "stepping by range (and so snapshot recording) requires the spatially blocked schedule"
         );
-        exec.validate();
-        if k0 == 0 {
-            crate::operator::record_backend_run(exec.kernel.resolve());
-            self.reset();
-        }
-        let this: &Acoustic = self;
-        let classic = exec.sparse == SparseMode::Classic;
-        spaceblock::execute(
-            this.shape(),
-            k1 - k0,
-            exec.spaceblock_spec(),
-            exec.policy,
-            |step, block| this.step_region(k0 + step, block, exec.sparse, exec.kernel),
-            |step| {
-                if classic {
-                    this.classic_after_step(k0 + step);
-                }
-            },
-        );
+        crate::runpath::solve(self, exec, k0..k1, None);
     }
 
     /// Bitwise checkpoint of the wavefield ring, taken while quiescent

@@ -27,7 +27,6 @@
 pub mod acoustic;
 pub mod config;
 pub mod elastic;
-pub mod io;
 pub mod operator;
 pub mod runpath;
 pub mod shared;

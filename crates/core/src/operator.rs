@@ -84,8 +84,8 @@ impl KernelPath {
     }
 
     /// Parse a `--kernel` / `TEMPEST_KERNEL`-style name. Accepts the
-    /// backend names (`scalar`, `portable`, `avx2`), the `pencil` alias,
-    /// and `auto`; rejects anything else.
+    /// backend names (`scalar`, `portable`, `avx2`) and `auto`; rejects
+    /// anything else.
     pub fn parse(name: &str) -> Option<KernelPath> {
         let s = name.trim();
         if s.eq_ignore_ascii_case("auto") {
@@ -344,7 +344,7 @@ impl RunStats {
 }
 
 /// Digest of a list of value vectors, bit for bit and length-delimited.
-pub(crate) fn digest_values(volumes: &[&[f32]]) -> u64 {
+pub fn digest_values(volumes: &[&[f32]]) -> u64 {
     let mut h = DefaultHasher::new();
     for values in volumes {
         h.write_usize(values.len());
@@ -430,7 +430,7 @@ pub trait WaveSolver: Sync {
 
     /// Run the full simulation (resets state first) and return throughput.
     fn run(&mut self, exec: &Execution) -> RunStats {
-        crate::runpath::solve(self, exec, None).stats
+        crate::runpath::solve(self, exec, 0..self.num_timesteps(), None).stats
     }
 
     /// Run the simulation incrementally against `cache`: diff the sparse
@@ -454,13 +454,13 @@ pub trait WaveSolver: Sync {
         shot_key: u64,
     ) -> IncrementalReport {
         if !cache.enabled() {
-            return crate::runpath::solve(self, exec, None);
+            return crate::runpath::solve(self, exec, 0..self.num_timesteps(), None);
         }
         let mut ex = *exec;
         if ex.sparse == SparseMode::Classic {
             ex.sparse = SparseMode::FusedCompressed;
         }
-        crate::runpath::solve(self, &ex, Some((cache, shot_key)))
+        crate::runpath::solve(self, &ex, 0..self.num_timesteps(), Some((cache, shot_key)))
     }
 
     /// Run with telemetry: resets the observability counters, runs, and

@@ -18,6 +18,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -70,22 +71,31 @@ impl IncrementalReport {
     }
 }
 
-/// Run `solver` under `exec` from a reset state; `cached` lends an enabled
-/// tile cache and the caller's shot identity to the sweep.
+/// Run timesteps `steps` of `solver` under `exec` — from a reset state when
+/// they start at 0, from wherever the previous segment left the rings
+/// otherwise; `cached` lends an enabled tile cache and the caller's shot
+/// identity to the sweep.
 pub(crate) fn solve<S: WaveSolver + ?Sized>(
     solver: &mut S,
     exec: &Execution,
+    steps: Range<usize>,
     cached: Option<(&TileCache, u64)>,
 ) -> IncrementalReport {
     exec.validate();
-    record_backend_run(exec.kernel.resolve());
-    solver.reset();
+    if steps.start == 0 {
+        record_backend_run(exec.kernel.resolve());
+        solver.reset();
+    }
     let solver: &S = solver;
-    let (shape, nt) = (solver.shape(), solver.num_timesteps());
+    let (shape, nt) = (solver.shape(), steps.len());
     let (radius, phases) = (solver.radius(), solver.phases());
-    let nvt = nt * phases;
+    let (vt0, nvt) = (steps.start * phases, nt * phases);
+    debug_assert!(
+        cached.is_none() || steps == (0..solver.num_timesteps()),
+        "a cached tile stands for a step of the whole run"
+    );
     let step =
-        |vt: usize, region: &Range3| solver.step_region(vt, region, exec.sparse, exec.kernel);
+        |vt: usize, region: &Range3| solver.step_region(vt0 + vt, region, exec.sparse, exec.kernel);
     let started = Instant::now();
     // A cached space-blocked solve runs on its tile_t = 1 plan: the barrier
     // executor has no per-tile identity to cache against.
@@ -112,8 +122,8 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
                 step,
                 |vt| {
                     // Once per *timestep*, after its last phase.
-                    if classic && (vt + 1).is_multiple_of(phases) {
-                        solver.classic_after_step(vt / phases);
+                    if classic && (vt0 + vt + 1).is_multiple_of(phases) {
+                        solver.classic_after_step((vt0 + vt) / phases);
                     }
                 },
             );
@@ -581,8 +591,9 @@ mod tests {
                 TileCache::with_capacity_mb(64),
                 TileCache::with_capacity_mb(64),
             ];
-            solve(&mut *a, &exec, Some((&caches[0], 0)));
-            solve(&mut *b, &exec, Some((&caches[1], 0)));
+            let steps = 0..a.num_timesteps();
+            solve(&mut *a, &exec, steps.clone(), Some((&caches[0], 0)));
+            solve(&mut *b, &exec, steps, Some((&caches[1], 0)));
 
             let nvt = a.num_timesteps() * a.phases();
             let plan = TilePlan::spaceblocked(a.shape(), nvt, 4, 4, a.radius());

@@ -108,7 +108,7 @@ impl ReceiverBundle {
 /// thread after every region of the timestep was stepped: each source adds
 /// its interpolation-weighted amplitude through `apply(point, w·a)`, then
 /// each receiver interpolates the injected field through `value(point)`.
-pub(crate) fn classic_step(
+pub fn classic_step(
     k: usize,
     src: &SourceBundle,
     receivers: Option<(&ReceiverBundle, &TraceBuffer)>,
@@ -153,7 +153,7 @@ pub(crate) fn classic_step(
 /// [`gather`](Self::gather); dropping it records `SourceInjections` (one per
 /// affected point), `ReceiverGathers` (one per receiver contribution), the
 /// `Phase::Sparse` time and a `SpanKind::Sparse` span.
-pub(crate) struct FusedPencil {
+pub struct FusedPencil {
     compressed: bool,
     k: usize,
     x: usize,
@@ -169,7 +169,7 @@ impl FusedPencil {
     /// `None` under [`SparseMode::Classic`], whose operators run between
     /// sweeps instead ([`classic_step`]).
     #[inline]
-    pub(crate) fn begin(
+    pub fn begin(
         mode: SparseMode,
         k: usize,
         x: usize,
@@ -225,7 +225,7 @@ impl FusedPencil {
     /// Source injection: `apply(z, amp)` adds the decomposed, grid-aligned
     /// amplitude of timestep `k` at every affected `z` of the pencil.
     #[inline]
-    pub(crate) fn inject(&mut self, src: &SourceBundle, mut apply: impl FnMut(usize, f32)) {
+    pub fn inject(&mut self, src: &SourceBundle, mut apply: impl FnMut(usize, f32)) {
         let (k, x, y) = (self.k, self.x, self.y);
         let mut injections = 0u64;
         self.affected(
@@ -243,7 +243,7 @@ impl FusedPencil {
     /// as the step (and any injection) just left it. A no-op without
     /// receivers.
     #[inline]
-    pub(crate) fn gather(
+    pub fn gather(
         &mut self,
         receivers: Option<(&ReceiverBundle, &TraceBuffer)>,
         fresh: &[f32],

@@ -29,9 +29,12 @@
 //! Pipeline: symbolic [`expr::Expr`] → time-derivative expansion → linear
 //! [`solve()`](solve()) for the forward update → spatial lowering ([`lower()`](lower())) that
 //! expands `laplace` / derivative nodes into explicit FD stencil sums with
-//! Fornberg weights → an interpretable [`lower::LowExpr`] executed by
-//! [`operator::DslOperator`] with classic off-grid source injection and
-//! receiver interpolation from `tempest-sparse`.
+//! Fornberg weights → an interpretable [`lower::LowExpr`] evaluated by
+//! [`operator::DslOperator`], which implements `tempest_core::WaveSolver`:
+//! the schedule (space-blocked or wave-front temporally blocked), the worker
+//! pool, the tile cache and the off-grid sparse operators — classic or
+//! precomputed and fused — are the shared run path's, chosen below the
+//! symbolic specification.
 //!
 //! The DSL path is cross-validated against the hand-optimised propagators in
 //! `tempest-core` (see `tests/`), exactly as Devito's generated code is the

@@ -81,15 +81,16 @@ impl LowExpr {
         }
     }
 
-    /// Node count.
-    pub fn size(&self) -> usize {
+    /// Floating-point operations one evaluation performs (a multiply and an
+    /// add per stencil tap) — the operator's roofline model input.
+    pub fn flops(&self) -> usize {
         match self {
-            LowExpr::Const(_) | LowExpr::Access { .. } | LowExpr::Param(_) => 1,
-            LowExpr::Stencil { taps, .. } => 1 + taps.len(),
+            LowExpr::Const(_) | LowExpr::Access { .. } | LowExpr::Param(_) => 0,
+            LowExpr::Stencil { taps, .. } => 2 * taps.len(),
             LowExpr::Add(a, b) | LowExpr::Sub(a, b) | LowExpr::Mul(a, b) | LowExpr::Div(a, b) => {
-                1 + a.size() + b.size()
+                1 + a.flops() + b.flops()
             }
-            LowExpr::Neg(a) => 1 + a.size(),
+            LowExpr::Neg(a) => 1 + a.flops(),
         }
     }
 }

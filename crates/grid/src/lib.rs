@@ -12,9 +12,6 @@
 //!   contiguous pencils.
 //! * [`Field`] — an [`Array3`] with a halo region of configurable width, the
 //!   storage for one time level of a wavefield.
-//! * [`TimeBuffer`] — a circular buffer of [`Field`]s over the time dimension
-//!   (2 levels for first-order-in-time systems, 3 for second-order), with a
-//!   safe simultaneous read/write borrow API for stencil updates.
 //! * [`Domain`] — physical-coordinate ↔ grid-index mapping (grid spacing,
 //!   origin), used to locate *off-the-grid* source/receiver positions.
 //! * [`model`] — material parameter volumes (velocity, density, Thomsen
@@ -31,7 +28,6 @@ pub mod field;
 pub mod model;
 pub mod rng;
 pub mod shape;
-pub mod timebuffer;
 
 pub use array::{Array2, Array3};
 pub use boundary::DampingMask;
@@ -40,4 +36,3 @@ pub use field::Field;
 pub use model::{ElasticModel, Model, TtiModel};
 pub use rng::Rng64;
 pub use shape::{Range3, Shape};
-pub use timebuffer::TimeBuffer;

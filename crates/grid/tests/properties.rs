@@ -3,7 +3,7 @@
 //! [`Rng64`] (the workspace builds hermetically, so no proptest — the seeds
 //! make failures reproducible by construction).
 
-use tempest_grid::{Array3, Domain, Field, Range3, Rng64, Shape, TimeBuffer};
+use tempest_grid::{Array3, Domain, Field, Range3, Rng64, Shape};
 
 const CASES: usize = 64;
 
@@ -91,19 +91,6 @@ fn field_interior_isolated() {
             assert_eq!(f.get(px, py, pz), expect);
         }
         assert_eq!(f.interior_copy().count_nonzero(), 1);
-    }
-}
-
-/// Time buffer slots: `read_write` never aliases and wraps correctly.
-#[test]
-fn timebuffer_slot_arithmetic() {
-    let mut rng = Rng64::new(0xA5);
-    for _ in 0..CASES {
-        let levels = rng.range_usize(2, 5);
-        let t = rng.range_usize(0, 40);
-        let b = TimeBuffer::zeros(Shape::cube(2), 0, levels);
-        assert_eq!(b.slot(t), t % levels);
-        assert_eq!(b.slot(t + levels), b.slot(t));
     }
 }
 

@@ -31,7 +31,6 @@
 pub mod classic;
 pub mod compressed;
 pub mod interp;
-pub mod moving;
 pub mod points;
 pub mod precompute;
 pub mod receivers;

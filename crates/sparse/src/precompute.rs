@@ -21,7 +21,7 @@
 
 use crate::interp::trilinear_all;
 use crate::points::SparsePoints;
-use tempest_grid::{Array2, Array3, Domain, Field, Range3};
+use tempest_grid::{Array2, Array3, Domain, Field};
 
 /// Grid-aligned, precomputed source injection data.
 #[derive(Debug, Clone)]
@@ -166,33 +166,6 @@ impl SourcePrecompute {
         self.src_dcmp.row(t)
     }
 
-    /// Fused injection over a region (the Listing-4 inner loops, reference
-    /// form): for every masked point in `region`,
-    /// `u[p] += scale(p) · src_dcmp[t][SID[p]]`.
-    ///
-    /// The optimised propagators inline this per pencil; this method is the
-    /// specification they are tested against.
-    pub fn apply_to_field(
-        &self,
-        field: &mut Field,
-        t: usize,
-        region: &Range3,
-        scale: impl Fn(usize, usize, usize) -> f32,
-    ) {
-        let row = self.dcmp_row(t).to_vec();
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let sm = self.sm.pencil(x, y);
-                let sid = self.sid.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    if sm[z] != 0 {
-                        field.add(x, y, z, scale(x, y, z) * row[sid[z] as usize]);
-                    }
-                }
-            }
-        }
-    }
-
     /// Approximate extra memory the scheme allocates, in bytes — the
     /// "negligible overhead" the paper's §IV-E corner cases quantify.
     pub fn memory_overhead_bytes(&self) -> usize {
@@ -208,10 +181,33 @@ mod tests {
     use super::*;
     use crate::classic::inject_points;
     use crate::wavelet::{ricker, wavelet_matrix, wavelet_matrix_scaled};
-    use tempest_grid::Shape;
+    use tempest_grid::{Range3, Shape};
 
     fn dom() -> Domain {
         Domain::uniform(Shape::cube(13), 10.0)
+    }
+
+    /// Fused injection over a region (the Listing-4 inner loops, reference
+    /// form): for every masked point in `region`,
+    /// `u[p] += scale(p) · src_dcmp[t][SID[p]]`.
+    fn apply_to_field(
+        p: &SourcePrecompute,
+        field: &mut Field,
+        t: usize,
+        region: &Range3,
+        scale: impl Fn(usize, usize, usize) -> f32,
+    ) {
+        let row = p.dcmp_row(t);
+        for x in region.x0..region.x1 {
+            for y in region.y0..region.y1 {
+                let (sm, sid) = (p.sm_pencil(x, y), p.sid_pencil(x, y));
+                for z in region.z0..region.z1 {
+                    if sm[z] != 0 {
+                        field.add(x, y, z, scale(x, y, z) * row[sid[z] as usize]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -288,7 +284,7 @@ mod tests {
 
             let mut fused = Field::zeros(d.shape(), 1);
             let full = d.shape().full_range();
-            p.apply_to_field(&mut fused, t, &full, scale);
+            apply_to_field(&p, &mut fused, t, &full, scale);
 
             let diff = classic.interior_copy().max_abs_diff(&fused.interior_copy());
             assert!(diff < 1e-6, "t={t}: max diff {diff}");
@@ -337,7 +333,7 @@ mod tests {
         let mut f = Field::zeros(d.shape(), 0);
         // Region excludes the source cell entirely.
         let region = Range3::new((0, 2), (0, 2), (0, 2));
-        p.apply_to_field(&mut f, 0, &region, |_, _, _| 1.0);
+        apply_to_field(&p, &mut f, 0, &region, |_, _, _| 1.0);
         assert_eq!(f.nonzero_interior().len(), 0);
     }
 

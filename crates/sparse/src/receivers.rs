@@ -17,7 +17,7 @@
 use crate::compressed::CompressedMask;
 use crate::interp::trilinear_all;
 use crate::points::SparsePoints;
-use tempest_grid::{Array3, Domain, Field, Range3};
+use tempest_grid::{Array3, Domain};
 
 /// Grid-aligned, precomputed receiver interpolation data.
 #[derive(Debug, Clone)]
@@ -107,40 +107,41 @@ impl ReceiverPrecompute {
     pub fn compressed(&self) -> CompressedMask {
         CompressedMask::build(&self.rid)
     }
-
-    /// Reference fused gather over a region: accumulate the contributions of
-    /// every masked point of `field` into `trace_row` (the `d[t][·]` row).
-    ///
-    /// The optimised kernels inline this; it is their test oracle. Note this
-    /// *accumulates*: a full-grid sweep split into disjoint regions yields
-    /// the same trace row as one whole-grid call.
-    pub fn gather_region(&self, field: &Field, region: &Range3, trace_row: &mut [f32]) {
-        assert_eq!(trace_row.len(), self.num_receivers);
-        for x in region.x0..region.x1 {
-            for y in region.y0..region.y1 {
-                let rm = self.rm.pencil(x, y);
-                let rid = self.rid.pencil(x, y);
-                for z in region.z0..region.z1 {
-                    if rm[z] != 0 {
-                        let v = field.get(x, y, z);
-                        for &(r, w) in self.contributions(rid[z] as usize) {
-                            trace_row[r as usize] += w * v;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classic::interpolate_points;
-    use tempest_grid::Shape;
+    use tempest_grid::{Field, Range3, Shape};
 
     fn dom() -> Domain {
         Domain::uniform(Shape::cube(13), 10.0)
+    }
+
+    /// Reference fused gather over a region: accumulate the contributions of
+    /// every masked point of `field` into `trace_row` (the `d[t][·]` row), so
+    /// a sweep split into disjoint regions yields the whole-grid row.
+    fn gather_region(
+        p: &ReceiverPrecompute,
+        field: &Field,
+        region: &Range3,
+        trace_row: &mut [f32],
+    ) {
+        assert_eq!(trace_row.len(), p.num_receivers);
+        for x in region.x0..region.x1 {
+            for y in region.y0..region.y1 {
+                let (rm, rid) = (p.rm_pencil(x, y), p.rid_pencil(x, y));
+                for z in region.z0..region.z1 {
+                    if rm[z] != 0 {
+                        let v = field.get(x, y, z);
+                        for &(r, w) in p.contributions(rid[z] as usize) {
+                            trace_row[r as usize] += w * v;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn wavy_field(d: &Domain) -> Field {
@@ -169,7 +170,7 @@ mod tests {
 
         let p = ReceiverPrecompute::build(&d, &recs);
         let mut fused = vec![0.0f32; 3];
-        p.gather_region(&f, &d.shape().full_range(), &mut fused);
+        gather_region(&p, &f, &d.shape().full_range(), &mut fused);
         for r in 0..3 {
             assert!(
                 (classic[r] - fused[r]).abs() < 1e-5,
@@ -187,13 +188,14 @@ mod tests {
         let recs = SparsePoints::new(&d, vec![[59.5, 59.5, 59.5]]);
         let p = ReceiverPrecompute::build(&d, &recs);
         let mut whole = vec![0.0f32; 1];
-        p.gather_region(&f, &d.shape().full_range(), &mut whole);
+        gather_region(&p, &f, &d.shape().full_range(), &mut whole);
         // Split the grid into left/right x halves — the receiver footprint
         // straddles nothing here, but the general accumulation must agree.
         let mut split = vec![0.0f32; 1];
         let s = d.shape();
-        p.gather_region(&f, &Range3::new((0, 6), (0, s.ny), (0, s.nz)), &mut split);
-        p.gather_region(&f, &Range3::new((6, s.nx), (0, s.ny), (0, s.nz)), &mut split);
+        let halves = [(0, 6), (6, s.nx)].map(|xs| Range3::new(xs, (0, s.ny), (0, s.nz)));
+        gather_region(&p, &f, &halves[0], &mut split);
+        gather_region(&p, &f, &halves[1], &mut split);
         assert!((whole[0] - split[0]).abs() < 1e-6);
     }
 
@@ -248,7 +250,7 @@ mod tests {
         let recs = SparsePoints::new(&d, vec![[50.0, 50.0, 50.0]]);
         let p = ReceiverPrecompute::build(&d, &recs);
         let mut out = vec![0.0f32; 1];
-        p.gather_region(&f, &d.shape().full_range(), &mut out);
+        gather_region(&p, &f, &d.shape().full_range(), &mut out);
         assert_eq!(out[0], 42.0);
     }
 

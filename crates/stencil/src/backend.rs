@@ -33,8 +33,7 @@
 //! 1. an explicit `--kernel` flag (an `Execution` carrying a concrete
 //!    `KernelPath`, resolved by `tempest-core`),
 //! 2. the [`TEMPEST_KERNEL`](KERNEL_ENV) environment variable
-//!    (`scalar` | `portable` | `avx2`; `pencil` is an alias for `portable`,
-//!    `auto` for detection),
+//!    (`scalar` | `portable` | `avx2`; `auto` for detection),
 //! 3. the detected best ([`detect_best`]).
 //!
 //! A forced backend that the host cannot run (e.g. `TEMPEST_KERNEL=avx2` on
@@ -133,13 +132,12 @@ impl Backend {
         self.caps().cpu_feature.is_none_or(host_has_feature)
     }
 
-    /// Parse a backend name (case-insensitive). `pencil` is accepted as a
-    /// compatibility alias for `portable`; `auto` is *not* a backend — the
-    /// dispatcher handles it.
+    /// Parse a backend name (case-insensitive). `auto` is *not* a backend —
+    /// the dispatcher handles it.
     pub fn parse(name: &str) -> Option<Backend> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
-            "portable" | "pencil" => Some(Backend::Portable),
+            "portable" => Some(Backend::Portable),
             "avx2" => Some(Backend::Avx2),
             _ => None,
         }
@@ -507,7 +505,6 @@ mod tests {
 
     #[test]
     fn parse_accepts_aliases_and_rejects_unknown() {
-        assert_eq!(Backend::parse("pencil"), Some(Backend::Portable));
         assert_eq!(Backend::parse("  AVX2 "), Some(Backend::Avx2));
         assert_eq!(Backend::parse("auto"), None);
         assert_eq!(Backend::parse("neon"), None);
@@ -530,7 +527,6 @@ mod tests {
         // Always-available backends are honoured verbatim.
         assert_eq!(choose(Some("scalar")), Backend::Scalar);
         assert_eq!(choose(Some("portable")), Backend::Portable);
-        assert_eq!(choose(Some("pencil")), Backend::Portable);
         // Unknown names never panic, never pick an unrunnable backend.
         assert_eq!(choose(Some("gpu9000")), detect_best());
         // A forced avx2 is honoured exactly when the host supports it.

@@ -1,15 +1,15 @@
 //! # tempest-stencil
 //!
-//! Finite-difference machinery: coefficient generation, stencil descriptors
-//! and the dense point-update kernels used by the wave propagators.
+//! Finite-difference machinery: coefficient generation and the dense
+//! point-update kernels used by the wave propagators.
 //!
 //! The paper's kernels are explicit finite-difference discretisations of
 //! space orders 4, 8 and 12 (§IV.B). This crate computes the FD weights for
-//! *any* even order with Fornberg's algorithm ([`coeffs`]), describes the
-//! resulting space stencils ([`descriptor`]) including their FLOP/byte
-//! footprint ([`metrics`], used by the roofline reproduction of Fig. 11), and
-//! provides the inner-loop building blocks ([`kernels`]) that the propagators
-//! in `tempest-core` assemble into full time updates:
+//! *any* even order with Fornberg's algorithm ([`coeffs`]), models the
+//! FLOP/byte footprint of the resulting space stencils ([`metrics`], used by
+//! the roofline reproduction of Fig. 11), and provides the inner-loop
+//! building blocks ([`kernels`]) that the propagators in `tempest-core`
+//! assemble into full time updates:
 //!
 //! * second-derivative / Laplacian contributions (isotropic acoustic, Fig. 2),
 //! * centred first derivatives (the rotated TTI Laplacian, Eq. 2),
@@ -33,13 +33,11 @@
 pub mod avx2;
 pub mod backend;
 pub mod coeffs;
-pub mod descriptor;
 pub mod kernels;
 pub mod metrics;
 pub mod simd;
 
 pub use backend::{Backend, BackendCaps};
 pub use coeffs::{central_coeffs, fornberg_weights, staggered_coeffs};
-pub use descriptor::StencilDescriptor;
 pub use kernels::AxisWeights;
 pub use simd::{Lane, LANE};

@@ -1,8 +1,10 @@
 //! The Devito-style symbolic workflow (paper §III-A Listing 1):
 //! define the damped acoustic wave equation symbolically, `solve` for the
 //! forward update, lower to an executable stencil plan, attach off-grid
-//! source/receivers, print the generated loop nest, run — and cross-check
-//! against the hand-optimised `tempest-core` propagator.
+//! source/receivers, print the generated loop nest, run — cross-checked
+//! against the hand-optimised `tempest-core` propagator — and run again
+//! under wave-front temporal blocking, the schedule chosen below the
+//! specification.
 //!
 //! ```text
 //! cargo run --release --example dsl_acoustic
@@ -47,15 +49,16 @@ fn main() {
     let rec = SparsePoints::receiver_line(&domain, 5, 0.25);
     let wavelet = ricker(30.0, dt, nt);
     // src.inject(u.forward, expr = src * dt**2 / m)
-    op.add_injection(u, &src, &wavelet, InjectScale::ConstOverParam(dt * dt, m_id));
+    let scale = InjectScale::ConstOverParam(dt * dt, m_id);
+    op.set_injection(&src, &wavelet, &[(u, scale)]);
     // d = rec.interpolate(u)
-    let trace_idx = op.add_interpolation(u, &rec);
+    op.set_interpolation(u, &rec);
 
     println!("generated loop nest (Listing-1 structure):\n{}", op.pseudocode());
 
-    op.run();
-    let dsl_field = op.final_field(u.id());
-    let dsl_trace = op.trace(trace_idx).clone();
+    op.run(&Execution::baseline().sequential());
+    let dsl_field = op.final_field();
+    let dsl_trace = op.trace().unwrap();
 
     // ---- the hand-optimised propagator on the same problem --------------
     let model = Model::homogeneous(domain, c);
@@ -89,12 +92,17 @@ fn main() {
 
     // ---- automated temporal blocking from the symbolic spec -------------
     // The paper's future work (§V-B): skew, phases and the fused sparse
-    // operators all derived automatically from the lowered kernel.
-    op.run_wavefront(8, 8, 4);
-    let wf_field = op.final_field(u.id());
+    // operators all derived automatically from the lowered kernel; the run
+    // path, its tile plan and the worker pool are the propagators' own.
+    let wavefront = Execution::wavefront_default();
+    let stats = op.run(&wavefront);
     assert!(
-        dsl_field.bit_equal(&wf_field),
+        dsl_field.bit_equal(&op.final_field()),
         "automated WTB must be bitwise identical"
     );
-    println!("automated wave-front temporal blocking (tile 8x8, t4) == classic run ✓ (bitwise)");
+    println!(
+        "automated wave-front temporal blocking ({}, {:.4} GPts/s) == classic run ✓ (bitwise)",
+        wavefront.schedule_label(),
+        stats.gpoints_per_s
+    );
 }

@@ -6,8 +6,11 @@
 use tempest::core::config::EquationKind;
 use tempest::core::operator::Schedule;
 use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
-use tempest::grid::{Array2, Domain, ElasticModel, Model, Shape, TtiModel};
-use tempest::sparse::SparsePoints;
+use tempest::dsl::field::{FieldHandle, FieldId};
+use tempest::dsl::operator::InjectScale;
+use tempest::dsl::{solve, Context, DslOperator};
+use tempest::grid::{Array2, Array3, Domain, ElasticModel, Model, Shape, TtiModel};
+use tempest::sparse::{ricker, SparsePoints};
 use tempest::tiling::WavefrontSpec;
 
 /// Grid edge of every fixture.
@@ -91,6 +94,63 @@ pub fn solvers_with(
         rec,
     );
     vec![Box::new(acoustic), Box::new(tti), Box::new(elastic)]
+}
+
+/// The paper's §III-A acoustic operator written symbolically (homogeneous
+/// [`AcousticDsl::C`] m/s, 10 m cells, no absorbing layer), with the
+/// configuration of its hand-optimised twin.
+pub struct AcousticDsl {
+    pub op: DslOperator,
+    pub u: FieldHandle,
+    pub m: FieldId,
+    pub cfg: SimConfig,
+}
+
+impl AcousticDsl {
+    pub const C: f32 = 2000.0;
+
+    pub fn new(n: usize, so: usize, nt: usize) -> Self {
+        let domain = Domain::uniform(Shape::cube(n), 10.0);
+        let cfg = SimConfig::new(domain, so, EquationKind::Acoustic, Self::C, 100.0)
+            .with_nt(nt)
+            .with_f0(30.0)
+            .with_boundary(0, 0.0);
+        let mut ctx = Context::new(domain);
+        ctx.set_dt(cfg.dt as f64);
+        let u = ctx.time_function("u", 2, so);
+        let m = ctx.parameter("m");
+        let update = solve(&ctx, &(m.x() * u.dt2() - u.laplace()), u).unwrap();
+        let mut op = DslOperator::new(ctx, vec![update], nt);
+        op.set_parameter(m.id(), Array3::full(n, n, n, 1.0 / (Self::C * Self::C)));
+        AcousticDsl {
+            op,
+            u,
+            m: m.id(),
+            cfg,
+        }
+    }
+
+    /// `src.inject(u.forward, expr = src * dt**2 / m)`, the Ricker wavelet
+    /// scaled by `amplitude`.
+    pub fn inject(&mut self, src: &SparsePoints, amplitude: f32) {
+        let (dt, nt) = (self.cfg.dt, self.cfg.nt);
+        let wavelet: Vec<f32> = ricker(30.0, dt, nt).iter().map(|a| a * amplitude).collect();
+        let scale = InjectScale::ConstOverParam(dt * dt, self.m);
+        self.op.set_injection(src, &wavelet, &[(self.u, scale)]);
+    }
+
+    /// One source `off_grid` of a cell off the centre, a `receivers`-long
+    /// line (none for 0).
+    pub fn centred(n: usize, so: usize, nt: usize, off_grid: f32, receivers: usize) -> Self {
+        let mut dsl = Self::new(n, so, nt);
+        let domain = dsl.cfg.domain;
+        dsl.inject(&SparsePoints::single_center(&domain, off_grid), 1.0);
+        if receivers > 0 {
+            let rec = SparsePoints::receiver_line(&domain, receivers, 0.25);
+            dsl.op.set_interpolation(dsl.u, &rec);
+        }
+        dsl
+    }
 }
 
 /// The temporally blocked schedules of the matrix, legal for a propagator

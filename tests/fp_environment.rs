@@ -10,7 +10,7 @@
 //! offers and comparing bits finds a route that missed the mode: the calling
 //! thread under `Policy::Sequential`, the pool's workers, a survey's shot
 //! fleet, the survey service's scheduler thread, `run_range` segments,
-//! cached cold and warm sweeps, the DSL's two run loops. The receivers cross
+//! cached cold and warm sweeps, a DSL operator's solves. The receivers cross
 //! the shell, so gathers (the only output a survey returns) see it too.
 //!
 //! There is no switch that runs a solve *outside* the mode, so what proves
@@ -23,12 +23,10 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{solvers_on, trace_bitwise};
+use common::{solvers_on, trace_bitwise, AcousticDsl};
 use tempest::core::config::EquationKind;
 use tempest::core::operator::SparseMode;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
-use tempest::dsl::operator::InjectScale;
-use tempest::dsl::{solve, Context, DslOperator};
 use tempest::grid::{Array3, Domain, Model, Shape};
 use tempest::par::{subnormals_flushed, Policy};
 use tempest::sparse::wavelet::wavelet_matrix;
@@ -253,47 +251,32 @@ fn guarded_runs_leave_no_subnormal_value() {
     assert!(!subnormals_flushed());
 }
 
-/// The DSL interpreter's two run loops use neither executor; each holds the
-/// guard itself.
+/// A DSL operator has no run code of its own: its solves take the mode from
+/// the executors like any propagator's, on the calling thread and on the
+/// pool.
 #[test]
-fn dsl_run_loops_share_the_mode() {
-    let domain = Domain::uniform(Shape::cube(N), 10.0);
-    let c = 2000.0f32;
-    let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, c, 100.0)
-        .with_nt(NT)
-        .with_f0(30.0)
-        .with_boundary(0, 0.0);
-    let dt = cfg.dt;
-    let mut ctx = Context::new(domain);
-    ctx.set_dt(dt as f64);
-    let u = ctx.time_function("u", 2, 4);
-    let m = ctx.parameter("m");
-    let update = solve(&ctx, &(m.x() * u.dt2() - u.laplace()), u).unwrap();
-    let m_id = m.id();
-    let mut op = DslOperator::new(ctx, vec![update], NT);
-    op.set_parameter(m_id, Array3::full(N, N, N, 1.0 / (c * c)));
-    let src = SparsePoints::single_center(&domain, 0.37);
-    let faint: Vec<f32> = ricker(30.0, dt, NT)
-        .into_iter()
-        .map(|a| a * FAINT)
-        .collect();
-    op.add_injection(u, &src, &faint, InjectScale::ConstOverParam(dt * dt, m_id));
-    let rec = op.add_interpolation(u, &SparsePoints::receiver_line(&domain, NREC, 0.4));
+fn dsl_solves_share_the_mode() {
+    let mut dsl = AcousticDsl::new(N, 4, NT);
+    let domain = dsl.cfg.domain;
+    dsl.inject(&SparsePoints::single_center(&domain, 0.37), FAINT);
+    let mut op = dsl.op;
+    op.set_interpolation(dsl.u, &SparsePoints::receiver_line(&domain, NREC, 0.4));
 
-    op.run();
-    let (field, trace) = (op.final_field(u.id()), op.trace(rec).clone());
-    assert_flushed_front(&field, "dsl run");
-    assert_eq!(subnormals(trace.as_slice()), 0, "dsl run: subnormal traces");
-    op.run_wavefront(8, 8, 3);
-    assert!(
-        field.bit_equal(&op.final_field(u.id())),
-        "dsl run_wavefront field"
-    );
-    assert_eq!(
-        subnormals(op.trace(rec).as_slice()),
-        0,
-        "dsl run_wavefront: subnormal traces"
-    );
+    op.run(&Execution::baseline().sequential());
+    let field = op.final_field();
+    assert_flushed_front(&field, "dsl sequential baseline");
+    for exec in [
+        Execution::baseline().sequential(),
+        Execution::baseline(),
+        Execution::wavefront_default().sequential(),
+        Execution::wavefront_default(),
+    ] {
+        let what = format!("dsl {} {:?}", exec.schedule_label(), exec.policy);
+        op.run(&exec);
+        assert!(field.bit_equal(&op.final_field()), "{what}: field");
+        let t = op.trace().unwrap();
+        assert_eq!(subnormals(t.as_slice()), 0, "{what}: subnormal traces");
+    }
     assert!(
         !subnormals_flushed(),
         "the DSL left its caller in flush mode"

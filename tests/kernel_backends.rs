@@ -128,7 +128,6 @@ fn dispatcher_honours_requests_and_falls_back() {
     // Explicit names are honoured whenever the backend can run here.
     assert_eq!(choose(Some("scalar")), Backend::Scalar);
     assert_eq!(choose(Some("portable")), Backend::Portable);
-    assert_eq!(choose(Some("pencil")), Backend::Portable);
     if Backend::Avx2.available() {
         assert_eq!(choose(Some("avx2")), Backend::Avx2);
     } else {

@@ -208,6 +208,23 @@ fn acoustic_counts_match_oracle_for_all_schedules() {
 }
 
 #[test]
+fn dsl_acoustic_counts_match_oracle_for_all_schedules() {
+    // The symbolic acoustic operator steps through the same run path, so the
+    // hand-written propagator's closed forms hold for it unchanged.
+    let _g = guard();
+    let mut s = common::AcousticDsl::centred(N, 4, NT, 0.37, 4).op;
+    let oracle = fused_oracle(
+        (N * N * N * NT) as u64,
+        s.sources(),
+        s.receivers(),
+        NT as u64,
+    );
+    for (label, schedule, sparse) in schedules() {
+        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+    }
+}
+
+#[test]
 fn tti_counts_match_oracle_for_all_schedules() {
     let _g = guard();
     let d = Domain::uniform(Shape::cube(N), 20.0);
