@@ -263,9 +263,8 @@ fn build_solver(model: &str, size: usize, so: usize, nt: usize) -> Box<dyn WaveS
 
 fn main() {
     let args = parse_args();
-    // The report is only useful with telemetry on; enabling is harmless
-    // (and a no-op) when the obs feature is compiled out.
-    obs::set_enabled(true);
+    // The report reads counters, span times and events: the event level
+    // (a no-op when the obs feature is compiled out).
     obs::trace::set_enabled(true);
 
     println!(

@@ -74,16 +74,17 @@ impl BenchReport {
         exec: &Execution,
         repeats: usize,
         kernel_label: &str,
-    ) -> (BenchEntry, obs::trace::Trace, obs::RunMeta) {
+    ) -> (BenchEntry, obs::Trace, obs::RunMeta) {
         assert!(repeats >= 1);
-        let mut best: Option<(_, _, _, _)> = None;
+        let mut best: Option<(_, _, _)> = None;
         for _ in 0..repeats {
-            let r = solver.run_traced(exec);
-            if best.as_ref().map(|b: &(tempest_core::RunStats, _, _, _)| r.0.elapsed < b.0.elapsed).unwrap_or(true) {
+            let r = solver.run_profiled(exec);
+            if best.as_ref().map(|b: &(tempest_core::RunStats, _, _)| r.0.elapsed < b.0.elapsed).unwrap_or(true) {
                 best = Some(r);
             }
         }
-        let (stats, profile, trace, meta) = best.unwrap();
+        let (stats, mut profile, meta) = best.unwrap();
+        let trace = std::mem::take(&mut profile.trace);
         let analysis = TraceAnalysis::from_trace(&trace);
         let entry = BenchEntry {
             model: meta.name.clone(),
@@ -112,22 +113,22 @@ impl BenchReport {
         opts: &tempest_survey::SurveyOptions,
         repeats: usize,
         kernel_label: &str,
-    ) -> (BenchEntry, obs::trace::Trace) {
+    ) -> (BenchEntry, obs::Trace) {
         assert!(repeats >= 1);
         let cfg = survey.cfg();
         let updates = (survey.len() * cfg.nt * cfg.shape().len()) as f64;
-        let mut best: Option<(std::time::Duration, obs::Profile, obs::trace::Trace)> = None;
+        let mut best: Option<(std::time::Duration, obs::Profile)> = None;
         for _ in 0..repeats {
             obs::reset();
-            obs::trace::reset();
             let started = std::time::Instant::now();
             tempest_survey::run_survey(survey, opts).expect("survey benchmark run failed");
             let elapsed = started.elapsed();
-            if best.as_ref().map(|(e, _, _)| elapsed < *e).unwrap_or(true) {
-                best = Some((elapsed, obs::snapshot(), obs::trace::snapshot()));
+            if best.as_ref().map(|(e, _)| elapsed < *e).unwrap_or(true) {
+                best = Some((elapsed, obs::snapshot()));
             }
         }
-        let (elapsed, profile, trace) = best.unwrap();
+        let (elapsed, mut profile) = best.unwrap();
+        let trace = std::mem::take(&mut profile.trace);
         let analysis = TraceAnalysis::from_trace(&trace);
         let secs = elapsed.as_secs_f64().max(1e-12);
         let entry = BenchEntry {

@@ -242,7 +242,6 @@ impl Acoustic {
         backend: Backend,
         laplacian: &LaplacianRow,
     ) {
-        let sw = obs::start(obs::Phase::Stencil);
         count_step(region, backend);
         // SAFETY: the schedule guarantees level k+2 writes are disjoint per
         // region and levels k, k+1 hold fully computed values (legality is
@@ -276,7 +275,6 @@ impl Acoustic {
                 }
             }
         });
-        sw.stop();
     }
 
     /// Run the simulation while recording interior wavefield snapshots
@@ -389,7 +387,7 @@ impl WaveSolver for Acoustic {
     /// lookup), so every schedule picks up the same dispatch decision; the
     /// radius picks the Laplacian row handed to the one step body.
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
+        let _sp = obs::span(obs::SpanKind::Stencil, obs::SpanArgs::step(k));
         let backend = kernel.resolve();
         let step = |laplacian: &LaplacianRow| self.step_rows(k, region, mode, backend, laplacian);
         match self.radius {

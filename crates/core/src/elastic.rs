@@ -153,7 +153,6 @@ impl Elastic {
         mode: SparseMode,
         backend: Backend,
     ) {
-        let sw = obs::start(obs::Phase::Stencil);
         count_step(region, backend);
         // SAFETY: schedule contract (see `Acoustic::step_rows`); velocity
         // levels t+1 are written per disjoint region, all reads are level-t
@@ -227,7 +226,6 @@ impl Elastic {
                 }
             }
         });
-        sw.stop();
     }
 
     /// Stress update over `region`:
@@ -241,7 +239,6 @@ impl Elastic {
         mode: SparseMode,
         backend: Backend,
     ) {
-        let sw = obs::start(obs::Phase::Stencil);
         count_step(region, backend);
         // SAFETY: schedule contract (see `Acoustic::step_rows`); stress levels
         // t+1 are written per disjoint region, reads are the settled v[t+1]
@@ -332,7 +329,6 @@ impl Elastic {
                 }
             }
         });
-        sw.stop();
     }
 }
 
@@ -385,7 +381,7 @@ impl WaveSolver for Elastic {
     /// Compute virtual step `vt` for `region`. Even `vt` = velocity phase of
     /// timestep `vt/2`; odd = stress phase.
     fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(vt));
+        let _sp = obs::span(obs::SpanKind::Stencil, obs::SpanArgs::step(vt));
         let (t, backend) = (vt >> 1, kernel.resolve());
         match (self.radius, vt & 1) {
             (2, 0) => self.vel_rows::<2>(t, region, mode, backend),

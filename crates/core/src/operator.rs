@@ -463,31 +463,17 @@ pub trait WaveSolver: Sync {
         crate::runpath::solve(self, &ex, 0..self.num_timesteps(), Some((cache, shot_key)))
     }
 
-    /// Run with telemetry: resets the observability counters, runs, and
-    /// returns the aggregated [`obs::Profile`] alongside the stats plus a
-    /// [`obs::RunMeta`] ready for rendering/serialisation. With the `obs`
-    /// feature off (or `TEMPEST_PROFILE` unset) the profile is empty and the
-    /// run costs the same as [`run`](Self::run).
+    /// Run with telemetry: resets the recording, runs, and returns the
+    /// run's [`obs::Profile`] — counters, span times and, with event
+    /// capture on (`TEMPEST_TRACE` / `obs::trace::set_enabled`), its events
+    /// as `profile.trace` — alongside the stats plus a [`obs::RunMeta`]
+    /// ready for rendering/serialisation. With the `obs` feature off (or
+    /// recording off) the profile is empty and the run costs the same as
+    /// [`run`](Self::run).
     fn run_profiled(&mut self, exec: &Execution) -> (RunStats, obs::Profile, obs::RunMeta) {
-        let (stats, profile, _trace, meta) = self.run_traced(exec);
-        (stats, profile, meta)
-    }
-
-    /// Like [`run_profiled`](Self::run_profiled), additionally returning the
-    /// event-level [`obs::trace::Trace`] of the run (empty unless the `obs`
-    /// feature is compiled in *and* tracing is on via `TEMPEST_TRACE` /
-    /// `obs::trace::set_enabled`). Both telemetry layers are reset before
-    /// the run, so the returned profile/trace cover exactly this run.
-    #[allow(clippy::type_complexity)]
-    fn run_traced(
-        &mut self,
-        exec: &Execution,
-    ) -> (RunStats, obs::Profile, obs::trace::Trace, obs::RunMeta) {
         obs::reset();
-        obs::trace::reset();
         let stats = self.run(exec);
         let profile = obs::snapshot();
-        let trace = obs::trace::snapshot();
         let meta = obs::RunMeta::new(
             &format!("{}-so{}", self.name(), self.space_order()),
             &exec.schedule_label(),
@@ -495,7 +481,7 @@ pub trait WaveSolver: Sync {
             stats.grid_points as u64,
             stats.elapsed.as_secs_f64(),
         );
-        (stats, profile, trace, meta)
+        (stats, profile, meta)
     }
 
     /// Snapshot of the representative final wavefield (pressure for

@@ -115,8 +115,7 @@ pub fn classic_step(
     mut apply: impl FnMut([usize; 3], f32),
     value: impl Fn([usize; 3]) -> f32,
 ) {
-    let sw = obs::start(obs::Phase::Sparse);
-    let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
+    let _sp = obs::span(obs::SpanKind::Sparse, obs::SpanArgs::step(k));
     let mut injections = 0u64;
     let mut gathers = 0u64;
     for (st, &a) in src.stencils.iter().zip(src.amps_at(k)) {
@@ -139,7 +138,6 @@ pub fn classic_step(
     }
     obs::add(obs::Counter::SourceInjections, injections);
     obs::add(obs::Counter::ReceiverGathers, gathers);
-    sw.stop();
 }
 
 /// The fused sparse operators of timestep `k` on one freshly stepped pencil
@@ -151,8 +149,9 @@ pub fn classic_step(
 ///
 /// Opened once per pencil, then [`inject`](Self::inject) and/or
 /// [`gather`](Self::gather); dropping it records `SourceInjections` (one per
-/// affected point), `ReceiverGathers` (one per receiver contribution), the
-/// `Phase::Sparse` time and a `SpanKind::Sparse` span.
+/// affected point), `ReceiverGathers` (one per receiver contribution) and
+/// a `SpanKind::Sparse` span — cancelled when the pencil had no sparse
+/// work, so `Sparse` time counts only pencils that had some.
 pub struct FusedPencil {
     compressed: bool,
     k: usize,
@@ -161,8 +160,7 @@ pub struct FusedPencil {
     zs: Range<usize>,
     injections: u64,
     gathers: u64,
-    span: obs::trace::Span,
-    _sw: obs::Stopwatch,
+    span: obs::Span,
 }
 
 impl FusedPencil {
@@ -189,8 +187,7 @@ impl FusedPencil {
             zs,
             injections: 0,
             gathers: 0,
-            span: obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k)),
-            _sw: obs::start(obs::Phase::Sparse),
+            span: obs::span(obs::SpanKind::Sparse, obs::SpanArgs::step(k)),
         })
     }
 
@@ -275,7 +272,7 @@ impl Drop for FusedPencil {
     fn drop(&mut self) {
         if self.injections + self.gathers == 0 {
             // Most pencils have no sparse work; recording them would swamp
-            // the trace ring with empty spans.
+            // the event list with empty spans.
             self.span.cancel();
         }
         obs::add(obs::Counter::SourceInjections, self.injections);

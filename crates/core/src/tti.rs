@@ -192,7 +192,6 @@ impl Tti {
         if region.is_empty() {
             return;
         }
-        let sw = obs::start(obs::Phase::Stencil);
         count_step(region, backend);
         let (nx, ny) = (region.x1 - region.x0, region.y1 - region.y0);
         // SAFETY: see `Acoustic::step_rows` — identical schedule contract, two
@@ -312,7 +311,6 @@ impl Tti {
                 }
             }
         });
-        sw.stop();
     }
 }
 
@@ -350,7 +348,7 @@ impl WaveSolver for Tti {
     }
 
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
-        let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
+        let _sp = obs::span(obs::SpanKind::Stencil, obs::SpanArgs::step(k));
         let backend = kernel.resolve();
         match self.radius {
             2 => self.step_rows::<2>(k, region, mode, backend),

@@ -302,11 +302,7 @@ impl WaveSolver for DslOperator {
     /// `region`, pencil by pencil, then the fused sparse operators of the
     /// updated field. The evaluator is per point on every backend.
     fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, _kernel: KernelPath) {
-        let _sp = obs::trace::span(
-            obs::trace::SpanKind::Stencil,
-            obs::trace::SpanArgs::step(vt),
-        );
-        let sw = obs::start(obs::Phase::Stencil);
+        let _sp = obs::span(obs::SpanKind::Stencil, obs::SpanArgs::step(vt));
         obs::add(obs::Counter::StencilUpdates, region.len() as u64);
         let (k, u) = (
             vt / self.updates.len(),
@@ -362,7 +358,6 @@ impl WaveSolver for DslOperator {
                 }
             }
         }
-        sw.stop();
     }
 
     fn classic_after_step(&self, k: usize) {

@@ -1,22 +1,30 @@
-//! Runtime-telemetry subsystem: per-thread sharded counters and monotonic
-//! phase timers with a single aggregation point.
+//! Runtime telemetry: one span primitive, one per-thread record, one switch.
 //!
-//! Two gates keep the hot path clean:
+//! Every timed region opens a [`span`]. When its guard drops, the elapsed
+//! time is added to this thread's total for the span's [`SpanKind`]; with
+//! event capture on, the span is also appended to the same thread's event
+//! list. Counters ([`add`]) live in that record too, so one [`snapshot`]
+//! folds counters, span times and events into a [`Profile`] and one
+//! [`reset`] zeroes them all. A cancelled span ([`Span::cancel`]) records
+//! neither its time nor its event.
 //!
-//! 1. **Compile-time** — without the `enabled` cargo feature every recording
-//!    entry point ([`add`], [`start`], …) is an `#[inline(always)]` empty
-//!    function, so instrumented call sites (and the arithmetic feeding them)
-//!    are dead-code-eliminated.
-//! 2. **Run-time** — with the feature compiled in, recording is still off
-//!    unless `TEMPEST_PROFILE` is set (or [`set_enabled`] was called); the
-//!    check is one `Once` fast-path plus a relaxed bool load per call site.
+//! The switch has three levels, read from the environment once, on first
+//! use:
 //!
-//! Recording is wait-free per thread: each thread owns an `Arc<Shard>` of
-//! relaxed `AtomicU64`s (registered once in a global list), so there is no
-//! cross-thread contention on the hot path. [`snapshot`] is the single
-//! aggregation point — it walks the registry and folds all shards into a
-//! [`Profile`], which renders a human table ([`Profile::render`]) and JSON
-//! ([`Profile::write_json`] → `target/profile/*.json`).
+//! * **off** — nothing is recorded;
+//! * **record** — counters, span times, gauges and heartbeats
+//!   (`TEMPEST_PROFILE` or [`set_enabled`]; `TEMPEST_TELEMETRY`, the
+//!   endpoint's bind address, also turns it on);
+//! * **record + events** — also every span as a [`TraceEvent`]
+//!   (`TEMPEST_TRACE` or [`trace::set_enabled`]).
+//!
+//! Without the `enabled` cargo feature every recording entry point is an
+//! `#[inline(always)]` empty function and [`Span`] is a unit type, so
+//! instrumented call sites (and the arithmetic feeding them) are
+//! dead-code-eliminated. With it, a span or counter below its level costs
+//! one relaxed load. Recording never contends: each thread owns an
+//! `Arc<Shard>` of relaxed atomics (registered once in a global list), and
+//! only [`snapshot`] and [`reset`] walk the list.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -27,8 +35,10 @@ pub mod metrics;
 pub mod serve;
 pub mod trace;
 
+pub use trace::{SpanArgs, SpanKind, Trace, TraceEvent};
+
 // ---------------------------------------------------------------------------
-// Counter / Phase taxonomies
+// Counter taxonomy
 // ---------------------------------------------------------------------------
 
 /// Monotonic event counters. Semantics (see DESIGN.md §9):
@@ -161,71 +171,154 @@ impl Counter {
     }
 }
 
-/// Wall-clock phases timed by [`start`]. `Stencil` spans a whole region
-/// update including its fused sparse work; `Sparse` nests inside it (the
-/// dense-only share is `Stencil − Sparse`). `BarrierWait` is the time a
-/// `run_batch` caller spends waiting for workers after exhausting the batch,
-/// plus the time any `run_dataflow` participant spends idle with no ready
-/// tile to claim. `Sweep` is one virtual timestep of the space-blocked
-/// executor; `Dataflow` is the caller-side span of one whole plan sweep.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Phase {
-    Stencil = 0,
-    Sparse,
-    BarrierWait,
-    Dataflow,
-    Sweep,
-}
-
-impl Phase {
-    pub const COUNT: usize = 5;
-    pub const ALL: [Phase; Self::COUNT] = [
-        Phase::Stencil,
-        Phase::Sparse,
-        Phase::BarrierWait,
-        Phase::Dataflow,
-        Phase::Sweep,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Stencil => "stencil",
-            Phase::Sparse => "sparse",
-            Phase::BarrierWait => "barrier_wait",
-            Phase::Dataflow => "dataflow",
-            Phase::Sweep => "sweep",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Recording API — real implementation (feature = "enabled")
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{Counter, Phase, Profile, ThreadProfile};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, Once, OnceLock};
+    use super::{Counter, Profile, SpanArgs, SpanKind, ThreadProfile, TraceEvent};
+    use crate::trace::DEFAULT_CAPACITY;
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
+    use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
+    const OFF: u8 = 0;
+    const RECORD: u8 = 1;
+    const EVENTS: u8 = 2;
+
+    /// One thread's record. Only the owning thread writes it; `snapshot`
+    /// and `reset` take the event mutex briefly from the aggregating
+    /// thread, so it is uncontended on the hot path.
     struct Shard {
+        /// Registration order: the `tid` of this thread's events.
+        tid: u32,
         label: String,
         counters: [AtomicU64; Counter::COUNT],
-        timers_ns: [AtomicU64; Phase::COUNT],
+        times_ns: [AtomicU64; SpanKind::COUNT],
+        events: Mutex<Vec<TraceEvent>>,
+        /// Events refused because `events` was at capacity.
+        dropped: AtomicU64,
     }
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static ENV_INIT: Once = Once::new();
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
+    /// What the environment said at first use.
+    struct Env {
+        /// Origin of every span and heartbeat timestamp.
+        epoch: Instant,
+        /// The endpoint's bind address (`TEMPEST_TELEMETRY`).
+        addr: Option<String>,
+    }
+
+    static LEVEL: AtomicU8 = AtomicU8::new(OFF);
+    static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
+    static ENV: OnceLock<Env> = OnceLock::new();
+    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
+    static REGISTRY: Mutex<Vec<Arc<Shard>>> = Mutex::new(Vec::new());
 
     thread_local! {
         static SHARD: Arc<Shard> = register_shard();
     }
 
-    fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+    fn env() -> &'static Env {
+        ENV.get_or_init(from_env)
+    }
+
+    /// The one reader of the switch's environment: `TEMPEST_TRACE` sets
+    /// record + events; `TEMPEST_PROFILE` or `TEMPEST_TELEMETRY` sets
+    /// record (any value but empty or `0`). A `TEMPEST_TELEMETRY` value
+    /// containing `:` is the endpoint's bind address, any other binds
+    /// [`crate::serve::DEFAULT_ADDR`]. `TEMPEST_TRACE_CAP` sizes the
+    /// per-thread event list. Runs before any setter can store a level.
+    fn from_env() -> Env {
+        let set = |key| std::env::var(key).ok().filter(|v| !v.is_empty() && v != "0");
+        let addr = set("TEMPEST_TELEMETRY").map(|v| {
+            if v.contains(':') {
+                v
+            } else {
+                crate::serve::DEFAULT_ADDR.to_string()
+            }
+        });
+        let level = if set("TEMPEST_TRACE").is_some() {
+            EVENTS
+        } else if set("TEMPEST_PROFILE").is_some() || addr.is_some() {
+            RECORD
+        } else {
+            OFF
+        };
+        LEVEL.store(level, Relaxed);
+        if let Some(cap) = set("TEMPEST_TRACE_CAP").and_then(|v| v.parse::<usize>().ok()) {
+            CAPACITY.store(cap.max(1), Relaxed);
+        }
+        Env {
+            epoch: Instant::now(),
+            addr,
+        }
+    }
+
+    #[inline]
+    fn level() -> u8 {
+        env();
+        LEVEL.load(Relaxed)
+    }
+
+    /// Is recording on (at either level)?
+    #[inline]
+    pub fn enabled() -> bool {
+        level() >= RECORD
+    }
+
+    /// Programmatic `TEMPEST_PROFILE`: `true` turns recording on (event
+    /// capture stays as it is), `false` turns everything off.
+    pub fn set_enabled(on: bool) {
+        env();
+        if on {
+            LEVEL.fetch_max(RECORD, Relaxed);
+        } else {
+            LEVEL.store(OFF, Relaxed);
+        }
+    }
+
+    /// Is event capture on?
+    #[inline]
+    pub fn events_enabled() -> bool {
+        level() == EVENTS
+    }
+
+    /// Programmatic `TEMPEST_TRACE`: `true` turns recording and event
+    /// capture on, `false` turns event capture off and keeps recording.
+    pub fn set_events_enabled(on: bool) {
+        env();
+        if on {
+            LEVEL.store(EVENTS, Relaxed);
+        } else {
+            LEVEL.fetch_min(RECORD, Relaxed);
+        }
+    }
+
+    /// Per-thread event capacity in effect (`TEMPEST_TRACE_CAP`, default
+    /// [`DEFAULT_CAPACITY`]).
+    pub fn capacity() -> usize {
+        env();
+        CAPACITY.load(Relaxed)
+    }
+
+    /// Override the per-thread event capacity (applies to every thread's
+    /// later events; recorded ones are kept). Mainly for tests.
+    pub fn set_capacity(cap: usize) {
+        env();
+        CAPACITY.store(cap.max(1), Relaxed);
+    }
+
+    /// The endpoint bind address `TEMPEST_TELEMETRY` named, if it is set.
+    pub fn env_addr() -> Option<&'static str> {
+        env().addr.as_deref()
+    }
+
+    /// Nanoseconds since the epoch.
+    #[inline]
+    pub(crate) fn now_ns() -> u64 {
+        env().epoch.elapsed().as_nanos() as u64
     }
 
     fn register_shard() -> Arc<Shard> {
@@ -235,110 +328,130 @@ mod imp {
             .map(str::to_string)
             .unwrap_or_else(|| format!("{:?}", cur.id()));
         let shard = Arc::new(Shard {
+            tid: NEXT_TID.fetch_add(1, Relaxed),
             label,
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            timers_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            times_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            events: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
         });
-        registry()
+        REGISTRY
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Arc::clone(&shard));
         shard
     }
 
-    /// Is recording on? First call resolves `TEMPEST_PROFILE` (any value
-    /// other than empty or `0` enables); after that it is one relaxed load.
-    #[inline]
-    pub fn enabled() -> bool {
-        ENV_INIT.call_once(|| {
-            let on = std::env::var("TEMPEST_PROFILE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            if on {
-                ENABLED.store(true, Ordering::Relaxed);
-            }
-        });
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Programmatic override of the `TEMPEST_PROFILE` gate.
-    pub fn set_enabled(on: bool) {
-        let _ = enabled(); // settle the env init so it cannot overwrite us
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
     /// Add `n` to counter `c` on this thread's shard.
     #[inline]
     pub fn add(c: Counter, n: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            SHARD.with(|s| s.counters[c as usize].fetch_add(n, Relaxed));
         }
-        SHARD.with(|s| s.counters[c as usize].fetch_add(n, Ordering::Relaxed));
     }
 
-    /// Start timing `p`; the elapsed nanoseconds land on this thread's shard
-    /// when the returned guard is dropped (or [`Stopwatch::stop`] is called).
+    /// Open a span of `kind`; it records when the guard drops (or
+    /// [`Span::stop`] runs), unless cancelled.
     #[inline]
-    pub fn start(p: Phase) -> Stopwatch {
-        if !enabled() {
-            return Stopwatch(None);
-        }
-        Stopwatch(Some((p, Instant::now())))
+    pub fn span(kind: SpanKind, args: SpanArgs) -> Span {
+        Span(enabled().then(|| (kind, args, now_ns())))
     }
 
-    pub struct Stopwatch(Option<(Phase, Instant)>);
+    /// An open span (see [`span`]).
+    pub struct Span(Option<(SpanKind, SpanArgs, u64)>);
 
-    impl Stopwatch {
+    impl Span {
         /// Explicit stop; equivalent to dropping the guard.
         #[inline]
         pub fn stop(self) {}
-    }
 
-    impl Drop for Stopwatch {
+        /// Discard the span: neither its time nor its event is recorded
+        /// (a pencil that turned out to have no sparse work, a cache probe
+        /// that missed).
         #[inline]
-        fn drop(&mut self) {
-            if let Some((p, t0)) = self.0.take() {
-                let ns = t0.elapsed().as_nanos() as u64;
-                SHARD.with(|s| s.timers_ns[p as usize].fetch_add(ns, Ordering::Relaxed));
-            }
+        pub fn cancel(&mut self) {
+            self.0 = None;
         }
     }
 
-    /// Zero every registered shard (the registry itself is kept: live
-    /// threads hold `Arc`s to their shards).
+    impl Drop for Span {
+        #[inline]
+        fn drop(&mut self) {
+            let Some((kind, args, t0_ns)) = self.0.take() else {
+                return;
+            };
+            let dur_ns = now_ns().saturating_sub(t0_ns);
+            let events = LEVEL.load(Relaxed) == EVENTS;
+            SHARD.with(|s| {
+                s.times_ns[kind as usize].fetch_add(dur_ns, Relaxed);
+                if events {
+                    let mut evs = s.events.lock().unwrap_or_else(|e| e.into_inner());
+                    if evs.len() < CAPACITY.load(Relaxed) {
+                        let tid = s.tid;
+                        evs.push(TraceEvent {
+                            tid,
+                            kind,
+                            t0_ns,
+                            dur_ns,
+                            args,
+                        });
+                    } else {
+                        // Drop the newest: a truncated trace stays a
+                        // faithful prefix.
+                        s.dropped.fetch_add(1, Relaxed);
+                    }
+                }
+            });
+        }
+    }
+
+    /// Zero every registered shard: counters, span times, events and drop
+    /// counts (the registry itself is kept — live threads hold `Arc`s to
+    /// their shards).
     pub fn reset() {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        for shard in reg.iter() {
-            for c in &shard.counters {
-                c.store(0, Ordering::Relaxed);
+        for s in REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            for a in s.counters.iter().chain(&s.times_ns) {
+                a.store(0, Relaxed);
             }
-            for t in &shard.timers_ns {
-                t.store(0, Ordering::Relaxed);
-            }
+            s.events.lock().unwrap_or_else(|e| e.into_inner()).clear();
+            s.dropped.store(0, Relaxed);
         }
     }
 
     /// The single aggregation point: fold every shard into a [`Profile`].
-    /// Shards that recorded nothing are skipped.
+    /// Shards that recorded nothing are skipped; events are sorted by
+    /// (thread, start time, longest first).
     pub fn snapshot() -> Profile {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let mut threads = Vec::new();
-        for shard in reg.iter() {
+        let mut p = Profile::default();
+        p.trace.capacity = capacity();
+        for s in REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).iter() {
             let counters: [u64; Counter::COUNT] =
-                std::array::from_fn(|i| shard.counters[i].load(Ordering::Relaxed));
-            let timers_ns: [u64; Phase::COUNT] =
-                std::array::from_fn(|i| shard.timers_ns[i].load(Ordering::Relaxed));
-            if counters.iter().all(|&v| v == 0) && timers_ns.iter().all(|&v| v == 0) {
-                continue;
+                std::array::from_fn(|i| s.counters[i].load(Relaxed));
+            let timers_ns: [u64; SpanKind::COUNT] =
+                std::array::from_fn(|i| s.times_ns[i].load(Relaxed));
+            let events = s.events.lock().unwrap_or_else(|e| e.into_inner());
+            let dropped = s.dropped.load(Relaxed);
+            let traced = !events.is_empty() || dropped != 0;
+            if traced {
+                p.trace.threads.push((s.tid, s.label.clone()));
+                p.trace.events.extend_from_slice(&events);
+                p.trace.dropped += dropped;
             }
-            threads.push(ThreadProfile {
-                label: shard.label.clone(),
-                counters,
-                timers_ns,
-            });
+            if traced || counters.iter().chain(&timers_ns).any(|&v| v != 0) {
+                p.threads.push(ThreadProfile {
+                    tid: s.tid,
+                    label: s.label.clone(),
+                    counters,
+                    timers_ns,
+                });
+            }
         }
-        threads.sort_by(|a, b| a.label.cmp(&b.label));
-        Profile { threads }
+        p.threads.sort_by(|a, b| a.label.cmp(&b.label));
+        p.trace.threads.sort_by_key(|&(tid, _)| tid);
+        p.trace
+            .events
+            .sort_by_key(|e| (e.tid, e.t0_ns, std::cmp::Reverse(e.end_ns())));
+        p
     }
 }
 
@@ -348,7 +461,8 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use super::{Counter, Phase, Profile};
+    use super::{Counter, Profile, SpanArgs, SpanKind};
+    use crate::trace::DEFAULT_CAPACITY;
 
     #[inline(always)]
     pub fn enabled() -> bool {
@@ -359,18 +473,42 @@ mod imp {
     pub fn set_enabled(_on: bool) {}
 
     #[inline(always)]
-    pub fn add(_c: Counter, _n: u64) {}
-
-    pub struct Stopwatch;
-
-    impl Stopwatch {
-        #[inline(always)]
-        pub fn stop(self) {}
+    pub fn events_enabled() -> bool {
+        false
     }
 
     #[inline(always)]
-    pub fn start(_p: Phase) -> Stopwatch {
-        Stopwatch
+    pub fn set_events_enabled(_on: bool) {}
+
+    #[inline(always)]
+    pub fn capacity() -> usize {
+        DEFAULT_CAPACITY
+    }
+
+    #[inline(always)]
+    pub fn set_capacity(_cap: usize) {}
+
+    #[inline(always)]
+    pub fn env_addr() -> Option<&'static str> {
+        None
+    }
+
+    #[inline(always)]
+    pub fn add(_c: Counter, _n: u64) {}
+
+    pub struct Span;
+
+    impl Span {
+        #[inline(always)]
+        pub fn stop(self) {}
+
+        #[inline(always)]
+        pub fn cancel(&mut self) {}
+    }
+
+    #[inline(always)]
+    pub fn span(_kind: SpanKind, _args: SpanArgs) -> Span {
+        Span
     }
 
     #[inline(always)]
@@ -382,18 +520,21 @@ mod imp {
     }
 }
 
-pub use imp::{add, enabled, reset, set_enabled, snapshot, start, Stopwatch};
+pub use imp::{add, enabled, reset, set_enabled, snapshot, span, Span};
 
 // ---------------------------------------------------------------------------
 // Aggregated profile (always compiled — bench/examples name these types)
 // ---------------------------------------------------------------------------
 
-/// One thread's aggregated counters and timers.
+/// One thread's counters and span times.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadProfile {
+    /// Registration-order thread id, the `tid` of this thread's events.
+    pub tid: u32,
     pub label: String,
     pub counters: [u64; Counter::COUNT],
-    pub timers_ns: [u64; Phase::COUNT],
+    /// Summed duration of the thread's spans, per [`SpanKind`].
+    pub timers_ns: [u64; SpanKind::COUNT],
 }
 
 impl ThreadProfile {
@@ -401,18 +542,13 @@ impl ThreadProfile {
         self.counters[c as usize]
     }
 
-    pub fn timer_ns(&self, p: Phase) -> u64 {
-        self.timers_ns[p as usize]
+    pub fn timer_ns(&self, k: SpanKind) -> u64 {
+        self.timers_ns[k as usize]
     }
 
-    /// Barrier-wait time as a share of this thread's total timed work.
+    /// Barrier-wait time as a share of this thread's total span time.
     pub fn barrier_wait_share(&self) -> f64 {
-        let total: u64 = self.timers_ns.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.timer_ns(Phase::BarrierWait) as f64 / total as f64
-        }
+        share(self.timer_ns(SpanKind::BarrierWait), self.timers_ns.iter().sum())
     }
 }
 
@@ -455,6 +591,8 @@ impl RunMeta {
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     pub threads: Vec<ThreadProfile>,
+    /// The run's spans, one event each; empty unless event capture was on.
+    pub trace: Trace,
 }
 
 impl Profile {
@@ -463,27 +601,26 @@ impl Profile {
         self.threads.iter().map(|t| t.counter(c)).sum()
     }
 
-    /// Sum of timer `p` across all threads, in nanoseconds.
-    pub fn timer_ns(&self, p: Phase) -> u64 {
-        self.threads.iter().map(|t| t.timer_ns(p)).sum()
+    /// Summed duration of `k` spans across all threads, in nanoseconds.
+    pub fn timer_ns(&self, k: SpanKind) -> u64 {
+        self.threads.iter().map(|t| t.timer_ns(k)).sum()
     }
 
-    /// Barrier-wait time as a share of all timed work, across all threads.
+    fn total_ns(&self) -> u64 {
+        SpanKind::ALL.iter().map(|&k| self.timer_ns(k)).sum()
+    }
+
+    /// Barrier-wait time as a share of all span time, across all threads.
     /// This is the tie-breaker signal the autotuner consumes.
     pub fn barrier_wait_share(&self) -> f64 {
-        let total: u64 = Phase::ALL.iter().map(|&p| self.timer_ns(p)).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.timer_ns(Phase::BarrierWait) as f64 / total as f64
-        }
+        share(self.timer_ns(SpanKind::BarrierWait), self.total_ns())
     }
 
     pub fn is_empty(&self) -> bool {
         self.threads.is_empty()
     }
 
-    /// Human-readable per-phase table.
+    /// Human-readable per-kind table.
     pub fn render(&self, meta: &RunMeta) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "── tempest profile: {} ──", meta.name);
@@ -505,25 +642,20 @@ impl Profile {
             }
         }
 
-        let timed: u64 = Phase::ALL.iter().map(|&p| self.timer_ns(p)).sum();
-        let _ = writeln!(out, "phase times (thread-summed):");
-        for p in Phase::ALL {
-            let ns = self.timer_ns(p);
-            if ns == 0 {
-                continue;
+        let timed = self.total_ns();
+        let _ = writeln!(out, "span times (thread-summed):");
+        for k in SpanKind::ALL {
+            let ns = self.timer_ns(k);
+            if ns != 0 {
+                let pct = 100.0 * share(ns, timed);
+                let _ = writeln!(out, "  {:<14} {:>10.3} ms  {:>5.1}%", k.name(), ns as f64 / 1e6, pct);
             }
-            let pct = if timed == 0 {
-                0.0
-            } else {
-                100.0 * ns as f64 / timed as f64
-            };
-            let _ = writeln!(out, "  {:<14} {:>10.3} ms  {:>5.1}%", p.name(), ns as f64 / 1e6, pct);
         }
         // `Sparse` nests inside `Stencil`; report the dense-only remainder.
         let dense = self
-            .timer_ns(Phase::Stencil)
-            .saturating_sub(self.timer_ns(Phase::Sparse));
-        if dense != 0 && self.timer_ns(Phase::Sparse) != 0 {
+            .timer_ns(SpanKind::Stencil)
+            .saturating_sub(self.timer_ns(SpanKind::Sparse));
+        if dense != 0 && self.timer_ns(SpanKind::Sparse) != 0 {
             let _ = writeln!(out, "  {:<14} {:>10.3} ms  (stencil − sparse)", "dense-only", dense as f64 / 1e6);
         }
 
@@ -539,7 +671,7 @@ impl Profile {
                 "  {:<22} {:>10} {:>11.3} ms {:>7.1}%",
                 t.label,
                 t.counter(Counter::ParTasks),
-                t.timer_ns(Phase::BarrierWait) as f64 / 1e6,
+                t.timer_ns(SpanKind::BarrierWait) as f64 / 1e6,
                 100.0 * t.barrier_wait_share()
             );
         }
@@ -548,6 +680,20 @@ impl Profile {
 
     /// JSON document (hand-rolled; schema in DESIGN.md §9).
     pub fn to_json(&self, meta: &RunMeta) -> String {
+        let counters = |s: &mut String, get: &dyn Fn(Counter) -> u64| {
+            let fields: Vec<String> = Counter::ALL
+                .iter()
+                .map(|&c| format!("\"{}\": {}", c.name(), get(c)))
+                .collect();
+            let _ = write!(s, "\"counters\": {{{}}}", fields.join(", "));
+        };
+        let timers = |s: &mut String, get: &dyn Fn(SpanKind) -> u64| {
+            let fields: Vec<String> = SpanKind::ALL
+                .iter()
+                .map(|&k| format!("\"{}\": {}", k.name(), get(k)))
+                .collect();
+            let _ = write!(s, "\"timers_ns\": {{{}}}", fields.join(", "));
+        };
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"name\": \"{}\",", escape(&meta.name));
@@ -557,44 +703,17 @@ impl Profile {
         let _ = writeln!(s, "  \"elapsed_s\": {:.9},", fin(meta.elapsed_s));
         let _ = writeln!(s, "  \"gpts_per_s\": {:.6},", fin(meta.gpts_per_s()));
         let _ = writeln!(s, "  \"barrier_wait_share\": {:.6},", fin(self.barrier_wait_share()));
-
-        s.push_str("  \"counters\": {");
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": {}", c.name(), self.counter(*c));
-        }
-        s.push_str("},\n");
-
-        s.push_str("  \"timers_ns\": {");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": {}", p.name(), self.timer_ns(*p));
-        }
-        s.push_str("},\n");
-
-        s.push_str("  \"threads\": [\n");
+        s.push_str("  ");
+        counters(&mut s, &|c| self.counter(c));
+        s.push_str(",\n  ");
+        timers(&mut s, &|k| self.timer_ns(k));
+        s.push_str(",\n  \"threads\": [\n");
         for (ti, t) in self.threads.iter().enumerate() {
-            s.push_str("    {");
-            let _ = write!(s, "\"label\": \"{}\", ", escape(&t.label));
-            s.push_str("\"counters\": {");
-            for (i, c) in Counter::ALL.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{}\": {}", c.name(), t.counter(*c));
-            }
-            s.push_str("}, \"timers_ns\": {");
-            for (i, p) in Phase::ALL.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{}\": {}", p.name(), t.timer_ns(*p));
-            }
-            s.push_str("}}");
+            let _ = write!(s, "    {{\"label\": \"{}\", ", escape(&t.label));
+            counters(&mut s, &|c| t.counter(c));
+            s.push_str(", ");
+            timers(&mut s, &|k| t.timer_ns(k));
+            s.push('}');
             if ti + 1 < self.threads.len() {
                 s.push(',');
             }
@@ -652,6 +771,15 @@ pub fn sanitize_label(raw: &str) -> String {
     }
 }
 
+/// `part / total`, 0 when nothing was timed.
+fn share(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
+    }
+}
+
 /// Clamp a float to a finite value for serialisation: NaN and ±inf become
 /// 0.0 so hand-rolled JSON writers can never emit tokens a parser rejects.
 pub(crate) fn fin(x: f64) -> f64 {
@@ -689,6 +817,14 @@ pub(crate) fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Recording tests share the process-global switch and shards, so every
+    /// module's recording tests serialise on this lock.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn sample_profile() -> (Profile, RunMeta) {
         let mut a = ThreadProfile {
             label: "main".into(),
@@ -696,16 +832,20 @@ mod tests {
         };
         a.counters[Counter::StencilUpdates as usize] = 1000;
         a.counters[Counter::ParTasks as usize] = 10;
-        a.timers_ns[Phase::Stencil as usize] = 8_000_000;
-        a.timers_ns[Phase::Sparse as usize] = 1_000_000;
-        a.timers_ns[Phase::BarrierWait as usize] = 1_000_000;
+        a.timers_ns[SpanKind::Stencil as usize] = 8_000_000;
+        a.timers_ns[SpanKind::Sparse as usize] = 1_000_000;
+        a.timers_ns[SpanKind::BarrierWait as usize] = 1_000_000;
         let mut b = ThreadProfile {
+            tid: 1,
             label: "tempest-par-0".into(),
             ..Default::default()
         };
         b.counters[Counter::ParTasks as usize] = 6;
-        b.timers_ns[Phase::BarrierWait as usize] = 2_000_000;
-        let profile = Profile { threads: vec![a, b] };
+        b.timers_ns[SpanKind::BarrierWait as usize] = 2_000_000;
+        let profile = Profile {
+            threads: vec![a, b],
+            trace: Trace::default(),
+        };
         let meta = RunMeta::new("unit-test", "wavefront 32x32x4", 8, 64 * 64 * 64, 0.005);
         (profile, meta)
     }
@@ -715,7 +855,7 @@ mod tests {
         let (p, _) = sample_profile();
         assert_eq!(p.counter(Counter::ParTasks), 16);
         assert_eq!(p.counter(Counter::StencilUpdates), 1000);
-        assert_eq!(p.timer_ns(Phase::BarrierWait), 3_000_000);
+        assert_eq!(p.timer_ns(SpanKind::BarrierWait), 3_000_000);
         // barrier 3ms of 12ms total timed work
         assert!((p.barrier_wait_share() - 0.25).abs() < 1e-12);
     }
@@ -750,22 +890,13 @@ mod tests {
     fn json_is_well_formed_enough() {
         let (p, meta) = sample_profile();
         let js = p.to_json(&meta);
-        // structural sanity: balanced braces/brackets, expected keys
-        assert_eq!(js.matches('{').count(), js.matches('}').count());
-        assert_eq!(js.matches('[').count(), js.matches(']').count());
-        for key in [
-            "\"name\"",
-            "\"schedule\"",
-            "\"gpts_per_s\"",
-            "\"barrier_wait_share\"",
-            "\"counters\"",
-            "\"timers_ns\"",
-            "\"threads\"",
-            "\"stencil_updates\"",
-            "\"barrier_wait\"",
-        ] {
-            assert!(js.contains(key), "missing {key} in {js}");
+        let v = json::Value::parse(&js).expect("profile JSON parses");
+        for key in ["name", "schedule", "gpts_per_s", "barrier_wait_share", "counters", "timers_ns", "threads"] {
+            assert!(v.get(key).is_some(), "missing {key} in {js}");
         }
+        let t = &v.get("threads").unwrap().as_arr().unwrap()[1];
+        assert_eq!(t.get("counters").unwrap().get("par_tasks").unwrap().as_u64(), Some(6));
+        assert_eq!(t.get("timers_ns").unwrap().get("barrier_wait").unwrap().as_u64(), Some(2_000_000));
     }
 
     #[test]
@@ -811,24 +942,27 @@ mod tests {
     fn disabled_build_is_inert() {
         assert!(!enabled());
         set_enabled(true);
-        assert!(!enabled());
+        trace::set_enabled(true);
+        assert!(!enabled() && !trace::enabled());
         add(Counter::StencilUpdates, 5);
-        start(Phase::Stencil).stop();
+        span(SpanKind::Stencil, SpanArgs::step(0)).stop();
         let p = snapshot();
-        assert!(p.is_empty());
+        assert!(p.is_empty() && p.trace.is_empty());
         assert_eq!(p.counter(Counter::StencilUpdates), 0);
     }
 
     #[cfg(feature = "enabled")]
     #[test]
     fn enabled_build_records_and_resets() {
+        let _g = lock();
         set_enabled(true);
+        trace::set_enabled(false);
         reset();
         add(Counter::StencilUpdates, 5);
         add(Counter::StencilUpdates, 7);
-        let sw = start(Phase::Stencil);
+        let sp = span(SpanKind::Stencil, SpanArgs::step(0));
         std::thread::sleep(std::time::Duration::from_millis(2));
-        sw.stop();
+        sp.stop();
         let h = std::thread::Builder::new()
             .name("obs-test-worker".into())
             .spawn(|| add(Counter::ParTasks, 3))
@@ -837,15 +971,34 @@ mod tests {
         let p = snapshot();
         assert_eq!(p.counter(Counter::StencilUpdates), 12);
         assert_eq!(p.counter(Counter::ParTasks), 3);
-        assert!(p.timer_ns(Phase::Stencil) >= 1_000_000);
+        assert!(p.timer_ns(SpanKind::Stencil) >= 1_000_000);
         assert!(p.threads.iter().any(|t| t.label == "obs-test-worker"));
+        assert!(p.trace.is_empty(), "the record level captures no events");
 
-        // runtime gate: disabled → nothing recorded
+        // the switch off: nothing recorded
         set_enabled(false);
         reset();
         add(Counter::StencilUpdates, 99);
-        start(Phase::Stencil).stop();
-        assert_eq!(snapshot().counter(Counter::StencilUpdates), 0);
+        span(SpanKind::Stencil, SpanArgs::step(0)).stop();
+        assert!(snapshot().is_empty());
+    }
+
+    /// The two setters move one level: events imply recording, dropping
+    /// events keeps recording, switching recording off drops both.
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn one_switch_three_levels() {
+        let _g = lock();
+        set_enabled(false);
+        assert!(!enabled() && !trace::enabled());
+        trace::set_enabled(true);
+        assert!(enabled() && trace::enabled());
         set_enabled(true);
+        assert!(trace::enabled(), "record keeps events on");
+        trace::set_enabled(false);
+        assert!(enabled() && !trace::enabled());
+        trace::set_enabled(true);
+        set_enabled(false);
+        assert!(!enabled() && !trace::enabled());
     }
 }

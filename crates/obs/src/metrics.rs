@@ -1,20 +1,12 @@
-//! Live telemetry primitives: lock-free gauges, a tile-completion
-//! heartbeat, fixed-capacity time-series rings, and a job-snapshot
-//! provider registry.
+//! Live telemetry primitives: lock-free gauges, a tile-completion heartbeat
+//! and a job-snapshot provider registry.
 //!
-//! Where the sibling counters in the crate root are *post-mortem* (folded
-//! once by [`crate::snapshot`] after a run), everything here is meant to be
-//! read **while the run is in flight** — by the sampler thread and HTTP
-//! endpoint in [`crate::serve`] and by the survey stall watchdog. The same
-//! two gates apply:
-//!
-//! 1. **Compile-time** — without the `enabled` cargo feature every recording
-//!    entry point is an `#[inline(always)]` empty function.
-//! 2. **Run-time** — with the feature compiled in, recording is still off
-//!    unless `TEMPEST_TELEMETRY` is set (or [`set_telemetry`] was called).
-//!    Turning telemetry on also turns the profiling counters on
-//!    ([`crate::set_enabled`]): the sampler derives its rates from those
-//!    counters, so live telemetry without them would export zeros.
+//! Where the counters and span times in the crate root are folded after a
+//! run by [`crate::snapshot`], everything here is read **while the run is in
+//! flight** — by the HTTP endpoint in [`crate::serve`] and by the survey
+//! stall watchdog. Gauges and heartbeats record at the crate's *record*
+//! level (the same switch as the counters) and compile to empty functions
+//! without the `enabled` feature.
 //!
 //! Gauges are a single global array of relaxed `AtomicI64`s — unlike the
 //! sharded counters there is no per-thread state to fold, because gauges
@@ -125,178 +117,57 @@ pub struct JobSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-capacity time-series ring (always compiled)
-// ---------------------------------------------------------------------------
-
-/// A bounded `(t_ns, value)` ring: pushing past capacity overwrites the
-/// oldest sample, so a long-lived service holds the most recent window at a
-/// fixed memory cost. Single-writer by design (the sampler thread owns each
-/// ring behind the server's mutex); this is plain data, not a lock-free
-/// structure.
-#[derive(Clone, Debug)]
-pub struct Series {
-    buf: Vec<(u64, f64)>,
-    cap: usize,
-    /// Next write position (wraps at `cap`).
-    head: usize,
-    len: usize,
-}
-
-impl Series {
-    /// `cap` is clamped to at least 1 so `push` always lands somewhere.
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        Series {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            len: 0,
-        }
-    }
-
-    pub fn push(&mut self, t_ns: u64, value: f64) {
-        if self.buf.len() < self.cap {
-            self.buf.push((t_ns, value));
-        } else {
-            self.buf[self.head] = (t_ns, value);
-        }
-        self.head = (self.head + 1) % self.cap;
-        self.len = (self.len + 1).min(self.cap);
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Most recent sample.
-    pub fn latest(&self) -> Option<(u64, f64)> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.buf[(self.head + self.cap - 1) % self.cap])
-        }
-    }
-
-    /// Samples oldest→newest.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let start = if self.len < self.cap { 0 } else { self.head };
-        (0..self.len).map(move |i| self.buf[(start + i) % self.cap])
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Recording API — real implementation (feature = "enabled")
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "enabled")]
 mod imp {
     use super::{Gauge, JobSnapshot};
-    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-    use std::sync::{Mutex, Once, OnceLock};
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
-    static TELEMETRY: AtomicBool = AtomicBool::new(false);
-    static ENV_INIT: Once = Once::new();
-
-    static GAUGES: OnceLock<[AtomicI64; Gauge::COUNT]> = OnceLock::new();
+    static GAUGES: [AtomicI64; Gauge::COUNT] = [const { AtomicI64::new(0) }; Gauge::COUNT];
     static HEARTBEATS: AtomicU64 = AtomicU64::new(0);
-    /// Nanoseconds since [`epoch`] of the latest heartbeat; 0 = never.
+    /// The latest heartbeat in nanoseconds since the crate epoch, plus one
+    /// (so a beat in the very first nanosecond differs from "never", 0).
     static LAST_BEAT_NS: AtomicU64 = AtomicU64::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
 
     type Provider = Box<dyn Fn() -> Vec<JobSnapshot> + Send + Sync>;
-    static PROVIDER: OnceLock<Mutex<Option<Provider>>> = OnceLock::new();
-
-    fn gauges() -> &'static [AtomicI64; Gauge::COUNT] {
-        GAUGES.get_or_init(|| std::array::from_fn(|_| AtomicI64::new(0)))
-    }
-
-    fn provider() -> &'static Mutex<Option<Provider>> {
-        PROVIDER.get_or_init(|| Mutex::new(None))
-    }
-
-    /// Process-stable time origin for heartbeat stamps. An `Instant` rather
-    /// than wall clock: ages must be immune to clock steps.
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    fn now_ns() -> u64 {
-        // +1 so a beat in the very first nanosecond is distinguishable from
-        // "never" (0).
-        epoch().elapsed().as_nanos() as u64 + 1
-    }
-
-    /// Is live telemetry on? First call resolves `TEMPEST_TELEMETRY` (any
-    /// value other than empty or `0` enables — including a `host:port`
-    /// bind address); after that it is one relaxed load. Enabling also
-    /// enables the profiling counters, which the sampler reads.
-    #[inline]
-    pub fn telemetry_enabled() -> bool {
-        ENV_INIT.call_once(|| {
-            let on = std::env::var("TEMPEST_TELEMETRY")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            if on {
-                TELEMETRY.store(true, Ordering::Relaxed);
-                crate::set_enabled(true);
-            }
-        });
-        TELEMETRY.load(Ordering::Relaxed)
-    }
-
-    /// Programmatic override of the `TEMPEST_TELEMETRY` gate. Turning
-    /// telemetry on also turns profiling counters on (the reverse is not
-    /// true: turning telemetry off leaves profiling as-is).
-    pub fn set_telemetry(on: bool) {
-        let _ = telemetry_enabled(); // settle env init so it cannot overwrite us
-        TELEMETRY.store(on, Ordering::Relaxed);
-        if on {
-            crate::set_enabled(true);
-        }
-    }
+    /// The registered provider and the token its registration returned.
+    static PROVIDER: Mutex<Option<(u64, Provider)>> = Mutex::new(None);
+    static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
     /// Add `delta` (may be negative) to gauge `g`.
     #[inline]
     pub fn gauge_add(g: Gauge, delta: i64) {
-        if !telemetry_enabled() {
-            return;
+        if crate::enabled() {
+            GAUGES[g as usize].fetch_add(delta, Ordering::Relaxed);
         }
-        gauges()[g as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Set gauge `g` to an absolute level.
     #[inline]
     pub fn gauge_set(g: Gauge, value: i64) {
-        if !telemetry_enabled() {
-            return;
+        if crate::enabled() {
+            GAUGES[g as usize].store(value, Ordering::Relaxed);
         }
-        gauges()[g as usize].store(value, Ordering::Relaxed);
     }
 
     /// Current level of gauge `g`.
     #[inline]
     pub fn gauge(g: Gauge) -> i64 {
-        gauges()[g as usize].load(Ordering::Relaxed)
+        GAUGES[g as usize].load(Ordering::Relaxed)
     }
 
     /// Record `n` units of forward progress (batch items, shots) and stamp
     /// the liveness clock the watchdog reads.
     #[inline]
     pub fn heartbeat(n: u64) {
-        if !telemetry_enabled() {
-            return;
+        if crate::enabled() {
+            HEARTBEATS.fetch_add(n, Ordering::Relaxed);
+            LAST_BEAT_NS.store(crate::imp::now_ns() + 1, Ordering::Relaxed);
         }
-        HEARTBEATS.fetch_add(n, Ordering::Relaxed);
-        LAST_BEAT_NS.store(now_ns(), Ordering::Relaxed);
     }
 
     /// Total heartbeat units since start/reset.
@@ -307,43 +178,49 @@ mod imp {
     /// Time since the most recent heartbeat; `None` if none was ever
     /// recorded (a watchdog must not flag a job that has not begun work).
     pub fn heartbeat_age() -> Option<Duration> {
-        let last = LAST_BEAT_NS.load(Ordering::Relaxed);
-        if last == 0 {
-            None
-        } else {
-            Some(Duration::from_nanos(now_ns().saturating_sub(last)))
+        match LAST_BEAT_NS.load(Ordering::Relaxed) {
+            0 => None,
+            last => Some(Duration::from_nanos((crate::imp::now_ns() + 1).saturating_sub(last))),
         }
     }
 
-    /// Zero every gauge and the heartbeat state (test isolation; mirrors
-    /// [`crate::reset`] for the counter shards).
+    /// Zero every gauge and the heartbeat state (test isolation; the
+    /// counters, span times and events are [`crate::reset`]'s).
     pub fn reset_metrics() {
-        for g in gauges() {
+        for g in &GAUGES {
             g.store(0, Ordering::Relaxed);
         }
         HEARTBEATS.store(0, Ordering::Relaxed);
         LAST_BEAT_NS.store(0, Ordering::Relaxed);
     }
 
-    /// Register the closure `/jobs` snapshots come from. One provider at a
-    /// time — a new registration replaces the old (latest service wins).
-    pub fn set_jobs_provider<F>(f: F)
+    /// Register the closure `/jobs` snapshots come from, replacing any
+    /// earlier one (latest service wins). Returns the token that
+    /// [`clear_jobs_provider`] needs to deregister it.
+    pub fn set_jobs_provider<F>(f: F) -> u64
     where
         F: Fn() -> Vec<JobSnapshot> + Send + Sync + 'static,
     {
-        *provider().lock().unwrap_or_else(|e| e.into_inner()) = Some(Box::new(f));
+        let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
+        *PROVIDER.lock().unwrap_or_else(|e| e.into_inner()) = Some((token, Box::new(f)));
+        token
     }
 
-    /// Drop the registered provider (a stopping service deregisters so the
-    /// endpoint never polls freed queue state).
-    pub fn clear_jobs_provider() {
-        *provider().lock().unwrap_or_else(|e| e.into_inner()) = None;
+    /// Drop the provider registered under `token` (a stopping service
+    /// deregisters so the endpoint never polls freed queue state). A no-op
+    /// when a later registration replaced it — the service that made that
+    /// one is still running.
+    pub fn clear_jobs_provider(token: u64) {
+        let mut guard = PROVIDER.lock().unwrap_or_else(|e| e.into_inner());
+        if guard.as_ref().is_some_and(|(t, _)| *t == token) {
+            *guard = None;
+        }
     }
 
     /// Current job snapshots; empty when no provider is registered.
     pub fn jobs_snapshot() -> Vec<JobSnapshot> {
-        let guard = provider().lock().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().map(|f| f()).unwrap_or_default()
+        let guard = PROVIDER.lock().unwrap_or_else(|e| e.into_inner());
+        guard.as_ref().map(|(_, f)| f()).unwrap_or_default()
     }
 }
 
@@ -355,14 +232,6 @@ mod imp {
 mod imp {
     use super::{Gauge, JobSnapshot};
     use std::time::Duration;
-
-    #[inline(always)]
-    pub fn telemetry_enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn set_telemetry(_on: bool) {}
 
     #[inline(always)]
     pub fn gauge_add(_g: Gauge, _delta: i64) {}
@@ -392,14 +261,15 @@ mod imp {
     pub fn reset_metrics() {}
 
     #[inline(always)]
-    pub fn set_jobs_provider<F>(_f: F)
+    pub fn set_jobs_provider<F>(_f: F) -> u64
     where
         F: Fn() -> Vec<JobSnapshot> + Send + Sync + 'static,
     {
+        0
     }
 
     #[inline(always)]
-    pub fn clear_jobs_provider() {}
+    pub fn clear_jobs_provider(_token: u64) {}
 
     #[inline(always)]
     pub fn jobs_snapshot() -> Vec<JobSnapshot> {
@@ -409,7 +279,7 @@ mod imp {
 
 pub use imp::{
     clear_jobs_provider, gauge, gauge_add, gauge_set, heartbeat, heartbeat_age, heartbeats,
-    jobs_snapshot, reset_metrics, set_jobs_provider, set_telemetry, telemetry_enabled,
+    jobs_snapshot, reset_metrics, set_jobs_provider,
 };
 
 // ---------------------------------------------------------------------------
@@ -419,34 +289,6 @@ pub use imp::{
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_fills_then_wraps() {
-        let mut s = Series::new(3);
-        assert!(s.is_empty());
-        assert_eq!(s.latest(), None);
-        s.push(1, 10.0);
-        s.push(2, 20.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.latest(), Some((2, 20.0)));
-        s.push(3, 30.0);
-        s.push(4, 40.0); // overwrites (1, 10.0)
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.capacity(), 3);
-        assert_eq!(s.latest(), Some((4, 40.0)));
-        let got: Vec<_> = s.iter().collect();
-        assert_eq!(got, vec![(2, 20.0), (3, 30.0), (4, 40.0)]);
-    }
-
-    #[test]
-    fn series_zero_capacity_is_clamped() {
-        let mut s = Series::new(0);
-        assert_eq!(s.capacity(), 1);
-        s.push(1, 1.0);
-        s.push(2, 2.0);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.latest(), Some((2, 2.0)));
-    }
 
     #[test]
     fn gauge_names_are_unique() {
@@ -461,8 +303,7 @@ mod tests {
     #[cfg(not(feature = "enabled"))]
     #[test]
     fn disabled_build_is_inert() {
-        set_telemetry(true);
-        assert!(!telemetry_enabled());
+        crate::set_enabled(true);
         gauge_add(Gauge::QueueDepth, 5);
         heartbeat(3);
         assert_eq!(gauge(Gauge::QueueDepth), 0);
@@ -472,15 +313,11 @@ mod tests {
         assert!(jobs_snapshot().is_empty());
     }
 
-    // The enabled-build tests share process-global state; serialise them.
-    #[cfg(feature = "enabled")]
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[cfg(feature = "enabled")]
     #[test]
     fn enabled_build_records_and_resets() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_telemetry(true);
+        let _g = crate::tests::lock();
+        crate::set_enabled(true);
         reset_metrics();
         gauge_add(Gauge::QueueDepth, 3);
         gauge_add(Gauge::QueueDepth, -1);
@@ -496,14 +333,14 @@ mod tests {
         assert_eq!(gauge(Gauge::QueueDepth), 0);
         assert_eq!(heartbeats(), 0);
         assert_eq!(heartbeat_age(), None);
-        set_telemetry(false);
+        crate::set_enabled(false);
     }
 
     #[cfg(feature = "enabled")]
     #[test]
     fn runtime_gate_blocks_recording() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_telemetry(false);
+        let _g = crate::tests::lock();
+        crate::set_enabled(false);
         reset_metrics();
         gauge_add(Gauge::RunningJobs, 1);
         heartbeat(5);
@@ -515,7 +352,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn jobs_provider_registration_and_replacement() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::tests::lock();
         let snap = JobSnapshot {
             id: 9,
             state: "Running".into(),
@@ -530,11 +367,15 @@ mod tests {
             stall_events: 0,
         };
         let s2 = snap.clone();
-        set_jobs_provider(move || vec![s2.clone()]);
-        assert_eq!(jobs_snapshot(), vec![snap]);
-        set_jobs_provider(Vec::new);
-        assert!(jobs_snapshot().is_empty());
-        clear_jobs_provider();
+        let first = set_jobs_provider(move || vec![s2.clone()]);
+        assert_eq!(jobs_snapshot(), vec![snap.clone()]);
+        // A later registration replaces the first; the first's token can
+        // no longer clear it.
+        let s3 = snap.clone();
+        let second = set_jobs_provider(move || vec![s3.clone(), s3.clone()]);
+        clear_jobs_provider(first);
+        assert_eq!(jobs_snapshot().len(), 2, "a stale token cleared a live provider");
+        clear_jobs_provider(second);
         assert!(jobs_snapshot().is_empty());
     }
 }

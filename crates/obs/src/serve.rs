@@ -1,224 +1,89 @@
-//! Std-only live telemetry endpoint: a background sampler thread plus a
-//! tiny HTTP server over `std::net::TcpListener`.
+//! Std-only live telemetry endpoint: a tiny HTTP server over
+//! `std::net::TcpListener`.
 //!
 //! Three routes, one purpose each:
 //!
 //! * `/metrics` — Prometheus text exposition (format 0.0.4): every sharded
 //!   counter as `tempest_<name>_total`, every [`Gauge`] level, the
-//!   heartbeat counter, per-phase time as a labelled counter, the
-//!   sampler's derived `tempest_gpts_per_s` / `tempest_tiles_per_s`
-//!   rates, and per-job `progress` / `eta_seconds` / `stalled` samples.
+//!   heartbeat counter, per-kind span time as a labelled counter, and
+//!   per-job `progress` / `eta_seconds` / `stalled` samples. Rates are the
+//!   scraper's to derive from the `_total` counters.
 //! * `/jobs` — the registered [`crate::metrics::jobs_snapshot`] as JSON,
 //!   serialised through the [`crate::json`] writer (so the document
 //!   round-trips through `json::Value::parse` by construction).
 //! * `/healthz` — liveness probe, plain `ok`.
 //!
-//! The server is deliberately minimal: blocking accept loop, one request
-//! per connection, `Connection: close`. It is an in-process diagnostic
-//! port for a single trusted operator, not a web framework. Both threads
-//! shut down when the [`TelemetryServer`] handle drops.
-//!
-//! Everything here compiles with or without the `enabled` feature (the
-//! types are named by examples/tests); without it — or with
-//! `TEMPEST_TELEMETRY` unset — [`TelemetryServer::start_from_env`] returns
-//! `None` and nothing is spawned.
+//! The server is deliberately minimal: blocking accept loop on one thread,
+//! one request per connection, `Connection: close`. It is an in-process
+//! diagnostic port for a single trusted operator, not a web framework. The
+//! thread shuts down when the [`TelemetryServer`] handle drops. Whether one
+//! starts is the caller's decision (the survey service starts one when
+//! recording is on and an address is known — its own or [`env_addr`]).
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::Value;
-use crate::metrics::{self, Gauge, JobSnapshot, Series};
-use crate::{Counter, Phase};
+use crate::metrics::{self, Gauge, JobSnapshot};
+use crate::{Counter, SpanKind};
 
-/// Default bind address when `TEMPEST_TELEMETRY` is set but carries no
-/// `host:port` (9464 is the conventional "Prometheus exporter" range).
+pub use crate::imp::env_addr;
+
+/// Bind address when `TEMPEST_TELEMETRY` is set but carries no `host:port`
+/// (9464 is the conventional "Prometheus exporter" range).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:9464";
 
-/// Telemetry server configuration.
-#[derive(Clone, Debug)]
-pub struct ServeConfig {
-    /// Bind address (`host:port`); port 0 picks an ephemeral port.
-    pub addr: String,
-    /// Sampler period for the derived-rate rings.
-    pub sample_interval: Duration,
-    /// Capacity of each time-series ring (600 × 250 ms ≈ a 2.5-minute
-    /// window at the default interval).
-    pub ring_capacity: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: DEFAULT_ADDR.to_string(),
-            sample_interval: Duration::from_millis(250),
-            ring_capacity: 600,
-        }
-    }
-}
-
-/// Rate rings filled by the sampler: each tick diffs the monotonic
-/// counters against the previous tick and stores the per-second rate.
-struct Rates {
-    gpts: Series,
-    tiles: Series,
-    /// Previous tick: (when, stencil updates, tile-ish scheduling units).
-    prev: Option<(Instant, u64, u64)>,
-}
-
-/// Scheduling units folded into the `tiles/s` rate: plan tiles plus
-/// space-blocked sweeps — one unit per executor dispatch, whichever
-/// executor is running.
-fn tile_units(p: &crate::Profile) -> u64 {
-    p.counter(Counter::WavefrontTiles) + p.counter(Counter::SpaceSweeps)
-}
-
-struct Shared {
-    shutdown: AtomicBool,
-    /// Sampler sleep: `wait_timeout` on this pair so drop interrupts the
-    /// interval instead of waiting it out.
-    gate: Mutex<()>,
-    gate_cv: Condvar,
-    rates: Mutex<Rates>,
-}
-
-impl Shared {
-    fn sample(&self) {
-        let now = Instant::now();
-        let p = crate::snapshot();
-        let updates = p.counter(Counter::StencilUpdates);
-        let tiles = tile_units(&p);
-        let mut r = self.rates.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((t0, u0, k0)) = r.prev {
-            let dt = now.duration_since(t0).as_secs_f64();
-            if dt > 0.0 {
-                let stamp = monotonic_ns();
-                r.gpts.push(stamp, crate::fin(updates.saturating_sub(u0) as f64 / dt / 1e9));
-                r.tiles.push(stamp, crate::fin(tiles.saturating_sub(k0) as f64 / dt));
-            }
-        }
-        r.prev = Some((now, updates, tiles));
-    }
-}
-
-/// Nanoseconds since a process-stable origin, for ring timestamps.
-fn monotonic_ns() -> u64 {
-    static ORIGIN: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Handle to a running telemetry endpoint; dropping it stops the sampler
-/// and HTTP threads.
+/// Handle to a running telemetry endpoint; dropping it stops the HTTP
+/// thread.
 pub struct TelemetryServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    shutdown: Arc<AtomicBool>,
+    http: Option<JoinHandle<()>>,
 }
 
 impl TelemetryServer {
-    /// Bind `cfg.addr` and spawn the sampler + accept threads.
-    pub fn start(cfg: &ServeConfig) -> std::io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+    /// Bind `addr` (`host:port`; port 0 picks an ephemeral port) and spawn
+    /// the accept thread.
+    pub fn start(addr: &str) -> std::io::Result<TelemetryServer> {
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            gate: Mutex::new(()),
-            gate_cv: Condvar::new(),
-            rates: Mutex::new(Rates {
-                gpts: Series::new(cfg.ring_capacity),
-                tiles: Series::new(cfg.ring_capacity),
-                prev: None,
-            }),
-        });
-
-        let interval = cfg.sample_interval;
-        let s = Arc::clone(&shared);
-        let sampler = std::thread::Builder::new()
-            .name("tempest-telemetry-sampler".into())
-            .spawn(move || {
-                s.sample(); // establish the baseline tick immediately
-                loop {
-                    let guard = s.gate.lock().unwrap_or_else(|e| e.into_inner());
-                    let (_g, _timeout) = s
-                        .gate_cv
-                        .wait_timeout(guard, interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if s.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    s.sample();
-                }
-            })?;
-
-        let s = Arc::clone(&shared);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&shutdown);
         let http = std::thread::Builder::new()
             .name("tempest-telemetry-http".into())
             .spawn(move || {
                 for stream in listener.incoming() {
-                    if s.shutdown.load(Ordering::Acquire) {
+                    if stop.load(Ordering::Acquire) {
                         return;
                     }
                     if let Ok(stream) = stream {
-                        handle_connection(stream, &s);
+                        handle_connection(stream);
                     }
                 }
             })?;
-
         Ok(TelemetryServer {
             addr,
-            shared,
-            threads: vec![sampler, http],
+            shutdown,
+            http: Some(http),
         })
-    }
-
-    /// Start if — and only if — live telemetry is on (`TEMPEST_TELEMETRY`
-    /// set or [`metrics::set_telemetry`] called). The env value doubles as
-    /// the bind address when it contains a `:` (e.g.
-    /// `TEMPEST_TELEMETRY=0.0.0.0:9464`); any other truthy value binds
-    /// [`DEFAULT_ADDR`]. Returns `None` when telemetry is off; a bind
-    /// failure is reported to stderr and also yields `None` (telemetry
-    /// must never take down the computation it watches).
-    pub fn start_from_env() -> Option<TelemetryServer> {
-        if !metrics::telemetry_enabled() {
-            return None;
-        }
-        let mut cfg = ServeConfig::default();
-        if let Ok(v) = std::env::var("TEMPEST_TELEMETRY") {
-            if v.contains(':') {
-                cfg.addr = v;
-            }
-        }
-        match TelemetryServer::start(&cfg) {
-            Ok(srv) => Some(srv),
-            Err(e) => {
-                eprintln!("tempest-obs: telemetry endpoint bind failed on {}: {e}", cfg.addr);
-                None
-            }
-        }
     }
 
     /// The bound address (resolves port 0 to the ephemeral port chosen).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
-
-    /// Render the `/metrics` document this server would serve right now
-    /// (exposed so in-process checks can validate without a socket).
-    pub fn render_metrics(&self) -> String {
-        render_metrics(&self.shared)
-    }
 }
 
 impl Drop for TelemetryServer {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.gate_cv.notify_all();
+        self.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.http.take() {
             let _ = t.join();
         }
     }
@@ -228,7 +93,7 @@ impl Drop for TelemetryServer {
 // HTTP plumbing
 // ---------------------------------------------------------------------------
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     // Read the request head (we never need a body).
@@ -260,7 +125,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             "/metrics" => (
                 "200 OK",
                 "text/plain; version=0.0.4",
-                render_metrics(shared),
+                render_metrics(),
             ),
             "/jobs" => ("200 OK", "application/json", render_jobs()),
             "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
@@ -301,7 +166,8 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> 
 // /metrics — Prometheus text exposition (0.0.4)
 // ---------------------------------------------------------------------------
 
-fn render_metrics(shared: &Shared) -> String {
+/// The `/metrics` document.
+fn render_metrics() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let p = crate::snapshot();
@@ -320,14 +186,14 @@ fn render_metrics(shared: &Shared) -> String {
     let _ = writeln!(out, "# TYPE tempest_heartbeats_total counter");
     let _ = writeln!(out, "tempest_heartbeats_total {}", metrics::heartbeats());
 
-    let _ = writeln!(out, "# HELP tempest_phase_seconds_total Thread-summed phase time.");
+    let _ = writeln!(out, "# HELP tempest_phase_seconds_total Thread-summed span time per kind.");
     let _ = writeln!(out, "# TYPE tempest_phase_seconds_total counter");
-    for ph in Phase::ALL {
+    for k in SpanKind::ALL {
         let _ = writeln!(
             out,
             "tempest_phase_seconds_total{{phase=\"{}\"}} {}",
-            ph.name(),
-            crate::fin(p.timer_ns(ph) as f64 / 1e9)
+            k.name(),
+            crate::fin(p.timer_ns(k) as f64 / 1e9)
         );
     }
 
@@ -337,20 +203,6 @@ fn render_metrics(shared: &Shared) -> String {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", metrics::gauge(g));
     }
-
-    let (gpts, tiles) = {
-        let r = shared.rates.lock().unwrap_or_else(|e| e.into_inner());
-        (
-            r.gpts.latest().map(|(_, v)| v).unwrap_or(0.0),
-            r.tiles.latest().map(|(_, v)| v).unwrap_or(0.0),
-        )
-    };
-    let _ = writeln!(out, "# HELP tempest_gpts_per_s Sampled stencil-update rate (GPts/s).");
-    let _ = writeln!(out, "# TYPE tempest_gpts_per_s gauge");
-    let _ = writeln!(out, "tempest_gpts_per_s {}", crate::fin(gpts));
-    let _ = writeln!(out, "# HELP tempest_tiles_per_s Sampled scheduling-unit completion rate.");
-    let _ = writeln!(out, "# TYPE tempest_tiles_per_s gauge");
-    let _ = writeln!(out, "tempest_tiles_per_s {}", crate::fin(tiles));
 
     let jobs = metrics::jobs_snapshot();
     let _ = writeln!(out, "# HELP tempest_job_progress Per-job completed virtual-step fraction.");
@@ -513,17 +365,9 @@ pub fn render_jobs() -> String {
 mod tests {
     use super::*;
 
-    fn ephemeral() -> ServeConfig {
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            sample_interval: Duration::from_millis(25),
-            ring_capacity: 16,
-        }
-    }
-
     #[test]
     fn serves_all_three_routes_and_shuts_down() {
-        let srv = TelemetryServer::start(&ephemeral()).expect("bind ephemeral");
+        let srv = TelemetryServer::start("127.0.0.1:0").expect("bind ephemeral");
         let addr = srv.local_addr();
 
         let (status, body) = http_get(addr, "/healthz").unwrap();
@@ -534,7 +378,7 @@ mod tests {
         validate_exposition(&body).expect("exposition valid");
         assert!(body.contains("tempest_stencil_updates_total"));
         assert!(body.contains("tempest_stalled_jobs"));
-        assert!(body.contains("tempest_gpts_per_s"));
+        assert!(!body.contains("tempest_gpts_per_s"), "derived rates are the scraper's");
 
         let (status, body) = http_get(addr, "/jobs").unwrap();
         assert_eq!(status, 200);
@@ -552,8 +396,7 @@ mod tests {
 
     #[test]
     fn render_metrics_is_valid_without_a_socket() {
-        let srv = TelemetryServer::start(&ephemeral()).unwrap();
-        let text = srv.render_metrics();
+        let text = render_metrics();
         validate_exposition(&text).unwrap();
         for g in Gauge::ALL {
             assert!(text.contains(&format!("tempest_{}", g.name())), "missing {}", g.name());
@@ -592,16 +435,5 @@ mod tests {
         assert!(validate_exposition("# NOTE whatever\n").is_err());
         // missing value
         assert!(validate_exposition("# TYPE g gauge\ng\n").is_err());
-    }
-
-    #[test]
-    fn sampler_fills_rings() {
-        let srv = TelemetryServer::start(&ephemeral()).unwrap();
-        std::thread::sleep(Duration::from_millis(120));
-        let r = srv.shared.rates.lock().unwrap();
-        // Baseline tick plus several interval ticks → ring has samples
-        // (values are 0.0 rates when no counters move; presence is the point).
-        assert!(!r.gpts.is_empty());
-        assert!(!r.tiles.is_empty());
     }
 }

@@ -1,25 +1,16 @@
-//! Event-level span tracing: who ran which tile, when, on which thread.
+//! The span vocabulary and the event level: who ran which tile, when, on
+//! which thread.
 //!
-//! The aggregate counters in the crate root say *how much* work a run did;
-//! this module records *when* each unit ran so diagonal load imbalance,
-//! barrier convoys, and wavefront pipeline fill/drain become visible. The
-//! design mirrors the counter layer (DESIGN.md §9 / §11):
-//!
-//! 1. **Compile-time gate** — without the `enabled` feature, [`span`] is an
-//!    `#[inline(always)]` no-op returning a zero-sized guard, so call sites
-//!    vanish from release builds.
-//! 2. **Run-time gate** — with the feature, recording stays off unless
-//!    `TEMPEST_TRACE` is set (or [`set_enabled`] was called). The gate is
-//!    independent of the profiling gate: counters can run without paying for
-//!    event capture.
-//!
-//! Each thread owns a bounded event buffer (default [`DEFAULT_CAPACITY`]
-//! events, override with `TEMPEST_TRACE_CAP` or [`set_capacity`]). On
-//! overflow the newest event is dropped and a relaxed atomic drop counter is
-//! bumped — earlier events are never overwritten, so a truncated trace is
-//! still a faithful prefix. [`snapshot`] folds every thread's buffer into a
-//! [`Trace`], which exports Chrome trace-event JSON loadable in Perfetto
-//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! A span's time always lands in its thread's per-[`SpanKind`] total (crate
+//! docs); at the event level it is also kept as a [`TraceEvent`], so
+//! diagonal load imbalance, barrier convoys and wave-front pipeline
+//! fill/drain become visible (DESIGN.md §11). Each thread keeps at most
+//! [`capacity`] events (default [`DEFAULT_CAPACITY`], `TEMPEST_TRACE_CAP` or
+//! [`set_capacity`]); past it the newest event is dropped and counted, so a
+//! truncated trace is still a faithful prefix. The events reach a
+//! [`Profile`](crate::Profile) as its [`Trace`], which exports Chrome
+//! trace-event JSON loadable in Perfetto (<https://ui.perfetto.dev>) or
+//! `chrome://tracing`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -38,9 +29,8 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 /// What a span measures. `Tile` is one space-time tile computed by the plan
 /// executor; `Sweep` one virtual timestep of the space-blocked path;
 /// `Dataflow` the coordinator-side span of one whole plan sweep;
-/// `Stencil`/`Sparse` the propagator phases; `BarrierWait` the
-/// `run_batch` caller's wait for workers or a dataflow participant's idle
-/// wait for a ready tile; `Shot` one whole shot solve of the survey engine
+/// `Stencil`/`Sparse` the propagator phases; `BarrierWait` the publishing
+/// caller's wait for `run_batch` stragglers or for a ready dataflow tile; `Shot` one whole shot solve of the survey engine
 /// (the shot index rides in `vt`); `CacheRestore` one tile node whose output
 /// the incremental executor restored from the `TileCache` instead of
 /// recomputing.
@@ -169,256 +159,19 @@ impl TraceEvent {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Recording — real implementation (feature = "enabled")
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{SpanArgs, SpanKind, Trace, TraceEvent, DEFAULT_CAPACITY};
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, Once, OnceLock};
-    use std::time::Instant;
-
-    struct Ring {
-        tid: u32,
-        label: String,
-        // Only the owning thread pushes; snapshot/reset lock briefly from
-        // the aggregating thread, so this mutex is uncontended on the hot
-        // path.
-        events: Mutex<Vec<TraceEvent>>,
-        dropped: AtomicU64,
-    }
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static ENV_INIT: Once = Once::new();
-    /// 0 = "resolve from TEMPEST_TRACE_CAP on first use".
-    static CAPACITY: AtomicUsize = AtomicUsize::new(0);
-    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-
-    thread_local! {
-        static RING: Arc<Ring> = register_ring();
-    }
-
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    fn register_ring() -> Arc<Ring> {
-        let cur = std::thread::current();
-        let label = cur
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("{:?}", cur.id()));
-        let ring = Arc::new(Ring {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            label,
-            events: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        });
-        registry()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
-        ring
-    }
-
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    /// Is event capture on? First call resolves `TEMPEST_TRACE` (any value
-    /// other than empty or `0` enables); after that it is one relaxed load.
-    #[inline]
-    pub fn enabled() -> bool {
-        ENV_INIT.call_once(|| {
-            let on = std::env::var("TEMPEST_TRACE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            if on {
-                ENABLED.store(true, Ordering::Relaxed);
-            }
-        });
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Programmatic override of the `TEMPEST_TRACE` gate.
-    pub fn set_enabled(on: bool) {
-        let _ = enabled(); // settle env init so it cannot overwrite us
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Per-thread event capacity currently in effect. First use resolves
-    /// `TEMPEST_TRACE_CAP`, falling back to [`DEFAULT_CAPACITY`].
-    pub fn capacity() -> usize {
-        let cap = CAPACITY.load(Ordering::Relaxed);
-        if cap != 0 {
-            return cap;
-        }
-        let resolved = std::env::var("TEMPEST_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        CAPACITY.store(resolved, Ordering::Relaxed);
-        resolved
-    }
-
-    /// Override the per-thread capacity (applies to subsequent recording on
-    /// every thread; existing events are kept). Mainly for tests.
-    pub fn set_capacity(cap: usize) {
-        CAPACITY.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    /// Open a span. The event is recorded on this thread's ring when the
-    /// guard drops (or [`Span::stop`] runs), unless cancelled.
-    #[inline]
-    pub fn span(kind: SpanKind, args: SpanArgs) -> Span {
-        if !enabled() {
-            return Span(None);
-        }
-        let t0 = epoch().elapsed().as_nanos() as u64;
-        Span(Some((kind, args, t0)))
-    }
-
-    pub struct Span(Option<(SpanKind, SpanArgs, u64)>);
-
-    impl Span {
-        /// Explicit stop; equivalent to dropping the guard.
-        #[inline]
-        pub fn stop(self) {}
-
-        /// Discard the span without recording it (e.g. a sparse phase that
-        /// turned out to have no work — keeps trace volume proportional to
-        /// actual events).
-        #[inline]
-        pub fn cancel(&mut self) {
-            self.0 = None;
-        }
-    }
-
-    impl Drop for Span {
-        #[inline]
-        fn drop(&mut self) {
-            if let Some((kind, args, t0)) = self.0.take() {
-                let now = epoch().elapsed().as_nanos() as u64;
-                let ev = TraceEvent {
-                    tid: 0, // filled per-ring below
-                    kind,
-                    t0_ns: t0,
-                    dur_ns: now.saturating_sub(t0),
-                    args,
-                };
-                let cap = capacity();
-                RING.with(|r| {
-                    let mut evs = r.events.lock().unwrap_or_else(|e| e.into_inner());
-                    if evs.len() >= cap {
-                        r.dropped.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        evs.push(TraceEvent { tid: r.tid, ..ev });
-                    }
-                });
-            }
-        }
-    }
-
-    /// Clear every ring and drop counter (buffers keep their allocation).
-    pub fn reset() {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        for ring in reg.iter() {
-            ring.events
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clear();
-            ring.dropped.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Fold every thread's ring into a [`Trace`]. Rings that recorded
-    /// nothing are skipped; events are sorted by (thread, start time).
-    pub fn snapshot() -> Trace {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::new();
-        let mut threads = Vec::new();
-        let mut dropped = 0u64;
-        for ring in reg.iter() {
-            let evs = ring.events.lock().unwrap_or_else(|e| e.into_inner());
-            let d = ring.dropped.load(Ordering::Relaxed);
-            dropped += d;
-            if evs.is_empty() && d == 0 {
-                continue;
-            }
-            threads.push((ring.tid, ring.label.clone()));
-            events.extend_from_slice(&evs);
-        }
-        events.sort_by_key(|e| (e.tid, e.t0_ns, std::cmp::Reverse(e.end_ns())));
-        threads.sort_by_key(|&(tid, _)| tid);
-        Trace {
-            events,
-            threads,
-            dropped,
-            capacity: capacity(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recording — no-op implementation (feature off)
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{SpanArgs, SpanKind, Trace, DEFAULT_CAPACITY};
-
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    #[inline(always)]
-    pub fn capacity() -> usize {
-        DEFAULT_CAPACITY
-    }
-
-    #[inline(always)]
-    pub fn set_capacity(_cap: usize) {}
-
-    pub struct Span;
-
-    impl Span {
-        #[inline(always)]
-        pub fn stop(self) {}
-
-        #[inline(always)]
-        pub fn cancel(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn span(_kind: SpanKind, _args: SpanArgs) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn snapshot() -> Trace {
-        Trace::default()
-    }
-}
-
-pub use imp::{capacity, enabled, reset, set_capacity, set_enabled, snapshot, span, Span};
+/// The event level of the switch (crate docs): `enabled` says whether it
+/// is on, `set_enabled(true)` turns recording and event capture on,
+/// `set_enabled(false)` turns event capture off and keeps recording.
+pub use crate::imp::{
+    capacity, events_enabled as enabled, set_capacity, set_events_enabled as set_enabled,
+};
 
 // ---------------------------------------------------------------------------
 // Aggregated trace + Chrome trace-event export (always compiled)
 // ---------------------------------------------------------------------------
 
-/// Aggregated view of every thread's event ring, produced by [`snapshot`].
+/// Every thread's events, carried by the [`Profile`](crate::Profile) that
+/// [`crate::snapshot`] returns.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// All recorded spans, sorted by (tid, start).
@@ -671,35 +424,38 @@ mod tests {
     fn disabled_build_is_inert() {
         set_enabled(true);
         assert!(!enabled());
-        let mut sp = span(SpanKind::Tile, SpanArgs::tile(0, 0, 0, 0, 1));
+        let mut sp = crate::span(SpanKind::Tile, SpanArgs::tile(0, 0, 0, 0, 1));
         sp.cancel();
-        span(SpanKind::Stencil, SpanArgs::step(0)).stop();
-        assert!(snapshot().is_empty());
+        crate::span(SpanKind::Stencil, SpanArgs::step(0)).stop();
+        assert!(crate::snapshot().trace.is_empty());
     }
 
-    /// Recording tests share global ring state, so they serialise on a lock
-    /// and reset before each scenario.
+    /// Event-level recording, serialised with every other recording test
+    /// of the crate.
     #[cfg(feature = "enabled")]
     mod recording {
         use super::super::*;
-        use std::sync::Mutex;
+        use crate::{reset, span};
 
-        static LOCK: Mutex<()> = Mutex::new(());
+        fn events() -> Trace {
+            crate::snapshot().trace
+        }
 
         fn guard() -> std::sync::MutexGuard<'static, ()> {
-            LOCK.lock().unwrap_or_else(|e| e.into_inner())
+            let g = crate::tests::lock();
+            set_enabled(true);
+            reset();
+            g
         }
 
         #[test]
         fn records_spans_with_args_and_resets() {
             let _g = guard();
-            set_enabled(true);
-            reset();
             {
                 let _sp = span(SpanKind::Tile, SpanArgs::tile(3, 1, 2, 0, 4));
                 span(SpanKind::Stencil, SpanArgs::step(2)).stop();
             }
-            let t = snapshot();
+            let t = events();
             assert_eq!(t.count(SpanKind::Tile), 1);
             assert_eq!(t.count(SpanKind::Stencil), 1);
             let tile = t.events_of(SpanKind::Tile).next().unwrap();
@@ -709,20 +465,27 @@ mod tests {
             // the stencil span opened inside the tile span nests within it
             let st = t.events_of(SpanKind::Stencil).next().unwrap();
             assert!(st.t0_ns >= tile.t0_ns && st.end_ns() <= tile.end_ns());
+            // one clock: each kind's time is its events' summed duration
+            let p = crate::snapshot();
+            for k in [SpanKind::Tile, SpanKind::Stencil] {
+                let evs: u64 = p.trace.events_of(k).map(|e| e.dur_ns).sum();
+                assert_eq!(p.timer_ns(k), evs, "{k:?}");
+            }
             reset();
-            assert!(snapshot().is_empty());
+            assert!(crate::snapshot().is_empty());
             set_enabled(false);
         }
 
         #[test]
         fn cancel_discards_the_span() {
             let _g = guard();
-            set_enabled(true);
-            reset();
             let mut sp = span(SpanKind::Sparse, SpanArgs::step(0));
+            std::thread::sleep(std::time::Duration::from_millis(1));
             sp.cancel();
             drop(sp);
-            assert_eq!(snapshot().count(SpanKind::Sparse), 0);
+            let p = crate::snapshot();
+            assert_eq!(p.trace.count(SpanKind::Sparse), 0, "no event");
+            assert_eq!(p.timer_ns(SpanKind::Sparse), 0, "no time");
             set_enabled(false);
         }
 
@@ -730,13 +493,11 @@ mod tests {
         fn overflow_drops_newest_and_counts() {
             let _g = guard();
             let prior = capacity();
-            set_enabled(true);
-            reset();
             set_capacity(8);
             for i in 0..20usize {
                 span(SpanKind::Sweep, SpanArgs::step(i)).stop();
             }
-            let t = snapshot();
+            let t = events();
             let mine: Vec<_> = t.events_of(SpanKind::Sweep).collect();
             assert_eq!(mine.len(), 8, "ring holds exactly its capacity");
             // earliest events survive untouched, in order
@@ -747,7 +508,7 @@ mod tests {
             // drops clear on reset
             set_capacity(prior);
             reset();
-            assert_eq!(snapshot().dropped, 0);
+            assert_eq!(events().dropped, 0);
             set_enabled(false);
         }
 
@@ -755,9 +516,10 @@ mod tests {
         fn runtime_gate_off_records_nothing() {
             let _g = guard();
             set_enabled(false);
-            reset();
             span(SpanKind::Tile, SpanArgs::tile(0, 0, 0, 0, 1)).stop();
-            assert!(snapshot().is_empty());
+            assert!(events().is_empty());
+            assert!(crate::enabled(), "dropping events keeps recording");
+            crate::set_enabled(false);
         }
     }
 }

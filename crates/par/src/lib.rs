@@ -409,8 +409,8 @@ impl Work {
     fn help(&self) {
         match self {
             Work::Batch(job) => job.help(),
-            // Pool workers don't charge their idle parks to the
-            // `BarrierWait` phase timer — see `DataflowJob::idle_wait`.
+            // Pool workers' idle parks open no `BarrierWait` span — see
+            // `DataflowJob::help`.
             Work::Dataflow(job) => job.help(false),
         }
     }
@@ -523,8 +523,7 @@ fn run_batch(n: usize, cap: usize, f: &(dyn Fn(usize) + Sync)) {
         let _mark = DispatchMark::enter();
         job.help();
     }
-    let wait = obs::start(obs::Phase::BarrierWait);
-    let wait_sp = obs::trace::span(obs::trace::SpanKind::BarrierWait, obs::trace::SpanArgs::none());
+    let wait = obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none());
     let mut fin = job.finished.lock().unwrap();
     while !*fin {
         // The final `help` return races the last worker's notify; the
@@ -539,7 +538,6 @@ fn run_batch(n: usize, cap: usize, f: &(dyn Fn(usize) + Sync)) {
         }
     }
     drop(fin);
-    wait_sp.stop();
     wait.stop();
 }
 
@@ -667,13 +665,11 @@ impl DataflowJob {
     /// return condition is `done == n` (not "nothing left to claim"), the
     /// publishing caller's own `help` doubles as the single join.
     ///
-    /// `charge_idle` selects whether idle parks bill the `BarrierWait`
-    /// *phase timer*: true for the publishing caller only. `run_batch`
-    /// charges exactly one side too (the caller's straggler wait; its pool
-    /// workers park on the board unbilled), so the profiled barrier-wait
-    /// shares of the space-blocked and plan executors compare like with
-    /// like. Every park still emits a `BarrierWait` *trace span* regardless
-    /// — the wait histogram keeps seeing worker idleness.
+    /// `charge_idle` selects whether idle parks open a `BarrierWait` span:
+    /// true for the publishing caller only. `run_batch` spans exactly one
+    /// side too (the caller's straggler wait; its pool workers park on the
+    /// board unspanned), so the barrier-wait shares of the space-blocked
+    /// and plan executors compare like with like.
     fn help(&self, charge_idle: bool) {
         let me = self.participants.fetch_add(1, Ordering::Relaxed) % self.deques.len();
         loop {
@@ -770,9 +766,8 @@ impl DataflowJob {
     /// timeslice to steal work the running participant would finish sooner
     /// itself.
     fn idle_wait(&self, charge_idle: bool) {
-        let wait = charge_idle.then(|| obs::start(obs::Phase::BarrierWait));
-        let wait_sp =
-            obs::trace::span(obs::trace::SpanKind::BarrierWait, obs::trace::SpanArgs::none());
+        let _wait =
+            charge_idle.then(|| obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none()));
         let mut timeout_ms = 1u64;
         let mut fin = self.idle.lock().unwrap();
         while !*fin && self.done.load(Ordering::Acquire) != self.n && !self.any_ready() {
@@ -784,11 +779,6 @@ impl DataflowJob {
             if timed_out.timed_out() {
                 timeout_ms = (timeout_ms * 2).min(16);
             }
-        }
-        drop(fin);
-        wait_sp.stop();
-        if let Some(w) = wait {
-            w.stop();
         }
     }
 
@@ -867,7 +857,7 @@ where
     }
     obs::add(obs::Counter::ParPublications, 1);
     // The caller works too; for dataflow, `help` returning *is* the join,
-    // and the caller is the one participant whose idle bills `BarrierWait`.
+    // and the caller is the one participant whose idle opens `BarrierWait`.
     {
         let _mark = DispatchMark::enter();
         job.help(true);

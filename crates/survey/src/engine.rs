@@ -301,7 +301,7 @@ where
             }
             obs::add(obs::Counter::ShotStarted, 1);
             obs::metrics::heartbeat(1);
-            let _sp = obs::trace::span(obs::trace::SpanKind::Shot, obs::trace::SpanArgs::shot(i));
+            let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
             if let Some((hang_shot, ms)) = opts.inject_hang {
                 if i == hang_shot {
                     // Deliberately no heartbeat across this gap: the sleep

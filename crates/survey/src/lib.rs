@@ -21,11 +21,12 @@
 //!   ([`SurveyOptions::tune`], counted by `Counter::BatchAutotune`).
 //! * [`queue`] — an async job-queue front (`submit` / `poll` / `cancel`,
 //!   priorities, per-job thread caps, terminal states with error payloads),
-//!   so the engine behaves like a service, not a script. With live
-//!   telemetry on ([`tempest_obs::metrics`]), a started service keeps the
-//!   global gauges in sync, exports `/metrics`+`/jobs` over HTTP, derives
-//!   per-job progress/ETA from completed virtual steps, and runs a stall
-//!   watchdog over the tile-completion heartbeat ([`ServiceConfig`]).
+//!   so the engine behaves like a service, not a script. With recording
+//!   on ([`tempest_obs::metrics`]), a started service keeps the global
+//!   gauges in sync, derives per-job progress/ETA from completed virtual
+//!   steps, runs a stall watchdog over the tile-completion heartbeat, and —
+//!   given an address — exports `/metrics`+`/jobs` over HTTP
+//!   ([`ServiceConfig`]).
 //! * Incremental reruns — the service keeps one
 //!   [`tempest_tiling::TileCache`] (sized by `TEMPEST_CACHE_MB`) across
 //!   jobs and lends it to every submission, so resubmitting a survey with

@@ -26,19 +26,19 @@
 //!
 //! ## Live telemetry (DESIGN.md §15)
 //!
-//! When live telemetry is on (`TEMPEST_TELEMETRY` or
-//! `obs::metrics::set_telemetry(true)`, `obs` feature compiled in), the
-//! queue keeps the global [`tempest_obs::metrics`] gauges in sync with its
-//! state on every transition, registers a `/jobs` snapshot provider, and —
-//! per [`ServiceConfig`] — runs a **stall watchdog**: a running job whose
-//! tile-completion heartbeat stays silent past
-//! [`ServiceConfig::stall_after`] is flagged [`JobStatus::stalled`] (and
-//! counted in `tempest_stalled_jobs`) until the heartbeat resumes or the
-//! job terminates. The watchdog never kills work — a stall flag is a
-//! diagnosis, not a verdict; each distinct silence episode increments
-//! [`JobStatus::stall_events`]. With telemetry off (or the `obs` feature
-//! compiled out) none of this spawns: no sampler, no endpoint, no
-//! watchdog thread.
+//! When recording is on (`TEMPEST_PROFILE`, `TEMPEST_TELEMETRY` or
+//! `obs::set_enabled(true)`, `obs` feature compiled in), the queue keeps the
+//! global [`tempest_obs::metrics`] gauges in sync with its state on every
+//! transition, and a live service registers a `/jobs` snapshot provider
+//! and runs a **stall watchdog**: a running job whose tile-completion
+//! heartbeat stays silent past [`ServiceConfig::stall_after`] is flagged
+//! [`JobStatus::stalled`] (and counted in `tempest_stalled_jobs`) until the
+//! heartbeat resumes or the job terminates. The watchdog never kills work —
+//! a stall flag is a diagnosis, not a verdict; each distinct silence
+//! episode increments [`JobStatus::stall_events`]. The HTTP endpoint also
+//! needs an address: [`ServiceConfig::endpoint_addr`] or
+//! `TEMPEST_TELEMETRY`. With recording off (or the `obs` feature compiled
+//! out) none of this spawns: no endpoint, no watchdog thread.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,9 +129,9 @@ impl JobSpec {
     }
 }
 
-/// Configuration for a live service: watchdog thresholds and whether to
-/// expose the telemetry endpoint. All of it is inert unless the `obs`
-/// feature is compiled in *and* telemetry is on at runtime.
+/// Configuration for a live service: watchdog thresholds and the endpoint
+/// address. All of it is inert unless the `obs` feature is compiled in
+/// *and* recording is on at runtime.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Flag a running job as stalled when its heartbeat has been silent
@@ -139,23 +139,10 @@ pub struct ServiceConfig {
     pub stall_after: Duration,
     /// How often the watchdog re-checks the heartbeat.
     pub watchdog_interval: Duration,
-    /// Run the stall watchdog thread (requires telemetry: the heartbeat it
-    /// reads is only recorded when telemetry is on).
-    pub watchdog: bool,
-    /// Start the HTTP telemetry endpoint
-    /// ([`tempest_obs::serve::TelemetryServer::start_from_env`]) and
-    /// register the `/jobs` snapshot provider.
-    pub telemetry: bool,
-    /// Explicit endpoint bind address (`host:port`; port 0 = ephemeral).
-    /// `None` takes the address from `TEMPEST_TELEMETRY`, falling back to
-    /// [`tempest_obs::serve::DEFAULT_ADDR`].
+    /// Endpoint bind address (`host:port`; port 0 = ephemeral). `None`
+    /// takes the address from `TEMPEST_TELEMETRY`
+    /// ([`tempest_obs::serve::env_addr`]); with neither, no endpoint starts.
     pub endpoint_addr: Option<String>,
-    /// Keep a service-wide [`TileCache`] (sized by `TEMPEST_CACHE_MB`) and
-    /// lend it to every job whose [`SurveyOptions::cache`] is unset, so a
-    /// resubmitted survey with a nudged source reuses the previous job's
-    /// tile outputs. `false` — or `TEMPEST_CACHE_MB=0` — restores the exact
-    /// pre-cache execution path.
-    pub cache: bool,
 }
 
 impl Default for ServiceConfig {
@@ -163,10 +150,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             stall_after: Duration::from_secs(5),
             watchdog_interval: Duration::from_millis(250),
-            watchdog: true,
-            telemetry: true,
             endpoint_addr: None,
-            cache: true,
         }
     }
 }
@@ -318,9 +302,9 @@ struct ServiceState {
 /// Recompute every queue-owned gauge from this service's state. Absolute
 /// levels (not deltas), so the gauges self-heal and always describe the
 /// most recently active service when several coexist (tests). A no-op when
-/// telemetry is off — [`obs::metrics::gauge_set`] is runtime-gated.
+/// recording is off — [`obs::metrics::gauge_set`] is runtime-gated.
 fn refresh_gauges(st: &ServiceState) {
-    if !obs::metrics::telemetry_enabled() {
+    if !obs::enabled() {
         return;
     }
     let mut running = 0i64;
@@ -351,8 +335,10 @@ struct Inner {
     work_cv: Condvar,
     /// Wakes [`SurveyService::wait`]ers on terminal transitions.
     done_cv: Condvar,
-    /// Service-wide tile cache lent to jobs that don't bring their own
-    /// ([`ServiceConfig::cache`]). `None` when disabled by config or env.
+    /// Service-wide tile cache (sized by `TEMPEST_CACHE_MB`) lent to jobs
+    /// that don't bring their own, so a resubmitted survey with a nudged
+    /// source reuses the previous job's tile outputs. `None` when
+    /// `TEMPEST_CACHE_MB=0` disables it.
     cache: Option<Arc<TileCache>>,
 }
 
@@ -364,9 +350,9 @@ pub struct SurveyService {
     /// Keeps the `/metrics`+`/jobs` endpoint alive for the service's
     /// lifetime; dropping the service stops it.
     telemetry: Option<obs::serve::TelemetryServer>,
-    /// Whether this service registered the global `/jobs` provider (and
-    /// must deregister it on drop).
-    registered_provider: bool,
+    /// The token of this service's `/jobs` provider registration, which it
+    /// deregisters on drop (a no-op if a later service replaced it).
+    provider: Option<u64>,
 }
 
 impl SurveyService {
@@ -402,79 +388,73 @@ impl SurveyService {
             scheduler: None,
             watchdog: None,
             telemetry: None,
-            registered_provider: false,
+            provider: None,
         }
     }
 
     /// A live service with the default [`ServiceConfig`]: a background
     /// scheduler thread picks jobs by (priority desc, id asc) and runs
-    /// them one at a time; with telemetry on, the watchdog and endpoint
-    /// come up too.
+    /// them one at a time; with recording on, the watchdog (and, given an
+    /// address, the endpoint) come up too.
     pub fn start() -> Self {
         Self::start_with(ServiceConfig::default())
     }
 
-    /// A live service with explicit watchdog/telemetry configuration.
+    /// A live service with explicit watchdog/endpoint configuration.
     pub fn start_with(cfg: ServiceConfig) -> Self {
-        let inner = Self::new_inner(if cfg.cache { Self::env_cache() } else { None });
+        let inner = Self::new_inner(Self::env_cache());
         let worker = Arc::clone(&inner);
         let scheduler = std::thread::Builder::new()
             .name("tempest-survey-scheduler".into())
             .spawn(move || scheduler_loop(worker))
             .expect("spawn survey scheduler");
 
-        // Everything below is live telemetry — none of it exists when the
-        // runtime gate is off (which is always the case without the `obs`
-        // feature), so a telemetry-off service is exactly the old one.
-        let telemetry_on = obs::metrics::telemetry_enabled();
-        let mut registered_provider = false;
-        let mut telemetry = None;
-        if telemetry_on && cfg.telemetry {
+        // Everything below is live telemetry — none of it exists when
+        // recording is off (which is always the case without the `obs`
+        // feature), so such a service is exactly the plain queue.
+        let (mut provider, mut telemetry, mut watchdog) = (None, None, None);
+        if obs::enabled() {
             let weak = Arc::downgrade(&inner);
-            obs::metrics::set_jobs_provider(move || match weak.upgrade() {
+            provider = Some(obs::metrics::set_jobs_provider(move || match weak.upgrade() {
                 Some(inner) => {
                     let st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
                     st.jobs.iter().map(|(&id, j)| j.snapshot(id)).collect()
                 }
                 None => Vec::new(),
+            }));
+            let addr = cfg.endpoint_addr.as_deref().or(obs::serve::env_addr());
+            telemetry = addr.and_then(|addr| {
+                obs::serve::TelemetryServer::start(addr)
+                    .map_err(|e| eprintln!("tempest-survey: telemetry bind failed on {addr}: {e}"))
+                    .ok()
             });
-            registered_provider = true;
-            telemetry = match &cfg.endpoint_addr {
-                Some(addr) => obs::serve::TelemetryServer::start(&obs::serve::ServeConfig {
-                    addr: addr.clone(),
-                    ..Default::default()
-                })
-                .map_err(|e| eprintln!("tempest-survey: telemetry bind failed on {addr}: {e}"))
-                .ok(),
-                None => obs::serve::TelemetryServer::start_from_env(),
-            };
-        }
-        let watchdog = (telemetry_on && cfg.watchdog).then(|| {
             let w = Arc::clone(&inner);
             let (stall_after, interval) = (cfg.stall_after, cfg.watchdog_interval);
-            std::thread::Builder::new()
-                .name("tempest-survey-watchdog".into())
-                .spawn(move || watchdog_loop(w, stall_after, interval))
-                .expect("spawn survey watchdog")
-        });
+            watchdog = Some(
+                std::thread::Builder::new()
+                    .name("tempest-survey-watchdog".into())
+                    .spawn(move || watchdog_loop(w, stall_after, interval))
+                    .expect("spawn survey watchdog"),
+            );
+        }
 
         SurveyService {
             inner,
             scheduler: Some(scheduler),
             watchdog,
             telemetry,
-            registered_provider,
+            provider,
         }
     }
 
     /// The bound address of this service's telemetry endpoint, if one is
-    /// running (`TEMPEST_TELEMETRY` set and the bind succeeded).
+    /// running (recording on, an address known, and the bind succeeded).
     pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
         self.telemetry.as_ref().map(|t| t.local_addr())
     }
 
     /// The service-wide tile cache lent to jobs, if one is active
-    /// ([`ServiceConfig::cache`] on and `TEMPEST_CACHE_MB` nonzero).
+    /// (`TEMPEST_CACHE_MB` nonzero).
     /// Exposes hit/eviction statistics for monitoring and tests.
     pub fn tile_cache(&self) -> Option<&Arc<TileCache>> {
         self.inner.cache.as_ref()
@@ -609,8 +589,8 @@ impl Drop for SurveyService {
         if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
-        if self.registered_provider {
-            obs::metrics::clear_jobs_provider();
+        if let Some(token) = self.provider {
+            obs::metrics::clear_jobs_provider(token);
         }
         // `self.telemetry` drops here, stopping the endpoint threads.
     }

@@ -135,7 +135,7 @@ pub fn rtm_image(
     let shots = survey.shots();
     shard_range(opts.policy, 0..n, |i| {
         obs::add(obs::Counter::ShotStarted, 1);
-        let _sp = obs::trace::span(obs::trace::SpanKind::Shot, obs::trace::SpanArgs::shot(i));
+        let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
         let solved = catch_unwind(AssertUnwindSafe(|| {
             with_thread_budget(opts.shot_threads, || {
                 image_one_shot(&fwd_assets, &norec_assets, &receivers, &shots[i], &observed[i], opts)

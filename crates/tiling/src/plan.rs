@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tempest_grid::{Range3, Shape};
 use tempest_obs as obs;
-use tempest_obs::trace::{SpanArgs, SpanKind};
+use tempest_obs::{SpanArgs, SpanKind};
 use tempest_par::{FlushGuard, Policy};
 
 use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
@@ -207,10 +207,9 @@ where
     let _fp = FlushGuard::enter();
     let graph = tempest_par::DepGraph::from_preds(&plan.preds);
     let reused = AtomicUsize::new(0);
-    // One caller-side phase/span for the whole sweep: its `BarrierWait`
-    // share is the executor's idle time.
-    let sw = obs::start(obs::Phase::Dataflow);
-    let _dsp = obs::trace::span(
+    // One caller-side span for the whole sweep: its `BarrierWait` share is
+    // the executor's idle time.
+    let _dsp = obs::span(
         SpanKind::Dataflow,
         SpanArgs {
             t0: 0,
@@ -220,7 +219,7 @@ where
     );
     tempest_par::run_dataflow(policy, &graph, |i| {
         if let Some(st) = store {
-            let mut sp = obs::trace::span(SpanKind::CacheRestore, plan.labels[i]);
+            let mut sp = obs::span(SpanKind::CacheRestore, plan.labels[i]);
             if st.restore(i) {
                 obs::add(obs::Counter::TilesReused, 1);
                 reused.fetch_add(1, Ordering::Relaxed);
@@ -228,7 +227,7 @@ where
             }
             sp.cancel();
         }
-        let _sp = obs::trace::span(SpanKind::Tile, plan.labels[i]);
+        let _sp = obs::span(SpanKind::Tile, plan.labels[i]);
         for (s, slab) in plan.slabs[i].iter().enumerate() {
             for b in slab.range.split_xy(plan.block_x, plan.block_y) {
                 step(slab.vt, &b);
@@ -242,7 +241,6 @@ where
             obs::add(obs::Counter::TilesRecomputed, 1);
         }
     });
-    sw.stop();
     let reused = reused.into_inner();
     IncrementalOutcome {
         total: plan.len(),

@@ -54,12 +54,10 @@ pub fn execute<S, A>(
     let _fp = FlushGuard::enter();
     let blocks = spec.blocks(shape);
     for vt in 0..nvt {
-        let sw = obs::start(obs::Phase::Sweep);
-        let _sp = obs::trace::span(obs::trace::SpanKind::Sweep, obs::trace::SpanArgs::step(vt));
+        let _sp = obs::span(obs::SpanKind::Sweep, obs::SpanArgs::step(vt));
         tempest_par::for_each(policy, &blocks, |b| step(vt, b));
         after_step(vt);
         obs::add(obs::Counter::SpaceSweeps, 1);
-        sw.stop();
     }
 }
 

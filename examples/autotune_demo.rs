@@ -114,7 +114,7 @@ fn main() {
         policy: Policy::default(),
         kernel: KernelPath::default(),
     };
-    let (wtb, _profile, trace, meta) = solver.run_traced(&tuned_exec);
+    let (wtb, profile, meta) = solver.run_profiled(&tuned_exec);
     println!(
         "\nbaseline {:.3} GPts/s → tuned WTB {:.3} GPts/s ({:.2}x)",
         base.gpoints_per_s,
@@ -124,9 +124,9 @@ fn main() {
 
     // With tracing on, show how well the tuned schedule balances its
     // diagonals — the signal behind the barrier-share tie-breaker above.
-    if !trace.is_empty() {
-        println!("\n{}", tempest::obs::analysis::TraceAnalysis::from_trace(&trace).render());
-        match trace.write_chrome_json(&meta) {
+    if !profile.trace.is_empty() {
+        println!("\n{}", tempest::obs::analysis::TraceAnalysis::from_trace(&profile.trace).render());
+        match profile.trace.write_chrome_json(&meta) {
             Ok(path) => println!("trace written to {}", path.display()),
             Err(err) => eprintln!("could not write trace JSON: {err}"),
         }

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! With profiling compiled in and switched on, each schedule also prints a
-//! per-phase profile and writes it to `target/profile/*.json`:
+//! profile (counters and per-kind span times) and writes it to
+//! `target/profile/*.json`:
 //!
 //! ```text
 //! TEMPEST_PROFILE=1 cargo run --release --example seismic_survey --features obs
@@ -52,21 +53,17 @@ fn main() {
     println!("shot at {shot:?}, {} receivers, nt = {nt}", rec_coords.len());
     let mut solver = Acoustic::new(&model, cfg, src, Some(rec));
 
-    let (base, base_profile, base_trace, base_meta) = solver.run_traced(&Execution::baseline());
+    let (base, base_profile, base_meta) = solver.run_profiled(&Execution::baseline());
     let gather = solver.trace().unwrap();
     println!("baseline : {:>7.3} GPts/s", base.gpoints_per_s);
-    let (wtb, wtb_profile, wtb_trace, wtb_meta) =
-        solver.run_traced(&Execution::wavefront_default());
+    let (wtb, wtb_profile, wtb_meta) = solver.run_profiled(&Execution::wavefront_default());
     println!(
         "wavefront: {:>7.3} GPts/s  speedup {:.2}x",
         wtb.gpoints_per_s,
         wtb.gpoints_per_s / base.gpoints_per_s
     );
 
-    for (profile, trace, meta) in [
-        (base_profile, base_trace, base_meta),
-        (wtb_profile, wtb_trace, wtb_meta),
-    ] {
+    for (profile, meta) in [(base_profile, base_meta), (wtb_profile, wtb_meta)] {
         if profile.is_empty() {
             continue; // profiling off (or built without --features obs)
         }
@@ -75,10 +72,11 @@ fn main() {
             Ok(path) => println!("profile written to {}", path.display()),
             Err(err) => eprintln!("could not write profile JSON: {err}"),
         }
+        let trace = &profile.trace;
         if !trace.is_empty() {
-            // Per-diagonal load balance next to the per-phase table, plus
+            // Per-diagonal load balance next to the per-kind table, plus
             // the Perfetto-loadable event trace.
-            println!("{}", obs::analysis::TraceAnalysis::from_trace(&trace).render());
+            println!("{}", obs::analysis::TraceAnalysis::from_trace(trace).render());
             match trace.write_chrome_json(&meta) {
                 Ok(path) => println!("trace written to {}", path.display()),
                 Err(err) => eprintln!("could not write trace JSON: {err}"),

@@ -23,7 +23,7 @@ use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::sources::{ReceiverBundle, SourceBundle};
 use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Domain, ElasticModel, Model, Rng64, Shape, TtiModel};
-use tempest::obs::{self, Counter, Phase};
+use tempest::obs::{self, Counter, SpanKind};
 use tempest::par::{for_each, Policy, Progress};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::Backend;
@@ -298,10 +298,10 @@ fn fused_sparse_telemetry_is_uniform_across_propagators_and_modes() {
                     policy: Policy::Capped { threads: 2 },
                     kernel,
                 };
-                let (_, p, trace, _) = s.run_traced(&exec);
+                let (_, p, _) = s.run_profiled(&exec);
                 assert_eq!(p.counter(Counter::SourceInjections), oracle.injections, "{what}");
                 assert_eq!(p.counter(Counter::ReceiverGathers), oracle.gathers, "{what}");
-                assert!(trace.count(obs::trace::SpanKind::Sparse) >= 1, "{what}: no sparse span");
+                assert!(p.trace.count(SpanKind::Sparse) >= 1, "{what}: no sparse span");
                 let rows = p.counter(Counter::PencilRows);
                 if kernel.resolve() == Backend::Scalar {
                     assert_eq!(rows, 0, "{what}: the scalar path runs no vector rows");
@@ -446,7 +446,7 @@ fn runtime_disabled_records_nothing() {
         "runtime-disabled profiling must record no counts"
     );
     assert!(
-        Phase::ALL.iter().all(|&ph| p.timer_ns(ph) == 0),
+        SpanKind::ALL.iter().all(|&k| p.timer_ns(k) == 0),
         "runtime-disabled profiling must record no time"
     );
 }

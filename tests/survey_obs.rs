@@ -22,8 +22,7 @@ use std::sync::{Mutex, MutexGuard};
 use tempest::core::config::EquationKind;
 use tempest::core::SimConfig;
 use tempest::grid::{Domain, Model, Shape};
-use tempest::obs::trace::SpanKind;
-use tempest::obs::{self, Counter};
+use tempest::obs::{self, Counter, SpanKind};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
 use tempest::survey::{
@@ -35,10 +34,8 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
-    obs::reset();
     obs::trace::set_enabled(true);
-    obs::trace::reset();
+    obs::reset();
     g
 }
 
@@ -87,7 +84,7 @@ fn clean_run_counts_every_shot_once_at_every_cap() {
         };
         run_survey(&survey, &opts).unwrap();
         let (started, completed, tuned) = shot_counters();
-        let trace = obs::trace::snapshot();
+        let trace = obs::snapshot().trace;
         assert_eq!(started, SHOTS as u64, "{policy:?}");
         assert_eq!(completed, SHOTS as u64, "{policy:?}");
         assert_eq!(tuned, 0, "{policy:?}: no autotune requested");
@@ -130,7 +127,7 @@ fn failed_shot_accounting_is_deterministic() {
         let (started, completed, _) = shot_counters();
         assert_eq!(started, 4, "{policy:?}: batches [0,1] and [2,3] start");
         assert_eq!(completed, 3, "{policy:?}: all but the failing shot finish");
-        assert_eq!(obs::trace::snapshot().count(SpanKind::Shot), 4, "{policy:?}");
+        assert_eq!(obs::snapshot().trace.count(SpanKind::Shot), 4, "{policy:?}");
     }
 }
 
@@ -149,7 +146,7 @@ fn pre_cancelled_run_counts_nothing() {
         let out = run_survey_streaming(&survey, &opts, Some(&flag), |_| {}).unwrap();
         assert!(out.cancelled);
         assert_eq!(shot_counters(), (0, 0, 0), "{policy:?}");
-        assert_eq!(obs::trace::snapshot().count(SpanKind::Shot), 0, "{policy:?}");
+        assert_eq!(obs::snapshot().trace.count(SpanKind::Shot), 0, "{policy:?}");
     }
 }
 

@@ -10,6 +10,10 @@
 //! with seeded fault injection: a hang wedged between two shots must trip
 //! the watchdog exactly once, and a clean run must never trip it.
 //!
+//! Telemetry follows the one recording switch: with it off nothing is
+//! recorded and no endpoint starts; with it on, heartbeats and gauges are
+//! recorded, and an endpoint starts only where an address is known.
+//!
 //! Compiled only with `--features obs`; counters and gauges are
 //! process-global, so every test serialises on one mutex and resets the
 //! registries. The CI `telemetry` job runs this suite at `TEMPEST_THREADS`
@@ -34,13 +38,13 @@ use tempest::survey::{
 /// Global-counter tests cannot overlap: the registries are process-wide.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn guard(telemetry: bool) -> MutexGuard<'static, ()> {
+/// Serialise, set the switch to record + events (`recording`) or off, and
+/// zero every registry.
+fn guard(recording: bool) -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
+    obs::set_enabled(false);
+    obs::trace::set_enabled(recording);
     obs::reset();
-    obs::trace::set_enabled(true);
-    obs::trace::reset();
-    metrics::set_telemetry(telemetry);
     metrics::reset_metrics();
     g
 }
@@ -305,8 +309,8 @@ fn clean_run_never_trips_watchdog() {
     assert_eq!(metrics::gauge(Gauge::StalledJobs), 0);
 }
 
-/// With telemetry off the whole layer is inert: no heartbeats, no gauges,
-/// no endpoint — even when the config asks for one.
+/// With recording off the whole layer is inert: no heartbeats, no gauges,
+/// no endpoint — even when the config names an address.
 #[test]
 fn telemetry_off_records_nothing() {
     let _g = guard(false);
@@ -314,12 +318,60 @@ fn telemetry_off_records_nothing() {
         endpoint_addr: Some("127.0.0.1:0".into()),
         ..ServiceConfig::default()
     });
-    assert!(svc.telemetry_addr().is_none(), "endpoint without telemetry");
+    assert!(svc.telemetry_addr().is_none(), "endpoint with recording off");
     let id = svc.submit(JobSpec::new(Arc::new(survey_with(2))));
     assert_eq!(svc.wait(id).unwrap().state, JobState::Completed);
-    assert_eq!(metrics::heartbeats(), 0, "heartbeats without telemetry");
+    assert_eq!(metrics::heartbeats(), 0, "heartbeats with recording off");
     assert!(metrics::heartbeat_age().is_none());
     for g in Gauge::ALL {
-        assert_eq!(metrics::gauge(g), 0, "gauge {} without telemetry", g.name());
+        assert_eq!(metrics::gauge(g), 0, "gauge {} with recording off", g.name());
     }
+    assert!(obs::snapshot().is_empty(), "counters with recording off");
+}
+
+/// With recording on and no address anywhere, heartbeats and gauges are
+/// recorded but no endpoint starts.
+#[test]
+fn recording_without_an_address_serves_nothing() {
+    if serve::env_addr().is_some() {
+        eprintln!("TEMPEST_TELEMETRY names an address: the no-address case cannot run");
+        return;
+    }
+    let _g = guard(true);
+    let svc = SurveyService::start();
+    assert!(svc.telemetry_addr().is_none(), "endpoint without an address");
+    let id = svc.submit(JobSpec::new(Arc::new(survey_with(2))));
+    assert_eq!(svc.wait(id).unwrap().state, JobState::Completed);
+    assert!(metrics::heartbeats() > 0);
+    assert_eq!(metrics::heartbeats(), heartbeat_oracle(1));
+    assert!(metrics::heartbeat_age().is_some());
+    assert_eq!(metrics::gauge(Gauge::CompletedJobs), 1);
+}
+
+/// Dropping one service must not take `/jobs` away from another that is
+/// still running: only the registration a service made can be cleared by
+/// it.
+#[test]
+fn dropping_a_service_keeps_the_live_ones_jobs() {
+    let _g = guard(true);
+    let ephemeral = || {
+        SurveyService::start_with(ServiceConfig {
+            endpoint_addr: Some("127.0.0.1:0".into()),
+            ..ServiceConfig::default()
+        })
+    };
+    let first = ephemeral();
+    let second = ephemeral();
+    let addr = second.telemetry_addr().expect("ephemeral endpoint must bind");
+    let id = second.submit(JobSpec::new(Arc::new(survey_with(1))));
+    assert_eq!(second.wait(id).unwrap().state, JobState::Completed);
+    drop(first);
+
+    let (code, body) = serve::http_get(addr, "/jobs").expect("scrape /jobs");
+    assert_eq!(code, 200);
+    let doc = obs::json::Value::parse(&body).expect("valid /jobs JSON");
+    let jobs = doc.get("jobs").and_then(|v| v.as_arr()).expect("jobs array");
+    assert_eq!(jobs.len(), 1, "the live service's job vanished: {body}");
+    let (_, text) = serve::http_get(addr, "/metrics").expect("scrape /metrics");
+    assert!(text.contains(&format!("tempest_job_progress{{job=\"{id}\"}} 1")), "{text}");
 }

@@ -1,15 +1,17 @@
-//! Integration tests for event-level tile tracing (`tempest-obs::trace`).
+//! Integration tests for the event level of `tempest-obs` (spans kept as
+//! events, DESIGN.md §11).
 //!
-//! The acceptance case from DESIGN.md §11: a traced 64³×8 run of each
-//! propagator under the wave-front plan must produce one `tile` span per
-//! executed space-time tile with correct `(diagonal, tx, ty)` arguments, the
-//! stencil and sparse phases under them, drop nothing at the default ring
-//! capacity, and export Chrome trace-event JSON that parses back. The trace
-//! gate is independent of the profiling gate, and a build without
-//! `--features obs` (or with the runtime switch off) must record nothing.
+//! The acceptance case: a traced 64³×8 run of each propagator under the
+//! wave-front plan must produce one `tile` span per executed space-time tile
+//! with correct `(diagonal, tx, ty)` arguments, the stencil and sparse
+//! phases under them, drop nothing at the default capacity, and export
+//! Chrome trace-event JSON that parses back. Span time and events come from
+//! one clock: per thread and kind, the recorded time is the events' summed
+//! duration. Dropping the event level keeps recording, and a build without
+//! `--features obs` records nothing.
 //!
-//! Rings are process-global, so every recording test serialises on a mutex
-//! and resets both telemetry layers before running.
+//! Shards are process-global, so every recording test serialises on a mutex
+//! and resets before running.
 
 #[cfg(feature = "obs")]
 mod common;
@@ -21,7 +23,7 @@ use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Domain, Model, Shape};
 use tempest::obs;
 #[cfg(feature = "obs")]
-use tempest::obs::trace::SpanKind;
+use tempest::obs::SpanKind;
 use tempest::sparse::SparsePoints;
 
 #[cfg(feature = "obs")]
@@ -33,10 +35,8 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
-    obs::reset();
     obs::trace::set_enabled(true);
-    obs::trace::reset();
+    obs::reset();
     g
 }
 
@@ -102,11 +102,11 @@ fn traced_wavefront_run_covers_every_tile_and_roundtrips() {
 #[cfg(feature = "obs")]
 fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     let exec = Execution::wavefront_default();
-    let (stats, profile, trace, meta) = s.run_traced(&exec);
+    let (stats, profile, meta) = s.run_profiled(&exec);
+    let trace = &profile.trace;
     let name = s.name();
     assert_eq!(stats.nt, NT);
-    assert!(!profile.is_empty(), "profiling gate is on");
-    assert!(!trace.is_empty(), "tracing gate is on");
+    assert!(!trace.is_empty(), "event capture is on");
 
     // Zero drops at the default ring capacity (DESIGN.md §11 sizing claim).
     assert_eq!(trace.dropped, 0, "{name}: 64³×8 must fit the default ring");
@@ -142,7 +142,7 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     assert_eq!(trace.count(SpanKind::Sweep), 0, "{name}: no space-blocked sweep ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "{name}: stencil phases traced");
     assert!(trace.count(SpanKind::Sparse) > 0, "{name}: sparse phases traced");
-    assert_well_nested(&trace);
+    assert_well_nested(trace);
 
     // Export → parse back. The stem uses sanitized labels: separator runs
     // collapse to single underscores.
@@ -195,7 +195,7 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
 fn sweep_schedule_records_its_own_spans() {
     let _g = guard();
     let mut s = acoustic64();
-    let (_, _, trace, _) = s.run_traced(&Execution::baseline());
+    let trace = s.run_profiled(&Execution::baseline()).1.trace;
     assert_eq!(trace.count(SpanKind::Sweep), NT, "one sweep span per timestep");
     assert_eq!(trace.count(SpanKind::Tile), 0);
     assert_eq!(trace.count(SpanKind::Dataflow), 0);
@@ -208,7 +208,7 @@ fn sweep_schedule_records_its_own_spans() {
 fn analysis_matches_trace_and_renders() {
     let _g = guard();
     let mut s = acoustic64();
-    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_default());
+    let trace = s.run_profiled(&Execution::wavefront_default()).1.trace;
     let a = obs::analysis::TraceAnalysis::from_trace(&trace);
     let spec = Execution::wavefront_default().wavefront_spec(2, 1);
     let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
@@ -222,23 +222,74 @@ fn analysis_matches_trace_and_renders() {
     obs::trace::set_enabled(false);
 }
 
-/// With the feature compiled in but the runtime trace gate off, runs record
-/// counters (profiling gate is separate) but no events.
+/// One clock: with events on and nothing dropped, every thread's recorded
+/// time of every span kind is exactly the summed duration of its events of
+/// that kind — the phase times *are* the spans. Covers the three
+/// propagators and the DSL operator, both executors, fused and classic
+/// sparse operators, the pool's barrier waits and a cache restore.
+#[cfg(feature = "obs")]
+#[test]
+fn span_times_equal_event_durations_per_thread_and_kind() {
+    fn check(p: &obs::Profile, what: &str) {
+        assert_eq!(p.trace.dropped, 0, "{what}");
+        assert!(!p.trace.is_empty(), "{what}: events are on");
+        for t in &p.threads {
+            for k in SpanKind::ALL {
+                let events: u64 = p
+                    .trace
+                    .events
+                    .iter()
+                    .filter(|e| e.tid == t.tid && e.kind == k)
+                    .map(|e| e.dur_ns)
+                    .sum();
+                assert_eq!(t.timer_ns(k), events, "{what}: thread {} {k:?}", t.label);
+            }
+        }
+    }
+    let _g = guard();
+    let mut solvers = common::solvers_on(32, 4, NT, 0.37, 4);
+    solvers.push(Box::new(common::AcousticDsl::centred(32, 4, NT, 0.37, 4).op));
+    let classic = Execution {
+        sparse: tempest::core::operator::SparseMode::Classic,
+        ..Execution::baseline()
+    };
+    for s in &mut solvers {
+        for exec in [Execution::wavefront_default(), Execution::baseline(), classic] {
+            let (_, p, _) = s.run_profiled(&exec);
+            assert!(p.timer_ns(SpanKind::Sparse) > 0, "{}: sparse spans", s.name());
+            check(&p, &format!("{} {}", s.name(), exec.schedule_label()));
+        }
+    }
+    // A warm rerun restores tiles from the cache instead of computing them.
+    let cache = tempest::tiling::TileCache::with_capacity_mb(128);
+    let mut s = acoustic64();
+    let exec = Execution::wavefront_default();
+    s.run_incremental(&exec, &cache, 0);
+    obs::reset();
+    s.run_incremental(&exec, &cache, 0);
+    let p = obs::snapshot();
+    assert!(p.trace.count(SpanKind::CacheRestore) > 0, "warm rerun restores");
+    check(&p, "warm rerun");
+}
+
+/// With the feature compiled in but the event level off, runs record
+/// counters and span times but no events.
 #[cfg(feature = "obs")]
 #[test]
 fn trace_gate_off_records_counters_but_no_events() {
     let _g = guard();
     obs::trace::set_enabled(false);
     let mut s = acoustic64();
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_default());
-    assert!(!profile.is_empty(), "profiling gate unaffected by trace gate");
-    assert!(trace.is_empty(), "trace gate off must record no events");
-    assert_eq!(trace.dropped, 0);
+    let (_, profile, _) = s.run_profiled(&Execution::wavefront_default());
+    assert!(!profile.is_empty(), "recording stays on without events");
+    assert!(profile.timer_ns(SpanKind::Tile) > 0, "span times are recorded");
+    assert!(profile.trace.is_empty(), "event level off must record no events");
+    assert_eq!(profile.trace.dropped, 0);
 }
 
-/// DESIGN.md §9's overhead bound, extended to tracing: with the runtime
-/// trace gate off, the instrumented hot loops must cost no more than with
-/// event capture on (generous 3×+20ms noise bound — CI boxes jitter; the
+/// DESIGN.md §9's overhead bound, extended to events: with the event level
+/// off, the instrumented hot loops must cost no more than with event
+/// capture on (generous 3×+20ms noise bound — CI boxes jitter; the
 /// true no-feature comparison is documented in DESIGN.md, not measurable in
 /// one binary).
 #[cfg(feature = "obs")]
@@ -257,7 +308,7 @@ fn trace_disabled_costs_no_more_than_enabled() {
     s.run(&exec); // warm-up
     let mut median = |on: bool| {
         obs::trace::set_enabled(on);
-        obs::trace::reset();
+        obs::reset();
         let mut times: Vec<Duration> = (0..3)
             .map(|_| {
                 let t0 = Instant::now();
@@ -291,8 +342,8 @@ fn no_feature_build_records_nothing() {
         .with_f0(25.0);
     let src = SparsePoints::single_center(&d, 0.4);
     let mut s = Acoustic::new(&model, cfg, src, None);
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_default());
+    let (_, profile, _) = s.run_profiled(&Execution::wavefront_default());
     assert!(profile.is_empty());
-    assert!(trace.is_empty());
-    assert_eq!(trace.dropped, 0);
+    assert!(profile.trace.is_empty());
+    assert_eq!(profile.trace.dropped, 0);
 }
