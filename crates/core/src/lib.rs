@@ -22,7 +22,8 @@
 //! Correctness invariant (enforced by tests at every space order): the
 //! wave-front temporally blocked execution produces the same wavefields as
 //! the spatially blocked baseline — bitwise for single-source problems,
-//! within accumulation-order tolerance otherwise.
+//! within accumulation-order tolerance otherwise — and the same receiver
+//! traces bit for bit ([`trace`]: one slot per footprint corner).
 
 pub mod acoustic;
 pub mod config;

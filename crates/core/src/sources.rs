@@ -17,6 +17,7 @@ use tempest_sparse::interp::trilinear_all;
 use tempest_sparse::wavelet::wavelet_matrix;
 use tempest_sparse::{
     ricker, CompressedMask, InterpStencil, ReceiverPrecompute, SourcePrecompute, SparsePoints,
+    FOOTPRINT,
 };
 
 /// A set of sources with their wavelets, in both representations.
@@ -107,7 +108,9 @@ impl ReceiverBundle {
 /// The classic sparse operators of timestep `k` (Listing 1), run on one
 /// thread after every region of the timestep was stepped: each source adds
 /// its interpolation-weighted amplitude through `apply(point, w·a)`, then
-/// each receiver interpolates the injected field through `value(point)`.
+/// each receiver interpolates the injected field through `value(point)`,
+/// one footprint corner per trace slot — the slots the fused gather fills,
+/// so both paths read back the same bits.
 pub fn classic_step(
     k: usize,
     src: &SourceBundle,
@@ -128,12 +131,10 @@ pub fn classic_step(
     }
     if let Some((rec, trace)) = receivers {
         for (r, st) in rec.stencils.iter().enumerate() {
-            let mut acc = 0.0f32;
-            for (c, w) in st.nonzero() {
-                acc += w * value(c);
+            for (j, (c, w)) in st.nonzero().enumerate() {
+                trace.store(k, r * FOOTPRINT + j, w * value(c));
                 gathers += 1;
             }
-            trace.add(k, r, acc);
         }
     }
     obs::add(obs::Counter::SourceInjections, injections);
@@ -237,8 +238,9 @@ impl FusedPencil {
     }
 
     /// Receiver gather from `fresh`, the `zs` part of the row receivers read
-    /// as the step (and any injection) just left it. A no-op without
-    /// receivers.
+    /// as the step (and any injection) just left it: each affected point
+    /// stores `w · u` into its footprint-corner slots of timestep `k`. A
+    /// no-op without receivers.
     #[inline]
     pub fn gather(
         &mut self,
@@ -258,8 +260,8 @@ impl FusedPencil {
                 let v = fresh[z - z0];
                 let contribs = rec.pre.contributions(id);
                 gathers += contribs.len() as u64;
-                for &(r, w) in contribs {
-                    trace.add(k, r as usize, w * v);
+                for &(slot, w) in contribs {
+                    trace.store(k, slot as usize, w * v);
                 }
             },
         );

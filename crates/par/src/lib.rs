@@ -34,6 +34,10 @@
 //! synchronisation is one join at the end of the whole graph — no per-level
 //! barriers.
 //!
+//! Publications go on one shared board that keeps every live one: a worker
+//! joins the newest that still has work and a free seat under its cap, so
+//! a long nested dispatch is not hidden by a shorter one published after it.
+//!
 //! This crate also owns the workspace's *floating-point environment*
 //! (DESIGN.md §17): pool workers flush subnormals for good, and every entry
 //! point holds a [`FlushGuard`] on the calling thread, so the items of one
@@ -304,13 +308,12 @@ pub fn thread_budget() -> usize {
 /// narrower `Policy::Capped` the dispatch itself carries. Budgets nest: an
 /// inner scope can only narrow the outer one, never widen it.
 ///
-/// This is the thread-budget split of shot-over-tile parallelism: a survey
-/// worker that owns `k` of the fleet's threads wraps its whole shot solve in
-/// `with_thread_budget(k, …)`, so the solve's tile dispatches are published
-/// with cap `k` instead of flooding the shared board — and a budget of 1
-/// keeps the solve entirely on the worker's own thread. A budget > 1 also
-/// re-enables board publication from inside a pool job (nested dispatches
-/// without a budget run inline; see `run_batch`).
+/// A budget > 1 also re-enables board publication from inside a pool job
+/// (nested dispatches without a budget run inline; see `run_batch`): a
+/// survey wraps each shot solve in `with_thread_budget(available_threads(),
+/// …)`, so the solve's tile dispatches are published beside every other
+/// live one and threads that run out of shots join it. A budget of 1 keeps
+/// a solve entirely on the calling thread.
 pub fn with_thread_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let threads = threads.max(1);
     let prev = BUDGET.with(|c| {
@@ -406,25 +409,147 @@ enum Work {
 }
 
 impl Work {
+    /// Participate until nothing is left to claim; a dataflow participant
+    /// parks until the whole graph completed. Pool workers' idle parks open
+    /// no `BarrierWait` span — see `DataflowJob::help`.
     fn help(&self) {
         match self {
             Work::Batch(job) => job.help(),
-            // Pool workers' idle parks open no `BarrierWait` span — see
-            // `DataflowJob::help`.
             Work::Dataflow(job) => job.help(false),
+        }
+    }
+
+    /// Run whatever is claimable right now, never parking: for a thread with
+    /// a join of its own to get back to.
+    fn help_ready(&self) {
+        match self {
+            Work::Batch(job) => job.help(),
+            Work::Dataflow(job) => job.drain(job.join()),
+        }
+    }
+
+    /// Can a thread joining now still find an item to run (a batch item not
+    /// yet claimed, a graph node not yet completed)?
+    fn claimable(&self) -> bool {
+        match self {
+            Work::Batch(job) => job.next.load(Ordering::Relaxed) < job.n,
+            Work::Dataflow(job) => job.done.load(Ordering::Acquire) < job.n,
+        }
+    }
+
+    /// Has every item completed?
+    fn finished(&self) -> bool {
+        match self {
+            Work::Batch(job) => job.done.load(Ordering::Acquire) == job.n,
+            Work::Dataflow(job) => job.done.load(Ordering::Acquire) == job.n,
         }
     }
 }
 
-/// Sequence-numbered board contents: the current job and its thread cap.
-type Posted = (u64, Option<(Work, usize)>);
+/// One publication on the board: the work, its thread cap, and how many
+/// threads are inside it (its publisher included).
+struct Posting {
+    work: Work,
+    cap: usize,
+    /// Publication order: a waiting publisher helps only postings newer than
+    /// its own.
+    seq: u64,
+    seats: usize,
+}
 
-/// Publication slot shared between callers and workers.
+/// The board's contents: every publication not yet pruned, oldest first.
+struct Live {
+    seq: u64,
+    /// Held inline, so a publish allocates nothing beside its job (see
+    /// [`Board`] on why allocation timing matters here).
+    posts: Vec<Posting>,
+}
+
+/// Publication list shared between callers and workers.
+///
+/// It keeps *every* live publication, not just the newest: a nested dispatch
+/// published from inside one job item must not hide another item's
+/// still-running one, or the threads that finish early park beside it
+/// instead of joining it. Finished postings are pruned lazily, at the next
+/// publish, so a finished job is freed when the next one is published —
+/// freeing it earlier, or allocating more per publish, moves glibc's heap
+/// top between a caller's large frees and allocations, and with it whether
+/// those pages are trimmed and faulted in again.
 struct Board {
-    /// Monotone sequence number and the current job with its thread cap.
-    slot: Mutex<Posted>,
-    /// Signalled on publication.
+    live: Mutex<Live>,
+    /// Signalled on publication and when a seat frees in a claimable posting.
     cv: Condvar,
+}
+
+impl Board {
+    /// Publish `work` for up to `cap` threads, its publisher seated; returns
+    /// the posting's sequence number.
+    fn publish(&self, work: Work, cap: usize) -> u64 {
+        let mut live = self.live.lock().unwrap();
+        live.seq += 1;
+        let seq = live.seq;
+        live.posts.retain(|p| !p.work.finished());
+        live.posts.push(Posting {
+            work,
+            cap,
+            seq,
+            seats: 1,
+        });
+        self.cv.notify_all();
+        seq
+    }
+
+    /// Seat the caller in the newest claimable posting newer than `after`
+    /// whose cap has room: its work and sequence number.
+    fn seat(live: &mut Live, after: u64) -> Option<(Work, u64)> {
+        let mut newer = live.posts.iter_mut().rev().take_while(|p| p.seq > after);
+        let post = newer.find(|p| p.seats < p.cap && p.work.claimable())?;
+        post.seats += 1;
+        Some((post.work.clone(), post.seq))
+    }
+
+    /// Block until a posting seats the calling worker.
+    fn wait_for_seat(&self) -> (Work, u64) {
+        let mut live = self.live.lock().unwrap();
+        loop {
+            if let Some(seated) = Self::seat(&mut live, 0) {
+                return seated;
+            }
+            live = self.cv.wait(live).unwrap();
+        }
+    }
+
+    /// Give up a seat in posting `seq`; wake the workers when it can still
+    /// use one. A pruned posting has nothing left to seat anyone in.
+    fn leave(&self, seq: u64) {
+        let mut live = self.live.lock().unwrap();
+        if let Some(post) = live.posts.iter_mut().find(|p| p.seq == seq) {
+            post.seats -= 1;
+            if post.work.claimable() {
+                self.cv.notify_all();
+            }
+        }
+    }
+
+    /// Run what is claimable in the newest posting newer than `after` that
+    /// seats the caller, without parking. False when none did.
+    fn help_newer(&self, after: u64) -> bool {
+        let Some((work, seq)) = Self::seat(&mut self.live.lock().unwrap(), after) else {
+            return false;
+        };
+        {
+            // Run the items as a pool worker would (the caller's dispatch
+            // mark is already up): without the caller's budget, which grants
+            // nothing to someone else's items.
+            let _budget = CellRestore {
+                cell: &BUDGET,
+                prev: BUDGET.with(|c| c.replace(usize::MAX)),
+            };
+            work.help_ready();
+        }
+        self.leave(seq);
+        true
+    }
 }
 
 struct Pool {
@@ -437,43 +562,36 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         let workers = available_threads().saturating_sub(1);
         let board = Arc::new(Board {
-            slot: Mutex::new((0, None)),
+            live: Mutex::new(Live {
+                seq: 0,
+                posts: Vec::new(),
+            }),
             cv: Condvar::new(),
         });
         for id in 0..workers {
             let board = Arc::clone(&board);
             std::thread::Builder::new()
                 .name(format!("tempest-par-{id}"))
-                .spawn(move || worker_loop(id, board))
+                .spawn(move || worker_loop(board))
                 .expect("spawn pool worker");
         }
         Pool { board, workers }
     })
 }
 
-fn worker_loop(id: usize, board: Arc<Board>) {
+/// A worker joins the newest claimable posting with a free seat, helps it
+/// until nothing is left to claim, and looks again.
+fn worker_loop(board: Arc<Board>) {
     flush_subnormals_on_this_thread();
-    let mut last_seen = 0u64;
     loop {
-        let job = {
-            let mut slot = board.slot.lock().unwrap();
-            loop {
-                if slot.0 != last_seen {
-                    last_seen = slot.0;
-                    break slot.1.clone();
-                }
-                slot = board.cv.wait(slot).unwrap();
-            }
-        };
-        if let Some((work, cap)) = job {
-            // Caller counts as one participant; workers 0..cap-1 join it.
-            if id + 1 < cap {
-                let _mark = DispatchMark::enter();
-                obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, 1);
-                work.help();
-                obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, -1);
-            }
+        let (work, seq) = board.wait_for_seat();
+        {
+            let _mark = DispatchMark::enter();
+            obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, 1);
+            work.help();
+            obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, -1);
         }
+        board.leave(seq);
     }
 }
 
@@ -511,34 +629,30 @@ fn run_batch(n: usize, cap: usize, f: &(dyn Fn(usize) + Sync)) {
         finished: Mutex::new(false),
         finished_cv: Condvar::new(),
     });
-    {
-        let mut slot = p.board.slot.lock().unwrap();
-        slot.0 += 1;
-        slot.1 = Some((Work::Batch(Arc::clone(&job)), cap));
-        p.board.cv.notify_all();
-    }
+    let seq = p.board.publish(Work::Batch(Arc::clone(&job)), cap);
     obs::add(obs::Counter::ParPublications, 1);
-    // The caller works too — and afterwards waits for stragglers.
-    {
-        let _mark = DispatchMark::enter();
-        job.help();
-    }
-    let wait = obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none());
-    let mut fin = job.finished.lock().unwrap();
-    while !*fin {
+    let _mark = DispatchMark::enter();
+    // The caller works too — and while stragglers finish its last items, it
+    // helps what was published after this batch (nested in its items, or
+    // running beside them) instead of idling. It never takes an older
+    // posting: that could be the batch this dispatch is an item of.
+    job.help();
+    while job.done.load(Ordering::Acquire) != n {
+        if p.board.help_newer(seq) {
+            continue;
+        }
         // The final `help` return races the last worker's notify; the
         // timeout turns a lost wakeup into a bounded re-check, never a hang.
-        let (guard, _) = job
-            .finished_cv
-            .wait_timeout(fin, std::time::Duration::from_millis(1))
-            .unwrap();
-        fin = guard;
-        if job.done.load(Ordering::Acquire) == job.n {
-            break;
+        let _wait = obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none());
+        let fin = job.finished.lock().unwrap();
+        if !*fin {
+            drop(
+                job.finished_cv
+                    .wait_timeout(fin, std::time::Duration::from_millis(1))
+                    .unwrap(),
+            );
         }
     }
-    drop(fin);
-    wait.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -671,17 +785,25 @@ impl DataflowJob {
     /// board unspanned), so the barrier-wait shares of the space-blocked
     /// and plan executors compare like with like.
     fn help(&self, charge_idle: bool) {
-        let me = self.participants.fetch_add(1, Ordering::Relaxed) % self.deques.len();
+        let me = self.join();
         loop {
-            match self.claim(me) {
-                Some(i) => self.run_node(me, i as usize),
-                None => {
-                    if self.done.load(Ordering::Acquire) == self.n {
-                        return;
-                    }
-                    self.idle_wait(charge_idle);
-                }
+            self.drain(me);
+            if self.done.load(Ordering::Acquire) == self.n {
+                return;
             }
+            self.idle_wait(charge_idle);
+        }
+    }
+
+    /// Take a deque slot as a new participant.
+    fn join(&self) -> usize {
+        self.participants.fetch_add(1, Ordering::Relaxed) % self.deques.len()
+    }
+
+    /// Run nodes as participant `me` until none is ready.
+    fn drain(&self, me: usize) {
+        while let Some(i) = self.claim(me) {
+            self.run_node(me, i as usize);
         }
     }
 
@@ -849,12 +971,7 @@ where
     }
     assert!(roots > 0, "dataflow graph has no roots (dependency cycle)");
     obs::add(obs::Counter::DataflowReady, roots);
-    {
-        let mut slot = p.board.slot.lock().unwrap();
-        slot.0 += 1;
-        slot.1 = Some((Work::Dataflow(Arc::clone(&job)), cap));
-        p.board.cv.notify_all();
-    }
+    p.board.publish(Work::Dataflow(Arc::clone(&job)), cap);
     obs::add(obs::Counter::ParPublications, 1);
     // The caller works too; for dataflow, `help` returning *is* the join,
     // and the caller is the one participant whose idle opens `BarrierWait`.
@@ -1313,6 +1430,58 @@ mod tests {
         for hw in &hws {
             assert_eq!(hw.peak(), 1, "nested batch escaped its owning thread");
         }
+    }
+
+    #[test]
+    fn idle_thread_joins_an_older_nested_job_still_running() {
+        // Two pool items each publish a nested batch under a budget of 2:
+        // item 0 a long one (A), item 1 a short one (B) a little later. When
+        // B is done, its thread has nothing left but A — it must join A,
+        // even though B was published after it.
+        if available_threads() < 2 {
+            return; // no second thread to join anything
+        }
+        let mut conclusive = 0;
+        for _ in 0..20 {
+            let owners = Mutex::new(Vec::new());
+            let b_done = OnceLock::new();
+            let late_helpers = AtomicUsize::new(0);
+            let t0 = std::time::Instant::now();
+            for_each_index(Policy::Capped { threads: 2 }, 2, |o| {
+                // Hold both items until each has a thread of its own (bounded:
+                // a concurrent test may keep the worker busy).
+                owners.lock().unwrap().push(std::thread::current().id());
+                while owners.lock().unwrap().len() < 2 && t0.elapsed().as_millis() < 500 {
+                    std::thread::yield_now();
+                }
+                let owner = std::thread::current().id();
+                with_thread_budget(2, || {
+                    if o == 0 {
+                        for_each_index(Policy::Parallel, 40, |_| {
+                            let joined_late = std::thread::current().id() != owner
+                                && b_done.get().is_some();
+                            late_helpers.fetch_add(joined_late as usize, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        });
+                    } else {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                        for_each_index(Policy::Parallel, 4, |_| {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        });
+                        b_done.set(()).unwrap();
+                    }
+                });
+            });
+            let owners = owners.into_inner().unwrap();
+            if owners.len() == 2 && owners[0] != owners[1] {
+                conclusive += 1;
+                if late_helpers.load(Ordering::Relaxed) > 0 {
+                    return;
+                }
+            }
+        }
+        assert!(conclusive > 0, "the two items never ran on two threads");
+        panic!("in {conclusive} rounds, no thread joined the long job after the short one finished");
     }
 
     /// The floating-point environment: only where the target has one.

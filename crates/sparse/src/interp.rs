@@ -11,6 +11,10 @@
 use crate::points::SparsePoints;
 use tempest_grid::Domain;
 
+/// Corners of a trilinear footprint: the most grid points one off-grid
+/// point touches, and so the trace slots one receiver owns per timestep.
+pub const FOOTPRINT: usize = 8;
+
 /// The interpolation footprint of one off-grid point: up to 8 grid cells
 /// with weights forming a partition of unity.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +57,7 @@ pub fn trilinear(domain: &Domain, p: [f32; 3]) -> InterpStencil {
         i0[d] = c;
         a[d] = fi - c as f32;
     }
-    let mut cells = Vec::with_capacity(8);
+    let mut cells = Vec::with_capacity(FOOTPRINT);
     for dx in 0..2usize {
         for dy in 0..2usize {
             for dz in 0..2usize {

@@ -38,7 +38,7 @@ pub mod wavelet;
 
 pub use classic::{inject, interpolate};
 pub use compressed::CompressedMask;
-pub use interp::{trilinear, InterpStencil};
+pub use interp::{trilinear, InterpStencil, FOOTPRINT};
 pub use points::SparsePoints;
 pub use precompute::SourcePrecompute;
 pub use receivers::ReceiverPrecompute;

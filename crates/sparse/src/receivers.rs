@@ -8,14 +8,17 @@
 //! the grid and fused into the loop nest:
 //!
 //! * a receiver mask `RM` / ID volume `RID` marks affected grid points;
-//! * each affected point carries its list of `(receiver, weight)`
+//! * each affected point carries its list of `(trace slot, weight)`
 //!   contributions (CSR layout, since one point can serve several
-//!   receivers);
+//!   receivers), where slot `r · FOOTPRINT + j` is corner `j` of receiver
+//!   `r`'s footprint — so every product `w · u[p]` has a home of its own,
+//!   and the sum over a footprint is taken in corner order when the trace
+//!   is read, whichever tile produced which corner first;
 //! * the compressed per-pencil index ([`crate::CompressedMask`]) skips
 //!   unaffected z's.
 
 use crate::compressed::CompressedMask;
-use crate::interp::trilinear_all;
+use crate::interp::{trilinear_all, FOOTPRINT};
 use crate::points::SparsePoints;
 use tempest_grid::{Array3, Domain};
 
@@ -31,7 +34,8 @@ pub struct ReceiverPrecompute {
     /// CSR offsets: contributions of point `id` live in
     /// `entries[offsets[id] .. offsets[id + 1]]`.
     pub offsets: Vec<u32>,
-    /// `(receiver index, weight)` contribution pairs.
+    /// `(trace slot, weight)` contribution pairs: slot `r · FOOTPRINT + j`
+    /// is the `j`-th non-zero corner of receiver `r`'s footprint.
     pub entries: Vec<(u32, f32)>,
     /// Number of receivers.
     pub num_receivers: usize,
@@ -55,12 +59,12 @@ impl ReceiverPrecompute {
             rm.set(x, y, z, 1u8);
             rid.set(x, y, z, id as i32);
         }
-        // Group (receiver, weight) pairs by affected point.
+        // Group (slot, weight) pairs by affected point.
         let mut per_point: Vec<Vec<(u32, f32)>> = vec![Vec::new(); affected.len()];
         for (r, st) in stencils.iter().enumerate() {
-            for (c, w) in st.nonzero() {
+            for (j, (c, w)) in st.nonzero().enumerate() {
                 let id = rid.get(c[0], c[1], c[2]) as usize;
-                per_point[id].push((r as u32, w));
+                per_point[id].push(((r * FOOTPRINT + j) as u32, w));
             }
         }
         let mut offsets = Vec::with_capacity(affected.len() + 1);
@@ -85,7 +89,7 @@ impl ReceiverPrecompute {
         self.points.len()
     }
 
-    /// Contributions `(receiver, weight)` of affected point `id`.
+    /// Contributions `(trace slot, weight)` of affected point `id`.
     #[inline]
     pub fn contributions(&self, id: usize) -> &[(u32, f32)] {
         &self.entries[self.offsets[id] as usize..self.offsets[id + 1] as usize]
@@ -119,29 +123,31 @@ mod tests {
         Domain::uniform(Shape::cube(13), 10.0)
     }
 
-    /// Reference fused gather over a region: accumulate the contributions of
-    /// every masked point of `field` into `trace_row` (the `d[t][·]` row), so
-    /// a sweep split into disjoint regions yields the whole-grid row.
-    fn gather_region(
-        p: &ReceiverPrecompute,
-        field: &Field,
-        region: &Range3,
-        trace_row: &mut [f32],
-    ) {
-        assert_eq!(trace_row.len(), p.num_receivers);
+    /// Reference fused gather over a region: store the contribution of every
+    /// masked point of `field` into its slot of `slots` (the `d[t][·]` row,
+    /// `FOOTPRINT` slots per receiver), so a sweep split into disjoint
+    /// regions fills every slot exactly once.
+    fn gather_region(p: &ReceiverPrecompute, field: &Field, region: &Range3, slots: &mut [f32]) {
+        assert_eq!(slots.len(), p.num_receivers * FOOTPRINT);
         for x in region.x0..region.x1 {
             for y in region.y0..region.y1 {
                 let (rm, rid) = (p.rm_pencil(x, y), p.rid_pencil(x, y));
                 for z in region.z0..region.z1 {
                     if rm[z] != 0 {
                         let v = field.get(x, y, z);
-                        for &(r, w) in p.contributions(rid[z] as usize) {
-                            trace_row[r as usize] += w * v;
+                        for &(slot, w) in p.contributions(rid[z] as usize) {
+                            slots[slot as usize] = w * v;
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Each receiver's slots summed in corner order, from `0.0`.
+    fn reduce(slots: &[f32]) -> Vec<f32> {
+        let sum = |c: &[f32]| c.iter().fold(0.0f32, |acc, &v| acc + v);
+        slots.chunks(FOOTPRINT).map(sum).collect()
     }
 
     fn wavy_field(d: &Domain) -> Field {
@@ -169,11 +175,13 @@ mod tests {
         interpolate_points(&f, &d, &recs, &mut classic);
 
         let p = ReceiverPrecompute::build(&d, &recs);
-        let mut fused = vec![0.0f32; 3];
-        gather_region(&p, &f, &d.shape().full_range(), &mut fused);
+        let mut slots = vec![0.0f32; 3 * FOOTPRINT];
+        gather_region(&p, &f, &d.shape().full_range(), &mut slots);
+        let fused = reduce(&slots);
         for r in 0..3 {
-            assert!(
-                (classic[r] - fused[r]).abs() < 1e-5,
+            assert_eq!(
+                classic[r].to_bits(),
+                fused[r].to_bits(),
                 "rec {r}: {} vs {}",
                 classic[r],
                 fused[r]
@@ -185,18 +193,19 @@ mod tests {
     fn gather_splits_across_regions() {
         let d = dom();
         let f = wavy_field(&d);
-        let recs = SparsePoints::new(&d, vec![[59.5, 59.5, 59.5]]);
+        // Straddles the x split below: four corners on either side.
+        let recs = SparsePoints::new(&d, vec![[55.5, 59.5, 59.5]]);
         let p = ReceiverPrecompute::build(&d, &recs);
-        let mut whole = vec![0.0f32; 1];
+        let mut whole = vec![0.0f32; FOOTPRINT];
         gather_region(&p, &f, &d.shape().full_range(), &mut whole);
-        // Split the grid into left/right x halves — the receiver footprint
-        // straddles nothing here, but the general accumulation must agree.
-        let mut split = vec![0.0f32; 1];
+        // Split the grid into left/right x halves, right half first: each
+        // slot is written once whichever half runs first.
+        let mut split = vec![0.0f32; FOOTPRINT];
         let s = d.shape();
         let halves = [(0, 6), (6, s.nx)].map(|xs| Range3::new(xs, (0, s.ny), (0, s.nz)));
-        gather_region(&p, &f, &halves[0], &mut split);
         gather_region(&p, &f, &halves[1], &mut split);
-        assert!((whole[0] - split[0]).abs() < 1e-6);
+        gather_region(&p, &f, &halves[0], &mut split);
+        assert_eq!(reduce(&whole)[0].to_bits(), reduce(&split)[0].to_bits());
     }
 
     #[test]
@@ -223,8 +232,8 @@ mod tests {
         // CSR covers every entry exactly once; weights per receiver sum to 1.
         let mut wsum = [0.0f32; 1];
         for id in 0..p.npts() {
-            for &(r, w) in p.contributions(id) {
-                wsum[r as usize] += w;
+            for &(slot, w) in p.contributions(id) {
+                wsum[slot as usize / FOOTPRINT] += w;
             }
         }
         assert!((wsum[0] - 1.0).abs() < 1e-5);
@@ -249,9 +258,9 @@ mod tests {
         f.set(5, 5, 5, 42.0);
         let recs = SparsePoints::new(&d, vec![[50.0, 50.0, 50.0]]);
         let p = ReceiverPrecompute::build(&d, &recs);
-        let mut out = vec![0.0f32; 1];
+        let mut out = vec![0.0f32; FOOTPRINT];
         gather_region(&p, &f, &d.shape().full_range(), &mut out);
-        assert_eq!(out[0], 42.0);
+        assert_eq!(reduce(&out)[0], 42.0);
     }
 
     #[test]

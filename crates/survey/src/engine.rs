@@ -11,11 +11,13 @@
 //! * the shared Ricker wavelet samples.
 //!
 //! Per-shot cost is then only the source-bundle precompute and a fresh
-//! wavefield ring. The thread split between shot-level and tile-level
-//! parallelism is explicit: each shot solve runs under
-//! [`tempest_par::with_thread_budget`]`(shot_threads, …)`, so the default
-//! `shot_threads = 1` pins every solve to its worker thread and makes
-//! gathers bitwise-deterministic across `TEMPEST_THREADS` caps.
+//! wavefield ring. Shots shard across the fleet, and each shot solve runs
+//! under [`tempest_par::with_thread_budget`]`(available_threads(), …)`, so
+//! its tile dispatches are published to the pool's board: a thread whose
+//! shots are done joins whichever shot is still running instead of idling.
+//! Gathers stay bitwise-identical across thread caps and tile shapes —
+//! every receiver-footprint product has its own trace slot
+//! ([`tempest_core::trace`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -27,7 +29,7 @@ use tempest_core::operator::{Schedule, SparseMode};
 use tempest_core::{Acoustic, Execution, ShotAssets, SimConfig, WaveSolver};
 use tempest_grid::{Array2, Model};
 use tempest_obs as obs;
-use tempest_par::{with_thread_budget, Policy};
+use tempest_par::{available_threads, with_thread_budget, Policy};
 use tempest_sparse::SparsePoints;
 use tempest_tiling::TileCache;
 
@@ -156,21 +158,14 @@ pub struct SurveyOptions {
     pub exec: Execution,
     /// Shot-level fleet policy (how shots shard across workers).
     pub policy: Policy,
-    /// Thread budget granted to each shot solve
-    /// ([`tempest_par::with_thread_budget`]). `1` (the default) keeps every
-    /// solve on its worker's own thread: receiver gathers are then
-    /// bitwise-identical across thread caps. Larger budgets re-enable tile
-    /// parallelism inside a shot.
-    pub shot_threads: usize,
     /// Shots per batch (`0` = one batch). Batches run in order with a join
     /// between them; errors and cancellation stop at batch boundaries.
     pub batch_size: usize,
     /// Autotune the space-block shape once per run on a short probe solve,
     /// reusing the result for every shot and batch (counted by
     /// `Counter::BatchAutotune`). Only applies to
-    /// [`Schedule::SpaceBlocked`]; the tuned shape never changes wavefield
-    /// results (block decomposition is bitwise-invariant), but under a
-    /// fused sparse path it may permute receiver-gather accumulation order.
+    /// [`Schedule::SpaceBlocked`]; the tuned shape never changes results
+    /// (block decomposition is bitwise-invariant on wavefields and gathers).
     pub tune: bool,
     /// Fault injection for watchdog validation: `Some((shot, ms))` sleeps
     /// `ms` milliseconds after shot `shot` is started but before it makes
@@ -194,7 +189,6 @@ impl Default for SurveyOptions {
         SurveyOptions {
             exec: Execution::baseline(),
             policy: Policy::default(),
-            shot_threads: 1,
             batch_size: 0,
             tune: false,
             inject_hang: None,
@@ -310,7 +304,7 @@ where
                 }
             }
             let solved = catch_unwind(AssertUnwindSafe(|| {
-                with_thread_budget(opts.shot_threads, || {
+                with_thread_budget(available_threads(), || {
                     solve_one(&assets, &shots[i], &exec, opts.cache.as_deref(), i as u64)
                 })
             }));
@@ -399,16 +393,15 @@ fn solve_one(
 }
 
 /// Memo key for the autotune probe: the probe's timing verdict depends on
-/// the grid, the discretisation and the per-shot thread budget, not on shot
-/// positions, so one tuned shape serves every resubmission of the survey.
-fn tune_key(survey: &Survey, opts: &SurveyOptions) -> u64 {
+/// the grid and the discretisation, not on shot positions, so one tuned
+/// shape serves every resubmission of the survey.
+fn tune_key(survey: &Survey) -> u64 {
     let shape = survey.cfg().shape();
     let mut h = DefaultHasher::new();
     h.write_usize(shape.nx);
     h.write_usize(shape.ny);
     h.write_usize(shape.nz);
     h.write_usize(survey.cfg().space_order);
-    h.write_usize(opts.shot_threads);
     h.finish()
 }
 
@@ -431,7 +424,7 @@ fn tuned_exec(survey: &Survey, opts: &SurveyOptions) -> Execution {
     // Cache-aware candidate skip: a prior run of the same grid already paid
     // for the probe sweep — reuse its verdict (and record no new
     // `BatchAutotune` pass, since none ran).
-    let key = tune_key(survey, opts);
+    let key = tune_key(survey);
     if let Some((block_x, block_y)) = opts.cache.as_deref().and_then(|c| c.tune_lookup(key)) {
         exec.schedule = Schedule::SpaceBlocked { block_x, block_y };
         return exec;
@@ -452,7 +445,7 @@ fn tuned_exec(survey: &Survey, opts: &SurveyOptions) -> Execution {
             &probe_assets,
             SparsePoints::new(&probe_assets.config().domain, vec![probe_shot.position]),
         );
-        let stats = with_thread_budget(opts.shot_threads, || probe.run(&trial));
+        let stats = probe.run(&trial);
         let secs = stats.elapsed.as_secs_f64();
         if secs < best.0 {
             best = (secs, trial.schedule);
@@ -568,9 +561,7 @@ mod tests {
 
     #[test]
     fn tuned_run_matches_untuned_fields() {
-        // Tuning only changes the block shape; gathers under the classic
-        // sparse path are recorded receiver-by-receiver per timestep, so
-        // they stay bitwise-identical to the untuned run.
+        // Tuning only changes the block shape, which no gather sees.
         let s = small_survey(2);
         let plain = run_survey(&s, &SurveyOptions::default()).unwrap();
         let tuned = run_survey(

@@ -9,11 +9,12 @@
 //! * [`Survey`] — a shared velocity model + per-shot source position /
 //!   wavelet + a common receiver set.
 //! * [`run_survey`] — shards shots across the `tempest-par` fleet one level
-//!   up from tiles. Each shot solve runs under a scoped
-//!   [`tempest_par::with_thread_budget`], so the fleet split is explicit:
-//!   `shot_threads = 1` keeps every solve on its worker's own thread
-//!   (bitwise-deterministic across thread caps), larger budgets re-enable
-//!   tile parallelism inside a shot without flooding the shared board.
+//!   up from tiles. Each shot solve may use the whole pool (a scoped
+//!   [`tempest_par::with_thread_budget`] of `available_threads()`): its
+//!   tile dispatches go on the pool's board beside every other live one,
+//!   so threads that run out of shots join the ones still running. Gathers
+//!   are bitwise-identical at every thread cap (one trace slot per
+//!   receiver-footprint corner), so nothing is pinned to keep them so.
 //! * Batch reuse — shots sharing a model reuse one
 //!   [`tempest_core::ShotAssets`] precomputation (coefficient volumes,
 //!   receiver gather structures, the Ricker samples) and optionally

@@ -25,8 +25,9 @@
 //! exactly and `field_after` reproduces what `run_recording` stores.
 //!
 //! Shots shard across the fleet like [`run_survey`](crate::run_survey)
-//! (same counters and `SpanKind::Shot` spans); partial images are summed
-//! in ascending shot order so the f32 reduction is deterministic.
+//! (same counters, `SpanKind::Shot` spans and whole-pool budget per shot);
+//! partial images are summed in ascending shot order, so with bitwise
+//! gathers the image is the same bits at every thread cap.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -36,7 +37,7 @@ use tempest_core::shared::RingCheckpoint;
 use tempest_core::{Acoustic, Execution, ShotAssets, WaveSolver};
 use tempest_grid::{Array2, Array3};
 use tempest_obs as obs;
-use tempest_par::{with_thread_budget, FlushGuard, Policy};
+use tempest_par::{available_threads, with_thread_budget, FlushGuard, Policy};
 use tempest_sparse::SparsePoints;
 
 use crate::engine::{build_solver, panic_message, ShotError, ShotSpec, Survey};
@@ -56,9 +57,6 @@ pub struct RtmOptions {
     pub exec: Execution,
     /// Shot-level fleet policy.
     pub policy: Policy,
-    /// Thread budget per shot solve; `1` keeps imaging bitwise
-    /// deterministic across thread caps.
-    pub shot_threads: usize,
 }
 
 impl RtmOptions {
@@ -70,7 +68,6 @@ impl RtmOptions {
             checkpoint_stride: 0,
             exec: Execution::baseline().sequential(),
             policy: Policy::default(),
-            shot_threads: 1,
         }
     }
 
@@ -137,7 +134,7 @@ pub fn rtm_image(
         obs::add(obs::Counter::ShotStarted, 1);
         let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
         let solved = catch_unwind(AssertUnwindSafe(|| {
-            with_thread_budget(opts.shot_threads, || {
+            with_thread_budget(available_threads(), || {
                 image_one_shot(&fwd_assets, &norec_assets, &receivers, &shots[i], &observed[i], opts)
             })
         }));

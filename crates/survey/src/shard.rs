@@ -4,8 +4,8 @@
 //! The engine's correctness obligation at this level is exactly-once
 //! execution: every shot index in `0..n` is visited once, regardless of the
 //! thread policy, steal order, or batch grouping. [`shard`] reduces that to
-//! `tempest_par::for_each_index`, whose single-publication board already
-//! guarantees each index is claimed by exactly one worker; batching only
+//! `tempest_par::for_each_index`, whose claim counter already guarantees
+//! each index is claimed by exactly one worker; batching only
 //! changes how many indices one publication covers, never membership.
 
 use std::ops::Range;

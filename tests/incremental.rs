@@ -4,9 +4,8 @@
 //! The correctness bar is *bitwise equivalence*: an incremental rerun after
 //! a delta (moved source, changed receivers) must reproduce the wavefield a
 //! cold full rerun computes, bit for bit, while recomputing strictly fewer
-//! tiles. Receiver traces are bitwise at sequential/cap-1 execution and
-//! within accumulation-order tolerance at higher caps — exactly the
-//! determinism contract the non-incremental schedules already satisfy.
+//! tiles. Receiver traces are bitwise too, at every thread cap — exactly
+//! the determinism contract the non-incremental schedules already satisfy.
 //!
 //! The cone is the delta's domain of influence — the changed rectangles
 //! dilated by `radius · vt` — and is property-tested over square and
@@ -26,7 +25,7 @@ mod common;
 
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use common::{trace_bitwise, trace_close};
+use common::trace_bitwise;
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::{Execution, SimConfig, WaveSolver};
@@ -338,12 +337,7 @@ fn warm_rerun_is_bitwise_and_reuses_tiles() {
                     "{what}: incremental field differs from cold rerun (max diff {})",
                     b.final_field().max_abs_diff(&c.final_field())
                 );
-                let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
-                if cap == 1 {
-                    trace_bitwise(&tb, &tc, &what);
-                } else {
-                    trace_close(&tb, &tc, 1e-4, &what);
-                }
+                trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), &what);
             }
         }
     }
@@ -499,12 +493,7 @@ fn busy_field_reruns_are_bitwise_on_every_schedule() {
                         "{what}: warm field differs from a cold run (max diff {})",
                         b.final_field().max_abs_diff(&c.final_field())
                     );
-                    let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
-                    if policy == Policy::Sequential {
-                        trace_bitwise(&tb, &tc, &what);
-                    } else {
-                        trace_close(&tb, &tc, 1e-4, &what);
-                    }
+                    trace_bitwise(&b.trace().unwrap(), &c.trace().unwrap(), &what);
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! End-to-end survey-scale RTM: the `tempest-survey` driver must be
 //! bitwise-equal to the sum of per-shot images computed the way
 //! `tests/rtm.rs` does it — hand-driven forward / adjoint / zero-lag
-//! correlation on the raw `tempest-core` API — at shot-fleet thread caps
-//! 1/2/4, with and without mid-survey ring checkpoint/restore.
+//! correlation on the raw `tempest-core` API — at thread caps 1/2/4 for the
+//! shot fleet and for each shot's own dispatches, with and without
+//! mid-survey ring checkpoint/restore.
 
 use tempest::core::config::EquationKind;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
@@ -162,13 +163,11 @@ fn survey_rtm_matches_per_shot_reference_bitwise() {
             assert_eq!(got.as_slice(), want.as_slice(), "gather differs (cap {threads})");
         }
 
-        // Dense-history survey RTM.
-        let dense = rtm_image(
-            &smooth_sv,
-            &observed,
-            &RtmOptions::new(EVERY).with_policy(policy),
-        )
-        .unwrap();
+        // Dense-history survey RTM, each shot's blocks dispatched under the
+        // same cap as the fleet.
+        let mut opts = RtmOptions::new(EVERY).with_policy(policy);
+        opts.exec.policy = policy;
+        let dense = rtm_image(&smooth_sv, &observed, &opts).unwrap();
         assert_eq!(
             reference.as_slice(),
             dense.as_slice(),
@@ -179,14 +178,8 @@ fn survey_rtm_matches_per_shot_reference_bitwise() {
         // must re-materialise the identical history. A stride that does
         // not divide nt (30 % 8 != 0) exercises the ragged tail too.
         for stride in [8usize, 10] {
-            let ckpt = rtm_image(
-                &smooth_sv,
-                &observed,
-                &RtmOptions::new(EVERY)
-                    .with_policy(policy)
-                    .with_checkpoint_stride(stride),
-            )
-            .unwrap();
+            let opts = opts.clone().with_checkpoint_stride(stride);
+            let ckpt = rtm_image(&smooth_sv, &observed, &opts).unwrap();
             assert_eq!(
                 reference.as_slice(),
                 ckpt.as_slice(),
