@@ -16,7 +16,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::config::SimConfig;
-use crate::operator::{digest_values, Execution, KernelPath, Schedule, SparseMode, WaveSolver};
+use crate::operator::{digest_values, Execution, KernelPath, SparseMode, WaveSolver};
 use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -283,9 +283,9 @@ impl Acoustic {
     /// (RTM, ref. \[52\] in the paper): the stored history is cross-correlated
     /// with a backward-propagated receiver wavefield.
     ///
-    /// Runs under the spatially blocked schedule (snapshots need globally
-    /// consistent time levels, which temporal blocking does not expose
-    /// between tiles), as [`run_range`](Self::run_range) segments.
+    /// Runs as [`run_range`](Self::run_range) segments of `every` steps under
+    /// any schedule: a snapshot needs one consistent time level across the
+    /// grid, and every segment ends flat.
     pub fn run_recording(&mut self, exec: &Execution, every: usize) -> Vec<Array3<f32>> {
         assert!(every >= 1);
         let nt = self.cfg.nt;
@@ -304,10 +304,11 @@ impl Acoustic {
         }
     }
 
-    /// Advance timesteps `[k0, k1)` under the spatially blocked schedule.
-    /// `k0 == 0` resets state first; `k0 > 0` continues from wherever a
-    /// previous `run_range` left the ring, so a full run decomposes exactly:
-    /// `run_range(0, s)` + `run_range(s, nt)` is bit-for-bit `run_range(0, nt)`.
+    /// Advance timesteps `[k0, k1)` as one plan segment under `exec`'s
+    /// schedule. `k0 == 0` resets state first; `k0 > 0` continues from
+    /// wherever a previous `run_range` left the ring, so a full run
+    /// decomposes exactly: `run_range(0, s)` + `run_range(s, nt)` is
+    /// bit-for-bit `run_range(0, nt)`, even where `s` cuts a time tile.
     ///
     /// Together with [`checkpoint`](Self::checkpoint) /
     /// [`restore_checkpoint`](Self::restore_checkpoint) this is the
@@ -316,10 +317,6 @@ impl Acoustic {
     /// storing every intermediate wavefield.
     pub fn run_range(&mut self, exec: &Execution, k0: usize, k1: usize) {
         assert!(k0 <= k1 && k1 <= self.cfg.nt, "step range out of bounds");
-        assert!(
-            matches!(exec.schedule, Schedule::SpaceBlocked { .. }),
-            "stepping by range (and so snapshot recording) requires the spatially blocked schedule"
-        );
         crate::runpath::solve(self, exec, k0..k1, None);
     }
 

@@ -14,15 +14,18 @@ use tempest_grid::{Array2, Array3, Range3, Shape};
 use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_stencil::Backend;
-use tempest_tiling::{SpaceBlockSpec, TileCache, WavefrontSpec};
+use tempest_tiling::{TileCache, TilePlan, WavefrontSpec};
 
 
 /// How the off-grid sparse operators execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseMode {
     /// Per-timestep non-affine loops after the dense sweep (Listing 1).
-    /// Only legal under [`Schedule::SpaceBlocked`] — under temporal blocking
-    /// it would inject/measure at wrong space-time coordinates (Fig. 4b).
+    /// Only legal under [`Schedule::SpaceBlocked`]: its plan runs one
+    /// timestep per segment, so the loops run between segments, when the
+    /// whole grid sits at the same step. Under temporal blocking no such
+    /// moment exists inside a tile row, and they would inject/measure at
+    /// wrong space-time coordinates (Fig. 4b).
     Classic,
     /// Precomputed, grid-aligned, fused into the loop nest; the `z2` loop
     /// scans the full pencil against the binary mask (Listing 4).
@@ -269,14 +272,18 @@ impl Execution {
         }
     }
 
-    /// The `(block_x, block_y)` cache blocks the schedule cuts a swept
-    /// region into, as the tiling crate's space-block spec.
-    pub fn spaceblock_spec(&self) -> SpaceBlockSpec {
+    /// The schedule's tile plan of `nt` timesteps of a solver on `shape`
+    /// with dependency radius `radius` and `phases` virtual steps per
+    /// timestep.
+    pub fn plan(&self, shape: Shape, nt: usize, radius: usize, phases: usize) -> TilePlan {
+        let nvt = nt * phases;
         match self.schedule {
-            Schedule::SpaceBlocked { block_x, block_y }
-            | Schedule::WavefrontDataflow {
-                block_x, block_y, ..
-            } => SpaceBlockSpec::new(block_x, block_y),
+            Schedule::SpaceBlocked { block_x, block_y } => {
+                TilePlan::spaceblocked(shape, nvt, block_x, block_y, radius)
+            }
+            Schedule::WavefrontDataflow { .. } => {
+                TilePlan::wavefront(shape, nvt, &self.wavefront_spec(radius, phases), radius)
+            }
         }
     }
 
@@ -394,7 +401,8 @@ pub trait WaveSolver: Sync {
 
     /// The classic per-timestep sparse operators (Listing 1) of timestep
     /// `k`, run on one thread after every region of that timestep was
-    /// stepped. Only the space-blocked schedule may call this (Fig. 4b).
+    /// stepped: between the one-timestep segments of the space-blocked
+    /// plan, the only schedule that may call this (Fig. 4b).
     fn classic_after_step(&self, k: usize);
 
     /// The rings virtual step `vt` writes, each with the level written, in

@@ -1,10 +1,12 @@
 //! The one run path behind [`WaveSolver::run`] and
 //! [`WaveSolver::run_incremental`], shared by all three propagators.
 //!
-//! [`solve`] turns an [`Execution`] into work: the space-blocked baseline
-//! goes to `spaceblock::execute` (the only place the classic sparse
-//! operators may run), every temporally blocked schedule becomes a
-//! [`TilePlan`] for `execute_plan`. A cached solve is the same plan sweep
+//! [`solve`] turns an [`Execution`] into work: the schedule's [`TilePlan`]
+//! run by `execute_plan`, the one executor, in segments. Every plan ends
+//! flat, so a segment of timesteps `[k0, k1)` is a `k1 − k0`-step plan
+//! started at virtual step `k0 · phases`. The classic sparse operators run
+//! on the calling thread between one-timestep segments; any other solve is
+//! one segment. A cached solve is the same plan sweep
 //! with a [`CacheStore`] attached. The store is the sweep's inspector: before
 //! a tile runs it diffs the sparse layout against the cache's last completed
 //! run of the session, looks up every node outside the delta's light cone,
@@ -22,14 +24,15 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::operator::{record_backend_run, Execution, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{record_backend_run, Execution, RunStats, SparseMode, WaveSolver};
 use crate::sources::FusedPencil;
 use tempest_grid::Range3;
 use tempest_obs as obs;
+use tempest_par::FlushGuard;
 use tempest_sparse::InterpStencil;
 use tempest_tiling::{
-    dirty_cone, execute_plan, spaceblock, DirtyRect, SlabPayload, SourceSig, TileCache,
-    TilePayload, TilePlan, TileStore,
+    dirty_cone, execute_plan, DirtyRect, SlabPayload, SourceSig, TileCache, TilePayload, TilePlan,
+    TileStore,
 };
 
 /// What one solve did: timing plus the exact reuse tally
@@ -89,53 +92,36 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
     let solver: &S = solver;
     let (shape, nt) = (solver.shape(), steps.len());
     let (radius, phases) = (solver.radius(), solver.phases());
-    let (vt0, nvt) = (steps.start * phases, nt * phases);
+    let classic = exec.sparse == SparseMode::Classic;
     debug_assert!(
-        cached.is_none() || steps == (0..solver.num_timesteps()),
-        "a cached tile stands for a step of the whole run"
+        cached.is_none() || (!classic && steps == (0..solver.num_timesteps())),
+        "a cached tile stands for a fused step of the whole run"
     );
     let step =
-        |vt: usize, region: &Range3| solver.step_region(vt0 + vt, region, exec.sparse, exec.kernel);
+        |vt: usize, region: &Range3| solver.step_region(vt, region, exec.sparse, exec.kernel);
     let started = Instant::now();
-    // A cached space-blocked solve runs on its tile_t = 1 plan: the barrier
-    // executor has no per-tile identity to cache against.
-    let plan = match exec.schedule {
-        Schedule::SpaceBlocked { block_x, block_y } => cached
-            .is_some()
-            .then(|| TilePlan::spaceblocked(shape, nvt, block_x, block_y, radius)),
-        Schedule::WavefrontDataflow { .. } => Some(TilePlan::wavefront(
-            shape,
-            nvt,
-            &exec.wavefront_spec(radius, phases),
-            radius,
-        )),
-    };
     let (mut written_back, mut restored_bytes, mut recomputed_bytes) = (0, 0, 0);
-    let (tally, cold) = match (&plan, cached) {
-        (None, _) => {
-            let classic = exec.sparse == SparseMode::Classic;
-            spaceblock::execute(
-                shape,
-                nvt,
-                exec.spaceblock_spec(),
-                exec.policy,
-                step,
-                |vt| {
-                    // Once per *timestep*, after its last phase.
-                    if classic && (vt0 + vt + 1).is_multiple_of(phases) {
-                        solver.classic_after_step((vt0 + vt) / phases);
-                    }
-                },
-            );
+    let (tally, cold) = match cached {
+        None if classic => {
+            // The classic operators run between segments, outside every
+            // executor's flush-mode guard.
+            let _fp = FlushGuard::enter();
+            let plan = exec.plan(shape, 1, radius, phases);
+            for k in steps {
+                execute_plan(&plan, k * phases, exec.policy, step, None);
+                solver.classic_after_step(k);
+            }
             (None, true)
         }
-        (Some(plan), None) => {
-            execute_plan(plan, exec.policy, step, None);
+        None => {
+            let plan = exec.plan(shape, nt, radius, phases);
+            execute_plan(&plan, steps.start * phases, exec.policy, step, None);
             (None, true)
         }
-        (Some(plan), Some((cache, shot_key))) => {
+        Some((cache, shot_key)) => {
+            let plan = &exec.plan(shape, nt, radius, phases);
             let store = CacheStore::begin(solver, plan, cache, exec.sparse, shot_key);
-            let outcome = execute_plan(plan, exec.policy, step, Some(&store));
+            let outcome = execute_plan(plan, 0, exec.policy, step, Some(&store));
             let cold = store.cold;
             (written_back, restored_bytes, recomputed_bytes) = store.work();
             store.finish();
@@ -518,7 +504,7 @@ fn node_masks(plan: &TilePlan, sigs: &[SourceSig]) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::config::{EquationKind, SimConfig};
-    use crate::operator::KernelPath;
+    use crate::operator::{KernelPath, Schedule};
     use crate::{Acoustic, Elastic, ShotAssets, Tti};
     use tempest_grid::{Domain, ElasticModel, Model, Shape, TtiModel};
     use tempest_par::Policy;
@@ -595,8 +581,7 @@ mod tests {
             solve(&mut *a, &exec, steps.clone(), Some((&caches[0], 0)));
             solve(&mut *b, &exec, steps, Some((&caches[1], 0)));
 
-            let nvt = a.num_timesteps() * a.phases();
-            let plan = TilePlan::spaceblocked(a.shape(), nvt, 4, 4, a.radius());
+            let plan = exec.plan(a.shape(), a.num_timesteps(), a.radius(), a.phases());
             let key = session_key(&*a, plan.geometry, exec.sparse, 0);
             assert_eq!(
                 key,

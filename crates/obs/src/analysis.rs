@@ -84,9 +84,7 @@ pub struct TraceAnalysis {
     /// Mean of the per-group imbalances over groups with ≥ 2 tiles.
     pub mean_imbalance: f64,
     /// Lower bound on schedule wall-clock with unlimited threads: the sum
-    /// over diagonal groups of the slowest tile. For traces without tile
-    /// spans (space-blocked runs) this degrades to the sum of sweep spans,
-    /// which are sequential scheduling units.
+    /// over diagonal groups of the slowest tile (0 without tile spans).
     pub critical_path_ns: u64,
     /// Total tile work (sum of all tile spans) — the perfectly-parallel
     /// floor for comparison against the critical path.
@@ -124,12 +122,6 @@ impl TraceAnalysis {
                 mean_ns: sum as f64 / durs.len() as f64,
                 max_ns: max,
             });
-        }
-
-        if diagonals.is_empty() {
-            // No tile spans: the space-blocked schedule runs its sweeps
-            // sequentially, so the critical path is their summed duration.
-            critical = trace.events_of(SpanKind::Sweep).map(|e| e.dur_ns).sum();
         }
 
         let imbs: Vec<f64> = diagonals
@@ -448,29 +440,16 @@ mod tests {
         assert_eq!(a.critical_path_ns, 0);
         assert_eq!(a.worst_imbalance, 1.0);
 
-        // sweep-only trace: critical path = summed sweeps
+        // tile-free trace: only the barrier histogram fills
         let t = Trace {
-            events: vec![
-                TraceEvent {
-                    tid: 0,
-                    kind: SpanKind::Sweep,
-                    t0_ns: 0,
-                    dur_ns: 4_000,
-                    args: SpanArgs::step(0),
-                },
-                TraceEvent {
-                    tid: 0,
-                    kind: SpanKind::Sweep,
-                    t0_ns: 4_000,
-                    dur_ns: 5_000,
-                    args: SpanArgs::step(1),
-                },
-            ],
+            events: vec![bw(0, 0, 4_000)],
             threads: vec![(0, "main".into())],
             dropped: 0,
             capacity: 1024,
         };
-        assert_eq!(TraceAnalysis::from_trace(&t).critical_path_ns, 9_000);
+        let a = TraceAnalysis::from_trace(&t);
+        assert_eq!((a.critical_path_ns, a.total_tile_ns), (0, 0));
+        assert_eq!(a.barrier.count, 1);
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub use trace::{SpanArgs, SpanKind, Trace, TraceEvent};
 /// * `DataflowSteals` — tiles a dataflow participant claimed from another
 ///   participant's deque. Depends on runtime timing, so it is *not*
 ///   deterministic across runs or thread caps.
-/// * `SpaceSweeps` — per-virtual-timestep sweeps of the space-blocked
-///   executor.
 /// * `PencilRows` — contiguous z-rows computed by the row-granularity
 ///   vector backends (portable pencil or AVX2); zero when a run uses the
 ///   scalar per-point path.
@@ -106,7 +104,6 @@ pub enum Counter {
     WavefrontTiles,
     DataflowReady,
     DataflowSteals,
-    SpaceSweeps,
     PencilRows,
     ShotStarted,
     ShotCompleted,
@@ -121,7 +118,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 19;
     pub const ALL: [Counter; Self::COUNT] = [
         Counter::StencilUpdates,
         Counter::SourceInjections,
@@ -131,7 +128,6 @@ impl Counter {
         Counter::WavefrontTiles,
         Counter::DataflowReady,
         Counter::DataflowSteals,
-        Counter::SpaceSweeps,
         Counter::PencilRows,
         Counter::ShotStarted,
         Counter::ShotCompleted,
@@ -155,7 +151,6 @@ impl Counter {
             Counter::WavefrontTiles => "wavefront_tiles",
             Counter::DataflowReady => "dataflow_ready",
             Counter::DataflowSteals => "dataflow_steals",
-            Counter::SpaceSweeps => "space_sweeps",
             Counter::PencilRows => "pencil_rows",
             Counter::ShotStarted => "shot_started",
             Counter::ShotCompleted => "shot_completed",

@@ -27,7 +27,7 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 // ---------------------------------------------------------------------------
 
 /// What a span measures. `Tile` is one space-time tile computed by the plan
-/// executor; `Sweep` one virtual timestep of the space-blocked path;
+/// executor (one `(step, block)` of the space-blocked baseline);
 /// `Dataflow` the coordinator-side span of one whole plan sweep;
 /// `Stencil`/`Sparse` the propagator phases; `BarrierWait` the publishing
 /// caller's wait for `run_batch` stragglers or for a ready dataflow tile; `Shot` one whole shot solve of the survey engine
@@ -38,7 +38,6 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 #[repr(u8)]
 pub enum SpanKind {
     Tile = 0,
-    Sweep,
     Dataflow,
     Stencil,
     Sparse,
@@ -48,10 +47,9 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
     pub const ALL: [SpanKind; Self::COUNT] = [
         SpanKind::Tile,
-        SpanKind::Sweep,
         SpanKind::Dataflow,
         SpanKind::Stencil,
         SpanKind::Sparse,
@@ -63,7 +61,6 @@ impl SpanKind {
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Tile => "tile",
-            SpanKind::Sweep => "sweep",
             SpanKind::Dataflow => "dataflow",
             SpanKind::Stencil => "stencil",
             SpanKind::Sparse => "sparse",
@@ -89,7 +86,7 @@ pub struct SpanArgs {
     pub t0: i32,
     /// Last virtual timestep covered (exclusive).
     pub t1: i32,
-    /// Single virtual timestep (sweep/stencil/sparse spans).
+    /// Single virtual timestep (stencil/sparse spans).
     pub vt: i32,
 }
 
@@ -125,8 +122,7 @@ impl SpanArgs {
         }
     }
 
-    /// A per-virtual-timestep span (space-blocked sweep, stencil region
-    /// update, sparse phase).
+    /// A per-virtual-timestep span (stencil region update, sparse phase).
     pub fn step(vt: usize) -> Self {
         SpanArgs {
             vt: vt as i32,
@@ -361,7 +357,7 @@ mod tests {
     fn counts_and_filters() {
         let (t, _) = sample_trace();
         assert_eq!(t.count(SpanKind::Tile), 2);
-        assert_eq!(t.count(SpanKind::Sweep), 0);
+        assert_eq!(t.count(SpanKind::Stencil), 0);
         assert_eq!(t.events_of(SpanKind::BarrierWait).count(), 1);
         assert!(!t.is_empty());
         assert!(Trace::default().is_empty());
@@ -495,10 +491,10 @@ mod tests {
             let prior = capacity();
             set_capacity(8);
             for i in 0..20usize {
-                span(SpanKind::Sweep, SpanArgs::step(i)).stop();
+                span(SpanKind::Stencil, SpanArgs::step(i)).stop();
             }
             let t = events();
-            let mine: Vec<_> = t.events_of(SpanKind::Sweep).collect();
+            let mine: Vec<_> = t.events_of(SpanKind::Stencil).collect();
             assert_eq!(mine.len(), 8, "ring holds exactly its capacity");
             // earliest events survive untouched, in order
             for (i, e) in mine.iter().enumerate() {

@@ -782,8 +782,8 @@ impl DataflowJob {
     /// `charge_idle` selects whether idle parks open a `BarrierWait` span:
     /// true for the publishing caller only. `run_batch` spans exactly one
     /// side too (the caller's straggler wait; its pool workers park on the
-    /// board unspanned), so the barrier-wait shares of the space-blocked
-    /// and plan executors compare like with like.
+    /// board unspanned), so the barrier-wait shares of edge-free graphs
+    /// (run as a batch) and dependency-counted ones compare like with like.
     fn help(&self, charge_idle: bool) {
         let me = self.join();
         loop {
@@ -921,6 +921,10 @@ impl DataflowJob {
 /// sequential path panics and the parallel path would spin on its idle
 /// timeout forever. Validate with `legality::check_plan` (in
 /// `tempest-tiling`) when in doubt.
+///
+/// An edge-free graph (every node a root) runs as one flat batch
+/// ([`for_each_index`]): no counters, deques or wake-ups to pay for, and
+/// the same `ParTasks` and `DataflowReady` counts, one per node.
 pub fn run_dataflow<F>(policy: Policy, graph: &DepGraph, f: F)
 where
     F: Fn(usize) + Sync + Send,
@@ -928,6 +932,11 @@ where
     let _fp = FlushGuard::enter();
     let n = graph.len();
     if n == 0 {
+        return;
+    }
+    if graph.succ.is_empty() {
+        obs::add(obs::Counter::DataflowReady, n as u64);
+        for_each_index(policy, n, f);
         return;
     }
     let p = pool();

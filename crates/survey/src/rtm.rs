@@ -32,7 +32,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tempest_core::operator::Schedule;
 use tempest_core::shared::RingCheckpoint;
 use tempest_core::{Acoustic, Execution, ShotAssets, WaveSolver};
 use tempest_grid::{Array2, Array3};
@@ -52,8 +51,8 @@ pub struct RtmOptions {
     /// multiple of `every`. `0` disables checkpointing (the forward history
     /// is stored densely, `nt/every` volumes per shot in flight).
     pub checkpoint_stride: usize,
-    /// Per-shot execution. The checkpointed path steps through
-    /// `run_range`, which requires [`Schedule::SpaceBlocked`].
+    /// Per-shot execution, under any schedule: snapshots and checkpoints
+    /// are taken between `run_range` segments, which always end flat.
     pub exec: Execution,
     /// Shot-level fleet policy.
     pub policy: Policy,
@@ -107,13 +106,6 @@ pub fn rtm_image(
         .receivers()
         .expect("RTM needs a receiver set on the survey")
         .clone();
-    if opts.checkpoint_stride > 0 {
-        assert!(
-            matches!(opts.exec.schedule, Schedule::SpaceBlocked { .. }),
-            "checkpointed RTM steps through run_range, which requires the \
-             spatially blocked schedule"
-        );
-    }
     opts.exec.validate();
 
     let shape = survey.cfg().shape();

@@ -133,8 +133,8 @@ pub fn quick_candidates(nx: usize, ny: usize, tile_ts: &[usize]) -> Vec<Candidat
 
 /// Candidates for per-shot *space-blocked* solves — the schedule family the
 /// survey engine tunes once per batch and reuses for every shot sharing the
-/// model (checkpointed RTM pins shots to `Schedule::SpaceBlocked`, so only
-/// the block shape is free). Tile fields are left at the whole-grid default;
+/// model (its default is the `Schedule::SpaceBlocked` baseline, so only the
+/// block shape is free). Tile fields are left at the whole-grid default;
 /// `tile_t` stays 1.
 pub fn spaceblock_candidates(nx: usize, ny: usize) -> Vec<Candidate> {
     let mut out = Vec::new();

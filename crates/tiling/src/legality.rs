@@ -483,7 +483,7 @@ mod tests {
         while !ready.is_empty() {
             let i = ready.swap_remove(rng.range_usize(0, ready.len()));
             order.push(i);
-            for &s in &plan.succs[i] {
+            for &s in plan.graph.succs(i) {
                 pending[s as usize] -= 1;
                 if pending[s as usize] == 0 {
                     ready.push(s as usize);

@@ -3,29 +3,32 @@
 //! Loop-schedule engine: how the space-time iteration domain of an explicit
 //! stencil propagator is traversed.
 //!
-//! The paper contrasts two schedules (§I.A, Fig. 4), and the crate has one
-//! executor for each:
+//! The paper contrasts two schedules (§I.A, Fig. 4), each a *plan
+//! constructor* producing a [`TilePlan`] (per-tile slabs plus the exact
+//! flow-dependence edges), and one executor, [`execute_plan`], runs either
+//! on `tempest_par::run_dataflow` — dependency counters, per-worker stealing
+//! deques, a single join per sweep:
 //!
-//! * **Spatial blocking** ([`spaceblock::execute`]): each timestep sweeps
+//! * **Spatial blocking** ([`TilePlan::spaceblocked`]): each timestep sweeps
 //!   the whole grid, decomposed into cache-sized `(block_x, block_y)` ×
-//!   full-`z` blocks that may run in parallel. Sparse operators can run
-//!   between timesteps — no dependency hazards (Fig. 4a). This is the
+//!   full-`z` blocks that may run in parallel — the wave-front of height 1.
+//!   Run one timestep per plan segment, sparse operators can run between
+//!   segments with no dependency hazards (Fig. 4a). This is the
 //!   highly-optimised baseline the paper compares against, the bitwise
 //!   reference of every equivalence oracle, and the only legal home of the
 //!   classic per-timestep sparse operators.
 //!
-//! * **Temporal blocking** ([`execute_plan`], §II.B): the space-time domain
-//!   splits into tiles of `tile_t` timesteps whose working set stays
-//!   cache-resident while they advance through time. Applying off-grid
-//!   sparse operators naively under this schedule is *incorrect* (Fig. 4b) —
-//!   the precomputation scheme in `tempest-sparse` is what makes it legal.
-//!   The schedule is a *plan constructor* producing a [`TilePlan`] (per-tile
-//!   slabs plus the exact flow-dependence edges): [`wavefront`] skews
-//!   parallelogram tiles by the dependency radius per step. The one
-//!   executor runs the plan on `tempest_par::run_dataflow` — dependency
-//!   counters, per-worker stealing deques, a single join per sweep.
+//! * **Temporal blocking** ([`TilePlan::wavefront`], §II.B): the space-time
+//!   domain splits into tiles of `tile_t` timesteps whose working set stays
+//!   cache-resident while they advance through time; [`wavefront`] skews
+//!   parallelogram tiles by the dependency radius per step. Applying
+//!   off-grid sparse operators naively under this schedule is *incorrect*
+//!   (Fig. 4b) — the precomputation scheme in `tempest-sparse` is what makes
+//!   it legal.
 //!
-//! Both executors drive an abstract *step function* `step(vt, region)`:
+//! Every plan ends flat (all tiles at its last step), so a run splits into
+//! segments, each a plan started at its first virtual step. The executor
+//! drives an abstract *step function* `step(vt, region)`:
 //! "compute virtual timestep `vt` for `region`". Multi-phase propagators
 //! (elastic velocity–stress updates two field groups per timestep, the
 //! second reading same-timestep values of the first — Fig. 8b) map each
@@ -47,7 +50,6 @@ pub mod autotune;
 pub mod incremental;
 pub mod legality;
 pub mod plan;
-pub mod spaceblock;
 pub mod wavefront;
 
 pub use autotune::{
@@ -59,5 +61,4 @@ pub use incremental::{
     TilePayload, DEFAULT_CACHE_MB,
 };
 pub use plan::{execute_plan, IncrementalOutcome, TilePlan, TileStore};
-pub use spaceblock::SpaceBlockSpec;
 pub use wavefront::{Slab, Tile, WavefrontSpec};

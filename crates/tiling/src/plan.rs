@@ -1,8 +1,8 @@
-//! Tile plan → executor: the inspector/executor split of the temporally
-//! blocked schedules (DESIGN.md §8).
+//! Tile plan → executor: the inspector/executor split of every schedule
+//! (DESIGN.md §8).
 //!
-//! Every temporally blocked schedule is a *plan constructor*: it enumerates
-//! its space-time tiles, cuts each into per-step slabs and records the exact
+//! Every schedule is a *plan constructor*: it enumerates its space-time
+//! tiles, cuts each into per-step slabs and records the exact
 //! flow-dependence edges between tiles. The result is one schedule-agnostic
 //! [`TilePlan`] — built from the wave-front graph ([`TilePlan::wavefront`])
 //! or the space-blocked schedule mapped onto its `tile_t = 1` wave-front
@@ -13,11 +13,13 @@
 //! deques, a single join per sweep) and, inside each node, steps the slabs in
 //! ascending `vt`, each cut into `(block_x, block_y)` cache blocks. Every
 //! z-pencil is computed whole at each step whatever the plan, so all plans
-//! produce bitwise-identical wavefields. An optional [`TileStore`] turns the
-//! same sweep into an incremental one: a node the store can restore is not
-//! stepped, and every stepped slab is offered to the store right after its
-//! step calls return — before a later slab of the same node can overwrite
-//! the ring slot it wrote.
+//! produce bitwise-identical wavefields. Both constructors end *flat* — every
+//! node finishes at the plan's last step — so a run splits into segments,
+//! each a plan of its own started at the segment's first virtual step. An
+//! optional [`TileStore`] turns a sweep into an incremental one: a node the
+//! store can restore is not stepped, and every stepped slab is offered to the
+//! store right after its step calls return — before a later slab of the same
+//! node can overwrite the ring slot it wrote.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -26,14 +28,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tempest_grid::{Range3, Shape};
 use tempest_obs as obs;
 use tempest_obs::{SpanArgs, SpanKind};
-use tempest_par::{FlushGuard, Policy};
+use tempest_par::{DepGraph, FlushGuard, Policy};
 
 use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
 
 /// A schedule-agnostic snapshot of one sweep's tile structure: per-node
 /// slabs in ascending `vt` plus the exact dependency edges. The executor,
 /// the legality checker and all incremental machinery (cone marking,
-/// caching) work on this one shape.
+/// caching) work on this one shape. Virtual steps are relative to the
+/// sweep's start.
 #[derive(Debug, Clone)]
 pub struct TilePlan {
     /// Per-node slabs, ascending `vt`. Node order is the constructor's
@@ -41,8 +44,9 @@ pub struct TilePlan {
     pub slabs: Vec<Vec<Slab>>,
     /// `preds[i]` — nodes whose outputs node `i` reads (sorted, deduped).
     pub preds: Vec<Vec<u32>>,
-    /// `succs[i]` — nodes reading node `i`'s output (the cone edges).
-    pub succs: Vec<Vec<u32>>,
+    /// The same edges as the executor walks them: `graph.succs(i)` are the
+    /// nodes reading node `i`'s output (the cone edges).
+    pub graph: DepGraph,
     /// Per-node trace-span arguments: the tile's schedule coordinates and
     /// virtual-step range.
     pub labels: Vec<SpanArgs>,
@@ -101,16 +105,10 @@ impl TilePlan {
             spec.block_x as u64,
             spec.block_y as u64,
         ]);
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
-        for (ia, ps) in preds.iter().enumerate() {
-            for &ib in ps {
-                succs[ib as usize].push(ia as u32);
-            }
-        }
         TilePlan {
             slabs,
+            graph: DepGraph::from_preds(&preds),
             preds,
-            succs,
             labels,
             block_x: spec.block_x,
             block_y: spec.block_y,
@@ -120,13 +118,13 @@ impl TilePlan {
         }
     }
 
-    /// Plan of the space-blocked schedule, mapped onto its exact `tile_t=1`
-    /// wavefront degeneration: one node per `(vt, block)`, with skew-free
-    /// slabs (at tile height 1 no skew ever applies) and the same block
-    /// decomposition as `spaceblock::execute`. The per-slab step calls are
-    /// identical to the plain schedule's, so the wavefield is bitwise
-    /// identical — only the inter-step barrier is replaced by the exact
-    /// dependency edges.
+    /// Plan of the space-blocked schedule (paper Fig. 4a), mapped onto its
+    /// exact `tile_t=1` wavefront degeneration: one node per `(vt, block)`,
+    /// with skew-free slabs (at tile height 1 no skew ever applies) that are
+    /// exactly the `(block_x, block_y)` × full-`z` blocks of a per-step
+    /// sweep. The inter-step barrier becomes the exact dependency edges.
+    /// Run as one segment per timestep it is the per-step sweep itself, and
+    /// the classic sparse operators run between the segments.
     pub fn spaceblocked(
         shape: Shape,
         nvt: usize,
@@ -184,11 +182,13 @@ pub struct IncrementalOutcome {
     pub recomputed: usize,
 }
 
-/// Run one sweep over `plan`: `step(vt, region)` computes `region` at
-/// virtual step `vt`, and is called for every block of every slab of every
-/// node the `store` does not restore, never before all of the node's
+/// Run one sweep over `plan`, started at virtual step `vt0`:
+/// `step(vt, region)` computes `region` at the absolute virtual step
+/// `vt = vt0 + slab.vt`, and is called for every block of every slab of
+/// every node the `store` does not restore, never before all of the node's
 /// predecessors completed. Returns only when every node completed — the one
-/// join of the sweep.
+/// join of the sweep. Span labels carry absolute steps too; the store's
+/// hooks see the plan's own node and slab indices.
 ///
 /// The plan's graph must be acyclic ([`crate::legality::check_plan`]).
 /// Every node — restored or computed — executes as a dataflow task, so the
@@ -197,6 +197,7 @@ pub struct IncrementalOutcome {
 /// mode ([`FlushGuard`]).
 pub fn execute_plan<S>(
     plan: &TilePlan,
+    vt0: usize,
     policy: Policy,
     step: S,
     store: Option<&dyn TileStore>,
@@ -205,21 +206,25 @@ where
     S: Fn(usize, &Range3) + Sync + Send,
 {
     let _fp = FlushGuard::enter();
-    let graph = tempest_par::DepGraph::from_preds(&plan.preds);
     let reused = AtomicUsize::new(0);
+    let label = |i: usize| SpanArgs {
+        t0: plan.labels[i].t0 + vt0 as i32,
+        t1: plan.labels[i].t1 + vt0 as i32,
+        ..plan.labels[i]
+    };
     // One caller-side span for the whole sweep: its `BarrierWait` share is
     // the executor's idle time.
     let _dsp = obs::span(
         SpanKind::Dataflow,
         SpanArgs {
-            t0: 0,
-            t1: plan.nvt as i32,
+            t0: vt0 as i32,
+            t1: (vt0 + plan.nvt) as i32,
             ..Default::default()
         },
     );
-    tempest_par::run_dataflow(policy, &graph, |i| {
+    tempest_par::run_dataflow(policy, &plan.graph, |i| {
         if let Some(st) = store {
-            let mut sp = obs::span(SpanKind::CacheRestore, plan.labels[i]);
+            let mut sp = obs::span(SpanKind::CacheRestore, label(i));
             if st.restore(i) {
                 obs::add(obs::Counter::TilesReused, 1);
                 reused.fetch_add(1, Ordering::Relaxed);
@@ -227,10 +232,10 @@ where
             }
             sp.cancel();
         }
-        let _sp = obs::span(SpanKind::Tile, plan.labels[i]);
+        let _sp = obs::span(SpanKind::Tile, label(i));
         for (s, slab) in plan.slabs[i].iter().enumerate() {
             for b in slab.range.split_xy(plan.block_x, plan.block_y) {
-                step(slab.vt, &b);
+                step(vt0 + slab.vt, &b);
             }
             if let Some(st) = store {
                 st.capture(i, s);
@@ -252,6 +257,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wavefront::dilate_xy;
     use std::sync::Mutex;
 
     fn plan_of(spec: WavefrontSpec) -> TilePlan {
@@ -277,13 +283,15 @@ mod tests {
                 for &p in ps {
                     assert!((p as usize) < i, "node order must be topological");
                     assert!(
-                        plan.succs[p as usize].contains(&(i as u32)),
+                        plan.graph.succs(p as usize).contains(&(i as u32)),
                         "succ list of {p} misses {i}"
                     );
                 }
+                assert_eq!(plan.graph.pred_count(i), ps.len());
             }
             let nedges: usize = plan.preds.iter().map(Vec::len).sum();
-            assert_eq!(nedges, plan.succs.iter().map(Vec::len).sum::<usize>());
+            let nsuccs: usize = (0..plan.len()).map(|i| plan.graph.succs(i).len()).sum();
+            assert_eq!(nedges, nsuccs);
         }
     }
 
@@ -307,23 +315,28 @@ mod tests {
         let plans = [
             TilePlan::wavefront(shape, nvt, &WavefrontSpec::new(8, 8, 3, 2, 3, 4), 2),
             TilePlan::wavefront(shape, nvt, &WavefrontSpec::new(8, 12, 3, 2, 3, 4), 2),
+            TilePlan::spaceblocked(shape, nvt, 3, 5, 2),
         ];
+        // Started mid-run: the step sees absolute virtual steps.
+        let vt0 = 5;
         for plan in &plans {
             for policy in [
                 Policy::Sequential,
                 Policy::Parallel,
                 Policy::Capped { threads: 2 },
             ] {
-                let total = AtomicUsize::new(0);
+                let per_vt: Vec<AtomicUsize> = (0..nvt).map(|_| AtomicUsize::new(0)).collect();
                 let out = execute_plan(
                     plan,
+                    vt0,
                     policy,
-                    |_vt, b| {
-                        total.fetch_add(b.len(), Ordering::Relaxed);
+                    |vt, b| {
+                        assert_eq!((b.z0, b.z1), (0, shape.nz), "z stays whole");
+                        per_vt[vt - vt0].fetch_add(b.len(), Ordering::Relaxed);
                     },
                     None,
                 );
-                assert_eq!(total.into_inner(), nvt * shape.len());
+                assert!(per_vt.into_iter().all(|n| n.into_inner() == shape.len()));
                 assert_eq!((out.reused, out.recomputed), (0, plan.len()));
             }
         }
@@ -334,33 +347,47 @@ mod tests {
         // Dynamic check of the flow-dependence rule under the parallel
         // executor: when a block advances to step vt, every point in its
         // radius-dilated halo must have completed vt - 1 (and the block's
-        // own points exactly vt - 1).
+        // own points exactly vt - 1). The sweep runs whole and as segments
+        // whose boundaries cut time tiles; every segment must end flat.
         let shape = Shape::new(23, 17, 4);
         let (radius, nvt) = (2usize, 11);
-        for plan in [wf_plan(), wf_xy_plan()] {
-            let progress = Mutex::new(vec![vec![-1i64; shape.ny]; shape.nx]);
-            execute_plan(
-                &plan,
-                Policy::Parallel,
-                |vt, b| {
-                    let mut g = progress.lock().unwrap();
-                    let want = vt as i64 - 1;
-                    for x in b.x0.saturating_sub(radius)..(b.x1 + radius).min(shape.nx) {
-                        for y in b.y0.saturating_sub(radius)..(b.y1 + radius).min(shape.ny) {
-                            assert!(g[x][y] >= want, "halo ({x},{y}) at {} < {want}", g[x][y]);
-                        }
-                    }
-                    for x in b.x0..b.x1 {
-                        for y in b.y0..b.y1 {
-                            assert_eq!(g[x][y], want, "write point ({x},{y})");
-                            g[x][y] = vt as i64;
-                        }
-                    }
-                },
-                None,
-            );
-            let g = progress.lock().unwrap();
-            assert!(g.iter().flatten().all(|&v| v == nvt as i64 - 1));
+        for spec in [
+            WavefrontSpec::new(8, 8, 4, 2, 4, 4),
+            WavefrontSpec::new(8, 12, 4, 2, 4, 2),
+            WavefrontSpec::new(3, 5, 1, 2, 3, 5),
+        ] {
+            for cuts in [vec![0, nvt], vec![0, 5, 6, nvt]] {
+                let progress = Mutex::new(vec![vec![-1i64; shape.ny]; shape.nx]);
+                for seg in cuts.windows(2) {
+                    let plan = TilePlan::wavefront(shape, seg[1] - seg[0], &spec, radius);
+                    execute_plan(
+                        &plan,
+                        seg[0],
+                        Policy::Parallel,
+                        |vt, b| {
+                            let mut g = progress.lock().unwrap();
+                            let want = vt as i64 - 1;
+                            let halo = dilate_xy(b, radius, shape);
+                            for x in halo.x0..halo.x1 {
+                                for y in halo.y0..halo.y1 {
+                                    let at = g[x][y];
+                                    assert!(at >= want, "halo ({x},{y}) at {at} < {want}");
+                                }
+                            }
+                            for x in b.x0..b.x1 {
+                                for y in b.y0..b.y1 {
+                                    assert_eq!(g[x][y], want, "write point ({x},{y})");
+                                    g[x][y] = vt as i64;
+                                }
+                            }
+                        },
+                        None,
+                    );
+                    let g = progress.lock().unwrap();
+                    let last = seg[1] as i64 - 1;
+                    assert!(g.iter().flatten().all(|&v| v == last), "{spec:?} {seg:?}");
+                }
+            }
         }
     }
 
@@ -398,6 +425,7 @@ mod tests {
         };
         let out = execute_plan(
             &plan,
+            0,
             Policy::Sequential,
             |_vt, _b| {
                 probe.steps.fetch_add(1, Ordering::Relaxed);
@@ -461,7 +489,7 @@ mod tests {
             for plan in [wf_plan(), wf_xy_plan()] {
                 for policy in [Policy::Sequential, Policy::Parallel] {
                     let probe = ModeProbe(AtomicUsize::new(0));
-                    execute_plan(&plan, policy, |_, _| probe.check(), Some(&probe));
+                    execute_plan(&plan, 0, policy, |_, _| probe.check(), Some(&probe));
                     assert_eq!(probe.0.into_inner(), 0, "{policy:?}");
                     assert!(
                         !subnormals_flushed(),

@@ -14,7 +14,6 @@
 
 use tempest::grid::{Range3, Shape};
 use tempest::par::Policy;
-use tempest::tiling::spaceblock::{self, SpaceBlockSpec};
 use tempest::tiling::{execute_plan, TilePlan, WavefrontSpec};
 use std::sync::Mutex;
 
@@ -70,22 +69,22 @@ fn reference() -> Vec<f64> {
 
 #[test]
 fn classic_under_space_blocking_is_correct() {
-    // Fig. 4a: "sparse operators fit within space blocking".
+    // Fig. 4a: "sparse operators fit within space blocking" — the
+    // space-blocked plan of one step, run once per step, with the classic
+    // injection between the segments.
     let st = Mutex::new(new_state());
     let shape = Shape::new(NX, 1, 1);
-    spaceblock::execute(
-        shape,
-        NT,
-        SpaceBlockSpec::new(5, 1),
-        Policy::Sequential,
-        |t, region: &Range3| {
-            let mut s = st.lock().unwrap();
-            for x in region.x0..region.x1 {
-                stencil_update(&mut s, t, x);
-            }
-        },
-        |t| inject(&mut st.lock().unwrap(), t, SRC_X),
-    );
+    let plan = TilePlan::spaceblocked(shape, 1, 5, 1, R);
+    let step = |t: usize, region: &Range3| {
+        let mut s = st.lock().unwrap();
+        for x in region.x0..region.x1 {
+            stencil_update(&mut s, t, x);
+        }
+    };
+    for t in 0..NT {
+        execute_plan(&plan, t, Policy::Sequential, step, None);
+        inject(&mut st.lock().unwrap(), t, SRC_X);
+    }
     let got = {
         let s = st.lock().unwrap();
         s[NT % 2][R..R + NX].to_vec()
@@ -110,7 +109,7 @@ fn fused_under_wavefront_is_correct() {
             }
         }
     };
-    execute_plan(&plan, Policy::Sequential, step, None);
+    execute_plan(&plan, 0, Policy::Sequential, step, None);
     let got = {
         let s = st.lock().unwrap();
         s[NT % 2][R..R + NX].to_vec()
@@ -147,7 +146,7 @@ fn classic_under_wavefront_is_wrong() {
             inject(&mut st.lock().unwrap(), t, SRC_X);
         }
     };
-    execute_plan(&plan, Policy::Sequential, step, None);
+    execute_plan(&plan, 0, Policy::Sequential, step, None);
     let got = {
         let s = st.lock().unwrap();
         s[NT % 2][R..R + NX].to_vec()

@@ -231,7 +231,7 @@ fn every_route_computes_the_same_bits() {
 }
 
 /// Point-source solves of all three propagators leave nothing subnormal in
-/// the field or the traces, on the plan executor and on the barrier one.
+/// the field or the traces, under both schedules.
 #[test]
 fn guarded_runs_leave_no_subnormal_value() {
     for mut s in solvers_on(N, 8, 6, 0.37, NREC) {
@@ -247,6 +247,34 @@ fn guarded_runs_leave_no_subnormal_value() {
             let t = s.trace().unwrap();
             assert_eq!(subnormals(t.as_slice()), 0, "{what}: subnormal traces");
         }
+    }
+    assert!(!subnormals_flushed());
+}
+
+/// The classic operators run on the caller between one-step plan segments,
+/// in the mode too: a source whose every sample is subnormal injects nothing
+/// and its receivers record nothing, under every policy.
+#[test]
+fn classic_operators_between_segments_run_in_flush_mode() {
+    let fx = Fixture::new();
+    let wavelet: Vec<f32> = fx.wavelet.iter().map(|a| a * 1e-15).collect();
+    assert!(wavelet.iter().all(|a| a.is_subnormal()), "{wavelet:?}");
+    let mut s = Acoustic::new_with_wavelets(
+        &fx.model,
+        fx.cfg.clone(),
+        SparsePoints::new(&fx.domain, vec![fx.position]),
+        wavelet_matrix(&wavelet, 1),
+        Some(fx.rec.clone()),
+    );
+    for policy in [Policy::Sequential, Policy::Capped { threads: 2 }] {
+        s.run(&Execution {
+            policy,
+            ..Execution::baseline()
+        });
+        let what = format!("classic {policy:?}");
+        assert_eq!(s.final_field().max_abs(), 0.0, "{what}: field");
+        let t = s.trace().unwrap();
+        assert!(t.as_slice().iter().all(|&v| v == 0.0), "{what}: traces");
     }
     assert!(!subnormals_flushed());
 }

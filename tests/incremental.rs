@@ -179,7 +179,7 @@ fn successor_closure(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
         .collect();
     let mut queue: Vec<usize> = (0..plan.len()).filter(|&i| dirty[i]).collect();
     while let Some(i) = queue.pop() {
-        for &s in &plan.succs[i] {
+        for &s in plan.graph.succs(i) {
             if !std::mem::replace(&mut dirty[s as usize], true) {
                 queue.push(s as usize);
             }
@@ -502,17 +502,12 @@ fn busy_field_reruns_are_bitwise_on_every_schedule() {
 
 /// The tile plan `run_incremental` sweeps for `solver` under `schedule`.
 fn plan_of(solver: &dyn WaveSolver, schedule: Schedule) -> TilePlan {
-    let (shape, radius, phases) = (solver.shape(), solver.radius(), solver.phases());
-    let nvt = solver.num_timesteps() * phases;
-    let ex = exec(schedule, Policy::Sequential);
-    match schedule {
-        Schedule::SpaceBlocked { block_x, block_y } => {
-            TilePlan::spaceblocked(shape, nvt, block_x, block_y, radius)
-        }
-        Schedule::WavefrontDataflow { .. } => {
-            TilePlan::wavefront(shape, nvt, &ex.wavefront_spec(radius, phases), radius)
-        }
-    }
+    exec(schedule, Policy::Sequential).plan(
+        solver.shape(),
+        solver.num_timesteps(),
+        solver.radius(),
+        solver.phases(),
+    )
 }
 
 /// The report states the work avoided as data. A cold fill restores nothing.

@@ -152,24 +152,14 @@ fn check_schedule<F: FnMut(&Execution)>(
             oracle.gathers,
             "{label} {policy:?}: receiver gathers"
         );
-        // The schedule must exercise its own executor (and only its own).
-        match schedule {
-            Schedule::SpaceBlocked { .. } => {
-                assert!(p.counter(Counter::SpaceSweeps) > 0, "{label}: no sweeps");
-                assert_eq!(p.counter(Counter::WavefrontTiles), 0, "{label}");
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                // The plan executor runs tiles under dependency counters —
-                // tile and ready counters move, no sweeps.
-                assert!(p.counter(Counter::WavefrontTiles) > 0, "{label}: no tiles");
-                assert_eq!(
-                    p.counter(Counter::DataflowReady),
-                    p.counter(Counter::WavefrontTiles),
-                    "{label}: every tile must pass through the ready state once"
-                );
-                assert_eq!(p.counter(Counter::SpaceSweeps), 0, "{label}");
-            }
-        }
+        // Every schedule runs on the one plan executor, whose tiles pass
+        // through the ready state once — edge-free segments included.
+        assert!(p.counter(Counter::WavefrontTiles) > 0, "{label}: no tiles");
+        assert_eq!(
+            p.counter(Counter::DataflowReady),
+            p.counter(Counter::WavefrontTiles),
+            "{label}: every tile must pass through the ready state once"
+        );
         let mut counts: Vec<u64> = Counter::ALL.iter().map(|&c| p.counter(c)).collect();
         counts[Counter::ParPublications as usize] = 0;
         // Steal counts are timing-dependent (a worker only steals when its

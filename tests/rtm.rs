@@ -9,6 +9,7 @@
 use std::sync::OnceLock;
 
 use tempest::core::config::EquationKind;
+use tempest::core::operator::Schedule;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Array2, Array3, Domain, Model, Shape};
 use tempest::sparse::SparsePoints;
@@ -167,7 +168,8 @@ fn rtm_checkpointed_restart_is_bitwise() {
     // The restart primitive behind checkpointed adjoint loops: running
     // [0, s), checkpointing, and running [s, nt) must equal the
     // uninterrupted run bit-for-bit — and restoring the checkpoint must
-    // re-materialise the second half identically.
+    // re-materialise the second half identically. Under the baseline and
+    // under a wave-front whose time tiles the seam cuts.
     let n = 24;
     let domain = Domain::uniform(Shape::cube(n), 10.0);
     let model = Model::two_layer(domain, 1500.0, 3000.0, 0.5);
@@ -178,28 +180,46 @@ fn rtm_checkpointed_restart_is_bitwise() {
     assert!(nt >= 4, "config too short to split");
     let split = nt / 2;
     let src = SparsePoints::single_center(&domain, 0.3);
-    let exec = Execution::baseline().sequential();
+    let baseline = Execution::baseline().sequential();
+    let tile_t = (3..).find(|&t| !split.is_multiple_of(t)).unwrap();
+    let wavefront = Execution {
+        schedule: Schedule::WavefrontDataflow {
+            tile_x: 8,
+            tile_y: 12,
+            tile_t,
+            block_x: 4,
+            block_y: 4,
+        },
+        ..Execution::wavefront_default()
+    };
 
     // Uninterrupted reference.
     let mut full = Acoustic::new(&model, cfg.clone(), src.clone(), None);
-    full.run(&exec);
+    full.run(&baseline);
     let reference = full.final_field();
     assert!(reference.max_abs() > 0.0);
 
-    // Split run with a checkpoint at the seam.
-    let mut part = Acoustic::new(&model, cfg, src, None);
-    part.run_range(&exec, 0, split);
-    let cp = part.checkpoint();
-    part.run_range(&exec, split, nt);
-    let split_field = part.final_field();
-    assert_eq!(reference.as_slice(), split_field.as_slice());
+    for exec in [baseline, wavefront] {
+        let what = exec.schedule_label();
+        full.run(&exec);
+        let full_field = full.final_field();
+        assert_eq!(reference.as_slice(), full_field.as_slice(), "{what}");
 
-    // Restart: restore the seam state and replay the second half.
-    part.restore_checkpoint(&cp);
-    // Guard against a vacuous test: the restored seam state must differ
-    // from the final state before the replay brings it back.
-    assert_ne!(reference.as_slice(), part.final_field().as_slice());
-    part.run_range(&exec, split, nt);
-    let replayed = part.final_field();
-    assert_eq!(reference.as_slice(), replayed.as_slice());
+        // Split run with a checkpoint at the seam.
+        let mut part = Acoustic::new(&model, cfg.clone(), src.clone(), None);
+        part.run_range(&exec, 0, split);
+        let cp = part.checkpoint();
+        part.run_range(&exec, split, nt);
+        let split_field = part.final_field();
+        assert_eq!(reference.as_slice(), split_field.as_slice(), "{what}");
+
+        // Restart: restore the seam state and replay the second half.
+        part.restore_checkpoint(&cp);
+        // Guard against a vacuous test: the restored seam state must differ
+        // from the final state before the replay brings it back.
+        assert_ne!(reference.as_slice(), part.final_field().as_slice());
+        part.run_range(&exec, split, nt);
+        let replayed = part.final_field();
+        assert_eq!(reference.as_slice(), replayed.as_slice(), "{what}");
+    }
 }

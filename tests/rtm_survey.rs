@@ -3,9 +3,10 @@
 //! `tests/rtm.rs` does it — hand-driven forward / adjoint / zero-lag
 //! correlation on the raw `tempest-core` API — at thread caps 1/2/4 for the
 //! shot fleet and for each shot's own dispatches, with and without
-//! mid-survey ring checkpoint/restore.
+//! mid-survey ring checkpoint/restore — and checkpointed on the wave-front.
 
 use tempest::core::config::EquationKind;
+use tempest::core::operator::Schedule;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Array2, Array3, Domain, Model, Shape};
 use tempest::par::{FlushGuard, Policy};
@@ -187,6 +188,36 @@ fn survey_rtm_matches_per_shot_reference_bitwise() {
             );
         }
     }
+}
+
+/// Checkpointed RTM on the wave-front: every snapshot and checkpoint is
+/// taken between plan segments, which end flat even where they cut a time
+/// tile, so the image is the dense baseline's bit for bit.
+#[test]
+fn checkpointed_wavefront_image_matches_dense_baseline() {
+    let s = setup();
+    let (true_sv, smooth_sv) = surveys(&s);
+    let observed: Vec<Array2<f32>> = run_survey(&true_sv, &SurveyOptions::default())
+        .unwrap()
+        .into_iter()
+        .map(|r| r.gather.unwrap())
+        .collect();
+    let dense = rtm_image(&smooth_sv, &observed, &RtmOptions::new(EVERY)).unwrap();
+    assert!(dense.max_abs() > 0.0, "dense image is empty");
+    let mut opts = RtmOptions::new(EVERY).with_checkpoint_stride(8);
+    opts.exec = Execution {
+        schedule: Schedule::WavefrontDataflow {
+            tile_x: 8,
+            tile_y: 12,
+            tile_t: 3,
+            block_x: 4,
+            block_y: 4,
+        },
+        policy: Policy::Capped { threads: 2 },
+        ..Execution::wavefront_default()
+    };
+    let ckpt = rtm_image(&smooth_sv, &observed, &opts).unwrap();
+    assert_eq!(dense.as_slice(), ckpt.as_slice());
 }
 
 /// The survey engine's custom-wavelet shots reproduce the shared-Ricker

@@ -19,6 +19,8 @@ mod common;
 use std::sync::{Mutex, MutexGuard};
 
 use tempest::core::config::EquationKind;
+#[cfg(feature = "obs")]
+use tempest::core::operator::Schedule;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Domain, Model, Shape};
 use tempest::obs;
@@ -139,7 +141,6 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     // visible in the trace shape — and the propagator phases show up under
     // the tiles, even though tiles complete in a work-stealing order.
     assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert_eq!(trace.count(SpanKind::Sweep), 0, "{name}: no space-blocked sweep ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "{name}: stencil phases traced");
     assert!(trace.count(SpanKind::Sparse) > 0, "{name}: sparse phases traced");
     assert_well_nested(trace);
@@ -192,13 +193,28 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
 
 #[cfg(feature = "obs")]
 #[test]
-fn sweep_schedule_records_its_own_spans() {
+fn baseline_run_records_one_tile_span_per_step_and_block() {
+    // The classic baseline runs one plan segment per timestep: one
+    // `Dataflow` span per step and one `Tile` span per (step, block), each
+    // labelled with its absolute step.
     let _g = guard();
     let mut s = acoustic64();
-    let trace = s.run_profiled(&Execution::baseline()).1.trace;
-    assert_eq!(trace.count(SpanKind::Sweep), NT, "one sweep span per timestep");
-    assert_eq!(trace.count(SpanKind::Tile), 0);
-    assert_eq!(trace.count(SpanKind::Dataflow), 0);
+    let exec = Execution::baseline();
+    let trace = s.run_profiled(&exec).1.trace;
+    let Schedule::SpaceBlocked { block_x, block_y } = exec.schedule else {
+        unreachable!("the baseline is space-blocked")
+    };
+    let blocks = N.div_ceil(block_x) * N.div_ceil(block_y);
+    assert_eq!(trace.count(SpanKind::Dataflow), NT, "one segment a step");
+    assert_eq!(trace.count(SpanKind::Tile), NT * blocks);
+    for t in 0..NT as i32 {
+        let tiles: Vec<_> = trace
+            .events_of(SpanKind::Tile)
+            .filter(|e| e.args.t0 == t)
+            .collect();
+        assert_eq!(tiles.len(), blocks, "step {t}");
+        assert!(tiles.iter().all(|e| e.args.t1 == t + 1), "step {t}");
+    }
     assert_well_nested(&trace);
     obs::trace::set_enabled(false);
 }
@@ -225,7 +241,7 @@ fn analysis_matches_trace_and_renders() {
 /// One clock: with events on and nothing dropped, every thread's recorded
 /// time of every span kind is exactly the summed duration of its events of
 /// that kind — the phase times *are* the spans. Covers the three
-/// propagators and the DSL operator, both executors, fused and classic
+/// propagators and the DSL operator, both schedules, fused and classic
 /// sparse operators, the pool's barrier waits and a cache restore.
 #[cfg(feature = "obs")]
 #[test]
