@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the off-grid sparse-operator paths:
 //! classic per-timestep injection (Listing 1), the one-off precomputation
-//! cost (§II.A — the "negligible overhead" claim), and the per-step fused
-//! apply in its uncompressed (Listing 4) and compressed (Listing 5) forms.
+//! cost (§II.A — the "negligible overhead" claim: points, decomposed
+//! wavelets and the pencil index), and the per-step fused apply over the
+//! compressed index (Listing 5).
 
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config};
 use tempest_grid::{Domain, Field, Shape};
 use tempest_sparse::wavelet::wavelet_matrix;
-use tempest_sparse::{inject, ricker, CompressedMask, SourcePrecompute, SparsePoints};
+use tempest_sparse::{inject, ricker, SourcePrecompute, SparsePoints};
 
 const N: usize = 96;
 const NT: usize = 32;
@@ -36,8 +37,7 @@ fn bench_precompute_build(cfg: Config) {
         let w = wavelet_matrix(&ricker(10.0, 0.001, NT), nsrc);
         microbench::run(&format!("precompute_build/{nsrc}"), cfg, || {
             let pre = SourcePrecompute::build(black_box(&d), &pts, &w);
-            let comp = CompressedMask::build(&pre.sid);
-            black_box((pre.npts(), comp.total()));
+            black_box((pre.npts(), pre.index.total()));
         });
     }
 }
@@ -47,32 +47,13 @@ fn bench_fused_apply(cfg: Config) {
     let pts = SparsePoints::plane_layout(&d, 64, 0.5, 0.37);
     let w = wavelet_matrix(&ricker(10.0, 0.001, NT), 64);
     let pre = SourcePrecompute::build(&d, &pts, &w);
-    let comp = CompressedMask::build(&pre.sid);
     let mut f = Field::zeros(d.shape(), 2);
 
-    // Listing 4: full z scan against the binary mask.
-    microbench::run("fused_apply_per_sweep/uncompressed_mask_scan", cfg, || {
-        let dcmp = pre.dcmp_row(3);
-        for x in 0..N {
-            for y in 0..N {
-                let sm = pre.sm_pencil(x, y);
-                let sid = pre.sid_pencil(x, y);
-                for z in 0..N {
-                    if sm[z] != 0 {
-                        f.add(x, y, z, dcmp[sid[z] as usize]);
-                    }
-                }
-            }
-        }
-        black_box(&f);
-    });
-
-    // Listing 5: compressed nnz entries only.
     microbench::run("fused_apply_per_sweep/compressed_nnz", cfg, || {
         let dcmp = pre.dcmp_row(3);
         for x in 0..N {
             for y in 0..N {
-                for (z, id) in comp.entries(x, y) {
+                for (z, id) in pre.index.entries(x, y) {
                     f.add(x, y, z, dcmp[id]);
                 }
             }

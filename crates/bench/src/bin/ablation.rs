@@ -1,11 +1,14 @@
 //! Ablation studies of the design choices DESIGN.md calls out:
 //!
-//! 1. **Listing 4 vs Listing 5** — fused source injection with the full-z
-//!    mask scan vs the compressed `nnz_mask`/`Sp_SID` iteration space, as a
-//!    function of source count (the compression is §II.A-5's point).
-//! 2. **Temporal tile height** — sweep `tile_t` from 1 (≈ spatial blocking)
-//!    upward: cache reuse grows with the tile height until the skewed
-//!    working set falls out of cache.
+//! * **B. Temporal tile height** — sweep `tile_t` from 1 (≈ spatial
+//!   blocking) upward: cache reuse grows with the tile height until the
+//!   skewed working set falls out of cache.
+//! * **C. Pure skewing vs tiling** — one whole-grid tile vs the tiled
+//!   wave-front.
+//! * **D. Kernel backends** — scalar reference loops vs every vector backend.
+//!
+//! The letters match EXPERIMENTS.md §Ablations, which also keeps ablation A
+//! (Listing 4 vs 5), the evidence for shipping Listing 5 alone.
 //!
 //! ```text
 //! cargo run -p tempest-bench --release --bin ablation -- [--size 256] [--nt 16] [--fast]
@@ -14,10 +17,6 @@
 use tempest_bench::args::HarnessArgs;
 use tempest_bench::report::{f3, Table};
 use tempest_bench::{setup, sweep};
-use tempest_core::operator::SparseMode;
-use tempest_core::WaveSolver;
-use tempest_grid::{Domain, Shape};
-use tempest_sparse::SparsePoints;
 use tempest_tiling::Candidate;
 
 fn main() {
@@ -26,7 +25,6 @@ fn main() {
         "ablation: grid {}^3, nt {}, acoustic so4",
         args.size, args.nt
     );
-    listing4_vs_listing5(&args);
     tile_height_sweep(&args);
     skewing_vs_tiling(&args);
     scalar_vs_pencil(&args);
@@ -130,49 +128,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         let st = sweep::measure(&mut s, &sweep::exec_wavefront(&c), 1);
         println!("  {label}: {:.3} GPts/s", st.gpoints_per_s);
         table.row(&[label.to_string(), f3(st.gpoints_per_s)]);
-    }
-    table.print();
-}
-
-fn listing4_vs_listing5(args: &HarnessArgs) {
-    let mut table = Table::new(
-        "Ablation A — fused source loop: Listing 4 (mask scan) vs Listing 5 (compressed)",
-        &["sources", "affected", "fused GPts/s", "compressed GPts/s", "compressed/fused"],
-    );
-    let domain = Domain::uniform(Shape::cube(args.size), 10.0);
-    let best = Candidate {
-        tile_x: 16,
-        tile_y: 16,
-        tile_t: 8.min(args.nt),
-        block_x: 8,
-        block_y: 8,
-    };
-    let counts = if args.fast {
-        vec![1usize, 64]
-    } else {
-        vec![1usize, 64, 1024, 8192]
-    };
-    for n in counts {
-        let pts = SparsePoints::dense_layout(&domain, n, 0.37);
-        let mut s = setup::acoustic_with_sources(args.size, 4, args.nt, pts);
-        let affected = s.sources().pre.npts();
-        let mut e_fused = sweep::exec_wavefront(&best);
-        e_fused.sparse = SparseMode::Fused;
-        let full = sweep::measure(&mut s, &e_fused, 1);
-        let mut e_comp = e_fused;
-        e_comp.sparse = SparseMode::FusedCompressed;
-        let comp = sweep::measure(&mut s, &e_comp, 1);
-        println!(
-            "  n={n}: affected {affected}, fused {:.3}, compressed {:.3}",
-            full.gpoints_per_s, comp.gpoints_per_s
-        );
-        table.row(&[
-            n.to_string(),
-            affected.to_string(),
-            f3(full.gpoints_per_s),
-            f3(comp.gpoints_per_s),
-            format!("{:.2}x", comp.gpoints_per_s / full.gpoints_per_s),
-        ]);
     }
     table.print();
 }

@@ -10,7 +10,7 @@
 //!
 //! The same region-update kernel serves every schedule and every backend;
 //! the sparse source / receiver work is either skipped (classic path,
-//! applied between timesteps) or fused per pencil (Listings 4–5) — both
+//! applied between timesteps) or fused per pencil (Listing 5) — both
 //! through the shared routines of [`crate::sources`].
 
 use std::sync::{Arc, OnceLock};

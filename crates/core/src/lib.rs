@@ -5,8 +5,8 @@
 //! (§III-B) and isotropic elastic (§III-C) — that run under either the
 //! spatially blocked baseline schedule (classic per-timestep off-grid
 //! sparse operators, Listing 1) or **wave-front temporal blocking** with the
-//! precomputed, grid-aligned, loop-fused sparse operators of §II
-//! (Listings 4–5).
+//! precomputed, grid-aligned, loop-fused and compressed sparse operators of
+//! §II (Listing 5).
 //!
 //! Entry points:
 //!

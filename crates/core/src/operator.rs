@@ -27,11 +27,9 @@ pub enum SparseMode {
     /// moment exists inside a tile row, and they would inject/measure at
     /// wrong space-time coordinates (Fig. 4b).
     Classic,
-    /// Precomputed, grid-aligned, fused into the loop nest; the `z2` loop
-    /// scans the full pencil against the binary mask (Listing 4).
-    Fused,
-    /// Fused with the compressed `nnz_mask` / `Sp_SID` iteration space
-    /// (Listing 5) — the paper's recommended configuration.
+    /// Precomputed, grid-aligned, fused into the loop nest over the
+    /// compressed `nnz_mask` / `Sp_SID` iteration space (Listing 5) — the
+    /// paper's recommended configuration.
     FusedCompressed,
 }
 
@@ -311,8 +309,8 @@ impl Execution {
             panic!(
                 "classic (per-timestep) sparse operators are illegal under wave-front \
                  temporal blocking: source injection would precede/miss stencil updates \
-                 of blocks at different timesteps (paper Fig. 4b). Use SparseMode::Fused \
-                 or SparseMode::FusedCompressed (the precomputation scheme of §II.A)."
+                 of blocks at different timesteps (paper Fig. 4b). Use \
+                 SparseMode::FusedCompressed (the precomputation scheme of §II.A)."
             );
         }
     }
@@ -445,9 +443,9 @@ pub trait WaveSolver: Sync {
     /// layout against the cache's last completed run of the same session,
     /// mark the delta's light cone over the tile plan, restore every clean
     /// cached tile (its gathers always, its wavefield where something reads
-    /// it) and recompute only the rest. The result —
-    /// wavefield *and* (per-thread-cap) traces — is bitwise-identical to a
-    /// cold full run; only the work differs.
+    /// it) and recompute only the rest. The result — wavefield *and*
+    /// traces — is bitwise-identical to a cold full run at any thread cap;
+    /// only the work differs.
     ///
     /// `shot_key` distinguishes otherwise-identical solves sharing one cache
     /// (e.g. the survey engine passes the shot index). `SparseMode::Classic`

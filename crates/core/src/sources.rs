@@ -1,7 +1,7 @@
 //! Source / receiver bundles: everything a propagator needs for both the
-//! classic (Listing 1) and the precomputed-fused (Listings 4–5) sparse-
-//! operator paths, built once per simulation — and the two paths themselves,
-//! written once for all three propagators: [`classic_step`] and
+//! classic (Listing 1) and the precomputed, fused and compressed (Listing 5)
+//! sparse-operator paths, built once per simulation — and the two paths
+//! themselves, written once for all three propagators: [`classic_step`] and
 //! [`FusedPencil`]. A propagator contributes only *where an amplitude lands*
 //! (which fields, at what scale) and *which freshly written row receivers
 //! read*; the walk over affected points, the mode switch, the clipping to
@@ -29,11 +29,9 @@ pub struct SourceBundle {
     pub wavelets: Array2<f32>,
     /// Trilinear footprints (classic injection path).
     pub stencils: Vec<InterpStencil>,
-    /// The paper's precomputed grid-aligned structures (`SM`, `SID`,
-    /// `src_dcmp`).
+    /// The paper's precomputed grid-aligned structures (affected points,
+    /// `src_dcmp`, the per-pencil index).
     pub pre: SourcePrecompute,
-    /// Compressed per-pencil index (`nnz_mask` / `Sp_SID`).
-    pub comp: CompressedMask,
 }
 
 impl SourceBundle {
@@ -42,13 +40,11 @@ impl SourceBundle {
         assert_eq!(wavelets.dims()[1], points.len());
         let stencils = trilinear_all(domain, &points);
         let pre = SourcePrecompute::build(domain, &points, &wavelets);
-        let comp = CompressedMask::build(&pre.sid);
         SourceBundle {
             points,
             wavelets,
             stencils,
             pre,
-            comp,
         }
     }
 
@@ -79,10 +75,8 @@ pub struct ReceiverBundle {
     pub points: SparsePoints,
     /// Trilinear footprints (classic interpolation path).
     pub stencils: Vec<InterpStencil>,
-    /// Grid-aligned gather structures (`RM`, `RID`, CSR contributions).
+    /// Grid-aligned gather structures (per-pencil index, CSR contributions).
     pub pre: ReceiverPrecompute,
-    /// Compressed per-pencil index.
-    pub comp: CompressedMask,
 }
 
 impl ReceiverBundle {
@@ -90,12 +84,10 @@ impl ReceiverBundle {
     pub fn new(domain: &Domain, points: SparsePoints) -> Self {
         let stencils = trilinear_all(domain, &points);
         let pre = ReceiverPrecompute::build(domain, &points);
-        let comp = pre.compressed();
         ReceiverBundle {
             points,
             stencils,
             pre,
-            comp,
         }
     }
 
@@ -142,11 +134,9 @@ pub fn classic_step(
 }
 
 /// The fused sparse operators of timestep `k` on one freshly stepped pencil
-/// `(x, y)`, clipped to the region's `zs`: Listing 4 (`SparseMode::Fused`,
-/// the `z` range scanned against the binary mask) or Listing 5
-/// (`FusedCompressed`, the pencil's `Sp_SID` entries walked), for the source
-/// injection and its receiver mirror alike. Both visit the affected points
-/// in ascending `z`, so the two modes produce the same bits.
+/// `(x, y)`, clipped to the region's `zs`: the pencil's entries in the
+/// compressed index (Listing 5) walked in ascending `z`, for the source
+/// injection and its receiver mirror alike.
 ///
 /// Opened once per pencil, then [`inject`](Self::inject) and/or
 /// [`gather`](Self::gather); dropping it records `SourceInjections` (one per
@@ -154,7 +144,6 @@ pub fn classic_step(
 /// a `SpanKind::Sparse` span — cancelled when the pencil had no sparse
 /// work, so `Sparse` time counts only pencils that had some.
 pub struct FusedPencil {
-    compressed: bool,
     k: usize,
     x: usize,
     y: usize,
@@ -175,13 +164,10 @@ impl FusedPencil {
         y: usize,
         zs: Range<usize>,
     ) -> Option<Self> {
-        let compressed = match mode {
-            SparseMode::Classic => return None,
-            SparseMode::Fused => false,
-            SparseMode::FusedCompressed => true,
-        };
+        if mode == SparseMode::Classic {
+            return None;
+        }
         Some(FusedPencil {
-            compressed,
             k,
             x,
             y,
@@ -192,30 +178,13 @@ impl FusedPencil {
         })
     }
 
-    /// Call `f(z, id)` for every affected point of the pencil inside `zs`,
-    /// in ascending `z`; `dense` lends the pencil's mask and ID rows to the
-    /// Listing-4 scan.
+    /// Call `f(z, id)` for every point of `index` in the pencil inside `zs`,
+    /// in ascending `z`.
     #[inline]
-    fn affected<'a>(
-        &self,
-        dense: impl FnOnce() -> (&'a [u8], &'a [i32]),
-        comp: &CompressedMask,
-        mut f: impl FnMut(usize, usize),
-    ) {
-        if !self.compressed {
-            let (mask, ids) = dense();
-            for z in self.zs.clone() {
-                if mask[z] != 0 {
-                    f(z, ids[z] as usize);
-                }
-            }
-        } else if comp.count(self.x, self.y) != 0 {
-            // Nearly every pencil fails the test above: that is all the
-            // compressed scheme costs a pencil without sparse work.
-            for (z, id) in comp.entries(self.x, self.y) {
-                if self.zs.contains(&z) {
-                    f(z, id);
-                }
+    fn affected(&self, index: &CompressedMask, mut f: impl FnMut(usize, usize)) {
+        for (z, id) in index.entries(self.x, self.y) {
+            if self.zs.contains(&z) {
+                f(z, id);
             }
         }
     }
@@ -224,16 +193,12 @@ impl FusedPencil {
     /// amplitude of timestep `k` at every affected `z` of the pencil.
     #[inline]
     pub fn inject(&mut self, src: &SourceBundle, mut apply: impl FnMut(usize, f32)) {
-        let (k, x, y) = (self.k, self.x, self.y);
+        let k = self.k;
         let mut injections = 0u64;
-        self.affected(
-            || (src.pre.sm_pencil(x, y), src.pre.sid_pencil(x, y)),
-            &src.comp,
-            |z, id| {
-                apply(z, src.pre.dcmp_row(k)[id]);
-                injections += 1;
-            },
-        );
+        self.affected(&src.pre.index, |z, id| {
+            apply(z, src.pre.dcmp_row(k)[id]);
+            injections += 1;
+        });
         self.injections += injections;
     }
 
@@ -251,20 +216,16 @@ impl FusedPencil {
             return;
         };
         debug_assert_eq!(fresh.len(), self.zs.len());
-        let (k, x, y, z0) = (self.k, self.x, self.y, self.zs.start);
+        let (k, z0) = (self.k, self.zs.start);
         let mut gathers = 0u64;
-        self.affected(
-            || (rec.pre.rm_pencil(x, y), rec.pre.rid_pencil(x, y)),
-            &rec.comp,
-            |z, id| {
-                let v = fresh[z - z0];
-                let contribs = rec.pre.contributions(id);
-                gathers += contribs.len() as u64;
-                for &(slot, w) in contribs {
-                    trace.store(k, slot as usize, w * v);
-                }
-            },
-        );
+        self.affected(&rec.pre.index, |z, id| {
+            let v = fresh[z - z0];
+            let contribs = rec.pre.contributions(id);
+            gathers += contribs.len() as u64;
+            for &(slot, w) in contribs {
+                trace.store(k, slot as usize, w * v);
+            }
+        });
         self.gathers += gathers;
     }
 }
@@ -299,7 +260,7 @@ mod tests {
         assert_eq!(b.num_sources(), 4);
         assert_eq!(b.wavelets.dims(), [32, 4]);
         assert_eq!(b.stencils.len(), 4);
-        assert_eq!(b.comp.total(), b.pre.npts());
+        assert_eq!(b.pre.index.total(), b.pre.npts());
         assert_eq!(b.amps_at(0).len(), 4);
     }
 
@@ -309,7 +270,7 @@ mod tests {
         let pts = SparsePoints::receiver_line(&d, 7, 0.1);
         let b = ReceiverBundle::new(&d, pts);
         assert_eq!(b.num_receivers(), 7);
-        assert_eq!(b.comp.total(), b.pre.npts());
+        assert_eq!(b.pre.index.total(), b.pre.npts());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Receiver trace storage with one slot per footprint corner.
 //!
-//! The fused receiver gather (mirror of Listing 4) measures
+//! The fused receiver gather (mirror of Listing 5) measures
 //! `rec[t][r] = Σ_j w_j · u[t][p_j]` from inside block updates; blocks of one
 //! slab run in parallel and a receiver's 8-point footprint can straddle a
 //! block boundary, so the corners of one sum are produced by different tiles

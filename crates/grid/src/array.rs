@@ -273,8 +273,8 @@ impl<T: Copy> std::ops::IndexMut<(usize, usize, usize)> for Array3<T> {
 
 /// A dense 2-D array with the second axis contiguous.
 ///
-/// Used for per-pencil metadata (the paper's `nnz_mask[x][y]`), decomposed
-/// source wavelets (`src_dcmp[t][id]`) and receiver traces (`rec[t][r]`).
+/// Used for decomposed source wavelets (`src_dcmp[t][id]`) and receiver
+/// traces (`rec[t][r]`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Array2<T> {
     dims: [usize; 2],

@@ -1,104 +1,78 @@
 //! Iteration-space compression for fused sparse operators
 //! (paper Listing 5 / Fig. 6).
 //!
-//! The fused `z2` loop of Listing 4 scans the whole `z` pencil even though
-//! `SM`/`SID` are "massively sparse — multiplications by zero are dominant"
-//! (§II.A-5). The compression aggregates the non-zero occurrences along `z`:
-//! `nnz_mask[x][y]` counts them, and the `Sp_SID` volume is trimmed to the
-//! deepest pencil, storing for each `(x, y, k)` the z-index of the k-th
-//! affected point (and, as a direct-access convenience, its ID).
+//! The dense masks of §II.A are "massively sparse — multiplications by zero
+//! are dominant" (§II.A-5), so the fused loop walks only the affected points
+//! of each `(x, y)` pencil: the paper's `nnz_mask[x][y]` counts them and
+//! `Sp_SID` lists their `z`. Here both are one CSR over pencils, built
+//! straight from the affected points in canonical grid order: the points of
+//! one pencil are contiguous there, so `offsets[x·ny + y] ..
+//! offsets[x·ny + y + 1]` are the pencil's ids and the id of a point is its
+//! position. Nothing grid-sized but the `nx·ny + 1` offsets is stored.
 
-use tempest_grid::{Array2, Array3, Shape};
+use tempest_grid::Shape;
 
 /// Compressed per-pencil index of affected points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedMask {
-    /// `nnz_mask[x][y]`: number of affected points in the `(x, y)` pencil.
-    pub nnz: Array2<u32>,
-    /// `sp_z[x][y][k]`: z-index of the k-th affected point (padding −1).
-    pub sp_z: Array3<i32>,
-    /// `sp_id[x][y][k]`: unique ID of that point (padding −1). This is the
-    /// value `SID[x, y, sp_z[x][y][k]]` — stored directly so the hot loop
-    /// does one indirection instead of two.
-    pub sp_id: Array3<i32>,
-    /// Depth of the trimmed third axis (`max_k` over all pencils, ≥ 1).
-    pub depth: usize,
+    /// Pencil `(x, y)` holds ids `offsets[x·ny + y] .. offsets[x·ny + y + 1]`.
+    offsets: Vec<u32>,
+    /// `z` of every point, in id order.
+    z: Vec<u32>,
+    ny: usize,
 }
 
 impl CompressedMask {
-    /// Build from an ID volume (−1 = unaffected), e.g.
-    /// [`crate::SourcePrecompute::sid`] or [`crate::ReceiverPrecompute::rid`].
-    pub fn build(sid: &Array3<i32>) -> Self {
-        let [nx, ny, nz] = sid.dims();
-        let mut nnz = Array2::zeros(nx, ny);
-        let mut depth = 0usize;
-        for x in 0..nx {
-            for y in 0..ny {
-                let c = sid.pencil(x, y).iter().filter(|&&v| v >= 0).count();
-                nnz.set(x, y, c as u32);
-                depth = depth.max(c);
-            }
+    /// Index `points` — sorted, deduplicated, inside `shape` — in
+    /// O(points + nx·ny).
+    pub(crate) fn from_points(shape: Shape, points: &[[usize; 3]]) -> Self {
+        debug_assert!(
+            points.windows(2).all(|w| w[0] < w[1]),
+            "points must be sorted and deduplicated"
+        );
+        let ny = shape.ny;
+        let mut offsets = vec![0u32; shape.nx * ny + 1];
+        for &[x, y, _] in points {
+            offsets[x * ny + y + 1] += 1;
         }
-        let stored = depth.max(1);
-        let mut sp_z = Array3::full(nx, ny, stored, -1i32);
-        let mut sp_id = Array3::full(nx, ny, stored, -1i32);
-        for x in 0..nx {
-            for y in 0..ny {
-                let mut k = 0usize;
-                for z in 0..nz {
-                    let id = sid.get(x, y, z);
-                    if id >= 0 {
-                        sp_z.set(x, y, k, z as i32);
-                        sp_id.set(x, y, k, id);
-                        k += 1;
-                    }
-                }
-            }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        CompressedMask {
-            nnz,
-            sp_z,
-            sp_id,
-            depth,
-        }
+        let z = points.iter().map(|p| p[2] as u32).collect();
+        CompressedMask { offsets, z, ny }
+    }
+
+    /// Ids of the `(x, y)` pencil.
+    #[inline]
+    fn ids(&self, x: usize, y: usize) -> std::ops::Range<usize> {
+        let p = x * self.ny + y;
+        self.offsets[p] as usize..self.offsets[p + 1] as usize
     }
 
     /// Affected `(z, id)` pairs of the `(x, y)` pencil, in ascending z.
     #[inline]
     pub fn entries(&self, x: usize, y: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.nnz.get(x, y) as usize;
-        let zs = self.sp_z.pencil(x, y);
-        let ids = self.sp_id.pencil(x, y);
-        (0..n).map(move |k| (zs[k] as usize, ids[k] as usize))
+        let ids = self.ids(x, y);
+        self.z[ids.clone()]
+            .iter()
+            .zip(ids)
+            .map(|(&z, id)| (z as usize, id))
     }
 
     /// Number of affected points in the `(x, y)` pencil.
     #[inline]
     pub fn count(&self, x: usize, y: usize) -> usize {
-        self.nnz.get(x, y) as usize
+        self.ids(x, y).len()
     }
 
     /// Total affected points across all pencils.
     pub fn total(&self) -> usize {
-        self.nnz.as_slice().iter().map(|&c| c as usize).sum()
+        self.z.len()
     }
 
-    /// Iteration-space reduction factor versus the uncompressed Listing-4
-    /// loop: `(nx·ny·nz) / Σ nnz` — "the opportunity to reduce the iteration
-    /// space generally applies to the majority of problems in seismic"
-    /// (§II.A-5). Returns `f64::INFINITY` for an empty mask.
-    pub fn reduction_factor(&self, shape: Shape) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            f64::INFINITY
-        } else {
-            shape.len() as f64 / total as f64
-        }
-    }
-
-    /// Extra memory of the compressed structures, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.nnz.len() * 4 + self.sp_z.len() * 4 + self.sp_id.len() * 4
+    /// Memory of the index, in bytes.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.z[..])
     }
 }
 
@@ -106,28 +80,23 @@ impl CompressedMask {
 mod tests {
     use super::*;
 
-    fn sid_with(points: &[[usize; 3]], shape: Shape) -> Array3<i32> {
-        let mut sid = Array3::full(shape.nx, shape.ny, shape.nz, -1i32);
+    fn index(points: &[[usize; 3]], shape: Shape) -> CompressedMask {
         let mut sorted = points.to_vec();
         sorted.sort_unstable();
-        for (id, &[x, y, z]) in sorted.iter().enumerate() {
-            sid.set(x, y, z, id as i32);
-        }
-        sid
+        CompressedMask::from_points(shape, &sorted)
     }
 
     #[test]
     fn counts_and_depth() {
         let s = Shape::cube(8);
-        let sid = sid_with(
-            &[[1, 1, 0], [1, 1, 3], [1, 1, 7], [4, 5, 2]],
-            s,
-        );
-        let c = CompressedMask::build(&sid);
+        let c = index(&[[1, 1, 0], [1, 1, 3], [1, 1, 7], [4, 5, 2]], s);
         assert_eq!(c.count(1, 1), 3);
         assert_eq!(c.count(4, 5), 1);
         assert_eq!(c.count(0, 0), 0);
-        assert_eq!(c.depth, 3);
+        assert_eq!(c.count(7, 7), 0);
+        // The deepest pencil: Fig. 6's trimmed `Sp_SID` depth.
+        let depth = s.iter().map(|(x, y, _)| c.count(x, y)).max();
+        assert_eq!(depth, Some(3));
         assert_eq!(c.total(), 4);
     }
 
@@ -135,50 +104,30 @@ mod tests {
     fn entries_match_sid_in_order() {
         let s = Shape::cube(8);
         let pts = [[2, 3, 1], [2, 3, 5], [2, 3, 6], [7, 0, 0]];
-        let sid = sid_with(&pts, s);
-        let c = CompressedMask::build(&sid);
+        let c = index(&pts, s);
         let e: Vec<_> = c.entries(2, 3).collect();
-        assert_eq!(e.len(), 3);
-        // ascending z, ids consistent with the SID volume
-        assert_eq!(e[0].0, 1);
-        assert_eq!(e[1].0, 5);
-        assert_eq!(e[2].0, 6);
-        for &(z, id) in &e {
-            assert_eq!(sid.get(2, 3, z), id as i32);
-        }
+        // Ascending z; the id is the point's position in grid order.
+        assert_eq!(e, vec![(1, 0), (5, 1), (6, 2)]);
+        assert_eq!(c.entries(7, 0).collect::<Vec<_>>(), vec![(0, 3)]);
         assert_eq!(c.entries(0, 0).count(), 0);
     }
 
     #[test]
     fn trimmed_depth_saves_memory() {
-        // One affected point in a 32³ grid: Sp_SID stores depth 1 instead
-        // of nz=32 (Fig. 6 "cutting off z-slices where all elements are
-        // zero").
-        let s = Shape::cube(32);
-        let sid = sid_with(&[[10, 11, 12]], s);
-        let c = CompressedMask::build(&sid);
-        assert_eq!(c.depth, 1);
-        assert_eq!(c.sp_z.dims(), [32, 32, 1]);
-        assert!(c.memory_bytes() < 32 * 32 * 32 * 4);
-    }
-
-    #[test]
-    fn reduction_factor_large_for_sparse() {
-        let s = Shape::cube(32);
-        let sid = sid_with(&[[1, 2, 3], [4, 5, 6]], s);
-        let c = CompressedMask::build(&sid);
-        let f = c.reduction_factor(s);
-        assert!((f - 32.0f64.powi(3) / 2.0).abs() < 1e-9);
+        // One affected point in a 32³ grid: the index stores the pencil
+        // offsets and one z (Fig. 6 "cutting off z-slices where all
+        // elements are zero"), whatever nz is.
+        let c = index(&[[10, 11, 12]], Shape::cube(32));
+        assert_eq!(c.memory_bytes(), (32 * 32 + 1) * 4 + 4);
+        let tall = index(&[[10, 11, 12]], Shape::new(32, 32, 512));
+        assert_eq!(tall.memory_bytes(), c.memory_bytes());
     }
 
     #[test]
     fn empty_mask_is_representable() {
-        let s = Shape::cube(4);
-        let sid = Array3::full(4, 4, 4, -1i32);
-        let c = CompressedMask::build(&sid);
+        let c = index(&[], Shape::cube(4));
         assert_eq!(c.total(), 0);
-        assert_eq!(c.depth, 0);
-        assert!(c.reduction_factor(s).is_infinite());
+        assert!(Shape::cube(4).iter().all(|(x, y, _)| c.count(x, y) == 0));
     }
 
     #[test]
@@ -187,11 +136,12 @@ mod tests {
         // extreme where compression stops helping but stays correct.
         let s = Shape::cube(6);
         let pts: Vec<[usize; 3]> = (0..6).map(|z| [3, 3, z]).collect();
-        let sid = sid_with(&pts, s);
-        let c = CompressedMask::build(&sid);
+        let c = index(&pts, s);
         assert_eq!(c.count(3, 3), 6);
-        assert_eq!(c.depth, 6);
         let e: Vec<_> = c.entries(3, 3).collect();
-        assert_eq!(e.iter().map(|&(z, _)| z).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(
+            e.iter().map(|&(z, _)| z).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4, 5]
+        );
     }
 }

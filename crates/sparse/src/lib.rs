@@ -12,21 +12,23 @@
 //! 1. **probe** the affected grid points by injecting into an empty grid
 //!    (Listing 2) — [`precompute::SourcePrecompute::build_probed`], with an
 //!    analytic fast path [`precompute::SourcePrecompute::build`];
-//! 2. build the binary **source mask** `SM` and unique-ID volume `SID`
-//!    (Fig. 5b/5c);
+//! 2. give them unique IDs in canonical grid order — the source mask `SM`
+//!    and ID volume `SID` of Fig. 5b/5c, held as the sorted point list
+//!    rather than as grid-sized volumes;
 //! 3. **decompose** the off-grid wavelets into per-affected-point, grid-
 //!    aligned wavelets `src_dcmp[t][id]` (Listing 3, Fig. 5d);
-//! 4. **fuse** injection into the stencil loop nest (Listing 4) — this
-//!    crate supplies the structures ([`precompute::SourcePrecompute`]'s
-//!    `SM`/`SID`/`src_dcmp`); the fused per-pencil apply itself is
+//! 4. **compress** the iteration space per `(x, y)` pencil — the
+//!    `nnz_mask` / `Sp_SID` of Listing 5 and Fig. 6, one CSR built from the
+//!    points: [`compressed::CompressedMask`];
+//! 5. **fuse** injection into the stencil loop nest over that index — this
+//!    crate supplies the structures; the fused per-pencil apply itself is
 //!    `tempest_core::sources::FusedPencil`, called from each propagator's
-//!    step body;
-//! 5. **compress** the iteration space with `nnz_mask` / `Sp_SID`
-//!    (Listing 5, Fig. 6) — [`compressed::CompressedMask`].
+//!    step body.
 //!
 //! Receiver interpolation gets the mirror treatment ([`receivers`]): affected
-//! points are masked and ID'd, and the gather is fused into the blocked loop
-//! so measurements are taken at exactly the right space-time coordinates.
+//! points are ID'd and indexed the same way, and the gather is fused into the
+//! blocked loop so measurements are taken at exactly the right space-time
+//! coordinates.
 
 pub mod classic;
 pub mod compressed;

@@ -7,34 +7,32 @@
 //!    one injection step (Listing 2, [`SourcePrecompute::build_probed`]) or
 //!    analytically from the interpolation footprints
 //!    ([`SourcePrecompute::build`]); the two agree (tested);
-//! 2. build the binary source mask `SM` (Fig. 5b) and the unique-ID volume
-//!    `SID` (Fig. 5c) — ascending IDs in canonical grid order;
+//! 2. give each a unique ID, ascending in canonical grid order — the paper's
+//!    `SM`/`SID` volumes (Fig. 5b/5c), kept here as the sorted point list
+//!    itself: a point's ID is its position in it;
 //! 3. decompose the sources' wavelets into per-affected-point time series
 //!    `src_dcmp[t][id] = Σ_s w(s→id) · src[t][s]` (Listing 3);
-//! 4. expose pencil views of `SM`/`SID`/`src_dcmp` so the stencil kernels can
-//!    *fuse* injection into the dense loop nest (Listing 4) at the right
-//!    space-time coordinates of any — including temporally blocked —
-//!    schedule.
+//! 4. index the points per `(x, y)` pencil ([`CompressedMask`], Listing 5)
+//!    so the stencil kernels can *fuse* injection into the dense loop nest at
+//!    the right space-time coordinates of any — including temporally
+//!    blocked — schedule.
 //!
-//! The iteration-space *compression* of Listing 5 lives in
-//! [`crate::compressed`].
+//! Nothing here is grid-sized but the index's `nx·ny + 1` pencil offsets.
 
+use crate::compressed::CompressedMask;
 use crate::interp::trilinear_all;
 use crate::points::SparsePoints;
-use tempest_grid::{Array2, Array3, Domain, Field};
+use tempest_grid::{Array2, Domain, Field};
 
 /// Grid-aligned, precomputed source injection data.
 #[derive(Debug, Clone)]
 pub struct SourcePrecompute {
-    /// Binary source mask `SM` (Fig. 5b): 1 where a source affects the point.
-    pub sm: Array3<u8>,
-    /// Unique-ID volume `SID` (Fig. 5c): ascending id per affected point,
-    /// `-1` elsewhere.
-    pub sid: Array3<i32>,
     /// Affected grid points in id order (canonical grid order).
     pub points: Vec<[usize; 3]>,
     /// Decomposed wavelets `src_dcmp[t][id]` (Listing 3 / Fig. 5d).
     pub src_dcmp: Array2<f32>,
+    /// Per-pencil index of `points` (`nnz_mask` / `Sp_SID`, Listing 5).
+    pub index: CompressedMask,
 }
 
 impl SourcePrecompute {
@@ -105,34 +103,26 @@ impl SourcePrecompute {
         wavelets: &Array2<f32>,
         affected: Vec<[usize; 3]>,
     ) -> Self {
-        let s = domain.shape();
         let nt = wavelets.dims()[0];
-        let mut sm = Array3::zeros(s.nx, s.ny, s.nz);
-        let mut sid = Array3::full(s.nx, s.ny, s.nz, -1i32);
-        for (id, &[x, y, z]) in affected.iter().enumerate() {
-            sm.set(x, y, z, 1u8);
-            sid.set(x, y, z, id as i32);
-        }
         // Listing 3: decompose the wavelets onto the affected points.
         let npts = affected.len().max(1);
         let mut src_dcmp = Array2::zeros(nt.max(1), npts);
         let stencils = trilinear_all(domain, sources);
         for (sidx, st) in stencils.iter().enumerate() {
             for (c, w) in st.nonzero() {
-                let id = sid.get(c[0], c[1], c[2]);
-                debug_assert!(id >= 0, "footprint point missing from affected set");
-                if id < 0 {
+                let id = affected.binary_search(&c);
+                debug_assert!(id.is_ok(), "footprint point missing from affected set");
+                let Ok(id) = id else {
                     continue; // cancellation-probed builds may drop points
-                }
+                };
                 for t in 0..nt {
-                    let v = src_dcmp.get(t, id as usize) + w * wavelets.get(t, sidx);
-                    src_dcmp.set(t, id as usize, v);
+                    let v = src_dcmp.get(t, id) + w * wavelets.get(t, sidx);
+                    src_dcmp.set(t, id, v);
                 }
             }
         }
         SourcePrecompute {
-            sm,
-            sid,
+            index: CompressedMask::from_points(domain.shape(), &affected),
             points: affected,
             src_dcmp,
         }
@@ -148,31 +138,19 @@ impl SourcePrecompute {
         self.src_dcmp.dims()[0]
     }
 
-    /// Mask pencil at `(x, y)` (length `nz`, unit stride).
-    #[inline]
-    pub fn sm_pencil(&self, x: usize, y: usize) -> &[u8] {
-        self.sm.pencil(x, y)
-    }
-
-    /// ID pencil at `(x, y)`.
-    #[inline]
-    pub fn sid_pencil(&self, x: usize, y: usize) -> &[i32] {
-        self.sid.pencil(x, y)
-    }
-
     /// Decomposed amplitudes for timestep `t` (indexed by id).
     #[inline]
     pub fn dcmp_row(&self, t: usize) -> &[f32] {
         self.src_dcmp.row(t)
     }
 
-    /// Approximate extra memory the scheme allocates, in bytes — the
-    /// "negligible overhead" the paper's §IV-E corner cases quantify.
+    /// Extra memory the scheme allocates, in bytes — the "negligible
+    /// overhead" the paper's §IV-E corner cases quantify: it grows with the
+    /// affected points, plus one offset per `(x, y)` pencil.
     pub fn memory_overhead_bytes(&self) -> usize {
-        self.sm.len() * std::mem::size_of::<u8>()
-            + self.sid.len() * std::mem::size_of::<i32>()
-            + self.src_dcmp.len() * std::mem::size_of::<f32>()
-            + self.points.len() * std::mem::size_of::<[usize; 3]>()
+        std::mem::size_of_val(self.src_dcmp.as_slice())
+            + std::mem::size_of_val(&self.points[..])
+            + self.index.memory_bytes()
     }
 }
 
@@ -187,9 +165,9 @@ mod tests {
         Domain::uniform(Shape::cube(13), 10.0)
     }
 
-    /// Fused injection over a region (the Listing-4 inner loops, reference
-    /// form): for every masked point in `region`,
-    /// `u[p] += scale(p) · src_dcmp[t][SID[p]]`.
+    /// Fused injection over a region (the Listing-5 inner loops, reference
+    /// form): for every affected point `p` in `region`,
+    /// `u[p] += scale(p) · src_dcmp[t][id(p)]`.
     fn apply_to_field(
         p: &SourcePrecompute,
         field: &mut Field,
@@ -200,10 +178,9 @@ mod tests {
         let row = p.dcmp_row(t);
         for x in region.x0..region.x1 {
             for y in region.y0..region.y1 {
-                let (sm, sid) = (p.sm_pencil(x, y), p.sid_pencil(x, y));
-                for z in region.z0..region.z1 {
-                    if sm[z] != 0 {
-                        field.add(x, y, z, scale(x, y, z) * row[sid[z] as usize]);
+                for (z, id) in p.index.entries(x, y) {
+                    if (region.z0..region.z1).contains(&z) {
+                        field.add(x, y, z, scale(x, y, z) * row[id]);
                     }
                 }
             }
@@ -217,20 +194,19 @@ mod tests {
         let w = wavelet_matrix(&ricker(10.0, 0.001, 32), 2);
         let p = SourcePrecompute::build(&d, &src, &w);
         assert_eq!(p.npts(), 16, "two disjoint cells: 8 points each");
-        // SM == 1 exactly where SID >= 0, ids dense and ascending in
-        // canonical order.
-        let mut next = 0i32;
-        for (x, y, z) in d.shape().iter() {
-            let m = p.sm.get(x, y, z);
-            let id = p.sid.get(x, y, z);
-            assert_eq!(m == 1, id >= 0);
-            if id >= 0 {
-                assert_eq!(id, next, "ascending ids in grid order");
-                assert_eq!(p.points[id as usize], [x, y, z]);
-                next += 1;
+        // Walking the index pencil by pencil meets every point once, with
+        // ids dense and ascending in canonical order.
+        let (s, mut next) = (d.shape(), 0usize);
+        for x in 0..s.nx {
+            for y in 0..s.ny {
+                for (z, id) in p.index.entries(x, y) {
+                    assert_eq!(id, next, "ascending ids in grid order");
+                    assert_eq!(p.points[id], [x, y, z]);
+                    next += 1;
+                }
             }
         }
-        assert_eq!(next as usize, p.npts());
+        assert_eq!(next, p.npts());
     }
 
     #[test]
@@ -256,8 +232,7 @@ mod tests {
         let a = SourcePrecompute::build(&d, &src, &w);
         let b = SourcePrecompute::build_probed(&d, &src, &w);
         assert_eq!(a.points, b.points);
-        assert_eq!(a.sm, b.sm);
-        assert_eq!(a.sid, b.sid);
+        assert_eq!(a.index, b.index);
         for t in 0..a.nt() {
             for id in 0..a.npts() {
                 assert_eq!(a.src_dcmp.get(t, id), b.src_dcmp.get(t, id));
@@ -352,14 +327,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_overhead_reported() {
-        let d = dom();
-        let src = SparsePoints::new(&d, vec![[33.3, 44.4, 55.5]]);
+    fn memory_overhead_scales_with_points() {
+        // One source, 8 affected points, on a 32³ and a 128³ grid: the only
+        // grid-sized storage is one offset per (x, y) pencil.
         let w = wavelet_matrix(&ricker(10.0, 0.001, 16), 1);
-        let p = SourcePrecompute::build(&d, &src, &w);
-        let n = d.shape().len();
-        // At least the two mask volumes.
-        assert!(p.memory_overhead_bytes() >= n * (1 + 4));
+        let bytes = |n: usize| {
+            let d = Domain::uniform(Shape::cube(n), 10.0);
+            let src = SparsePoints::new(&d, vec![[33.3, 44.4, 55.5]]);
+            let p = SourcePrecompute::build(&d, &src, &w);
+            assert_eq!(p.npts(), 8);
+            p.memory_overhead_bytes()
+        };
+        assert_eq!(bytes(128) - bytes(32), 4 * (128 * 128 - 32 * 32));
     }
 
     #[test]

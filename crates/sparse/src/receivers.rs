@@ -7,15 +7,18 @@
 //! `p` reaches time `t` — so, exactly like sources, the gather is aligned to
 //! the grid and fused into the loop nest:
 //!
-//! * a receiver mask `RM` / ID volume `RID` marks affected grid points;
+//! * the affected grid points get IDs ascending in canonical grid order,
+//!   and the compressed per-pencil index ([`crate::CompressedMask`]) lists
+//!   them, so the gather visits only affected z's;
 //! * each affected point carries its list of `(trace slot, weight)`
 //!   contributions (CSR layout, since one point can serve several
 //!   receivers), where slot `r · FOOTPRINT + j` is corner `j` of receiver
 //!   `r`'s footprint — so every product `w · u[p]` has a home of its own,
 //!   and the sum over a footprint is taken in corner order when the trace
-//!   is read, whichever tile produced which corner first;
-//! * the compressed per-pencil index ([`crate::CompressedMask`]) skips
-//!   unaffected z's.
+//!   is read, whichever tile produced which corner first.
+//!
+//! The dense receiver mask `RM` and ID volume `RID` are still built, for
+//! callers that report their size; the gather itself never reads them.
 
 use crate::compressed::CompressedMask;
 use crate::interp::{trilinear_all, FOOTPRINT};
@@ -39,6 +42,8 @@ pub struct ReceiverPrecompute {
     pub entries: Vec<(u32, f32)>,
     /// Number of receivers.
     pub num_receivers: usize,
+    /// Per-pencil index of `points`.
+    pub index: CompressedMask,
 }
 
 impl ReceiverPrecompute {
@@ -63,7 +68,9 @@ impl ReceiverPrecompute {
         let mut per_point: Vec<Vec<(u32, f32)>> = vec![Vec::new(); affected.len()];
         for (r, st) in stencils.iter().enumerate() {
             for (j, (c, w)) in st.nonzero().enumerate() {
-                let id = rid.get(c[0], c[1], c[2]) as usize;
+                let id = affected
+                    .binary_search(&c)
+                    .expect("footprint point is affected");
                 per_point[id].push(((r * FOOTPRINT + j) as u32, w));
             }
         }
@@ -77,6 +84,7 @@ impl ReceiverPrecompute {
         ReceiverPrecompute {
             rm,
             rid,
+            index: CompressedMask::from_points(s, &affected),
             points: affected,
             offsets,
             entries,
@@ -93,23 +101,6 @@ impl ReceiverPrecompute {
     #[inline]
     pub fn contributions(&self, id: usize) -> &[(u32, f32)] {
         &self.entries[self.offsets[id] as usize..self.offsets[id + 1] as usize]
-    }
-
-    /// Mask pencil at `(x, y)`.
-    #[inline]
-    pub fn rm_pencil(&self, x: usize, y: usize) -> &[u8] {
-        self.rm.pencil(x, y)
-    }
-
-    /// ID pencil at `(x, y)`.
-    #[inline]
-    pub fn rid_pencil(&self, x: usize, y: usize) -> &[i32] {
-        self.rid.pencil(x, y)
-    }
-
-    /// Build the compressed per-pencil index for the fused gather loop.
-    pub fn compressed(&self) -> CompressedMask {
-        CompressedMask::build(&self.rid)
     }
 }
 
@@ -131,11 +122,10 @@ mod tests {
         assert_eq!(slots.len(), p.num_receivers * FOOTPRINT);
         for x in region.x0..region.x1 {
             for y in region.y0..region.y1 {
-                let (rm, rid) = (p.rm_pencil(x, y), p.rid_pencil(x, y));
-                for z in region.z0..region.z1 {
-                    if rm[z] != 0 {
+                for (z, id) in p.index.entries(x, y) {
+                    if (region.z0..region.z1).contains(&z) {
                         let v = field.get(x, y, z);
-                        for &(slot, w) in p.contributions(rid[z] as usize) {
+                        for &(slot, w) in p.contributions(id) {
                             slots[slot as usize] = w * v;
                         }
                     }
@@ -229,6 +219,9 @@ mod tests {
         for (x, y, z) in d.shape().iter() {
             assert_eq!(p.rm.get(x, y, z) == 1, p.rid.get(x, y, z) >= 0);
         }
+        for (id, &[x, y, z]) in p.points.iter().enumerate() {
+            assert_eq!(p.rid.get(x, y, z), id as i32);
+        }
         // CSR covers every entry exactly once; weights per receiver sum to 1.
         let mut wsum = [0.0f32; 1];
         for id in 0..p.npts() {
@@ -244,7 +237,7 @@ mod tests {
         let d = dom();
         let recs = SparsePoints::new(&d, vec![[12.3, 45.6, 78.9], [90.0, 90.0, 15.0]]);
         let p = ReceiverPrecompute::build(&d, &recs);
-        let c = p.compressed();
+        let c = &p.index;
         assert_eq!(c.total(), p.npts());
         for (id, &[x, y, z]) in p.points.iter().enumerate() {
             assert!(c.entries(x, y).any(|(zz, ii)| zz == z && ii == id));

@@ -168,9 +168,9 @@ fn dsl_traces_match_core() {
 
 /// Temporal blocking derived entirely from the symbolic spec (skew from the
 /// lowered radius, one virtual step per update, sparse operators fused from
-/// the precomputed structures): every blocked schedule × fused sparse path ×
-/// policy reproduces the operator's own sequential SpaceBlocked + classic
-/// run — bitwise on every field and on the traces.
+/// the precomputed structures): every blocked schedule × policy reproduces
+/// the operator's own sequential SpaceBlocked + classic run — bitwise on
+/// every field and on the traces.
 fn matrix(op: &mut DslOperator, fields: &[FieldId], name: &str) {
     op.run(&Execution::baseline().sequential());
     let f_ref: Vec<_> = fields.iter().map(|&f| op.final_field_of(f)).collect();
@@ -181,24 +181,22 @@ fn matrix(op: &mut DslOperator, fields: &[FieldId], name: &str) {
     );
     for (sched, schedule) in blocked_schedules(op.radius(), op.phases()) {
         for policy in [Policy::Sequential, Policy::default()] {
-            for sparse in [SparseMode::Fused, SparseMode::FusedCompressed] {
-                let what = format!("{name} {sched} {policy:?} {sparse:?}");
-                op.run(&Execution {
-                    schedule,
-                    sparse,
-                    policy,
-                    kernel: KernelPath::default(),
-                });
-                for (&id, want) in fields.iter().zip(&f_ref) {
-                    let f = op.final_field_of(id);
-                    assert!(
-                        want.bit_equal(&f),
-                        "{what} field {id:?}: max diff {}",
-                        want.max_abs_diff(&f)
-                    );
-                }
-                trace_bitwise(&t_ref, &op.trace().unwrap(), &what);
+            let what = format!("{name} {sched} {policy:?}");
+            op.run(&Execution {
+                schedule,
+                sparse: SparseMode::FusedCompressed,
+                policy,
+                kernel: KernelPath::default(),
+            });
+            for (&id, want) in fields.iter().zip(&f_ref) {
+                let f = op.final_field_of(id);
+                assert!(
+                    want.bit_equal(&f),
+                    "{what} field {id:?}: max diff {}",
+                    want.max_abs_diff(&f)
+                );
             }
+            trace_bitwise(&t_ref, &op.trace().unwrap(), &what);
         }
     }
 }

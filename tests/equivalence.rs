@@ -4,9 +4,8 @@
 //! operators must reproduce the spatially blocked baseline with classic
 //! sparse operators — bitwise on the wavefield (identical per-point
 //! arithmetic) and on the traces (one slot per footprint corner, summed in
-//! corner order) — whatever the thread policy, the fused sparse path, and
-//! whether the tiles were computed, captured into a cache, or restored from
-//! one.
+//! corner order) — whatever the thread policy, and whether the tiles were
+//! computed, captured into a cache, or restored from one.
 
 mod common;
 
@@ -23,13 +22,13 @@ use tempest::tiling::TileCache;
 
 const NT: usize = 12;
 
-/// One row of the matrix per propagator × blocked schedule × policy × fused
-/// sparse path × {plain, cold-cached, warm-cached}. Every cell's field and
-/// trace must equal sequential SpaceBlocked + classic bit for bit: that pins
-/// Listing 4 against Listing 5, every thread cap against sequential, fused
-/// gathers against classic interpolation, and restored tiles' replayed
+/// One row of the matrix per propagator × blocked schedule × policy ×
+/// {plain, cold-cached, warm-cached}, with fused sparse operators. Every
+/// cell's field and trace must equal sequential SpaceBlocked + classic bit
+/// for bit: that pins every thread cap against sequential, fused injection
+/// and gathers against the classic operators, and restored tiles' replayed
 /// gathers against computed ones.
-fn matrix(so: usize, policies: &[Policy], sparse_modes: &[SparseMode]) {
+fn matrix(so: usize, policies: &[Policy]) {
     for mut s in solvers(so, NT, 0.37, 4) {
         s.run(&Execution::baseline().sequential());
         let (f_ref, t_ref) = (s.final_field(), s.trace().unwrap());
@@ -40,35 +39,32 @@ fn matrix(so: usize, policies: &[Policy], sparse_modes: &[SparseMode]) {
         );
         for (sched, schedule) in blocked_schedules(s.radius(), s.phases()) {
             for &policy in policies {
-                for &sparse in sparse_modes {
-                    let exec = Execution {
-                        schedule,
-                        sparse,
-                        policy,
-                        kernel: KernelPath::default(),
-                    };
-                    let cache = TileCache::with_capacity_mb(64);
-                    for mode in ["plain", "cold-cached", "warm-cached"] {
-                        let what =
-                            format!("{} so{so} {sched} {policy:?} {sparse:?} {mode}", s.name());
-                        if mode == "plain" {
-                            s.run(&exec);
-                        } else {
-                            let rep = s.run_incremental(&exec, &cache, 0);
-                            assert!(rep.total_tiles > 0, "{what}: no tiles enumerated");
-                            assert_eq!(rep.cold, mode == "cold-cached", "{what}");
-                            let reused = if rep.cold { 0 } else { rep.total_tiles };
-                            assert_eq!(rep.reused, reused, "{what}");
-                            assert_eq!(rep.reused + rep.recomputed, rep.total_tiles, "{what}");
-                        }
-                        let f = s.final_field();
-                        assert!(
-                            f_ref.bit_equal(&f),
-                            "{what}: max diff {}",
-                            f_ref.max_abs_diff(&f)
-                        );
-                        trace_bitwise(&t_ref, &s.trace().unwrap(), &what);
+                let exec = Execution {
+                    schedule,
+                    sparse: SparseMode::FusedCompressed,
+                    policy,
+                    kernel: KernelPath::default(),
+                };
+                let cache = TileCache::with_capacity_mb(64);
+                for mode in ["plain", "cold-cached", "warm-cached"] {
+                    let what = format!("{} so{so} {sched} {policy:?} {mode}", s.name());
+                    if mode == "plain" {
+                        s.run(&exec);
+                    } else {
+                        let rep = s.run_incremental(&exec, &cache, 0);
+                        assert!(rep.total_tiles > 0, "{what}: no tiles enumerated");
+                        assert_eq!(rep.cold, mode == "cold-cached", "{what}");
+                        let reused = if rep.cold { 0 } else { rep.total_tiles };
+                        assert_eq!(rep.reused, reused, "{what}");
+                        assert_eq!(rep.reused + rep.recomputed, rep.total_tiles, "{what}");
                     }
+                    let f = s.final_field();
+                    assert!(
+                        f_ref.bit_equal(&f),
+                        "{what}: max diff {}",
+                        f_ref.max_abs_diff(&f)
+                    );
+                    trace_bitwise(&t_ref, &s.trace().unwrap(), &what);
                 }
             }
         }
@@ -86,7 +82,6 @@ fn every_cell_matches_sequential_spaceblocked_classic() {
             Policy::Capped { threads: 2 },
             Policy::Capped { threads: 4 },
         ],
-        &[SparseMode::FusedCompressed, SparseMode::Fused],
     );
 }
 
@@ -95,11 +90,7 @@ fn higher_space_orders_match_too() {
     // SO 10 is acoustic alone: radius 5 has no monomorphised Laplacian, so
     // the one step body runs the dynamic-radius row.
     for so in [8usize, 10, 12] {
-        matrix(
-            so,
-            &[Policy::Sequential, Policy::Parallel],
-            &[SparseMode::FusedCompressed],
-        );
+        matrix(so, &[Policy::Sequential, Policy::Parallel]);
     }
 }
 

@@ -49,15 +49,15 @@ fn domain() -> Domain {
 fn schedules() -> Vec<(&'static str, Schedule, SparseMode)> {
     vec![
         (
-            "spaceblocked+fused",
+            "spaceblocked-4x4",
             Schedule::SpaceBlocked {
                 block_x: 4,
                 block_y: 4,
             },
-            SparseMode::Fused,
+            SparseMode::FusedCompressed,
         ),
         (
-            "spaceblocked+compressed",
+            "spaceblocked-8x8",
             Schedule::SpaceBlocked {
                 block_x: 8,
                 block_y: 8,
@@ -263,41 +263,38 @@ fn elastic_counts_match_oracle_for_all_schedules() {
 }
 
 #[test]
-fn fused_sparse_telemetry_is_uniform_across_propagators_and_modes() {
+fn fused_sparse_telemetry_is_uniform_across_propagators() {
     // The fused sparse scheme is one routine for all three propagators, so
-    // its telemetry cannot depend on which one runs: Listing 4 (`Fused`) and
-    // Listing 5 (`FusedCompressed`) visit the same affected points, every
-    // propagator's sparse work shows up as `Sparse` spans under a traced
-    // wave-front run, and the scalar kernel path counts no pencil rows.
+    // its telemetry cannot depend on which one runs: every propagator's
+    // sparse work shows up as `Sparse` spans under a traced wave-front run,
+    // and the scalar kernel path counts no pencil rows.
     let _g = guard();
     obs::trace::set_enabled(true);
     for mut s in common::solvers(4, NT, 0.37, 4) {
         let oracle = fused_oracle(0, s.sources(), s.receivers(), NT as u64);
-        for sparse in [SparseMode::Fused, SparseMode::FusedCompressed] {
-            for kernel in [KernelPath::Scalar, KernelPath::default()] {
-                let what = format!("{} {sparse:?} {}", s.name(), kernel.label());
-                let exec = Execution {
-                    schedule: Schedule::WavefrontDataflow {
-                        tile_x: 8,
-                        tile_y: 8,
-                        tile_t: 3,
-                        block_x: 4,
-                        block_y: 4,
-                    },
-                    sparse,
-                    policy: Policy::Capped { threads: 2 },
-                    kernel,
-                };
-                let (_, p, _) = s.run_profiled(&exec);
-                assert_eq!(p.counter(Counter::SourceInjections), oracle.injections, "{what}");
-                assert_eq!(p.counter(Counter::ReceiverGathers), oracle.gathers, "{what}");
-                assert!(p.trace.count(SpanKind::Sparse) >= 1, "{what}: no sparse span");
-                let rows = p.counter(Counter::PencilRows);
-                if kernel.resolve() == Backend::Scalar {
-                    assert_eq!(rows, 0, "{what}: the scalar path runs no vector rows");
-                } else {
-                    assert!(rows > 0, "{what}: vector backends count their rows");
-                }
+        for kernel in [KernelPath::Scalar, KernelPath::default()] {
+            let what = format!("{} {}", s.name(), kernel.label());
+            let exec = Execution {
+                schedule: Schedule::WavefrontDataflow {
+                    tile_x: 8,
+                    tile_y: 8,
+                    tile_t: 3,
+                    block_x: 4,
+                    block_y: 4,
+                },
+                sparse: SparseMode::FusedCompressed,
+                policy: Policy::Capped { threads: 2 },
+                kernel,
+            };
+            let (_, p, _) = s.run_profiled(&exec);
+            assert_eq!(p.counter(Counter::SourceInjections), oracle.injections, "{what}");
+            assert_eq!(p.counter(Counter::ReceiverGathers), oracle.gathers, "{what}");
+            assert!(p.trace.count(SpanKind::Sparse) >= 1, "{what}: no sparse span");
+            let rows = p.counter(Counter::PencilRows);
+            if kernel.resolve() == Backend::Scalar {
+                assert_eq!(rows, 0, "{what}: the scalar path runs no vector rows");
+            } else {
+                assert!(rows > 0, "{what}: vector backends count their rows");
             }
         }
     }
