@@ -4,9 +4,12 @@
 //! `m = 1/c²`, sponge damping `η`) with a 2nd-order leap-frog in time and an
 //! even-order star Laplacian in space (Fig. 2):
 //!
-//! `u⁺ = c1·u − c2·u⁻ + c3·(Δu + injected source)` with precomputed
-//! per-point coefficients `c1 = 2/(1+η)`, `c2 = (1−η)/(1+η)`,
-//! `c3 = dt²/(m·(1+η))`.
+//! `u⁺ = c1·u − c2·u⁻ + c3·(Δu + injected source)` with `c1 = 2/(1+η)`,
+//! `c2 = (1−η)/(1+η)` and `c3 = dt²/(m·(1+η))`. Only `c3` is a per-point
+//! volume: `c1` and `c2` depend on a point's distance to the nearest face
+//! alone, so each pencil reads them from a [`Sponge`] `z` profile shared
+//! with most other pencils, and the update streams one coefficient per
+//! point.
 //!
 //! The same region-update kernel serves every schedule and every backend;
 //! the sparse source / receiver work is either skipped (classic path,
@@ -17,11 +20,11 @@ use std::sync::{Arc, OnceLock};
 
 use crate::config::SimConfig;
 use crate::operator::{digest_values, Execution, KernelPath, SparseMode, WaveSolver};
-use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint};
+use crate::shared::{count_step, weights, with_scratch, LevelRing, RingCheckpoint, Sponge};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
-use tempest_grid::{Array2, Array3, DampingMask, Model, Range3, Shape};
+use tempest_grid::{Array2, Array3, Model, Range3, Shape};
 use tempest_sparse::SparsePoints;
 use tempest_stencil::kernels::AxisWeights;
 use tempest_stencil::metrics::acoustic_cost;
@@ -36,9 +39,8 @@ type LaplacianRow<'a> = dyn Fn(&[f32], usize, &mut [f32]) + 'a;
 pub struct Acoustic {
     cfg: SimConfig,
     ring: LevelRing,
-    c1: Array3<f32>,
-    c2: Array3<f32>,
-    c3: Array3<f32>,
+    c3: Arc<Array3<f32>>,
+    sponge: Arc<Sponge>,
     wx: Vec<f32>,
     wy: Vec<f32>,
     wz: Vec<f32>,
@@ -53,18 +55,18 @@ pub struct Acoustic {
 }
 
 /// Everything an acoustic shot solve needs that does *not* depend on the
-/// source position: leap-frog coefficient volumes (damping + model), FD
-/// axis weights, the receiver gather precomputation, and the shared Ricker
-/// wavelet samples. Built once per `(model, config, receiver-set)` and
-/// reused across every shot of a survey batch — the batch-level reuse rule
-/// of the survey engine (DESIGN.md §14). `Clone` is cheap relative to
-/// rebuilding: it copies volumes but re-runs no interpolation precompute.
+/// source position: the leap-frog coefficients (the `c3` volume and the
+/// sponge profiles), FD axis weights, the receiver gather precomputation, and
+/// the shared Ricker wavelet samples. Built once per `(model, config,
+/// receiver-set)` and reused across every shot of a survey batch — the
+/// batch-level reuse rule of the survey engine (DESIGN.md §14). The
+/// coefficients are shared, not copied, by every solver built from the
+/// assets; `Clone` copies the receiver bundle but re-runs no precompute.
 #[derive(Clone)]
 pub struct ShotAssets {
     cfg: SimConfig,
-    c1: Array3<f32>,
-    c2: Array3<f32>,
-    c3: Array3<f32>,
+    c3: Arc<Array3<f32>>,
+    sponge: Arc<Sponge>,
     wx: Vec<f32>,
     wy: Vec<f32>,
     wz: Vec<f32>,
@@ -92,27 +94,15 @@ impl ShotAssets {
         let awz = AxisWeights::second_derivative(cfg.space_order, h[2]);
         let center = awx.center + awy.center + awz.center;
 
-        let damp = DampingMask::sponge(shape, cfg.nbl, cfg.damp_coeff);
-        let dt2 = cfg.dt * cfg.dt;
-        let mut c1 = Array3::from_shape(shape);
-        let mut c2 = Array3::from_shape(shape);
-        let mut c3 = Array3::from_shape(shape);
-        for i in 0..c1.len() {
-            let eta = damp.damp.as_slice()[i];
-            let m = model.m.as_slice()[i];
-            let inv = 1.0 / (1.0 + eta);
-            c1.as_mut_slice()[i] = 2.0 * inv;
-            c2.as_mut_slice()[i] = (1.0 - eta) * inv;
-            c3.as_mut_slice()[i] = dt2 / m * inv;
-        }
+        let sponge = Sponge::new(shape, cfg.nbl, cfg.damp_coeff);
+        let c3 = Arc::new(sponge.c3(&model.m, cfg.dt));
 
         let rec = receivers.map(|r| ReceiverBundle::new(&cfg.domain, r));
         let ricker = tempest_sparse::ricker(cfg.f0, cfg.dt, cfg.nt);
         ShotAssets {
             cfg,
-            c1,
-            c2,
             c3,
+            sponge: Arc::new(sponge),
             wx: awx.side,
             wy: awy.side,
             wz: awz.side,
@@ -132,6 +122,24 @@ impl ShotAssets {
     /// The shared receiver bundle, when receivers were attached.
     pub fn receivers(&self) -> Option<&ReceiverBundle> {
         self.rec.as_ref()
+    }
+
+    /// The same assets without receivers, sharing these coefficients (and
+    /// their digest) rather than building a second set.
+    pub fn without_receivers(&self) -> Self {
+        ShotAssets {
+            cfg: self.cfg.clone(),
+            c3: Arc::clone(&self.c3),
+            sponge: Arc::clone(&self.sponge),
+            wx: self.wx.clone(),
+            wy: self.wy.clone(),
+            wz: self.wz.clone(),
+            center: self.center,
+            radius: self.radius,
+            rec: None,
+            ricker: self.ricker.clone(),
+            digest: Arc::clone(&self.digest),
+        }
     }
 }
 
@@ -175,9 +183,8 @@ impl Acoustic {
         Acoustic {
             ring: LevelRing::new_lane_aligned(cfg.shape(), assets.radius, 3, LANE),
             cfg,
-            c1: assets.c1.clone(),
-            c2: assets.c2.clone(),
-            c3: assets.c3.clone(),
+            c3: Arc::clone(&assets.c3),
+            sponge: Arc::clone(&assets.sponge),
             wx: assets.wx.clone(),
             wy: assets.wy.clone(),
             wz: assets.wz.clone(),
@@ -262,8 +269,8 @@ impl Acoustic {
                     // Every row below is `n` long, so the loop carries no
                     // bounds checks and vectorizes.
                     let (u0w, umw) = (&u0[i0..i0 + n], &um[i0..i0 + n]);
-                    let c1w = &self.c1.pencil(x, y)[zs.clone()];
-                    let c2w = &self.c2.pencil(x, y)[zs.clone()];
+                    let c1w = &self.sponge.c1(x, y)[zs.clone()];
+                    let c2w = &self.sponge.c2(x, y)[zs.clone()];
                     let (c3w, lapw, out) = (&c3r[zs.clone()], &lap[..n], &mut un[zs.clone()]);
                     for j in 0..n {
                         out[j] = c1w[j] * u0w[j] - c2w[j] * umw[j] + c3w[j] * lapw[j];
@@ -427,9 +434,10 @@ impl WaveSolver for Acoustic {
     }
 
     fn coefficients(&self) -> Vec<&[f32]> {
+        let [c1, c2] = self.sponge.leapfrog_profiles();
         vec![
-            self.c1.as_slice(),
-            self.c2.as_slice(),
+            c1,
+            c2,
             self.c3.as_slice(),
             &self.wx,
             &self.wy,
@@ -584,6 +592,28 @@ mod tests {
             None,
         );
         assert_ne!(other.coefficient_digest(), digest);
+    }
+
+    #[test]
+    fn solvers_of_one_assets_share_the_coefficients() {
+        let domain = Domain::uniform(Shape::cube(12), 10.0);
+        let model = Model::two_layer(domain, 1600.0, 2800.0, 0.5);
+        let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, 2800.0, 20.0)
+            .with_nt(4)
+            .with_boundary(2, 0.3);
+        let src = |frac| SparsePoints::single_center(&domain, frac);
+        let rec = SparsePoints::receiver_line(&domain, 3, 0.3);
+        let assets = ShotAssets::new(&model, cfg, Some(rec));
+        let norec = assets.without_receivers();
+        assert!(norec.receivers().is_none() && assets.receivers().is_some());
+        let a = Acoustic::from_assets(&assets, src(0.2));
+        let b = Acoustic::from_assets(&assets, src(0.7));
+        let c = Acoustic::from_assets(&norec, src(0.2));
+        for s in [&b, &c] {
+            assert!(Arc::ptr_eq(&a.c3, &s.c3), "one c3 volume");
+            assert!(Arc::ptr_eq(&a.sponge, &s.sponge), "one sponge");
+            assert!(Arc::ptr_eq(&a.digest, &s.digest), "one digest cell");
+        }
     }
 
     #[test]

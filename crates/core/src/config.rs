@@ -107,8 +107,13 @@ impl SimConfig {
         self
     }
 
-    /// Override the absorbing layer (0 disables damping).
+    /// Override the absorbing layer (0 disables damping). Panics unless
+    /// `damp_coeff` is a non-negative number.
     pub fn with_boundary(mut self, nbl: usize, damp_coeff: f32) -> Self {
+        assert!(
+            damp_coeff >= 0.0,
+            "damping coefficient must be non-negative (got {damp_coeff})"
+        );
         self.nbl = nbl;
         self.damp_coeff = damp_coeff;
         self
@@ -169,6 +174,20 @@ mod tests {
         assert_eq!(cfg.damp_coeff, 0.2);
         assert_eq!(cfg.nt, 12);
         assert_eq!(cfg.radius(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "damping coefficient must be non-negative")]
+    fn rejects_negative_damping() {
+        let _ = SimConfig::new(dom(16, 10.0), 4, EquationKind::Acoustic, 2000.0, 10.0)
+            .with_boundary(4, -0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "damping coefficient must be non-negative (got NaN)")]
+    fn rejects_nan_damping() {
+        let _ = SimConfig::new(dom(16, 10.0), 4, EquationKind::Acoustic, 2000.0, 10.0)
+            .with_boundary(4, f32::NAN);
     }
 
     #[test]

@@ -19,14 +19,19 @@
 //! Being first order in time, only two levels per field are kept — the paper
 //! uses elastic to "demonstrate that the benefits of time-blocking … are not
 //! limited to a single pattern along the time dimension".
+//!
+//! Three per-point parameter volumes stream with the fields: `dt·λ`, `dt·μ`
+//! and `dt/ρ` (`2·dt·μ` is formed in the loop, exactly). The sponge
+//! multiplier `1 − η` depends on a point's distance to the nearest face
+//! alone, so each pencil reads it from a [`Sponge`] `z` profile.
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
-use crate::shared::{count_step, weights, with_scratch, LevelRing};
+use crate::shared::{count_step, weights, with_scratch, LevelRing, Sponge};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
-use tempest_grid::{Array3, DampingMask, ElasticModel, Range3, Shape};
+use tempest_grid::{Array3, ElasticModel, Range3, Shape};
 use tempest_sparse::SparsePoints;
 use tempest_stencil::kernels::staggered_weights;
 use tempest_stencil::simd::LANE;
@@ -49,12 +54,10 @@ pub struct Elastic {
     lam_dt: Array3<f32>,
     /// `dt·μ` per point.
     mu_dt: Array3<f32>,
-    /// `2·dt·μ` per point.
-    mu2_dt: Array3<f32>,
     /// `dt/ρ` (buoyancy) per point.
     dtb: Array3<f32>,
-    /// Sponge multiplier `(1 − η)` per point.
-    fd: Array3<f32>,
+    /// The sponge multiplier `1 − η`, along each pencil.
+    sponge: Sponge,
     swx: Vec<f32>,
     swy: Vec<f32>,
     swz: Vec<f32>,
@@ -86,22 +89,20 @@ impl Elastic {
         let swy = staggered_weights(cfg.space_order, h[1]);
         let swz = staggered_weights(cfg.space_order, h[2]);
 
-        let damp = DampingMask::sponge(shape, cfg.nbl, cfg.damp_coeff);
         let dt = cfg.dt;
-        let n = shape.len();
-        let mut lam_dt = Array3::from_shape(shape);
-        let mut mu_dt = Array3::from_shape(shape);
-        let mut mu2_dt = Array3::from_shape(shape);
-        let mut dtb = Array3::from_shape(shape);
-        let mut fd = Array3::from_shape(shape);
-        for i in 0..n {
-            lam_dt.as_mut_slice()[i] = dt * model.lam.as_slice()[i];
-            let mu = dt * model.mu.as_slice()[i];
-            mu_dt.as_mut_slice()[i] = mu;
-            mu2_dt.as_mut_slice()[i] = 2.0 * mu;
-            dtb.as_mut_slice()[i] = dt * model.buoyancy.as_slice()[i];
-            fd.as_mut_slice()[i] = 1.0 - damp.damp.as_slice()[i];
-        }
+        let times_dt = |a: &Array3<f32>| {
+            let mut out = Array3::from_shape(shape);
+            for (o, &v) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
+                *o = dt * v;
+            }
+            out
+        };
+        let (lam_dt, mu_dt, dtb) = (
+            times_dt(&model.lam),
+            times_dt(&model.mu),
+            times_dt(&model.buoyancy),
+        );
+        let sponge = Sponge::new(shape, cfg.nbl, cfg.damp_coeff);
 
         let src = SourceBundle::with_ricker(&cfg.domain, sources, cfg.f0, cfg.dt, cfg.nt);
         let rec = receivers.map(|r| ReceiverBundle::new(&cfg.domain, r));
@@ -122,9 +123,8 @@ impl Elastic {
             cfg,
             lam_dt,
             mu_dt,
-            mu2_dt,
             dtb,
-            fd,
+            sponge,
             swx,
             swy,
             swz,
@@ -185,7 +185,7 @@ impl Elastic {
                 for y in region.y0..region.y1 {
                     let i0 = self.vx.idx(x, y, region.z0);
                     let dtb = &self.dtb.pencil(x, y)[zs.clone()];
-                    let fd = &self.fd.pencil(x, y)[zs.clone()];
+                    let fd = &self.sponge.fd(x, y)[zs.clone()];
                     // Every row is `n` long, so the loop carries no bounds
                     // checks and vectorizes.
                     let update =
@@ -272,8 +272,7 @@ impl Elastic {
                     let w = i0..i0 + n;
                     let lam = &self.lam_dt.pencil(x, y)[zs.clone()];
                     let mu = &self.mu_dt.pencil(x, y)[zs.clone()];
-                    let mu2 = &self.mu2_dt.pencil(x, y)[zs.clone()];
-                    let fd = &self.fd.pencil(x, y)[zs.clone()];
+                    let fd = &self.sponge.fd(x, y)[zs.clone()];
                     // SAFETY: the schedule contract gives this call exclusive
                     // ownership of the region's pencils at level `t + 1`.
                     let [txxn, tyyn, tzzn, txyn, txzn, tyzn] = unsafe {
@@ -295,10 +294,10 @@ impl Elastic {
                     let (xx0, yy0, zz0) = (&txx0[w.clone()], &tyy0[w.clone()], &tzz0[w.clone()]);
                     for j in 0..n {
                         let (exx, eyy, ezz) = (da[j], db[j], dc[j]);
-                        let ldiv = lam[j] * (exx + eyy + ezz);
-                        xx[j] = (xx0[j] + ldiv + mu2[j] * exx) * fd[j];
-                        yy[j] = (yy0[j] + ldiv + mu2[j] * eyy) * fd[j];
-                        zz[j] = (zz0[j] + ldiv + mu2[j] * ezz) * fd[j];
+                        let (ldiv, mu2) = (lam[j] * (exx + eyy + ezz), 2.0 * mu[j]);
+                        xx[j] = (xx0[j] + ldiv + mu2 * exx) * fd[j];
+                        yy[j] = (yy0[j] + ldiv + mu2 * eyy) * fd[j];
+                        zz[j] = (zz0[j] + ldiv + mu2 * ezz) * fd[j];
                     }
                     // Shear stresses at the edge-staggered positions.
                     let shear = |tn: &mut [f32], t0: &[f32], da: &[f32], db: &[f32]| {
@@ -431,7 +430,7 @@ impl WaveSolver for Elastic {
             self.lam_dt.as_slice(),
             self.mu_dt.as_slice(),
             self.dtb.as_slice(),
-            self.fd.as_slice(),
+            self.sponge.elastic_profiles(),
             &self.swx,
             &self.swy,
             &self.swz,

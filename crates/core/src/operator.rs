@@ -555,4 +555,69 @@ mod tests {
     fn spec_conversion_checks_kind() {
         let _ = Execution::baseline().wavefront_spec(1, 1);
     }
+
+    /// Acoustic, TTI and elastic solvers on one small grid under the
+    /// absorbing layer `(nbl, damp_coeff)`.
+    fn solvers(nbl: usize, damp_coeff: f32) -> [Box<dyn WaveSolver>; 3] {
+        use crate::config::{EquationKind, SimConfig};
+        use crate::{Acoustic, Elastic, Tti};
+        use tempest_grid::{Domain, ElasticModel, Model, TtiModel};
+        use tempest_sparse::SparsePoints;
+
+        let d = Domain::uniform(Shape::new(14, 11, 13), 10.0);
+        let cfg = |kind| {
+            SimConfig::new(d, 4, kind, 4000.0, 10.0)
+                .with_nt(2)
+                .with_boundary(nbl, damp_coeff)
+        };
+        let src = || SparsePoints::single_center(&d, 0.5);
+        [
+            Box::new(Acoustic::new(
+                &Model::random(d, 1500.0, 4000.0, 3),
+                cfg(EquationKind::Acoustic),
+                src(),
+                None,
+            )),
+            Box::new(Tti::new(
+                &TtiModel::random(d, 1500.0, 4000.0, 3),
+                cfg(EquationKind::Tti),
+                src(),
+                None,
+            )),
+            Box::new(Elastic::new(
+                &ElasticModel::random(d, 1500.0, 4000.0, 3),
+                cfg(EquationKind::Elastic),
+                src(),
+                None,
+            )),
+        ]
+    }
+
+    #[test]
+    fn cost_models_count_the_streamed_parameter_volumes() {
+        use tempest_stencil::metrics::{acoustic_cost, elastic_cost, tti_cost};
+        let costs = [acoustic_cost(4), tti_cost(4), elastic_cost(4)];
+        for (s, cost) in solvers(3, 0.3).iter().zip(costs) {
+            let volumes = s
+                .coefficients()
+                .iter()
+                .filter(|c| c.len() == s.shape().len())
+                .count();
+            assert_eq!(cost.params, volumes, "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn damping_reaches_the_coefficient_digest() {
+        // The tile cache's session key sees the sponge only through the
+        // digest: a different layer must never hit another's tiles.
+        let digests = |nbl, coeff| solvers(nbl, coeff).map(|s| s.coefficient_digest());
+        let base = digests(3, 0.3);
+        for other in [digests(4, 0.3), digests(3, 0.35)] {
+            for (a, b) in base.iter().zip(other) {
+                assert_ne!(*a, b);
+            }
+        }
+        assert_eq!(digests(3, 0.3), base);
+    }
 }

@@ -1,5 +1,5 @@
-//! Shared wavefield storage for parallel block updates, and the per-worker
-//! row scratch of the step bodies that update it.
+//! Shared wavefield storage for parallel block updates, the per-worker row
+//! scratch of the step bodies that update it, and the sponge they read.
 //!
 //! A stencil sweep updates disjoint `(x, y)` blocks of one time level in
 //! parallel while *reading* other time levels. Rust's `&mut` aliasing rules
@@ -12,6 +12,7 @@
 //! sequential references.
 
 use std::cell::{RefCell, UnsafeCell};
+use tempest_grid::boundary::sponge_profile;
 use tempest_grid::{Array3, Range3, Shape};
 use tempest_obs as obs;
 use tempest_stencil::Backend;
@@ -50,6 +51,106 @@ pub(crate) fn count_step(region: &Range3, backend: Backend) {
 /// unroll. Panics unless `R` is the radius the weights were built for.
 pub(crate) fn weights<const R: usize>(w: &[f32]) -> [f32; R] {
     w.try_into().expect("radius mismatch")
+}
+
+/// The absorbing sponge of one grid as the `z` profiles the step bodies
+/// read in place of per-point damping volumes.
+///
+/// `η` depends on a point only through `d = min(dx, dy, dz)`, its distance
+/// to the nearest face: `tempest_grid::boundary::sponge_profile`, indexed by
+/// `min(d, nbl)`. Along a pencil `(x, y)` that index is `min(m, dz)` with
+/// `m = min(dx, dy, nbl)` fixed, so all pencils of one `m` share one `z`
+/// profile. `nbl + 1` profiles per coefficient, a few kilobytes, stand in
+/// for a grid-sized volume, and every pencil at least `nbl` from the `x`
+/// and `y` faces reads the same one.
+pub(crate) struct Sponge {
+    shape: Shape,
+    nbl: usize,
+    /// Leap-frog `2/(1+η)`, profile `m` at `m·nz`.
+    c1: Vec<f32>,
+    /// Leap-frog `(1−η)/(1+η)`, laid out as `c1`.
+    c2: Vec<f32>,
+    /// Elastic `1−η`, laid out as `c1`.
+    fd: Vec<f32>,
+    /// `1/(1+η)`, laid out as `c1`.
+    inv: Vec<f32>,
+}
+
+impl Sponge {
+    /// The sponge of `nbl` points of strength `coeff` on every face of `shape`.
+    pub fn new(shape: Shape, nbl: usize, coeff: f32) -> Self {
+        let eta = sponge_profile(nbl, coeff);
+        let nz = shape.nz;
+        let profiles = |f: &dyn Fn(f32) -> f32| -> Vec<f32> {
+            let table: Vec<f32> = eta.iter().map(|&e| f(e)).collect();
+            (0..=nbl)
+                .flat_map(|m| (0..nz).map(move |z| m.min(z).min(nz - 1 - z)))
+                .map(|d| table[d])
+                .collect()
+        };
+        let inv = |e: f32| 1.0 / (1.0 + e);
+        Sponge {
+            shape,
+            nbl,
+            c1: profiles(&|e| 2.0 * inv(e)),
+            c2: profiles(&|e| (1.0 - e) * inv(e)),
+            fd: profiles(&|e| 1.0 - e),
+            inv: profiles(&inv),
+        }
+    }
+
+    /// The `z` profile of pencil `(x, y)` in `profiles`.
+    #[inline]
+    fn along<'a>(&self, profiles: &'a [f32], x: usize, y: usize) -> &'a [f32] {
+        let Shape { nx, ny, nz } = self.shape;
+        let m = x.min(nx - 1 - x).min(y).min(ny - 1 - y).min(self.nbl);
+        &profiles[m * nz..(m + 1) * nz]
+    }
+
+    /// Leap-frog `2/(1+η)` along pencil `(x, y)`.
+    #[inline]
+    pub fn c1(&self, x: usize, y: usize) -> &[f32] {
+        self.along(&self.c1, x, y)
+    }
+
+    /// Leap-frog `(1−η)/(1+η)` along pencil `(x, y)`.
+    #[inline]
+    pub fn c2(&self, x: usize, y: usize) -> &[f32] {
+        self.along(&self.c2, x, y)
+    }
+
+    /// Elastic `1−η` along pencil `(x, y)`.
+    #[inline]
+    pub fn fd(&self, x: usize, y: usize) -> &[f32] {
+        self.along(&self.fd, x, y)
+    }
+
+    /// Every leap-frog profile, `[c1, c2]`: what decides the damping of a
+    /// leap-frog update, for [`WaveSolver::coefficients`](crate::WaveSolver::coefficients).
+    pub fn leapfrog_profiles(&self) -> [&[f32]; 2] {
+        [&self.c1, &self.c2]
+    }
+
+    /// Every elastic `1−η` profile, as [`leapfrog_profiles`](Self::leapfrog_profiles).
+    pub fn elastic_profiles(&self) -> &[f32] {
+        &self.fd
+    }
+
+    /// The leap-frog source/Laplacian coefficient `dt²/(m·(1+η))` per point
+    /// of the squared-slowness volume `m`.
+    pub fn c3(&self, m: &Array3<f32>, dt: f32) -> Array3<f32> {
+        let dt2 = dt * dt;
+        let mut c3 = Array3::from_shape(self.shape);
+        for x in 0..self.shape.nx {
+            for y in 0..self.shape.ny {
+                let (mp, inv) = (m.pencil(x, y), self.along(&self.inv, x, y));
+                for ((o, &m), &inv) in c3.pencil_mut(x, y).iter_mut().zip(mp).zip(inv) {
+                    *o = dt2 / m * inv;
+                }
+            }
+        }
+        c3
+    }
 }
 
 /// A circular ring of padded f32 volumes over the time dimension, with
@@ -324,6 +425,35 @@ mod tests {
                 s.name()
             );
             assert!(clean.bit_equal(&run(true)), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn sponge_profiles_equal_the_dense_damping_volume() {
+        use tempest_grid::DampingMask;
+        // Point by point, the profile a pencil reads holds the dense
+        // volume's coefficient: on grids thinner than the layer too
+        // (`nz < 2·nbl`), and on ones without a layer.
+        for (shape, nbl) in [
+            (Shape::new(19, 13, 21), 3),
+            (Shape::new(19, 13, 21), 11),
+            (Shape::new(30, 28, 5), 10),
+            (Shape::new(9, 7, 12), 0),
+            (Shape::new(1, 2, 1), 4),
+        ] {
+            let sponge = Sponge::new(shape, nbl, 0.7);
+            let dense = DampingMask::sponge(shape, nbl, 0.7);
+            for (x, y, z) in shape.iter() {
+                let eta = dense.damp.get(x, y, z);
+                let inv = 1.0 / (1.0 + eta);
+                let want = [2.0 * inv, (1.0 - eta) * inv, 1.0 - eta];
+                let got = [sponge.c1(x, y)[z], sponge.c2(x, y)[z], sponge.fd(x, y)[z]];
+                assert_eq!(
+                    got.map(f32::to_bits),
+                    want.map(f32::to_bits),
+                    "{shape:?} nbl {nbl} ({x}, {y}, {z})"
+                );
+            }
         }
     }
 

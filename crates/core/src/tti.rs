@@ -20,15 +20,18 @@
 //! first derivatives through a per-worker row cache (see
 //! [`Tti::step_region`] and DESIGN.md §10), not as the outer product. The six
 //! rotation coefficients are precomputed into parameter volumes, so the hot
-//! loop is trigonometry-free.
+//! loop is trigonometry-free. The leap-frog update is acoustic's
+//! `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy (`1 + 2ε`, `√(1+2δ)`, the
+//! rotation) are the nine per-point volumes, while the damping-only `c1`,
+//! `c2` come from the [`Sponge`]'s per-pencil `z` profiles.
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
-use crate::shared::{count_step, weights, with_scratch, LevelRing};
+use crate::shared::{count_step, weights, with_scratch, LevelRing, Sponge};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
-use tempest_grid::{Array3, DampingMask, Range3, Shape, TtiModel};
+use tempest_grid::{Array3, Range3, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
 use tempest_stencil::kernels::{first_derivative_weights, AxisWeights};
 use tempest_stencil::metrics::tti_cost;
@@ -45,9 +48,8 @@ pub struct Tti {
     cfg: SimConfig,
     p: LevelRing,
     q: LevelRing,
-    c1: Array3<f32>,
-    c2: Array3<f32>,
     c3: Array3<f32>,
+    sponge: Sponge,
     /// `1 + 2ε` per point.
     eps2: Array3<f32>,
     /// `√(1 + 2δ)` per point.
@@ -94,22 +96,13 @@ impl Tti {
         let w1y = first_derivative_weights(cfg.space_order, h[1]);
         let w1z = first_derivative_weights(cfg.space_order, h[2]);
 
-        let damp = DampingMask::sponge(shape, cfg.nbl, cfg.damp_coeff);
-        let dt2 = cfg.dt * cfg.dt;
+        let sponge = Sponge::new(shape, cfg.nbl, cfg.damp_coeff);
+        let c3 = sponge.c3(&model.m, cfg.dt);
         let n = shape.len();
-        let mut c1 = Array3::from_shape(shape);
-        let mut c2 = Array3::from_shape(shape);
-        let mut c3 = Array3::from_shape(shape);
         let mut eps2 = Array3::from_shape(shape);
         let mut delta_bar = Array3::from_shape(shape);
         let mut gz: [Array3<f32>; 6] = std::array::from_fn(|_| Array3::from_shape(shape));
         for i in 0..n {
-            let eta = damp.damp.as_slice()[i];
-            let m = model.m.as_slice()[i];
-            let inv = 1.0 / (1.0 + eta);
-            c1.as_mut_slice()[i] = 2.0 * inv;
-            c2.as_mut_slice()[i] = (1.0 - eta) * inv;
-            c3.as_mut_slice()[i] = dt2 / m * inv;
             eps2.as_mut_slice()[i] = 1.0 + 2.0 * model.epsilon.as_slice()[i];
             delta_bar.as_mut_slice()[i] = (1.0 + 2.0 * model.delta.as_slice()[i]).sqrt();
             let th = model.theta.as_slice()[i];
@@ -134,9 +127,8 @@ impl Tti {
             p: LevelRing::new_lane_aligned(shape, radius, 3, LANE),
             q: LevelRing::new_lane_aligned(shape, radius, 3, LANE),
             cfg,
-            c1,
-            c2,
             c3,
+            sponge,
             eps2,
             delta_bar,
             gz,
@@ -262,8 +254,8 @@ impl Tti {
                     let [qxx, qyy, qzz, qxy, qxz, qyz] = rows(dq, n);
 
                     let zs = region.z0..region.z1;
-                    let c1r = &self.c1.pencil(x, y)[zs.clone()];
-                    let c2r = &self.c2.pencil(x, y)[zs.clone()];
+                    let c1r = &self.sponge.c1(x, y)[zs.clone()];
+                    let c2r = &self.sponge.c2(x, y)[zs.clone()];
                     let c3r = self.c3.pencil(x, y);
                     let er = &self.eps2.pencil(x, y)[zs.clone()];
                     let dr = &self.delta_bar.pencil(x, y)[zs.clone()];
@@ -384,9 +376,10 @@ impl WaveSolver for Tti {
     }
 
     fn coefficients(&self) -> Vec<&[f32]> {
+        let [c1, c2] = self.sponge.leapfrog_profiles();
         let mut out = vec![
-            self.c1.as_slice(),
-            self.c2.as_slice(),
+            c1,
+            c2,
             self.c3.as_slice(),
             self.eps2.as_slice(),
             self.delta_bar.as_slice(),

@@ -2,12 +2,39 @@
 //!
 //! The paper's test cases "use zero initial conditions and damping fields
 //! with absorbing boundary layers" (§IV.B). We implement the standard sponge
-//! approach: a damping coefficient field `damp(x,y,z)` that is zero in the
-//! physical interior and ramps up inside a boundary layer of `nbl` points,
-//! entering the update as an additional `damp · ∂u/∂t` friction term.
+//! approach: a damping coefficient `η` that is zero in the physical interior
+//! and ramps up inside a boundary layer of `nbl` points, entering the update
+//! as an additional `η · ∂u/∂t` friction term.
+//!
+//! `η` depends on a point only through its distance `d` to the nearest face,
+//! so the sponge is one 1-D profile, [`sponge_profile`]. The propagators
+//! spell it out along `z` once per distance to the `x`/`y` faces;
+//! [`DampingMask`] spells it out as a dense volume, the point-wise reference
+//! the tests check them against.
 
 use crate::array::Array3;
 use crate::shape::Shape;
+
+/// The sponge profile `η(d)` for `d = 0..=nbl`: a quadratic ramp
+/// `coeff · ((nbl − d)/nbl)²` for points at distance `d < nbl` from the
+/// nearest face, and `η(nbl) = 0`, the undamped value every point at
+/// distance `≥ nbl` takes. Index it with `min(d, nbl)`.
+///
+/// (Devito's default profile, `(nbl−d)/nbl − sin(2π(nbl−d)/nbl)/(2π)`
+/// scaled per unit time, is the common alternative; the quadratic ramp is
+/// kept simple and dimensionless per step.)
+pub fn sponge_profile(nbl: usize, coeff: f32) -> Vec<f32> {
+    (0..=nbl)
+        .map(|d| {
+            if d < nbl {
+                let r = (nbl - d) as f32 / nbl as f32;
+                coeff * r * r
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
 
 /// Per-point damping coefficients for a sponge absorbing layer.
 #[derive(Debug, Clone)]
@@ -18,29 +45,17 @@ pub struct DampingMask {
 }
 
 impl DampingMask {
-    /// Build a sponge with `nbl` absorbing points on every face.
-    ///
-    /// The profile follows the common choice (Devito's default style):
-    /// `damp(d) = (w/dt_ref) · ((nbl-d)/nbl − sin(2π(nbl-d)/nbl)/(2π))`
-    /// normalised so the coefficient is dimensionless per unit time;
-    /// here we keep it simple and physically reasonable:
-    /// quadratic ramp `damp(d) = coeff · ((nbl − d)/nbl)²` for points at
-    /// distance `d < nbl` from the nearest face.
+    /// The dense volume of [`sponge_profile`] with `nbl` absorbing points on
+    /// every face: `η(min(d, nbl))` at every point, `d` its distance to the
+    /// nearest face.
     pub fn sponge(shape: Shape, nbl: usize, coeff: f32) -> Self {
-        assert!(coeff >= 0.0, "damping coefficient must be non-negative");
+        let eta = sponge_profile(nbl, coeff);
         let mut damp = Array3::from_shape(shape);
-        if nbl == 0 {
-            return DampingMask { damp, nbl };
-        }
         for (x, y, z) in shape.iter() {
             let dx = x.min(shape.nx - 1 - x);
             let dy = y.min(shape.ny - 1 - y);
             let dz = z.min(shape.nz - 1 - z);
-            let d = dx.min(dy).min(dz);
-            if d < nbl {
-                let r = (nbl - d) as f32 / nbl as f32;
-                damp.set(x, y, z, coeff * r * r);
-            }
+            damp.set(x, y, z, eta[dx.min(dy).min(dz).min(nbl)]);
         }
         DampingMask { damp, nbl }
     }
@@ -106,6 +121,16 @@ mod tests {
         let m = DampingMask::none(Shape::cube(8));
         assert_eq!(m.damp.max_abs(), 0.0);
         assert_eq!(m.nbl(), 0);
+    }
+
+    #[test]
+    fn profile_ramps_down_to_the_undamped_value() {
+        let eta = sponge_profile(4, 0.1);
+        assert_eq!(eta.len(), 5);
+        assert_eq!(eta[0], 0.1);
+        assert!(eta.windows(2).all(|w| w[1] < w[0]));
+        assert_eq!(eta[4], 0.0);
+        assert_eq!(sponge_profile(0, 5.0), [0.0]);
     }
 
     #[test]

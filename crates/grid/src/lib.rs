@@ -16,7 +16,8 @@
 //!   origin), used to locate *off-the-grid* source/receiver positions.
 //! * [`model`] — material parameter volumes (velocity, density, Thomsen
 //!   parameters) with homogeneous / layered / randomly perturbed builders.
-//! * [`boundary`] — absorbing boundary (sponge) damping profiles.
+//! * [`boundary`] — the absorbing boundary (sponge) damping profile, and its
+//!   dense per-point volume.
 //!
 //! All arrays store `f32` wavefields by default (single precision, matching
 //! the paper's §IV.B setup) but the containers are generic.

@@ -18,6 +18,9 @@ pub struct KernelCost {
     /// Bytes moved per point-update with perfect spatial reuse
     /// (compulsory/streaming traffic only).
     pub bytes_streaming: f64,
+    /// Grid-sized parameter volumes the update streams alongside the
+    /// wavefields (per-pencil scalars and stencil weights not counted).
+    pub params: usize,
 }
 
 impl KernelCost {
@@ -63,21 +66,24 @@ pub fn second_diff_flops(r: usize) -> f64 {
 
 /// Cost of the isotropic acoustic update (paper §III-A) at space order `so`.
 ///
-/// Update: `u⁺ = damp-combined(2u − u⁻ + dt²/m·(Δu + src))`.
+/// Update: `u⁺ = c1·u − c2·u⁻ + c3·(Δu + src)`, with `c3 = dt²/(m·(1+η))`
+/// the one parameter volume; the sponge's `c1`, `c2` are per-pencil scalars.
 pub fn acoustic_cost(so: usize) -> KernelCost {
     let r = so / 2;
     // Laplacian + 2nd-order time update (~8 flops: 2u - um1, mul dt²/m,
     // damping multiply-adds).
     let flops = laplacian_flops(r) + 8.0;
     let f = 4.0; // sizeof f32
-    // Reads: u (2r+1 per axis but streaming = 1), u⁻, m, damp; write u⁺
+    let params = 1;
+    // Reads: u (2r+1 per axis but streaming = 1), u⁻, `c3`; write u⁺
     // (+ write-allocate read).
-    let bytes_streaming = f * (1.0 + 1.0 + 1.0 + 1.0 + 2.0);
-    let bytes_no_reuse = f * ((6 * r + 1) as f64 + 1.0 + 1.0 + 1.0 + 2.0);
+    let bytes_streaming = f * (1.0 + 1.0 + params as f64 + 2.0);
+    let bytes_no_reuse = f * ((6 * r + 1) as f64 + 1.0 + params as f64 + 2.0);
     KernelCost {
         flops,
         bytes_no_reuse,
         bytes_streaming,
+        params,
     }
 }
 
@@ -104,9 +110,11 @@ pub fn tti_cost(so: usize) -> KernelCost {
         + first_passes as f64 * first_diff_flops(r)
         + combine as f64;
     // Streams: `p`, `p⁻`, `q`, `q⁻` reads; `p⁺`, `q⁺` writes with their
-    // write-allocate reads; 11 parameter volumes (three time-update
-    // coefficients, `1+2ε`, `√(1+2δ)`, six rotation coefficients).
-    let streams = 4 + 2 * 2 + 11;
+    // write-allocate reads; 9 parameter volumes (`c3`, `1+2ε`, `√(1+2δ)`,
+    // six rotation coefficients — the sponge's `c1`, `c2` are per-pencil
+    // scalars).
+    let params = 9;
+    let streams = 4 + 2 * 2 + params;
     let f = 4.0;
     let bytes_streaming = f * streams as f64;
     // Every tap a load, plus the streams other than the two stencil inputs.
@@ -116,6 +124,7 @@ pub fn tti_cost(so: usize) -> KernelCost {
         flops,
         bytes_no_reuse,
         bytes_streaming,
+        params,
     }
 }
 
@@ -127,13 +136,16 @@ pub fn elastic_cost(so: usize) -> KernelCost {
     // built from 9 velocity derivatives + Lamé algebra.
     let flops = 9.0 * first_diff_flops(r) + 9.0 * first_diff_flops(r) + 40.0;
     let f = 4.0;
-    // 9 wavefields read+written (write-allocate), 3 parameter streams.
-    let bytes_streaming = f * (9.0 * 3.0 + 3.0);
-    let bytes_no_reuse = f * (9.0 * (2 * r + 2) as f64 + 3.0);
+    // 9 wavefields read+written (write-allocate), 3 parameter streams
+    // (`dt·λ`, `dt·μ`, `dt/ρ`; the sponge's `1−η` is a per-pencil scalar).
+    let params = 3;
+    let bytes_streaming = f * (9.0 * 3.0 + params as f64);
+    let bytes_no_reuse = f * (9.0 * (2 * r + 2) as f64 + params as f64);
     KernelCost {
         flops,
         bytes_no_reuse,
         bytes_streaming,
+        params,
     }
 }
 
@@ -183,9 +195,9 @@ mod tests {
             let combine = 40;
             let c = tti_cost(so);
             assert_eq!(c.flops, (fields * row_flops + combine) as f64, "so {so}");
-            assert_eq!(c.bytes_streaming, 4.0 * 19.0);
+            assert_eq!(c.bytes_streaming, 4.0 * 17.0);
             let taps = fields * (straight * (2 * r + 1) + passes * 2 * r);
-            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 17) as f64);
+            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 15) as f64);
         }
         assert_eq!(tti_cost(8).flops, 238.0);
     }

@@ -6,7 +6,8 @@
 //! shot-independent precomputation ([`tempest_core::ShotAssets`]) built once
 //! and shared:
 //!
-//! * coefficient volumes (damping + model), FD axis weights,
+//! * the `c3` coefficient volume (model + damping) and the sponge
+//!   profiles, shared by every shot's solver, and FD axis weights,
 //! * the receiver-gather precompute (grid-aligned positions + weights),
 //! * the shared Ricker wavelet samples.
 //!

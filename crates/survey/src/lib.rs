@@ -16,7 +16,7 @@
 //!   are bitwise-identical at every thread cap (one trace slot per
 //!   receiver-footprint corner), so nothing is pinned to keep them so.
 //! * Batch reuse — shots sharing a model reuse one
-//!   [`tempest_core::ShotAssets`] precomputation (coefficient volumes,
+//!   [`tempest_core::ShotAssets`] precomputation (the shared coefficients,
 //!   receiver gather structures, the Ricker samples) and optionally
 //!   autotune the space-block shape once per batch
 //!   ([`SurveyOptions::tune`], counted by `Counter::BatchAutotune`).

@@ -114,10 +114,10 @@ pub fn rtm_image(
         return Ok(image);
     }
     // Shot-independent precompute, shared across the fleet: one set of
-    // coefficient volumes with the receiver bundle (forward pass) and one
-    // without (adjoint + recompute twin).
+    // coefficients, seen with the receiver bundle (forward pass) and
+    // without it (adjoint + recompute twin).
     let fwd_assets = ShotAssets::new(survey.model(), survey.cfg().clone(), Some(receivers.clone()));
-    let norec_assets = ShotAssets::new(survey.model(), survey.cfg().clone(), None);
+    let norec_assets = fwd_assets.without_receivers();
 
     let partials: Mutex<Vec<Option<Array3<f32>>>> = Mutex::new((0..n).map(|_| None).collect());
     let errors: Mutex<Vec<ShotError>> = Mutex::new(Vec::new());

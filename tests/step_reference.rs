@@ -9,11 +9,18 @@
 //! point, no rows, no scratch, no regions, they apply the per-point kernels
 //! of `tempest::stencil::kernels` directly — the Laplacian for acoustic,
 //! `∂xy = D_x(D_y u)`, `∂xz = D_z(D_x u)`, `∂yz = D_z(D_y u)` for TTI, the
-//! staggered forward/backward differences for elastic — to the solver's
-//! public coefficient volumes and ring levels. The production step must
-//! equal its oracle bit for bit on every backend (`Scalar` included), and
-//! must keep doing so however the same levels are stepped: whole domain, 1×1
-//! blocks, random `split_xy` shapes, z-sub-ranges, on any number of workers.
+//! staggered forward/backward differences for elastic — to the ring levels
+//! and to per-point coefficients. Those the oracle builds itself from the
+//! model and the dense `DampingMask::sponge` volume: the leap-frog `c1`,
+//! `c2`, `c3`, and elastic's `dt·λ`, `dt·μ`, `2·dt·μ`, `dt/ρ`, `1 − η`. The
+//! solvers read the sponge from one `z` profile per distance to the `x`/`y`
+//! faces, so this is what checks that per-pencil form point by point, under
+//! layers of 0, 3 and 11 points (at 11 the `z` layers overlap: `nz < 2·nbl`).
+//! TTI's anisotropy volumes and the stencil weights come from the solver's
+//! public `coefficients()`. The production step must equal its oracle bit
+//! for bit on every backend (`Scalar` included), and must keep doing so
+//! however the same levels are stepped: whole domain, 1×1 blocks, random
+//! `split_xy` shapes, z-sub-ranges, on any number of workers.
 //! Scratch indexing is the risky part: the grid is non-cubic so a transposed
 //! extent cannot cancel out, and small enough that at SO 12 every pencil's
 //! dilated window reaches into an x or y halo.
@@ -31,7 +38,9 @@ use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, SparseMode};
 use tempest::core::shared::LevelRing;
 use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
-use tempest::grid::{Domain, ElasticModel, Model, Range3, Rng64, Shape, TtiModel};
+use tempest::grid::{
+    Array3, DampingMask, Domain, ElasticModel, Model, Range3, Rng64, Shape, TtiModel,
+};
 use tempest::par::{for_each, FlushGuard, Policy};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::kernels::{
@@ -53,10 +62,48 @@ fn domain() -> Domain {
     Domain::uniform(shape(), 20.0)
 }
 
-fn config(so: usize, kind: EquationKind, vmax: f32) -> SimConfig {
+/// The absorbing layers under test, in points: none, thinner than the grid,
+/// and wider than half of every axis.
+const NBLS: [usize; 3] = [0, 3, 11];
+
+const DAMP: f32 = 0.3;
+
+fn config(so: usize, kind: EquationKind, vmax: f32, nbl: usize) -> SimConfig {
     SimConfig::new(domain(), so, kind, vmax, 40.0)
         .with_nt(4)
-        .with_boundary(3, 0.3)
+        .with_boundary(nbl, DAMP)
+}
+
+/// The sponge `η` per point, densely indexed.
+fn eta(nbl: usize) -> Vec<f32> {
+    DampingMask::sponge(shape(), nbl, DAMP)
+        .damp
+        .as_slice()
+        .to_vec()
+}
+
+/// Leap-frog coefficients per point, `[c1, c2, c3]`: `2/(1+η)`,
+/// `(1−η)/(1+η)` and `dt²/(m·(1+η))` for squared slowness `m`.
+fn leapfrog(cfg: &SimConfig, m: &Array3<f32>) -> Vec<Vec<f32>> {
+    let dt2 = cfg.dt * cfg.dt;
+    let (mut c1, mut c2, mut c3) = (Vec::new(), Vec::new(), Vec::new());
+    for (&eta, &m) in eta(cfg.nbl).iter().zip(m.as_slice()) {
+        let inv = 1.0 / (1.0 + eta);
+        c1.push(2.0 * inv);
+        c2.push((1.0 - eta) * inv);
+        c3.push(dt2 / m * inv);
+    }
+    vec![c1, c2, c3]
+}
+
+/// Elastic coefficients per point, `[dt·λ, dt·μ, 2·dt·μ, dt/ρ, 1 − η]`.
+fn elastic_params(cfg: &SimConfig, model: &ElasticModel) -> Vec<Vec<f32>> {
+    let dt = cfg.dt;
+    let times_dt = |a: &Array3<f32>| a.as_slice().iter().map(|&v| dt * v).collect::<Vec<_>>();
+    let mu = times_dt(&model.mu);
+    let mu2 = mu.iter().map(|&mu| 2.0 * mu).collect();
+    let fd = eta(cfg.nbl).iter().map(|&eta| 1.0 - eta).collect();
+    vec![times_dt(&model.lam), mu, mu2, times_dt(&model.buoyancy), fd]
 }
 
 fn source() -> SparsePoints {
@@ -165,11 +212,13 @@ fn per_point<const F: usize>(
     fields.concat()
 }
 
-/// Acoustic step `K`: `u⁺ = c1·u − c2·u⁻ + c3·Δu`. `R = 0` takes the
-/// dynamic-radius Laplacian (space orders without a monomorphised kernel).
-fn naive_acoustic<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+/// Acoustic step `K`: `u⁺ = c1·u − c2·u⁻ + c3·Δu`, `params` from
+/// [`leapfrog`]. `R = 0` takes the dynamic-radius Laplacian (space orders
+/// without a monomorphised kernel).
+fn naive_acoustic<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
+    let [c1, c2, c3] = [&params[0], &params[1], &params[2]];
     let coeff = s.coefficients();
-    let [c1, c2, c3, wx, wy, wz] = [coeff[0], coeff[1], coeff[2], coeff[3], coeff[4], coeff[5]];
+    let [wx, wy, wz] = [coeff[3], coeff[4], coeff[5]];
     let center = coeff[6][0];
     let ring = s.written(K)[0].0;
     let (sx, sy) = (ring.sx(), ring.sy());
@@ -203,10 +252,11 @@ fn composed<const R: usize>(
     acc
 }
 
-/// TTI step `K` of the coupled `(p, q)` pair.
-fn naive_tti<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
+/// TTI step `K` of the coupled `(p, q)` pair, `params` from [`leapfrog`].
+fn naive_tti<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
+    let [c1, c2, c3] = [&params[0], &params[1], &params[2]];
     let coeff = s.coefficients();
-    let [c1, c2, c3, eps2, delta_bar] = [coeff[0], coeff[1], coeff[2], coeff[3], coeff[4]];
+    let [eps2, delta_bar] = [coeff[3], coeff[4]];
     let g = &coeff[5..11];
     let (cxx, wxx) = (coeff[11][0], arr::<R>(coeff[12]));
     let (cyy, wyy) = (coeff[13][0], arr::<R>(coeff[14]));
@@ -276,10 +326,9 @@ fn elastic_parts<const R: usize>(s: &dyn WaveSolver) -> (Vec<&LevelRing>, [[f32;
 
 /// Elastic velocity phase of timestep `K`:
 /// `v⁺ = (v + dt/ρ · ∇·τ) · (1−η)`, each component at its staggered
-/// position.
-fn naive_elastic_vel<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
-    let coeff = s.coefficients();
-    let (dtb, fd) = (coeff[2], coeff[3]);
+/// position; `params` from [`elastic_params`].
+fn naive_elastic_vel<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
+    let (dtb, fd) = (&params[3], &params[4]);
     let (rings, [swx, swy, swz]) = elastic_parts::<R>(s);
     let (sx, sy) = (rings[0].sx(), rings[0].sy());
     // SAFETY: no step is in flight.
@@ -305,10 +354,9 @@ fn naive_elastic_vel<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
 
 /// Elastic stress phase of timestep `K`:
 /// `τ⁺ = (τ + dt·(λ tr(ε̇) I + 2μ ε̇)) · (1−η)`, strain rates from the
-/// velocities at level `K + 1`.
-fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
-    let coeff = s.coefficients();
-    let (lam, mu, fd) = (coeff[0], coeff[1], coeff[3]);
+/// velocities at level `K + 1`; `params` from [`elastic_params`].
+fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
+    let (lam, mu, mu2, fd) = (&params[0], &params[1], &params[2], &params[4]);
     let (rings, [swx, swy, swz]) = elastic_parts::<R>(s);
     let (sx, sy) = (rings[0].sx(), rings[0].sy());
     // SAFETY: no step is in flight.
@@ -319,7 +367,7 @@ fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
         let eyy = staggered_diff_bwd_r::<R>(vy, i, sy, &swy);
         let ezz = staggered_diff_bwd_r::<R>(vz, i, 1, &swz);
         let ldiv = lam[c] * (exx + eyy + ezz);
-        let mu2 = 2.0 * mu[c];
+        let mu2 = mu2[c];
         let exy =
             staggered_diff_fwd_r::<R>(vx, i, sy, &swy) + staggered_diff_fwd_r::<R>(vy, i, sx, &swx);
         let exz =
@@ -337,35 +385,43 @@ fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver) -> Vec<u32> {
     })
 }
 
+/// An oracle: the bits a step writes, from the solver's levels and the
+/// per-point coefficients the case built.
+type Oracle = fn(&dyn WaveSolver, &[Vec<f32>]) -> Vec<u32>;
+
 /// One step under test: a propagator over a random medium with its
 /// wavefields filled, the virtual step to take, and the oracle of what it
-/// must write.
+/// must write with its per-point coefficients.
 struct Case {
     solver: Box<dyn WaveSolver>,
     vt: usize,
-    naive: fn(&dyn WaveSolver) -> Vec<u32>,
+    naive: Oracle,
+    params: Vec<Vec<f32>>,
 }
 
 impl Case {
+    /// The oracle, in whatever floating-point mode the caller runs in.
+    fn naive(&self) -> Vec<u32> {
+        (self.naive)(&*self.solver, &self.params)
+    }
+
     /// The oracle, evaluated in the mode the step runs in.
     fn want(&self) -> Vec<u32> {
         let _fp = FlushGuard::enter();
-        (self.naive)(&*self.solver)
+        self.naive()
     }
 }
 
-/// The cases of space order `so`: acoustic, TTI and both elastic phases at
-/// the orders all three support, acoustic alone (its dynamic-radius
-/// Laplacian) elsewhere.
-fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
+/// The cases of space order `so` under a layer of `nbl` points: acoustic,
+/// TTI and both elastic phases at the orders all three support, acoustic
+/// alone (its dynamic-radius Laplacian) elsewhere.
+fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
     let d = domain();
     let seed = 11 + so as u64;
-    let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(
-        &Model::random(d, 1500.0, 4500.0, seed),
-        config(so, EquationKind::Acoustic, 4500.0),
-        source(),
-        None,
-    ));
+    let model = Model::random(d, 1500.0, 4500.0, seed);
+    let cfg = config(so, EquationKind::Acoustic, 4500.0, nbl);
+    let params = leapfrog(&cfg, &model.m);
+    let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(&model, cfg, source(), None));
     fill(&*acoustic, seed, fixture);
     let naive = match so / 2 {
         2 => naive_acoustic::<2>,
@@ -377,6 +433,7 @@ fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
         solver: acoustic,
         vt: K,
         naive,
+        params,
     }];
     if !matches!(so, 4 | 8 | 12) {
         return out;
@@ -384,12 +441,9 @@ fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
 
     // Every rotation coefficient of the random TTI medium is non-trivial.
     let model = TtiModel::random(d, 1500.0, 4500.0, seed);
-    let tti: Box<dyn WaveSolver> = Box::new(Tti::new(
-        &model,
-        config(so, EquationKind::Tti, model.vmax()),
-        source(),
-        None,
-    ));
+    let cfg = config(so, EquationKind::Tti, model.vmax(), nbl);
+    let params = leapfrog(&cfg, &model.m);
+    let tti: Box<dyn WaveSolver> = Box::new(Tti::new(&model, cfg, source(), None));
     fill(&*tti, seed, fixture);
     let naive = match so / 2 {
         2 => naive_tti::<2>,
@@ -400,15 +454,14 @@ fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
         solver: tti,
         vt: K,
         naive,
+        params,
     });
 
     for phase in 0..2 {
-        let elastic: Box<dyn WaveSolver> = Box::new(Elastic::new(
-            &ElasticModel::random(d, 1500.0, 4500.0, seed),
-            config(so, EquationKind::Elastic, 4500.0),
-            source(),
-            None,
-        ));
+        let model = ElasticModel::random(d, 1500.0, 4500.0, seed);
+        let cfg = config(so, EquationKind::Elastic, 4500.0, nbl);
+        let params = elastic_params(&cfg, &model);
+        let elastic: Box<dyn WaveSolver> = Box::new(Elastic::new(&model, cfg, source(), None));
         fill(&*elastic, seed, fixture);
         let naive = match (so / 2, phase) {
             (2, 0) => naive_elastic_vel::<2>,
@@ -422,6 +475,7 @@ fn cases(so: usize, fixture: Fixture) -> Vec<Case> {
             solver: elastic,
             vt: 2 * K + phase,
             naive,
+            params,
         });
     }
     out
@@ -470,8 +524,9 @@ fn backends() -> Vec<Backend> {
     Backend::ALL.into_iter().filter(|b| b.available()).collect()
 }
 
-/// Every case of every space order in `orders`, on every backend, under
-/// every decomposition and policy, against its oracle.
+/// Every case of every space order in `orders` under every layer of
+/// [`NBLS`], on every backend, under every decomposition and policy,
+/// against its oracle.
 fn check(orders: &[usize], fixture: Fixture) {
     let policies = [
         Policy::Sequential,
@@ -480,8 +535,8 @@ fn check(orders: &[usize], fixture: Fixture) {
         Policy::Capped { threads: 2 },
         Policy::Capped { threads: 4 },
     ];
-    for &so in orders {
-        for case in cases(so, fixture) {
+    for (&so, nbl) in orders.iter().flat_map(|so| NBLS.map(|nbl| (so, nbl))) {
+        for case in cases(so, fixture, nbl) {
             let (s, vt, want) = (&*case.solver, case.vt, case.want());
             for backend in backends() {
                 for (name, regions) in decompositions(so as u64) {
@@ -497,8 +552,8 @@ fn check(orders: &[usize], fixture: Fixture) {
                         assert_eq!(
                             diverged,
                             None,
-                            "{} {fixture:?} vt {vt} so {so} {backend} {name} {policy:?}: first \
-                             differing value index",
+                            "{} {fixture:?} vt {vt} so {so} nbl {nbl} {backend} {name} {policy:?}: \
+                             first differing value index",
                             s.name()
                         );
                     }
@@ -530,9 +585,9 @@ fn subnormals(bits: &[u32]) -> usize {
 #[test]
 fn the_front_fixture_reaches_the_subnormal_range() {
     for so in [4usize, 8, 12] {
-        for case in cases(so, Fixture::Front) {
+        for case in cases(so, Fixture::Front, 3) {
             let what = format!("{} vt {} so {so}", case.solver.name(), case.vt);
-            let gradual = (case.naive)(&*case.solver);
+            let gradual = case.naive();
             let flushed = case.want();
             assert!(
                 subnormals(&gradual) > 0,
