@@ -50,7 +50,8 @@ pub struct Acoustic {
     /// with every solver built from the same [`ShotAssets`].
     digest: Arc<OnceLock<u64>>,
     src: SourceBundle,
-    rec: Option<ReceiverBundle>,
+    /// Shared with every solver built from the same [`ShotAssets`].
+    rec: Option<Arc<ReceiverBundle>>,
     trace: Option<TraceBuffer>,
 }
 
@@ -60,8 +61,9 @@ pub struct Acoustic {
 /// the shared Ricker wavelet samples. Built once per `(model, config,
 /// receiver-set)` and reused across every shot of a survey batch — the
 /// batch-level reuse rule of the survey engine (DESIGN.md §14). The
-/// coefficients are shared, not copied, by every solver built from the
-/// assets; `Clone` copies the receiver bundle but re-runs no precompute.
+/// coefficients and the receiver bundle are shared, not copied, by every
+/// solver built from the assets and by `Clone`; nothing re-runs a
+/// precompute.
 #[derive(Clone)]
 pub struct ShotAssets {
     cfg: SimConfig,
@@ -72,7 +74,7 @@ pub struct ShotAssets {
     wz: Vec<f32>,
     center: f32,
     radius: usize,
-    rec: Option<ReceiverBundle>,
+    rec: Option<Arc<ReceiverBundle>>,
     /// Ricker samples at `cfg.f0` — one column of the per-shot wavelet
     /// matrix, shared so shots do not re-evaluate the transcendentals.
     ricker: Vec<f32>,
@@ -97,7 +99,7 @@ impl ShotAssets {
         let sponge = Sponge::new(shape, cfg.nbl, cfg.damp_coeff);
         let c3 = Arc::new(sponge.c3(&model.m, cfg.dt));
 
-        let rec = receivers.map(|r| ReceiverBundle::new(&cfg.domain, r));
+        let rec = receivers.map(|r| Arc::new(ReceiverBundle::new(&cfg.domain, r)));
         let ricker = tempest_sparse::ricker(cfg.f0, cfg.dt, cfg.nt);
         ShotAssets {
             cfg,
@@ -121,7 +123,7 @@ impl ShotAssets {
 
     /// The shared receiver bundle, when receivers were attached.
     pub fn receivers(&self) -> Option<&ReceiverBundle> {
-        self.rec.as_ref()
+        self.rec.as_deref()
     }
 
     /// The same assets without receivers, sharing these coefficients (and
@@ -254,7 +256,7 @@ impl Acoustic {
         // region and levels k, k+1 hold fully computed values (legality is
         // machine-checked in tempest-tiling and cross-validated bitwise).
         let (u0, um) = unsafe { (self.ring.level(k + 1), self.ring.level(k)) };
-        let receivers = self.rec.as_ref().zip(self.trace.as_ref());
+        let receivers = self.rec.as_deref().zip(self.trace.as_ref());
         let zs = region.z0..region.z1;
         let n = zs.len();
         with_scratch(n, |lap| {
@@ -415,7 +417,7 @@ impl WaveSolver for Acoustic {
         classic_step(
             k,
             &self.src,
-            self.rec.as_ref().zip(self.trace.as_ref()),
+            self.rec.as_deref().zip(self.trace.as_ref()),
             // SAFETY: runs on one thread between sweeps, so nothing else
             // touches the freshly computed level `k + 2`.
             |c, amp| unsafe {
@@ -457,7 +459,7 @@ impl WaveSolver for Acoustic {
     }
 
     fn receivers(&self) -> Option<&ReceiverBundle> {
-        self.rec.as_ref()
+        self.rec.as_deref()
     }
 
     fn trace_buffer(&self) -> Option<&TraceBuffer> {
@@ -614,6 +616,12 @@ mod tests {
             assert!(Arc::ptr_eq(&a.sponge, &s.sponge), "one sponge");
             assert!(Arc::ptr_eq(&a.digest, &s.digest), "one digest cell");
         }
+        let bundle = assets.rec.as_ref().expect("receivers attached");
+        for s in [&a, &b] {
+            let rec = s.rec.as_ref().expect("the assets' receivers");
+            assert!(Arc::ptr_eq(bundle, rec), "one receiver bundle");
+        }
+        assert!(c.rec.is_none());
     }
 
     #[test]

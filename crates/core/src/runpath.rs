@@ -13,14 +13,16 @@
 //! and decides which of those must also be written back into the rings —
 //! the ones a recomputed node can still read, and the ones that hold the
 //! sweep's end state. During the sweep a restored node replays its receiver
-//! gathers from the payload and copies pencils only if so marked; every
-//! recomputed slab is captured right after it was stepped. All of it is
+//! gathers from the payload and decodes pencils into the rings only if so
+//! marked; every recomputed slab is captured right after it was stepped,
+//! each pencil as its non-zero span. All of it is
 //! generic over the propagator through [`WaveSolver::written`] and
 //! [`WaveSolver::gathered`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -58,6 +60,10 @@ pub struct IncrementalReport {
     pub restored_bytes: usize,
     /// Wavefield bytes the recomputed nodes stepped (and captured).
     pub recomputed_bytes: usize,
+    /// Payload bytes this run inserted into the cache: the recomputed
+    /// nodes' captures, each pencil as its non-zero span plus an 8-byte
+    /// index entry — at most `recomputed_bytes` plus 8 B per pencil.
+    pub stored_bytes: usize,
     /// True when no completed prior run was available (or the cache is
     /// disabled) and everything ran from scratch.
     pub cold: bool,
@@ -101,6 +107,7 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
         |vt: usize, region: &Range3| solver.step_region(vt, region, exec.sparse, exec.kernel);
     let started = Instant::now();
     let (mut written_back, mut restored_bytes, mut recomputed_bytes) = (0, 0, 0);
+    let mut stored_bytes = 0;
     let (tally, cold) = match cached {
         None if classic => {
             // The classic operators run between segments, outside every
@@ -124,6 +131,7 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
             let outcome = execute_plan(plan, 0, exec.policy, step, Some(&store));
             let cold = store.cold;
             (written_back, restored_bytes, recomputed_bytes) = store.work();
+            stored_bytes = store.stored_bytes.load(Ordering::Relaxed);
             store.finish();
             (Some(outcome), cold)
         }
@@ -138,6 +146,7 @@ pub(crate) fn solve<S: WaveSolver + ?Sized>(
         written_back,
         restored_bytes,
         recomputed_bytes,
+        stored_bytes,
         cold,
     }
 }
@@ -167,6 +176,8 @@ struct CacheStore<'a, S: WaveSolver + ?Sized> {
     /// cache when the node's last slab arrives. Each node runs as one task,
     /// so the locks never contend.
     pending: Vec<Mutex<Vec<SlabPayload>>>,
+    /// Payload bytes the captures inserted into the cache.
+    stored_bytes: AtomicUsize,
     /// No completed prior run of the session existed.
     cold: bool,
 }
@@ -217,6 +228,7 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
             restores,
             write_back,
             pending: (0..plan.len()).map(|_| Mutex::new(Vec::new())).collect(),
+            stored_bytes: AtomicUsize::new(0),
             cold: delta.is_none(),
         }
     }
@@ -246,44 +258,57 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
         (written_back, bytes_of(true), bytes_of(false))
     }
 
-    /// Copy one cached slab into the rings — bit-for-bit what its step calls
-    /// would have left there.
+    /// Decode one cached slab into the rings — bit-for-bit what its step
+    /// calls would have left there: `+0.0` outside each pencil's span, the
+    /// span verbatim. The slot may hold an older level, so the zeros are
+    /// written too.
     fn write_slab(&self, sp: &SlabPayload) {
-        let (vt, r) = (sp.slab.vt, sp.slab.range);
+        let (vt, r) = (sp.slab().vt, sp.slab().range);
         for (field, (ring, level)) in self.solver.written(vt).into_iter().enumerate() {
             for x in r.x0..r.x1 {
                 for y in r.y0..r.y1 {
                     // SAFETY: this node's task owns these cells at this
                     // level, exactly as the step calls it replaces would.
                     let un = unsafe { ring.pencil_mut(level, x, y) };
-                    un[r.z0..r.z1].copy_from_slice(sp.pencil(field, x, y));
+                    let (lo, kept) = sp.span(field, x, y);
+                    let (below, rest) = un[r.z0..r.z1].split_at_mut(lo - r.z0);
+                    let (span, above) = rest.split_at_mut(kept.len());
+                    below.fill(0.0);
+                    span.copy_from_slice(kept);
+                    above.fill(0.0);
                 }
             }
         }
     }
 
     /// Replay one cached slab's receiver gathers against the *current*
-    /// receiver bundle in the exact compute order (blocks in `split_xy`
-    /// order, x then y, ascending z): the step bodies' own gather routine,
-    /// reading the payload row instead of a freshly stepped one. Counts
-    /// `ReceiverGathers` like the fused path; stencil/injection counters
-    /// stay untouched — no such work happens.
+    /// receiver bundle, pencil by pencil in payload order: the step bodies'
+    /// own gather routine, reading each value through the pencil's span
+    /// (`+0.0` outside it). Every trace slot has one writer, so the order
+    /// cannot change bits. Counts `ReceiverGathers` like the fused path;
+    /// stencil/injection counters stay untouched — no such work happens.
     fn replay_gathers(&self, sp: &SlabPayload) {
-        let (vt, r) = (sp.slab.vt, sp.slab.range);
+        let (vt, r) = (sp.slab().vt, sp.slab().range);
         let receivers = self.solver.receivers().zip(self.solver.trace_buffer());
         let (Some(field), Some(_)) = (self.solver.gathered(vt), receivers) else {
             return;
         };
-        if !self.receiver_rect.overlaps(&r) {
-            return;
-        }
+        // Only pencils inside the receivers' xy bounding box gather.
+        let rr = &self.receiver_rect;
+        let (xs, ys) = (
+            r.x0.max(rr.x0)..r.x1.min(rr.x1),
+            r.y0.max(rr.y0)..r.y1.min(rr.y1),
+        );
         let k = vt / self.solver.phases();
-        for b in r.split_xy(self.plan.block_x, self.plan.block_y) {
-            for x in b.x0..b.x1 {
-                for y in b.y0..b.y1 {
-                    if let Some(mut sparse) = FusedPencil::begin(self.sparse, k, x, y, b.z0..b.z1) {
-                        sparse.gather(receivers, sp.pencil(field, x, y));
-                    }
+        for x in xs {
+            for y in ys.clone() {
+                if let Some(mut sparse) = FusedPencil::begin(self.sparse, k, x, y, r.z0..r.z1) {
+                    let (lo, kept) = sp.span(field, x, y);
+                    sparse.gather_by(receivers, |z| {
+                        z.checked_sub(lo)
+                            .and_then(|i| kept.get(i))
+                            .map_or(0.0, |&v| v)
+                    });
                 }
             }
         }
@@ -309,32 +334,39 @@ impl<S: WaveSolver + ?Sized> TileStore for CacheStore<'_, S> {
         let slabs = &self.plan.slabs[node];
         let slab = slabs[slab];
         let r = slab.range;
-        let nz = r.z1 - r.z0;
-        let written = self.solver.written(slab.vt);
-        let mut data = Vec::with_capacity(written.len() * r.len());
-        for (ring, level) in written {
-            // SAFETY: called from the node's own task right after the slab's
-            // step calls and before its successors are released — it reads
-            // exactly the cells this node just wrote, which no other
-            // in-flight tile may touch.
-            let lvl = unsafe { ring.level(level) };
-            for x in r.x0..r.x1 {
-                for y in r.y0..r.y1 {
-                    let base = ring.idx(x, y, r.z0);
-                    data.extend_from_slice(&lvl[base..base + nz]);
-                }
-            }
-        }
+        let pencils = self
+            .solver
+            .written(slab.vt)
+            .into_iter()
+            .flat_map(|(ring, level)| {
+                // SAFETY: called from the node's own task right after the slab's
+                // step calls and before its successors are released — it reads
+                // exactly the cells this node just wrote, which no other
+                // in-flight tile may touch.
+                let lvl = unsafe { ring.level(level) };
+                (r.x0..r.x1).flat_map(move |x| {
+                    (r.y0..r.y1).map(move |y| {
+                        let base = ring.idx(x, y, r.z0);
+                        &lvl[base..base + (r.z1 - r.z0)]
+                    })
+                })
+            });
+        let encoded = SlabPayload::encode(slab, pencils);
         let mut pending = self.pending[node]
             .lock()
             .expect("a capture panicked while holding its node's slab list");
-        pending.push(SlabPayload { slab, data });
+        pending.push(encoded);
         if pending.len() == slabs.len() {
             let payload = TilePayload {
                 slabs: std::mem::take(&mut pending),
             };
-            self.cache
-                .insert(self.session, node as u32, self.masks[node], payload);
+            let bytes = payload.bytes();
+            if self
+                .cache
+                .insert(self.session, node as u32, self.masks[node], payload)
+            {
+                self.stored_bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -601,22 +633,90 @@ mod tests {
                 let pa = caches[0].lookup(key, node as u32, masks_a[node]);
                 let pb = caches[1].lookup(key, node as u32, masks_b[node]);
                 let (pa, pb) = (pa.expect("A captured it"), pb.expect("B captured it"));
-                let bits = |p: &TilePayload| -> Vec<u32> {
-                    p.slabs
-                        .iter()
-                        .flat_map(|s| s.data.iter().map(|v| v.to_bits()))
-                        .collect()
-                };
-                let same = bits(&pa) == bits(&pb);
+                // The encoding is canonical: equal payloads are equal pencils.
+                let same = pa == pb;
                 if dirty[node] {
                     changed += !same as usize;
                 } else {
                     assert!(same, "{name}: clean node {node} differs between the runs");
-                    busy_clean += bits(&pa).iter().any(|&b| b << 1 != 0) as usize;
+                    let mut values = pa.slabs.iter().flat_map(|s| s.values());
+                    busy_clean += values.any(|v| v.to_bits() << 1 != 0) as usize;
                 }
             }
             assert!(busy_clean > 0, "{name}: every clean node is all zeros");
             assert!(changed > 0, "{name}: the nudge changed no dirty node");
+        }
+    }
+
+    /// A write-back decodes each pencil over whatever its ring slot held —
+    /// here NaN in every cell of the slab — leaving `+0.0` outside the span
+    /// and the span verbatim. In a solve the slot holds an earlier level of
+    /// a growing wavefield, which is never non-zero where the later level
+    /// is exact zero, so no rerun oracle sees a skipped zero fill.
+    #[test]
+    fn write_back_overwrites_a_stale_slot_outside_the_span() {
+        let exec = Execution {
+            schedule: Schedule::SpaceBlocked {
+                block_x: 8,
+                block_y: 8,
+            },
+            sparse: SparseMode::FusedCompressed,
+            policy: Policy::Sequential,
+            kernel: KernelPath::default(),
+        };
+        let stale = f32::from_bits(0x7fc0_1234);
+        for (mut cold, warm) in solvers(0.0).into_iter().zip(solvers(0.0)) {
+            let name = cold.name();
+            let cache = TileCache::with_capacity_mb(64);
+            let steps = 0..cold.num_timesteps();
+            solve(&mut *cold, &exec, steps, Some((&cache, 0)));
+            let plan = exec.plan(
+                warm.shape(),
+                warm.num_timesteps(),
+                warm.radius(),
+                warm.phases(),
+            );
+            let store = CacheStore::begin(&*warm, &plan, &cache, exec.sparse, 0);
+            let (mut trimmed, mut holding) = (0, 0);
+            for payload in &store.restores {
+                let payload = payload
+                    .as_deref()
+                    .expect("an identical rerun restores every node");
+                for sp in &payload.slabs {
+                    let (r, written) = (sp.slab().range, warm.written(sp.slab().vt));
+                    let cells = || (r.x0..r.x1).flat_map(|x| (r.y0..r.y1).map(move |y| (x, y)));
+                    for &(ring, level) in &written {
+                        for (x, y) in cells() {
+                            // SAFETY: nothing else runs; the test owns the rings.
+                            unsafe { ring.pencil_mut(level, x, y)[r.z0..r.z1].fill(stale) };
+                        }
+                    }
+                    store.write_slab(sp);
+                    for (field, &(ring, level)) in written.iter().enumerate() {
+                        for (x, y) in cells() {
+                            let (lo, kept) = sp.span(field, x, y);
+                            // SAFETY: as above.
+                            let got = unsafe { &ring.pencil_mut(level, x, y)[r.z0..r.z1] };
+                            for (z, v) in (r.z0..r.z1).zip(got) {
+                                let want = z.checked_sub(lo).and_then(|i| kept.get(i));
+                                let want = want.map_or(0, |v| v.to_bits());
+                                assert_eq!(
+                                    v.to_bits(),
+                                    want,
+                                    "{name} slab {:?} ({x}, {y}, {z})",
+                                    sp.slab()
+                                );
+                            }
+                            trimmed += (kept.len() < r.z1 - r.z0) as usize;
+                            holding += !kept.is_empty() as usize;
+                        }
+                    }
+                }
+            }
+            assert!(
+                0 < trimmed && 0 < holding,
+                "{name}: {trimmed} trimmed, {holding} hold values"
+            );
         }
     }
 

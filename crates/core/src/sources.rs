@@ -203,23 +203,31 @@ impl FusedPencil {
     }
 
     /// Receiver gather from `fresh`, the `zs` part of the row receivers read
-    /// as the step (and any injection) just left it: each affected point
-    /// stores `w · u` into its footprint-corner slots of timestep `k`. A
-    /// no-op without receivers.
+    /// as the step (and any injection) just left it. A no-op without
+    /// receivers.
     #[inline]
-    pub fn gather(
+    pub fn gather(&mut self, receivers: Option<(&ReceiverBundle, &TraceBuffer)>, fresh: &[f32]) {
+        debug_assert_eq!(fresh.len(), self.zs.len());
+        let z0 = self.zs.start;
+        self.gather_by(receivers, |z| fresh[z - z0]);
+    }
+
+    /// Receiver gather through `value(z)`, the pencil's value at `z`: each
+    /// affected point stores `w · u` into its footprint-corner slots of
+    /// timestep `k`. A no-op without receivers.
+    #[inline]
+    pub fn gather_by(
         &mut self,
         receivers: Option<(&ReceiverBundle, &TraceBuffer)>,
-        fresh: &[f32],
+        value: impl Fn(usize) -> f32,
     ) {
         let Some((rec, trace)) = receivers else {
             return;
         };
-        debug_assert_eq!(fresh.len(), self.zs.len());
-        let (k, z0) = (self.k, self.zs.start);
+        let k = self.k;
         let mut gathers = 0u64;
         self.affected(&rec.pre.index, |z, id| {
-            let v = fresh[z - z0];
+            let v = value(z);
             let contribs = rec.pre.contributions(id);
             gathers += contribs.len() as u64;
             for &(slot, w) in contribs {

@@ -23,7 +23,10 @@
 //!   content-addressed by a session key (model + config + schedule
 //!   geometry), the tile id, and a digest of the sparse points intersecting
 //!   the tile's footprint. `TEMPEST_CACHE_MB` bounds the payload bytes
-//!   (`0` disables caching entirely).
+//!   (`0` disables caching entirely). A payload ([`SlabPayload`]) keeps
+//!   each pencil's non-zero `z`-span and an 8-byte index entry: a wavefield
+//!   grows from zero around its sources, so the space-time the wave has not
+//!   reached costs only the index.
 //!
 //! A [`crate::TileStore`] over the cache (built in `tempest-core`, which
 //! knows the wavefield rings) plugs both into [`crate::execute_plan`]: each
@@ -153,41 +156,155 @@ pub fn dirty_cone(plan: &TilePlan, rects: &[DirtyRect]) -> Vec<bool> {
 // ---------------------------------------------------------------------------
 
 /// One tile's cached output: the interior pencils it wrote, per slab.
-#[derive(Debug, Clone)]
+/// Equal payloads compare equal bit for bit (see [`SlabPayload`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TilePayload {
     /// Per-slab written data, same order as the plan's slab list.
     pub slabs: Vec<SlabPayload>,
 }
 
+/// Where one pencil's kept values live: `len` values from `offset` in the
+/// payload's value list, the first of them at `z0 + lo`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PencilSpan {
+    offset: u32,
+    lo: u16,
+    len: u16,
+}
+
 /// The values one slab wrote: for each wavefield the step writes, in the
 /// propagator's fixed order, the `(x, y)` pencils of `slab.range` in
-/// x-major, then y, then z order.
+/// x-major, then y order — each stored as its *non-zero span*, the values
+/// from its first to its last entry whose bits are not all zero.
+///
+/// Outside the span a pencil holds `+0.0`; inside it every value is kept
+/// verbatim, `-0.0`, NaN payloads and subnormals included. A pencil costs
+/// one 8-byte index entry plus its span, so an all-zero pencil stores no
+/// value at all and a payload never exceeds the dense size plus 8 B per
+/// pencil. The encoding is canonical — equal pencils in the same order
+/// give equal index entries and value bits — so `==` is bitwise equality
+/// of the pencils the payload stands for.
 #[derive(Debug, Clone)]
 pub struct SlabPayload {
-    /// The slab this payload reproduces.
-    pub slab: Slab,
-    /// `fields × range.len()` f32 values: field-major, then x / y / z.
-    pub data: Vec<f32>,
+    slab: Slab,
+    /// One entry per pencil: field-major, then x, then y.
+    index: Vec<PencilSpan>,
+    /// The kept values, pencil after pencil.
+    values: Vec<f32>,
+}
+
+/// Values tested at once when skipping a zero run: an OR over a fixed-size
+/// chunk vectorizes, an early-exit scan does not.
+const ZERO_CHUNK: usize = 16;
+
+/// Bits OR-ed over a chunk: zero iff every value is `+0.0`.
+#[inline]
+fn chunk_bits(c: &[f32]) -> u32 {
+    c.iter().fold(0, |acc, v| acc | v.to_bits())
+}
+
+/// The span `lo..hi` from the first to one past the last value of `p` whose
+/// bits are not zero (`0..0` when there is none). Each value is looked at
+/// once: the forward scan stops at `lo`, the backward one at `hi − 1`.
+fn nonzero_span(p: &[f32]) -> (usize, usize) {
+    let kept = |v: &f32| v.to_bits() != 0;
+    let zero_chunks = p
+        .chunks_exact(ZERO_CHUNK)
+        .take_while(|c| chunk_bits(c) == 0)
+        .count();
+    let from = zero_chunks * ZERO_CHUNK;
+    let Some(lo) = p[from..].iter().position(kept).map(|i| from + i) else {
+        return (0, 0);
+    };
+    let zero_tail = p[lo..]
+        .rchunks_exact(ZERO_CHUNK)
+        .take_while(|c| chunk_bits(c) == 0)
+        .count();
+    let to = p.len() - zero_tail * ZERO_CHUNK;
+    let last = p[lo..to].iter().rposition(kept).expect("p[lo] is kept");
+    (lo, lo + last + 1)
 }
 
 impl SlabPayload {
-    /// The z-pencil of written field `field` at interior `(x, y)` (must lie
-    /// inside the slab range).
-    pub fn pencil(&self, field: usize, x: usize, y: usize) -> &[f32] {
+    /// Encode the pencils `slab` wrote, in order (field-major, then x, then
+    /// y; each `range.z1 − range.z0` long).
+    pub fn encode<'a>(slab: Slab, pencils: impl IntoIterator<Item = &'a [f32]>) -> Self {
+        let r = &slab.range;
+        let nz = r.z1 - r.z0;
+        assert!(nz <= u16::MAX as usize, "a pencil span is indexed by u16");
+        let mut index = Vec::with_capacity((r.x1 - r.x0) * (r.y1 - r.y0));
+        let mut values = Vec::new();
+        for p in pencils {
+            debug_assert_eq!(p.len(), nz);
+            let (lo, hi) = nonzero_span(p);
+            index.push(PencilSpan {
+                offset: u32::try_from(values.len()).expect("a slab payload holds < 2³² values"),
+                lo: lo as u16,
+                len: (hi - lo) as u16,
+            });
+            values.extend_from_slice(&p[lo..hi]);
+        }
+        index.shrink_to_fit();
+        values.shrink_to_fit();
+        SlabPayload {
+            slab,
+            index,
+            values,
+        }
+    }
+
+    /// The non-zero span of written field `field`'s z-pencil at interior
+    /// `(x, y)` (inside the slab range): the absolute `z` of its first kept
+    /// value, and the kept values. Every other `z` of the pencil is `+0.0`.
+    #[inline]
+    pub fn span(&self, field: usize, x: usize, y: usize) -> (usize, &[f32]) {
         let r = &self.slab.range;
-        let (ny, nz) = (r.y1 - r.y0, r.z1 - r.z0);
-        let base = ((field * (r.x1 - r.x0) + (x - r.x0)) * ny + (y - r.y0)) * nz;
-        &self.data[base..base + nz]
+        let i = (field * (r.x1 - r.x0) + (x - r.x0)) * (r.y1 - r.y0) + (y - r.y0);
+        let s = self.index[i];
+        let start = s.offset as usize;
+        (
+            r.z0 + s.lo as usize,
+            &self.values[start..start + s.len as usize],
+        )
+    }
+
+    /// The slab this payload reproduces.
+    pub fn slab(&self) -> Slab {
+        self.slab
+    }
+
+    /// The kept values, pencil after pencil.
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// Bytes held: the kept values plus the index.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.values[..]) + std::mem::size_of_val(&self.index[..])
     }
 }
 
+impl PartialEq for SlabPayload {
+    /// Bitwise: `-0.0 ≠ +0.0` and a NaN equals the same NaN bits.
+    fn eq(&self, other: &Self) -> bool {
+        self.slab == other.slab
+            && self.index == other.index
+            && self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for SlabPayload {}
+
 impl TilePayload {
-    /// Total payload bytes (the unit [`TileCache`] budgets).
+    /// Total payload bytes (the unit [`TileCache`] budgets): every slab's
+    /// kept values and index.
     pub fn bytes(&self) -> usize {
-        self.slabs
-            .iter()
-            .map(|s| s.data.len() * std::mem::size_of::<f32>())
-            .sum()
+        self.slabs.iter().map(SlabPayload::bytes).sum()
     }
 }
 
@@ -444,20 +561,20 @@ impl TileCache {
     }
 
     /// Store a tile payload, evicting least-recently-used entries (across
-    /// all sessions) until the byte budget holds. A payload larger than the
-    /// whole budget is dropped outright.
-    pub fn insert(&self, session: u64, node: u32, mask: u64, payload: TilePayload) {
+    /// all sessions) until the byte budget holds; `false` when it was
+    /// refused. A payload larger than the whole budget is dropped outright.
+    pub fn insert(&self, session: u64, node: u32, mask: u64, payload: TilePayload) -> bool {
         if !self.enabled() {
-            return;
+            return false;
         }
         let bytes = payload.bytes();
         if bytes > self.cap_bytes {
-            return;
+            return false;
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.lock();
         let Some(s) = inner.sessions.get_mut(&session) else {
-            return; // no begin_run for this session — refuse silently
+            return false; // no begin_run for this session — refuse silently
         };
         if let Some(old) = s.entries.insert(
             node,
@@ -490,6 +607,7 @@ impl TileCache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             obs::add(obs::Counter::CacheEvictions, 1);
         }
+        true
     }
 
     /// Autotune memo lookup: the tuned `(block_x, block_y)` for `key`.
@@ -526,7 +644,7 @@ impl TileCache {
 mod tests {
     use super::*;
     use crate::wavefront::WavefrontSpec;
-    use tempest_grid::Shape;
+    use tempest_grid::{Rng64, Shape};
 
     fn wf_plan() -> TilePlan {
         TilePlan::wavefront(
@@ -537,16 +655,21 @@ mod tests {
         )
     }
 
+    /// A payload of exactly `bytes` bytes: pencils of non-zero values, each
+    /// up to 4 KiB with its 8-byte index entry.
     fn payload_of(bytes: usize) -> TilePayload {
-        TilePayload {
-            slabs: vec![SlabPayload {
-                slab: Slab {
-                    vt: 0,
-                    range: Range3::new((0, 1), (0, 1), (0, bytes / 4)),
-                },
-                data: vec![0.0; bytes / 4],
-            }],
-        }
+        let per = bytes.min(4096);
+        let (nz, pencils) = ((per - 8) / 4, bytes / per);
+        let ones = vec![1.0f32; nz];
+        let slab = Slab {
+            vt: 0,
+            range: Range3::new((0, pencils), (0, 1), (0, nz)),
+        };
+        let p = TilePayload {
+            slabs: vec![SlabPayload::encode(slab, (0..pencils).map(|_| &ones[..]))],
+        };
+        assert_eq!(p.bytes(), bytes);
+        p
     }
 
     fn sig(digest: u64, x0: usize, y0: usize) -> SourceSig {
@@ -669,7 +792,7 @@ mod tests {
         assert!(c.lookup(1, 1, 0).is_none(), "LRU entry should be gone");
         assert!(c.lookup(1, 0, 0).is_some(), "recently-used entry survives");
         // An over-budget payload is refused outright.
-        c.insert(1, 9, 0, payload_of(2 * 1024 * 1024));
+        assert!(!c.insert(1, 9, 0, payload_of(2 * 1024 * 1024)));
         assert!(c.lookup(1, 9, 0).is_none());
     }
 
@@ -684,20 +807,152 @@ mod tests {
         assert_eq!(off.tune_lookup(3), None);
     }
 
+    /// Pencil `i` of two fields over a 3×3 xy range at `z ∈ 3..7` holds
+    /// `i + 1` at `z = 3 + i % 4` and zeros elsewhere, except pencil 5,
+    /// which is all zeros.
     #[test]
     fn slab_payload_pencil_indexing() {
-        let range = Range3::new((2, 5), (1, 4), (0, 4));
-        let data = (0..2 * range.len()).map(|i| i as f32).collect();
-        let p = SlabPayload {
-            slab: Slab { vt: 0, range },
-            data,
-        };
-        assert_eq!(p.pencil(0, 2, 1)[0], 0.0);
-        assert_eq!(p.pencil(0, 2, 2)[0], 4.0);
-        assert_eq!(p.pencil(0, 3, 1)[0], 12.0);
-        assert_eq!(p.pencil(0, 4, 3)[3], 35.0);
-        // The second field starts one whole range later.
-        assert_eq!(p.pencil(1, 2, 1)[0], 36.0);
-        assert_eq!(p.pencil(1, 4, 3)[3], 71.0);
+        let range = Range3::new((2, 5), (1, 4), (3, 7));
+        let pencils: Vec<Vec<f32>> = (0..18)
+            .map(|i| {
+                let mut p = vec![0.0; 4];
+                if i != 5 {
+                    p[i % 4] = (i + 1) as f32;
+                }
+                p
+            })
+            .collect();
+        let p = SlabPayload::encode(Slab { vt: 0, range }, pencils.iter().map(Vec::as_slice));
+        assert_eq!(p.span(0, 2, 1), (3, &[1.0][..]));
+        assert_eq!(p.span(0, 2, 2), (4, &[2.0][..]));
+        assert_eq!(p.span(0, 3, 1), (6, &[4.0][..]));
+        assert_eq!(
+            p.span(0, 3, 3),
+            (3, &[][..]),
+            "an all-zero pencil keeps nothing"
+        );
+        assert_eq!(p.span(0, 4, 3), (3, &[9.0][..]));
+        // The second field starts one whole xy area later.
+        assert_eq!(p.span(1, 2, 1), (4, &[10.0][..]));
+        assert_eq!(p.span(1, 4, 3), (4, &[18.0][..]));
+        assert_eq!(p.values().len(), 17);
+        assert_eq!(p.bytes(), 18 * 8 + 17 * 4);
+    }
+
+    /// One seeded pencil of length `nz` of the given kind.
+    fn pencil(rng: &mut Rng64, kind: usize, nz: usize) -> Vec<f32> {
+        let mut p = vec![0.0f32; nz];
+        let at = rng.range_usize(0, nz);
+        let bits =
+            |rng: &mut Rng64, lo: u32, hi: u32| lo + (rng.next_u64() % (hi - lo) as u64) as u32;
+        match kind {
+            0 => {} // all +0.0
+            1 => p[at] = -0.0,
+            2 => {
+                // NaN payloads, quiet and signalling, either sign.
+                for _ in 0..rng.range_usize(1, 4) {
+                    let z = rng.range_usize(0, nz);
+                    p[z] = f32::from_bits(
+                        bits(rng, 0x7f80_0001, 0x8000_0000) | (rng.next_u64() as u32 & 0x8000_0000),
+                    );
+                }
+            }
+            3 => {
+                for _ in 0..rng.range_usize(1, 4) {
+                    let z = rng.range_usize(0, nz);
+                    p[z] = f32::from_bits(bits(rng, 1, 0x0080_0000));
+                }
+            }
+            4 => p[0] = rng.range_f32(-1.0, 1.0) + 2.0,
+            5 => p[nz - 1] = -rng.range_f32(1.0, 2.0),
+            6 => {
+                for v in &mut p {
+                    *v = f32::from_bits(rng.next_u64() as u32);
+                }
+            }
+            _ => {
+                // A wave front: values on a random sub-range, zeros and
+                // `-0.0` mixed in.
+                let hi = rng.range_usize(at, nz) + 1;
+                for v in &mut p[at..hi] {
+                    *v = match rng.range_usize(0, 4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.range_f32(-1.0, 1.0),
+                    };
+                }
+            }
+        }
+        p
+    }
+
+    /// The codec round-trips every pencil bit for bit: all `+0.0`, a lone
+    /// `-0.0`, NaN payloads, subnormal bits, a value only at the first or
+    /// the last `z`, dense random bits and random spans, at `nz = 1` too.
+    /// Each span is the smallest one holding every non-zero bit, `bytes()`
+    /// is 8 B per pencil plus the kept values, and equal pencils give equal
+    /// payloads while flipping one value's sign bit does not.
+    #[test]
+    fn codec_round_trips_pencils_bitwise() {
+        let mut rng = Rng64::new(0x5EED_C0DE);
+        for case in 0..400 {
+            let nz = if case % 5 == 0 {
+                1
+            } else {
+                rng.range_usize(1, 70)
+            };
+            let z0 = rng.range_usize(0, 3);
+            let (nx, ny, fields) = (
+                rng.range_usize(1, 4),
+                rng.range_usize(1, 4),
+                rng.range_usize(1, 3),
+            );
+            let range = Range3::new((5, 5 + nx), (2, 2 + ny), (z0, z0 + nz));
+            let slab = Slab { vt: case, range };
+            let pencils: Vec<Vec<f32>> = (0..fields * nx * ny)
+                .map(|_| {
+                    let kind = rng.range_usize(0, 8);
+                    pencil(&mut rng, kind, nz)
+                })
+                .collect();
+            let p = SlabPayload::encode(slab, pencils.iter().map(Vec::as_slice));
+            let mut kept = 0;
+            for (i, want) in pencils.iter().enumerate() {
+                let (f, x, y) = (i / (nx * ny), 5 + i / ny % nx, 2 + i % ny);
+                let (lo, span) = p.span(f, x, y);
+                let mut got = vec![0u32; nz];
+                for (z, v) in span.iter().enumerate() {
+                    got[lo - z0 + z] = v.to_bits();
+                }
+                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "case {case} pencil {i}");
+                if let (Some(a), Some(b)) = (span.first(), span.last()) {
+                    assert!(
+                        a.to_bits() != 0 && b.to_bits() != 0,
+                        "case {case}: span not tight"
+                    );
+                } else {
+                    assert_eq!(lo, z0, "case {case}: an empty span starts at z0");
+                }
+                kept += span.len();
+            }
+            assert_eq!(p.values().len(), kept);
+            assert_eq!(p.bytes(), 8 * pencils.len() + 4 * kept, "case {case}");
+            assert!(p.bytes() <= (4 * nz + 8) * pencils.len());
+
+            let again = pencils.clone();
+            assert_eq!(
+                p,
+                SlabPayload::encode(slab, again.iter().map(Vec::as_slice))
+            );
+            let mut flipped = pencils.clone();
+            let (i, z) = (rng.range_usize(0, pencils.len()), rng.range_usize(0, nz));
+            flipped[i][z] = f32::from_bits(flipped[i][z].to_bits() ^ 0x8000_0000);
+            assert_ne!(
+                p,
+                SlabPayload::encode(slab, flipped.iter().map(Vec::as_slice)),
+                "case {case}"
+            );
+        }
     }
 }

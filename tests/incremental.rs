@@ -510,11 +510,14 @@ fn plan_of(solver: &dyn WaveSolver, schedule: Schedule) -> TilePlan {
     )
 }
 
-/// The report states the work avoided as data. A cold fill restores nothing.
-/// A receiver-only delta recomputes nothing, and writes back exactly the
-/// nodes holding one of the acoustic ring's three levels still live when the
-/// sweep ends — every other restore is a gather replay. A nudged source on
-/// the busy field writes back fewer nodes than it restores.
+/// The report states the work avoided as data. A cold fill restores nothing
+/// and stores less than it stepped: one source's wavefield after six steps
+/// leaves most pencils all zeros. A receiver-only delta recomputes and
+/// stores nothing, and writes back exactly the nodes holding one of the
+/// acoustic ring's three levels still live when the sweep ends — every
+/// other restore is a gather replay. On the busy field a payload costs at
+/// most the dense bytes plus 8 B per pencil, and a nudged source writes back
+/// fewer nodes than it restores.
 #[test]
 fn report_counts_the_work_avoided() {
     let _solving = solving();
@@ -526,9 +529,17 @@ fn report_counts_the_work_avoided() {
         let cold = a.run_incremental(&ex, &cache, 0);
         assert_eq!((cold.written_back, cold.restored_bytes), (0, 0), "{label}");
         assert_eq!(cold.recomputed_bytes, field_bytes, "{label}");
+        assert_eq!(cold.stored_bytes, cache.stats().bytes, "{label}");
+        assert!(
+            cold.stored_bytes < cold.recomputed_bytes,
+            "{label}: stored {} of {} dense bytes",
+            cold.stored_bytes,
+            cold.recomputed_bytes
+        );
 
         let warm = problem(0, 0.37, 2).run_incremental(&ex, &cache, 0);
         assert_eq!((warm.recomputed, warm.recomputed_bytes), (0, 0), "{label}");
+        assert_eq!(warm.stored_bytes, 0, "{label}");
         assert_eq!(warm.restored_bytes, field_bytes, "{label}");
         let live = plan_of(&*a, schedule)
             .slabs
@@ -541,12 +552,22 @@ fn report_counts_the_work_avoided() {
 
     let ex = exec(busy_schedules()[1].1, Policy::Sequential);
     let cache = TileCache::with_capacity_mb(256);
-    busy_problems(0.0)
+    let cold = busy_problems(0.0)
         .swap_remove(0)
         .run_incremental(&ex, &cache, 0);
     let warm = busy_problems(0.3)
         .swap_remove(0)
         .run_incremental(&ex, &cache, 0);
+    for (what, r) in [("busy cold", &cold), ("busy nudged", &warm)] {
+        // One acoustic field: a captured pencil is 40 values.
+        let pencils = r.recomputed_bytes / (40 * std::mem::size_of::<f32>());
+        assert!(
+            0 < r.stored_bytes && r.stored_bytes <= r.recomputed_bytes + 8 * pencils,
+            "{what}: stored {} for {} dense bytes in {pencils} pencils",
+            r.stored_bytes,
+            r.recomputed_bytes
+        );
+    }
     assert!(
         0 < warm.written_back && warm.written_back < warm.reused,
         "busy: {} written back of {} reused",
@@ -567,9 +588,9 @@ fn report_counts_the_work_avoided() {
 /// slabs overwrite the ring slots its early slabs wrote, so a payload
 /// snapshotted after the *whole* tile ran replays wrong values into the
 /// gathers of fully reused tiles. Capture happens per slab now. Through the
-/// survey path every shot solves on one thread, so gathers must be
-/// bitwise-equal to an uncached cold solve at every fleet cap — for an
-/// identical resubmission (100 % reuse) and for a nudged shot.
+/// survey path a shot's tiles run on every thread the fleet cap allows, and
+/// gathers must be bitwise-equal to an uncached cold solve at every cap —
+/// for an identical resubmission (100 % reuse) and for a nudged shot.
 #[test]
 fn tall_tiles_replay_gathers_bitwise_through_the_survey_path() {
     let _solving = solving();
