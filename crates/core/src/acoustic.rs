@@ -11,6 +11,11 @@
 //! with most other pencils, and the update streams one coefficient per
 //! point.
 //!
+//! The ring keeps two levels, `u` and `u⁻`, and `u⁺` overwrites `u⁻` in
+//! place: `u⁻` is read only at the point being written, so the update
+//! streams four volumes (`u`, `u⁻`/`u⁺` as one read-modify-write line,
+//! `c3`) and no write-allocate read.
+//!
 //! The same region-update kernel serves every schedule and every backend;
 //! the sparse source / receiver work is either skipped (classic path,
 //! applied between timesteps) or fused per pencil (Listing 5) — both
@@ -183,7 +188,7 @@ impl Acoustic {
             .as_ref()
             .map(|r| TraceBuffer::new(cfg.nt, r.num_receivers()));
         Acoustic {
-            ring: LevelRing::new_lane_aligned(cfg.shape(), assets.radius, 3, LANE),
+            ring: LevelRing::new_lane_aligned(cfg.shape(), assets.radius, 2, LANE),
             cfg,
             c3: Arc::clone(&assets.c3),
             sponge: Arc::clone(&assets.sponge),
@@ -252,10 +257,11 @@ impl Acoustic {
         laplacian: &LaplacianRow,
     ) {
         count_step(region, backend);
-        // SAFETY: the schedule guarantees level k+2 writes are disjoint per
-        // region and levels k, k+1 hold fully computed values (legality is
+        // SAFETY: the schedule guarantees level k+1 holds fully computed
+        // values wherever the region's Laplacian reaches, and that nothing
+        // else touches the region's pencils of the slot written (legality is
         // machine-checked in tempest-tiling and cross-validated bitwise).
-        let (u0, um) = unsafe { (self.ring.level(k + 1), self.ring.level(k)) };
+        let u0 = unsafe { self.ring.level(k + 1) };
         let receivers = self.rec.as_deref().zip(self.trace.as_ref());
         let zs = region.z0..region.z1;
         let n = zs.len();
@@ -265,17 +271,18 @@ impl Acoustic {
                     let i0 = self.ring.idx(x, y, region.z0);
                     laplacian(u0, i0, lap);
                     // SAFETY: the same contract gives this call exclusive
-                    // ownership of the region's pencils at level `k + 2`.
+                    // ownership of the region's pencils at level `k + 2`,
+                    // which hold level `k` until the combine replaces them.
                     let un = unsafe { self.ring.pencil_mut(k + 2, x, y) };
                     let c3r = self.c3.pencil(x, y);
                     // Every row below is `n` long, so the loop carries no
                     // bounds checks and vectorizes.
-                    let (u0w, umw) = (&u0[i0..i0 + n], &um[i0..i0 + n]);
+                    let u0w = &u0[i0..i0 + n];
                     let c1w = &self.sponge.c1(x, y)[zs.clone()];
                     let c2w = &self.sponge.c2(x, y)[zs.clone()];
                     let (c3w, lapw, out) = (&c3r[zs.clone()], &lap[..n], &mut un[zs.clone()]);
                     for j in 0..n {
-                        out[j] = c1w[j] * u0w[j] - c2w[j] * umw[j] + c3w[j] * lapw[j];
+                        out[j] = c1w[j] * u0w[j] - c2w[j] * out[j] + c3w[j] * lapw[j];
                     }
                     if let Some(mut sparse) = FusedPencil::begin(mode, k, x, y, zs.clone()) {
                         sparse.inject(&self.src, |z, amp| un[z] += c3r[z] * amp);
@@ -433,6 +440,11 @@ impl WaveSolver for Acoustic {
 
     fn gathered(&self, _k: usize) -> Option<usize> {
         Some(0)
+    }
+
+    /// `u` one step back, `u⁻` — read in place — two.
+    fn read_distance(&self) -> usize {
+        2
     }
 
     fn coefficients(&self) -> Vec<&[f32]> {

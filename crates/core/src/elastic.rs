@@ -16,8 +16,11 @@
 //! angle exactly as the paper's Fig. 8b prescribes for multi-grid stencils
 //! with intra-timestep dependencies.
 //!
-//! Being first order in time, only two levels per field are kept — the paper
-//! uses elastic to "demonstrate that the benefits of time-blocking … are not
+//! Being first order in time, each field keeps one level and is updated in
+//! place: `v[t+1]` overwrites `v[t]` and `τ[t+1]` overwrites `τ[t]`, each
+//! read only at the point being written, through the pencil the update
+//! writes. The stencils read the *other* phase's fields — the paper uses
+//! elastic to "demonstrate that the benefits of time-blocking … are not
 //! limited to a single pattern along the time dimension".
 //!
 //! Three per-point parameter volumes stream with the fields: `dt·λ`, `dt·μ`
@@ -109,7 +112,7 @@ impl Elastic {
         let trace = rec
             .as_ref()
             .map(|r| TraceBuffer::new(cfg.nt, r.num_receivers()));
-        let ring = || LevelRing::new_lane_aligned(shape, radius, 2, LANE);
+        let ring = || LevelRing::new_lane_aligned(shape, radius, 1, LANE);
         Elastic {
             vx: ring(),
             vy: ring(),
@@ -155,9 +158,9 @@ impl Elastic {
     ) {
         count_step(region, backend);
         // SAFETY: schedule contract (see `Acoustic::step_rows`); velocity
-        // levels t+1 are written per disjoint region, all reads are level-t
-        // fields.
-        let [txx, tyy, tzz, txy, txz, tyz, vx0, vy0, vz0] = unsafe {
+        // levels t+1 are written in place per disjoint region, the stencils
+        // read the settled level-t stresses.
+        let [txx, tyy, tzz, txy, txz, tyz] = unsafe {
             [
                 self.txx.level(t),
                 self.tyy.level(t),
@@ -165,9 +168,6 @@ impl Elastic {
                 self.txy.level(t),
                 self.txz.level(t),
                 self.tyz.level(t),
-                self.vx.level(t),
-                self.vy.level(t),
-                self.vz.level(t),
             ]
         };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
@@ -188,15 +188,15 @@ impl Elastic {
                     let fd = &self.sponge.fd(x, y)[zs.clone()];
                     // Every row is `n` long, so the loop carries no bounds
                     // checks and vectorizes.
-                    let update =
-                        |vn: &mut [f32], v0: &[f32], da: &[f32], db: &[f32], dc: &[f32]| {
-                            let (vn, v0) = (&mut vn[zs.clone()], &v0[i0..i0 + n]);
-                            for j in 0..n {
-                                vn[j] = (v0[j] + dtb[j] * (da[j] + db[j] + dc[j])) * fd[j];
-                            }
-                        };
+                    let update = |vn: &mut [f32], da: &[f32], db: &[f32], dc: &[f32]| {
+                        let vn = &mut vn[zs.clone()];
+                        for j in 0..n {
+                            vn[j] = (vn[j] + dtb[j] * (da[j] + db[j] + dc[j])) * fd[j];
+                        }
+                    };
                     // SAFETY: the schedule contract gives this call exclusive
-                    // ownership of the region's pencils at level `t + 1`.
+                    // ownership of the region's pencils at level `t + 1`,
+                    // which hold level `t` until the update replaces them.
                     let [vxn, vyn, vzn] = unsafe {
                         [
                             self.vx.pencil_mut(t + 1, x, y),
@@ -208,17 +208,17 @@ impl Elastic {
                     backend.staggered_fwd_row_r::<R>(txx, i0, sx, &swx, da);
                     backend.staggered_bwd_row_r::<R>(txy, i0, sy, &swy, db);
                     backend.staggered_bwd_row_r::<R>(txz, i0, 1, &swz, dc);
-                    update(vxn, vx0, da, db, dc);
+                    update(vxn, da, db, dc);
                     // vy lives at (i, j+½, k).
                     backend.staggered_bwd_row_r::<R>(txy, i0, sx, &swx, da);
                     backend.staggered_fwd_row_r::<R>(tyy, i0, sy, &swy, db);
                     backend.staggered_bwd_row_r::<R>(tyz, i0, 1, &swz, dc);
-                    update(vyn, vy0, da, db, dc);
+                    update(vyn, da, db, dc);
                     // vz lives at (i, j, k+½).
                     backend.staggered_bwd_row_r::<R>(txz, i0, sx, &swx, da);
                     backend.staggered_bwd_row_r::<R>(tyz, i0, sy, &swy, db);
                     backend.staggered_fwd_row_r::<R>(tzz, i0, 1, &swz, dc);
-                    update(vzn, vz0, da, db, dc);
+                    update(vzn, da, db, dc);
                     // Receivers record the fresh `vz`.
                     if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
                         sparse.gather(receivers, &vzn[zs.clone()]);
@@ -241,19 +241,13 @@ impl Elastic {
     ) {
         count_step(region, backend);
         // SAFETY: schedule contract (see `Acoustic::step_rows`); stress levels
-        // t+1 are written per disjoint region, reads are the settled v[t+1]
-        // and level-t stresses.
-        let [vx1, vy1, vz1, txx0, tyy0, tzz0, txy0, txz0, tyz0] = unsafe {
+        // t+1 are written in place per disjoint region, the stencils read the
+        // settled v[t+1].
+        let [vx1, vy1, vz1] = unsafe {
             [
                 self.vx.level(t + 1),
                 self.vy.level(t + 1),
                 self.vz.level(t + 1),
-                self.txx.level(t),
-                self.tyy.level(t),
-                self.tzz.level(t),
-                self.txy.level(t),
-                self.txz.level(t),
-                self.tyz.level(t),
             ]
         };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
@@ -269,12 +263,12 @@ impl Elastic {
             for x in region.x0..region.x1 {
                 for y in region.y0..region.y1 {
                     let i0 = self.vx.idx(x, y, region.z0);
-                    let w = i0..i0 + n;
                     let lam = &self.lam_dt.pencil(x, y)[zs.clone()];
                     let mu = &self.mu_dt.pencil(x, y)[zs.clone()];
                     let fd = &self.sponge.fd(x, y)[zs.clone()];
                     // SAFETY: the schedule contract gives this call exclusive
-                    // ownership of the region's pencils at level `t + 1`.
+                    // ownership of the region's pencils at level `t + 1`,
+                    // which hold level `t` until the update replaces them.
                     let [txxn, tyyn, tzzn, txyn, txzn, tyzn] = unsafe {
                         [
                             self.txx.pencil_mut(t + 1, x, y),
@@ -291,30 +285,29 @@ impl Elastic {
                     backend.staggered_bwd_row_r::<R>(vz1, i0, 1, &swz, dc);
                     let (xx, yy, zz) =
                         (&mut txxn[zs.clone()], &mut tyyn[zs.clone()], &mut tzzn[zs.clone()]);
-                    let (xx0, yy0, zz0) = (&txx0[w.clone()], &tyy0[w.clone()], &tzz0[w.clone()]);
                     for j in 0..n {
                         let (exx, eyy, ezz) = (da[j], db[j], dc[j]);
                         let (ldiv, mu2) = (lam[j] * (exx + eyy + ezz), 2.0 * mu[j]);
-                        xx[j] = (xx0[j] + ldiv + mu2 * exx) * fd[j];
-                        yy[j] = (yy0[j] + ldiv + mu2 * eyy) * fd[j];
-                        zz[j] = (zz0[j] + ldiv + mu2 * ezz) * fd[j];
+                        xx[j] = (xx[j] + ldiv + mu2 * exx) * fd[j];
+                        yy[j] = (yy[j] + ldiv + mu2 * eyy) * fd[j];
+                        zz[j] = (zz[j] + ldiv + mu2 * ezz) * fd[j];
                     }
                     // Shear stresses at the edge-staggered positions.
-                    let shear = |tn: &mut [f32], t0: &[f32], da: &[f32], db: &[f32]| {
-                        let (tn, t0) = (&mut tn[zs.clone()], &t0[w.clone()]);
+                    let shear = |tn: &mut [f32], da: &[f32], db: &[f32]| {
+                        let tn = &mut tn[zs.clone()];
                         for j in 0..n {
-                            tn[j] = (t0[j] + mu[j] * (da[j] + db[j])) * fd[j];
+                            tn[j] = (tn[j] + mu[j] * (da[j] + db[j])) * fd[j];
                         }
                     };
                     backend.staggered_fwd_row_r::<R>(vx1, i0, sy, &swy, da);
                     backend.staggered_fwd_row_r::<R>(vy1, i0, sx, &swx, db);
-                    shear(txyn, txy0, da, db);
+                    shear(txyn, da, db);
                     backend.staggered_fwd_row_r::<R>(vx1, i0, 1, &swz, da);
                     backend.staggered_fwd_row_r::<R>(vz1, i0, sx, &swx, db);
-                    shear(txzn, txz0, da, db);
+                    shear(txzn, da, db);
                     backend.staggered_fwd_row_r::<R>(vy1, i0, 1, &swz, da);
                     backend.staggered_fwd_row_r::<R>(vz1, i0, sy, &swy, db);
-                    shear(tyzn, tyz0, da, db);
+                    shear(tyzn, da, db);
                     // The explosive source goes into the normal stresses: one
                     // injection per affected point, not per component.
                     if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
@@ -423,6 +416,12 @@ impl WaveSolver for Elastic {
     /// Receivers record `vz`, written by the velocity phase.
     fn gathered(&self, vt: usize) -> Option<usize> {
         (vt & 1 == 0).then_some(2)
+    }
+
+    /// Either phase reads the other phase's fields one virtual step back and
+    /// its own fields, in place, two.
+    fn read_distance(&self) -> usize {
+        2
     }
 
     fn coefficients(&self) -> Vec<&[f32]> {

@@ -412,6 +412,13 @@ pub trait WaveSolver: Sync {
     /// gather from at `vt`; `None` for a phase they do not observe.
     fn gathered(&self, vt: usize) -> Option<usize>;
 
+    /// How far back, in virtual steps, a step reads: the step at `vt` reads
+    /// only values the steps `vt − read_distance()..vt` wrote. It comes from
+    /// the step body, not from the ring depth: a step that overwrites its
+    /// oldest level in place reads one step further back than its rings
+    /// keep levels.
+    fn read_distance(&self) -> usize;
+
     /// Every per-point parameter volume and stencil weight vector the
     /// update reads: with the sparse layout, what decides the wavefield bit
     /// for bit.

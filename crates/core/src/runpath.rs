@@ -374,16 +374,18 @@ impl<S: WaveSolver + ?Sized> TileStore for CacheStore<'_, S> {
 /// Which restored nodes must copy their payload into the rings
 /// (`restores[i]` is `None` for a node that will be computed).
 ///
-/// A value lives in its ring for `window = depth · phases` virtual steps —
-/// `depth` levels, one written per timestep — before its slot is reused, so
-/// a step at `vt` reads nothing written before `vt − (window − 1)`. Plan
-/// edges are the distance-1 flow dependences (the slab at `vt − 1` under the
+/// A step at `vt` reads nothing written before `vt − d`, `d` the solver's
+/// [`read_distance`](WaveSolver::read_distance) — the step body's reach, not
+/// the ring depth: a core propagator's step reads its oldest level in place,
+/// one step further back than `depth · phases − 1`. Plan edges are the distance-1 flow dependences (the slab at `vt − 1` under the
 /// radius-dilated slab at `vt`), so the writer of a cell read `j` steps back
 /// is the reader or at most `j` predecessor hops from it: every cell a
 /// computed node reads was written by a computed node or by a restored one
-/// within `window − 1` hops. The restored nodes whose slabs fall in the
-/// sweep's last `window` steps hold the levels still in the rings when it
-/// ends — `final_field()` and the solver's end state. Nothing reads the rest.
+/// within `d` hops. The rings keep `depth · phases` virtual steps' output
+/// (`depth` levels, one written per timestep), so the restored nodes whose
+/// slabs fall in the sweep's last `depth · phases` steps hold the levels
+/// still in the rings when it ends — `final_field()` and the solver's end
+/// state. Nothing reads the rest.
 fn write_back_set<S: WaveSolver + ?Sized>(
     solver: &S,
     plan: &TilePlan,
@@ -395,12 +397,12 @@ fn write_back_set<S: WaveSolver + ?Sized>(
         .map(|(ring, _)| ring.num_levels())
         .max()
         .expect("every step writes a ring");
-    let window = depth * phases;
+    let kept = depth * phases;
     let mut read: Vec<bool> = restores.iter().map(Option::is_none).collect();
     let mut frontier: Vec<u32> = (0..plan.len() as u32)
         .filter(|&i| read[i as usize])
         .collect();
-    for _ in 1..window {
+    for _ in 0..solver.read_distance() {
         let mut next = Vec::new();
         for &i in &frontier {
             for &p in &plan.preds[i as usize] {
@@ -413,7 +415,7 @@ fn write_back_set<S: WaveSolver + ?Sized>(
     }
     (0..plan.len())
         .map(|i| {
-            let live = || plan.slabs[i].iter().any(|s| s.vt + window >= plan.nvt);
+            let live = || plan.slabs[i].iter().any(|s| s.vt + kept >= plan.nvt);
             restores[i].is_some() && (read[i] || live())
         })
         .collect()

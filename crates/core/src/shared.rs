@@ -156,16 +156,27 @@ impl Sponge {
 /// A circular ring of padded f32 volumes over the time dimension, with
 /// unchecked shared mutation.
 ///
+/// The core propagators update their oldest level in place: a leap-frog
+/// ring keeps two levels and writes `u⁺` over `u⁻`, a first-order field
+/// keeps one and writes `v[t+1]` over `v[t]`. Each reads the value it
+/// replaces at the point it writes and nowhere else, so the slot a step
+/// writes doubles as its oldest input.
+///
 /// # Safety contract
 ///
 /// For any two concurrently executing region updates at the same virtual
 /// step, callers must guarantee:
 /// * writes go only to the level slot of the step being computed, and only
 ///   to the caller's own disjoint `(x, y)` region;
-/// * reads target *other* ring slots (older time levels), or the writer's
-///   own region.
+/// * the write slot is read only through the writer's own pencils
+///   ([`pencil_mut`](Self::pencil_mut)): the old value a point holds is
+///   read at that point, by the call that overwrites it;
+/// * shared views ([`level`](Self::level)) target *other* slots, which hold
+///   settled values wherever the region's stencils reach.
 ///
-/// These are exactly the guarantees a legal schedule provides.
+/// These are exactly the guarantees a legal schedule provides: every other
+/// reader of the slot's old value is a flow predecessor of the overwrite
+/// (paper Fig. 7), as `tempest_tiling::legality::check_plan` certifies.
 pub struct LevelRing {
     levels: Vec<UnsafeCell<Box<[f32]>>>,
     shape: Shape,
@@ -203,7 +214,7 @@ impl LevelRing {
     }
 
     fn alloc(shape: Shape, halo: usize, num_levels: usize, z0: usize, pnz: usize) -> Self {
-        assert!(num_levels >= 2, "a time ring needs at least two levels");
+        assert!(num_levels >= 1, "a time ring needs at least one level");
         debug_assert!(z0 >= halo && pnz >= z0 + shape.nz + halo);
         let p = shape.padded(halo);
         let pdims = [p.nx, p.ny, pnz];
@@ -264,8 +275,9 @@ impl LevelRing {
     /// Shared view of the level holding step `t`.
     ///
     /// # Safety
-    /// No concurrent write to this slot may overlap the read (see the type-
-    /// level contract).
+    /// No concurrent write to this slot may overlap the read, and a step
+    /// never takes this view of the slot it writes (see the type-level
+    /// contract).
     #[inline]
     pub unsafe fn level(&self, t: usize) -> &[f32] {
         &*self.levels[self.slot(t)].get()
@@ -275,7 +287,8 @@ impl LevelRing {
     ///
     /// # Safety
     /// The caller must hold exclusive logical ownership of this `(x, y)`
-    /// pencil at this step (disjoint-region contract).
+    /// pencil at this step (disjoint-region contract). The pencil holds the
+    /// slot's old level until the caller overwrites it.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn pencil_mut(&self, t: usize, x: usize, y: usize) -> &mut [f32] {
@@ -360,18 +373,16 @@ impl RingCheckpoint {
 mod tests {
     use super::*;
 
-    #[test]
-    fn nothing_is_carried_in_the_scratch_between_step_calls() {
+    use crate::operator::{KernelPath, SparseMode, WaveSolver};
+
+    /// Acoustic, TTI and elastic at SO 8 on one damped 20³ grid, with a
+    /// source and a receiver line.
+    fn solvers() -> Vec<Box<dyn WaveSolver>> {
         use crate::config::{EquationKind, SimConfig};
-        use crate::operator::{KernelPath, SparseMode, WaveSolver};
         use crate::{Acoustic, Elastic, Tti};
         use tempest_grid::{Domain, ElasticModel, Model, TtiModel};
         use tempest_sparse::SparsePoints;
 
-        // The same run stepped block by block on this thread, once with the
-        // worker scratch filled with NaN before every call: any value a call
-        // read without writing it first would poison the field. The ragged
-        // 5x3 blocks make consecutive calls lay the scratch out differently.
         let d = Domain::uniform(Shape::cube(20), 20.0);
         let cfg = |kind, vmax| {
             SimConfig::new(d, 8, kind, vmax, 80.0)
@@ -384,7 +395,7 @@ mod tests {
             SparsePoints::receiver_line(&d, 4, 0.2),
         );
         let tti = TtiModel::homogeneous(d, 2000.0, 0.2, 0.1, 0.35, 0.3);
-        let mut solvers: Vec<Box<dyn WaveSolver>> = vec![
+        vec![
             Box::new(Acoustic::new(
                 &Model::homogeneous(d, 2000.0),
                 cfg(EquationKind::Acoustic, 2000.0),
@@ -403,8 +414,80 @@ mod tests {
                 src,
                 Some(rec),
             )),
-        ];
-        for s in &mut solvers {
+        ]
+    }
+
+    #[test]
+    fn a_step_reads_its_write_slot_only_where_it_writes() {
+        // Every propagator writes the slot of its oldest level in place. Run
+        // to `vt` on this thread, then step `vt` over a ragged region twice:
+        // once as is, once with the write slot outside the region filled
+        // with NaN. A step that read its write slot anywhere but at the
+        // points it overwrites — a stencil on the old level, a pencil of a
+        // neighbour — would carry the NaN into the region; a step that wrote
+        // outside its region would overwrite it.
+        let region = Range3::new((3, 14), (5, 13), (2, 17));
+        let poison = f32::from_bits(0x7fc0_5a5a);
+        let step = |s: &dyn WaveSolver, vt: usize, r: &Range3| {
+            s.step_region(vt, r, SparseMode::FusedCompressed, KernelPath::default())
+        };
+        // The write slot's interior after `vt` ran over `region`.
+        let run = |s: &mut Box<dyn WaveSolver>, vt: usize, poisoned: bool| -> Vec<Vec<u32>> {
+            s.reset();
+            let full = s.shape().full_range();
+            (0..vt).for_each(|v| step(&**s, v, &full));
+            let shape = s.shape();
+            let outside = || shape.iter().filter(|&(x, y, z)| !region.contains(x, y, z));
+            if poisoned {
+                for (ring, level) in s.written(vt) {
+                    for (x, y, z) in outside() {
+                        // SAFETY: nothing else touches the rings here.
+                        unsafe { ring.pencil_mut(level, x, y)[z] = poison };
+                    }
+                }
+            }
+            step(&**s, vt, &region);
+            let written = s.written(vt).into_iter();
+            let bits = written.map(|(ring, level)| {
+                let pencils = shape.iter().map(|(x, y, z)| {
+                    // SAFETY: as above.
+                    unsafe { ring.pencil_mut(level, x, y)[z].to_bits() }
+                });
+                pencils.collect()
+            });
+            bits.collect()
+        };
+        for mut s in solvers() {
+            // Every phase, a few steps in, where the wave has reached the
+            // region.
+            for vt in 4 * s.phases()..5 * s.phases() {
+                let clean = run(&mut s, vt, false);
+                let poisoned = run(&mut s, vt, true);
+                let shape = s.shape();
+                let mut busy = 0;
+                for (field, (clean, poisoned)) in clean.iter().zip(&poisoned).enumerate() {
+                    for (i, (x, y, z)) in shape.iter().enumerate() {
+                        let what = format!("{} vt {vt} field {field} ({x}, {y}, {z})", s.name());
+                        if region.contains(x, y, z) {
+                            assert_eq!(poisoned[i], clean[i], "{what}: read the poison");
+                            busy += (clean[i] << 1 != 0) as usize;
+                        } else {
+                            assert_eq!(poisoned[i], poison.to_bits(), "{what}: wrote outside");
+                        }
+                    }
+                }
+                assert!(busy > 0, "{} vt {vt}: the region holds no wave", s.name());
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_is_carried_in_the_scratch_between_step_calls() {
+        // The same run stepped block by block on this thread, once with the
+        // worker scratch filled with NaN before every call: any value a call
+        // read without writing it first would poison the field. The ragged
+        // 5x3 blocks make consecutive calls lay the scratch out differently.
+        for s in &mut solvers() {
             let mut run = |poison: bool| {
                 s.reset();
                 let blocks = s.shape().full_range().split_xy(5, 3);
@@ -578,33 +661,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
-    fn rejects_single_level() {
-        let _ = LevelRing::new(Shape::cube(2), 0, 1);
+    #[should_panic(expected = "at least one")]
+    fn rejects_zero_levels() {
+        let _ = LevelRing::new(Shape::cube(2), 0, 0);
     }
 
     #[test]
     fn checkpoint_restore_roundtrip() {
-        let mut r = LevelRing::new(Shape::cube(4), 2, 3);
-        for t in 0..3 {
-            unsafe {
-                r.pencil_mut(t, 1, 2)[3] = (t + 1) as f32 * 0.5;
+        // One level (a first-order field updated in place) and two (a
+        // leap-frog ring) and three.
+        for levels in 1..=3 {
+            let mut r = LevelRing::new(Shape::cube(4), 2, levels);
+            for t in 0..levels {
+                unsafe {
+                    r.pencil_mut(t, 1, 2)[3] = (t + 1) as f32 * 0.5;
+                }
             }
-        }
-        let cp = r.checkpoint();
-        assert_eq!(cp.num_values(), 3 * 8 * 8 * 8);
-        // Scribble over every level, then restore.
-        for t in 0..3 {
-            unsafe {
-                r.pencil_mut(t, 1, 2)[3] = -9.0;
-                r.pencil_mut(t, 0, 0)[0] = 7.0;
+            let cp = r.checkpoint();
+            assert_eq!(cp.num_values(), levels * 8 * 8 * 8);
+            // Scribble over every level, then restore.
+            for t in 0..levels {
+                unsafe {
+                    r.pencil_mut(t, 1, 2)[3] = -9.0;
+                    r.pencil_mut(t, 0, 0)[0] = 7.0;
+                }
             }
-        }
-        r.restore(&cp);
-        for t in 0..3 {
-            let c = r.interior_copy(t);
-            assert_eq!(c.get(1, 2, 3), (t + 1) as f32 * 0.5);
-            assert_eq!(c.get(0, 0, 0), 0.0);
+            r.restore(&cp);
+            for t in 0..levels {
+                let c = r.interior_copy(t);
+                assert_eq!(c.get(1, 2, 3), (t + 1) as f32 * 0.5, "{levels} levels");
+                assert_eq!(c.get(0, 0, 0), 0.0, "{levels} levels");
+            }
         }
     }
 

@@ -23,7 +23,9 @@
 //! loop is trigonometry-free. The leap-frog update is acoustic's
 //! `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy (`1 + 2ε`, `√(1+2δ)`, the
 //! rotation) are the nine per-point volumes, while the damping-only `c1`,
-//! `c2` come from the [`Sponge`]'s per-pencil `z` profiles.
+//! `c2` come from the [`Sponge`]'s per-pencil `z` profiles. As in acoustic,
+//! each field's ring keeps two levels and `p⁺`, `q⁺` overwrite `p⁻`, `q⁻` in
+//! place, which the combine reads only at the point it writes.
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};
@@ -124,8 +126,8 @@ impl Tti {
             .as_ref()
             .map(|r| TraceBuffer::new(cfg.nt, r.num_receivers()));
         Tti {
-            p: LevelRing::new_lane_aligned(shape, radius, 3, LANE),
-            q: LevelRing::new_lane_aligned(shape, radius, 3, LANE),
+            p: LevelRing::new_lane_aligned(shape, radius, 2, LANE),
+            q: LevelRing::new_lane_aligned(shape, radius, 2, LANE),
             cfg,
             c3,
             sponge,
@@ -187,11 +189,9 @@ impl Tti {
         count_step(region, backend);
         let (nx, ny) = (region.x1 - region.x0, region.y1 - region.y0);
         // SAFETY: see `Acoustic::step_rows` — identical schedule contract, two
-        // fields updated together from their own older levels.
+        // fields updated together, each in place over its level `k`.
         let p0 = unsafe { self.p.level(k + 1) };
-        let pm = unsafe { self.p.level(k) };
         let q0 = unsafe { self.q.level(k + 1) };
-        let qm = unsafe { self.q.level(k) };
         let (sx, sy) = (self.p.sx(), self.p.sy());
         // Fixed-size weights so the row kernels unroll.
         let (wxx, wyy, wzz): ([f32; R], [f32; R], [f32; R]) = (
@@ -261,10 +261,10 @@ impl Tti {
                     let dr = &self.delta_bar.pencil(x, y)[zs.clone()];
                     let [g0, g1, g2, g3, g4, g5] =
                         std::array::from_fn(|c| &self.gz[c].pencil(x, y)[zs.clone()]);
-                    let (p0r, pmr) = (&p0[i0..i0 + n], &pm[i0..i0 + n]);
-                    let (q0r, qmr) = (&q0[i0..i0 + n], &qm[i0..i0 + n]);
+                    let (p0r, q0r) = (&p0[i0..i0 + n], &q0[i0..i0 + n]);
                     // SAFETY: the schedule contract gives this call exclusive
-                    // ownership of the region's pencils at level `k + 2`.
+                    // ownership of the region's pencils at level `k + 2`,
+                    // which hold level `k` until the combine replaces them.
                     let pn = unsafe { self.p.pencil_mut(k + 2, x, y) };
                     let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
                     // Every row below is `n` long, so the loop carries no
@@ -287,8 +287,8 @@ impl Tti {
                         let gh_p = (pxx[j] + pyy[j] + pzz[j]) - gzz_p;
                         let rhs_p = er[j] * gh_p + dr[j] * gzz_q;
                         let rhs_q = dr[j] * gh_p + gzz_q;
-                        pnr[j] = c1r[j] * p0r[j] - c2r[j] * pmr[j] + c3z[j] * rhs_p;
-                        qnr[j] = c1r[j] * q0r[j] - c2r[j] * qmr[j] + c3z[j] * rhs_q;
+                        pnr[j] = c1r[j] * p0r[j] - c2r[j] * pnr[j] + c3z[j] * rhs_p;
+                        qnr[j] = c1r[j] * q0r[j] - c2r[j] * qnr[j] + c3z[j] * rhs_q;
                     }
                     if let Some(mut sparse) = FusedPencil::begin(mode, k, x, y, zs.clone()) {
                         // Both fields receive the source, as in Devito's TTI
@@ -373,6 +373,11 @@ impl WaveSolver for Tti {
     /// Receivers record `p`.
     fn gathered(&self, _k: usize) -> Option<usize> {
         Some(0)
+    }
+
+    /// As acoustic: `p`, `q` one step back, `p⁻`, `q⁻` in place two.
+    fn read_distance(&self) -> usize {
+        2
     }
 
     fn coefficients(&self) -> Vec<&[f32]> {

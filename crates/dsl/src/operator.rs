@@ -395,6 +395,14 @@ impl WaveSolver for DslOperator {
         (self.update_of(rec.field).0 == vt % self.updates.len()).then_some(0)
     }
 
+    /// An update may read any level of any ring but the slot it writes: the
+    /// oldest a ring of `depth = time_order + 1` levels holds was written
+    /// at most `depth · phases − 1` virtual steps back.
+    fn read_distance(&self) -> usize {
+        let depth = self.rings.iter().flatten().map(LevelRing::num_levels).max();
+        depth.expect("an operator updates at least one field") * self.phases() - 1
+    }
+
     fn coefficients(&self) -> Vec<&[f32]> {
         self.params.iter().flatten().map(Array3::as_slice).collect()
     }

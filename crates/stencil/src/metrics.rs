@@ -36,7 +36,8 @@ impl KernelCost {
 
     /// Effective streaming bytes when a temporal tile of height `tt` keeps
     /// wavefields cache-resident across `tt` timesteps: the read-back of the
-    /// previous level and the write-allocate traffic amortise over the tile.
+    /// previous level and the write-back of the new one amortise over the
+    /// tile.
     pub fn bytes_streaming_temporal(&self, tt: usize) -> f64 {
         assert!(tt >= 1);
         // Compulsory traffic per sweep divided by the reuse factor; parameter
@@ -68,6 +69,8 @@ pub fn second_diff_flops(r: usize) -> f64 {
 ///
 /// Update: `u⁺ = c1·u − c2·u⁻ + c3·(Δu + src)`, with `c3 = dt²/(m·(1+η))`
 /// the one parameter volume; the sponge's `c1`, `c2` are per-pencil scalars.
+/// `u⁺` overwrites `u⁻` in place, so the line written is the line just read
+/// and no write-allocate read streams.
 pub fn acoustic_cost(so: usize) -> KernelCost {
     let r = so / 2;
     // Laplacian + 2nd-order time update (~8 flops: 2u - um1, mul dt²/m,
@@ -75,10 +78,10 @@ pub fn acoustic_cost(so: usize) -> KernelCost {
     let flops = laplacian_flops(r) + 8.0;
     let f = 4.0; // sizeof f32
     let params = 1;
-    // Reads: u (2r+1 per axis but streaming = 1), u⁻, `c3`; write u⁺
-    // (+ write-allocate read).
-    let bytes_streaming = f * (1.0 + 1.0 + params as f64 + 2.0);
-    let bytes_no_reuse = f * ((6 * r + 1) as f64 + 1.0 + params as f64 + 2.0);
+    // Reads: u (2r+1 per axis but streaming = 1), u⁻, `c3`; write u⁺ over
+    // u⁻ — four streams.
+    let bytes_streaming = f * (1.0 + 1.0 + params as f64 + 1.0);
+    let bytes_no_reuse = f * ((6 * r + 1) as f64 + 1.0 + params as f64 + 1.0);
     KernelCost {
         flops,
         bytes_no_reuse,
@@ -109,12 +112,12 @@ pub fn tti_cost(so: usize) -> KernelCost {
     let flops = second_rows as f64 * second_diff_flops(r)
         + first_passes as f64 * first_diff_flops(r)
         + combine as f64;
-    // Streams: `p`, `p⁻`, `q`, `q⁻` reads; `p⁺`, `q⁺` writes with their
-    // write-allocate reads; 9 parameter volumes (`c3`, `1+2ε`, `√(1+2δ)`,
-    // six rotation coefficients — the sponge's `c1`, `c2` are per-pencil
-    // scalars).
+    // Streams: `p`, `p⁻`, `q`, `q⁻` reads; `p⁺`, `q⁺` writes over `p⁻`,
+    // `q⁻` in place, with no write-allocate reads; 9 parameter volumes
+    // (`c3`, `1+2ε`, `√(1+2δ)`, six rotation coefficients — the sponge's
+    // `c1`, `c2` are per-pencil scalars).
     let params = 9;
-    let streams = 4 + 2 * 2 + params;
+    let streams = 4 + 2 + params;
     let f = 4.0;
     let bytes_streaming = f * streams as f64;
     // Every tap a load, plus the streams other than the two stencil inputs.
@@ -136,10 +139,11 @@ pub fn elastic_cost(so: usize) -> KernelCost {
     // built from 9 velocity derivatives + Lamé algebra.
     let flops = 9.0 * first_diff_flops(r) + 9.0 * first_diff_flops(r) + 40.0;
     let f = 4.0;
-    // 9 wavefields read+written (write-allocate), 3 parameter streams
-    // (`dt·λ`, `dt·μ`, `dt/ρ`; the sponge's `1−η` is a per-pencil scalar).
+    // 9 wavefields read and written in place (no write-allocate read), 3
+    // parameter streams (`dt·λ`, `dt·μ`, `dt/ρ`; the sponge's `1−η` is a
+    // per-pencil scalar).
     let params = 3;
-    let bytes_streaming = f * (9.0 * 3.0 + params as f64);
+    let bytes_streaming = f * (9.0 * 2.0 + params as f64);
     let bytes_no_reuse = f * (9.0 * (2 * r + 2) as f64 + params as f64);
     KernelCost {
         flops,
@@ -195,9 +199,10 @@ mod tests {
             let combine = 40;
             let c = tti_cost(so);
             assert_eq!(c.flops, (fields * row_flops + combine) as f64, "so {so}");
-            assert_eq!(c.bytes_streaming, 4.0 * 17.0);
+            // Two fields read twice and written once in place, 9 volumes.
+            assert_eq!(c.bytes_streaming, 4.0 * 15.0);
             let taps = fields * (straight * (2 * r + 1) + passes * 2 * r);
-            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 15) as f64);
+            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 13) as f64);
         }
         assert_eq!(tti_cost(8).flops, 238.0);
     }

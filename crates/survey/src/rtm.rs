@@ -14,7 +14,7 @@
 //!    pairs in ascending `si`.
 //!
 //! With [`RtmOptions::checkpoint_stride`] set, step 1 stores only sparse
-//! [`RingCheckpoint`]s (one per stride, three wavefield levels each)
+//! [`RingCheckpoint`]s (one per stride, the ring's two wavefield levels each)
 //! instead of the full `nt/every` snapshot history, and step 3
 //! re-materialises each forward segment on a *receiver-free twin* of the
 //! forward propagator via `restore_checkpoint` + `run_range` +

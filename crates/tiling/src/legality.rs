@@ -29,7 +29,11 @@ use tempest_grid::{Array2, Shape};
 pub struct DepModel {
     /// Maximum dependency radius in grid points (per virtual step).
     pub radius: usize,
-    /// Circular time-buffer depth (2 for first-order, 3 for second-order).
+    /// Virtual steps a written value survives before its slot is written
+    /// again: the circular time-buffer depth. 2 for every core propagator,
+    /// whose rings update their oldest level in place — a two-level
+    /// leap-frog ring, or one level per field of a two-phase staggered
+    /// update.
     pub levels: usize,
 }
 

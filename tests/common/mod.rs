@@ -161,7 +161,7 @@ impl AcousticDsl {
 /// blocking as a plan) and pure time skewing (one spatial tile covering the
 /// whole skewed domain).
 pub fn blocked_schedules(radius: usize, phases: usize) -> Vec<(&'static str, Schedule)> {
-    // Taller than every ring is deep (3 levels, or 2 per staggered phase), so
+    // Taller than every ring is deep (2 levels, or 1 per staggered phase), so
     // a tile's late slabs overwrite the slots its early slabs wrote.
     let tile_t = 4;
     let wavefront = |tile: usize, tile_t: usize| Schedule::WavefrontDataflow {

@@ -15,9 +15,10 @@ use common::{blocked_schedules, domain, solvers, trace_bitwise, N};
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
-use tempest::grid::Model;
+use tempest::grid::{Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
+use tempest::tiling::legality::{check_plan, DepModel};
 use tempest::tiling::TileCache;
 
 const NT: usize = 12;
@@ -112,6 +113,33 @@ fn classic_sparse_is_rejected_under_every_blocked_schedule() {
                 .or_else(|| err.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
             assert!(msg.contains("Fig. 4b"), "{} {sched}: {msg}", s.name());
+        }
+    }
+}
+
+/// Every plan the matrix runs is sound for rings that update their oldest
+/// level in place: a written value survives two virtual steps — a two-level
+/// leap-frog ring, or one level per field of a two-phase staggered update —
+/// and the plan checker certifies every row at that depth, for every radius
+/// the matrix steps.
+#[test]
+fn every_blocked_plan_is_legal_for_in_place_rings() {
+    let shape = Shape::cube(N);
+    for radius in [2, 4, 5, 6] {
+        for phases in [1, 2] {
+            for (sched, schedule) in blocked_schedules(radius, phases) {
+                let exec = Execution {
+                    schedule,
+                    ..Execution::wavefront_default()
+                };
+                let plan = exec.plan(shape, NT, radius, phases);
+                let model = DepModel { radius, levels: 2 };
+                assert_eq!(
+                    check_plan(shape, model, &plan),
+                    Ok(()),
+                    "{sched}: radius {radius}, {phases} phases"
+                );
+            }
         }
     }
 }

@@ -514,8 +514,8 @@ fn plan_of(solver: &dyn WaveSolver, schedule: Schedule) -> TilePlan {
 /// and stores less than it stepped: one source's wavefield after six steps
 /// leaves most pencils all zeros. A receiver-only delta recomputes and
 /// stores nothing, and writes back exactly the nodes holding one of the
-/// acoustic ring's three levels still live when the sweep ends — every
-/// other restore is a gather replay. On the busy field a payload costs at
+/// acoustic ring's two levels still live when the sweep ends — every other
+/// restore is a gather replay. On the busy field a payload costs at
 /// most the dense bytes plus 8 B per pencil, and a nudged source writes back
 /// fewer nodes than it restores.
 #[test]
@@ -544,7 +544,7 @@ fn report_counts_the_work_avoided() {
         let live = plan_of(&*a, schedule)
             .slabs
             .iter()
-            .filter(|slabs| slabs.iter().any(|s| s.vt + 3 >= NT))
+            .filter(|slabs| slabs.iter().any(|s| s.vt + 2 >= NT))
             .count();
         assert_eq!(warm.written_back, live, "{label}");
         assert!(warm.written_back < warm.reused, "{label}");
@@ -584,7 +584,7 @@ fn report_counts_the_work_avoided() {
 // Tiles taller than the ring is deep
 // ---------------------------------------------------------------------------
 
-/// Regression (PR 11 finding): with `tile_t` 8 > ring depth 3 a tile's late
+/// Regression: with `tile_t` 8 > ring depth a tile's late
 /// slabs overwrite the ring slots its early slabs wrote, so a payload
 /// snapshotted after the *whole* tile ran replays wrong values into the
 /// gathers of fully reused tiles. Capture happens per slab now. Through the

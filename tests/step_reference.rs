@@ -20,7 +20,9 @@
 //! public `coefficients()`. The production step must equal its oracle bit
 //! for bit on every backend (`Scalar` included), and must keep doing so
 //! however the same levels are stepped: whole domain, 1×1 blocks, random
-//! `split_xy` shapes, z-sub-ranges, on any number of workers.
+//! `split_xy` shapes, z-sub-ranges, on any number of workers. Every step
+//! writes its oldest level in place, so the oracle reads the seeded inputs
+//! before the step runs, and every stepping reloads them first.
 //! Scratch indexing is the risky part: the grid is non-cubic so a transposed
 //! extent cannot cancel out, and small enough that at SO 12 every pencil's
 //! dilated window reaches into an x or y halo.
@@ -50,8 +52,8 @@ use tempest::stencil::kernels::{
 use tempest::stencil::Backend;
 
 /// The timestep under test: a leap-frog step reads levels `K` and `K + 1`
-/// and writes `K + 2`; the staggered phases read `K` (and the fresh
-/// velocities at `K + 1`) and write `K + 1`.
+/// and writes `K + 2` over `K`; the staggered phases read `K` (and the fresh
+/// velocities at `K + 1`) and write `K + 1` over `K`.
 const K: usize = 1;
 
 fn shape() -> Shape {
@@ -134,22 +136,33 @@ impl Fixture {
     }
 }
 
-/// Seeded wavefields in every level of every ring of `s`; the halos stay
-/// zero, as in a run.
-fn fill(s: &dyn WaveSolver, seed: u64, fixture: Fixture) {
+/// Every ring of `s`, in [`WaveSolver::written`] order over its phases.
+fn rings(s: &dyn WaveSolver) -> Vec<&LevelRing> {
+    let phases = 0..s.phases();
+    phases.flat_map(|vt| s.written(vt)).map(|(ring, _)| ring).collect()
+}
+
+/// Seeded wavefields for every level of every ring of `s`, interior and
+/// densely indexed, in [`rings`] order.
+fn inputs(s: &dyn WaveSolver, seed: u64, fixture: Fixture) -> Vec<Vec<f32>> {
     let mut rng = Rng64::new(seed ^ 0x5EED);
-    for phase in 0..s.phases() {
-        for (ring, _) in s.written(phase) {
-            for level in 0..ring.num_levels() {
-                for x in 0..shape().nx {
-                    for y in 0..shape().ny {
-                        // SAFETY: nothing else touches the rings here.
-                        for v in unsafe { ring.pencil_mut(level, x, y) } {
-                            *v = fixture.value(&mut rng, x);
-                        }
-                    }
-                }
-            }
+    let levels = rings(s).into_iter().flat_map(|ring| 0..ring.num_levels());
+    let s = shape();
+    let values = levels.map(|_| s.iter().map(|(x, _, _)| fixture.value(&mut rng, x)).collect());
+    values.collect()
+}
+
+/// Load `inputs` into the rings of `s` — every level, the halos stay zero
+/// as in a run. A step writes its oldest level in place, so this is also
+/// what undoes one.
+fn load(s: &dyn WaveSolver, inputs: &[Vec<f32>]) {
+    let nz = shape().nz;
+    let levels = rings(s).into_iter().flat_map(|ring| (0..ring.num_levels()).map(move |l| (ring, l)));
+    for ((ring, level), values) in levels.zip(inputs) {
+        let pencils = (0..shape().nx).flat_map(|x| (0..shape().ny).map(move |y| (x, y)));
+        for ((x, y), pencil) in pencils.zip(values.chunks_exact(nz)) {
+            // SAFETY: nothing else touches the rings here.
+            unsafe { ring.pencil_mut(level, x, y) }.copy_from_slice(pencil);
         }
     }
 }
@@ -176,18 +189,6 @@ fn written_bits(s: &dyn WaveSolver, vt: usize) -> Vec<u32> {
         .flat_map(|(ring, level)| interior(ring, level))
         .map(f32::to_bits)
         .collect()
-}
-
-/// Scribble over the written level so a skipped point cannot pass.
-fn spoil_written(s: &dyn WaveSolver, vt: usize) {
-    for (ring, level) in s.written(vt) {
-        for x in 0..shape().nx {
-            for y in 0..shape().ny {
-                // SAFETY: no step is in flight.
-                unsafe { ring.pencil_mut(level, x, y) }.fill(f32::NAN);
-            }
-        }
-    }
 }
 
 fn arr<const R: usize>(w: &[f32]) -> [f32; R] {
@@ -389,18 +390,40 @@ fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>])
 /// per-point coefficients the case built.
 type Oracle = fn(&dyn WaveSolver, &[Vec<f32>]) -> Vec<u32>;
 
-/// One step under test: a propagator over a random medium with its
-/// wavefields filled, the virtual step to take, and the oracle of what it
-/// must write with its per-point coefficients.
+/// One step under test: a propagator over a random medium, the seeded
+/// wavefields it steps from, the virtual step to take, and the oracle of
+/// what it must write with its per-point coefficients.
 struct Case {
     solver: Box<dyn WaveSolver>,
+    inputs: Vec<Vec<f32>>,
     vt: usize,
     naive: Oracle,
     params: Vec<Vec<f32>>,
 }
 
 impl Case {
-    /// The oracle, in whatever floating-point mode the caller runs in.
+    /// The case with its inputs loaded into the solver's rings.
+    fn new(
+        solver: Box<dyn WaveSolver>,
+        (seed, fixture): (u64, Fixture),
+        vt: usize,
+        naive: Oracle,
+        params: Vec<Vec<f32>>,
+    ) -> Self {
+        let inputs = inputs(&*solver, seed, fixture);
+        load(&*solver, &inputs);
+        Case {
+            solver,
+            inputs,
+            vt,
+            naive,
+            params,
+        }
+    }
+
+    /// The oracle over the rings as they stand — the inputs, until a step
+    /// overwrites the slot it writes — in whatever floating-point mode the
+    /// caller runs in.
     fn naive(&self) -> Vec<u32> {
         (self.naive)(&*self.solver, &self.params)
     }
@@ -422,19 +445,13 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
     let cfg = config(so, EquationKind::Acoustic, 4500.0, nbl);
     let params = leapfrog(&cfg, &model.m);
     let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(&model, cfg, source(), None));
-    fill(&*acoustic, seed, fixture);
     let naive = match so / 2 {
         2 => naive_acoustic::<2>,
         4 => naive_acoustic::<4>,
         6 => naive_acoustic::<6>,
         _ => naive_acoustic::<0>,
     };
-    let mut out = vec![Case {
-        solver: acoustic,
-        vt: K,
-        naive,
-        params,
-    }];
+    let mut out = vec![Case::new(acoustic, (seed, fixture), K, naive, params)];
     if !matches!(so, 4 | 8 | 12) {
         return out;
     }
@@ -444,25 +461,18 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
     let cfg = config(so, EquationKind::Tti, model.vmax(), nbl);
     let params = leapfrog(&cfg, &model.m);
     let tti: Box<dyn WaveSolver> = Box::new(Tti::new(&model, cfg, source(), None));
-    fill(&*tti, seed, fixture);
     let naive = match so / 2 {
         2 => naive_tti::<2>,
         4 => naive_tti::<4>,
         _ => naive_tti::<6>,
     };
-    out.push(Case {
-        solver: tti,
-        vt: K,
-        naive,
-        params,
-    });
+    out.push(Case::new(tti, (seed, fixture), K, naive, params));
 
     for phase in 0..2 {
         let model = ElasticModel::random(d, 1500.0, 4500.0, seed);
         let cfg = config(so, EquationKind::Elastic, 4500.0, nbl);
         let params = elastic_params(&cfg, &model);
         let elastic: Box<dyn WaveSolver> = Box::new(Elastic::new(&model, cfg, source(), None));
-        fill(&*elastic, seed, fixture);
         let naive = match (so / 2, phase) {
             (2, 0) => naive_elastic_vel::<2>,
             (4, 0) => naive_elastic_vel::<4>,
@@ -471,12 +481,8 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
             (4, _) => naive_elastic_stress::<4>,
             (_, _) => naive_elastic_stress::<6>,
         };
-        out.push(Case {
-            solver: elastic,
-            vt: 2 * K + phase,
-            naive,
-            params,
-        });
+        let vt = 2 * K + phase;
+        out.push(Case::new(elastic, (seed, fixture), vt, naive, params));
     }
     out
 }
@@ -537,13 +543,23 @@ fn check(orders: &[usize], fixture: Fixture) {
     ];
     for (&so, nbl) in orders.iter().flat_map(|so| NBLS.map(|nbl| (so, nbl))) {
         for case in cases(so, fixture, nbl) {
+            // The oracle reads the inputs before any step overwrites them.
             let (s, vt, want) = (&*case.solver, case.vt, case.want());
+            // The slot a step writes holds one of its inputs, so nothing can
+            // be scribbled there first: a point the step skipped keeps its
+            // input. On the unit fixture no pencil's output equals the
+            // pencil it replaces, so a skipped pencil cannot pass.
+            if matches!(fixture, Fixture::Unit) {
+                let (replaced, nz) = (written_bits(s, vt), shape().nz);
+                let kept = want.chunks(nz).zip(replaced.chunks(nz)).filter(|(w, r)| w == r);
+                assert_eq!(kept.count(), 0, "{} vt {vt} so {so} nbl {nbl}", s.name());
+            }
             for backend in backends() {
                 for (name, regions) in decompositions(so as u64) {
                     let covered: usize = regions.iter().map(Range3::len).sum();
                     assert_eq!(covered, shape().len(), "{name} must cover the domain once");
                     for policy in policies {
-                        spoil_written(s, vt);
+                        load(s, &case.inputs);
                         for_each(policy, &regions, |r| {
                             s.step_region(vt, r, SparseMode::Classic, KernelPath::from(backend));
                         });
