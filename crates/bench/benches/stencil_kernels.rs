@@ -12,10 +12,6 @@
 //! ablations: hoisted bounds checks and lane structure (scalar → portable),
 //! then explicit unaligned 256-bit loads (portable → avx2).
 //!
-//! Per-backend rows are written to `results/BENCH_<host>_stencil_kernels.json`
-//! (model `microbench-so{so}`, schedule = kernel shape, kernel = backend), on
-//! record next to the tempest-report matrix.
-//!
 //! The `*_subnormal_*` rows sweep a volume filled with subnormal values —
 //! the leading edge of a point source's wavefield — once in the default
 //! floating-point mode (`gradual`: every load feeds a microcode assist) and
@@ -25,7 +21,6 @@
 
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config, Sample};
-use tempest_bench::perf_report::{host_name, BenchEntry, BenchReport};
 use tempest_par::FlushGuard;
 use tempest_stencil::kernels::{first_derivative_weights, staggered_weights, AxisWeights};
 use tempest_stencil::Backend;
@@ -61,24 +56,6 @@ fn backends() -> Vec<Backend> {
     Backend::ALL.into_iter().filter(|b| b.available()).collect()
 }
 
-/// One BENCH-report row per measured (shape, order, backend) cell.
-fn entry(shape: &str, so: usize, backend: Backend, elems: u64, s: &Sample) -> BenchEntry {
-    let secs = s.median.as_secs_f64().max(1e-12);
-    BenchEntry {
-        model: format!("microbench-so{so}"),
-        schedule: shape.to_string(),
-        kernel: backend.name().to_string(),
-        gpts_per_s: elems as f64 / secs / 1e9,
-        elapsed_s: secs,
-        barrier_wait_share: 0.0,
-        worst_imbalance: 1.0,
-        critical_path_ms: 0.0,
-        dropped_events: 0,
-        ai: 0.0,
-        roof_pct: 0.0,
-    }
-}
-
 fn report_speedups(name: &str, so: usize, rows: &[(Backend, Sample)]) {
     let scalar = rows
         .iter()
@@ -101,7 +78,6 @@ fn bench_laplacian<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
-    out_rows: &mut Vec<BenchEntry>,
 ) -> Vec<(Backend, Sample)> {
     let w = AxisWeights::second_derivative(so, 10.0);
     let side: [f32; R] = w.side_array();
@@ -128,7 +104,6 @@ fn bench_laplacian<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry(shape, so, b, elems, &s));
         rows.push((b, s));
     }
     report_speedups(shape, so, &rows);
@@ -141,7 +116,6 @@ fn bench_cross<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
-    out_rows: &mut Vec<BenchEntry>,
 ) {
     let w = first_derivative_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
@@ -157,7 +131,6 @@ fn bench_cross<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry("cross_diff", so, b, elems, &s));
         rows.push((b, s));
     }
     report_speedups("cross_diff", so, &rows);
@@ -171,7 +144,6 @@ fn bench_first_diff<const R: usize>(
     so: usize,
     u: &[f32],
     sy: usize,
-    out_rows: &mut Vec<BenchEntry>,
 ) -> Vec<(Backend, Sample)> {
     let w = first_derivative_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
@@ -187,7 +159,6 @@ fn bench_first_diff<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry(shape, so, b, elems, &s));
         rows.push((b, s));
     }
     report_speedups(shape, so, &rows);
@@ -202,20 +173,19 @@ fn bench_subnormal<const R: usize>(
     tiny: &[f32],
     sx: usize,
     sy: usize,
-    out_rows: &mut Vec<BenchEntry>,
 ) {
-    let sweep = |mode: &str, out_rows: &mut Vec<BenchEntry>| {
+    let sweep = |mode: &str| {
         let lap = format!("laplacian_subnormal_{mode}");
         let fd = format!("first_diff_subnormal_{mode}");
         [
-            bench_laplacian::<R>(&lap, cfg, so, tiny, sx, sy, out_rows),
-            bench_first_diff::<R>(&fd, cfg, so, tiny, sy, out_rows),
+            bench_laplacian::<R>(&lap, cfg, so, tiny, sx, sy),
+            bench_first_diff::<R>(&fd, cfg, so, tiny, sy),
         ]
     };
-    let gradual = sweep("gradual", out_rows);
+    let gradual = sweep("gradual");
     let flushed = {
         let _fp = FlushGuard::enter();
-        sweep("flushed", out_rows)
+        sweep("flushed")
     };
     for (name, (g, f)) in ["laplacian", "first_diff"]
         .iter()
@@ -231,7 +201,7 @@ fn bench_subnormal<const R: usize>(
     }
 }
 
-fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: &mut Vec<BenchEntry>) {
+fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32]) {
     let w = staggered_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
     let (lo, hi, elems, mut out) = interior::<R>();
@@ -246,7 +216,6 @@ fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: 
                 }
             }
         });
-        out_rows.push(entry("staggered", so, b, elems, &s));
         rows.push((b, s));
     }
     report_speedups("staggered", so, &rows);
@@ -258,33 +227,11 @@ fn bench_order<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
-    out_rows: &mut Vec<BenchEntry>,
 ) {
-    bench_laplacian::<R>("laplacian", cfg, so, u, sx, sy, out_rows);
-    bench_cross::<R>(cfg, so, u, sx, sy, out_rows);
-    bench_first_diff::<R>("first_diff", cfg, so, u, sy, out_rows);
-    bench_staggered::<R>(cfg, so, u, out_rows);
-}
-
-/// Write the per-backend rows as this bench's own report file. `cargo bench`
-/// runs with the package as CWD, so resolve `results/` against the
-/// workspace root.
-fn record_entries(entries: Vec<BenchEntry>) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root two levels up")
-        .join("results");
-    let report = BenchReport {
-        host: format!("{}_stencil_kernels", host_name()),
-        threads: tempest_par::available_threads(),
-        entries,
-        ..Default::default()
-    };
-    match report.write(&dir) {
-        Ok(p) => println!("stencil_kernels: recorded in {}", p.display()),
-        Err(e) => eprintln!("stencil_kernels: could not write report: {e}"),
-    }
+    bench_laplacian::<R>("laplacian", cfg, so, u, sx, sy);
+    bench_cross::<R>(cfg, so, u, sx, sy);
+    bench_first_diff::<R>("first_diff", cfg, so, u, sy);
+    bench_staggered::<R>(cfg, so, u);
 }
 
 fn main() {
@@ -295,12 +242,10 @@ fn main() {
     if !Backend::Avx2.available() {
         println!("  note: AVX2 unavailable on this host — avx2 rows omitted");
     }
-    let mut rows = Vec::new();
-    bench_order::<2>(cfg, 4, &u, sx, sy, &mut rows);
-    bench_order::<4>(cfg, 8, &u, sx, sy, &mut rows);
-    bench_order::<6>(cfg, 12, &u, sx, sy, &mut rows);
+    bench_order::<2>(cfg, 4, &u, sx, sy);
+    bench_order::<4>(cfg, 8, &u, sx, sy);
+    bench_order::<6>(cfg, 12, &u, sx, sy);
     let tiny = subnormal_grid();
-    bench_subnormal::<2>(cfg, 4, &tiny, sx, sy, &mut rows);
-    bench_subnormal::<4>(cfg, 8, &tiny, sx, sy, &mut rows);
-    record_entries(rows);
+    bench_subnormal::<2>(cfg, 4, &tiny, sx, sy);
+    bench_subnormal::<4>(cfg, 8, &tiny, sx, sy);
 }

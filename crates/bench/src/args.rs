@@ -16,12 +16,6 @@ pub struct HarnessArgs {
     pub space_orders: Vec<usize>,
     /// Models to run (subset of "acoustic", "tti", "elastic").
     pub models: Vec<String>,
-    /// Emit per-phase profiles (rendered table + JSON under
-    /// `target/profile/`). Needs the `obs` feature to record anything.
-    pub profile: bool,
-    /// Capture event-level traces (Chrome trace JSON under
-    /// `results/trace/`). Needs the `obs` feature to record anything.
-    pub trace: bool,
     /// Dense-kernel backend: auto-detected best, scalar reference loops,
     /// portable pencil kernels or explicit AVX2 intrinsics.
     pub kernel: KernelPath,
@@ -42,8 +36,6 @@ impl HarnessArgs {
             fast: false,
             space_orders: vec![4, 8, 12],
             models: vec!["acoustic".into(), "tti".into(), "elastic".into()],
-            profile: false,
-            trace: false,
             kernel: KernelPath::default(),
         };
         let mut i = 1;
@@ -84,14 +76,6 @@ impl HarnessArgs {
                 "--fast" => {
                     a.fast = true;
                 }
-                "--profile" => {
-                    a.profile = true;
-                    tempest_obs::set_enabled(true);
-                }
-                "--trace" => {
-                    a.trace = true;
-                    tempest_obs::trace::set_enabled(true);
-                }
                 "--kernel" => {
                     i += 1;
                     a.kernel = argv
@@ -110,8 +94,6 @@ impl HarnessArgs {
                         "options: --size N (grid edge) --nt N (timesteps) \
                          --so 4,8,12 (space orders) \
                          --model acoustic,tti,elastic --fast (smoke test) \
-                         --profile (per-phase profile table + JSON) \
-                         --trace (event traces, Chrome JSON under results/trace/) \
                          --kernel auto|scalar|portable|avx2 (row-kernel backend, default auto \
                          = best available)"
                     );
@@ -155,23 +137,6 @@ mod tests {
         assert_eq!(a.size, 512);
         assert_eq!(a.nt, 64);
         assert_eq!(a.space_orders, vec![4, 8]);
-    }
-
-    #[test]
-    fn profile_flag() {
-        let a = HarnessArgs::parse_from(&sv(&["--profile"]), 64, 8);
-        assert!(a.profile);
-        assert!(!HarnessArgs::parse_from(&sv(&[]), 64, 8).profile);
-    }
-
-    #[test]
-    fn trace_flag() {
-        let a = HarnessArgs::parse_from(&sv(&["--trace"]), 64, 8);
-        assert!(a.trace);
-        assert!(!a.profile);
-        assert!(!HarnessArgs::parse_from(&sv(&[]), 64, 8).trace);
-        // parsing --trace must not leave tracing on for other tests
-        tempest_obs::trace::set_enabled(false);
     }
 
     #[test]

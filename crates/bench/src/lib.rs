@@ -17,7 +17,6 @@
 pub mod args;
 pub mod microbench;
 pub mod sweep;
-pub mod perf_report;
 pub mod report;
 pub mod roofline;
 pub mod setup;

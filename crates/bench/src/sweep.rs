@@ -4,13 +4,10 @@
 //! spatially blocked code, so both sides get a tuning sweep here: the
 //! baseline over block shapes, WTB over the Table-I candidate grid.
 
-use std::time::Duration;
-
 use tempest_core::{Execution, RunStats, WaveSolver};
 use tempest_core::operator::{KernelPath, Schedule, SparseMode};
-use tempest_obs as obs;
 use tempest_par::Policy;
-use tempest_tiling::{autotune, autotune_measured, Candidate, MeasuredResult, Measurement, TuneResult};
+use tempest_tiling::{autotune, spaceblock_candidates, Candidate, TuneResult};
 
 /// Execution for a WTB candidate: the wave-front plan with fused sparse
 /// operators.
@@ -63,73 +60,16 @@ pub fn measure_dyn(s: &mut dyn WaveSolver, exec: &Execution, repeats: usize) -> 
     best.unwrap()
 }
 
-/// Best-of-`repeats` instrumented measurement: the fastest run's stats
-/// together with its profile and report metadata. The profile is empty
-/// unless the `obs` feature is compiled in and profiling is enabled.
-pub fn measure_profiled<S: WaveSolver>(
-    s: &mut S,
-    exec: &Execution,
-    repeats: usize,
-) -> (RunStats, obs::Profile, obs::RunMeta) {
-    assert!(repeats >= 1);
-    let mut best: Option<(RunStats, obs::Profile, obs::RunMeta)> = None;
-    for _ in 0..repeats {
-        let r = s.run_profiled(exec);
-        if best.as_ref().map(|b| r.0.elapsed < b.0.elapsed).unwrap_or(true) {
-            best = Some(r);
-        }
-    }
-    best.unwrap()
-}
-
-/// Like [`tune_wavefront`], but rank with measured telemetry: candidates
-/// within `tie_margin` of the fastest are separated by barrier-wait share
-/// (shapes often tie on time on short tuning runs; the synchronisation
-/// profile is the more stable signal).
-/// Without profiling compiled in/enabled this degrades to time-only
-/// ranking.
-pub fn tune_wavefront_measured<S: WaveSolver>(
-    s: &mut S,
-    cands: &[Candidate],
-    tie_margin: f64,
-) -> MeasuredResult {
-    autotune_measured(
-        cands,
-        |c| {
-            let e = exec_wavefront(c);
-            let (s1, p1, _) = s.run_profiled(&e);
-            let (s2, p2, _) = s.run_profiled(&e);
-            let (t, p) = if s1.elapsed <= s2.elapsed {
-                (s1.elapsed, p1)
-            } else {
-                (s2.elapsed, p2)
-            };
-            Measurement {
-                time: t,
-                barrier_share: if p.is_empty() {
-                    None
-                } else {
-                    Some(p.barrier_wait_share())
-                },
-            }
-        },
-        tie_margin,
-    )
-}
-
-/// Tune the baseline block shape over the standard candidates.
+/// Tune the baseline block shape over the standard candidates. Each
+/// candidate is timed twice and keeps its best time.
 pub fn tune_baseline<S: WaveSolver>(s: &mut S) -> (usize, usize) {
-    let mut best = (8usize, 8usize);
-    let mut best_t = Duration::MAX;
-    for b in [4usize, 8, 16, 32] {
-        let e = exec_spaceblocked(b, b);
-        let t = s.run(&e).elapsed.min(s.run(&e).elapsed);
-        if t < best_t {
-            best_t = t;
-            best = (b, b);
-        }
-    }
-    best
+    let shape = s.shape();
+    let best = autotune(&spaceblock_candidates(shape.nx, shape.ny), |c| {
+        let e = exec_spaceblocked(c.block_x, c.block_y);
+        s.run(&e).elapsed.min(s.run(&e).elapsed)
+    })
+    .best;
+    (best.block_x, best.block_y)
 }
 
 /// Tune WTB over `cands` using the given (short-`nt`) solver. Each
@@ -164,6 +104,7 @@ pub fn candidates_for(nx: usize, ny: usize, nt_tune: usize, quick: bool) -> Vec<
 mod tests {
     use super::*;
     use crate::setup;
+    use std::time::Duration;
 
     #[test]
     fn tune_and_measure_roundtrip() {
@@ -191,18 +132,5 @@ mod tests {
             exec_wavefront(&base).schedule,
             Schedule::WavefrontDataflow { tile_x: 16, tile_y: 8, tile_t: 4, .. }
         ));
-    }
-
-    #[test]
-    fn measured_tuning_roundtrip() {
-        let mut tuner = setup::acoustic(16, 4, 8, 0);
-        let cands = candidates_for(16, 16, 8, true);
-        let res = tune_wavefront_measured(&mut tuner, &cands, 0.25);
-        assert!(res.best_measurement.time > Duration::ZERO);
-        assert_eq!(res.all.len(), cands.len());
-        let (st, _profile, meta) = measure_profiled(&mut tuner, &exec_spaceblocked(8, 8), 2);
-        assert!(st.gpoints_per_s > 0.0);
-        assert!(meta.elapsed_s > 0.0);
-        assert_eq!(meta.nt, 8);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The workspace writes most of its reports with hand-rolled serialisation;
 //! this module is the matching *reader* so tests can parse exported
-//! profile/trace documents back and `tempest-report` can fold them into the
-//! benchmark trajectory. It is a strict-enough recursive-descent parser for
+//! profile/trace documents back. It is a strict-enough recursive-descent parser for
 //! the JSON this repo emits (and ordinary JSON in general); it is not a
 //! validating standards suite. [`Value::render`] is the inverse: documents
 //! built as a [`Value`] tree (the `/jobs` telemetry endpoint) serialise

@@ -29,7 +29,6 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-pub mod analysis;
 pub mod json;
 pub mod metrics;
 pub mod serve;

@@ -32,9 +32,9 @@ use tempest_grid::{Array2, Model};
 use tempest_obs as obs;
 use tempest_par::{available_threads, with_thread_budget, Policy};
 use tempest_sparse::SparsePoints;
-use tempest_tiling::TileCache;
+use tempest_tiling::{autotune, spaceblock_candidates, TileCache};
 
-use crate::shard::{shard_range, CancelFlag};
+use crate::shard::{shard, CancelFlag};
 
 /// One shot of a survey: a physical source position plus an optional
 /// per-shot wavelet (`None` uses the survey's shared Ricker at `cfg.f0`).
@@ -279,52 +279,40 @@ where
     let completed = AtomicUsize::new(0);
     let errors: Mutex<Vec<ShotError>> = Mutex::new(Vec::new());
     let shots = survey.shots();
-    let batch = if opts.batch_size == 0 {
-        n
-    } else {
-        opts.batch_size
-    };
-    let mut start = 0;
-    while start < n {
-        if was_cancelled() || !errors.lock().unwrap().is_empty() {
-            break;
+    let stop = || was_cancelled() || !errors.lock().unwrap().is_empty();
+    shard(opts.policy, n, opts.batch_size, stop, |i| {
+        if was_cancelled() {
+            return;
         }
-        let end = (start + batch).min(n);
-        shard_range(opts.policy, start..end, |i| {
-            if was_cancelled() {
-                return;
+        obs::add(obs::Counter::ShotStarted, 1);
+        obs::metrics::heartbeat(1);
+        let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
+        if let Some((hang_shot, ms)) = opts.inject_hang {
+            if i == hang_shot {
+                // Deliberately no heartbeat across this gap: the sleep
+                // is indistinguishable from a hung solve.
+                std::thread::sleep(std::time::Duration::from_millis(ms));
             }
-            obs::add(obs::Counter::ShotStarted, 1);
-            obs::metrics::heartbeat(1);
-            let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
-            if let Some((hang_shot, ms)) = opts.inject_hang {
-                if i == hang_shot {
-                    // Deliberately no heartbeat across this gap: the sleep
-                    // is indistinguishable from a hung solve.
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
+        }
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            with_thread_budget(available_threads(), || {
+                solve_one(&assets, &shots[i], &exec, opts.cache.as_deref(), i as u64)
+            })
+        }));
+        match solved {
+            Ok(Ok(gather)) => {
+                obs::add(obs::Counter::ShotCompleted, 1);
+                obs::metrics::heartbeat(1);
+                completed.fetch_add(1, Ordering::Relaxed);
+                on_shot(ShotResult { index: i, gather });
             }
-            let solved = catch_unwind(AssertUnwindSafe(|| {
-                with_thread_budget(available_threads(), || {
-                    solve_one(&assets, &shots[i], &exec, opts.cache.as_deref(), i as u64)
-                })
-            }));
-            match solved {
-                Ok(Ok(gather)) => {
-                    obs::add(obs::Counter::ShotCompleted, 1);
-                    obs::metrics::heartbeat(1);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    on_shot(ShotResult { index: i, gather });
-                }
-                Ok(Err(message)) => errors.lock().unwrap().push(ShotError { shot: i, message }),
-                Err(payload) => errors.lock().unwrap().push(ShotError {
-                    shot: i,
-                    message: panic_message(payload),
-                }),
-            }
-        });
-        start = end;
-    }
+            Ok(Err(message)) => errors.lock().unwrap().push(ShotError { shot: i, message }),
+            Err(payload) => errors.lock().unwrap().push(ShotError {
+                shot: i,
+                message: panic_message(payload),
+            }),
+        }
+    });
 
     let mut errs = errors.into_inner().unwrap();
     errs.sort_by_key(|e| e.shot);
@@ -433,31 +421,28 @@ fn tuned_exec(survey: &Survey, opts: &SurveyOptions) -> Execution {
     let probe_cfg = cfg.clone().with_nt(cfg.nt.clamp(2, 6));
     let probe_assets = ShotAssets::new(survey.model(), probe_cfg, None);
     let shape = cfg.shape();
-    let mut best = (f64::INFINITY, exec.schedule);
-    for cand in tempest_tiling::spaceblock_candidates(shape.nx, shape.ny) {
-        let trial = Execution {
-            schedule: Schedule::SpaceBlocked {
-                block_x: cand.block_x,
-                block_y: cand.block_y,
-            },
-            ..exec
-        };
+    let best = autotune(&spaceblock_candidates(shape.nx, shape.ny), |c| {
         let mut probe = Acoustic::from_assets(
             &probe_assets,
             SparsePoints::new(&probe_assets.config().domain, vec![probe_shot.position]),
         );
-        let stats = probe.run(&trial);
-        let secs = stats.elapsed.as_secs_f64();
-        if secs < best.0 {
-            best = (secs, trial.schedule);
-        }
-    }
+        let trial = Execution {
+            schedule: Schedule::SpaceBlocked {
+                block_x: c.block_x,
+                block_y: c.block_y,
+            },
+            ..exec
+        };
+        probe.run(&trial).elapsed
+    })
+    .best;
     obs::add(obs::Counter::BatchAutotune, 1);
-    exec.schedule = best.1;
-    if let (Some(cache), Schedule::SpaceBlocked { block_x, block_y }) =
-        (opts.cache.as_deref(), exec.schedule)
-    {
-        cache.tune_store(key, (block_x, block_y));
+    exec.schedule = Schedule::SpaceBlocked {
+        block_x: best.block_x,
+        block_y: best.block_y,
+    };
+    if let Some(cache) = opts.cache.as_deref() {
+        cache.tune_store(key, (best.block_x, best.block_y));
     }
     exec
 }

@@ -40,7 +40,7 @@ use tempest_par::{available_threads, with_thread_budget, FlushGuard, Policy};
 use tempest_sparse::SparsePoints;
 
 use crate::engine::{build_solver, panic_message, ShotError, ShotSpec, Survey};
-use crate::shard::shard_range;
+use crate::shard::shard;
 
 /// How an RTM survey executes.
 #[derive(Debug, Clone)]
@@ -122,7 +122,7 @@ pub fn rtm_image(
     let partials: Mutex<Vec<Option<Array3<f32>>>> = Mutex::new((0..n).map(|_| None).collect());
     let errors: Mutex<Vec<ShotError>> = Mutex::new(Vec::new());
     let shots = survey.shots();
-    shard_range(opts.policy, 0..n, |i| {
+    shard(opts.policy, n, 0, || false, |i| {
         obs::add(obs::Counter::ShotStarted, 1);
         let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
         let solved = catch_unwind(AssertUnwindSafe(|| {

@@ -8,7 +8,6 @@
 //! each index is claimed by exactly one worker; batching only
 //! changes how many indices one publication covers, never membership.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use tempest_par::Policy;
@@ -40,28 +39,21 @@ impl CancelFlag {
 /// Run `f(i)` exactly once for every `i` in `0..n`, sharded across the
 /// fleet under `policy` in batches of `batch_size` shots (`0` = one batch).
 /// Batches run in order with a join between them; shots inside a batch run
-/// in any order the policy permits.
-pub fn shard<F>(policy: Policy, n: usize, batch_size: usize, f: F)
+/// in any order the policy permits. `stop` is checked before each batch:
+/// once it returns `true`, no later batch starts (a started batch always
+/// runs to its join), so the indices visited are a prefix of whole batches.
+pub fn shard<F>(policy: Policy, n: usize, batch_size: usize, stop: impl Fn() -> bool, f: F)
 where
     F: Fn(usize) + Sync,
 {
     let batch = if batch_size == 0 { n.max(1) } else { batch_size };
-    let mut start = 0;
-    while start < n {
-        let end = (start + batch).min(n);
-        shard_range(policy, start..end, &f);
-        start = end;
+    for start in (0..n).step_by(batch) {
+        if stop() {
+            break;
+        }
+        let len = batch.min(n - start);
+        tempest_par::for_each_index(policy, len, |j| f(start + j));
     }
-}
-
-/// One batch of [`shard`]: run `f(i)` exactly once for every `i` in
-/// `range`, joining before return.
-pub(crate) fn shard_range<F>(policy: Policy, range: Range<usize>, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let base = range.start;
-    tempest_par::for_each_index(policy, range.len(), |j| f(base + j));
 }
 
 #[cfg(test)]
@@ -82,7 +74,7 @@ mod tests {
     fn shard_visits_each_index_once() {
         for &(n, batch) in &[(0usize, 0usize), (1, 0), (7, 3), (64, 0), (64, 5), (64, 64)] {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            shard(Policy::Parallel, n, batch, |i| {
+            shard(Policy::Parallel, n, batch, || false, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -97,7 +89,41 @@ mod tests {
         // With a sequential policy the visit order is fully deterministic:
         // ascending within each batch, batches in order.
         let order = std::sync::Mutex::new(Vec::new());
-        shard(Policy::Sequential, 10, 4, |i| order.lock().unwrap().push(i));
+        shard(Policy::Sequential, 10, 4, || false, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stop_ends_the_run_at_a_batch_boundary() {
+        // `stop` turns true while index `trigger` runs: its batch still
+        // finishes every index, and no later batch starts.
+        for policy in [Policy::Sequential, Policy::Parallel] {
+            let cases = [(10usize, 4usize, 0usize), (10, 4, 5), (10, 4, 9), (9, 3, 2), (7, 0, 3)];
+            for (n, batch, trigger) in cases {
+                let stopped = AtomicBool::new(false);
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                shard(
+                    policy,
+                    n,
+                    batch,
+                    || stopped.load(Ordering::Acquire),
+                    |i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        if i == trigger {
+                            stopped.store(true, Ordering::Release);
+                        }
+                    },
+                );
+                let b = if batch == 0 { n } else { batch };
+                let end = ((trigger / b + 1) * b).min(n);
+                for (i, h) in hits.iter().enumerate() {
+                    assert_eq!(
+                        h.load(Ordering::Relaxed),
+                        usize::from(i < end),
+                        "{policy:?} n={n} batch={batch} trigger={trigger}: index {i}"
+                    );
+                }
+            }
+        }
     }
 }

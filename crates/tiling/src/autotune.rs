@@ -35,38 +35,6 @@ impl std::fmt::Display for Candidate {
     }
 }
 
-/// One candidate measurement: wall-clock plus (when the observability layer
-/// recorded the run) the measured barrier-wait share of total timed work.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Wall-clock time of the candidate run.
-    pub time: Duration,
-    /// Barrier-wait share ∈ [0, 1] from `tempest_obs::Profile`, `None` when
-    /// profiling was off (the sweep then degrades to time-only ranking).
-    pub barrier_share: Option<f64>,
-}
-
-impl Measurement {
-    /// Time-only measurement (no telemetry available).
-    pub fn time_only(time: Duration) -> Self {
-        Measurement {
-            time,
-            barrier_share: None,
-        }
-    }
-}
-
-/// Outcome of a telemetry-aware tuning sweep.
-#[derive(Debug, Clone)]
-pub struct MeasuredResult {
-    /// The winning candidate after time ranking + barrier tie-breaking.
-    pub best: Candidate,
-    /// Its measurement.
-    pub best_measurement: Measurement,
-    /// Every `(candidate, measurement)` pair, in sweep order.
-    pub all: Vec<(Candidate, Measurement)>,
-}
-
 /// Outcome of a tuning sweep.
 #[derive(Debug, Clone)]
 pub struct TuneResult {
@@ -177,55 +145,6 @@ where
     }
 }
 
-/// Telemetry-aware sweep: rank by wall-clock, then break near-ties on
-/// measured barrier-wait share.
-///
-/// All candidates within `tie_margin` (relative, e.g. `0.03` = 3%) of the
-/// fastest time form the tie set; among them the one with the lowest
-/// barrier-wait share wins — synchronisation cost predicts how a schedule
-/// scales beyond the sweep's thread count, so between two candidates that
-/// time the same, prefer the one that waited less. Candidates
-/// without telemetry (`barrier_share: None`) sort after those with it inside
-/// the tie set. With profiling off everywhere this reduces to plain
-/// time-only `autotune` ranking.
-///
-/// # Panics
-/// If `candidates` is empty.
-pub fn autotune_measured<F>(
-    candidates: &[Candidate],
-    mut runner: F,
-    tie_margin: f64,
-) -> MeasuredResult
-where
-    F: FnMut(&Candidate) -> Measurement,
-{
-    assert!(!candidates.is_empty(), "no candidates to tune over");
-    let mut all = Vec::with_capacity(candidates.len());
-    for &c in candidates {
-        let m = runner(&c);
-        all.push((c, m));
-    }
-    let fastest = all.iter().map(|(_, m)| m.time).min().unwrap();
-    let cutoff = fastest.as_secs_f64() * (1.0 + tie_margin.max(0.0));
-    let (best, best_measurement) = all
-        .iter()
-        .filter(|(_, m)| m.time.as_secs_f64() <= cutoff)
-        .min_by(|(_, a), (_, b)| {
-            let ka = (a.barrier_share.is_none(), a.barrier_share.unwrap_or(f64::MAX));
-            let kb = (b.barrier_share.is_none(), b.barrier_share.unwrap_or(f64::MAX));
-            ka.partial_cmp(&kb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.time.cmp(&b.time))
-        })
-        .map(|&(c, m)| (c, m))
-        .unwrap();
-    MeasuredResult {
-        best,
-        best_measurement,
-        all,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,63 +196,5 @@ mod tests {
     #[should_panic(expected = "no candidates")]
     fn empty_candidates_rejected() {
         let _ = autotune(&[], |_| Duration::ZERO);
-    }
-
-    #[test]
-    fn measured_breaks_ties_on_barrier_share() {
-        let cands = quick_candidates(64, 64, &[4]);
-        let (small, wide) = (cands[0], cands[1]);
-        // The wide tile is 1% slower but waits far less: within a 3% margin
-        // the lower barrier share must win.
-        let res = autotune_measured(
-            &[small, wide],
-            |c| Measurement {
-                time: Duration::from_micros(if *c == wide { 1010 } else { 1000 }),
-                barrier_share: Some(if *c == wide { 0.05 } else { 0.40 }),
-            },
-            0.03,
-        );
-        assert_eq!(res.best, wide);
-        assert_eq!(res.all.len(), 2);
-
-        // Outside the margin, raw time wins regardless of barrier share.
-        let res = autotune_measured(
-            &[small, wide],
-            |c| Measurement {
-                time: Duration::from_micros(if *c == wide { 1200 } else { 1000 }),
-                barrier_share: Some(if *c == wide { 0.05 } else { 0.40 }),
-            },
-            0.03,
-        );
-        assert_eq!(res.best, small);
-    }
-
-    #[test]
-    fn measured_without_telemetry_matches_time_only() {
-        let cands = quick_candidates(64, 64, &[4, 8]);
-        let cost = |c: &Candidate| {
-            Duration::from_nanos(1000 + (c.tile_x as u64).abs_diff(16) + c.tile_t as u64)
-        };
-        let plain = autotune(&cands, |c| cost(c));
-        let measured = autotune_measured(&cands, |c| Measurement::time_only(cost(c)), 0.0);
-        assert_eq!(plain.best, measured.best);
-        assert_eq!(plain.best_time, measured.best_measurement.time);
-    }
-
-    #[test]
-    fn measured_prefers_telemetry_inside_tie_set() {
-        let cands = quick_candidates(64, 64, &[4]);
-        let (a, b) = (cands[0], cands[1]);
-        // Equal times; only one candidate has telemetry — it wins the tie.
-        let res = autotune_measured(
-            &[a, b],
-            |c| Measurement {
-                time: Duration::from_micros(1000),
-                barrier_share: (*c == b).then_some(0.2),
-            },
-            0.03,
-        );
-        assert_eq!(res.best, b);
-        assert_eq!(res.best_measurement.barrier_share, Some(0.2));
     }
 }

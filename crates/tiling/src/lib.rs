@@ -52,10 +52,7 @@ pub mod legality;
 pub mod plan;
 pub mod wavefront;
 
-pub use autotune::{
-    autotune, autotune_measured, spaceblock_candidates, Candidate, MeasuredResult, Measurement,
-    TuneResult,
-};
+pub use autotune::{autotune, spaceblock_candidates, Candidate, TuneResult};
 pub use incremental::{
     cache_mb_from, dirty_cone, CacheStats, DirtyRect, RunDelta, SlabPayload, SourceSig, TileCache,
     TilePayload, DEFAULT_CACHE_MB,

@@ -7,17 +7,8 @@
 //! cargo run --release --example autotune_demo
 //! ```
 //!
-//! With profiling compiled in and switched on, the sweep also records each
-//! candidate's barrier-wait share and uses it to break near-ties between
-//! shapes:
-//!
-//! ```text
-//! TEMPEST_PROFILE=1 cargo run --release --example autotune_demo --features obs
-//! ```
-//!
-//! Add `--trace` (or `TEMPEST_TRACE=1`) to trace the final tuned run: the
-//! per-diagonal load-imbalance summary prints next to the comparison and
-//! the Chrome trace JSON lands under `results/trace/`.
+//! Add `--trace` (or `TEMPEST_TRACE=1`) with `--features obs` to trace the
+//! final tuned run: the Chrome trace JSON lands under `results/trace/`.
 
 use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::config::EquationKind;
@@ -25,7 +16,7 @@ use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
-use tempest::tiling::{autotune::default_candidates, autotune_measured, Candidate, Measurement};
+use tempest::tiling::{autotune, autotune::default_candidates, Candidate};
 
 /// The wave-front schedule of a candidate.
 fn schedule_of(c: &Candidate) -> Schedule {
@@ -56,54 +47,32 @@ fn main() {
         cands.len()
     );
 
-    // Candidates within 5% of the fastest are ranked by measured
-    // barrier-wait share (when telemetry is recorded) — wall time alone
-    // cannot separate close shapes on short tuning runs.
-    let result = autotune_measured(
-        &cands,
-        |c| {
-            let exec = Execution {
-                schedule: schedule_of(c),
-                sparse: SparseMode::FusedCompressed,
-                policy: Policy::default(),
-                kernel: KernelPath::default(),
-            };
-            let (stats, profile, _) = solver.run_profiled(&exec);
-            Measurement {
-                time: stats.elapsed,
-                barrier_share: if profile.is_empty() {
-                    None
-                } else {
-                    Some(profile.barrier_wait_share())
-                },
-            }
-        },
-        0.05,
-    );
-
-    let share_col = |m: &Measurement| {
-        m.barrier_share
-            .map(|s| format!("{:>5.1}%", s * 100.0))
-            .unwrap_or_else(|| "    —".into())
-    };
+    let result = autotune(&cands, |c| {
+        let exec = Execution {
+            schedule: schedule_of(c),
+            sparse: SparseMode::FusedCompressed,
+            policy: Policy::default(),
+            kernel: KernelPath::default(),
+        };
+        solver.run(&exec).elapsed
+    });
 
     // Ranking table.
     let mut ranked = result.all.clone();
-    ranked.sort_by_key(|(_, m)| m.time);
-    println!("rank  candidate                       time      barrier-wait");
-    for (i, (c, m)) in ranked.iter().take(8).enumerate() {
-        println!("{:>4}  {c:<30}  {:>8.3?}  {}", i + 1, m.time, share_col(m));
+    ranked.sort_by_key(|&(_, t)| t);
+    println!("rank  candidate                       time");
+    for (i, (c, t)) in ranked.iter().take(8).enumerate() {
+        println!("{:>4}  {c:<30}  {t:>8.3?}", i + 1);
     }
     println!("   …");
-    let (wc, wm) = ranked.last().unwrap();
-    println!("last  {wc:<30}  {:>8.3?}  {}", wm.time, share_col(wm));
+    let (wc, wt) = ranked.last().unwrap();
+    println!("last  {wc:<30}  {wt:>8.3?}");
 
     println!(
-        "\nbest: {}  ({:.3?}, barrier-wait {}); worst is {:.2}x slower",
+        "\nbest: {}  ({:.3?}); worst is {:.2}x slower",
         result.best,
-        result.best_measurement.time,
-        share_col(&result.best_measurement),
-        wm.time.as_secs_f64() / result.best_measurement.time.as_secs_f64()
+        result.best_time,
+        wt.as_secs_f64() / result.best_time.as_secs_f64()
     );
 
     // Compare the tuned schedule against the baseline.
@@ -122,10 +91,7 @@ fn main() {
         wtb.gpoints_per_s / base.gpoints_per_s
     );
 
-    // With tracing on, show how well the tuned schedule balances its
-    // diagonals — the signal behind the barrier-share tie-breaker above.
     if !profile.trace.is_empty() {
-        println!("\n{}", tempest::obs::analysis::TraceAnalysis::from_trace(&profile.trace).render());
         match profile.trace.write_chrome_json(&meta) {
             Ok(path) => println!("trace written to {}", path.display()),
             Err(err) => eprintln!("could not write trace JSON: {err}"),

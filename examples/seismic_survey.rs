@@ -18,8 +18,8 @@
 //! ```
 //!
 //! Add `--trace` (or `TEMPEST_TRACE=1`) to also capture event-level traces:
-//! each schedule prints the per-diagonal load-imbalance summary and writes
-//! Chrome trace JSON under `results/trace/` (open in Perfetto).
+//! each schedule writes Chrome trace JSON under `results/trace/` (open in
+//! Perfetto).
 
 use tempest::core::config::EquationKind;
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
@@ -74,9 +74,7 @@ fn main() {
         }
         let trace = &profile.trace;
         if !trace.is_empty() {
-            // Per-diagonal load balance next to the per-kind table, plus
-            // the Perfetto-loadable event trace.
-            println!("{}", obs::analysis::TraceAnalysis::from_trace(trace).render());
+            // The Perfetto-loadable event trace.
             match trace.write_chrome_json(&meta) {
                 Ok(path) => println!("trace written to {}", path.display()),
                 Err(err) => eprintln!("could not write trace JSON: {err}"),

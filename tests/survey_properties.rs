@@ -29,7 +29,7 @@ fn policies() -> Vec<Policy> {
     ]
 }
 
-/// Raw sharding primitive: every index visited exactly once for random
+/// The engine's batch loop: every index visited exactly once for random
 /// (n, batch, policy) draws, including n = 0 and n = 1.
 #[test]
 fn shard_is_a_partition() {
@@ -44,7 +44,7 @@ fn shard_is_a_partition() {
         let batch = rng.range_usize(0, n + 2); // 0 = single batch
         let policy = policies[rng.range_usize(0, policies.len())];
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        shard(policy, n, batch, |i| {
+        shard(policy, n, batch, || false, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {

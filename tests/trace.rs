@@ -219,25 +219,6 @@ fn baseline_run_records_one_tile_span_per_step_and_block() {
     obs::trace::set_enabled(false);
 }
 
-#[cfg(feature = "obs")]
-#[test]
-fn analysis_matches_trace_and_renders() {
-    let _g = guard();
-    let mut s = acoustic64();
-    let trace = s.run_profiled(&Execution::wavefront_default()).1.trace;
-    let a = obs::analysis::TraceAnalysis::from_trace(&trace);
-    let spec = Execution::wavefront_default().wavefront_spec(2, 1);
-    let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
-    assert_eq!(a.diagonals.len(), ndiag * NT.div_ceil(spec.tile_t));
-    let tiles: usize = a.diagonals.iter().map(|d| d.tiles).sum();
-    assert_eq!(tiles, trace.count(SpanKind::Tile));
-    assert!(a.worst_imbalance >= 1.0 && a.worst_imbalance.is_finite());
-    assert!(a.critical_path_ns > 0 && a.critical_path_ns <= a.total_tile_ns);
-    let rendered = a.render();
-    assert!(rendered.contains("diagonal"), "render names the table: {rendered}");
-    obs::trace::set_enabled(false);
-}
-
 /// One clock: with events on and nothing dropped, every thread's recorded
 /// time of every span kind is exactly the summed duration of its events of
 /// that kind — the phase times *are* the spans. Covers the three
