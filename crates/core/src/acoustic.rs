@@ -7,7 +7,7 @@
 //! `u⁺ = c1·u − c2·u⁻ + c3·(Δu + injected source)` with `c1 = 2/(1+η)`,
 //! `c2 = (1−η)/(1+η)` and `c3 = dt²/(m·(1+η))`. Only `c3` is a per-point
 //! volume: `c1` and `c2` depend on a point's distance to the nearest face
-//! alone, so each pencil reads them from a [`Sponge`] `z` profile shared
+//! alone, so each pencil reads them from a `Sponge` `z` profile shared
 //! with most other pencils, and the update streams one coefficient per
 //! point.
 //!
@@ -169,20 +169,20 @@ impl Acoustic {
     pub fn from_assets(assets: &ShotAssets, sources: SparsePoints) -> Self {
         let wavelets =
             tempest_sparse::wavelet::wavelet_matrix(&assets.ricker, sources.len());
-        Self::from_assets_with_wavelets(assets, sources, wavelets)
+        let src = SourceBundle::new(&assets.cfg.domain, sources, wavelets);
+        Self::from_assets_with_sources(assets, src)
     }
 
-    /// Build from precomputed [`ShotAssets`] with explicit per-source
-    /// wavelets (`wavelets[t][s]`, `cfg.nt` rows) — the adjoint/RTM shape
-    /// of [`new_with_wavelets`](Self::new_with_wavelets).
-    pub fn from_assets_with_wavelets(
-        assets: &ShotAssets,
-        sources: SparsePoints,
-        wavelets: Array2<f32>,
-    ) -> Self {
-        assert_eq!(wavelets.dims()[0], assets.cfg.nt, "one wavelet row per timestep");
+    /// Build from precomputed [`ShotAssets`] with a ready source bundle
+    /// (`cfg.nt` wavelet rows) — the adjoint/RTM shape, whose sources may
+    /// share the receivers' footprint ([`ReceiverBundle::adjoint_sources`]).
+    pub fn from_assets_with_sources(assets: &ShotAssets, src: SourceBundle) -> Self {
+        assert_eq!(
+            src.wavelets.dims()[0],
+            assets.cfg.nt,
+            "one wavelet row per timestep"
+        );
         let cfg = assets.cfg.clone();
-        let src = SourceBundle::new(&cfg.domain, sources, wavelets);
         let rec = assets.rec.clone();
         let trace = rec
             .as_ref()
@@ -211,13 +211,11 @@ impl Acoustic {
         model: &Model,
         cfg: SimConfig,
         sources: SparsePoints,
-        wavelets: tempest_grid::Array2<f32>,
+        wavelets: Array2<f32>,
         receivers: Option<SparsePoints>,
     ) -> Self {
-        assert_eq!(wavelets.dims()[0], cfg.nt, "one wavelet row per timestep");
-        let mut s = Self::new(model, cfg, sources, receivers);
-        s.src = SourceBundle::new(&s.cfg.domain, s.src.points.clone(), wavelets);
-        s
+        let src = SourceBundle::new(&cfg.domain, sources, wavelets);
+        Self::from_assets_with_sources(&ShotAssets::new(model, cfg, receivers), src)
     }
 
     /// The simulation configuration.

@@ -26,7 +26,7 @@
 //! Three per-point parameter volumes stream with the fields: `dt·λ`, `dt·μ`
 //! and `dt/ρ` (`2·dt·μ` is formed in the loop, exactly). The sponge
 //! multiplier `1 − η` depends on a point's distance to the nearest face
-//! alone, so each pencil reads it from a [`Sponge`] `z` profile.
+//! alone, so each pencil reads it from a `Sponge` `z` profile.
 
 use crate::config::SimConfig;
 use crate::operator::{KernelPath, SparseMode, WaveSolver};

@@ -55,7 +55,8 @@ pub enum KernelPath {
     Scalar,
     /// Whole-row pencil kernels (`tempest_stencil::simd`): per-offset slice
     /// windows hoist every bounds check out of the inner loop, which LLVM
-    /// vectorises to 8-wide lanes on any target.
+    /// vectorises for the compile target — on the default baseline x86-64,
+    /// SSE2, two 128-bit operations per 8-float step.
     Portable,
     /// Explicit AVX2 intrinsics (`tempest_stencil::avx2`): unaligned
     /// 256-bit loads, unfused multiply-add. Falls back to the detected best

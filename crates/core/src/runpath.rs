@@ -1,13 +1,13 @@
 //! The one run path behind [`WaveSolver::run`] and
 //! [`WaveSolver::run_incremental`], shared by all three propagators.
 //!
-//! [`solve`] turns an [`Execution`] into work: the schedule's [`TilePlan`]
+//! `solve` turns an [`Execution`] into work: the schedule's [`TilePlan`]
 //! run by `execute_plan`, the one executor, in segments. Every plan ends
 //! flat, so a segment of timesteps `[k0, k1)` is a `k1 − k0`-step plan
 //! started at virtual step `k0 · phases`. The classic sparse operators run
 //! on the calling thread between one-timestep segments; any other solve is
 //! one segment. A cached solve is the same plan sweep
-//! with a [`CacheStore`] attached. The store is the sweep's inspector: before
+//! with a `CacheStore` attached. The store is the sweep's inspector: before
 //! a tile runs it diffs the sparse layout against the cache's last completed
 //! run of the session, looks up every node outside the delta's light cone,
 //! and decides which of those must also be written back into the rings —
@@ -195,7 +195,8 @@ impl<'a, S: WaveSolver + ?Sized> CacheStore<'a, S> {
     ) -> Self {
         let sigs = source_sigs(solver);
         let receivers = receiver_digest(solver);
-        let receiver_rect = footprint_rect(solver.receivers().map_or(&[], |r| &r.stencils));
+        let receiver_rect =
+            footprint_rect(solver.receivers().map_or(&[], |r| &r.footprint.stencils));
         let session = session_key(solver, plan.geometry, sparse, shot_key);
         let masks = node_masks(plan, &sigs);
         let delta = cache.begin_run(session, &sigs, receivers);
@@ -433,7 +434,7 @@ fn source_sigs<S: WaveSolver + ?Sized>(solver: &S) -> Vec<SourceSig> {
             for &c in &coords[s] {
                 h.write_u32(c.to_bits());
             }
-            for (c, w) in src.stencils[s].nonzero() {
+            for (c, w) in src.pre.stencils[s].nonzero() {
                 h.write_usize(c[0]);
                 h.write_usize(c[1]);
                 h.write_usize(c[2]);
@@ -444,7 +445,7 @@ fn source_sigs<S: WaveSolver + ?Sized>(solver: &S) -> Vec<SourceSig> {
             }
             SourceSig {
                 digest: h.finish(),
-                rect: footprint_rect(std::slice::from_ref(&src.stencils[s])),
+                rect: footprint_rect(std::slice::from_ref(&src.pre.stencils[s])),
             }
         })
         .collect()
@@ -477,7 +478,7 @@ fn receiver_digest<S: WaveSolver + ?Sized>(solver: &S) -> u64 {
                 h.write_u32(v.to_bits());
             }
         }
-        for st in &rec.stencils {
+        for st in &rec.footprint.stencils {
             for (c, w) in st.nonzero() {
                 h.write_usize(c[0]);
                 h.write_usize(c[1]);

@@ -8,16 +8,15 @@
 //! the region, the counters and the trace span are here.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::operator::SparseMode;
 use crate::trace::TraceBuffer;
 use tempest_grid::{Array2, Domain};
 use tempest_obs as obs;
-use tempest_sparse::interp::trilinear_all;
 use tempest_sparse::wavelet::wavelet_matrix;
 use tempest_sparse::{
-    ricker, CompressedMask, InterpStencil, ReceiverPrecompute, SourcePrecompute, SparsePoints,
-    FOOTPRINT,
+    ricker, CompressedMask, Footprint, SourcePrecompute, SparsePoints, FOOTPRINT,
 };
 
 /// A set of sources with their wavelets, in both representations.
@@ -27,23 +26,19 @@ pub struct SourceBundle {
     pub points: SparsePoints,
     /// Wavelet matrix `src[t][s]`.
     pub wavelets: Array2<f32>,
-    /// Trilinear footprints (classic injection path).
-    pub stencils: Vec<InterpStencil>,
-    /// The paper's precomputed grid-aligned structures (affected points,
-    /// `src_dcmp`, the per-pencil index).
+    /// The paper's precomputed grid-aligned structures: the footprint
+    /// (affected points, per-pencil index, trilinear stencils for the
+    /// classic path) and `src_dcmp`.
     pub pre: SourcePrecompute,
 }
 
 impl SourceBundle {
     /// Build from explicit wavelets.
     pub fn new(domain: &Domain, points: SparsePoints, wavelets: Array2<f32>) -> Self {
-        assert_eq!(wavelets.dims()[1], points.len());
-        let stencils = trilinear_all(domain, &points);
         let pre = SourcePrecompute::build(domain, &points, &wavelets);
         SourceBundle {
             points,
             wavelets,
-            stencils,
             pre,
         }
     }
@@ -68,32 +63,41 @@ impl SourceBundle {
     }
 }
 
-/// A set of receivers in both representations.
+/// A set of receivers: positions and their footprint (trilinear stencils
+/// for the classic path, per-pencil index and CSR contributions for the
+/// fused gather).
 #[derive(Clone)]
 pub struct ReceiverBundle {
     /// Off-grid receiver positions.
     pub points: SparsePoints,
-    /// Trilinear footprints (classic interpolation path).
-    pub stencils: Vec<InterpStencil>,
-    /// Grid-aligned gather structures (per-pencil index, CSR contributions).
-    pub pre: ReceiverPrecompute,
+    /// Grid-aligned gather structures, shared with the adjoint's sources.
+    pub footprint: Arc<Footprint>,
 }
 
 impl ReceiverBundle {
     /// Build the gather structures for a receiver set.
     pub fn new(domain: &Domain, points: SparsePoints) -> Self {
-        let stencils = trilinear_all(domain, &points);
-        let pre = ReceiverPrecompute::build(domain, &points);
+        assert!(!points.is_empty(), "need at least one receiver");
         ReceiverBundle {
+            footprint: Arc::new(Footprint::build(domain, &points)),
             points,
-            stencils,
-            pre,
         }
     }
 
     /// Number of receivers.
     pub fn num_receivers(&self) -> usize {
         self.points.len()
+    }
+
+    /// Sources at the receiver positions firing `wavelets[t][r]` — an
+    /// adjoint's injection (Fig. 3b read backwards), decomposed onto this
+    /// bundle's footprint rather than a second one.
+    pub fn adjoint_sources(&self, wavelets: Array2<f32>) -> SourceBundle {
+        SourceBundle {
+            points: self.points.clone(),
+            pre: SourcePrecompute::new(Arc::clone(&self.footprint), &wavelets),
+            wavelets,
+        }
     }
 }
 
@@ -113,7 +117,7 @@ pub fn classic_step(
     let _sp = obs::span(obs::SpanKind::Sparse, obs::SpanArgs::step(k));
     let mut injections = 0u64;
     let mut gathers = 0u64;
-    for (st, &a) in src.stencils.iter().zip(src.amps_at(k)) {
+    for (st, &a) in src.pre.stencils.iter().zip(src.amps_at(k)) {
         for (c, w) in st.nonzero() {
             // Group (w·a) first: bitwise-identical to the fused path, which
             // applies the precomputed w·a product.
@@ -122,7 +126,7 @@ pub fn classic_step(
         }
     }
     if let Some((rec, trace)) = receivers {
-        for (r, st) in rec.stencils.iter().enumerate() {
+        for (r, st) in rec.footprint.stencils.iter().enumerate() {
             for (j, (c, w)) in st.nonzero().enumerate() {
                 trace.store(k, r * FOOTPRINT + j, w * value(c));
                 gathers += 1;
@@ -226,9 +230,9 @@ impl FusedPencil {
         };
         let k = self.k;
         let mut gathers = 0u64;
-        self.affected(&rec.pre.index, |z, id| {
+        self.affected(&rec.footprint.index, |z, id| {
             let v = value(z);
-            let contribs = rec.pre.contributions(id);
+            let contribs = rec.footprint.contributions(id);
             gathers += contribs.len() as u64;
             for &(slot, w) in contribs {
                 trace.store(k, slot as usize, w * v);
@@ -267,7 +271,7 @@ mod tests {
         let b = SourceBundle::with_ricker(&d, pts, 12.0, 0.001, 32);
         assert_eq!(b.num_sources(), 4);
         assert_eq!(b.wavelets.dims(), [32, 4]);
-        assert_eq!(b.stencils.len(), 4);
+        assert_eq!(b.pre.stencils.len(), 4);
         assert_eq!(b.pre.index.total(), b.pre.npts());
         assert_eq!(b.amps_at(0).len(), 4);
     }
@@ -278,7 +282,7 @@ mod tests {
         let pts = SparsePoints::receiver_line(&d, 7, 0.1);
         let b = ReceiverBundle::new(&d, pts);
         assert_eq!(b.num_receivers(), 7);
-        assert_eq!(b.pre.index.total(), b.pre.npts());
+        assert_eq!(b.footprint.index.total(), b.footprint.npts());
     }
 
     #[test]

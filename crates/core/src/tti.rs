@@ -23,7 +23,7 @@
 //! loop is trigonometry-free. The leap-frog update is acoustic's
 //! `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy (`1 + 2ε`, `√(1+2δ)`, the
 //! rotation) are the nine per-point volumes, while the damping-only `c1`,
-//! `c2` come from the [`Sponge`]'s per-pencil `z` profiles. As in acoustic,
+//! `c2` come from the `Sponge`'s per-pencil `z` profiles. As in acoustic,
 //! each field's ring keeps two levels and `p⁺`, `q⁺` overwrite `p⁻`, `q⁻` in
 //! place, which the combine reads only at the point it writes.
 

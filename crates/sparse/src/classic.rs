@@ -7,9 +7,8 @@
 //! polyhedral time-tiling tools (§I.A) and motivates the precomputation
 //! scheme in [`crate::precompute`].
 
-use crate::interp::{trilinear_all, InterpStencil};
-use crate::points::SparsePoints;
-use tempest_grid::{Domain, Field};
+use crate::interp::InterpStencil;
+use tempest_grid::Field;
 
 /// Scatter one timestep of source amplitudes into the field.
 ///
@@ -31,18 +30,6 @@ pub fn inject(
     }
 }
 
-/// Convenience: compute interpolation stencils and inject in one call.
-pub fn inject_points(
-    field: &mut Field,
-    domain: &Domain,
-    points: &SparsePoints,
-    amps: &[f32],
-    scale: impl Fn(usize, usize, usize) -> f32,
-) {
-    let stencils = trilinear_all(domain, points);
-    inject(field, &stencils, amps, scale);
-}
-
 /// Gather one timestep of receiver measurements from the field:
 /// `out[r] = Σ_p w(p) · u[p]`.
 pub fn interpolate(field: &Field, stencils: &[InterpStencil], out: &mut [f32]) {
@@ -56,21 +43,33 @@ pub fn interpolate(field: &Field, stencils: &[InterpStencil], out: &mut [f32]) {
     }
 }
 
-/// Convenience: compute stencils and interpolate in one call.
-pub fn interpolate_points(
-    field: &Field,
-    domain: &Domain,
-    points: &SparsePoints,
-    out: &mut [f32],
-) {
-    let stencils = trilinear_all(domain, points);
-    interpolate(field, &stencils, out);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use tempest_grid::Shape;
+    use crate::interp::trilinear_all;
+    use crate::points::SparsePoints;
+    use tempest_grid::{Domain, Shape};
+
+    /// Compute interpolation stencils and inject in one call.
+    pub(crate) fn inject_points(
+        field: &mut Field,
+        domain: &Domain,
+        points: &SparsePoints,
+        amps: &[f32],
+        scale: impl Fn(usize, usize, usize) -> f32,
+    ) {
+        inject(field, &trilinear_all(domain, points), amps, scale);
+    }
+
+    /// Compute stencils and interpolate in one call.
+    pub(crate) fn interpolate_points(
+        field: &Field,
+        domain: &Domain,
+        points: &SparsePoints,
+        out: &mut [f32],
+    ) {
+        interpolate(field, &trilinear_all(domain, points), out);
+    }
 
     fn dom() -> Domain {
         Domain::uniform(Shape::cube(11), 10.0)

@@ -1,136 +1,140 @@
-//! The paper's source-injection precomputation scheme (§II.A).
+//! The paper's precomputation scheme (§II.A): one [`Footprint`] for
+//! sources, receivers and the adjoint, and wavelets decomposed onto it.
 //!
-//! Off-the-grid sources are turned into grid-aligned point sources in four
-//! steps (Fig. 5):
+//! [`Footprint::build`] interpolates, sorts, deduplicates and indexes a set
+//! of off-the-grid points once (Fig. 5). The affected grid points are the
+//! union of the non-zero trilinear footprints — what probing an empty grid
+//! finds (Listing 2, kept as a test oracle) — and a point's ID is its
+//! position in canonical grid order (the `SM`/`SID` volumes of Fig. 5b/5c).
+//! Each point lists its `(slot, weight)` entries in ascending slot, where
+//! slot `s · FOOTPRINT + j` is the `j`-th non-zero corner of sparse point
+//! `s`; the per-pencil [`CompressedMask`] (Listing 5) lets the stencil
+//! kernels fuse the sparse work into the loop nest of any — including
+//! temporally blocked — schedule.
 //!
-//! 1. find the affected grid points — either by *probing* an empty grid with
-//!    one injection step (Listing 2, [`SourcePrecompute::build_probed`]) or
-//!    analytically from the interpolation footprints
-//!    ([`SourcePrecompute::build`]); the two agree (tested);
-//! 2. give each a unique ID, ascending in canonical grid order — the paper's
-//!    `SM`/`SID` volumes (Fig. 5b/5c), kept here as the sorted point list
-//!    itself: a point's ID is its position in it;
-//! 3. decompose the sources' wavelets into per-affected-point time series
-//!    `src_dcmp[t][id] = Σ_s w(s→id) · src[t][s]` (Listing 3);
-//! 4. index the points per `(x, y)` pencil ([`CompressedMask`], Listing 5)
-//!    so the stencil kernels can *fuse* injection into the dense loop nest at
-//!    the right space-time coordinates of any — including temporally
-//!    blocked — schedule.
+//! Sources read the entries one way: [`SourcePrecompute`] sums
+//! `src_dcmp[t][id] = Σ_s w(s→id) · src[t][s]` (Listing 3). Receivers read
+//! them the other way (Fig. 3b, "the mirror"): each point stores `w · u`
+//! into the trace slots its entries name, so every product has a home of
+//! its own and a receiver's corners are summed in corner order when the
+//! trace is read, whichever tile produced which corner first.
 //!
 //! Nothing here is grid-sized but the index's `nx·ny + 1` pencil offsets.
 
-use crate::compressed::CompressedMask;
-use crate::interp::trilinear_all;
-use crate::points::SparsePoints;
-use tempest_grid::{Array2, Domain, Field};
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// Grid-aligned, precomputed source injection data.
+use crate::compressed::CompressedMask;
+use crate::interp::{trilinear_all, InterpStencil, FOOTPRINT};
+use crate::points::SparsePoints;
+use tempest_grid::{Array2, Domain};
+
+/// The grid-aligned footprint of a set of off-the-grid points, read by
+/// injection and gathering alike.
 #[derive(Debug, Clone)]
-pub struct SourcePrecompute {
+pub struct Footprint {
+    /// Trilinear stencil of every sparse point, in sparse-id order (the
+    /// classic path, Listing 1).
+    pub stencils: Vec<InterpStencil>,
     /// Affected grid points in id order (canonical grid order).
     pub points: Vec<[usize; 3]>,
-    /// Decomposed wavelets `src_dcmp[t][id]` (Listing 3 / Fig. 5d).
-    pub src_dcmp: Array2<f32>,
     /// Per-pencil index of `points` (`nnz_mask` / `Sp_SID`, Listing 5).
     pub index: CompressedMask,
+    /// CSR offsets: the entries of point `id` are
+    /// `entries[offsets[id] .. offsets[id + 1]]`.
+    pub offsets: Vec<u32>,
+    /// `(slot, weight)` pairs, ascending slot per point.
+    pub entries: Vec<(u32, f32)>,
 }
 
-impl SourcePrecompute {
-    /// Analytic construction: the affected set is the union of the non-zero
-    /// trilinear footprints.
-    pub fn build(domain: &Domain, sources: &SparsePoints, wavelets: &Array2<f32>) -> Self {
-        assert!(!sources.is_empty(), "need at least one source");
-        assert_eq!(
-            wavelets.dims()[1],
-            sources.len(),
-            "wavelet matrix must have one column per source"
-        );
-        let stencils = trilinear_all(domain, sources);
-        let mut affected: Vec<[usize; 3]> = stencils
+impl Footprint {
+    /// Interpolate, sort, deduplicate and index `sparse`: O(c·log c + nx·ny)
+    /// for its `c` non-zero footprint corners.
+    pub fn build(domain: &Domain, sparse: &SparsePoints) -> Self {
+        let stencils = trilinear_all(domain, sparse);
+        let mut corners: Vec<([usize; 3], (u32, f32))> = stencils
             .iter()
-            .flat_map(|s| s.nonzero().map(|(c, _)| c))
+            .enumerate()
+            .flat_map(|(s, st)| {
+                let slot = move |j: usize| (s * FOOTPRINT + j) as u32;
+                st.nonzero()
+                    .enumerate()
+                    .map(move |(j, (c, w))| (c, (slot(j), w)))
+            })
             .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        Self::assemble(domain, sources, wavelets, affected)
-    }
-
-    /// Probe construction (Listing 2): inject into an empty grid until every
-    /// source has contributed, then read back the non-zero support.
-    ///
-    /// To guard against accidental cancellation between co-located sources,
-    /// the probe injects *absolute* amplitudes — the support is identical to
-    /// what Listing 2 finds when no cancellation occurs, and strictly safer
-    /// when it does. The paper injects for more timesteps "if the wavefield
-    /// is zero at the first timestep"; we do the same, advancing through the
-    /// wavelet until every source has fired a non-zero sample.
-    pub fn build_probed(domain: &Domain, sources: &SparsePoints, wavelets: &Array2<f32>) -> Self {
-        assert!(!sources.is_empty(), "need at least one source");
-        let nt = wavelets.dims()[0];
-        assert_eq!(wavelets.dims()[1], sources.len());
-        let stencils = trilinear_all(domain, sources);
-        let mut probe = Field::zeros(domain.shape(), 0);
-        let mut fired = vec![false; sources.len()];
-        for t in 0..nt {
-            for (s, st) in stencils.iter().enumerate() {
-                let amp = wavelets.get(t, s).abs();
-                if amp != 0.0 {
-                    fired[s] = true;
-                    for (c, w) in st.nonzero() {
-                        probe.add(c[0], c[1], c[2], w.abs() * amp);
-                    }
-                }
-            }
-            if fired.iter().all(|&f| f) {
-                break;
-            }
+        // Slots are unique: grid order, then ascending sparse id.
+        corners.sort_unstable_by_key(|&(c, (slot, _))| (c, slot));
+        let mut points = Vec::new();
+        let mut offsets = vec![0u32];
+        for run in corners.chunk_by(|a, b| a.0 == b.0) {
+            points.push(run[0].0);
+            offsets.push(offsets[offsets.len() - 1] + run.len() as u32);
         }
-        assert!(
-            fired.iter().all(|&f| f),
-            "a source never fires a non-zero amplitude; its support cannot be probed"
-        );
-        let affected: Vec<[usize; 3]> = probe
-            .nonzero_interior()
-            .into_iter()
-            .map(|(x, y, z)| [x, y, z])
-            .collect();
-        Self::assemble(domain, sources, wavelets, affected)
-    }
-
-    fn assemble(
-        domain: &Domain,
-        sources: &SparsePoints,
-        wavelets: &Array2<f32>,
-        affected: Vec<[usize; 3]>,
-    ) -> Self {
-        let nt = wavelets.dims()[0];
-        // Listing 3: decompose the wavelets onto the affected points.
-        let npts = affected.len().max(1);
-        let mut src_dcmp = Array2::zeros(nt.max(1), npts);
-        let stencils = trilinear_all(domain, sources);
-        for (sidx, st) in stencils.iter().enumerate() {
-            for (c, w) in st.nonzero() {
-                let id = affected.binary_search(&c);
-                debug_assert!(id.is_ok(), "footprint point missing from affected set");
-                let Ok(id) = id else {
-                    continue; // cancellation-probed builds may drop points
-                };
-                for t in 0..nt {
-                    let v = src_dcmp.get(t, id) + w * wavelets.get(t, sidx);
-                    src_dcmp.set(t, id, v);
-                }
-            }
-        }
-        SourcePrecompute {
-            index: CompressedMask::from_points(domain.shape(), &affected),
-            points: affected,
-            src_dcmp,
+        Footprint {
+            index: CompressedMask::from_points(domain.shape(), &points),
+            stencils,
+            points,
+            offsets,
+            entries: corners.into_iter().map(|(_, e)| e).collect(),
         }
     }
 
     /// Number of affected grid points (`npts` of Fig. 5c).
     pub fn npts(&self) -> usize {
         self.points.len()
+    }
+
+    /// Entries `(slot, weight)` of affected point `id`.
+    #[inline]
+    pub fn contributions(&self, id: usize) -> &[(u32, f32)] {
+        &self.entries[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
+}
+
+/// A footprint with wavelets decomposed onto it: grid-aligned, precomputed
+/// source injection data.
+#[derive(Debug, Clone)]
+pub struct SourcePrecompute {
+    /// The sources' footprint, possibly shared (the adjoint injects through
+    /// the receivers').
+    pub footprint: Arc<Footprint>,
+    /// Decomposed wavelets `src_dcmp[t][id]` (Listing 3 / Fig. 5d).
+    pub src_dcmp: Array2<f32>,
+}
+
+impl SourcePrecompute {
+    /// Build the footprint of `sources` and decompose `wavelets` onto it.
+    pub fn build(domain: &Domain, sources: &SparsePoints, wavelets: &Array2<f32>) -> Self {
+        Self::new(Arc::new(Footprint::build(domain, sources)), wavelets)
+    }
+
+    /// Decompose `wavelets` (`[t][source]`) onto `footprint` (Listing 3):
+    /// each point sums its sources' `w · src[t][s]` in ascending `s`.
+    pub fn new(footprint: Arc<Footprint>, wavelets: &Array2<f32>) -> Self {
+        let sources = footprint.stencils.len();
+        assert!(sources > 0, "need at least one source");
+        assert_eq!(
+            wavelets.dims()[1],
+            sources,
+            "wavelet matrix must have one column per source"
+        );
+        let nt = wavelets.dims()[0];
+        let mut src_dcmp = Array2::zeros(nt.max(1), footprint.npts().max(1));
+        for t in 0..nt {
+            let amps = wavelets.row(t);
+            for (id, v) in src_dcmp.row_mut(t).iter_mut().enumerate() {
+                *v = footprint
+                    .contributions(id)
+                    .iter()
+                    .fold(0.0, |acc, &(slot, w)| {
+                        acc + w * amps[slot as usize / FOOTPRINT]
+                    });
+            }
+        }
+        SourcePrecompute {
+            footprint,
+            src_dcmp,
+        }
     }
 
     /// Number of precomputed timesteps.
@@ -148,21 +152,158 @@ impl SourcePrecompute {
     /// overhead" the paper's §IV-E corner cases quantify: it grows with the
     /// affected points, plus one offset per `(x, y)` pencil.
     pub fn memory_overhead_bytes(&self) -> usize {
+        let f = &self.footprint;
         std::mem::size_of_val(self.src_dcmp.as_slice())
-            + std::mem::size_of_val(&self.points[..])
-            + self.index.memory_bytes()
+            + std::mem::size_of_val(&f.points[..])
+            + f.index.memory_bytes()
+            + std::mem::size_of_val(&f.offsets[..])
+            + std::mem::size_of_val(&f.entries[..])
+    }
+}
+
+impl Deref for SourcePrecompute {
+    type Target = Footprint;
+
+    fn deref(&self) -> &Footprint {
+        &self.footprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classic::inject_points;
+    use crate::classic::tests::inject_points;
     use crate::wavelet::{ricker, wavelet_matrix, wavelet_matrix_scaled};
-    use tempest_grid::{Range3, Shape};
+    use tempest_grid::{Field, Range3, Rng64, Shape};
 
     fn dom() -> Domain {
         Domain::uniform(Shape::cube(13), 10.0)
+    }
+
+    impl SourcePrecompute {
+        /// Probe construction (Listing 2), the oracle of [`Footprint::build`]
+        /// and [`SourcePrecompute::new`]: inject into an empty grid until
+        /// every source has contributed, read back the non-zero support, then
+        /// index it, group each point's `(slot, weight)` entries by binary
+        /// search into it and decompose the wavelets source by source.
+        ///
+        /// To guard against accidental cancellation between co-located
+        /// sources, the probe injects *absolute* amplitudes — the support is
+        /// identical to what Listing 2 finds when no cancellation occurs, and
+        /// strictly safer when it does. The paper injects for more timesteps
+        /// "if the wavefield is zero at the first timestep"; so does this,
+        /// advancing through the wavelet until every source has fired a
+        /// non-zero sample.
+        fn build_probed(domain: &Domain, sources: &SparsePoints, wavelets: &Array2<f32>) -> Self {
+            assert!(!sources.is_empty(), "need at least one source");
+            let stencils = trilinear_all(domain, sources);
+            let mut probe = Field::zeros(domain.shape(), 0);
+            let mut fired = vec![false; sources.len()];
+            for t in 0..wavelets.dims()[0] {
+                for (s, st) in stencils.iter().enumerate() {
+                    let amp = wavelets.get(t, s).abs();
+                    if amp != 0.0 {
+                        fired[s] = true;
+                        for (c, w) in st.nonzero() {
+                            probe.add(c[0], c[1], c[2], w.abs() * amp);
+                        }
+                    }
+                }
+                if fired.iter().all(|&f| f) {
+                    break;
+                }
+            }
+            assert!(
+                fired.iter().all(|&f| f),
+                "a source never fires a non-zero amplitude; its support cannot be probed"
+            );
+            let points: Vec<[usize; 3]> = probe
+                .nonzero_interior()
+                .into_iter()
+                .map(|(x, y, z)| [x, y, z])
+                .collect();
+            let nt = wavelets.dims()[0];
+            let mut src_dcmp = Array2::zeros(nt.max(1), points.len().max(1));
+            let mut per_point = vec![Vec::new(); points.len()];
+            for (s, st) in stencils.iter().enumerate() {
+                for (j, (c, w)) in st.nonzero().enumerate() {
+                    let id = points
+                        .binary_search(&c)
+                        .expect("the probe finds every corner");
+                    per_point[id].push(((s * FOOTPRINT + j) as u32, w));
+                    for t in 0..nt {
+                        src_dcmp.set(t, id, src_dcmp.get(t, id) + w * wavelets.get(t, s));
+                    }
+                }
+            }
+            let mut offsets = vec![0u32];
+            for list in &per_point {
+                offsets.push(offsets[offsets.len() - 1] + list.len() as u32);
+            }
+            let footprint = Footprint {
+                index: CompressedMask::from_points(domain.shape(), &points),
+                stencils,
+                points,
+                offsets,
+                entries: per_point.concat(),
+            };
+            SourcePrecompute {
+                footprint: Arc::new(footprint),
+                src_dcmp,
+            }
+        }
+    }
+
+    /// A random source set: random points, two sources in one cell, on-grid
+    /// points (1-point footprints) and points in the last cell of each axis
+    /// — or, one case in eight, a `dense_layout`.
+    fn source_set(d: &Domain, rng: &mut Rng64) -> SparsePoints {
+        let h = d.spacing()[0];
+        let e = d.extent();
+        if rng.range_usize(0, 8) == 0 {
+            let n = rng.range_usize(1, 64);
+            return SparsePoints::dense_layout(d, n, rng.range_f32(0.0, 0.99));
+        }
+        let n = rng.range_usize(1, 8);
+        let mut coords = SparsePoints::random(d, n, rng.next_u64()).coords().to_vec();
+        let cell = [0, 1, 2].map(|_| rng.range_usize(0, 11) as f32 * h);
+        for _ in 0..2 {
+            coords.push([0, 1, 2].map(|a| cell[a] + rng.range_f32(0.1, 0.9) * h));
+        }
+        for _ in 0..rng.range_usize(0, 3) {
+            coords.push([0, 1, 2].map(|_| rng.range_usize(0, 12) as f32 * h));
+        }
+        for a in 0..3 {
+            let mut p = [0, 1, 2].map(|b| rng.range_f32(0.0, 1.0) * e[b]);
+            p[a] = e[a] - rng.range_f32(0.0, 1.0) * h;
+            coords.push(p);
+        }
+        SparsePoints::new(d, coords)
+    }
+
+    /// The probed build (Listing 2) equals the analytic one bit for bit —
+    /// points, pencil index, CSR and `src_dcmp` — on the seeded random
+    /// source sets of `tests/properties.rs`.
+    #[test]
+    fn probed_equals_analytic_on_random_sets() {
+        let mut rng = Rng64::new(0xB3);
+        for case in 0..64 {
+            let d = Domain::uniform(Shape::cube(12), 10.0);
+            let pts = source_set(&d, &mut rng);
+            let w = wavelet_matrix_scaled(&[1.0, -0.5, 0.25], &vec![1.0; pts.len()]);
+            let pre = SourcePrecompute::build(&d, &pts, &w);
+            let probed = SourcePrecompute::build_probed(&d, &pts, &w);
+            assert_eq!(probed.points, pre.points, "case {case}");
+            assert_eq!(probed.index, pre.index, "case {case}");
+            assert_eq!(probed.offsets, pre.offsets, "case {case}");
+            let bits =
+                |e: &[(u32, f32)]| e.iter().map(|&(s, w)| (s, w.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&probed.entries), bits(&pre.entries), "case {case}");
+            let bits = |p: &SourcePrecompute| -> Vec<u32> {
+                p.src_dcmp.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&probed), bits(&pre), "case {case}: src_dcmp");
+        }
     }
 
     /// Fused injection over a region (the Listing-5 inner loops, reference

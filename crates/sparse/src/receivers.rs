@@ -1,113 +1,55 @@
-//! Receiver interpolation under temporal blocking.
+//! The dense receiver mask `RM` and ID volume `RID` (the receiver side of
+//! Fig. 5b/5c) as a view over a receiver [`Footprint`].
 //!
-//! Receivers are the dual of sources (paper Fig. 3b): instead of scattering
-//! a wavelet *into* the grid, they gather `d[t][r] = Σ_p w(p→r) · u[t][p]`
-//! from the up-to-8 grid points surrounding each off-grid receiver. Under a
-//! blocked schedule the measurement must be taken when the block containing
-//! `p` reaches time `t` — so, exactly like sources, the gather is aligned to
-//! the grid and fused into the loop nest:
-//!
-//! * the affected grid points get IDs ascending in canonical grid order,
-//!   and the compressed per-pencil index ([`crate::CompressedMask`]) lists
-//!   them, so the gather visits only affected z's;
-//! * each affected point carries its list of `(trace slot, weight)`
-//!   contributions (CSR layout, since one point can serve several
-//!   receivers), where slot `r · FOOTPRINT + j` is corner `j` of receiver
-//!   `r`'s footprint — so every product `w · u[p]` has a home of its own,
-//!   and the sum over a footprint is taken in corner order when the trace
-//!   is read, whichever tile produced which corner first.
-//!
-//! The dense receiver mask `RM` and ID volume `RID` are still built, for
-//! callers that report their size; the gather itself never reads them.
+//! Receivers gather `d[t][r] = Σ_p w(p→r) · u[t][p]` through the footprint
+//! alone ([`crate::precompute`]); no solver builds these 5 B per grid
+//! point. They stay for callers that report the dense volumes' size.
 
-use crate::compressed::CompressedMask;
-use crate::interp::{trilinear_all, FOOTPRINT};
+use std::ops::Deref;
+
 use crate::points::SparsePoints;
+use crate::precompute::Footprint;
 use tempest_grid::{Array3, Domain};
 
-/// Grid-aligned, precomputed receiver interpolation data.
+/// A receiver footprint with its grid-sized `RM`/`RID` volumes.
 #[derive(Debug, Clone)]
 pub struct ReceiverPrecompute {
     /// Binary receiver mask (1 where some receiver reads the point).
     pub rm: Array3<u8>,
     /// Unique-ID volume (−1 where unaffected), ascending in grid order.
     pub rid: Array3<i32>,
-    /// Affected grid points in id order.
-    pub points: Vec<[usize; 3]>,
-    /// CSR offsets: contributions of point `id` live in
-    /// `entries[offsets[id] .. offsets[id + 1]]`.
-    pub offsets: Vec<u32>,
-    /// `(trace slot, weight)` contribution pairs: slot `r · FOOTPRINT + j`
-    /// is the `j`-th non-zero corner of receiver `r`'s footprint.
-    pub entries: Vec<(u32, f32)>,
-    /// Number of receivers.
-    pub num_receivers: usize,
-    /// Per-pencil index of `points`.
-    pub index: CompressedMask,
+    footprint: Footprint,
 }
 
 impl ReceiverPrecompute {
-    /// Build the grid-aligned gather structures for a receiver set.
+    /// Build the footprint of `receivers` and its dense volumes.
     pub fn build(domain: &Domain, receivers: &SparsePoints) -> Self {
         assert!(!receivers.is_empty(), "need at least one receiver");
-        let stencils = trilinear_all(domain, receivers);
-        let mut affected: Vec<[usize; 3]> = stencils
-            .iter()
-            .flat_map(|s| s.nonzero().map(|(c, _)| c))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
+        let footprint = Footprint::build(domain, receivers);
         let s = domain.shape();
         let mut rm = Array3::zeros(s.nx, s.ny, s.nz);
         let mut rid = Array3::full(s.nx, s.ny, s.nz, -1i32);
-        for (id, &[x, y, z]) in affected.iter().enumerate() {
+        for (id, &[x, y, z]) in footprint.points.iter().enumerate() {
             rm.set(x, y, z, 1u8);
             rid.set(x, y, z, id as i32);
         }
-        // Group (slot, weight) pairs by affected point.
-        let mut per_point: Vec<Vec<(u32, f32)>> = vec![Vec::new(); affected.len()];
-        for (r, st) in stencils.iter().enumerate() {
-            for (j, (c, w)) in st.nonzero().enumerate() {
-                let id = affected
-                    .binary_search(&c)
-                    .expect("footprint point is affected");
-                per_point[id].push(((r * FOOTPRINT + j) as u32, w));
-            }
-        }
-        let mut offsets = Vec::with_capacity(affected.len() + 1);
-        let mut entries = Vec::new();
-        offsets.push(0u32);
-        for list in &per_point {
-            entries.extend_from_slice(list);
-            offsets.push(entries.len() as u32);
-        }
-        ReceiverPrecompute {
-            rm,
-            rid,
-            index: CompressedMask::from_points(s, &affected),
-            points: affected,
-            offsets,
-            entries,
-            num_receivers: receivers.len(),
-        }
+        ReceiverPrecompute { rm, rid, footprint }
     }
+}
 
-    /// Number of affected grid points.
-    pub fn npts(&self) -> usize {
-        self.points.len()
-    }
+impl Deref for ReceiverPrecompute {
+    type Target = Footprint;
 
-    /// Contributions `(trace slot, weight)` of affected point `id`.
-    #[inline]
-    pub fn contributions(&self, id: usize) -> &[(u32, f32)] {
-        &self.entries[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    fn deref(&self) -> &Footprint {
+        &self.footprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classic::interpolate_points;
+    use crate::classic::tests::interpolate_points;
+    use crate::interp::FOOTPRINT;
     use tempest_grid::{Field, Range3, Shape};
 
     fn dom() -> Domain {
@@ -119,7 +61,7 @@ mod tests {
     /// `FOOTPRINT` slots per receiver), so a sweep split into disjoint
     /// regions fills every slot exactly once.
     fn gather_region(p: &ReceiverPrecompute, field: &Field, region: &Range3, slots: &mut [f32]) {
-        assert_eq!(slots.len(), p.num_receivers * FOOTPRINT);
+        assert_eq!(slots.len(), p.stencils.len() * FOOTPRINT);
         for x in region.x0..region.x1 {
             for y in region.y0..region.y1 {
                 for (z, id) in p.index.entries(x, y) {

@@ -176,8 +176,9 @@ pub fn second_diff_pencil_r<const R: usize>(
 }
 
 /// 3-D Laplacian for a whole pencil, compile-time radius: `out[j]` receives
-/// [`laplacian_at_r`] at `i0 + j` (strides `sx`, `sy`, `sz = 1`; `center` is
-/// the combined centre weight, as in the scalar kernel).
+/// [`laplacian_at_r`](crate::kernels::laplacian_at_r) at `i0 + j` (strides
+/// `sx`, `sy`, `sz = 1`; `center` is the combined centre weight, as in the
+/// scalar kernel).
 #[allow(clippy::too_many_arguments)]
 pub fn laplacian_pencil_r<const R: usize>(
     u: &[f32],
@@ -220,8 +221,8 @@ pub fn laplacian_pencil_r<const R: usize>(
 }
 
 /// 3-D Laplacian for a whole pencil, dynamic radius (mirror of
-/// [`laplacian_at`]; the fallback for space orders without a monomorphised
-/// propagator kernel).
+/// [`laplacian_at`](crate::kernels::laplacian_at); the fallback for space
+/// orders without a monomorphised propagator kernel).
 #[allow(clippy::too_many_arguments)]
 pub fn laplacian_pencil(
     u: &[f32],
@@ -273,7 +274,7 @@ pub fn first_diff_pencil_r<const R: usize>(
 }
 
 /// Mixed second derivative `∂²/∂a∂b` for a whole pencil, compile-time radius
-/// (mirror of [`cross_diff_r`]).
+/// (mirror of [`cross_diff_r`](crate::kernels::cross_diff_r)).
 pub fn cross_diff_pencil_r<const R: usize>(
     u: &[f32],
     i0: usize,

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tempest_core::operator::{Schedule, SparseMode};
+use tempest_core::sources::SourceBundle;
 use tempest_core::{Acoustic, Execution, ShotAssets, SimConfig, WaveSolver};
 use tempest_grid::{Array2, Model};
 use tempest_obs as obs;
@@ -352,11 +353,11 @@ pub(crate) fn build_solver(assets: &ShotAssets, spec: &ShotSpec) -> Result<Acous
     let sources = SparsePoints::new(&assets.config().domain, vec![spec.position]);
     Ok(match &spec.wavelet {
         None => Acoustic::from_assets(assets, sources),
-        Some(w) => Acoustic::from_assets_with_wavelets(
-            assets,
-            sources,
-            tempest_sparse::wavelet::wavelet_matrix(w, 1),
-        ),
+        Some(w) => {
+            let w = tempest_sparse::wavelet::wavelet_matrix(w, 1);
+            let src = SourceBundle::new(&assets.config().domain, sources, w);
+            Acoustic::from_assets_with_sources(assets, src)
+        }
     })
 }
 

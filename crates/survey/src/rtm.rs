@@ -37,7 +37,6 @@ use tempest_core::{Acoustic, Execution, ShotAssets, WaveSolver};
 use tempest_grid::{Array2, Array3};
 use tempest_obs as obs;
 use tempest_par::{available_threads, with_thread_budget, FlushGuard, Policy};
-use tempest_sparse::SparsePoints;
 
 use crate::engine::{build_solver, panic_message, ShotError, ShotSpec, Survey};
 use crate::shard::shard;
@@ -102,10 +101,7 @@ pub fn rtm_image(
     let _fp = FlushGuard::enter();
     let n = survey.len();
     assert_eq!(observed.len(), n, "one observed gather per shot");
-    let receivers = survey
-        .receivers()
-        .expect("RTM needs a receiver set on the survey")
-        .clone();
+    let receivers = survey.receivers().expect("RTM needs a receiver set on the survey");
     opts.exec.validate();
 
     let shape = survey.cfg().shape();
@@ -114,8 +110,8 @@ pub fn rtm_image(
         return Ok(image);
     }
     // Shot-independent precompute, shared across the fleet: one set of
-    // coefficients, seen with the receiver bundle (forward pass) and
-    // without it (adjoint + recompute twin).
+    // coefficients, seen with the receiver bundle (forward pass, and the
+    // adjoint's source footprint) and without it (adjoint + recompute twin).
     let fwd_assets = ShotAssets::new(survey.model(), survey.cfg().clone(), Some(receivers.clone()));
     let norec_assets = fwd_assets.without_receivers();
 
@@ -127,7 +123,7 @@ pub fn rtm_image(
         let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
         let solved = catch_unwind(AssertUnwindSafe(|| {
             with_thread_budget(available_threads(), || {
-                image_one_shot(&fwd_assets, &norec_assets, &receivers, &shots[i], &observed[i], opts)
+                image_one_shot(&fwd_assets, &norec_assets, &shots[i], &observed[i], opts)
             })
         }));
         match solved {
@@ -161,7 +157,6 @@ pub fn rtm_image(
 fn image_one_shot(
     fwd_assets: &ShotAssets,
     norec_assets: &ShotAssets,
-    receivers: &SparsePoints,
     shot: &ShotSpec,
     observed: &Array2<f32>,
     opts: &RtmOptions,
@@ -169,7 +164,7 @@ fn image_one_shot(
     let cfg = fwd_assets.config();
     let nt = cfg.nt;
     let every = opts.every;
-    let nrec = receivers.len();
+    let nrec = fwd_assets.receivers().expect("forward assets carry receivers").num_receivers();
     if observed.dims() != [nt, nrec] {
         return Err(format!(
             "observed gather is {:?}, expected [{nt}, {nrec}]",
@@ -199,21 +194,9 @@ fn image_one_shot(
             k = k1;
         }
     }
-    let direct = fwd.trace().expect("forward solver has receivers");
-    drop(fwd);
 
-    // 2. Adjoint: re-inject the time-reversed residual at the receiver
-    //    positions. No receivers on the adjoint propagator.
-    let mut reversed = Array2::<f32>::zeros(nt, nrec);
-    for t in 0..nt {
-        for r in 0..nrec {
-            let res = observed.get(nt - 1 - t, r) - direct.get(nt - 1 - t, r);
-            reversed.set(t, r, res);
-        }
-    }
-    let mut adj = Acoustic::from_assets_with_wavelets(norec_assets, receivers.clone(), reversed);
-    let r_snaps = adj.run_recording(exec, every);
-    drop(adj);
+    // 2. Adjoint: re-inject the time-reversed residual at the receivers.
+    let r_snaps = adjoint(fwd, norec_assets, observed).run_recording(exec, every);
 
     // 3. Zero-lag imaging over snapshot pairs, ascending si.
     let s_count = if stride == 0 { s_snaps.len() } else { nt / every };
@@ -261,13 +244,33 @@ fn image_one_shot(
     Ok(image)
 }
 
+/// The adjoint of a finished forward solve: the time-reversed residual
+/// (observed − its direct gather) injected at its receivers, decomposed onto
+/// their footprint, on a receiver-free propagator over `norec_assets`.
+fn adjoint(fwd: Acoustic, norec_assets: &ShotAssets, observed: &Array2<f32>) -> Acoustic {
+    let direct = fwd.trace().expect("forward solver has receivers");
+    let [nt, nrec] = observed.dims();
+    let mut reversed = Array2::<f32>::zeros(nt, nrec);
+    for t in 0..nt {
+        for r in 0..nrec {
+            reversed.set(t, r, observed.get(nt - 1 - t, r) - direct.get(nt - 1 - t, r));
+        }
+    }
+    let src = fwd.receivers().expect("forward solver has receivers").adjoint_sources(reversed);
+    drop(fwd); // before the adjoint's wavefield is allocated
+    Acoustic::from_assets_with_sources(norec_assets, src)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run_survey, SurveyOptions};
+    use std::sync::Arc;
     use tempest_core::config::EquationKind;
+    use tempest_core::sources::SourceBundle;
     use tempest_core::SimConfig;
     use tempest_grid::{Domain, Model, Shape};
+    use tempest_sparse::SparsePoints;
 
     fn surveys() -> (Survey, Survey) {
         let n = 16;
@@ -313,6 +316,45 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dense.as_slice(), ragged.as_slice());
+    }
+
+    /// The adjoint injects through the forward receiver bundle's footprint
+    /// (shared, not rebuilt), and its decomposed residual is the one a
+    /// source bundle built afresh over the receiver points gets, bit for bit.
+    #[test]
+    fn adjoint_shares_the_receiver_footprint() {
+        let (_, smooth_sv) = surveys();
+        let cfg = smooth_sv.cfg();
+        let rec = smooth_sv.receivers().unwrap();
+        let fwd_assets = ShotAssets::new(smooth_sv.model(), cfg.clone(), Some(rec.clone()));
+        let mut fwd = build_solver(&fwd_assets, &smooth_sv.shots()[0]).unwrap();
+        fwd.run(&RtmOptions::new(2).exec);
+        let direct = fwd.trace().unwrap();
+        assert!(direct.as_slice().iter().any(|&v| v != 0.0));
+        let (nt, nrec) = (cfg.nt, rec.len());
+        let mut observed = Array2::<f32>::zeros(nt, nrec);
+        for t in 0..nt {
+            for r in 0..nrec {
+                observed.set(t, r, ((t * 7 + r * 13) % 19) as f32 * 0.37 - 3.1);
+            }
+        }
+        let adj = adjoint(fwd, &fwd_assets.without_receivers(), &observed);
+        let shared = &fwd_assets.receivers().unwrap().footprint;
+        assert!(Arc::ptr_eq(&adj.sources().pre.footprint, shared));
+
+        let mut reversed = Array2::<f32>::zeros(nt, nrec);
+        for t in 0..nt {
+            for r in 0..nrec {
+                let res = observed.get(nt - 1 - t, r) - direct.get(nt - 1 - t, r);
+                reversed.set(t, r, res);
+            }
+        }
+        let fresh = SourceBundle::new(&cfg.domain, rec.clone(), reversed);
+        let bits = |b: &SourceBundle| -> Vec<u32> {
+            b.pre.src_dcmp.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(adj.sources()), bits(&fresh));
+        assert!(adj.receivers().is_none());
     }
 
     #[test]

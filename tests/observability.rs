@@ -103,8 +103,8 @@ struct Oracle {
 }
 
 fn total_contributions(rec: &ReceiverBundle) -> u64 {
-    (0..rec.pre.npts())
-        .map(|id| rec.pre.contributions(id).len() as u64)
+    (0..rec.footprint.npts())
+        .map(|id| rec.footprint.contributions(id).len() as u64)
         .sum()
 }
 
@@ -317,6 +317,7 @@ fn classic_counts_once_per_footprint_nonzero() {
     // deduplicated mask.
     let inj: u64 = s
         .sources()
+        .pre
         .stencils
         .iter()
         .map(|st| st.nonzero().count() as u64)
@@ -324,6 +325,7 @@ fn classic_counts_once_per_footprint_nonzero() {
     let gat: u64 = s
         .receivers()
         .unwrap()
+        .footprint
         .stencils
         .iter()
         .map(|st| st.nonzero().count() as u64)

@@ -6,7 +6,9 @@
 
 use tempest::grid::{Array3, Domain, Rng64, Shape};
 use tempest::sparse::wavelet::wavelet_matrix_scaled;
-use tempest::sparse::{trilinear, ReceiverPrecompute, SourcePrecompute, SparsePoints};
+use tempest::sparse::{
+    trilinear, ReceiverPrecompute, SourcePrecompute, SparsePoints, FOOTPRINT,
+};
 use tempest::stencil::central_coeffs;
 use tempest::tiling::legality::{check_plan, check_schedule, DepModel};
 use tempest::tiling::wavefront::{slabs, WavefrontSpec};
@@ -113,9 +115,9 @@ fn dense_sid(d: &Domain, pts: &SparsePoints) -> Array3<i32> {
 
 /// Mask/id consistency of the sparse precomputation for random source
 /// sets: the affected points are exactly the `SID` mask, every footprint
-/// is covered (at most 8 points per source), ids are dense and ascend in
-/// grid order, and the probed build (Listing 2) equals the analytic one
-/// bit for bit.
+/// is covered (at most 8 points per source), and ids are dense and ascend
+/// in grid order. (The probed build, Listing 2, is checked against the
+/// analytic one on the same cases by tempest-sparse's unit tests.)
 #[test]
 fn precompute_mask_id_invariants() {
     let mut rng = Rng64::new(0xB3);
@@ -138,21 +140,16 @@ fn precompute_mask_id_invariants() {
         }
         assert_eq!(pre.npts(), next, "case {case}");
         assert!(pre.npts() <= 8 * pts.len(), "case {case}");
-
-        let probed = SourcePrecompute::build_probed(&d, &pts, &w);
-        assert_eq!(probed.points, pre.points, "case {case}");
-        assert_eq!(probed.index, pre.index, "case {case}");
-        let bits = |p: &SourcePrecompute| -> Vec<u32> {
-            p.src_dcmp.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(bits(&probed), bits(&pre), "case {case}: src_dcmp");
     }
 }
 
-/// The compressed mask (the pencil index) is a lossless re-indexing of the
-/// dense `SID`: per pencil it lists exactly the volume's `(z, id)` pairs,
-/// ids ascend across pencils, and receivers get the same ids, in their
-/// index and their `RID` volume.
+/// The footprint is a lossless re-indexing of the dense `SID`: per pencil
+/// the compressed mask lists exactly the volume's `(z, id)` pairs, ids
+/// ascend across pencils, and receivers get the same ids, in their index
+/// and their `RID` volume. In both directions each point's CSR entries are
+/// exactly the non-zero `(sparse id · FOOTPRINT + corner, weight)` of
+/// `trilinear`, in ascending sparse id; and `src_dcmp` is, bit for bit,
+/// the decomposition summed here source by source in ascending order.
 #[test]
 fn compressed_mask_lossless() {
     let mut rng = Rng64::new(0xB4);
@@ -160,7 +157,8 @@ fn compressed_mask_lossless() {
         let d = small_domain();
         let s = d.shape();
         let pts = source_set(&d, &mut rng);
-        let w = wavelet_matrix_scaled(&[1.0], &vec![1.0; pts.len()]);
+        let amps: Vec<f32> = (0..pts.len()).map(|s| 1.0 - 0.37 * s as f32).collect();
+        let w = wavelet_matrix_scaled(&[1.0, -0.61, 2.5e-3], &amps);
         let pre = SourcePrecompute::build(&d, &pts, &w);
         let sid = dense_sid(&d, &pts);
         assert_eq!(pre.index.total(), pre.npts(), "case {case}");
@@ -193,6 +191,30 @@ fn compressed_mask_lossless() {
         assert_eq!(rec.points, pre.points, "case {case}");
         assert_eq!(rec.index, pre.index, "case {case}");
         assert_eq!(rec.rid, sid, "case {case}");
+
+        // The CSR and Listing 3, from `trilinear` and the dense `SID`.
+        let npts = pre.npts();
+        let mut csr = vec![Vec::new(); npts];
+        let mut dcmp = vec![0.0f32; 3 * npts];
+        for (s, p) in pts.coords().iter().enumerate() {
+            for (j, (c, wt)) in trilinear(&d, *p).nonzero().enumerate() {
+                let id = sid.get(c[0], c[1], c[2]) as usize;
+                csr[id].push(((s * FOOTPRINT + j) as u32, wt.to_bits()));
+                for t in 0..3 {
+                    dcmp[t * npts + id] += wt * w.get(t, s);
+                }
+            }
+        }
+        for (id, expected) in csr.iter().enumerate() {
+            let bits = |e: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                e.iter().map(|&(slot, wt)| (slot, wt.to_bits())).collect()
+            };
+            let (from_pre, from_rec) = (bits(pre.contributions(id)), bits(rec.contributions(id)));
+            assert_eq!(&from_pre, expected, "case {case}: id {id}");
+            assert_eq!(&from_rec, expected, "case {case}: id {id}");
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(pre.src_dcmp.as_slice()), bits(&dcmp), "case {case}: src_dcmp");
     }
 }
 
