@@ -24,19 +24,29 @@
 //! limited to a single pattern along the time dimension".
 //!
 //! Three per-point parameter volumes stream with the fields: `dt·λ`, `dt·μ`
-//! and `dt/ρ` (`2·dt·μ` is formed in the loop, exactly). The sponge
+//! and `dt/ρ` (`2·dt·μ` is formed in the kernel, exactly). The sponge
 //! multiplier `1 − η` depends on a point's distance to the nearest face
 //! alone, so each pencil reads it from a `Sponge` `z` profile.
+//!
+//! Each update is one expression per point in one pass over the pencil, as
+//! in the operators Devito generates: a fused kernel of
+//! `tempest_stencil::Backend` evaluates the staggered derivatives in
+//! registers and writes the updated pencil — one call per velocity
+//! component, one for the normal-stress triple (which shares `λ·tr(ε̇)`),
+//! one per shear component. No derivative row is written to memory and the
+//! step reads no scratch.
+
+use std::sync::OnceLock;
 
 use crate::config::SimConfig;
-use crate::operator::{KernelPath, SparseMode, WaveSolver};
-use crate::shared::{count_step, weights, with_scratch, LevelRing, Sponge};
+use crate::operator::{digest_values, KernelPath, SparseMode, WaveSolver};
+use crate::shared::{count_step, LevelRing, Sponge};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array3, ElasticModel, Range3, Shape};
 use tempest_sparse::SparsePoints;
-use tempest_stencil::kernels::staggered_weights;
+use tempest_stencil::kernels::{staggered_weights, StaggeredTerm};
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
 use tempest_stencil::metrics::elastic_cost;
@@ -65,6 +75,9 @@ pub struct Elastic {
     swy: Vec<f32>,
     swz: Vec<f32>,
     radius: usize,
+    /// [`WaveSolver::coefficient_digest`], filled on first use: the
+    /// coefficients are fixed once built.
+    digest: OnceLock<u64>,
     src: SourceBundle,
     rec: Option<ReceiverBundle>,
     trace: Option<TraceBuffer>,
@@ -132,6 +145,7 @@ impl Elastic {
             swy,
             swz,
             radius,
+            digest: OnceLock::new(),
             src,
             rec,
             trace,
@@ -144,11 +158,9 @@ impl Elastic {
     }
 
     /// Velocity update over `region`: `v[t+1] = (v[t] + dt/ρ · ∇·τ[t]) · (1−η)`
-    /// — the only velocity step body, for every backend (`Backend::Scalar`
-    /// runs the same row passes per point). Three staggered derivative rows
-    /// per component, combined over equal-length slices in the per-point
-    /// accumulation order, so the fields are the same bits whichever backend
-    /// runs.
+    /// — the only velocity step body, for every backend. One fused kernel
+    /// call per component and pencil evaluates the three staggered
+    /// derivatives in registers and writes the updated pencil in one pass.
     fn vel_rows<const R: usize>(
         &self,
         t: usize,
@@ -171,67 +183,45 @@ impl Elastic {
             ]
         };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let (swx, swy, swz) = (weights(&self.swx), weights(&self.swy), weights(&self.swz));
+        let [wx, wy, wz] = self.weights::<R>();
+        let (fwd, bwd) = (StaggeredTerm::fwd, StaggeredTerm::bwd);
+        // vx lives at (i+½, j, k), vy at (i, j+½, k), vz at (i, j, k+½).
+        let dvx = [fwd(txx, sx, wx), bwd(txy, sy, wy), bwd(txz, 1, wz)];
+        let dvy = [bwd(txy, sx, wx), fwd(tyy, sy, wy), bwd(tyz, 1, wz)];
+        let dvz = [bwd(txz, sx, wx), bwd(tyz, sy, wy), fwd(tzz, 1, wz)];
         let receivers = self.rec.as_ref().zip(self.trace.as_ref());
         let zs = region.z0..region.z1;
-        let n = zs.len();
-        with_scratch(3 * n, |d| {
-            // Three rows of exactly `n`, so the combine loops below carry no
-            // bounds checks.
-            let (da, r) = d.split_at_mut(n);
-            let (db, r) = r.split_at_mut(n);
-            let dc = &mut r[..n];
-            for x in region.x0..region.x1 {
-                for y in region.y0..region.y1 {
-                    let i0 = self.vx.idx(x, y, region.z0);
-                    let dtb = &self.dtb.pencil(x, y)[zs.clone()];
-                    let fd = &self.sponge.fd(x, y)[zs.clone()];
-                    // Every row is `n` long, so the loop carries no bounds
-                    // checks and vectorizes.
-                    let update = |vn: &mut [f32], da: &[f32], db: &[f32], dc: &[f32]| {
-                        let vn = &mut vn[zs.clone()];
-                        for j in 0..n {
-                            vn[j] = (vn[j] + dtb[j] * (da[j] + db[j] + dc[j])) * fd[j];
-                        }
-                    };
-                    // SAFETY: the schedule contract gives this call exclusive
-                    // ownership of the region's pencils at level `t + 1`,
-                    // which hold level `t` until the update replaces them.
-                    let [vxn, vyn, vzn] = unsafe {
-                        [
-                            self.vx.pencil_mut(t + 1, x, y),
-                            self.vy.pencil_mut(t + 1, x, y),
-                            self.vz.pencil_mut(t + 1, x, y),
-                        ]
-                    };
-                    // vx lives at (i+½, j, k).
-                    backend.staggered_fwd_row_r::<R>(txx, i0, sx, &swx, da);
-                    backend.staggered_bwd_row_r::<R>(txy, i0, sy, &swy, db);
-                    backend.staggered_bwd_row_r::<R>(txz, i0, 1, &swz, dc);
-                    update(vxn, da, db, dc);
-                    // vy lives at (i, j+½, k).
-                    backend.staggered_bwd_row_r::<R>(txy, i0, sx, &swx, da);
-                    backend.staggered_fwd_row_r::<R>(tyy, i0, sy, &swy, db);
-                    backend.staggered_bwd_row_r::<R>(tyz, i0, 1, &swz, dc);
-                    update(vyn, da, db, dc);
-                    // vz lives at (i, j, k+½).
-                    backend.staggered_bwd_row_r::<R>(txz, i0, sx, &swx, da);
-                    backend.staggered_bwd_row_r::<R>(tyz, i0, sy, &swy, db);
-                    backend.staggered_fwd_row_r::<R>(tzz, i0, 1, &swz, dc);
-                    update(vzn, da, db, dc);
-                    // Receivers record the fresh `vz`.
-                    if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
-                        sparse.gather(receivers, &vzn[zs.clone()]);
-                    }
+        for x in region.x0..region.x1 {
+            for y in region.y0..region.y1 {
+                let i0 = self.vx.idx(x, y, region.z0);
+                let dtb = &self.dtb.pencil(x, y)[zs.clone()];
+                let fd = &self.sponge.fd(x, y)[zs.clone()];
+                // SAFETY: the schedule contract gives this call exclusive
+                // ownership of the region's pencils at level `t + 1`, which
+                // hold level `t` until the update replaces them.
+                let [vxn, vyn, vzn] = unsafe {
+                    [
+                        self.vx.pencil_mut(t + 1, x, y),
+                        self.vy.pencil_mut(t + 1, x, y),
+                        self.vz.pencil_mut(t + 1, x, y),
+                    ]
+                };
+                backend.velocity_row_r::<R>(i0, &dvx, dtb, fd, &mut vxn[zs.clone()]);
+                backend.velocity_row_r::<R>(i0, &dvy, dtb, fd, &mut vyn[zs.clone()]);
+                backend.velocity_row_r::<R>(i0, &dvz, dtb, fd, &mut vzn[zs.clone()]);
+                // Receivers record the fresh `vz`.
+                if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
+                    sparse.gather(receivers, &vzn[zs.clone()]);
                 }
             }
-        });
+        }
     }
 
     /// Stress update over `region`:
     /// `τ[t+1] = (τ[t] + dt·(λ tr(ε̇) I + 2μ ε̇)) · (1−η)`, strain rates from
     /// the *fresh* `v[t+1]` (the previous virtual step) — the only stress
-    /// step body, shaped like [`vel_rows`](Self::vel_rows).
+    /// step body, shaped like [`vel_rows`](Self::vel_rows): one fused call
+    /// per pencil for the normal-stress triple, one per shear component.
     fn stress_rows<const R: usize>(
         &self,
         t: usize,
@@ -251,76 +241,56 @@ impl Elastic {
             ]
         };
         let (sx, sy) = (self.vx.sx(), self.vx.sy());
-        let (swx, swy, swz) = (weights(&self.swx), weights(&self.swy), weights(&self.swz));
+        let [wx, wy, wz] = self.weights::<R>();
+        let (fwd, bwd) = (StaggeredTerm::fwd, StaggeredTerm::bwd);
+        // Normal stresses live at (i, j, k), shear stresses at the
+        // edge-staggered positions.
+        let normal = [bwd(vx1, sx, wx), bwd(vy1, sy, wy), bwd(vz1, 1, wz)];
+        let dtxy = [fwd(vx1, sy, wy), fwd(vy1, sx, wx)];
+        let dtxz = [fwd(vx1, 1, wz), fwd(vz1, sx, wx)];
+        let dtyz = [fwd(vy1, 1, wz), fwd(vz1, sy, wy)];
         let zs = region.z0..region.z1;
-        let n = zs.len();
-        with_scratch(3 * n, |d| {
-            // Three rows of exactly `n`, so the combine loops below carry no
-            // bounds checks.
-            let (da, r) = d.split_at_mut(n);
-            let (db, r) = r.split_at_mut(n);
-            let dc = &mut r[..n];
-            for x in region.x0..region.x1 {
-                for y in region.y0..region.y1 {
-                    let i0 = self.vx.idx(x, y, region.z0);
-                    let lam = &self.lam_dt.pencil(x, y)[zs.clone()];
-                    let mu = &self.mu_dt.pencil(x, y)[zs.clone()];
-                    let fd = &self.sponge.fd(x, y)[zs.clone()];
-                    // SAFETY: the schedule contract gives this call exclusive
-                    // ownership of the region's pencils at level `t + 1`,
-                    // which hold level `t` until the update replaces them.
-                    let [txxn, tyyn, tzzn, txyn, txzn, tyzn] = unsafe {
-                        [
-                            self.txx.pencil_mut(t + 1, x, y),
-                            self.tyy.pencil_mut(t + 1, x, y),
-                            self.tzz.pencil_mut(t + 1, x, y),
-                            self.txy.pencil_mut(t + 1, x, y),
-                            self.txz.pencil_mut(t + 1, x, y),
-                            self.tyz.pencil_mut(t + 1, x, y),
-                        ]
-                    };
-                    // Normal stresses live at (i, j, k).
-                    backend.staggered_bwd_row_r::<R>(vx1, i0, sx, &swx, da);
-                    backend.staggered_bwd_row_r::<R>(vy1, i0, sy, &swy, db);
-                    backend.staggered_bwd_row_r::<R>(vz1, i0, 1, &swz, dc);
-                    let (xx, yy, zz) =
-                        (&mut txxn[zs.clone()], &mut tyyn[zs.clone()], &mut tzzn[zs.clone()]);
-                    for j in 0..n {
-                        let (exx, eyy, ezz) = (da[j], db[j], dc[j]);
-                        let (ldiv, mu2) = (lam[j] * (exx + eyy + ezz), 2.0 * mu[j]);
-                        xx[j] = (xx[j] + ldiv + mu2 * exx) * fd[j];
-                        yy[j] = (yy[j] + ldiv + mu2 * eyy) * fd[j];
-                        zz[j] = (zz[j] + ldiv + mu2 * ezz) * fd[j];
-                    }
-                    // Shear stresses at the edge-staggered positions.
-                    let shear = |tn: &mut [f32], da: &[f32], db: &[f32]| {
-                        let tn = &mut tn[zs.clone()];
-                        for j in 0..n {
-                            tn[j] = (tn[j] + mu[j] * (da[j] + db[j])) * fd[j];
-                        }
-                    };
-                    backend.staggered_fwd_row_r::<R>(vx1, i0, sy, &swy, da);
-                    backend.staggered_fwd_row_r::<R>(vy1, i0, sx, &swx, db);
-                    shear(txyn, da, db);
-                    backend.staggered_fwd_row_r::<R>(vx1, i0, 1, &swz, da);
-                    backend.staggered_fwd_row_r::<R>(vz1, i0, sx, &swx, db);
-                    shear(txzn, da, db);
-                    backend.staggered_fwd_row_r::<R>(vy1, i0, 1, &swz, da);
-                    backend.staggered_fwd_row_r::<R>(vz1, i0, sy, &swy, db);
-                    shear(tyzn, da, db);
-                    // The explosive source goes into the normal stresses: one
-                    // injection per affected point, not per component.
-                    if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
-                        sparse.inject(&self.src, |z, amp| {
-                            let v = self.cfg.dt * amp;
-                            txxn[z] += v;
-                            tyyn[z] += v;
-                            tzzn[z] += v;
-                        });
-                    }
+        for x in region.x0..region.x1 {
+            for y in region.y0..region.y1 {
+                let i0 = self.vx.idx(x, y, region.z0);
+                let lam = &self.lam_dt.pencil(x, y)[zs.clone()];
+                let mu = &self.mu_dt.pencil(x, y)[zs.clone()];
+                let fd = &self.sponge.fd(x, y)[zs.clone()];
+                // SAFETY: the schedule contract gives this call exclusive
+                // ownership of the region's pencils at level `t + 1`, which
+                // hold level `t` until the update replaces them.
+                let [txxn, tyyn, tzzn, txyn, txzn, tyzn] = unsafe {
+                    [
+                        self.txx.pencil_mut(t + 1, x, y),
+                        self.tyy.pencil_mut(t + 1, x, y),
+                        self.tzz.pencil_mut(t + 1, x, y),
+                        self.txy.pencil_mut(t + 1, x, y),
+                        self.txz.pencil_mut(t + 1, x, y),
+                        self.tyz.pencil_mut(t + 1, x, y),
+                    ]
+                };
+                let rows = [&mut txxn[zs.clone()], &mut tyyn[zs.clone()], &mut tzzn[zs.clone()]];
+                backend.normal_stress_row_r::<R>(i0, &normal, lam, mu, fd, rows);
+                backend.shear_stress_row_r::<R>(i0, &dtxy, mu, fd, &mut txyn[zs.clone()]);
+                backend.shear_stress_row_r::<R>(i0, &dtxz, mu, fd, &mut txzn[zs.clone()]);
+                backend.shear_stress_row_r::<R>(i0, &dtyz, mu, fd, &mut tyzn[zs.clone()]);
+                // The explosive source goes into the normal stresses: one
+                // injection per affected point, not per component.
+                if let Some(mut sparse) = FusedPencil::begin(mode, t, x, y, zs.clone()) {
+                    sparse.inject(&self.src, |z, amp| {
+                        let v = self.cfg.dt * amp;
+                        txxn[z] += v;
+                        tyyn[z] += v;
+                        tzzn[z] += v;
+                    });
                 }
             }
-        });
+        }
+    }
+
+    /// The staggered weights along `x`, `y` and `z`.
+    fn weights<const R: usize>(&self) -> [&[f32; R]; 3] {
+        [&self.swx, &self.swy, &self.swz].map(|w| w[..].try_into().expect("radius mismatch"))
     }
 }
 
@@ -435,6 +405,10 @@ impl WaveSolver for Elastic {
             &self.swz,
             std::slice::from_ref(&self.cfg.dt),
         ]
+    }
+
+    fn coefficient_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| digest_values(&self.coefficients()))
     }
 
     fn sources(&self) -> &SourceBundle {

@@ -628,4 +628,15 @@ mod tests {
         }
         assert_eq!(digests(3, 0.3), base);
     }
+
+    #[test]
+    fn memoised_digests_equal_the_coefficient_walk() {
+        // Every propagator memoises its digest; the memo must be the walk
+        // the default method does, on the first call and on every later one.
+        for s in solvers(3, 0.3) {
+            let walk = digest_values(&s.coefficients());
+            assert_eq!(s.coefficient_digest(), walk, "{}", s.name());
+            assert_eq!(s.coefficient_digest(), walk, "{}", s.name());
+        }
+    }
 }

@@ -23,7 +23,8 @@ thread_local! {
 }
 
 /// Lend `len` values of the calling worker's row scratch to one step call:
-/// the derivative rows of every propagator's step body live here. Grown on
+/// the derivative rows of the acoustic and TTI step bodies live here (the
+/// elastic ones fuse their derivatives and read no scratch). Grown on
 /// first use and reused by every later call on the thread, so its contents
 /// on entry are whatever the last call left: a step body must write every
 /// value before it reads it, and carries nothing from one call to the next.

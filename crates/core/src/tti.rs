@@ -27,8 +27,10 @@
 //! each field's ring keeps two levels and `p⁺`, `q⁺` overwrite `p⁻`, `q⁻` in
 //! place, which the combine reads only at the point it writes.
 
+use std::sync::OnceLock;
+
 use crate::config::SimConfig;
-use crate::operator::{KernelPath, SparseMode, WaveSolver};
+use crate::operator::{digest_values, KernelPath, SparseMode, WaveSolver};
 use crate::shared::{count_step, weights, with_scratch, LevelRing, Sponge};
 use crate::sources::{classic_step, FusedPencil, ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -68,6 +70,9 @@ pub struct Tti {
     w1y: Vec<f32>,
     w1z: Vec<f32>,
     radius: usize,
+    /// [`WaveSolver::coefficient_digest`], filled on first use: the
+    /// coefficients are fixed once built.
+    digest: OnceLock<u64>,
     src: SourceBundle,
     rec: Option<ReceiverBundle>,
     trace: Option<TraceBuffer>,
@@ -141,6 +146,7 @@ impl Tti {
             w1y,
             w1z,
             radius,
+            digest: OnceLock::new(),
             src,
             rec,
             trace,
@@ -396,6 +402,10 @@ impl WaveSolver for Tti {
         }
         out.extend([&self.w1x[..], &self.w1y, &self.w1z]);
         out
+    }
+
+    fn coefficient_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| digest_values(&self.coefficients()))
     }
 
     fn sources(&self) -> &SourceBundle {

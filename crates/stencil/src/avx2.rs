@@ -30,7 +30,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::kernels;
+use crate::kernels::{self, StaggeredTerm};
 use crate::simd::LANE;
 
 /// Row-level bounds check for one offset window `u[start .. start + n]` —
@@ -422,5 +422,169 @@ pub unsafe fn staggered_bwd_row_r<const R: usize>(
     }
     for jj in j..n {
         out[jj] = kernels::staggered_diff_bwd_r::<R>(u, i0 + jj, s, w);
+    }
+}
+
+/// One [`StaggeredTerm`] hoisted for the lane loop: windows checked, weights
+/// broadcast.
+struct Term<const R: usize> {
+    p: *const f32,
+    c: usize,
+    s: usize,
+    w: [__m256; R],
+}
+
+/// Check `t`'s windows over a row of `n` outputs from `i0` (panicking where
+/// the portable kernel's would) and broadcast its weights.
+///
+/// # Safety
+/// The host CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn term<const R: usize>(t: &StaggeredTerm<R>, i0: usize, n: usize) -> Term<R> {
+    let c = t.center(i0);
+    for k in 0..R {
+        check_window(t.u, c + k * t.s, n);
+        check_window(t.u, c - (k + 1) * t.s, n);
+    }
+    let mut w = [_mm256_setzero_ps(); R];
+    for k in 0..R {
+        w[k] = _mm256_set1_ps(t.w[k]);
+    }
+    Term { p: t.u.as_ptr(), c, s: t.s, w }
+}
+
+/// The term's derivative at outputs `j .. j + LANE`, in
+/// [`StaggeredTerm::at`]'s accumulation order.
+///
+/// # Safety
+/// The host CPU must support AVX2, `t` must come from [`term`] over a row
+/// of `n` outputs, and `j + LANE <= n`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn diff<const R: usize>(t: &Term<R>, j: usize) -> __m256 {
+    let mut acc = _mm256_setzero_ps();
+    for (k, &wk) in t.w.iter().enumerate() {
+        let d = _mm256_sub_ps(
+            _mm256_loadu_ps(t.p.add(t.c + k * t.s + j)),
+            _mm256_loadu_ps(t.p.add(t.c - (k + 1) * t.s + j)),
+        );
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(wk, d));
+    }
+    acc
+}
+
+/// Fused staggered velocity update for a whole row, compile-time radius
+/// (twin of [`crate::simd::velocity_pencil_r`]).
+///
+/// # Safety
+/// The host CPU must support AVX2, and `b` and `fd` must be at least as long
+/// as `v`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn velocity_row_r<const R: usize>(
+    i0: usize,
+    d: &[StaggeredTerm<R>; 3],
+    b: &[f32],
+    fd: &[f32],
+    v: &mut [f32],
+) {
+    let n = v.len();
+    let (ta, tb, tc) = (term(&d[0], i0, n), term(&d[1], i0, n), term(&d[2], i0, n));
+    let (pv, pb, pf) = (v.as_mut_ptr(), b.as_ptr(), fd.as_ptr());
+    let mut j = 0;
+    while j + LANE <= n {
+        let sum = _mm256_add_ps(_mm256_add_ps(diff(&ta, j), diff(&tb, j)), diff(&tc, j));
+        let upd = _mm256_add_ps(
+            _mm256_loadu_ps(pv.add(j)),
+            _mm256_mul_ps(_mm256_loadu_ps(pb.add(j)), sum),
+        );
+        _mm256_storeu_ps(pv.add(j), _mm256_mul_ps(upd, _mm256_loadu_ps(pf.add(j))));
+        j += LANE;
+    }
+    for jj in j..n {
+        v[jj] = kernels::velocity_at_r(d, i0 + jj, v[jj], b[jj], fd[jj]);
+    }
+}
+
+/// Fused normal-stress update of the `τxx/τyy/τzz` rows, compile-time radius
+/// (twin of [`crate::simd::normal_stress_pencil_r`]).
+///
+/// # Safety
+/// The host CPU must support AVX2, and every other slice must be at least
+/// as long as `t[0]`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn normal_stress_row_r<const R: usize>(
+    i0: usize,
+    d: &[StaggeredTerm<R>; 3],
+    lam: &[f32],
+    mu: &[f32],
+    fd: &[f32],
+    t: [&mut [f32]; 3],
+) {
+    let [xx, yy, zz] = t;
+    let n = xx.len();
+    let (tx, ty, tz) = (term(&d[0], i0, n), term(&d[1], i0, n), term(&d[2], i0, n));
+    let (pl, pm, pf) = (lam.as_ptr(), mu.as_ptr(), fd.as_ptr());
+    let (px, py, pz) = (xx.as_mut_ptr(), yy.as_mut_ptr(), zz.as_mut_ptr());
+    let two = _mm256_set1_ps(2.0);
+    let mut j = 0;
+    while j + LANE <= n {
+        let (ex, ey, ez) = (diff(&tx, j), diff(&ty, j), diff(&tz, j));
+        let ldiv = _mm256_mul_ps(
+            _mm256_loadu_ps(pl.add(j)),
+            _mm256_add_ps(_mm256_add_ps(ex, ey), ez),
+        );
+        let mu2 = _mm256_mul_ps(two, _mm256_loadu_ps(pm.add(j)));
+        let f = _mm256_loadu_ps(pf.add(j));
+        for (p, e) in [(px, ex), (py, ey), (pz, ez)] {
+            let sum = _mm256_add_ps(
+                _mm256_add_ps(_mm256_loadu_ps(p.add(j)), ldiv),
+                _mm256_mul_ps(mu2, e),
+            );
+            _mm256_storeu_ps(p.add(j), _mm256_mul_ps(sum, f));
+        }
+        j += LANE;
+    }
+    for jj in j..n {
+        [xx[jj], yy[jj], zz[jj]] = kernels::normal_stress_at_r(
+            d,
+            i0 + jj,
+            [xx[jj], yy[jj], zz[jj]],
+            lam[jj],
+            mu[jj],
+            fd[jj],
+        );
+    }
+}
+
+/// Fused shear-stress update for a whole row, compile-time radius (twin of
+/// [`crate::simd::shear_stress_pencil_r`]).
+///
+/// # Safety
+/// The host CPU must support AVX2, and `mu` and `fd` must be at least as
+/// long as `t`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn shear_stress_row_r<const R: usize>(
+    i0: usize,
+    d: &[StaggeredTerm<R>; 2],
+    mu: &[f32],
+    fd: &[f32],
+    t: &mut [f32],
+) {
+    let n = t.len();
+    let (ta, tb) = (term(&d[0], i0, n), term(&d[1], i0, n));
+    let (pt, pm, pf) = (t.as_mut_ptr(), mu.as_ptr(), fd.as_ptr());
+    let mut j = 0;
+    while j + LANE <= n {
+        let sum = _mm256_add_ps(diff(&ta, j), diff(&tb, j));
+        let upd = _mm256_add_ps(
+            _mm256_loadu_ps(pt.add(j)),
+            _mm256_mul_ps(_mm256_loadu_ps(pm.add(j)), sum),
+        );
+        _mm256_storeu_ps(pt.add(j), _mm256_mul_ps(upd, _mm256_loadu_ps(pf.add(j))));
+        j += LANE;
+    }
+    for jj in j..n {
+        t[jj] = kernels::shear_stress_at_r(d, i0 + jj, t[jj], mu[jj], fd[jj]);
     }
 }

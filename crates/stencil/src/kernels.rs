@@ -290,6 +290,97 @@ pub fn staggered_diff_bwd_r<const R: usize>(u: &[f32], i: usize, s: usize, w: &[
     acc
 }
 
+/// One staggered first-derivative term of a fused elastic update: field `u`
+/// along stride `s` with weights `w`, forward (at `i + ½`) or backward (at
+/// `i − ½`).
+#[derive(Debug, Clone, Copy)]
+pub struct StaggeredTerm<'a, const R: usize> {
+    /// The differentiated field (a whole padded level).
+    pub u: &'a [f32],
+    /// Stride of the derivative's axis.
+    pub s: usize,
+    /// Premultiplied staggered weights ([`staggered_weights`]).
+    pub w: &'a [f32; R],
+    /// Forward ([`staggered_diff_fwd_r`]) or backward
+    /// ([`staggered_diff_bwd_r`]).
+    pub fwd: bool,
+}
+
+impl<'a, const R: usize> StaggeredTerm<'a, R> {
+    /// The forward derivative of `u` along stride `s`.
+    pub fn fwd(u: &'a [f32], s: usize, w: &'a [f32; R]) -> Self {
+        StaggeredTerm { u, s, w, fwd: true }
+    }
+
+    /// The backward derivative of `u` along stride `s`.
+    pub fn bwd(u: &'a [f32], s: usize, w: &'a [f32; R]) -> Self {
+        StaggeredTerm { u, s, w, fwd: false }
+    }
+
+    /// The backward-difference centre of output index `i`: the forward
+    /// difference at `i` is, term for term, the backward one at `i + s`.
+    #[inline(always)]
+    pub fn center(&self, i: usize) -> usize {
+        if self.fwd {
+            i + self.s
+        } else {
+            i
+        }
+    }
+
+    /// The derivative at linear index `i`.
+    #[inline(always)]
+    pub fn at(&self, i: usize) -> f32 {
+        staggered_diff_bwd_r::<R>(self.u, self.center(i), self.s, self.w)
+    }
+}
+
+/// Fused velocity update at linear index `i`:
+/// `(v + b·((D₁ + D₂) + D₃))·fd`.
+#[inline(always)]
+pub fn velocity_at_r<const R: usize>(
+    d: &[StaggeredTerm<R>; 3],
+    i: usize,
+    v: f32,
+    b: f32,
+    fd: f32,
+) -> f32 {
+    (v + b * (d[0].at(i) + d[1].at(i) + d[2].at(i))) * fd
+}
+
+/// Fused normal-stress update of `t = [τxx, τyy, τzz]` at linear index `i`
+/// from the strain rates `e = d.at(i)`:
+/// `τₐ = ((τₐ + λ·((eₓ + e_y) + e_z)) + 2μ·eₐ)·fd`.
+#[inline(always)]
+pub fn normal_stress_at_r<const R: usize>(
+    d: &[StaggeredTerm<R>; 3],
+    i: usize,
+    t: [f32; 3],
+    lam: f32,
+    mu: f32,
+    fd: f32,
+) -> [f32; 3] {
+    let e = [d[0].at(i), d[1].at(i), d[2].at(i)];
+    let (ldiv, mu2) = (lam * (e[0] + e[1] + e[2]), 2.0 * mu);
+    [
+        (t[0] + ldiv + mu2 * e[0]) * fd,
+        (t[1] + ldiv + mu2 * e[1]) * fd,
+        (t[2] + ldiv + mu2 * e[2]) * fd,
+    ]
+}
+
+/// Fused shear-stress update at linear index `i`: `(τ + μ·(D₁ + D₂))·fd`.
+#[inline(always)]
+pub fn shear_stress_at_r<const R: usize>(
+    d: &[StaggeredTerm<R>; 2],
+    i: usize,
+    t: f32,
+    mu: f32,
+    fd: f32,
+) -> f32 {
+    (t + mu * (d[0].at(i) + d[1].at(i))) * fd
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

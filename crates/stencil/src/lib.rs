@@ -13,7 +13,11 @@
 //!
 //! * second-derivative / Laplacian contributions (isotropic acoustic, Fig. 2),
 //! * centred first derivatives (the rotated TTI Laplacian, Eq. 2),
-//! * staggered first derivatives (elastic velocity–stress, Eq. 3).
+//! * staggered first derivatives (elastic velocity–stress, Eq. 3), and the
+//!   three fused staggered updates built on them — velocity, the
+//!   normal-stress triple, shear — which evaluate an elastic update's
+//!   derivatives ([`kernels::StaggeredTerm`]) in registers and write the
+//!   updated pencil in one pass.
 //!
 //! All kernels operate on raw slices with precomputed strides so the `z`
 //! loop vectorises; weights are premultiplied by the `1/hᵏ` grid-spacing
@@ -27,7 +31,9 @@
 //! (CPU feature detection, `TEMPEST_KERNEL` override). All are
 //! bitwise-identical by contract. Every row kernel has a compile-time-radius
 //! form; only the Laplacian also has a dynamic-radius one (acoustic at space
-//! orders without a monomorphised kernel).
+//! orders without a monomorphised kernel). The elastic step calls only the
+//! fused updates; the staggered derivative rows stay for the benchmark's
+//! row probe and as the fused kernels' two-pass test oracle.
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;

@@ -2,10 +2,10 @@
 //! (`tempest_stencil::backend`): every kernel backend available on the
 //! host — portable pencil kernels, AVX2 intrinsics — must produce final
 //! wavefields **bitwise identical** (`f32::to_bits` equality) to the
-//! per-point `Scalar` reference, for every propagator, at radii 2 and 4,
-//! under both a spatially blocked and a dataflow temporal-blocking
-//! schedule. This is the contract that lets the runtime dispatcher swap
-//! backends per host without changing results.
+//! per-point `Scalar` reference, for every propagator, at radii 2 and 4
+//! (elastic also at 6), under both a spatially blocked and a dataflow
+//! temporal-blocking schedule. This is the contract that lets the runtime
+//! dispatcher swap backends per host without changing results.
 //!
 //! Also unit-tests the dispatcher itself through its pure `choose` entry
 //! point (the env-reading `default_backend` is a OnceLock over the same
@@ -107,7 +107,9 @@ fn tti_backends_bitwise_vs_scalar() {
 
 #[test]
 fn elastic_backends_bitwise_vs_scalar() {
-    for so in [4usize, 8] {
+    // SO 12 too: `Elastic::new` admits radius 6, and the fused staggered
+    // kernels are monomorphised per radius.
+    for so in [4usize, 8, 12] {
         let d = domain();
         let model = ElasticModel::homogeneous(d, 2500.0, 1400.0, 2200.0);
         let cfg = SimConfig::new(d, so, EquationKind::Elastic, 2500.0, 60.0)

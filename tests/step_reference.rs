@@ -1,13 +1,15 @@
 //! Every propagator's step against an independent oracle, under every way
 //! of cutting the domain into regions.
 //!
-//! The production step bodies (`Acoustic::step_rows`, `Tti::step_rows`,
-//! `Elastic::{vel_rows, stress_rows}`) compute whole derivative rows into a
-//! per-worker scratch and combine them over slices; TTI additionally
-//! evaluates each mixed derivative as a composition of two first-derivative
-//! row passes through a row cache. The oracles here share none of that: per
-//! point, no rows, no scratch, no regions, they apply the per-point kernels
-//! of `tempest::stencil::kernels` directly — the Laplacian for acoustic,
+//! The production step bodies (`Acoustic::step_rows`, `Tti::step_rows`)
+//! compute whole derivative rows into a per-worker scratch and combine them
+//! over slices; TTI additionally evaluates each mixed derivative as a
+//! composition of two first-derivative row passes through a row cache.
+//! `Elastic::{vel_rows, stress_rows}` make one fused kernel call per output
+//! pencil (per normal-stress triple), derivatives in registers, no scratch.
+//! The oracles here share none of that: per point, no rows, no scratch, no
+//! regions, no fusion, they apply the per-point kernels of
+//! `tempest::stencil::kernels` directly — the Laplacian for acoustic,
 //! `∂xy = D_x(D_y u)`, `∂xz = D_z(D_x u)`, `∂yz = D_z(D_y u)` for TTI, the
 //! staggered forward/backward differences for elastic — to the ring levels
 //! and to per-point coefficients. Those the oracle builds itself from the
@@ -23,9 +25,9 @@
 //! `split_xy` shapes, z-sub-ranges, on any number of workers. Every step
 //! writes its oldest level in place, so the oracle reads the seeded inputs
 //! before the step runs, and every stepping reloads them first.
-//! Scratch indexing is the risky part: the grid is non-cubic so a transposed
-//! extent cannot cancel out, and small enough that at SO 12 every pencil's
-//! dilated window reaches into an x or y halo.
+//! Scratch and window indexing are the risky part: the grid is non-cubic so
+//! a transposed extent cannot cancel out, and small enough that at SO 12
+//! every pencil's dilated window reaches into an x or y halo.
 //!
 //! Two input fixtures: O(1) random wavefields, and a *front* whose levels
 //! fall from 1e-30 to 1e-45 across the grid — the leading edge of a point
