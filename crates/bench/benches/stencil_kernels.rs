@@ -12,6 +12,11 @@
 //! ablations: hoisted bounds checks and lane structure (scalar → portable),
 //! then explicit unaligned 256-bit loads (portable → avx2).
 //!
+//! The `tti_update_*` and `velocity_*` / `normal_stress_*` /
+//! `shear_stress_*` rows time the fused kernels the TTI and elastic steps
+//! call, one call per pencil; the single-derivative rows stay for the
+//! benchmark's row probe and as the shapes the fused kernels are built from.
+//!
 //! The `*_subnormal_*` rows sweep a volume filled with subnormal values —
 //! the leading edge of a point source's wavefield — once in the default
 //! floating-point mode (`gradual`: every load feeds a microcode assist) and
@@ -22,7 +27,10 @@
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config, Sample};
 use tempest_par::FlushGuard;
-use tempest_stencil::kernels::{first_derivative_weights, staggered_weights, AxisWeights};
+use tempest_stencil::kernels::{
+    first_derivative_weights, staggered_weights, AxisWeights, StaggeredTerm, TtiCoeffs, TtiField,
+    TtiStencil,
+};
 use tempest_stencil::Backend;
 
 const N: usize = 64;
@@ -45,11 +53,9 @@ fn subnormal_grid() -> Vec<f32> {
         .collect()
 }
 
-/// Interior extent, elements covered, and a scratch row for row calls.
-fn interior<const R: usize>() -> (usize, usize, u64, Vec<f32>) {
-    let (lo, hi) = (R, N - R);
-    let n = hi - lo;
-    (lo, hi, (n * n * n) as u64, vec![0.0f32; n])
+/// One output row per interior pencil: `N − 2R` points.
+fn row<const R: usize>() -> Vec<f32> {
+    vec![0.0f32; N - 2 * R]
 }
 
 fn backends() -> Vec<Backend> {
@@ -82,58 +88,20 @@ fn bench_laplacian<const R: usize>(
     let w = AxisWeights::second_derivative(so, 10.0);
     let side: [f32; R] = w.side_array();
     let center = 3.0 * w.center;
-    let (lo, hi, elems, mut out) = interior::<R>();
-    let mut rows = Vec::new();
-    for b in backends() {
-        let s = microbench::run_elems(&format!("{shape}_{}/so{so}", b.name()), cfg, elems, || {
-            for x in lo..hi {
-                for y in lo..hi {
-                    let i0 = (x * N + y) * N + lo;
-                    b.laplacian_row_r::<R>(
-                        black_box(u),
-                        i0,
-                        sx,
-                        sy,
-                        center,
-                        &side,
-                        &side,
-                        &side,
-                        &mut out,
-                    );
-                    black_box(&out);
-                }
-            }
-        });
-        rows.push((b, s));
-    }
-    report_speedups(shape, so, &rows);
-    rows
+    let mut out = row::<R>();
+    bench_pencils::<R>(shape, cfg, so, |b, i0| {
+        b.laplacian_row_r::<R>(black_box(u), i0, sx, sy, center, &side, &side, &side, &mut out);
+        black_box(&out);
+    })
 }
 
-fn bench_cross<const R: usize>(
-    cfg: Config,
-    so: usize,
-    u: &[f32],
-    sx: usize,
-    sy: usize,
-) {
-    let w = first_derivative_weights(so, 10.0);
-    let w: [f32; R] = w[..].try_into().expect("radius mismatch");
-    let (lo, hi, elems, mut out) = interior::<R>();
-    let mut rows = Vec::new();
-    for b in backends() {
-        let s = microbench::run_elems(&format!("cross_diff_{}/so{so}", b.name()), cfg, elems, || {
-            for x in lo..hi {
-                for y in lo..hi {
-                    let i0 = (x * N + y) * N + lo;
-                    b.cross_diff_row_r::<R>(black_box(u), i0, sx, sy, &w, &w, &mut out);
-                    black_box(&out);
-                }
-            }
-        });
-        rows.push((b, s));
-    }
-    report_speedups("cross_diff", so, &rows);
+fn bench_cross<const R: usize>(cfg: Config, so: usize, u: &[f32], sx: usize, sy: usize) {
+    let w: [f32; R] = first_derivative_weights(so, 10.0)[..].try_into().expect("radius mismatch");
+    let mut out = row::<R>();
+    bench_pencils::<R>("cross_diff", cfg, so, |b, i0| {
+        b.cross_diff_row_r::<R>(black_box(u), i0, sx, sy, &w, &w, &mut out);
+        black_box(&out);
+    });
 }
 
 /// The centred first-derivative row at stride `sy`: the pass that fills the
@@ -145,24 +113,12 @@ fn bench_first_diff<const R: usize>(
     u: &[f32],
     sy: usize,
 ) -> Vec<(Backend, Sample)> {
-    let w = first_derivative_weights(so, 10.0);
-    let w: [f32; R] = w[..].try_into().expect("radius mismatch");
-    let (lo, hi, elems, mut out) = interior::<R>();
-    let mut rows = Vec::new();
-    for b in backends() {
-        let s = microbench::run_elems(&format!("{shape}_{}/so{so}", b.name()), cfg, elems, || {
-            for x in lo..hi {
-                for y in lo..hi {
-                    let i0 = (x * N + y) * N + lo;
-                    b.first_diff_row_r::<R>(black_box(u), i0, sy, &w, &mut out);
-                    black_box(&out);
-                }
-            }
-        });
-        rows.push((b, s));
-    }
-    report_speedups(shape, so, &rows);
-    rows
+    let w: [f32; R] = first_derivative_weights(so, 10.0)[..].try_into().expect("radius mismatch");
+    let mut out = row::<R>();
+    bench_pencils::<R>(shape, cfg, so, |b, i0| {
+        b.first_diff_row_r::<R>(black_box(u), i0, sy, &w, &mut out);
+        black_box(&out);
+    })
 }
 
 /// The Laplacian and first-derivative rows over subnormal input, outside and
@@ -202,23 +158,103 @@ fn bench_subnormal<const R: usize>(
 }
 
 fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32]) {
-    let w = staggered_weights(so, 10.0);
-    let w: [f32; R] = w[..].try_into().expect("radius mismatch");
-    let (lo, hi, elems, mut out) = interior::<R>();
+    let w: [f32; R] = staggered_weights(so, 10.0)[..].try_into().expect("radius mismatch");
+    let mut out = row::<R>();
+    bench_pencils::<R>("staggered", cfg, so, |b, i0| {
+        b.staggered_fwd_row_r::<R>(black_box(u), i0, 1, &w, &mut out);
+        black_box(&out);
+    });
+}
+
+/// `len` values in `[0, 1)`: coefficient rows, and the factors of the
+/// in-place updates below, which stay bounded over repeated sweeps.
+fn unit_row(len: usize, seed: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i * 2_654_435_761 + seed * 40_503) % 1000) as f32 * 1e-3)
+        .collect()
+}
+
+/// Time `update(backend, i0)` once per pencil of the `N³` interior, on
+/// every backend, as rows `{name}_{backend}/so{so}`.
+fn bench_pencils<const R: usize>(
+    name: &str,
+    cfg: Config,
+    so: usize,
+    mut update: impl FnMut(Backend, usize),
+) -> Vec<(Backend, Sample)> {
+    let (lo, hi) = (R, N - R);
+    let elems = ((hi - lo) * (hi - lo) * (hi - lo)) as u64;
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("staggered_{}/so{so}", b.name()), cfg, elems, || {
+        let s = microbench::run_elems(&format!("{name}_{}/so{so}", b.name()), cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
-                    let i0 = (x * N + y) * N + lo;
-                    b.staggered_fwd_row_r::<R>(black_box(u), i0, 1, &w, &mut out);
-                    black_box(&out);
+                    update(b, (x * N + y) * N + lo);
                 }
             }
         });
         rows.push((b, s));
     }
-    report_speedups("staggered", so, &rows);
+    report_speedups(name, so, &rows);
+    rows
+}
+
+/// The fused TTI update (`Backend::tti_update_row_r`): the grid stands in
+/// for both levels and the `D_y` row cache (one x-plane apart), with fixed
+/// `D_x` rows.
+fn bench_tti<const R: usize>(cfg: Config, so: usize, u: &[f32], sx: usize, sy: usize) {
+    let w2 = AxisWeights::second_derivative(so, 20.0);
+    let w1: [f32; R] = first_derivative_weights(so, 20.0)[..].try_into().expect("radius mismatch");
+    let st = TtiStencil::<R> {
+        sx,
+        sy,
+        plane: sx,
+        center: [w2.center; 3],
+        side: [w2.side_array(); 3],
+        w1x: w1,
+        w1z: w1,
+    };
+    let n = N - 2 * R;
+    let dx = [unit_row(n + 2 * R, 1), unit_row(n + 2 * R, 2)];
+    let rows: Vec<Vec<f32>> = (0..11).map(|k| unit_row(n, 3 + k)).collect();
+    let c = TtiCoeffs {
+        c1: &rows[0],
+        c2: &rows[1],
+        c3: &rows[2],
+        eps2: &rows[3],
+        delta: &rows[4],
+        g: std::array::from_fn(|k| &rows[5 + k][..]),
+    };
+    let (mut p, mut q) = (unit_row(n, 20), unit_row(n, 21));
+    bench_pencils::<R>("tti_update", cfg, so, |b, i0| {
+        let field = |dx| TtiField { u: black_box(u), i0, cache: u, dy: i0, dx };
+        b.tti_update_row_r::<R>(&st, &[field(&dx[0]), field(&dx[1])], &c, &mut p, &mut q);
+        black_box((&p, &q));
+    });
+}
+
+/// The three fused elastic updates, each differentiating the grid along
+/// `x`, `y` and `z`.
+fn bench_elastic<const R: usize>(cfg: Config, so: usize, u: &[f32], sx: usize, sy: usize) {
+    let w: [f32; R] = staggered_weights(so, 10.0)[..].try_into().expect("radius mismatch");
+    let (fwd, bwd) = (StaggeredTerm::fwd, StaggeredTerm::bwd);
+    let triple = [fwd(u, sx, &w), bwd(u, sy, &w), bwd(u, 1, &w)];
+    let pair = [fwd(u, sy, &w), fwd(u, sx, &w)];
+    let n = N - 2 * R;
+    let (coef, mu, fd) = (unit_row(n, 1), unit_row(n, 2), unit_row(n, 3));
+    let [mut xx, mut yy, mut zz] = [4, 5, 6].map(|seed| unit_row(n, seed));
+    bench_pencils::<R>("velocity", cfg, so, |b, i0| {
+        b.velocity_row_r::<R>(i0, &triple, &coef, &fd, &mut xx);
+        black_box(&xx);
+    });
+    bench_pencils::<R>("normal_stress", cfg, so, |b, i0| {
+        b.normal_stress_row_r::<R>(i0, &triple, &coef, &mu, &fd, [&mut xx, &mut yy, &mut zz]);
+        black_box((&xx, &yy, &zz));
+    });
+    bench_pencils::<R>("shear_stress", cfg, so, |b, i0| {
+        b.shear_stress_row_r::<R>(i0, &pair, &mu, &fd, &mut xx);
+        black_box(&xx);
+    });
 }
 
 fn bench_order<const R: usize>(
@@ -232,6 +268,8 @@ fn bench_order<const R: usize>(
     bench_cross::<R>(cfg, so, u, sx, sy);
     bench_first_diff::<R>("first_diff", cfg, so, u, sy);
     bench_staggered::<R>(cfg, so, u);
+    bench_tti::<R>(cfg, so, u, sx, sy);
+    bench_elastic::<R>(cfg, so, u, sx, sy);
 }
 
 fn main() {

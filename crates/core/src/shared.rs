@@ -23,11 +23,12 @@ thread_local! {
 }
 
 /// Lend `len` values of the calling worker's row scratch to one step call:
-/// the derivative rows of the acoustic and TTI step bodies live here (the
-/// elastic ones fuse their derivatives and read no scratch). Grown on
-/// first use and reused by every later call on the thread, so its contents
-/// on entry are whatever the last call left: a step body must write every
-/// value before it reads it, and carries nothing from one call to the next.
+/// the acoustic step body's rows and the TTI body's `D_y` row cache and `D_x`
+/// rows live here (the elastic bodies fuse their derivatives and read no
+/// scratch). Grown on first use and reused by every later call on the
+/// thread, so its contents on entry are whatever the last call left: a step
+/// body must write every value before it reads it, and carries nothing from
+/// one call to the next.
 pub(crate) fn with_scratch<T>(len: usize, body: impl FnOnce(&mut [f32]) -> T) -> T {
     SCRATCH.with_borrow_mut(|scratch| {
         if scratch.len() < len {

@@ -18,14 +18,18 @@
 //! and sits far right of the acoustic kernel on the roofline (Fig. 11).
 //! Each mixed derivative is evaluated as the composition of two `2r`-tap
 //! first derivatives through a per-worker row cache (see
-//! [`Tti::step_region`] and DESIGN.md §10), not as the outer product. The six
-//! rotation coefficients are precomputed into parameter volumes, so the hot
-//! loop is trigonometry-free. The leap-frog update is acoustic's
-//! `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy (`1 + 2ε`, `√(1+2δ)`, the
-//! rotation) are the nine per-point volumes, while the damping-only `c1`,
-//! `c2` come from the `Sponge`'s per-pencil `z` profiles. As in acoustic,
-//! each field's ring keeps two levels and `p⁺`, `q⁺` overwrite `p⁻`, `q⁻` in
-//! place, which the combine reads only at the point it writes.
+//! [`Tti::step_region`] and DESIGN.md §10), not as the outer product. One
+//! fused kernel per output pencil
+//! ([`Backend::tti_update_row_r`](tempest_stencil::Backend::tti_update_row_r))
+//! then forms both fields' second derivatives per point, in registers, and
+//! finishes the update. The six rotation coefficients are precomputed into
+//! parameter volumes, so the hot loop is trigonometry-free. The leap-frog
+//! update is acoustic's `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy
+//! (`1 + 2ε`, `√(1+2δ)`, the rotation) are the nine per-point volumes, while
+//! the damping-only `c1`, `c2` come from the `Sponge`'s per-pencil `z`
+//! profiles. As in acoustic, each field's ring keeps two levels and `p⁺`,
+//! `q⁺` overwrite `p⁻`, `q⁻` in place, which the update reads only at the
+//! point it writes.
 
 use std::sync::OnceLock;
 
@@ -37,15 +41,12 @@ use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array3, Range3, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
-use tempest_stencil::kernels::{first_derivative_weights, AxisWeights};
+use tempest_stencil::kernels::{
+    first_derivative_weights, AxisWeights, TtiCoeffs, TtiField, TtiStencil,
+};
 use tempest_stencil::metrics::tti_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-
-/// The six `n`-point rows of one field's derivative scratch.
-fn rows(d: &[f32], n: usize) -> [&[f32]; 6] {
-    std::array::from_fn(|c| &d[c * n..(c + 1) * n])
-}
 
 /// The TTI pseudo-acoustic propagator.
 pub struct Tti {
@@ -159,7 +160,7 @@ impl Tti {
     }
 
     /// One stencil step over `region` — the only step body, for every
-    /// backend (`Backend::Scalar` runs the same row passes per point).
+    /// backend (`Backend::Scalar` runs the same passes per point).
     ///
     /// A mixed derivative is the composition of two centred first
     /// derivatives, `∂ab u = D_a(D_b u)`: the same taps and weights as their
@@ -174,8 +175,10 @@ impl Tti {
     /// 2. per *output* pencil, `∂xy = D_x(D_y u)` is a first-derivative row
     ///    *across* the cached rows, `∂yz = D_z(D_y u)` one *along* the
     ///    pencil's own cached row, and `∂xz = D_z(D_x u)` one along a `D_x u`
-    ///    row computed on the spot; the straight second derivatives read the
-    ///    level directly, and one combine loop finishes the update.
+    ///    row computed on the spot; one fused kernel call
+    ///    ([`Backend::tti_update_row_r`]) takes these three and the straight
+    ///    second derivatives of both fields per point, in registers, and
+    ///    finishes the update in the same pass.
     ///
     /// Every scratch value is a pure function of the level being read and is
     /// written by this call before it reads it: nothing is carried from one
@@ -199,14 +202,6 @@ impl Tti {
         let p0 = unsafe { self.p.level(k + 1) };
         let q0 = unsafe { self.q.level(k + 1) };
         let (sx, sy) = (self.p.sx(), self.p.sy());
-        // Fixed-size weights so the row kernels unroll.
-        let (wxx, wyy, wzz): ([f32; R], [f32; R], [f32; R]) = (
-            self.wxx.side_array(),
-            self.wyy.side_array(),
-            self.wzz.side_array(),
-        );
-        let (cxx, cyy, czz) = (self.wxx.center, self.wyy.center, self.wzz.center);
-        let (w1x, w1y, w1z) = (weights(&self.w1x), weights(&self.w1y), weights(&self.w1z));
         let receivers = self.rec.as_ref().zip(self.trace.as_ref());
         let n = region.z1 - region.z0;
         // Cache layout: one slot `[D_y p | D_y q]` per input pencil, each row
@@ -215,10 +210,20 @@ impl Tti {
         let ly = n + 2 * R;
         let plane = ny * 2 * ly;
         let cache_len = (nx + 2 * R) * plane;
-        // The `D_y` row cache, one `D_x` row and the twelve derivative rows.
-        with_scratch(cache_len + ly + 12 * n, |scratch| {
-            let (cache, rest) = scratch.split_at_mut(cache_len);
-            let (dx, d) = rest.split_at_mut(ly);
+        // Fixed-size weights so the row kernels unroll.
+        let st = TtiStencil::<R> {
+            sx,
+            sy,
+            plane,
+            center: [self.wxx.center, self.wyy.center, self.wzz.center],
+            side: [self.wxx.side_array(), self.wyy.side_array(), self.wzz.side_array()],
+            w1x: weights(&self.w1x),
+            w1z: weights(&self.w1z),
+        };
+        let w1y = weights::<R>(&self.w1y);
+        // The `D_y` row cache and one `D_x` row per field.
+        with_scratch(cache_len + 2 * ly, |scratch| {
+            let (cache, dx) = scratch.split_at_mut(cache_len);
             // Pass 1. `xi` counts planes from `x0 − R`, inside the x halo.
             for xi in 0..nx + 2 * R {
                 for yi in 0..ny {
@@ -229,73 +234,43 @@ impl Tti {
                     backend.first_diff_row_r::<R>(q0, i0, sy, &w1y, dyq);
                 }
             }
-            // Pass 2.
+            // Pass 2: per output pencil, the two `D_x` rows, then one fused
+            // update of `p` and `q`.
             let cache = &*cache;
-            // The second derivatives `[uxx, uyy, uzz, uxy, uxz, uyz]` of one
-            // field along the output pencil at `i0`, into the six rows of
-            // `d`; `dy` is the pencil's cached `D_y u` row at `z0`.
-            let derivatives = |u: &[f32], i0: usize, dy: usize, dx: &mut [f32], d: &mut [f32]| {
-                let (uxx, r) = d.split_at_mut(n);
-                let (uyy, r) = r.split_at_mut(n);
-                let (uzz, r) = r.split_at_mut(n);
-                let (uxy, r) = r.split_at_mut(n);
-                let (uxz, uyz) = r.split_at_mut(n);
-                backend.second_diff_row_r::<R>(u, i0, sx, cxx, &wxx, uxx);
-                backend.second_diff_row_r::<R>(u, i0, sy, cyy, &wyy, uyy);
-                backend.second_diff_row_r::<R>(u, i0, 1, czz, &wzz, uzz);
-                backend.first_diff_row_r::<R>(cache, dy, plane, &w1x, uxy);
-                backend.first_diff_row_r::<R>(u, i0 - R, sx, &w1x, dx);
-                backend.first_diff_row_r::<R>(dx, R, 1, &w1z, uxz);
-                backend.first_diff_row_r::<R>(cache, dy, 1, &w1z, uyz);
-            };
-            let (dp, dq) = d.split_at_mut(6 * n);
+            let (dxp, dxq) = dx.split_at_mut(ly);
             for x in region.x0..region.x1 {
                 for y in region.y0..region.y1 {
                     let i0 = self.p.idx(x, y, region.z0);
+                    backend.first_diff_row_r::<R>(p0, i0 - R, sx, &st.w1x, dxp);
+                    backend.first_diff_row_r::<R>(q0, i0 - R, sx, &st.w1x, dxq);
                     // This pencil's cached `D_y p` at `z0`; `D_y q` follows it.
                     let dy = (x - region.x0 + R) * plane + (y - region.y0) * 2 * ly + R;
-                    derivatives(p0, i0, dy, dx, dp);
-                    derivatives(q0, i0, dy + ly, dx, dq);
-                    let [pxx, pyy, pzz, pxy, pxz, pyz] = rows(dp, n);
-                    let [qxx, qyy, qzz, qxy, qxz, qyz] = rows(dq, n);
-
+                    let f = [
+                        TtiField { u: p0, i0, cache, dy, dx: dxp },
+                        TtiField { u: q0, i0, cache, dy: dy + ly, dx: dxq },
+                    ];
                     let zs = region.z0..region.z1;
-                    let c1r = &self.sponge.c1(x, y)[zs.clone()];
-                    let c2r = &self.sponge.c2(x, y)[zs.clone()];
                     let c3r = self.c3.pencil(x, y);
-                    let er = &self.eps2.pencil(x, y)[zs.clone()];
-                    let dr = &self.delta_bar.pencil(x, y)[zs.clone()];
-                    let [g0, g1, g2, g3, g4, g5] =
-                        std::array::from_fn(|c| &self.gz[c].pencil(x, y)[zs.clone()]);
-                    let (p0r, q0r) = (&p0[i0..i0 + n], &q0[i0..i0 + n]);
+                    let c = TtiCoeffs {
+                        c1: &self.sponge.c1(x, y)[zs.clone()],
+                        c2: &self.sponge.c2(x, y)[zs.clone()],
+                        c3: &c3r[zs.clone()],
+                        eps2: &self.eps2.pencil(x, y)[zs.clone()],
+                        delta: &self.delta_bar.pencil(x, y)[zs.clone()],
+                        g: std::array::from_fn(|k| &self.gz[k].pencil(x, y)[zs.clone()]),
+                    };
                     // SAFETY: the schedule contract gives this call exclusive
                     // ownership of the region's pencils at level `k + 2`,
-                    // which hold level `k` until the combine replaces them.
+                    // which hold level `k` until the update replaces them.
                     let pn = unsafe { self.p.pencil_mut(k + 2, x, y) };
                     let qn = unsafe { self.q.pencil_mut(k + 2, x, y) };
-                    // Every row below is `n` long, so the loop carries no
-                    // bounds checks and vectorizes.
-                    let (pnr, qnr, c3z) =
-                        (&mut pn[zs.clone()], &mut qn[zs.clone()], &c3r[zs.clone()]);
-                    for j in 0..n {
-                        let gzz_p = g0[j] * pxx[j]
-                            + g1[j] * pyy[j]
-                            + g2[j] * pzz[j]
-                            + g3[j] * pxy[j]
-                            + g4[j] * pxz[j]
-                            + g5[j] * pyz[j];
-                        let gzz_q = g0[j] * qxx[j]
-                            + g1[j] * qyy[j]
-                            + g2[j] * qzz[j]
-                            + g3[j] * qxy[j]
-                            + g4[j] * qxz[j]
-                            + g5[j] * qyz[j];
-                        let gh_p = (pxx[j] + pyy[j] + pzz[j]) - gzz_p;
-                        let rhs_p = er[j] * gh_p + dr[j] * gzz_q;
-                        let rhs_q = dr[j] * gh_p + gzz_q;
-                        pnr[j] = c1r[j] * p0r[j] - c2r[j] * pnr[j] + c3z[j] * rhs_p;
-                        qnr[j] = c1r[j] * q0r[j] - c2r[j] * qnr[j] + c3z[j] * rhs_q;
-                    }
+                    backend.tti_update_row_r::<R>(
+                        &st,
+                        &f,
+                        &c,
+                        &mut pn[zs.clone()],
+                        &mut qn[zs.clone()],
+                    );
                     if let Some(mut sparse) = FusedPencil::begin(mode, k, x, y, zs.clone()) {
                         // Both fields receive the source, as in Devito's TTI
                         // operator; receivers record `p`.

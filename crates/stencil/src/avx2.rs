@@ -30,7 +30,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::kernels::{self, StaggeredTerm};
+use crate::kernels::{self, StaggeredTerm, TtiCoeffs, TtiField, TtiStencil};
 use crate::simd::LANE;
 
 /// Row-level bounds check for one offset window `u[start .. start + n]` —
@@ -586,5 +586,194 @@ pub unsafe fn shear_stress_row_r<const R: usize>(
     }
     for jj in j..n {
         t[jj] = kernels::shear_stress_at_r(d, i0 + jj, t[jj], mu[jj], fd[jj]);
+    }
+}
+
+/// Check `f`'s windows over a pencil of `n` points, panicking where the
+/// portable kernel's would.
+fn check_tti_field<const R: usize>(f: &TtiField, st: &TtiStencil<R>, n: usize) {
+    check_window(f.u, f.i0, n);
+    for k in 1..=R {
+        for s in [st.sx, st.sy, 1] {
+            check_window(f.u, f.i0 + k * s, n);
+            check_window(f.u, f.i0 - k * s, n);
+        }
+        for s in [st.plane, 1] {
+            check_window(f.cache, f.dy + k * s, n);
+            check_window(f.cache, f.dy - k * s, n);
+        }
+        check_window(f.dx, R + k, n);
+        check_window(f.dx, R - k, n);
+    }
+}
+
+/// The second derivative along stride `s` of both fields at `H` lane
+/// steps, `c[f] + h·LANE ..`, in [`kernels::second_diff_axis_r`]'s
+/// accumulation order.
+///
+/// # Safety
+/// The host CPU must support AVX2 and every load must be in bounds.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn second<const R: usize, const H: usize>(
+    c: [*const f32; 2],
+    s: usize,
+    center: f32,
+    side: &[f32; R],
+) -> [[__m256; H]; 2] {
+    let vc = _mm256_set1_ps(center);
+    let mut acc = [[_mm256_setzero_ps(); H]; 2];
+    for f in 0..2 {
+        for h in 0..H {
+            acc[f][h] = _mm256_mul_ps(vc, _mm256_loadu_ps(c[f].add(h * LANE)));
+        }
+    }
+    for (k, &wk) in side.iter().enumerate() {
+        let (o, wk) = ((k + 1) * s, _mm256_set1_ps(wk));
+        for f in 0..2 {
+            let (hi, lo) = (c[f].add(o), c[f].sub(o));
+            for h in 0..H {
+                let sum = _mm256_add_ps(
+                    _mm256_loadu_ps(hi.add(h * LANE)),
+                    _mm256_loadu_ps(lo.add(h * LANE)),
+                );
+                acc[f][h] = _mm256_add_ps(acc[f][h], _mm256_mul_ps(wk, sum));
+            }
+        }
+    }
+    acc
+}
+
+/// The first derivative along stride `s` of both fields at `H` lane steps,
+/// `c[f] + h·LANE ..`, in [`kernels::first_diff_axis_r`]'s accumulation
+/// order (from `0.0`).
+///
+/// # Safety
+/// The host CPU must support AVX2 and every load must be in bounds.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn first<const R: usize, const H: usize>(
+    c: [*const f32; 2],
+    s: usize,
+    w: &[f32; R],
+) -> [[__m256; H]; 2] {
+    let mut acc = [[_mm256_setzero_ps(); H]; 2];
+    for (k, &wk) in w.iter().enumerate() {
+        let (o, wk) = ((k + 1) * s, _mm256_set1_ps(wk));
+        for f in 0..2 {
+            let (hi, lo) = (c[f].add(o), c[f].sub(o));
+            for h in 0..H {
+                let diff = _mm256_sub_ps(
+                    _mm256_loadu_ps(hi.add(h * LANE)),
+                    _mm256_loadu_ps(lo.add(h * LANE)),
+                );
+                acc[f][h] = _mm256_add_ps(acc[f][h], _mm256_mul_ps(wk, diff));
+            }
+        }
+    }
+    acc
+}
+
+/// Update `H` lane steps of the `p` and `q` rows from `j`: the six
+/// derivatives one at a time, both fields together, each folded into `gzz`
+/// (and `p`'s Laplacian) as soon as it is formed, so few are live at once.
+///
+/// # Safety
+/// The host CPU must support AVX2, the pointers must come from
+/// [`tti_update_row_r`] over a row of `n` points, and `j + H·LANE <= n`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tti_lanes<const R: usize, const H: usize>(
+    st: &TtiStencil<R>,
+    [u, dy, dx]: [[*const f32; 2]; 3],
+    g: &[*const f32; 6],
+    [c1, c2, c3, eps2, delta]: [*const f32; 5],
+    out: [*mut f32; 2],
+    j: usize,
+) {
+    let at = |r: [*const f32; 2]| [r[0].add(j), r[1].add(j)];
+    let mut gzz = [[_mm256_setzero_ps(); H]; 2];
+    let mut fold = |k: usize, d: [[__m256; H]; 2]| {
+        for h in 0..H {
+            let gk = _mm256_loadu_ps(g[k].add(j + h * LANE));
+            for f in 0..2 {
+                let t = _mm256_mul_ps(gk, d[f][h]);
+                gzz[f][h] = if k == 0 { t } else { _mm256_add_ps(gzz[f][h], t) };
+            }
+        }
+    };
+    let xx = second::<R, H>(at(u), st.sx, st.center[0], &st.side[0]);
+    fold(0, xx);
+    let yy = second::<R, H>(at(u), st.sy, st.center[1], &st.side[1]);
+    fold(1, yy);
+    let mut lap = [_mm256_setzero_ps(); H];
+    for h in 0..H {
+        lap[h] = _mm256_add_ps(xx[0][h], yy[0][h]);
+    }
+    let zz = second::<R, H>(at(u), 1, st.center[2], &st.side[2]);
+    fold(2, zz);
+    for h in 0..H {
+        lap[h] = _mm256_add_ps(lap[h], zz[0][h]);
+    }
+    fold(3, first::<R, H>(at(dy), st.plane, &st.w1x));
+    fold(4, first::<R, H>(at(dx), 1, &st.w1z));
+    fold(5, first::<R, H>(at(dy), 1, &st.w1z));
+    for h in 0..H {
+        let jh = j + h * LANE;
+        let gh = _mm256_sub_ps(lap[h], gzz[0][h]);
+        let (e, d) = (_mm256_loadu_ps(eps2.add(jh)), _mm256_loadu_ps(delta.add(jh)));
+        let rhs = [
+            _mm256_add_ps(_mm256_mul_ps(e, gh), _mm256_mul_ps(d, gzz[1][h])),
+            _mm256_add_ps(_mm256_mul_ps(d, gh), gzz[1][h]),
+        ];
+        let (k1, k2, k3) =
+            (_mm256_loadu_ps(c1.add(jh)), _mm256_loadu_ps(c2.add(jh)), _mm256_loadu_ps(c3.add(jh)));
+        for f in 0..2 {
+            let keep = _mm256_sub_ps(
+                _mm256_mul_ps(k1, _mm256_loadu_ps(u[f].add(jh))),
+                _mm256_mul_ps(k2, _mm256_loadu_ps(out[f].add(jh))),
+            );
+            _mm256_storeu_ps(out[f].add(jh), _mm256_add_ps(keep, _mm256_mul_ps(k3, rhs[f])));
+        }
+    }
+}
+
+/// Fused TTI update of the `p` and `q` rows, compile-time radius (twin of
+/// [`crate::simd::tti_update_pencil_r`]): two lane steps at a time, so each
+/// window pointer serves two loads, then one, then the scalar tail.
+///
+/// # Safety
+/// The host CPU must support AVX2, and `q` and every row of `c` must be at
+/// least as long as `p`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn tti_update_row_r<const R: usize>(
+    st: &TtiStencil<R>,
+    f: &[TtiField; 2],
+    c: &TtiCoeffs,
+    p: &mut [f32],
+    q: &mut [f32],
+) {
+    let n = p.len();
+    check_tti_field(&f[0], st, n);
+    check_tti_field(&f[1], st, n);
+    let rows = [
+        f.each_ref().map(|f| f.u.as_ptr().add(f.i0)),
+        f.each_ref().map(|f| f.cache.as_ptr().add(f.dy)),
+        f.each_ref().map(|f| f.dx.as_ptr().add(R)),
+    ];
+    let g = c.g.map(<[f32]>::as_ptr);
+    let coef = [c.c1, c.c2, c.c3, c.eps2, c.delta].map(<[f32]>::as_ptr);
+    let out = [p.as_mut_ptr(), q.as_mut_ptr()];
+    let mut j = 0;
+    while j + 2 * LANE <= n {
+        tti_lanes::<R, 2>(st, rows, &g, coef, out, j);
+        j += 2 * LANE;
+    }
+    if j + LANE <= n {
+        tti_lanes::<R, 1>(st, rows, &g, coef, out, j);
+        j += LANE;
+    }
+    for jj in j..n {
+        [p[jj], q[jj]] = kernels::tti_at_r(st, f, c, jj, [p[jj], q[jj]]);
     }
 }

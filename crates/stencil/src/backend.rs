@@ -17,8 +17,8 @@
 //!
 //! [`Backend`] is the `Copy` handle the propagators hold: each row kernel is
 //! one method whose `match` has one arm per backend (`out[j]` receives the
-//! stencil value at linear index `i0 + j`; the fused elastic updates instead
-//! update their rows in place), next to the [`BackendCaps`]
+//! stencil value at linear index `i0 + j`; the fused elastic and TTI updates
+//! instead update their rows in place), next to the [`BackendCaps`]
 //! capability metadata. The bitwise-equivalence contract is the oracle: for
 //! identical inputs, every backend's row output has `to_bits()`-identical
 //! elements (asserted by the tests below and by the workspace-level
@@ -45,7 +45,7 @@
 
 use std::sync::OnceLock;
 
-use crate::kernels::{self, StaggeredTerm};
+use crate::kernels::{self, StaggeredTerm, TtiCoeffs, TtiField, TtiStencil};
 use crate::simd;
 
 /// Capability metadata for one kernel backend.
@@ -523,6 +523,54 @@ impl Backend {
             }
         }
     }
+
+    /// Fused TTI update of one output pencil of `p` and `q`, compile-time
+    /// radius: per point, both fields' six second derivatives
+    /// ([`TtiField::derivatives_at`]), the rotated Laplacian and the
+    /// leap-frog step ([`kernels::tti_at_r`]), in one pass. `p` and `q` hold
+    /// `p⁻`, `q⁻` on entry and `p⁺`, `q⁺` on return.
+    ///
+    /// # Panics
+    /// If `q` or a row of `c` is not as long as `p`, or a stencil leaves its
+    /// level, cache or `D_x` row.
+    #[inline(never)]
+    pub fn tti_update_row_r<const R: usize>(
+        self,
+        st: &TtiStencil<R>,
+        f: &[TtiField; 2],
+        c: &TtiCoeffs,
+        p: &mut [f32],
+        q: &mut [f32],
+    ) {
+        let n = p.len();
+        assert!(
+            [q.len(), c.c1.len(), c.c2.len(), c.c3.len(), c.eps2.len(), c.delta.len()]
+                .into_iter()
+                .chain(c.g.map(<[f32]>::len))
+                .all(|l| l == n),
+            "tti_update_row_r: row lengths differ"
+        );
+        match self {
+            Backend::Scalar => {
+                for j in 0..n {
+                    [p[j], q[j]] = kernels::tti_at_r(st, f, c, j, [p[j], q[j]]);
+                }
+            }
+            Backend::Portable => simd::tti_update_pencil_r::<R>(st, f, c, p, q),
+            Backend::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    assert_avx2();
+                    // SAFETY: AVX2 support was just asserted; lengths above.
+                    unsafe { crate::avx2::tti_update_row_r::<R>(st, f, c, p, q) }
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    no_avx2()
+                }
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for Backend {
@@ -935,6 +983,193 @@ mod tests {
         check_fused::<2>("fused rows and two passes", Fused::two_passes);
         check_fused::<4>("fused rows and two passes", Fused::two_passes);
         check_fused::<6>("fused rows and two passes", Fused::two_passes);
+    }
+
+    /// A fused-TTI fixture: the two levels on one padded grid, a `D_y` row
+    /// cache, the two `D_x` rows, the stencil weights and random per-point
+    /// rows (eleven coefficients, then `p⁻` and `q⁻`). With `zeros`, every
+    /// level, cache, `D_x` and `u⁻` value is `±0.0`, so the signs of zero
+    /// each backend produces are compared too; otherwise every seventh of
+    /// those values is `-0.0`.
+    struct TtiFixture<const R: usize> {
+        u: [Vec<f32>; 2],
+        cache: Vec<f32>,
+        dx: [Vec<f32>; 2],
+        st: TtiStencil<R>,
+        rows: [Vec<f32>; 13],
+        nz: usize,
+    }
+
+    impl<const R: usize> TtiFixture<R> {
+        fn new(zeros: bool) -> Self {
+            let (nx, ny, nz) = (2 * R + 3, 2 * R + 2, 2 * R + 3 * simd::LANE);
+            let plane = 2 * nz + 3;
+            let mut rng = Rng64::new(47);
+            let mut field = |len: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|i| match (zeros, rng.next_f32()) {
+                        (true, r) if r < 0.5 => -0.0,
+                        (true, _) => 0.0,
+                        (false, _) if i % 7 == 3 => -0.0,
+                        (false, r) => r * 2.0 - 1.0,
+                    })
+                    .collect()
+            };
+            let u = [field(nx * ny * nz), field(nx * ny * nz)];
+            let cache = field((2 * R + 1) * plane);
+            let dx = [field(nz), field(nz)];
+            let (pm, qm) = (field(nz), field(nz));
+            let mut rng = Rng64::new(53);
+            let mut rows: [Vec<f32>; 13] =
+                std::array::from_fn(|_| (0..nz).map(|_| rng.next_f32() - 0.25).collect());
+            [rows[11], rows[12]] = [pm, qm];
+            let w2 = [2.0, 3.0, 5.0].map(|h| AxisWeights::second_derivative(2 * R, h));
+            let w1 = |h| first_derivative_weights(2 * R, h).try_into().unwrap();
+            let st = TtiStencil {
+                sx: ny * nz,
+                sy: nz,
+                plane,
+                center: w2.each_ref().map(|w| w.center),
+                side: w2.each_ref().map(AxisWeights::side_array),
+                w1x: w1(2.0),
+                w1z: w1(5.0),
+            };
+            TtiFixture { u, cache, dx, st, rows, nz }
+        }
+
+        /// Pencil `(R, R)` from `z0` over `n` points: both fields, `D_y p`
+        /// and `D_y q` one row of the cache apart, `D_x` rows `n + 2R` long.
+        fn fields(&self, z0: usize, n: usize) -> [TtiField<'_>; 2] {
+            let i0 = (R * self.st.sx / self.st.sy + R) * self.nz + z0;
+            let dy = R * self.st.plane + z0;
+            std::array::from_fn(|f| TtiField {
+                u: &self.u[f],
+                i0,
+                cache: &self.cache,
+                dy: dy + f * self.nz,
+                dx: &self.dx[f][..n + 2 * R],
+            })
+        }
+
+        fn coeffs(&self, n: usize) -> TtiCoeffs<'_> {
+            let r = |k: usize| &self.rows[k][..n];
+            TtiCoeffs {
+                c1: r(0),
+                c2: r(1),
+                c3: r(2),
+                eps2: r(3),
+                delta: r(4),
+                g: std::array::from_fn(|k| r(5 + k)),
+            }
+        }
+
+        /// Row starts `(z0, n)`: aligned and unaligned × two whole lanes, a
+        /// lane plus a tail, shorter than a lane and empty.
+        fn cases() -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            for z0 in [R, R + 1] {
+                for n in [2 * simd::LANE, simd::LANE + 3, 5, 0] {
+                    out.push((z0, n));
+                }
+            }
+            out
+        }
+
+        /// The fused kernel of `b` over row `(z0, n)`: the updated `p`, `q`.
+        fn run(&self, b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
+            let [mut p, mut q] = [self.rows[11][..n].to_vec(), self.rows[12][..n].to_vec()];
+            b.tti_update_row_r::<R>(&self.st, &self.fields(z0, n), &self.coeffs(n), &mut p, &mut q);
+            [p, q]
+        }
+
+        /// [`run`](Self::run) on the Scalar backend, whichever `_b`.
+        fn scalar(&self, _b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
+            self.run(Backend::Scalar, z0, n)
+        }
+
+        /// [`run`](Self::run) as the step body computed it before the update
+        /// was fused: the six derivative rows of each field through the
+        /// public row kernels of `b`, then the combine loop.
+        fn two_passes(&self, b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
+            let st = &self.st;
+            let rows = |f: &TtiField| -> [Vec<f32>; 6] {
+                let mut d: [Vec<f32>; 6] = std::array::from_fn(|_| vec![0.0f32; n]);
+                let [xx, yy, zz, xy, xz, yz] = &mut d;
+                b.second_diff_row_r::<R>(f.u, f.i0, st.sx, st.center[0], &st.side[0], xx);
+                b.second_diff_row_r::<R>(f.u, f.i0, st.sy, st.center[1], &st.side[1], yy);
+                b.second_diff_row_r::<R>(f.u, f.i0, 1, st.center[2], &st.side[2], zz);
+                b.first_diff_row_r::<R>(f.cache, f.dy, st.plane, &st.w1x, xy);
+                b.first_diff_row_r::<R>(f.dx, R, 1, &st.w1z, xz);
+                b.first_diff_row_r::<R>(f.cache, f.dy, 1, &st.w1z, yz);
+                d
+            };
+            let [fp, fq] = self.fields(z0, n);
+            let [pxx, pyy, pzz, pxy, pxz, pyz] = rows(&fp);
+            let [qxx, qyy, qzz, qxy, qxz, qyz] = rows(&fq);
+            let [c1, c2, c3, er, dr, g0, g1, g2, g3, g4, g5, pm, qm] = &self.rows;
+            let (p0, q0) = (&fp.u[fp.i0..], &fq.u[fq.i0..]);
+            let (mut pn, mut qn) = (pm[..n].to_vec(), qm[..n].to_vec());
+            for j in 0..n {
+                let gzz_p = g0[j] * pxx[j]
+                    + g1[j] * pyy[j]
+                    + g2[j] * pzz[j]
+                    + g3[j] * pxy[j]
+                    + g4[j] * pxz[j]
+                    + g5[j] * pyz[j];
+                let gzz_q = g0[j] * qxx[j]
+                    + g1[j] * qyy[j]
+                    + g2[j] * qzz[j]
+                    + g3[j] * qxy[j]
+                    + g4[j] * qxz[j]
+                    + g5[j] * qyz[j];
+                let gh_p = (pxx[j] + pyy[j] + pzz[j]) - gzz_p;
+                let rhs_p = er[j] * gh_p + dr[j] * gzz_q;
+                let rhs_q = dr[j] * gh_p + gzz_q;
+                pn[j] = c1[j] * p0[j] - c2[j] * pn[j] + c3[j] * rhs_p;
+                qn[j] = c1[j] * q0[j] - c2[j] * qn[j] + c3[j] * rhs_q;
+            }
+            [pn, qn]
+        }
+    }
+
+    /// Each backend's fused TTI rows against Scalar's, or against the two
+    /// passes, for every row shape, on random inputs and on signed zeros.
+    fn check_tti<const R: usize>(
+        what: &str,
+        want: impl Fn(&TtiFixture<R>, Backend, usize, usize) -> [Vec<f32>; 2],
+    ) {
+        for zeros in [false, true] {
+            let fx = TtiFixture::<R>::new(zeros);
+            for b in testable() {
+                for (z0, n) in TtiFixture::<R>::cases() {
+                    let (got, want) = (fx.run(b, z0, n), want(&fx, b, z0, n));
+                    for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+                        for (j, (g, w)) in g.iter().zip(w).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{b}: {what} differ, field {f} R {R} zeros {zeros} \
+                                 z0 {z0} n {n} j {j}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tti_update_matches_scalar_bitwise() {
+        check_tti::<2>("fused TTI rows and Scalar's", TtiFixture::scalar);
+        check_tti::<4>("fused TTI rows and Scalar's", TtiFixture::scalar);
+        check_tti::<6>("fused TTI rows and Scalar's", TtiFixture::scalar);
+    }
+
+    #[test]
+    fn tti_update_equals_the_two_pass_composition() {
+        check_tti::<2>("fused TTI rows and two passes", TtiFixture::two_passes);
+        check_tti::<4>("fused TTI rows and two passes", TtiFixture::two_passes);
+        check_tti::<6>("fused TTI rows and two passes", TtiFixture::two_passes);
     }
 
     fn assert_bits(got: &[f32], want: &[f32], b: Backend, kernel: &str, order: usize) {

@@ -381,6 +381,110 @@ pub fn shear_stress_at_r<const R: usize>(
     (t + mu * (d[0].at(i) + d[1].at(i))) * fd
 }
 
+/// The fixed geometry and weights of the fused TTI update ([`tti_at_r`]).
+#[derive(Debug, Clone, Copy)]
+pub struct TtiStencil<const R: usize> {
+    /// The level's `x` stride.
+    pub sx: usize,
+    /// The level's `y` stride.
+    pub sy: usize,
+    /// The `x` stride of the `D_y` row cache: one cached x-plane.
+    pub plane: usize,
+    /// Second-derivative centre weights along `x, y, z`.
+    pub center: [f32; 3],
+    /// Second-derivative side weights along `x, y, z`.
+    pub side: [[f32; R]; 3],
+    /// First-derivative weights along `x`: `∂xy = D_x(D_y u)`.
+    pub w1x: [f32; R],
+    /// First-derivative weights along `z`: `∂xz = D_z(D_x u)`,
+    /// `∂yz = D_z(D_y u)`.
+    pub w1z: [f32; R],
+}
+
+/// One field's inputs to the fused TTI update over an output pencil: its
+/// level and the two first-derivative rows its mixed derivatives are taken
+/// across.
+#[derive(Debug, Clone, Copy)]
+pub struct TtiField<'a> {
+    /// The field's level: the straight second derivatives and the centre
+    /// value `u`.
+    pub u: &'a [f32],
+    /// Index in `u` of the pencil's first point.
+    pub i0: usize,
+    /// The `D_y` row cache, rows `x`-strided by [`TtiStencil::plane`].
+    pub cache: &'a [f32],
+    /// Index in `cache` of `D_y u` at the pencil's first point.
+    pub dy: usize,
+    /// `D_x u` along the pencil from `R` points before its first to `R`
+    /// after its last: pencil point `j` is `dx[R + j]`.
+    pub dx: &'a [f32],
+}
+
+impl TtiField<'_> {
+    /// The second derivatives `[uxx, uyy, uzz, uxy, uxz, uyz]` at pencil
+    /// point `j`: each straight one a [`second_diff_axis_r`], each mixed one
+    /// a [`first_diff_axis_r`] across a first-derivative row.
+    #[inline(always)]
+    pub fn derivatives_at<const R: usize>(&self, st: &TtiStencil<R>, j: usize) -> [f32; 6] {
+        let (i, y) = (self.i0 + j, self.dy + j);
+        [
+            second_diff_axis_r(self.u, i, st.sx, st.center[0], &st.side[0]),
+            second_diff_axis_r(self.u, i, st.sy, st.center[1], &st.side[1]),
+            second_diff_axis_r(self.u, i, 1, st.center[2], &st.side[2]),
+            first_diff_axis_r(self.cache, y, st.plane, &st.w1x),
+            first_diff_axis_r(self.dx, R + j, 1, &st.w1z),
+            first_diff_axis_r(self.cache, y, 1, &st.w1z),
+        ]
+    }
+}
+
+/// The per-point coefficient rows of the fused TTI update, one value per
+/// pencil point.
+#[derive(Debug, Clone, Copy)]
+pub struct TtiCoeffs<'a> {
+    /// Leap-frog factor of `u`.
+    pub c1: &'a [f32],
+    /// Leap-frog factor of `u⁻`.
+    pub c2: &'a [f32],
+    /// Leap-frog factor of the right-hand side.
+    pub c3: &'a [f32],
+    /// `1 + 2ε`.
+    pub eps2: &'a [f32],
+    /// `√(1 + 2δ)`.
+    pub delta: &'a [f32],
+    /// Rotation coefficients of `G_z̄z̄`, in [`TtiField::derivatives_at`]'s
+    /// order.
+    pub g: [&'a [f32]; 6],
+}
+
+/// Fused TTI update at pencil point `j` from `um = [p⁻, q⁻]`: with
+/// `gzz = g0·xx + g1·yy + g2·zz + g3·xy + g4·xz + g5·yz` per field and
+/// `gh = ((pxx + pyy) + pzz) − gzz_p`, returns
+/// `[(c1·p − c2·p⁻) + c3·(eps2·gh + delta·gzz_q),
+///   (c1·q − c2·q⁻) + c3·(delta·gh + gzz_q)]`.
+#[inline(always)]
+pub fn tti_at_r<const R: usize>(
+    st: &TtiStencil<R>,
+    f: &[TtiField; 2],
+    c: &TtiCoeffs,
+    j: usize,
+    um: [f32; 2],
+) -> [f32; 2] {
+    let [pxx, pyy, pzz, pxy, pxz, pyz] = f[0].derivatives_at(st, j);
+    let [qxx, qyy, qzz, qxy, qxz, qyz] = f[1].derivatives_at(st, j);
+    let [g0, g1, g2, g3, g4, g5] = c.g.map(|g| g[j]);
+    let gzz_p = g0 * pxx + g1 * pyy + g2 * pzz + g3 * pxy + g4 * pxz + g5 * pyz;
+    let gzz_q = g0 * qxx + g1 * qyy + g2 * qzz + g3 * qxy + g4 * qxz + g5 * qyz;
+    let gh = (pxx + pyy + pzz) - gzz_p;
+    let rhs_p = c.eps2[j] * gh + c.delta[j] * gzz_q;
+    let rhs_q = c.delta[j] * gh + gzz_q;
+    let (c1, c2, c3) = (c.c1[j], c.c2[j], c.c3[j]);
+    [
+        c1 * f[0].u[f[0].i0 + j] - c2 * um[0] + c3 * rhs_p,
+        c1 * f[1].u[f[1].i0 + j] - c2 * um[1] + c3 * rhs_q,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,10 @@
 //! assemble into full time updates:
 //!
 //! * second-derivative / Laplacian contributions (isotropic acoustic, Fig. 2),
-//! * centred first derivatives (the rotated TTI Laplacian, Eq. 2),
+//! * centred first derivatives (the rotated TTI Laplacian, Eq. 2), and the
+//!   fused TTI update built on them, which takes both fields' six second
+//!   derivatives per point ([`kernels::TtiField`]) and finishes the
+//!   leap-frog step of `p` and `q` in one pass,
 //! * staggered first derivatives (elastic velocity–stress, Eq. 3), and the
 //!   three fused staggered updates built on them — velocity, the
 //!   normal-stress triple, shear — which evaluate an elastic update's
@@ -32,8 +35,10 @@
 //! bitwise-identical by contract. Every row kernel has a compile-time-radius
 //! form; only the Laplacian also has a dynamic-radius one (acoustic at space
 //! orders without a monomorphised kernel). The elastic step calls only the
-//! fused updates; the staggered derivative rows stay for the benchmark's
-//! row probe and as the fused kernels' two-pass test oracle.
+//! fused updates, and the TTI step only the fused update and the
+//! first-derivative rows that feed it; the staggered, second-derivative and
+//! outer-product rows stay for the benchmark's row probe and as the fused
+//! kernels' two-pass test oracles.
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;

@@ -50,7 +50,7 @@
 //! which keeps the vector body/epilogue split uniform across rows and lets
 //! aligned loads hit full cache lines.
 
-use crate::kernels::StaggeredTerm;
+use crate::kernels::{StaggeredTerm, TtiCoeffs, TtiField, TtiStencil};
 
 /// The lane width the pencil kernels are laid out for: 8 × f32 = 256 bits
 /// (one AVX2 register; on narrower targets LLVM splits it into two 128-bit
@@ -151,6 +151,48 @@ fn axpy_sum(out: &mut [f32], wk: f32, p: &[f32], m: &[f32]) {
     }
 }
 
+/// The `±k` windows of one centred derivative over a pencil of `n` points,
+/// bounds-checked once.
+struct Taps<'a, const R: usize> {
+    plus: [&'a [f32]; R],
+    minus: [&'a [f32]; R],
+}
+
+impl<'a, const R: usize> Taps<'a, R> {
+    #[inline(always)]
+    fn new(u: &'a [f32], i: usize, s: usize, n: usize) -> Self {
+        Taps {
+            plus: std::array::from_fn(|k| window(u, i + (k + 1) * s, n)),
+            minus: std::array::from_fn(|k| window(u, i - (k + 1) * s, n)),
+        }
+    }
+
+    /// [`second_diff_axis_r`](crate::kernels::second_diff_axis_r) at point
+    /// `j`, whose own value is `c`.
+    #[inline(always)]
+    fn second(&self, c: f32, center: f32, side: &[f32; R], j: usize) -> f32 {
+        let mut acc = center * c;
+        let mut k = 0;
+        while k < R {
+            acc += side[k] * (self.plus[k][j] + self.minus[k][j]);
+            k += 1;
+        }
+        acc
+    }
+
+    /// [`first_diff_axis_r`](crate::kernels::first_diff_axis_r) at point `j`.
+    #[inline(always)]
+    fn first(&self, w: &[f32; R], j: usize) -> f32 {
+        let mut acc = 0.0f32;
+        let mut k = 0;
+        while k < R {
+            acc += w[k] * (self.plus[k][j] - self.minus[k][j]);
+            k += 1;
+        }
+        acc
+    }
+}
+
 /// Second derivative along one axis for a whole pencil, compile-time radius:
 /// `out[j]` receives [`second_diff_axis_r`](crate::kernels::second_diff_axis_r)
 /// at linear index `i0 + j` (stride `s`).
@@ -163,17 +205,9 @@ pub fn second_diff_pencil_r<const R: usize>(
     out: &mut [f32],
 ) {
     let n = out.len();
-    let c = window(u, i0, n);
-    let plus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 + (k + 1) * s, n));
-    let minus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 - (k + 1) * s, n));
+    let (c, taps) = (window(u, i0, n), Taps::new(u, i0, s, n));
     for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = center * c[j];
-        let mut k = 0;
-        while k < R {
-            acc += side[k] * (plus[k][j] + minus[k][j]);
-            k += 1;
-        }
-        *o = acc;
+        *o = taps.second(c[j], center, side, j);
     }
 }
 
@@ -261,17 +295,9 @@ pub fn first_diff_pencil_r<const R: usize>(
     w: &[f32; R],
     out: &mut [f32],
 ) {
-    let n = out.len();
-    let plus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 + (k + 1) * s, n));
-    let minus: [&[f32]; R] = std::array::from_fn(|k| window(u, i0 - (k + 1) * s, n));
+    let taps = Taps::new(u, i0, s, out.len());
     for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        let mut k = 0;
-        while k < R {
-            acc += w[k] * (plus[k][j] - minus[k][j]);
-            k += 1;
-        }
-        *o = acc;
+        *o = taps.first(w, j);
     }
 }
 
@@ -458,6 +484,77 @@ pub fn shear_stress_pencil_r<const R: usize>(
     let (mu, fd) = (&mu[..n], &fd[..n]);
     for j in 0..n {
         t[j] = (t[j] + mu[j] * (da.at(j) + db.at(j))) * fd[j];
+    }
+}
+
+/// One [`TtiField`]'s windows over a pencil of `n` points: its own values
+/// and the taps of its six second derivatives.
+struct TtiWindows<'a, const R: usize> {
+    c: &'a [f32],
+    d: [Taps<'a, R>; 6],
+}
+
+impl<'a, const R: usize> TtiWindows<'a, R> {
+    #[inline(always)]
+    fn new(f: &TtiField<'a>, st: &TtiStencil<R>, n: usize) -> Self {
+        TtiWindows {
+            c: window(f.u, f.i0, n),
+            d: [
+                Taps::new(f.u, f.i0, st.sx, n),
+                Taps::new(f.u, f.i0, st.sy, n),
+                Taps::new(f.u, f.i0, 1, n),
+                Taps::new(f.cache, f.dy, st.plane, n),
+                Taps::new(f.dx, R, 1, n),
+                Taps::new(f.cache, f.dy, 1, n),
+            ],
+        }
+    }
+
+    /// The second derivatives at point `j`, as
+    /// [`TtiField::derivatives_at`] forms them.
+    #[inline(always)]
+    fn at(&self, st: &TtiStencil<R>, j: usize) -> [f32; 6] {
+        let [xx, yy, zz, xy, xz, yz] = &self.d;
+        let c = self.c[j];
+        [
+            xx.second(c, st.center[0], &st.side[0], j),
+            yy.second(c, st.center[1], &st.side[1], j),
+            zz.second(c, st.center[2], &st.side[2], j),
+            xy.first(&st.w1x, j),
+            xz.first(&st.w1z, j),
+            yz.first(&st.w1z, j),
+        ]
+    }
+}
+
+/// Fused TTI update of the `p` and `q` pencils, compile-time radius (mirror
+/// of [`tti_at_r`](crate::kernels::tti_at_r)). The two pencils are separate
+/// parameters so the compiler knows they do not alias and vectorizes the
+/// row loop.
+pub fn tti_update_pencil_r<const R: usize>(
+    st: &TtiStencil<R>,
+    f: &[TtiField; 2],
+    c: &TtiCoeffs,
+    p: &mut [f32],
+    q: &mut [f32],
+) {
+    let n = p.len();
+    let (wp, wq) = (TtiWindows::new(&f[0], st, n), TtiWindows::new(&f[1], st, n));
+    let [c1, c2, c3, eps2, delta] = [c.c1, c.c2, c.c3, c.eps2, c.delta].map(|r| &r[..n]);
+    let [g0, g1, g2, g3, g4, g5] = c.g.map(|g| &g[..n]);
+    let q = &mut q[..n];
+    for j in 0..n {
+        let [pxx, pyy, pzz, pxy, pxz, pyz] = wp.at(st, j);
+        let [qxx, qyy, qzz, qxy, qxz, qyz] = wq.at(st, j);
+        let gzz_p =
+            g0[j] * pxx + g1[j] * pyy + g2[j] * pzz + g3[j] * pxy + g4[j] * pxz + g5[j] * pyz;
+        let gzz_q =
+            g0[j] * qxx + g1[j] * qyy + g2[j] * qzz + g3[j] * qxy + g4[j] * qxz + g5[j] * qyz;
+        let gh = (pxx + pyy + pzz) - gzz_p;
+        let rhs_p = eps2[j] * gh + delta[j] * gzz_q;
+        let rhs_q = delta[j] * gh + gzz_q;
+        p[j] = c1[j] * wp.c[j] - c2[j] * p[j] + c3[j] * rhs_p;
+        q[j] = c1[j] * wq.c[j] - c2[j] * q[j] + c3[j] * rhs_q;
     }
 }
 

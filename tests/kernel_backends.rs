@@ -3,7 +3,7 @@
 //! host — portable pencil kernels, AVX2 intrinsics — must produce final
 //! wavefields **bitwise identical** (`f32::to_bits` equality) to the
 //! per-point `Scalar` reference, for every propagator, at radii 2 and 4
-//! (elastic also at 6), under both a spatially blocked and a dataflow
+//! (TTI and elastic also at 6), under both a spatially blocked and a dataflow
 //! temporal-blocking schedule. This is the contract that lets the runtime
 //! dispatcher swap backends per host without changing results.
 //!
@@ -90,7 +90,9 @@ fn acoustic_backends_bitwise_vs_scalar() {
 
 #[test]
 fn tti_backends_bitwise_vs_scalar() {
-    for so in [4usize, 8] {
+    // SO 12 too: `Tti::new` admits radius 6, and the fused update kernel is
+    // monomorphised per radius.
+    for so in [4usize, 8, 12] {
         let d = domain();
         let model = TtiModel::homogeneous(d, 2000.0, 0.2, 0.1, 0.35, 0.3);
         let cfg = SimConfig::new(d, so, EquationKind::Tti, model.vmax(), 80.0)
