@@ -216,14 +216,14 @@ fn bench_tti<const R: usize>(cfg: Config, so: usize, u: &[f32], sx: usize, sy: u
     };
     let n = N - 2 * R;
     let dx = [unit_row(n + 2 * R, 1), unit_row(n + 2 * R, 2)];
-    let rows: Vec<Vec<f32>> = (0..11).map(|k| unit_row(n, 3 + k)).collect();
+    let rows: Vec<Vec<f32>> = (0..8).map(|k| unit_row(n, 3 + k)).collect();
     let c = TtiCoeffs {
         c1: &rows[0],
         c2: &rows[1],
         c3: &rows[2],
         eps2: &rows[3],
         delta: &rows[4],
-        g: std::array::from_fn(|k| &rows[5 + k][..]),
+        rot: std::array::from_fn(|k| &rows[5 + k][..]),
     };
     let (mut p, mut q) = (unit_row(n, 20), unit_row(n, 21));
     bench_pencils::<R>("tti_update", cfg, so, |b, i0| {

@@ -22,14 +22,17 @@
 //! fused kernel per output pencil
 //! ([`Backend::tti_update_row_r`](tempest_stencil::Backend::tti_update_row_r))
 //! then forms both fields' second derivatives per point, in registers, and
-//! finishes the update. The six rotation coefficients are precomputed into
-//! parameter volumes, so the hot loop is trigonometry-free. The leap-frog
-//! update is acoustic's `c1·u − c2·u⁻ + c3·rhs`: `c3` and the anisotropy
-//! (`1 + 2ε`, `√(1+2δ)`, the rotation) are the nine per-point volumes, while
-//! the damping-only `c1`, `c2` come from the `Sponge`'s per-pencil `z`
-//! profiles. As in acoustic, each field's ring keeps two levels and `p⁺`,
-//! `q⁺` overwrite `p⁻`, `q⁻` in place, which the update reads only at the
-//! point it writes.
+//! finishes the update. The rotation is stored as three parameter volumes,
+//! `2a`, `2b` and `c` with `(a, b, c) = (sinθcosφ, sinθsinφ, cosθ)`, so the
+//! hot loop is trigonometry-free; the kernel forms the six products of
+//! `G_z̄z̄` from them per point, in registers, to the bit the products
+//! `a·a, …, 2·a·b, 2·a·c, 2·b·c` would have if stored (DESIGN.md §10). The
+//! leap-frog update is acoustic's `c1·u − c2·u⁻ + c3·rhs`: `c3` and the
+//! anisotropy (`1 + 2ε`, `√(1+2δ)`, the rotation) are the six per-point
+//! volumes, while the damping-only `c1`, `c2` come from the `Sponge`'s
+//! per-pencil `z` profiles. As in acoustic, each field's ring keeps two
+//! levels and `p⁺`, `q⁺` overwrite `p⁻`, `q⁻` in place, which the update
+//! reads only at the point it writes.
 
 use std::sync::OnceLock;
 
@@ -59,9 +62,9 @@ pub struct Tti {
     eps2: Array3<f32>,
     /// `√(1 + 2δ)` per point.
     delta_bar: Array3<f32>,
-    /// Rotation coefficients of `G_z̄z̄`: a², b², c², 2ab, 2ac, 2bc with
+    /// The rotation of `G_z̄z̄` as `[2a, 2b, c]`, with
     /// `(a, b, c) = (sinθcosφ, sinθsinφ, cosθ)`.
-    gz: [Array3<f32>; 6],
+    rot: [Array3<f32>; 3],
     // Second-derivative axis weights (straight terms).
     wxx: AxisWeights,
     wyy: AxisWeights,
@@ -109,7 +112,7 @@ impl Tti {
         let n = shape.len();
         let mut eps2 = Array3::from_shape(shape);
         let mut delta_bar = Array3::from_shape(shape);
-        let mut gz: [Array3<f32>; 6] = std::array::from_fn(|_| Array3::from_shape(shape));
+        let mut rot: [Array3<f32>; 3] = std::array::from_fn(|_| Array3::from_shape(shape));
         for i in 0..n {
             eps2.as_mut_slice()[i] = 1.0 + 2.0 * model.epsilon.as_slice()[i];
             delta_bar.as_mut_slice()[i] = (1.0 + 2.0 * model.delta.as_slice()[i]).sqrt();
@@ -118,12 +121,11 @@ impl Tti {
             let (st, ct) = th.sin_cos();
             let (sp, cp) = ph.sin_cos();
             let (a, b, c) = (st * cp, st * sp, ct);
-            gz[0].as_mut_slice()[i] = a * a;
-            gz[1].as_mut_slice()[i] = b * b;
-            gz[2].as_mut_slice()[i] = c * c;
-            gz[3].as_mut_slice()[i] = 2.0 * a * b;
-            gz[4].as_mut_slice()[i] = 2.0 * a * c;
-            gz[5].as_mut_slice()[i] = 2.0 * b * c;
+            // Doubled, not halved: `2a` stays normal where `a` is just
+            // subnormal, as `2·a·c` is (DESIGN.md §10).
+            for (v, x) in rot.iter_mut().zip([2.0 * a, 2.0 * b, c]) {
+                v.as_mut_slice()[i] = x;
+            }
         }
 
         let src = SourceBundle::with_ricker(&cfg.domain, sources, cfg.f0, cfg.dt, cfg.nt);
@@ -139,7 +141,7 @@ impl Tti {
             sponge,
             eps2,
             delta_bar,
-            gz,
+            rot,
             wxx,
             wyy,
             wzz,
@@ -257,7 +259,7 @@ impl Tti {
                         c3: &c3r[zs.clone()],
                         eps2: &self.eps2.pencil(x, y)[zs.clone()],
                         delta: &self.delta_bar.pencil(x, y)[zs.clone()],
-                        g: std::array::from_fn(|k| &self.gz[k].pencil(x, y)[zs.clone()]),
+                        rot: std::array::from_fn(|k| &self.rot[k].pencil(x, y)[zs.clone()]),
                     };
                     // SAFETY: the schedule contract gives this call exclusive
                     // ownership of the region's pencils at level `k + 2`,
@@ -370,7 +372,7 @@ impl WaveSolver for Tti {
             self.eps2.as_slice(),
             self.delta_bar.as_slice(),
         ];
-        out.extend(self.gz.iter().map(|g| g.as_slice()));
+        out.extend(self.rot.iter().map(|r| r.as_slice()));
         for w in [&self.wxx, &self.wyy, &self.wzz] {
             out.push(std::slice::from_ref(&w.center));
             out.push(&w.side);
@@ -422,6 +424,20 @@ mod tests {
         let src = SparsePoints::single_center(&domain, 0.4);
         let rec = SparsePoints::receiver_line(&domain, 4, 0.2);
         Tti::new(&model, cfg, src, Some(rec))
+    }
+
+    #[test]
+    fn holds_six_grid_sized_parameter_volumes() {
+        // `c3`, `1 + 2ε`, `√(1 + 2δ)` and the rotation as `2a`, `2b`, `c`.
+        let t = setup(0.35, 8, 2);
+        let coeff = t.coefficients();
+        let volumes = coeff.iter().filter(|c| c.len() == t.shape().len());
+        assert_eq!(volumes.count(), 6);
+        let ((st, ct), (sp, cp)) = (0.35f32.sin_cos(), 0.3f32.sin_cos());
+        let (a, b) = (st * cp, st * sp);
+        for (k, want) in [2.0 * a, 2.0 * b, ct].into_iter().enumerate() {
+            assert!(coeff[5 + k].iter().all(|v| v.to_bits() == want.to_bits()), "volume {k}");
+        }
     }
 
     #[test]

@@ -674,9 +674,11 @@ unsafe fn first<const R: usize, const H: usize>(
     acc
 }
 
-/// Update `H` lane steps of the `p` and `q` rows from `j`: the six
-/// derivatives one at a time, both fields together, each folded into `gzz`
-/// (and `p`'s Laplacian) as soon as it is formed, so few are live at once.
+/// Update `H` lane steps of the `p` and `q` rows from `j`: the six rotation
+/// products of [`kernels::tti_at_r`] once per lane step, shared by both
+/// fields, then the six derivatives one at a time, both fields together,
+/// each folded into `gzz` (and `p`'s Laplacian) as soon as it is formed, so
+/// few are live at once.
 ///
 /// # Safety
 /// The host CPU must support AVX2, the pointers must come from
@@ -686,16 +688,29 @@ unsafe fn first<const R: usize, const H: usize>(
 unsafe fn tti_lanes<const R: usize, const H: usize>(
     st: &TtiStencil<R>,
     [u, dy, dx]: [[*const f32; 2]; 3],
-    g: &[*const f32; 6],
+    [a2, b2, cc]: [*const f32; 3],
     [c1, c2, c3, eps2, delta]: [*const f32; 5],
     out: [*mut f32; 2],
     j: usize,
 ) {
     let at = |r: [*const f32; 2]| [r[0].add(j), r[1].add(j)];
+    let mut g = [[_mm256_setzero_ps(); H]; 6];
+    let half = _mm256_set1_ps(0.5);
+    for h in 0..H {
+        let jh = j + h * LANE;
+        let [a2, b2, cc] = [a2, b2, cc].map(|r| _mm256_loadu_ps(r.add(jh)));
+        let (a, b) = (_mm256_mul_ps(half, a2), _mm256_mul_ps(half, b2));
+        for (k, [x, y]) in [[a, a], [b, b], [cc, cc], [a, b2], [a2, cc], [b2, cc]]
+            .into_iter()
+            .enumerate()
+        {
+            g[k][h] = _mm256_mul_ps(x, y);
+        }
+    }
     let mut gzz = [[_mm256_setzero_ps(); H]; 2];
     let mut fold = |k: usize, d: [[__m256; H]; 2]| {
         for h in 0..H {
-            let gk = _mm256_loadu_ps(g[k].add(j + h * LANE));
+            let gk = g[k][h];
             for f in 0..2 {
                 let t = _mm256_mul_ps(gk, d[f][h]);
                 gzz[f][h] = if k == 0 { t } else { _mm256_add_ps(gzz[f][h], t) };
@@ -761,16 +776,16 @@ pub unsafe fn tti_update_row_r<const R: usize>(
         f.each_ref().map(|f| f.cache.as_ptr().add(f.dy)),
         f.each_ref().map(|f| f.dx.as_ptr().add(R)),
     ];
-    let g = c.g.map(<[f32]>::as_ptr);
+    let rot = c.rot.map(<[f32]>::as_ptr);
     let coef = [c.c1, c.c2, c.c3, c.eps2, c.delta].map(<[f32]>::as_ptr);
     let out = [p.as_mut_ptr(), q.as_mut_ptr()];
     let mut j = 0;
     while j + 2 * LANE <= n {
-        tti_lanes::<R, 2>(st, rows, &g, coef, out, j);
+        tti_lanes::<R, 2>(st, rows, rot, coef, out, j);
         j += 2 * LANE;
     }
     if j + LANE <= n {
-        tti_lanes::<R, 1>(st, rows, &g, coef, out, j);
+        tti_lanes::<R, 1>(st, rows, rot, coef, out, j);
         j += LANE;
     }
     for jj in j..n {

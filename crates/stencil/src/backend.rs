@@ -546,7 +546,7 @@ impl Backend {
         assert!(
             [q.len(), c.c1.len(), c.c2.len(), c.c3.len(), c.eps2.len(), c.delta.len()]
                 .into_iter()
-                .chain(c.g.map(<[f32]>::len))
+                .chain(c.rot.map(<[f32]>::len))
                 .all(|l| l == n),
             "tti_update_row_r: row lengths differ"
         );
@@ -987,7 +987,8 @@ mod tests {
 
     /// A fused-TTI fixture: the two levels on one padded grid, a `D_y` row
     /// cache, the two `D_x` rows, the stencil weights and random per-point
-    /// rows (eleven coefficients, then `p⁻` and `q⁻`). With `zeros`, every
+    /// rows (eight coefficients — `c1`, `c2`, `c3`, `1 + 2ε`, `√(1 + 2δ)` and
+    /// the rotation `2a`, `2b`, `c` —, then `p⁻` and `q⁻`). With `zeros`, every
     /// level, cache, `D_x` and `u⁻` value is `±0.0`, so the signs of zero
     /// each backend produces are compared too; otherwise every seventh of
     /// those values is `-0.0`.
@@ -996,7 +997,7 @@ mod tests {
         cache: Vec<f32>,
         dx: [Vec<f32>; 2],
         st: TtiStencil<R>,
-        rows: [Vec<f32>; 13],
+        rows: [Vec<f32>; 10],
         nz: usize,
     }
 
@@ -1020,9 +1021,9 @@ mod tests {
             let dx = [field(nz), field(nz)];
             let (pm, qm) = (field(nz), field(nz));
             let mut rng = Rng64::new(53);
-            let mut rows: [Vec<f32>; 13] =
+            let mut rows: [Vec<f32>; 10] =
                 std::array::from_fn(|_| (0..nz).map(|_| rng.next_f32() - 0.25).collect());
-            [rows[11], rows[12]] = [pm, qm];
+            [rows[8], rows[9]] = [pm, qm];
             let w2 = [2.0, 3.0, 5.0].map(|h| AxisWeights::second_derivative(2 * R, h));
             let w1 = |h| first_derivative_weights(2 * R, h).try_into().unwrap();
             let st = TtiStencil {
@@ -1059,9 +1060,78 @@ mod tests {
                 c3: r(2),
                 eps2: r(3),
                 delta: r(4),
-                g: std::array::from_fn(|k| r(5 + k)),
+                rot: std::array::from_fn(|k| r(5 + k)),
             }
         }
+
+        /// Every input `+0.0` but for signed zeros that make the first
+        /// derivative `∂xy p` decide an output bit at pencil point `SIGN` of
+        /// rows from `z0 = R` — in the two-lane step of a `2·LANE` row, in
+        /// the one-lane step of a `LANE + 3` row:
+        /// there every term of `gzz_p` but `g3·∂xy p` is `-0.0`, and so are
+        /// `c1·u − c2·u⁻` and `√(1+2δ)·gzz_q`, so `p⁺ = -0.0` exactly when
+        /// `∂xy p` is `+0.0`. Each tap pair of `∂xy p` contributes `-0.0`,
+        /// so a first derivative summed from `0.0`, as
+        /// [`kernels::first_diff_axis_r`] is, gives `+0.0`, and one summed
+        /// from its first product gives `-0.0`.
+        fn signed_zero_first() -> Self {
+            // The zero whose product with `w` is `-0.0`, and the one whose
+            // product is `+0.0`.
+            let neg = |w: f32| if w > 0.0 { -0.0 } else { 0.0 };
+            let pos = |w: f32| if w > 0.0 { 0.0 } else { -0.0 };
+            let mut fx = TtiFixture::<R>::new(true);
+            let st = fx.st;
+            for v in fx.u.iter_mut().chain(&mut fx.dx).chain([&mut fx.cache]) {
+                v.fill(0.0);
+            }
+            let [c, ..] = fx.fields(R, 0).map(|f| (f.i0, f.dy));
+            // One centre value serves the three straight derivatives.
+            assert!(st.center.iter().all(|&w| (w > 0.0) == (st.center[0] > 0.0)));
+            let (j, i, dy) = (Self::SIGN, c.0 + Self::SIGN, c.1 + Self::SIGN);
+            // `∂xx p`, `∂yy p`, `∂zz p`: every product `-0.0`.
+            fx.u[0][i] = neg(st.center[0]);
+            for (s, a) in [(st.sx, 0), (st.sy, 1), (1, 2)] {
+                for (k, &w) in st.side[a].iter().enumerate() {
+                    let o = (k + 1) * s;
+                    [fx.u[0][i + o], fx.u[0][i - o]] = [neg(w), neg(w)];
+                }
+            }
+            for (k, (&wx, &wz)) in st.w1x.iter().zip(&st.w1z).enumerate() {
+                let o = k + 1;
+                // `∂xy p` across the cache: every tap pair `-0.0`.
+                fx.cache[dy + o * st.plane] = neg(wx);
+                // `∂yz p` along its cached row and `∂xz p` along its `D_x`
+                // row: every tap pair `+0.0`.
+                fx.cache[dy + o] = pos(wz);
+                fx.dx[0][R + j + o] = pos(wz);
+            }
+            // `c1·u − c2·u⁻ = -0.0`; `√(1+2δ)·gzz_q = -0.0` (`gzz_q` holds
+            // `a²·∂xx q = +0.0`); `1 + 2ε`, `c3` keep a sign; `2a·c`,
+            // `2b·c < 0 < a·2b`.
+            let [c1, c2, c3, eps2, delta, a2, b2, cc, pm, qm] = &mut fx.rows;
+            let c1v = if fx.u[0][i].is_sign_negative() { 0.75 } else { -0.75 };
+            for (row, v) in [
+                (c1, c1v),
+                (c2, 0.5),
+                (c3, 0.25),
+                (eps2, 1.5),
+                (delta, -1.25),
+                (a2, 0.8),
+                (b2, 0.6),
+                (cc, -0.5),
+                (pm, 0.0),
+                (qm, 0.0),
+            ] {
+                row.fill(v);
+            }
+            let [p, _] = fx.run(Backend::Scalar, R, 2 * simd::LANE);
+            assert_eq!(p[j].to_bits(), (-0.0f32).to_bits(), "R {R}: the fixture's sign");
+            fx
+        }
+
+        /// Where [`signed_zero_first`](Self::signed_zero_first) sets its
+        /// signs.
+        const SIGN: usize = 3;
 
         /// Row starts `(z0, n)`: aligned and unaligned × two whole lanes, a
         /// lane plus a tail, shorter than a lane and empty.
@@ -1077,7 +1147,7 @@ mod tests {
 
         /// The fused kernel of `b` over row `(z0, n)`: the updated `p`, `q`.
         fn run(&self, b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
-            let [mut p, mut q] = [self.rows[11][..n].to_vec(), self.rows[12][..n].to_vec()];
+            let [mut p, mut q] = [self.rows[8][..n].to_vec(), self.rows[9][..n].to_vec()];
             b.tti_update_row_r::<R>(&self.st, &self.fields(z0, n), &self.coeffs(n), &mut p, &mut q);
             [p, q]
         }
@@ -1089,7 +1159,9 @@ mod tests {
 
         /// [`run`](Self::run) as the step body computed it before the update
         /// was fused: the six derivative rows of each field through the
-        /// public row kernels of `b`, then the combine loop.
+        /// public row kernels of `b`, then the combine loop over the rotation
+        /// products as set-up stored them: `a·a`, …, `2·a·b`, `2·a·c`,
+        /// `2·b·c` with `a`, `b` the halves of the `2a`, `2b` rows.
         fn two_passes(&self, b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
             let st = &self.st;
             let rows = |f: &TtiField| -> [Vec<f32>; 6] {
@@ -1106,9 +1178,15 @@ mod tests {
             let [fp, fq] = self.fields(z0, n);
             let [pxx, pyy, pzz, pxy, pxz, pyz] = rows(&fp);
             let [qxx, qyy, qzz, qxy, qxz, qyz] = rows(&fq);
-            let [c1, c2, c3, er, dr, g0, g1, g2, g3, g4, g5, pm, qm] = &self.rows;
+            let [c1, c2, c3, er, dr, a2, b2, cc, pm, qm] = &self.rows;
             let (p0, q0) = (&fp.u[fp.i0..], &fq.u[fq.i0..]);
             let (mut pn, mut qn) = (pm[..n].to_vec(), qm[..n].to_vec());
+            let rotation = |j: usize| {
+                let (a, b, c) = (a2[j] / 2.0, b2[j] / 2.0, cc[j]);
+                [a * a, b * b, c * c, 2.0 * a * b, 2.0 * a * c, 2.0 * b * c]
+            };
+            let [g0, g1, g2, g3, g4, g5]: [Vec<f32>; 6] =
+                std::array::from_fn(|k| (0..n).map(|j| rotation(j)[k]).collect());
             for j in 0..n {
                 let gzz_p = g0[j] * pxx[j]
                     + g1[j] * pyy[j]
@@ -1133,22 +1211,28 @@ mod tests {
     }
 
     /// Each backend's fused TTI rows against Scalar's, or against the two
-    /// passes, for every row shape, on random inputs and on signed zeros.
+    /// passes, for every row shape, on random inputs, on signed zeros, and
+    /// on signed zeros where the sign of a zero first derivative reaches
+    /// `p⁺`.
     fn check_tti<const R: usize>(
         what: &str,
         want: impl Fn(&TtiFixture<R>, Backend, usize, usize) -> [Vec<f32>; 2],
     ) {
-        for zeros in [false, true] {
-            let fx = TtiFixture::<R>::new(zeros);
+        let fixtures = [
+            ("random", TtiFixture::<R>::new(false)),
+            ("zeros", TtiFixture::new(true)),
+            ("zero-sign", TtiFixture::signed_zero_first()),
+        ];
+        for (name, fx) in &fixtures {
             for b in testable() {
                 for (z0, n) in TtiFixture::<R>::cases() {
-                    let (got, want) = (fx.run(b, z0, n), want(&fx, b, z0, n));
+                    let (got, want) = (fx.run(b, z0, n), want(fx, b, z0, n));
                     for (f, (g, w)) in got.iter().zip(&want).enumerate() {
                         for (j, (g, w)) in g.iter().zip(w).enumerate() {
                             assert_eq!(
                                 g.to_bits(),
                                 w.to_bits(),
-                                "{b}: {what} differ, field {f} R {R} zeros {zeros} \
+                                "{b}: {what} differ, field {f} R {R} {name} \
                                  z0 {z0} n {n} j {j}"
                             );
                         }

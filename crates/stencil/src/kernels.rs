@@ -452,14 +452,18 @@ pub struct TtiCoeffs<'a> {
     pub eps2: &'a [f32],
     /// `√(1 + 2δ)`.
     pub delta: &'a [f32],
-    /// Rotation coefficients of `G_z̄z̄`, in [`TtiField::derivatives_at`]'s
-    /// order.
-    pub g: [&'a [f32]; 6],
+    /// The rotation of `G_z̄z̄` as `[2a, 2b, c]`, with
+    /// `(a, b, c) = (sinθcosφ, sinθsinφ, cosθ)`: the update forms its six
+    /// products per point ([`tti_at_r`]).
+    pub rot: [&'a [f32]; 3],
 }
 
-/// Fused TTI update at pencil point `j` from `um = [p⁻, q⁻]`: with
-/// `gzz = g0·xx + g1·yy + g2·zz + g3·xy + g4·xz + g5·yz` per field and
-/// `gh = ((pxx + pyy) + pzz) − gzz_p`, returns
+/// Fused TTI update at pencil point `j` from `um = [p⁻, q⁻]`. From
+/// `rot = [2a, 2b, c]` it forms `a = ½·2a`, `b = ½·2b` and the rotation
+/// products `g = [a·a, b·b, c·c, a·2b, 2a·c, 2b·c]` — the values `a·a`, …,
+/// `2·a·b`, `2·a·c`, `2·b·c` evaluate to, halving and doubling being exact
+/// (DESIGN.md §10). With `gzz = g0·xx + g1·yy + g2·zz + g3·xy + g4·xz + g5·yz`
+/// per field and `gh = ((pxx + pyy) + pzz) − gzz_p`, returns
 /// `[(c1·p − c2·p⁻) + c3·(eps2·gh + delta·gzz_q),
 ///   (c1·q − c2·q⁻) + c3·(delta·gh + gzz_q)]`.
 #[inline(always)]
@@ -472,7 +476,9 @@ pub fn tti_at_r<const R: usize>(
 ) -> [f32; 2] {
     let [pxx, pyy, pzz, pxy, pxz, pyz] = f[0].derivatives_at(st, j);
     let [qxx, qyy, qzz, qxy, qxz, qyz] = f[1].derivatives_at(st, j);
-    let [g0, g1, g2, g3, g4, g5] = c.g.map(|g| g[j]);
+    let [a2, b2, cc] = c.rot.map(|r| r[j]);
+    let (a, b) = (0.5 * a2, 0.5 * b2);
+    let [g0, g1, g2, g3, g4, g5] = [a * a, b * b, cc * cc, a * b2, a2 * cc, b2 * cc];
     let gzz_p = g0 * pxx + g1 * pyy + g2 * pzz + g3 * pxy + g4 * pxz + g5 * pyz;
     let gzz_q = g0 * qxx + g1 * qyy + g2 * qzz + g3 * qxy + g4 * qxz + g5 * qyz;
     let gh = (pxx + pyy + pzz) - gzz_p;

@@ -105,18 +105,20 @@ pub fn tti_cost(so: usize) -> KernelCost {
     // field five first-derivative passes — the cached `D_y` row, the `D_x`
     // row, and the composed `D_x(D_y)`, `D_z(D_x)`, `D_z(D_y)`.
     let (second_rows, first_passes) = (2 * 3, 2 * 5);
-    // Combine: the two rotated sums `G_z̄z̄ p`, `G_z̄z̄ q` (6 multiplies + 5
-    // adds each), `G_h p` (3), the two right-hand sides (3 + 2) and the two
-    // leap-frog updates (5 each).
-    let combine = 2 * 11 + 3 + 3 + 2 + 2 * 5;
+    // Combine: the six rotation products from `2a`, `2b`, `c` (8 multiplies:
+    // `a`, `b` once, then `a·a`, `b·b`, `c·c`, `a·2b`, `2a·c`, `2b·c`), the
+    // two rotated sums `G_z̄z̄ p`, `G_z̄z̄ q` (6 multiplies + 5 adds each),
+    // `G_h p` (3), the two right-hand sides (3 + 2) and the two leap-frog
+    // updates (5 each).
+    let combine = 8 + 2 * 11 + 3 + 3 + 2 + 2 * 5;
     let flops = second_rows as f64 * second_diff_flops(r)
         + first_passes as f64 * first_diff_flops(r)
         + combine as f64;
     // Streams: `p`, `p⁻`, `q`, `q⁻` reads; `p⁺`, `q⁺` writes over `p⁻`,
-    // `q⁻` in place, with no write-allocate reads; 9 parameter volumes
-    // (`c3`, `1+2ε`, `√(1+2δ)`, six rotation coefficients — the sponge's
-    // `c1`, `c2` are per-pencil scalars).
-    let params = 9;
+    // `q⁻` in place, with no write-allocate reads; 6 parameter volumes
+    // (`c3`, `1+2ε`, `√(1+2δ)` and the rotation's `2a`, `2b`, `c` — the
+    // sponge's `c1`, `c2` are per-pencil scalars).
+    let params = 6;
     let streams = 4 + 2 + params;
     let f = 4.0;
     let bytes_streaming = f * streams as f64;
@@ -190,21 +192,22 @@ mod tests {
         // Derived from the step's structure, not from the formula: per field
         // three straight rows of 2r+1 taps and five first-derivative passes
         // of 2r taps (two inner rows, three composed), each tap pair an
-        // add/sub, a multiply and an accumulate; then the combine.
+        // add/sub, a multiply and an accumulate; then the combine, whose
+        // first 8 multiplies form the rotation products.
         for so in [4usize, 8, 12] {
             let r = so / 2;
             let (fields, straight, passes) = (2, 3, 5);
             let pair_flops = 3;
             let row_flops = straight * (r * pair_flops + 1) + passes * r * pair_flops;
-            let combine = 40;
+            let combine = 8 + 40;
             let c = tti_cost(so);
             assert_eq!(c.flops, (fields * row_flops + combine) as f64, "so {so}");
-            // Two fields read twice and written once in place, 9 volumes.
-            assert_eq!(c.bytes_streaming, 4.0 * 15.0);
+            // Two fields read twice and written once in place, 6 volumes.
+            assert_eq!(c.bytes_streaming, 4.0 * 12.0);
             let taps = fields * (straight * (2 * r + 1) + passes * 2 * r);
-            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 13) as f64);
+            assert_eq!(c.bytes_no_reuse, 4.0 * (taps + 10) as f64);
         }
-        assert_eq!(tti_cost(8).flops, 238.0);
+        assert_eq!(tti_cost(8).flops, 246.0);
     }
 
     #[test]

@@ -541,15 +541,16 @@ pub fn tti_update_pencil_r<const R: usize>(
     let n = p.len();
     let (wp, wq) = (TtiWindows::new(&f[0], st, n), TtiWindows::new(&f[1], st, n));
     let [c1, c2, c3, eps2, delta] = [c.c1, c.c2, c.c3, c.eps2, c.delta].map(|r| &r[..n]);
-    let [g0, g1, g2, g3, g4, g5] = c.g.map(|g| &g[..n]);
+    let [a2, b2, cc] = c.rot.map(|r| &r[..n]);
     let q = &mut q[..n];
     for j in 0..n {
         let [pxx, pyy, pzz, pxy, pxz, pyz] = wp.at(st, j);
         let [qxx, qyy, qzz, qxy, qxz, qyz] = wq.at(st, j);
-        let gzz_p =
-            g0[j] * pxx + g1[j] * pyy + g2[j] * pzz + g3[j] * pxy + g4[j] * pxz + g5[j] * pyz;
-        let gzz_q =
-            g0[j] * qxx + g1[j] * qyy + g2[j] * qzz + g3[j] * qxy + g4[j] * qxz + g5[j] * qyz;
+        let (a, b) = (0.5 * a2[j], 0.5 * b2[j]);
+        let [g0, g1, g2, g3, g4, g5] =
+            [a * a, b * b, cc[j] * cc[j], a * b2[j], a2[j] * cc[j], b2[j] * cc[j]];
+        let gzz_p = g0 * pxx + g1 * pyy + g2 * pzz + g3 * pxy + g4 * pxz + g5 * pyz;
+        let gzz_q = g0 * qxx + g1 * qyy + g2 * qzz + g3 * qxy + g4 * qxz + g5 * qyz;
         let gh = (pxx + pyy + pzz) - gzz_p;
         let rhs_p = eps2[j] * gh + delta[j] * gzz_q;
         let rhs_q = delta[j] * gh + gzz_q;

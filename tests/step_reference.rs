@@ -1,10 +1,12 @@
 //! Every propagator's step against an independent oracle, under every way
 //! of cutting the domain into regions.
 //!
-//! The production step bodies (`Acoustic::step_rows`, `Tti::step_rows`)
-//! compute whole derivative rows into a per-worker scratch and combine them
-//! over slices; TTI additionally evaluates each mixed derivative as a
-//! composition of two first-derivative row passes through a row cache.
+//! The production step bodies work in rows: `Acoustic::step_rows` computes
+//! whole Laplacian rows and combines them over slices; `Tti::step_rows`
+//! writes first-derivative rows (`D_y u` of the region dilated along x, and
+//! one `D_x u` row per output pencil) to a per-worker scratch, then makes
+//! one fused kernel call per output pencil that forms every second
+//! derivative and the six rotation products in registers;
 //! `Elastic::{vel_rows, stress_rows}` make one fused kernel call per output
 //! pencil (per normal-stress triple), derivatives in registers, no scratch.
 //! The oracles here share none of that: per point, no rows, no scratch, no
@@ -14,13 +16,15 @@
 //! staggered forward/backward differences for elastic — to the ring levels
 //! and to per-point coefficients. Those the oracle builds itself from the
 //! model and the dense `DampingMask::sponge` volume: the leap-frog `c1`,
-//! `c2`, `c3`, and elastic's `dt·λ`, `dt·μ`, `2·dt·μ`, `dt/ρ`, `1 − η`. The
+//! `c2`, `c3`, TTI's rotation products `a²`, `b²`, `c²`, `2ab`, `2ac`, `2bc`
+//! (from θ and φ, as set-up once stored them, outside any flush mode), and
+//! elastic's `dt·λ`, `dt·μ`, `2·dt·μ`, `dt/ρ`, `1 − η`. The
 //! solvers read the sponge from one `z` profile per distance to the `x`/`y`
 //! faces, so this is what checks that per-pencil form point by point, under
 //! layers of 0, 3 and 11 points (at 11 the `z` layers overlap: `nz < 2·nbl`).
-//! TTI's anisotropy volumes and the stencil weights come from the solver's
-//! public `coefficients()`. The production step must equal its oracle bit
-//! for bit on every backend (`Scalar` included), and must keep doing so
+//! TTI's `1 + 2ε`, `√(1 + 2δ)` and the stencil weights come from the
+//! solver's public `coefficients()`. The production step must equal its
+//! oracle bit for bit on every backend (`Scalar` included), and must keep doing so
 //! however the same levels are stepped: whole domain, 1×1 blocks, random
 //! `split_xy` shapes, z-sub-ranges, on any number of workers. Every step
 //! writes its oldest level in place, so the oracle reads the seeded inputs
@@ -36,7 +40,11 @@
 //! read as zero and flush to zero), so the oracle is evaluated under a
 //! `FlushGuard` too; a control shows that the same oracle outside the guard
 //! produces subnormal values from the front, i.e. that the fixture reaches
-//! the range where the mode matters.
+//! the range where the mode matters. A third fixture pins the rotation
+//! products: a TTI medium whose tilt and azimuth make `a`, `b` or `2ab`
+//! subnormal, stepped from a field odd about one x-plane, where every
+//! straight derivative is zero and a single mixed-derivative term of
+//! `G_z̄z̄` decides the output.
 
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{KernelPath, SparseMode};
@@ -100,6 +108,33 @@ fn leapfrog(cfg: &SimConfig, m: &Array3<f32>) -> Vec<Vec<f32>> {
     vec![c1, c2, c3]
 }
 
+/// The six rotation products of `G_z̄z̄` at tilt `theta`, azimuth `phi`,
+/// `[a², b², c², 2ab, 2ac, 2bc]` with `(a, b, c) = (sinθcosφ, sinθsinφ,
+/// cosθ)`, evaluated left to right in whatever floating-point mode the
+/// caller runs in.
+fn rotation(theta: f32, phi: f32) -> [f32; 6] {
+    let (st, ct) = theta.sin_cos();
+    let (sp, cp) = phi.sin_cos();
+    let (a, b, c) = (st * cp, st * sp, ct);
+    [a * a, b * b, c * c, 2.0 * a * b, 2.0 * a * c, 2.0 * b * c]
+}
+
+/// The six [`rotation`] products of `model` per point, one row each.
+fn rotation_rows(model: &TtiModel) -> Vec<Vec<f32>> {
+    let angles = model.theta.as_slice().iter().zip(model.phi.as_slice());
+    let g: Vec<[f32; 6]> = angles.map(|(&t, &p)| rotation(t, p)).collect();
+    (0..6).map(|k| g.iter().map(|g| g[k]).collect()).collect()
+}
+
+/// TTI coefficients per point: [`leapfrog`], then the [`rotation_rows`]
+/// of `model`, formed in the caller's mode — outside any `FlushGuard`, as
+/// set-up runs.
+fn tti_params(cfg: &SimConfig, model: &TtiModel) -> Vec<Vec<f32>> {
+    let mut out = leapfrog(cfg, &model.m);
+    out.extend(rotation_rows(model));
+    out
+}
+
 /// Elastic coefficients per point, `[dt·λ, dt·μ, 2·dt·μ, dt/ρ, 1 − η]`.
 fn elastic_params(cfg: &SimConfig, model: &ElasticModel) -> Vec<Vec<f32>> {
     let dt = cfg.dt;
@@ -123,16 +158,30 @@ enum Fixture {
     /// smallest subnormal is 1.4e-45) at the far face, random sign and
     /// mantissa — normal, then subnormal, then zero.
     Front,
+    /// `2²⁰·(x − ODD_X)·(y − ODD_Y)`, every level alike: odd about the plane
+    /// `x = ODD_X`, where `u`, `∂xx`, `∂yy`, `∂zz` and `∂yz` are exactly
+    /// zero and `∂xy` is not; `∂xz` is zero but within the radius of a z
+    /// face.
+    Odd,
 }
 
+/// The plane and row [`Fixture::Odd`] is odd about: at least the largest
+/// radius from every x face.
+const ODD_X: usize = 9;
+const ODD_Y: usize = 6;
+
 impl Fixture {
-    fn value(self, rng: &mut Rng64, x: usize) -> f32 {
+    fn value(self, rng: &mut Rng64, x: usize, y: usize) -> f32 {
         let v = rng.range_f32(-1.0, 1.0);
         match self {
             Fixture::Unit => v,
             Fixture::Front => {
                 let decades = -30.0 - 15.0 * x as f64 / (shape().nx - 1) as f64;
                 (v as f64 * 10f64.powf(decades)) as f32
+            }
+            Fixture::Odd => {
+                let d = |a: usize, b: usize| a as f32 - b as f32;
+                1_048_576.0 * d(x, ODD_X) * d(y, ODD_Y)
             }
         }
     }
@@ -150,7 +199,7 @@ fn inputs(s: &dyn WaveSolver, seed: u64, fixture: Fixture) -> Vec<Vec<f32>> {
     let mut rng = Rng64::new(seed ^ 0x5EED);
     let levels = rings(s).into_iter().flat_map(|ring| 0..ring.num_levels());
     let s = shape();
-    let values = levels.map(|_| s.iter().map(|(x, _, _)| fixture.value(&mut rng, x)).collect());
+    let values = levels.map(|_| s.iter().map(|(x, y, _)| fixture.value(&mut rng, x, y)).collect());
     values.collect()
 }
 
@@ -255,20 +304,19 @@ fn composed<const R: usize>(
     acc
 }
 
-/// TTI step `K` of the coupled `(p, q)` pair, `params` from [`leapfrog`].
+/// TTI step `K` of the coupled `(p, q)` pair, `params` from [`tti_params`].
 fn naive_tti<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
     let [c1, c2, c3] = [&params[0], &params[1], &params[2]];
+    let g = &params[3..9];
     let coeff = s.coefficients();
     let [eps2, delta_bar] = [coeff[3], coeff[4]];
-    let g = &coeff[5..11];
-    let (cxx, wxx) = (coeff[11][0], arr::<R>(coeff[12]));
-    let (cyy, wyy) = (coeff[13][0], arr::<R>(coeff[14]));
-    let (czz, wzz) = (coeff[15][0], arr::<R>(coeff[16]));
-    let (w1x, w1y, w1z) = (
-        arr::<R>(coeff[17]),
-        arr::<R>(coeff[18]),
-        arr::<R>(coeff[19]),
-    );
+    // The stencil weights are the last nine slices.
+    let [cxx, wxx, cyy, wyy, czz, wzz, w1x, w1y, w1z]: [&[f32]; 9] =
+        coeff[coeff.len() - 9..].try_into().expect("nine weight slices");
+    let (cxx, wxx) = (cxx[0], arr::<R>(wxx));
+    let (cyy, wyy) = (cyy[0], arr::<R>(wyy));
+    let (czz, wzz) = (czz[0], arr::<R>(wzz));
+    let (w1x, w1y, w1z) = (arr::<R>(w1x), arr::<R>(w1y), arr::<R>(w1z));
     let rings: Vec<&LevelRing> = s.written(K).into_iter().map(|(r, _)| r).collect();
     let (sx, sy) = (rings[0].sx(), rings[0].sy());
     // SAFETY: no step is in flight.
@@ -460,15 +508,7 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
 
     // Every rotation coefficient of the random TTI medium is non-trivial.
     let model = TtiModel::random(d, 1500.0, 4500.0, seed);
-    let cfg = config(so, EquationKind::Tti, model.vmax(), nbl);
-    let params = leapfrog(&cfg, &model.m);
-    let tti: Box<dyn WaveSolver> = Box::new(Tti::new(&model, cfg, source(), None));
-    let naive = match so / 2 {
-        2 => naive_tti::<2>,
-        4 => naive_tti::<4>,
-        _ => naive_tti::<6>,
-    };
-    out.push(Case::new(tti, (seed, fixture), K, naive, params));
+    out.push(tti_case(&model, so, nbl, (seed, fixture)));
 
     for phase in 0..2 {
         let model = ElasticModel::random(d, 1500.0, 4500.0, seed);
@@ -487,6 +527,51 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
         out.push(Case::new(elastic, (seed, fixture), vt, naive, params));
     }
     out
+}
+
+/// The TTI case of space order `so` over `model` under a layer of `nbl`
+/// points.
+fn tti_case(model: &TtiModel, so: usize, nbl: usize, inputs: (u64, Fixture)) -> Case {
+    let cfg = config(so, EquationKind::Tti, model.vmax(), nbl);
+    let params = tti_params(&cfg, model);
+    let tti: Box<dyn WaveSolver> = Box::new(Tti::new(model, cfg, source(), None));
+    let naive = match so / 2 {
+        2 => naive_tti::<2>,
+        4 => naive_tti::<4>,
+        _ => naive_tti::<6>,
+    };
+    Case::new(tti, inputs, K, naive, params)
+}
+
+/// Tilt and azimuth pairs whose rotation reaches the subnormal range:
+/// `b` subnormal but `2b` normal (then `2ab` is normal), `a` subnormal but
+/// `2a` normal (then `2ac` is), `a` so small that `2a` is subnormal too,
+/// and `a`, `b` normal with `2ab` subnormal.
+const POLES: [(f32, f32); 4] = [
+    (std::f32::consts::FRAC_PI_2, 1.5 * f32::MIN_POSITIVE / 2.0),
+    (1.5 * f32::MIN_POSITIVE / 2.0, 0.0),
+    (f32::MIN_POSITIVE / 16.0, 1.0),
+    (1e-19, std::f32::consts::FRAC_PI_4),
+];
+
+/// Which of [`POLES`] sets the angles at dense index `i` of
+/// [`pole_model`]; `POLES.len()` keeps the medium's own random angles.
+fn pole_at(i: usize) -> usize {
+    let (y, z) = ((i / shape().nz) % shape().ny, i % shape().nz);
+    (y + z) % (POLES.len() + 1)
+}
+
+/// A random TTI medium whose tilt and azimuth cycle through [`POLES`] and
+/// the medium's own random angles along `y + z`.
+fn pole_model(so: usize) -> TtiModel {
+    let mut model = TtiModel::random(domain(), 1500.0, 4500.0, 7 + so as u64);
+    let angles = model.theta.as_mut_slice().iter_mut().zip(model.phi.as_mut_slice());
+    for (i, (theta, phi)) in angles.enumerate() {
+        if let Some(&(t, p)) = POLES.get(pole_at(i)) {
+            (*theta, *phi) = (t, p);
+        }
+    }
+    model
 }
 
 /// Cut `lo..hi` at seeded random points into parts of 1 to `max` cells.
@@ -536,6 +621,11 @@ fn backends() -> Vec<Backend> {
 /// [`NBLS`], on every backend, under every decomposition and policy,
 /// against its oracle.
 fn check(orders: &[usize], fixture: Fixture) {
+    check_cases(orders, fixture, |so, nbl| cases(so, fixture, nbl));
+}
+
+/// [`check`] over the cases `make(so, nbl)` builds.
+fn check_cases(orders: &[usize], fixture: Fixture, make: impl Fn(usize, usize) -> Vec<Case>) {
     let policies = [
         Policy::Sequential,
         Policy::Parallel,
@@ -544,7 +634,7 @@ fn check(orders: &[usize], fixture: Fixture) {
         Policy::Capped { threads: 4 },
     ];
     for (&so, nbl) in orders.iter().flat_map(|so| NBLS.map(|nbl| (so, nbl))) {
-        for case in cases(so, fixture, nbl) {
+        for case in make(so, nbl) {
             // The oracle reads the inputs before any step overwrites them.
             let (s, vt, want) = (&*case.solver, case.vt, case.want());
             // The slot a step writes holds one of its inputs, so nothing can
@@ -589,6 +679,56 @@ fn step_equals_the_naive_reference_under_every_decomposition() {
 #[test]
 fn step_equals_the_naive_reference_on_a_subnormal_front() {
     check(&[4, 8, 12], Fixture::Front);
+}
+
+/// The TTI case over [`pole_model`], stepped from [`Fixture::Odd`].
+fn pole_case(so: usize, nbl: usize) -> Case {
+    tti_case(&pole_model(so), so, nbl, (so as u64, Fixture::Odd))
+}
+
+#[test]
+fn tti_step_equals_the_reference_under_subnormal_rotations() {
+    check_cases(&[4, 8, 12], Fixture::Odd, |so, nbl| vec![pole_case(so, nbl)]);
+}
+
+/// The control of the pole fixture: [`POLES`] reach the range they name,
+/// and the odd field carries the products they make normal — `2ab` from a
+/// subnormal `b`, `2ac` from a subnormal `a` — to output bits. Formed from
+/// `a`, `b`, `c` inside flush mode instead, where a subnormal `a` or `b`
+/// reads as zero, those products vanish and the oracle's bits change at
+/// points of both poles. Only where the target has a flush mode.
+#[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+#[test]
+fn the_pole_fixture_carries_the_rotation_products_to_output_bits() {
+    let sub = |v: f32| v.is_subnormal();
+    let angles = |(t, p): (f32, f32)| {
+        let ((st, ct), (sp, cp)) = (t.sin_cos(), p.sin_cos());
+        ([st * cp, st * sp, ct], rotation(t, p))
+    };
+    let ([_, b, _], g) = angles(POLES[0]);
+    assert!(sub(b) && g[3].is_normal(), "b subnormal, 2ab normal: {b:e} {:e}", g[3]);
+    let ([a, _, _], g) = angles(POLES[1]);
+    assert!(sub(a) && g[4].is_normal(), "a subnormal, 2ac normal: {a:e} {:e}", g[4]);
+    let ([a, _, _], _) = angles(POLES[2]);
+    assert!(sub(2.0 * a), "2a subnormal: {a:e}");
+    let ([a, b, _], g) = angles(POLES[3]);
+    assert!(a.is_normal() && b.is_normal() && sub(g[3]), "2ab subnormal: {:e}", g[3]);
+
+    for so in [4usize, 8, 12] {
+        let mut case = pole_case(so, 3);
+        let want = case.want();
+        let flushed = {
+            let _fp = FlushGuard::enter();
+            rotation_rows(&pole_model(so))
+        };
+        case.params.splice(3..9, flushed);
+        let differ = want.iter().zip(case.want()).enumerate().filter(|(_, (w, f))| *w != f);
+        // `want` holds `p`, then `q`, densely indexed.
+        let poles: Vec<usize> = differ.map(|(i, _)| pole_at(i % shape().len())).collect();
+        for pole in [0, 1] {
+            assert!(poles.contains(&pole), "so {so}: pole {pole} never reaches an output bit");
+        }
+    }
 }
 
 fn subnormals(bits: &[u32]) -> usize {
