@@ -101,9 +101,7 @@ fn bench_thread_scaling(cfg: Config) {
     };
     for threads in [1usize, 2, 4, 8] {
         if threads > avail {
-            println!(
-                "thread_scaling: skipping {threads} threads (only {avail} available)"
-            );
+            println!("thread_scaling: skipping {threads} threads (only {avail} available)");
             continue;
         }
         let mut s = setup::acoustic(64, 4, 8, 0);
@@ -130,7 +128,10 @@ fn profile_section() {
         let mut s = setup::acoustic(64, 4, 8, 0);
         let (_, profile, meta) = s.run_profiled(&e);
         if profile.is_empty() {
-            println!("profile: no samples for {} — build with --features obs", meta.schedule);
+            println!(
+                "profile: no samples for {} — build with --features obs",
+                meta.schedule
+            );
             continue;
         }
         println!("{}", profile.render(&meta));

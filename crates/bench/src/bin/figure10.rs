@@ -42,12 +42,20 @@ fn main() {
     let best: Candidate = sweep::tune_wavefront(&mut tuner, &cands).best;
     let base_blk = sweep::tune_baseline(&mut tuner);
     drop(tuner);
-    println!("  tuned: wtb {best}, baseline block {}x{}", base_blk.0, base_blk.1);
+    println!(
+        "  tuned: wtb {best}, baseline block {}x{}",
+        base_blk.0, base_blk.1
+    );
 
     let mut table = Table::new(
         "Figure 10 — acoustic SO4 speedup vs number of sources",
         &[
-            "layout", "sources", "affected pts", "base GPts/s", "wtb GPts/s", "speedup",
+            "layout",
+            "sources",
+            "affected pts",
+            "base GPts/s",
+            "wtb GPts/s",
+            "speedup",
         ],
     );
     let domain = Domain::uniform(Shape::cube(args.size), 10.0);

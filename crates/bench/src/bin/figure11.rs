@@ -37,7 +37,12 @@ fn main() {
     let mut table = Table::new(
         "Figure 11 — cache-aware roofline, isotropic acoustic (ceilings above)",
         &[
-            "kernel", "schedule", "AI flop/B", "GFLOP/s", "roof GFLOP/s", "% of roof",
+            "kernel",
+            "schedule",
+            "AI flop/B",
+            "GFLOP/s",
+            "roof GFLOP/s",
+            "% of roof",
         ],
     );
     let cands = sweep::candidates_for(args.size, args.size, args.nt, true);
@@ -56,10 +61,7 @@ fn main() {
         // height (the effective-AI model of the cache-aware roofline).
         let ai_wtb = cost.flops / cost.bytes_streaming_temporal(tuned.best.tile_t);
         let g_wtb = wtb.gflops(cost.flops);
-        for (label, ai, g) in [
-            ("spatial", ai_base, g_base),
-            ("wtb", ai_wtb, g_wtb),
-        ] {
+        for (label, ai, g) in [("spatial", ai_base, g_base), ("wtb", ai_wtb, g_wtb)] {
             let attainable = roof.attainable(ai);
             println!(
                 "  so{so} {label}: AI {ai:.2}, {g:.2} GFLOP/s ({:.0}% of {attainable:.2})",

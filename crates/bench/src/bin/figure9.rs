@@ -27,7 +27,13 @@ fn main() {
     let mut table = Table::new(
         "Figure 9 — WTB speedup over tuned spatial blocking",
         &[
-            "model", "so", "base blk", "base GPts/s", "wtb tile", "wtb GPts/s", "speedup",
+            "model",
+            "so",
+            "base blk",
+            "base GPts/s",
+            "wtb tile",
+            "wtb GPts/s",
+            "speedup",
         ],
     );
 
@@ -53,7 +59,10 @@ fn bench_one(model: &str, so: usize, args: &HarnessArgs, nt_tune: usize, table: 
             let base_blk = sweep::tune_baseline(&mut tuner);
             let tuned = sweep::tune_wavefront(&mut tuner, &cands);
             let mut s = setup::acoustic(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(sweep::exec_spaceblocked(base_blk.0, base_blk.1), args.kernel);
+            let eb = sweep::with_kernel(
+                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
+                args.kernel,
+            );
             let base = sweep::measure(&mut s, &eb, repeats);
             let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
             let wtb = sweep::measure(&mut s, &ew, repeats);
@@ -64,7 +73,10 @@ fn bench_one(model: &str, so: usize, args: &HarnessArgs, nt_tune: usize, table: 
             let base_blk = sweep::tune_baseline(&mut tuner);
             let tuned = sweep::tune_wavefront(&mut tuner, &cands);
             let mut s = setup::tti(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(sweep::exec_spaceblocked(base_blk.0, base_blk.1), args.kernel);
+            let eb = sweep::with_kernel(
+                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
+                args.kernel,
+            );
             let base = sweep::measure(&mut s, &eb, repeats);
             let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
             let wtb = sweep::measure(&mut s, &ew, repeats);
@@ -75,7 +87,10 @@ fn bench_one(model: &str, so: usize, args: &HarnessArgs, nt_tune: usize, table: 
             let base_blk = sweep::tune_baseline(&mut tuner);
             let tuned = sweep::tune_wavefront(&mut tuner, &cands);
             let mut s = setup::elastic(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(sweep::exec_spaceblocked(base_blk.0, base_blk.1), args.kernel);
+            let eb = sweep::with_kernel(
+                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
+                args.kernel,
+            );
             let base = sweep::measure(&mut s, &eb, repeats);
             let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
             let wtb = sweep::measure(&mut s, &ew, repeats);

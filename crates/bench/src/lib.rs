@@ -16,7 +16,7 @@
 
 pub mod args;
 pub mod microbench;
-pub mod sweep;
 pub mod report;
 pub mod roofline;
 pub mod setup;
+pub mod sweep;

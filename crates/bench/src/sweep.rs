@@ -4,8 +4,8 @@
 //! spatially blocked code, so both sides get a tuning sweep here: the
 //! baseline over block shapes, WTB over the Table-I candidate grid.
 
-use tempest_core::{Execution, RunStats, WaveSolver};
 use tempest_core::operator::{KernelPath, Schedule, SparseMode};
+use tempest_core::{Execution, RunStats, WaveSolver};
 use tempest_par::Policy;
 use tempest_tiling::{autotune, spaceblock_candidates, Candidate, TuneResult};
 
@@ -130,7 +130,12 @@ mod tests {
         };
         assert!(matches!(
             exec_wavefront(&base).schedule,
-            Schedule::WavefrontDataflow { tile_x: 16, tile_y: 8, tile_t: 4, .. }
+            Schedule::WavefrontDataflow {
+                tile_x: 16,
+                tile_y: 8,
+                tile_t: 4,
+                ..
+            }
         ));
     }
 }

@@ -336,7 +336,11 @@ impl LevelRing {
     /// state is re-materialised instead of stored per step).
     pub fn checkpoint(&mut self) -> RingCheckpoint {
         RingCheckpoint {
-            levels: self.levels.iter_mut().map(|l| l.get_mut().clone()).collect(),
+            levels: self
+                .levels
+                .iter_mut()
+                .map(|l| l.get_mut().clone())
+                .collect(),
         }
     }
 

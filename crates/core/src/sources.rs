@@ -161,13 +161,7 @@ impl FusedPencil {
     /// `None` under [`SparseMode::Classic`], whose operators run between
     /// sweeps instead ([`classic_step`]).
     #[inline]
-    pub fn begin(
-        mode: SparseMode,
-        k: usize,
-        x: usize,
-        y: usize,
-        zs: Range<usize>,
-    ) -> Option<Self> {
+    pub fn begin(mode: SparseMode, k: usize, x: usize, y: usize, zs: Range<usize>) -> Option<Self> {
         if mode == SparseMode::Classic {
             return None;
         }

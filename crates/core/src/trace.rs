@@ -70,7 +70,9 @@ impl TraceBuffer {
         let base = (t * self.nrec + r) * FOOTPRINT;
         self.slots[base..base + FOOTPRINT]
             .iter()
-            .fold(0.0f32, |acc, s| acc + f32::from_bits(s.load(Ordering::Relaxed)))
+            .fold(0.0f32, |acc, s| {
+                acc + f32::from_bits(s.load(Ordering::Relaxed))
+            })
     }
 
     /// Zero the whole trace.

@@ -67,11 +67,7 @@ pub enum Expr {
 impl Expr {
     /// Build a wavefield access.
     pub fn access(field: FieldId, t_off: i32, offs: [i32; 3]) -> Expr {
-        Expr::Access {
-            field,
-            t_off,
-            offs,
-        }
+        Expr::Access { field, t_off, offs }
     }
 
     /// Literal constant.
@@ -85,16 +81,12 @@ impl Expr {
         match self {
             Expr::Const(_) | Expr::Param(_) => false,
             Expr::Access {
-                field: f,
-                t_off: t,
-                ..
+                field: f, t_off: t, ..
             } => *f == field && *t == t_off,
             // Derivative nodes reference the field at t_off 0 only.
             Expr::Laplace(f) | Expr::Deriv { field: f, .. } => *f == field && t_off == 0,
             Expr::StagDeriv {
-                field: f,
-                t_off: t,
-                ..
+                field: f, t_off: t, ..
             } => *f == field && *t == t_off,
             Expr::Dt2(f) | Expr::Dt(f) => *f == field && (t_off == -1 || t_off == 0 || t_off == 1),
             Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {

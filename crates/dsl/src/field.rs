@@ -71,8 +71,16 @@ impl Context {
     }
 
     /// Declare a wavefield with the given time and space orders.
-    pub fn time_function(&mut self, name: &str, time_order: usize, space_order: usize) -> FieldHandle {
-        assert!(time_order == 1 || time_order == 2, "time order must be 1 or 2");
+    pub fn time_function(
+        &mut self,
+        name: &str,
+        time_order: usize,
+        space_order: usize,
+    ) -> FieldHandle {
+        assert!(
+            time_order == 1 || time_order == 2,
+            "time order must be 1 or 2"
+        );
         assert!(space_order >= 2 && space_order.is_multiple_of(2));
         let id = FieldId(self.decls.len());
         self.decls.push(FieldDecl {
@@ -259,7 +267,14 @@ mod tests {
         assert_eq!(u.forward(), Expr::access(u.id(), 1, [0, 0, 0]));
         assert_eq!(u.backward(), Expr::access(u.id(), -1, [0, 0, 0]));
         assert!(matches!(u.laplace(), Expr::Laplace(_)));
-        assert!(matches!(u.d2(1), Expr::Deriv { axis: 1, order: 2, .. }));
+        assert!(matches!(
+            u.d2(1),
+            Expr::Deriv {
+                axis: 1,
+                order: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

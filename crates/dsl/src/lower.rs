@@ -54,9 +54,11 @@ impl LowExpr {
     pub fn radius(&self) -> usize {
         match self {
             LowExpr::Const(_) | LowExpr::Param(_) => 0,
-            LowExpr::Access { offs, .. } => {
-                offs.iter().map(|o| o.unsigned_abs() as usize).max().unwrap()
-            }
+            LowExpr::Access { offs, .. } => offs
+                .iter()
+                .map(|o| o.unsigned_abs() as usize)
+                .max()
+                .unwrap(),
             LowExpr::Stencil { taps, .. } => taps
                 .iter()
                 .map(|(o, _)| o.iter().map(|v| v.unsigned_abs() as usize).max().unwrap())
@@ -109,11 +111,7 @@ pub fn lower(ctx: &Context, e: &Expr) -> LowExpr {
 fn lower_inner(ctx: &Context, e: &Expr) -> LowExpr {
     match e {
         Expr::Const(v) => LowExpr::Const(*v as f32),
-        Expr::Access {
-            field,
-            t_off,
-            offs,
-        } => LowExpr::Access {
+        Expr::Access { field, t_off, offs } => LowExpr::Access {
             field: *field,
             t_off: *t_off,
             offs: *offs,
@@ -208,22 +206,18 @@ fn lower_inner(ctx: &Context, e: &Expr) -> LowExpr {
                 taps,
             }
         }
-        Expr::Add(a, b) => LowExpr::Add(
-            Box::new(lower_inner(ctx, a)),
-            Box::new(lower_inner(ctx, b)),
-        ),
-        Expr::Sub(a, b) => LowExpr::Sub(
-            Box::new(lower_inner(ctx, a)),
-            Box::new(lower_inner(ctx, b)),
-        ),
-        Expr::Mul(a, b) => LowExpr::Mul(
-            Box::new(lower_inner(ctx, a)),
-            Box::new(lower_inner(ctx, b)),
-        ),
-        Expr::Div(a, b) => LowExpr::Div(
-            Box::new(lower_inner(ctx, a)),
-            Box::new(lower_inner(ctx, b)),
-        ),
+        Expr::Add(a, b) => {
+            LowExpr::Add(Box::new(lower_inner(ctx, a)), Box::new(lower_inner(ctx, b)))
+        }
+        Expr::Sub(a, b) => {
+            LowExpr::Sub(Box::new(lower_inner(ctx, a)), Box::new(lower_inner(ctx, b)))
+        }
+        Expr::Mul(a, b) => {
+            LowExpr::Mul(Box::new(lower_inner(ctx, a)), Box::new(lower_inner(ctx, b)))
+        }
+        Expr::Div(a, b) => {
+            LowExpr::Div(Box::new(lower_inner(ctx, a)), Box::new(lower_inner(ctx, b)))
+        }
         Expr::Neg(a) => LowExpr::Neg(Box::new(lower_inner(ctx, a))),
     }
 }

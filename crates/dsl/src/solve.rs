@@ -86,9 +86,8 @@ pub fn expand_time_derivatives(ctx: &Context, e: &Expr) -> Expr {
 /// Split `e` into `(A, B)` with `e ≡ A·target + B` where `target` is the
 /// forward access of `field`; errors if `e` is non-linear in it.
 fn linear_split(e: &Expr, field: FieldId) -> Result<(Expr, Expr), SolveError> {
-    let is_target = |x: &Expr| {
-        matches!(x, Expr::Access { field: f, t_off: 1, offs: [0, 0, 0] } if *f == field)
-    };
+    let is_target =
+        |x: &Expr| matches!(x, Expr::Access { field: f, t_off: 1, offs: [0, 0, 0] } if *f == field);
     if is_target(e) {
         return Ok((Expr::c(1.0), Expr::c(0.0)));
     }

@@ -128,7 +128,11 @@ mod tests {
 
     #[test]
     fn frac_index_with_origin_and_anisotropic_spacing() {
-        let d = Domain::new(Shape::new(10, 20, 30), [10.0, 5.0, 2.0], [100.0, 0.0, -10.0]);
+        let d = Domain::new(
+            Shape::new(10, 20, 30),
+            [10.0, 5.0, 2.0],
+            [100.0, 0.0, -10.0],
+        );
         let f = d.frac_index([125.0, 7.5, -9.0]);
         assert_eq!(f, [2.5, 1.5, 0.5]);
     }

@@ -59,8 +59,7 @@ impl Field {
     #[inline]
     pub fn get(&self, x: usize, y: usize, z: usize) -> f32 {
         debug_assert!(self.shape.contains(x, y, z));
-        self.data
-            .get(x + self.halo, y + self.halo, z + self.halo)
+        self.data.get(x + self.halo, y + self.halo, z + self.halo)
     }
 
     /// Write an interior element.
@@ -83,8 +82,7 @@ impl Field {
     /// Linear index into the raw array for interior point `(x, y, z)`.
     #[inline]
     pub fn raw_idx(&self, x: usize, y: usize, z: usize) -> usize {
-        self.data
-            .idx(x + self.halo, y + self.halo, z + self.halo)
+        self.data.idx(x + self.halo, y + self.halo, z + self.halo)
     }
 
     /// The contiguous interior-z pencil at interior `(x, y)` (length `nz`).

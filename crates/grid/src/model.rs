@@ -15,8 +15,8 @@
 
 use crate::array::Array3;
 use crate::domain::Domain;
-use crate::shape::Shape;
 use crate::rng::Rng64;
+use crate::shape::Shape;
 
 /// Isotropic acoustic material model.
 #[derive(Debug, Clone)]
@@ -110,7 +110,14 @@ pub struct TtiModel {
 
 impl TtiModel {
     /// Homogeneous TTI medium with constant Thomsen parameters and angles.
-    pub fn homogeneous(domain: Domain, c: f32, epsilon: f32, delta: f32, theta: f32, phi: f32) -> Self {
+    pub fn homogeneous(
+        domain: Domain,
+        c: f32,
+        epsilon: f32,
+        delta: f32,
+        theta: f32,
+        phi: f32,
+    ) -> Self {
         assert!(c > 0.0);
         let s = domain.shape();
         let n = (s.nx, s.ny, s.nz);

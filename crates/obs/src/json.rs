@@ -308,14 +308,11 @@ impl Parser<'_> {
                             }
                             let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
                                 .map_err(|_| "bad \\u escape")?;
-                            let cp =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
-                        other => {
-                            return Err(format!("bad escape {:?}", other.map(|b| b as char)))
-                        }
+                        other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
                     }
                     self.i += 1;
                 }
@@ -406,7 +403,11 @@ mod tests {
             ("gap".into(), Value::Null),
             (
                 "arr".into(),
-                Value::Arr(vec![Value::Num(1.0), Value::Str("µ".into()), Value::Obj(vec![])]),
+                Value::Arr(vec![
+                    Value::Num(1.0),
+                    Value::Str("µ".into()),
+                    Value::Obj(vec![]),
+                ]),
             ),
         ]);
         let text = doc.render();

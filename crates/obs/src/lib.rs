@@ -225,7 +225,11 @@ mod imp {
     /// [`crate::serve::DEFAULT_ADDR`]. `TEMPEST_TRACE_CAP` sizes the
     /// per-thread event list. Runs before any setter can store a level.
     fn from_env() -> Env {
-        let set = |key| std::env::var(key).ok().filter(|v| !v.is_empty() && v != "0");
+        let set = |key| {
+            std::env::var(key)
+                .ok()
+                .filter(|v| !v.is_empty() && v != "0")
+        };
         let addr = set("TEMPEST_TELEMETRY").map(|v| {
             if v.contains(':') {
                 v
@@ -542,7 +546,10 @@ impl ThreadProfile {
 
     /// Barrier-wait time as a share of this thread's total span time.
     pub fn barrier_wait_share(&self) -> f64 {
-        share(self.timer_ns(SpanKind::BarrierWait), self.timers_ns.iter().sum())
+        share(
+            self.timer_ns(SpanKind::BarrierWait),
+            self.timers_ns.iter().sum(),
+        )
     }
 }
 
@@ -642,7 +649,13 @@ impl Profile {
             let ns = self.timer_ns(k);
             if ns != 0 {
                 let pct = 100.0 * share(ns, timed);
-                let _ = writeln!(out, "  {:<14} {:>10.3} ms  {:>5.1}%", k.name(), ns as f64 / 1e6, pct);
+                let _ = writeln!(
+                    out,
+                    "  {:<14} {:>10.3} ms  {:>5.1}%",
+                    k.name(),
+                    ns as f64 / 1e6,
+                    pct
+                );
             }
         }
         // `Sparse` nests inside `Stencil`; report the dense-only remainder.
@@ -650,7 +663,12 @@ impl Profile {
             .timer_ns(SpanKind::Stencil)
             .saturating_sub(self.timer_ns(SpanKind::Sparse));
         if dense != 0 && self.timer_ns(SpanKind::Sparse) != 0 {
-            let _ = writeln!(out, "  {:<14} {:>10.3} ms  (stencil − sparse)", "dense-only", dense as f64 / 1e6);
+            let _ = writeln!(
+                out,
+                "  {:<14} {:>10.3} ms  (stencil − sparse)",
+                "dense-only",
+                dense as f64 / 1e6
+            );
         }
 
         let _ = writeln!(out, "per-thread:");
@@ -696,7 +714,11 @@ impl Profile {
         let _ = writeln!(s, "  \"grid_points\": {},", meta.grid_points);
         let _ = writeln!(s, "  \"elapsed_s\": {:.9},", fin(meta.elapsed_s));
         let _ = writeln!(s, "  \"gpts_per_s\": {:.6},", fin(meta.gpts_per_s()));
-        let _ = writeln!(s, "  \"barrier_wait_share\": {:.6},", fin(self.barrier_wait_share()));
+        let _ = writeln!(
+            s,
+            "  \"barrier_wait_share\": {:.6},",
+            fin(self.barrier_wait_share())
+        );
         s.push_str("  ");
         counters(&mut s, &|c| self.counter(c));
         s.push_str(",\n  ");
@@ -730,7 +752,11 @@ impl Profile {
         let stem = if meta.schedule.is_empty() {
             sanitize_label(&meta.name)
         } else {
-            format!("{}__{}", sanitize_label(&meta.name), sanitize_label(&meta.schedule))
+            format!(
+                "{}__{}",
+                sanitize_label(&meta.name),
+                sanitize_label(&meta.schedule)
+            )
         };
         let path = dir.join(format!("{stem}.json"));
         std::fs::write(&path, self.to_json(meta))?;
@@ -885,12 +911,34 @@ mod tests {
         let (p, meta) = sample_profile();
         let js = p.to_json(&meta);
         let v = json::Value::parse(&js).expect("profile JSON parses");
-        for key in ["name", "schedule", "gpts_per_s", "barrier_wait_share", "counters", "timers_ns", "threads"] {
+        for key in [
+            "name",
+            "schedule",
+            "gpts_per_s",
+            "barrier_wait_share",
+            "counters",
+            "timers_ns",
+            "threads",
+        ] {
             assert!(v.get(key).is_some(), "missing {key} in {js}");
         }
         let t = &v.get("threads").unwrap().as_arr().unwrap()[1];
-        assert_eq!(t.get("counters").unwrap().get("par_tasks").unwrap().as_u64(), Some(6));
-        assert_eq!(t.get("timers_ns").unwrap().get("barrier_wait").unwrap().as_u64(), Some(2_000_000));
+        assert_eq!(
+            t.get("counters")
+                .unwrap()
+                .get("par_tasks")
+                .unwrap()
+                .as_u64(),
+            Some(6)
+        );
+        assert_eq!(
+            t.get("timers_ns")
+                .unwrap()
+                .get("barrier_wait")
+                .unwrap()
+                .as_u64(),
+            Some(2_000_000)
+        );
     }
 
     #[test]

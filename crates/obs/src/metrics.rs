@@ -180,7 +180,9 @@ mod imp {
     pub fn heartbeat_age() -> Option<Duration> {
         match LAST_BEAT_NS.load(Ordering::Relaxed) {
             0 => None,
-            last => Some(Duration::from_nanos((crate::imp::now_ns() + 1).saturating_sub(last))),
+            last => Some(Duration::from_nanos(
+                (crate::imp::now_ns() + 1).saturating_sub(last),
+            )),
         }
     }
 
@@ -374,7 +376,11 @@ mod tests {
         let s3 = snap.clone();
         let second = set_jobs_provider(move || vec![s3.clone(), s3.clone()]);
         clear_jobs_provider(first);
-        assert_eq!(jobs_snapshot().len(), 2, "a stale token cleared a live provider");
+        assert_eq!(
+            jobs_snapshot().len(),
+            2,
+            "a stale token cleared a live provider"
+        );
         clear_jobs_provider(second);
         assert!(jobs_snapshot().is_empty());
     }

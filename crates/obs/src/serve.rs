@@ -119,14 +119,14 @@ fn handle_connection(mut stream: TcpStream) {
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
 
     let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain", "method not allowed\n".to_string())
+        (
+            "405 Method Not Allowed",
+            "text/plain",
+            "method not allowed\n".to_string(),
+        )
     } else {
         match path {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4",
-                render_metrics(),
-            ),
+            "/metrics" => ("200 OK", "text/plain; version=0.0.4", render_metrics()),
             "/jobs" => ("200 OK", "application/json", render_jobs()),
             "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
             _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
@@ -146,7 +146,10 @@ fn handle_connection(mut stream: TcpStream) {
 pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )?;
     stream.flush()?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
@@ -186,7 +189,10 @@ fn render_metrics() -> String {
     let _ = writeln!(out, "# TYPE tempest_heartbeats_total counter");
     let _ = writeln!(out, "tempest_heartbeats_total {}", metrics::heartbeats());
 
-    let _ = writeln!(out, "# HELP tempest_phase_seconds_total Thread-summed span time per kind.");
+    let _ = writeln!(
+        out,
+        "# HELP tempest_phase_seconds_total Thread-summed span time per kind."
+    );
     let _ = writeln!(out, "# TYPE tempest_phase_seconds_total counter");
     for k in SpanKind::ALL {
         let _ = writeln!(
@@ -205,22 +211,46 @@ fn render_metrics() -> String {
     }
 
     let jobs = metrics::jobs_snapshot();
-    let _ = writeln!(out, "# HELP tempest_job_progress Per-job completed virtual-step fraction.");
+    let _ = writeln!(
+        out,
+        "# HELP tempest_job_progress Per-job completed virtual-step fraction."
+    );
     let _ = writeln!(out, "# TYPE tempest_job_progress gauge");
     for j in &jobs {
-        let _ = writeln!(out, "tempest_job_progress{{job=\"{}\"}} {}", j.id, crate::fin(j.progress));
+        let _ = writeln!(
+            out,
+            "tempest_job_progress{{job=\"{}\"}} {}",
+            j.id,
+            crate::fin(j.progress)
+        );
     }
-    let _ = writeln!(out, "# HELP tempest_job_eta_seconds Per-job estimated seconds to completion.");
+    let _ = writeln!(
+        out,
+        "# HELP tempest_job_eta_seconds Per-job estimated seconds to completion."
+    );
     let _ = writeln!(out, "# TYPE tempest_job_eta_seconds gauge");
     for j in &jobs {
         if let Some(eta) = j.eta_s {
-            let _ = writeln!(out, "tempest_job_eta_seconds{{job=\"{}\"}} {}", j.id, crate::fin(eta));
+            let _ = writeln!(
+                out,
+                "tempest_job_eta_seconds{{job=\"{}\"}} {}",
+                j.id,
+                crate::fin(eta)
+            );
         }
     }
-    let _ = writeln!(out, "# HELP tempest_job_stalled Per-job watchdog flag (1 = heartbeat silent).");
+    let _ = writeln!(
+        out,
+        "# HELP tempest_job_stalled Per-job watchdog flag (1 = heartbeat silent)."
+    );
     let _ = writeln!(out, "# TYPE tempest_job_stalled gauge");
     for j in &jobs {
-        let _ = writeln!(out, "tempest_job_stalled{{job=\"{}\"}} {}", j.id, u8::from(j.stalled));
+        let _ = writeln!(
+            out,
+            "tempest_job_stalled{{job=\"{}\"}} {}",
+            j.id,
+            u8::from(j.stalled)
+        );
     }
     out
 }
@@ -249,7 +279,10 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
                 Some("TYPE") => {
                     let name = w.next().ok_or(format!("line {n}: TYPE without a name"))?;
                     let ty = w.next().ok_or(format!("line {n}: TYPE without a type"))?;
-                    if !matches!(ty, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                    if !matches!(
+                        ty,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    ) {
                         return Err(format!("line {n}: unknown type {ty:?}"));
                     }
                     if name.ends_with("_total") && ty != "counter" {
@@ -283,10 +316,9 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         };
         let bare = name_part.split('{').next().unwrap_or("");
         if bare.is_empty()
-            || !bare
-                .chars()
-                .enumerate()
-                .all(|(i, c)| c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit()))
+            || !bare.chars().enumerate().all(|(i, c)| {
+                c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit())
+            })
         {
             return Err(format!("line {n}: invalid metric name {bare:?}"));
         }
@@ -348,9 +380,15 @@ pub fn render_jobs() -> String {
         .map(|&g| (g.name().to_string(), Value::Num(metrics::gauge(g) as f64)))
         .collect();
     let doc = Value::Obj(vec![
-        ("heartbeats".into(), Value::Num(metrics::heartbeats() as f64)),
+        (
+            "heartbeats".into(),
+            Value::Num(metrics::heartbeats() as f64),
+        ),
         ("gauges".into(), Value::Obj(gauges)),
-        ("jobs".into(), Value::Arr(jobs.iter().map(job_value).collect())),
+        (
+            "jobs".into(),
+            Value::Arr(jobs.iter().map(job_value).collect()),
+        ),
     ]);
     let mut s = doc.render();
     s.push('\n');
@@ -378,7 +416,10 @@ mod tests {
         validate_exposition(&body).expect("exposition valid");
         assert!(body.contains("tempest_stencil_updates_total"));
         assert!(body.contains("tempest_stalled_jobs"));
-        assert!(!body.contains("tempest_gpts_per_s"), "derived rates are the scraper's");
+        assert!(
+            !body.contains("tempest_gpts_per_s"),
+            "derived rates are the scraper's"
+        );
 
         let (status, body) = http_get(addr, "/jobs").unwrap();
         assert_eq!(status, 200);
@@ -399,7 +440,11 @@ mod tests {
         let text = render_metrics();
         validate_exposition(&text).unwrap();
         for g in Gauge::ALL {
-            assert!(text.contains(&format!("tempest_{}", g.name())), "missing {}", g.name());
+            assert!(
+                text.contains(&format!("tempest_{}", g.name())),
+                "missing {}",
+                g.name()
+            );
         }
     }
 

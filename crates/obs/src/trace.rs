@@ -380,8 +380,14 @@ mod tests {
             .iter()
             .find(|e| e.get("name").unwrap().as_str() == Some("tile"))
             .unwrap();
-        assert_eq!(tile.get("args").unwrap().get("diagonal").unwrap().as_i64(), Some(0));
-        assert_eq!(tile.get("args").unwrap().get("tx").unwrap().as_i64(), Some(0));
+        assert_eq!(
+            tile.get("args").unwrap().get("diagonal").unwrap().as_i64(),
+            Some(0)
+        );
+        assert_eq!(
+            tile.get("args").unwrap().get("tx").unwrap().as_i64(),
+            Some(0)
+        );
         // ts is µs with ns fraction: 100ns → 0.100
         assert!((tile.get("ts").unwrap().as_f64().unwrap() - 0.1).abs() < 1e-9);
         assert!((tile.get("dur").unwrap().as_f64().unwrap() - 4.0).abs() < 1e-9);
@@ -391,7 +397,10 @@ mod tests {
             .find(|e| e.get("name").unwrap().as_str() == Some("barrier_wait"))
             .unwrap();
         assert_eq!(bw.get("args").unwrap().as_obj().map(<[_]>::len), Some(0));
-        assert_eq!(v.get("otherData").unwrap().get("dropped").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            v.get("otherData").unwrap().get("dropped").unwrap().as_u64(),
+            Some(0)
+        );
     }
 
     #[test]

@@ -957,7 +957,11 @@ where
             )
         },
         n,
-        pending: graph.pred_count.iter().map(|&c| AtomicU32::new(c)).collect(),
+        pending: graph
+            .pred_count
+            .iter()
+            .map(|&c| AtomicU32::new(c))
+            .collect(),
         succ_off: graph.succ_off.clone(),
         succ: graph.succ.clone(),
         deques: (0..parts).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -998,7 +1002,9 @@ where
 fn run_dataflow_seq(graph: &DepGraph, f: &dyn Fn(usize)) {
     let n = graph.len();
     let mut pending = graph.pred_count.clone();
-    let mut ready: VecDeque<u32> = (0..n as u32).filter(|&i| pending[i as usize] == 0).collect();
+    let mut ready: VecDeque<u32> = (0..n as u32)
+        .filter(|&i| pending[i as usize] == 0)
+        .collect();
     let mut ran = 0usize;
     while let Some(i) = ready.pop_front() {
         f(i as usize);
@@ -1467,8 +1473,8 @@ mod tests {
                 with_thread_budget(2, || {
                     if o == 0 {
                         for_each_index(Policy::Parallel, 40, |_| {
-                            let joined_late = std::thread::current().id() != owner
-                                && b_done.get().is_some();
+                            let joined_late =
+                                std::thread::current().id() != owner && b_done.get().is_some();
                             late_helpers.fetch_add(joined_late as usize, Ordering::Relaxed);
                             std::thread::sleep(std::time::Duration::from_millis(2));
                         });
@@ -1490,7 +1496,9 @@ mod tests {
             }
         }
         assert!(conclusive > 0, "the two items never ran on two threads");
-        panic!("in {conclusive} rounds, no thread joined the long job after the short one finished");
+        panic!(
+            "in {conclusive} rounds, no thread joined the long job after the short one finished"
+        );
     }
 
     /// The floating-point environment: only where the target has one.

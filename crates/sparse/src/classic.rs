@@ -82,7 +82,11 @@ pub(crate) mod tests {
         let pts = SparsePoints::new(&d, vec![[33.0, 47.0, 52.0]]);
         inject_points(&mut f, &d, &pts, &[2.0], |_, _, _| 1.0);
         // Partition of unity ⇒ the grid receives exactly the injected amount.
-        let total: f32 = f.nonzero_interior().iter().map(|&(x, y, z)| f.get(x, y, z)).sum();
+        let total: f32 = f
+            .nonzero_interior()
+            .iter()
+            .map(|&(x, y, z)| f.get(x, y, z))
+            .sum();
         assert!((total - 2.0).abs() < 1e-5);
         assert_eq!(f.nonzero_interior().len(), 8);
     }
@@ -136,7 +140,11 @@ pub(crate) mod tests {
         interpolate_points(&f, &d, &pts, &mut out);
         for (i, c) in pts.coords().iter().enumerate() {
             let expect = 0.1 * c[0] - 0.2 * c[1] + 0.3 * c[2];
-            assert!((out[i] - expect).abs() < 1e-2, "rec {i}: {} vs {expect}", out[i]);
+            assert!(
+                (out[i] - expect).abs() < 1e-2,
+                "rec {i}: {} vs {expect}",
+                out[i]
+            );
         }
     }
 

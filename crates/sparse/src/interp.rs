@@ -73,7 +73,11 @@ pub fn trilinear(domain: &Domain, p: [f32; 3]) -> InterpStencil {
 
 /// Trilinear stencils for every point in a set.
 pub fn trilinear_all(domain: &Domain, points: &SparsePoints) -> Vec<InterpStencil> {
-    points.coords().iter().map(|&p| trilinear(domain, p)).collect()
+    points
+        .coords()
+        .iter()
+        .map(|&p| trilinear(domain, p))
+        .collect()
 }
 
 #[cfg(test)]

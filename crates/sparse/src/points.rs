@@ -1,8 +1,8 @@
 //! Sets of sparse off-the-grid points (sources or receivers) and the layout
 //! generators used by the paper's experiments.
 
-use tempest_grid::Rng64;
 use tempest_grid::Domain;
+use tempest_grid::Rng64;
 
 /// A set of off-the-grid positions in physical coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,11 +61,7 @@ impl SparsePoints {
                 // Spread over the middle 80% of the plane, keep off-grid.
                 let px = o[0] + e[0] * (0.1 + 0.8 * (i as f32 + 0.5) / side as f32) + frac * h[0];
                 let py = o[1] + e[1] * (0.1 + 0.8 * (j as f32 + 0.5) / side as f32) + frac * h[1];
-                coords.push([
-                    px.min(o[0] + e[0]),
-                    py.min(o[1] + e[1]),
-                    z,
-                ]);
+                coords.push([px.min(o[0] + e[0]), py.min(o[1] + e[1]), z]);
             }
         }
         SparsePoints { coords }

@@ -85,12 +85,7 @@ mod tests {
     fn wavy_field(d: &Domain) -> Field {
         let mut f = Field::zeros(d.shape(), 1);
         for (x, y, z) in d.shape().iter() {
-            f.set(
-                x,
-                y,
-                z,
-                ((x * 7 + y * 3 + z * 5) % 23) as f32 * 0.1 - 1.0,
-            );
+            f.set(x, y, z, ((x * 7 + y * 3 + z * 5) % 23) as f32 * 0.1 - 1.0);
         }
         f
     }

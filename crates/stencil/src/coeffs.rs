@@ -63,7 +63,10 @@ pub fn fornberg_weights(z: f64, nodes: &[f64], m: usize) -> Vec<f64> {
 /// # Panics
 /// If `order` is zero or odd, or `deriv` is not 1 or 2.
 pub fn central_coeffs(deriv: usize, order: usize) -> Vec<f64> {
-    assert!(order >= 2 && order.is_multiple_of(2), "space order must be even ≥ 2");
+    assert!(
+        order >= 2 && order.is_multiple_of(2),
+        "space order must be even ≥ 2"
+    );
     assert!(deriv == 1 || deriv == 2, "only first/second derivatives");
     let r = order / 2;
     let nodes: Vec<f64> = (-(r as i64)..=(r as i64)).map(|k| k as f64).collect();
@@ -100,7 +103,10 @@ pub fn central_first_antisymmetric(order: usize) -> Vec<f64> {
 /// (the stencil is antisymmetric). Order 2 gives `[1.0]`; order 4 gives
 /// `[9/8, −1/24]`.
 pub fn staggered_coeffs(order: usize) -> Vec<f64> {
-    assert!(order >= 2 && order.is_multiple_of(2), "space order must be even ≥ 2");
+    assert!(
+        order >= 2 && order.is_multiple_of(2),
+        "space order must be even ≥ 2"
+    );
     let r = order / 2;
     let mut nodes = Vec::with_capacity(2 * r);
     for k in 0..r {

@@ -314,7 +314,12 @@ impl<'a, const R: usize> StaggeredTerm<'a, R> {
 
     /// The backward derivative of `u` along stride `s`.
     pub fn bwd(u: &'a [f32], s: usize, w: &'a [f32; R]) -> Self {
-        StaggeredTerm { u, s, w, fwd: false }
+        StaggeredTerm {
+            u,
+            s,
+            w,
+            fwd: false,
+        }
     }
 
     /// The backward-difference centre of output index `i`: the forward

@@ -471,9 +471,8 @@ mod tests {
         let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, 2000.0, 40.0)
             .with_nt(6)
             .with_boundary(3, 0.3);
-        let mut s = Survey::new(model, cfg).with_receivers(SparsePoints::receiver_line(
-            &domain, 5, 0.2,
-        ));
+        let mut s =
+            Survey::new(model, cfg).with_receivers(SparsePoints::receiver_line(&domain, 5, 0.2));
         s.add_shot_line(n_shots, 0.1);
         s
     }

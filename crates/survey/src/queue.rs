@@ -415,12 +415,14 @@ impl SurveyService {
         let (mut provider, mut telemetry, mut watchdog) = (None, None, None);
         if obs::enabled() {
             let weak = Arc::downgrade(&inner);
-            provider = Some(obs::metrics::set_jobs_provider(move || match weak.upgrade() {
-                Some(inner) => {
-                    let st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.jobs.iter().map(|(&id, j)| j.snapshot(id)).collect()
+            provider = Some(obs::metrics::set_jobs_provider(move || {
+                match weak.upgrade() {
+                    Some(inner) => {
+                        let st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+                        st.jobs.iter().map(|(&id, j)| j.snapshot(id)).collect()
+                    }
+                    None => Vec::new(),
                 }
-                None => Vec::new(),
             }));
             let addr = cfg.endpoint_addr.as_deref().or(obs::serve::env_addr());
             telemetry = addr.and_then(|addr| {
@@ -570,7 +572,14 @@ impl SurveyService {
 
     /// All job ids ever submitted, ascending.
     pub fn job_ids(&self) -> Vec<JobId> {
-        self.inner.state.lock().unwrap().jobs.keys().copied().collect()
+        self.inner
+            .state
+            .lock()
+            .unwrap()
+            .jobs
+            .keys()
+            .copied()
+            .collect()
     }
 }
 
@@ -752,8 +761,8 @@ mod tests {
         let cfg = SimConfig::new(domain, 4, EquationKind::Acoustic, 2000.0, 30.0)
             .with_nt(4)
             .with_boundary(2, 0.3);
-        let mut s = Survey::new(model, cfg)
-            .with_receivers(SparsePoints::receiver_line(&domain, 3, 0.2));
+        let mut s =
+            Survey::new(model, cfg).with_receivers(SparsePoints::receiver_line(&domain, 3, 0.2));
         s.add_shot_line(n_shots, 0.1);
         Arc::new(s)
     }
@@ -788,7 +797,10 @@ mod tests {
             while let Some(id) = pick(&mut st) {
                 o.push(id);
                 // put it back as if executed
-                st.jobs.get_mut(&id).unwrap().set_terminal(JobState::Cancelled, None);
+                st.jobs
+                    .get_mut(&id)
+                    .unwrap()
+                    .set_terminal(JobState::Cancelled, None);
             }
         }
         assert_eq!(*order.lock().unwrap(), vec![b, c, a]);
@@ -831,7 +843,11 @@ mod tests {
     fn live_service_processes_submissions() {
         let svc = SurveyService::start();
         let lo = svc.submit(JobSpec::new(tiny_survey(1)).with_priority(-1));
-        let hi = svc.submit(JobSpec::new(tiny_survey(2)).with_priority(9).with_threads(2));
+        let hi = svc.submit(
+            JobSpec::new(tiny_survey(2))
+                .with_priority(9)
+                .with_threads(2),
+        );
         let hi_st = svc.wait(hi).unwrap();
         let lo_st = svc.wait(lo).unwrap();
         assert_eq!(hi_st.state, JobState::Completed);

@@ -101,7 +101,9 @@ pub fn rtm_image(
     let _fp = FlushGuard::enter();
     let n = survey.len();
     assert_eq!(observed.len(), n, "one observed gather per shot");
-    let receivers = survey.receivers().expect("RTM needs a receiver set on the survey");
+    let receivers = survey
+        .receivers()
+        .expect("RTM needs a receiver set on the survey");
     opts.exec.validate();
 
     let shape = survey.cfg().shape();
@@ -112,32 +114,42 @@ pub fn rtm_image(
     // Shot-independent precompute, shared across the fleet: one set of
     // coefficients, seen with the receiver bundle (forward pass, and the
     // adjoint's source footprint) and without it (adjoint + recompute twin).
-    let fwd_assets = ShotAssets::new(survey.model(), survey.cfg().clone(), Some(receivers.clone()));
+    let fwd_assets = ShotAssets::new(
+        survey.model(),
+        survey.cfg().clone(),
+        Some(receivers.clone()),
+    );
     let norec_assets = fwd_assets.without_receivers();
 
     let partials: Mutex<Vec<Option<Array3<f32>>>> = Mutex::new((0..n).map(|_| None).collect());
     let errors: Mutex<Vec<ShotError>> = Mutex::new(Vec::new());
     let shots = survey.shots();
-    shard(opts.policy, n, 0, || false, |i| {
-        obs::add(obs::Counter::ShotStarted, 1);
-        let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
-        let solved = catch_unwind(AssertUnwindSafe(|| {
-            with_thread_budget(available_threads(), || {
-                image_one_shot(&fwd_assets, &norec_assets, &shots[i], &observed[i], opts)
-            })
-        }));
-        match solved {
-            Ok(Ok(partial)) => {
-                obs::add(obs::Counter::ShotCompleted, 1);
-                partials.lock().unwrap()[i] = Some(partial);
+    shard(
+        opts.policy,
+        n,
+        0,
+        || false,
+        |i| {
+            obs::add(obs::Counter::ShotStarted, 1);
+            let _sp = obs::span(obs::SpanKind::Shot, obs::SpanArgs::shot(i));
+            let solved = catch_unwind(AssertUnwindSafe(|| {
+                with_thread_budget(available_threads(), || {
+                    image_one_shot(&fwd_assets, &norec_assets, &shots[i], &observed[i], opts)
+                })
+            }));
+            match solved {
+                Ok(Ok(partial)) => {
+                    obs::add(obs::Counter::ShotCompleted, 1);
+                    partials.lock().unwrap()[i] = Some(partial);
+                }
+                Ok(Err(message)) => errors.lock().unwrap().push(ShotError { shot: i, message }),
+                Err(payload) => errors.lock().unwrap().push(ShotError {
+                    shot: i,
+                    message: panic_message(payload),
+                }),
             }
-            Ok(Err(message)) => errors.lock().unwrap().push(ShotError { shot: i, message }),
-            Err(payload) => errors.lock().unwrap().push(ShotError {
-                shot: i,
-                message: panic_message(payload),
-            }),
-        }
-    });
+        },
+    );
 
     let mut errs = errors.into_inner().unwrap();
     errs.sort_by_key(|e| e.shot);
@@ -164,7 +176,10 @@ fn image_one_shot(
     let cfg = fwd_assets.config();
     let nt = cfg.nt;
     let every = opts.every;
-    let nrec = fwd_assets.receivers().expect("forward assets carry receivers").num_receivers();
+    let nrec = fwd_assets
+        .receivers()
+        .expect("forward assets carry receivers")
+        .num_receivers();
     if observed.dims() != [nt, nrec] {
         return Err(format!(
             "observed gather is {:?}, expected [{nt}, {nrec}]",
@@ -199,7 +214,11 @@ fn image_one_shot(
     let r_snaps = adjoint(fwd, norec_assets, observed).run_recording(exec, every);
 
     // 3. Zero-lag imaging over snapshot pairs, ascending si.
-    let s_count = if stride == 0 { s_snaps.len() } else { nt / every };
+    let s_count = if stride == 0 {
+        s_snaps.len()
+    } else {
+        nt / every
+    };
     let pairs = s_count.min(r_snaps.len());
     let shape = cfg.shape();
     let mut image = Array3::<f32>::zeros(shape.nx, shape.ny, shape.nz);
@@ -253,10 +272,17 @@ fn adjoint(fwd: Acoustic, norec_assets: &ShotAssets, observed: &Array2<f32>) -> 
     let mut reversed = Array2::<f32>::zeros(nt, nrec);
     for t in 0..nt {
         for r in 0..nrec {
-            reversed.set(t, r, observed.get(nt - 1 - t, r) - direct.get(nt - 1 - t, r));
+            reversed.set(
+                t,
+                r,
+                observed.get(nt - 1 - t, r) - direct.get(nt - 1 - t, r),
+            );
         }
     }
-    let src = fwd.receivers().expect("forward solver has receivers").adjoint_sources(reversed);
+    let src = fwd
+        .receivers()
+        .expect("forward solver has receivers")
+        .adjoint_sources(reversed);
     drop(fwd); // before the adjoint's wavefield is allocated
     Acoustic::from_assets_with_sources(norec_assets, src)
 }
@@ -351,7 +377,12 @@ mod tests {
         }
         let fresh = SourceBundle::new(&cfg.domain, rec.clone(), reversed);
         let bits = |b: &SourceBundle| -> Vec<u32> {
-            b.pre.src_dcmp.as_slice().iter().map(|v| v.to_bits()).collect()
+            b.pre
+                .src_dcmp
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
         };
         assert_eq!(bits(adj.sources()), bits(&fresh));
         assert!(adj.receivers().is_none());

@@ -46,7 +46,11 @@ pub fn shard<F>(policy: Policy, n: usize, batch_size: usize, stop: impl Fn() -> 
 where
     F: Fn(usize) + Sync,
 {
-    let batch = if batch_size == 0 { n.max(1) } else { batch_size };
+    let batch = if batch_size == 0 {
+        n.max(1)
+    } else {
+        batch_size
+    };
     for start in (0..n).step_by(batch) {
         if stop() {
             break;
@@ -74,9 +78,15 @@ mod tests {
     fn shard_visits_each_index_once() {
         for &(n, batch) in &[(0usize, 0usize), (1, 0), (7, 3), (64, 0), (64, 5), (64, 64)] {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            shard(Policy::Parallel, n, batch, || false, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            shard(
+                Policy::Parallel,
+                n,
+                batch,
+                || false,
+                |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            );
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "n={n} batch={batch}: some index not visited exactly once"
@@ -89,7 +99,13 @@ mod tests {
         // With a sequential policy the visit order is fully deterministic:
         // ascending within each batch, batches in order.
         let order = std::sync::Mutex::new(Vec::new());
-        shard(Policy::Sequential, 10, 4, || false, |i| order.lock().unwrap().push(i));
+        shard(
+            Policy::Sequential,
+            10,
+            4,
+            || false,
+            |i| order.lock().unwrap().push(i),
+        );
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
@@ -98,7 +114,13 @@ mod tests {
         // `stop` turns true while index `trigger` runs: its batch still
         // finishes every index, and no later batch starts.
         for policy in [Policy::Sequential, Policy::Parallel] {
-            let cases = [(10usize, 4usize, 0usize), (10, 4, 5), (10, 4, 9), (9, 3, 2), (7, 0, 3)];
+            let cases = [
+                (10usize, 4usize, 0usize),
+                (10, 4, 5),
+                (10, 4, 9),
+                (9, 3, 2),
+                (7, 0, 3),
+            ];
             for (n, batch, trigger) in cases {
                 let stopped = AtomicBool::new(false);
                 let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();

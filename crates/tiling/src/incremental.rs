@@ -689,7 +689,15 @@ mod tests {
     #[test]
     fn cone_grows_by_the_radius_per_step() {
         let plan = wf_plan();
-        let dirty = dirty_cone(&plan, &[DirtyRect { x0: 0, x1: 2, y0: 0, y1: 2 }]);
+        let dirty = dirty_cone(
+            &plan,
+            &[DirtyRect {
+                x0: 0,
+                x1: 2,
+                y0: 0,
+                y1: 2,
+            }],
+        );
         for (i, slabs) in plan.slabs.iter().enumerate() {
             let reached = slabs.iter().any(|s| {
                 let edge = 2 + plan.radius * s.vt;
@@ -705,9 +713,19 @@ mod tests {
         let plan = wf_plan();
         assert!(dirty_cone(&plan, &[]).iter().all(|&d| !d));
         // An empty rect has no cell to dilate.
-        let empty = DirtyRect { x0: 5, x1: 5, y0: 0, y1: 17 };
+        let empty = DirtyRect {
+            x0: 5,
+            x1: 5,
+            y0: 0,
+            y1: 17,
+        };
         assert!(dirty_cone(&plan, &[empty]).iter().all(|&d| !d));
-        let all = DirtyRect { x0: 0, x1: 23, y0: 0, y1: 17 };
+        let all = DirtyRect {
+            x0: 0,
+            x1: 23,
+            y0: 0,
+            y1: 17,
+        };
         assert!(dirty_cone(&plan, &[all]).iter().all(|&d| d));
     }
 
@@ -744,8 +762,18 @@ mod tests {
         assert_eq!(
             d.rects,
             vec![
-                DirtyRect { x0: 0, x1: 2, y0: 0, y1: 2 },
-                DirtyRect { x0: 5, x1: 7, y0: 5, y1: 7 },
+                DirtyRect {
+                    x0: 0,
+                    x1: 2,
+                    y0: 0,
+                    y1: 2
+                },
+                DirtyRect {
+                    x0: 5,
+                    x1: 7,
+                    y0: 5,
+                    y1: 7
+                },
             ]
         );
         assert!(!d.receivers_changed);
@@ -761,7 +789,15 @@ mod tests {
         let d = c
             .begin_run(7, &[sig(11, 5, 5), sig(12, 9, 9)], 100)
             .expect("warm rerun");
-        assert_eq!(d.rects, vec![DirtyRect { x0: 9, x1: 11, y0: 9, y1: 11 }]);
+        assert_eq!(
+            d.rects,
+            vec![DirtyRect {
+                x0: 9,
+                x1: 11,
+                y0: 9,
+                y1: 11
+            }]
+        );
     }
 
     #[test]

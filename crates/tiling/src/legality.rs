@@ -119,8 +119,7 @@ where
                     for dy in -r..=r {
                         let nx = x as isize + dx;
                         let ny = y as isize + dy;
-                        if nx < 0 || ny < 0 || nx >= shape.nx as isize || ny >= shape.ny as isize
-                        {
+                        if nx < 0 || ny < 0 || nx >= shape.nx as isize || ny >= shape.ny as isize {
                             continue; // halo: constant, no dependency
                         }
                         let np = progress.get(nx as usize, ny as usize);
@@ -296,7 +295,9 @@ fn kahn_order(preds: &[Vec<u32>]) -> Result<Vec<u32>, usize> {
         }
     }
     if order.len() != n {
-        return Err((0..n).find(|&i| indeg[i] > 0).expect("cycle has a stuck node"));
+        return Err((0..n)
+            .find(|&i| indeg[i] > 0)
+            .expect("cycle has a stuck node"));
     }
     Ok(order)
 }
@@ -357,12 +358,7 @@ mod tests {
             for levels in [2usize, 3] {
                 for tile_t in [2usize, 4, 8] {
                     let sched = wf(8, tile_t, radius);
-                    let res = check_schedule(
-                        SHAPE,
-                        9,
-                        DepModel { radius, levels },
-                        sched,
-                    );
+                    let res = check_schedule(SHAPE, 9, DepModel { radius, levels }, sched);
                     assert_eq!(
                         res,
                         Ok(()),
@@ -378,7 +374,15 @@ mod tests {
         // skew > radius only wastes a little work-space, never correctness.
         let sched = wf(8, 4, 4);
         assert_eq!(
-            check_schedule(SHAPE, 9, DepModel { radius: 2, levels: 3 }, sched),
+            check_schedule(
+                SHAPE,
+                9,
+                DepModel {
+                    radius: 2,
+                    levels: 3
+                },
+                sched
+            ),
             Ok(())
         );
     }
@@ -388,7 +392,15 @@ mod tests {
         // radius 2 but skew 1: the wave-front angle is too shallow (Fig. 7
         // violated).
         let sched = wf(8, 4, 1);
-        let res = check_schedule(SHAPE, 9, DepModel { radius: 2, levels: 3 }, sched);
+        let res = check_schedule(
+            SHAPE,
+            9,
+            DepModel {
+                radius: 2,
+                levels: 3,
+            },
+            sched,
+        );
         assert!(
             matches!(res, Err(Violation::MissingDependency { .. })),
             "{res:?}"
@@ -401,7 +413,15 @@ mod tests {
         // Fig. 4b: a block advances in time while its neighbour has not been
         // updated.
         let sched = wf(8, 4, 0);
-        let res = check_schedule(SHAPE, 9, DepModel { radius: 1, levels: 3 }, sched);
+        let res = check_schedule(
+            SHAPE,
+            9,
+            DepModel {
+                radius: 1,
+                levels: 3,
+            },
+            sched,
+        );
         assert!(
             matches!(res, Err(Violation::MissingDependency { .. })),
             "{res:?}"
@@ -413,7 +433,15 @@ mod tests {
         // radius 0 (no spatial coupling): even rectangular time tiles pass.
         let sched = wf(8, 4, 0);
         assert_eq!(
-            check_schedule(SHAPE, 9, DepModel { radius: 0, levels: 2 }, sched),
+            check_schedule(
+                SHAPE,
+                9,
+                DepModel {
+                    radius: 0,
+                    levels: 2
+                },
+                sched
+            ),
             Ok(())
         );
     }
@@ -428,7 +456,15 @@ mod tests {
             }
         }
         assert_eq!(
-            check_schedule(SHAPE, 6, DepModel { radius: 4, levels: 2 }, sched),
+            check_schedule(
+                SHAPE,
+                6,
+                DepModel {
+                    radius: 4,
+                    levels: 2
+                },
+                sched
+            ),
             Ok(())
         );
     }
@@ -440,7 +476,15 @@ mod tests {
             Slab { vt: 0, range: full },
             Slab { vt: 2, range: full }, // skipped vt 1
         ];
-        let res = check_schedule(SHAPE, 3, DepModel { radius: 1, levels: 3 }, sched);
+        let res = check_schedule(
+            SHAPE,
+            3,
+            DepModel {
+                radius: 1,
+                levels: 3,
+            },
+            sched,
+        );
         assert!(matches!(
             res,
             Err(Violation::OutOfOrder {
@@ -464,10 +508,26 @@ mod tests {
         for vt in 0..4 {
             sched.push(Slab { vt, range: right });
         }
-        let res = check_schedule(SHAPE, 4, DepModel { radius: 0, levels: 2 }, sched.clone());
+        let res = check_schedule(
+            SHAPE,
+            4,
+            DepModel {
+                radius: 0,
+                levels: 2,
+            },
+            sched.clone(),
+        );
         // radius 0: decoupled columns, legal.
         assert_eq!(res, Ok(()));
-        let res = check_schedule(SHAPE, 4, DepModel { radius: 1, levels: 2 }, sched);
+        let res = check_schedule(
+            SHAPE,
+            4,
+            DepModel {
+                radius: 1,
+                levels: 2,
+            },
+            sched,
+        );
         // With coupling the right half reads garbage: missing dep fires
         // (the left ran ahead — for the left's *own* columns the right is
         // missing, caught at the left's vt=1 slab).
@@ -476,7 +536,10 @@ mod tests {
 
     /// The slabs of `plan`'s nodes, node by node in `order`.
     fn linearise(plan: &TilePlan, order: &[usize]) -> Vec<Slab> {
-        order.iter().flat_map(|&i| plan.slabs[i].iter().copied()).collect()
+        order
+            .iter()
+            .flat_map(|&i| plan.slabs[i].iter().copied())
+            .collect()
     }
 
     /// A uniformly random topological order of the plan's graph.
@@ -513,7 +576,12 @@ mod tests {
             assert_ne!(slab_order, diagonal_order, "the two orders must differ");
             for order in [slab_order, diagonal_order] {
                 assert_eq!(
-                    check_schedule(SHAPE, 9, DepModel { radius, levels }, linearise(&plan, &order)),
+                    check_schedule(
+                        SHAPE,
+                        9,
+                        DepModel { radius, levels },
+                        linearise(&plan, &order)
+                    ),
                     Ok(()),
                     "radius {radius} levels {levels} tile_t {tile_t}"
                 );
@@ -590,7 +658,11 @@ mod tests {
             let spec = WavefrontSpec::new(tile_x, tile_y, tile_t, skew, 4, 4);
             let ctx = format!("case {case}: {spec:?} radius {radius} levels {levels} nvt {nvt}");
             let plan = TilePlan::wavefront(shape, nvt, &spec, radius);
-            assert_eq!(plan.preds, brute_force_preds(shape, radius, &plan.slabs), "{ctx}");
+            assert_eq!(
+                plan.preds,
+                brute_force_preds(shape, radius, &plan.slabs),
+                "{ctx}"
+            );
             let model = DepModel { radius, levels };
             assert_eq!(check_plan(shape, model, &plan), Ok(()), "{ctx}");
             let order = random_topological_order(&plan, &mut rng);
@@ -642,7 +714,15 @@ mod tests {
             vt: 0,
             range: SHAPE.full_range(),
         }];
-        let res = check_schedule(SHAPE, 2, DepModel { radius: 1, levels: 3 }, sched);
+        let res = check_schedule(
+            SHAPE,
+            2,
+            DepModel {
+                radius: 1,
+                levels: 3,
+            },
+            sched,
+        );
         assert!(matches!(res, Err(Violation::Incomplete { .. })));
     }
 
@@ -666,7 +746,15 @@ mod tests {
         };
         // The simplest reachable overwrite: radius 0 for A's own advance,
         // then check B@1 against levels=2 when A progressed to 3.
-        let res = check_schedule(shape, 3, DepModel { radius: 1, levels: 2 }, sched);
+        let res = check_schedule(
+            shape,
+            3,
+            DepModel {
+                radius: 1,
+                levels: 2,
+            },
+            sched,
+        );
         assert!(res.is_err());
     }
 }

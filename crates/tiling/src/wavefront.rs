@@ -74,7 +74,13 @@ impl WavefrontSpec {
     /// Pure time-skewing (Wonnacott-style): a single spatial tile covering
     /// the whole skewed domain, so only the wave-front angle reorders the
     /// iteration space. Useful as an ablation against proper tiling.
-    pub fn skewed_only(shape: Shape, tile_t: usize, skew: usize, block_x: usize, block_y: usize) -> Self {
+    pub fn skewed_only(
+        shape: Shape,
+        tile_t: usize,
+        skew: usize,
+        block_x: usize,
+        block_y: usize,
+    ) -> Self {
         let tile_x = shape.nx + (tile_t.saturating_sub(1)) * skew;
         let tile_y = shape.ny + (tile_t.saturating_sub(1)) * skew;
         WavefrontSpec::new(tile_x.max(1), tile_y.max(1), tile_t, skew, block_x, block_y)
@@ -226,7 +232,13 @@ pub(crate) fn dilate_xy(r: &Range3, radius: usize, shape: Shape) -> Range3 {
 /// interval `[xt·tile - off, xt·tile - off + tile)` intersects `[lo, hi)`.
 /// Clamping only shrinks a slab, so this is a superset of the true overlap
 /// set; callers verify each candidate against the clamped slab.
-fn candidate_tiles(lo: usize, hi: usize, tile: usize, off: usize, ntiles: usize) -> std::ops::Range<usize> {
+fn candidate_tiles(
+    lo: usize,
+    hi: usize,
+    tile: usize,
+    off: usize,
+    ntiles: usize,
+) -> std::ops::Range<usize> {
     let (tile_i, off_i) = (tile as isize, off as isize);
     // xt·tile - off < hi  ⇔  xt ≤ floor((hi + off - 1) / tile)
     let max_incl = (hi as isize + off_i - 1).div_euclid(tile_i);
@@ -298,8 +310,7 @@ pub fn tile_graph(
                         continue;
                     }
                     let b = &tiles[ib as usize];
-                    if tile_slab(shape, spec, b, vb)
-                        .is_some_and(|sb| xy_overlap(&sb.range, &halo))
+                    if tile_slab(shape, spec, b, vb).is_some_and(|sb| xy_overlap(&sb.range, &halo))
                     {
                         preds[ia].push(ib);
                     }

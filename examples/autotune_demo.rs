@@ -10,8 +10,8 @@
 //! Add `--trace` (or `TEMPEST_TRACE=1`) with `--features obs` to trace the
 //! final tuned run: the Chrome trace JSON lands under `results/trace/`.
 
-use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::config::EquationKind;
+use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;

@@ -43,7 +43,10 @@ fn main() {
     let m_id = m.id();
     let mut op = DslOperator::new(ctx, vec![update], nt);
     let shape = Shape::cube(n);
-    op.set_parameter(m_id, Array3::full(shape.nx, shape.ny, shape.nz, 1.0 / (c * c)));
+    op.set_parameter(
+        m_id,
+        Array3::full(shape.nx, shape.ny, shape.nz, 1.0 / (c * c)),
+    );
 
     let src = SparsePoints::single_center(&domain, 0.37);
     let rec = SparsePoints::receiver_line(&domain, 5, 0.25);
@@ -54,7 +57,10 @@ fn main() {
     // d = rec.interpolate(u)
     op.set_interpolation(u, &rec);
 
-    println!("generated loop nest (Listing-1 structure):\n{}", op.pseudocode());
+    println!(
+        "generated loop nest (Listing-1 structure):\n{}",
+        op.pseudocode()
+    );
 
     op.run(&Execution::baseline().sequential());
     let dsl_field = op.final_field();
@@ -84,9 +90,7 @@ fn main() {
             tscale = tscale.max(fast_trace.get(t, r).abs());
         }
     }
-    println!(
-        "traces   : max diff {tdiff:.3e} (peak {tscale:.3e})",
-    );
+    println!("traces   : max diff {tdiff:.3e} (peak {tscale:.3e})",);
     assert!(tdiff <= 1e-3 * tscale.max(1e-30));
     println!("\nDSL semantics == optimised kernels ✓");
 

@@ -46,13 +46,15 @@ fn main() {
     let gather = fwd.trace().unwrap();
     println!(
         "forward shot modelled; gather peak {:.3e}",
-        gather.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()))
+        gather
+            .as_slice()
+            .iter()
+            .fold(0.0f32, |m, &v| m.max(v.abs()))
     );
 
     // Source wavefield history in the *smooth* model (standard RTM); also
     // model the smooth-medium gather so the direct wave can be muted.
-    let mut fwd_smooth =
-        Acoustic::new(&smooth_model, cfg.clone(), src, Some(rec_pts.clone()));
+    let mut fwd_smooth = Acoustic::new(&smooth_model, cfg.clone(), src, Some(rec_pts.clone()));
     let s_snaps = fwd_smooth.run_recording(&Execution::baseline(), every);
     let direct = fwd_smooth.trace().unwrap();
 
@@ -66,13 +68,8 @@ fn main() {
             reversed.set(t, r, refl);
         }
     }
-    let mut bwd = tempest::core::Acoustic::new_with_wavelets(
-        &smooth_model,
-        cfg,
-        rec_pts,
-        reversed,
-        None,
-    );
+    let mut bwd =
+        tempest::core::Acoustic::new_with_wavelets(&smooth_model, cfg, rec_pts, reversed, None);
     let r_snaps = bwd.run_recording(&Execution::baseline(), every);
     println!(
         "backward pass done; {} snapshot pairs",
@@ -102,7 +99,11 @@ fn main() {
     println!("\ndepth profile of the migrated image (# = energy):");
     for (z, p) in profile.iter().enumerate().step_by(2) {
         let bar = "#".repeat((40.0 * p / pmax) as usize);
-        let mark = if z.abs_diff(z_interface) <= 1 { " <== true reflector" } else { "" };
+        let mark = if z.abs_diff(z_interface) <= 1 {
+            " <== true reflector"
+        } else {
+            ""
+        };
         println!("z={z:>3} |{bar}{mark}");
     }
     let peak_z = profile
@@ -113,7 +114,5 @@ fn main() {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
         .unwrap()
         .0;
-    println!(
-        "\nimage peak at z = {peak_z} (true reflector at z = {z_interface})"
-    );
+    println!("\nimage peak at z = {peak_z} (true reflector at z = {z_interface})");
 }

@@ -50,7 +50,10 @@ fn main() {
     let rec = SparsePoints::receiver_line(&domain, 41, 0.08);
     let rec_coords: Vec<[f32; 3]> = rec.coords().to_vec();
 
-    println!("shot at {shot:?}, {} receivers, nt = {nt}", rec_coords.len());
+    println!(
+        "shot at {shot:?}, {} receivers, nt = {nt}",
+        rec_coords.len()
+    );
     let mut solver = Acoustic::new(&model, cfg, src, Some(rec));
 
     let (base, base_profile, base_meta) = solver.run_profiled(&Execution::baseline());
@@ -94,10 +97,9 @@ fn main() {
     println!("\nreceiver   offset(m)   picked(ms)   ray(ms)");
     let mut checked = 0;
     for (r, rc) in rec_coords.iter().enumerate().step_by(8) {
-        let dist = ((rc[0] - shot[0]).powi(2)
-            + (rc[1] - shot[1]).powi(2)
-            + (rc[2] - shot[2]).powi(2))
-        .sqrt();
+        let dist =
+            ((rc[0] - shot[0]).powi(2) + (rc[1] - shot[1]).powi(2) + (rc[2] - shot[2]).powi(2))
+                .sqrt();
         let ray_ms = dist / c_top * 1e3;
         let pick = (0..nt).find(|&t| gather.get(t, r).abs() > threshold);
         if let Some(t) = pick {

@@ -94,7 +94,9 @@ fn main() {
             .with_threads(1),
     );
     let speculative = svc.submit(JobSpec::new(build_survey(6, 20.0)).with_priority(0));
-    println!("submitted: production={production} background={background} speculative={speculative}");
+    println!(
+        "submitted: production={production} background={background} speculative={speculative}"
+    );
 
     // Cancel the speculative job. Depending on timing it is still queued
     // (cancelled immediately) or already running (cooperative cancel at the
@@ -144,8 +146,7 @@ fn main() {
             let gathers = svc.take_gathers(id).expect("completed gathers");
             for (shot, g) in gathers.iter().enumerate() {
                 let g = g.as_ref().expect("receivers attached");
-                let energy: f64 =
-                    g.as_slice().iter().map(|v| (*v as f64) * (*v as f64)).sum();
+                let energy: f64 = g.as_slice().iter().map(|v| (*v as f64) * (*v as f64)).sum();
                 let [nt, nrec] = g.dims();
                 println!("       shot {shot}: gather {nt}x{nrec}, energy {energy:.3e}");
             }
@@ -177,7 +178,10 @@ fn main() {
     match (before, svc.tile_cache().map(|c| c.stats())) {
         (Some(b), Some(a)) => {
             let restored = a.hits - b.hits;
-            assert!(restored > 0, "nudged rerun restored no tiles from the service cache");
+            assert!(
+                restored > 0,
+                "nudged rerun restored no tiles from the service cache"
+            );
             println!(
                 "\nnudged-source rerun: {restored} tiles restored bitwise from the \
                  service cache ({} entries / {} KiB, lifetime hit rate {:.1}%)",
@@ -210,7 +214,10 @@ fn main() {
             assert_eq!(code, 200, "GET /jobs -> {code}");
             obs::json::Value::parse(&body).expect("valid /jobs JSON")
         };
-        let njobs = jobs_doc.get("jobs").and_then(|v| v.as_arr()).map_or(0, |a| a.len());
+        let njobs = jobs_doc
+            .get("jobs")
+            .and_then(|v| v.as_arr())
+            .map_or(0, |a| a.len());
         println!(
             "self-scrape ok: /metrics {} lines (valid exposition), /jobs {} jobs, \
              heartbeats {}, completed gauge {}",
@@ -229,11 +236,22 @@ fn main() {
         // No endpoint means no address was given (a failed bind is an
         // error here), and heartbeats and gauges follow the recording
         // switch alone: on with `--features obs`, compiled out without.
-        assert!(obs::serve::env_addr().is_none(), "TEMPEST_TELEMETRY set but no endpoint");
+        assert!(
+            obs::serve::env_addr().is_none(),
+            "TEMPEST_TELEMETRY set but no endpoint"
+        );
         let beats = obs::metrics::heartbeats();
-        assert_eq!(beats > 0, obs::enabled(), "heartbeats follow the recording switch");
+        assert_eq!(
+            beats > 0,
+            obs::enabled(),
+            "heartbeats follow the recording switch"
+        );
         let completed = obs::metrics::gauge(Gauge::CompletedJobs);
-        assert_eq!(completed > 0, obs::enabled(), "gauges follow the recording switch");
+        assert_eq!(
+            completed > 0,
+            obs::enabled(),
+            "gauges follow the recording switch"
+        );
         println!(
             "no endpoint (no TEMPEST_TELEMETRY); recording {}: heartbeats {beats}, \
              completed gauge {completed}",

@@ -12,10 +12,10 @@
 //! 3. classic injection + wave-front schedule  != reference — the Fig. 4b
 //!    data-dependency violation, observed as a real numeric divergence.
 
+use std::sync::Mutex;
 use tempest::grid::{Range3, Shape};
 use tempest::par::Policy;
 use tempest::tiling::{execute_plan, TilePlan, WavefrontSpec};
-use std::sync::Mutex;
 
 const NX: usize = 32;
 const NT: usize = 8;

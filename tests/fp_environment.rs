@@ -172,7 +172,11 @@ fn every_route_computes_the_same_bits() {
 
     // The plan executor, fused sparse operators: plain, cached cold, cached
     // warm. Fused gathers equal the classic ones bit for bit at every cap.
-    for policy in [Policy::Sequential, Policy::Parallel, Policy::Capped { threads: 2 }] {
+    for policy in [
+        Policy::Sequential,
+        Policy::Parallel,
+        Policy::Capped { threads: 2 },
+    ] {
         let exec = Execution { policy, ..fused };
         let cache = TileCache::with_capacity_mb(64);
         for mode in ["plain", "cold", "warm"] {

@@ -211,7 +211,12 @@ fn dirty_cone_matches_oracle_across_plans() {
         assert!(!plan.is_empty(), "{label}: empty plan");
         let mut cases: Vec<Vec<DirtyRect>> = vec![
             // Boundary tiles: corner cells at both extremes.
-            vec![DirtyRect { x0: 0, x1: 1, y0: 0, y1: 1 }],
+            vec![DirtyRect {
+                x0: 0,
+                x1: 1,
+                y0: 0,
+                y1: 1,
+            }],
             vec![DirtyRect {
                 x0: shape.nx - 1,
                 x1: shape.nx,
@@ -326,7 +331,10 @@ fn warm_rerun_is_bitwise_and_reuses_tiles() {
                     warm.total_tiles,
                     "{what}: every tile is either reused or recomputed"
                 );
-                assert!(warm.reused > 0, "{what}: nudged source must leave clean tiles");
+                assert!(
+                    warm.reused > 0,
+                    "{what}: nudged source must leave clean tiles"
+                );
                 assert!(warm.recomputed > 0, "{what}: nudge must dirty its cone");
 
                 // Reference: a cold full rerun of the nudged problem.
@@ -360,7 +368,10 @@ fn receiver_only_delta_recomputes_nothing() {
             let mut b = problem(i, 0.37, 2);
             let warm = b.run_incremental(&ex, &cache, 0);
             assert!(!warm.cold, "{what}");
-            assert_eq!(warm.recomputed, 0, "{what}: receiver delta dirtied stencil tiles");
+            assert_eq!(
+                warm.recomputed, 0,
+                "{what}: receiver delta dirtied stencil tiles"
+            );
             assert_eq!(warm.reused, warm.total_tiles, "{what}");
 
             let mut c = problem(i, 0.37, 2);
@@ -635,7 +646,10 @@ fn tall_tiles_replay_gathers_bitwise_through_the_survey_path() {
             if nudge == 0.0 {
                 let s = cache.stats();
                 assert!(s.hits > filled.hits, "cap{cap}: rerun must restore tiles");
-                assert_eq!(s.misses, filled.misses, "cap{cap}: identical rerun reuses 100 %");
+                assert_eq!(
+                    s.misses, filled.misses,
+                    "cap{cap}: identical rerun reuses 100 %"
+                );
             }
         }
     }
@@ -736,7 +750,11 @@ mod counters {
             let mut b = problem(0, 0.61, 4);
             let warm = b.run_incremental(&ex, &cache, 0);
             let p = obs::snapshot();
-            assert_eq!(p.counter(Counter::TilesReused), warm.reused as u64, "{label}");
+            assert_eq!(
+                p.counter(Counter::TilesReused),
+                warm.reused as u64,
+                "{label}"
+            );
             assert_eq!(
                 p.counter(Counter::TilesRecomputed),
                 warm.recomputed as u64,

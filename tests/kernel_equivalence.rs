@@ -77,8 +77,10 @@ fn parallel_pencil_matches_sequential_scalar_bitwise() {
                     ..Execution::wavefront_default().with_kernel(KernelPath::from(backend))
                 };
                 s.run(&exec);
-                let label =
-                    format!("{} so={so} parallel wavefront {backend} vs scalar baseline", s.name());
+                let label = format!(
+                    "{} so={so} parallel wavefront {backend} vs scalar baseline",
+                    s.name()
+                );
                 assert_bitwise(&label, &base, &s.final_field());
             }
         }

@@ -193,7 +193,15 @@ fn acoustic_counts_match_oracle_for_all_schedules() {
         NT as u64,
     );
     for (label, schedule, sparse) in schedules() {
-        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+        check_schedule(
+            |e| {
+                s.run(e);
+            },
+            schedule,
+            sparse,
+            label,
+            &oracle,
+        );
     }
 }
 
@@ -210,7 +218,15 @@ fn dsl_acoustic_counts_match_oracle_for_all_schedules() {
         NT as u64,
     );
     for (label, schedule, sparse) in schedules() {
-        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+        check_schedule(
+            |e| {
+                s.run(e);
+            },
+            schedule,
+            sparse,
+            label,
+            &oracle,
+        );
     }
 }
 
@@ -233,7 +249,15 @@ fn tti_counts_match_oracle_for_all_schedules() {
         NT as u64,
     );
     for (label, schedule, sparse) in schedules() {
-        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+        check_schedule(
+            |e| {
+                s.run(e);
+            },
+            schedule,
+            sparse,
+            label,
+            &oracle,
+        );
     }
 }
 
@@ -258,7 +282,15 @@ fn elastic_counts_match_oracle_for_all_schedules() {
         NT as u64,
     );
     for (label, schedule, sparse) in schedules() {
-        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+        check_schedule(
+            |e| {
+                s.run(e);
+            },
+            schedule,
+            sparse,
+            label,
+            &oracle,
+        );
     }
 }
 
@@ -287,9 +319,20 @@ fn fused_sparse_telemetry_is_uniform_across_propagators() {
                 kernel,
             };
             let (_, p, _) = s.run_profiled(&exec);
-            assert_eq!(p.counter(Counter::SourceInjections), oracle.injections, "{what}");
-            assert_eq!(p.counter(Counter::ReceiverGathers), oracle.gathers, "{what}");
-            assert!(p.trace.count(SpanKind::Sparse) >= 1, "{what}: no sparse span");
+            assert_eq!(
+                p.counter(Counter::SourceInjections),
+                oracle.injections,
+                "{what}"
+            );
+            assert_eq!(
+                p.counter(Counter::ReceiverGathers),
+                oracle.gathers,
+                "{what}"
+            );
+            assert!(
+                p.trace.count(SpanKind::Sparse) >= 1,
+                "{what}: no sparse span"
+            );
             let rows = p.counter(Counter::PencilRows);
             if kernel.resolve() == Backend::Scalar {
                 assert_eq!(rows, 0, "{what}: the scalar path runs no vector rows");
@@ -336,7 +379,9 @@ fn classic_counts_once_per_footprint_nonzero() {
         gathers: gat * NT as u64,
     };
     check_schedule(
-        |e| { s.run(e); },
+        |e| {
+            s.run(e);
+        },
         Schedule::SpaceBlocked {
             block_x: 8,
             block_y: 8,
@@ -363,7 +408,11 @@ fn on_grid_points_give_literal_count_identity() {
         .with_nt(NT)
         .with_f0(25.0);
     let mut s = Acoustic::new(&model, cfg, src, Some(rec));
-    assert_eq!(s.sources().pre.npts(), 2, "on-grid source mask must be Kronecker");
+    assert_eq!(
+        s.sources().pre.npts(),
+        2,
+        "on-grid source mask must be Kronecker"
+    );
     assert_eq!(
         total_contributions(s.receivers().unwrap()),
         nrec,
@@ -375,7 +424,15 @@ fn on_grid_points_give_literal_count_identity() {
         gathers: nrec * NT as u64,
     };
     for (label, schedule, sparse) in schedules() {
-        check_schedule(|e| { s.run(e); }, schedule, sparse, label, &oracle);
+        check_schedule(
+            |e| {
+                s.run(e);
+            },
+            schedule,
+            sparse,
+            label,
+            &oracle,
+        );
     }
 }
 
@@ -413,7 +470,10 @@ fn par_stress_seeded_irregular_batches_lose_nothing() {
         "aggregated ParTasks must equal the number of dispatched items"
     );
     let shard_sum: u64 = p.threads.iter().map(|t| t.counter(Counter::ParTasks)).sum();
-    assert_eq!(shard_sum, total, "per-worker shard counts must sum to total");
+    assert_eq!(
+        shard_sum, total,
+        "per-worker shard counts must sum to total"
+    );
 }
 
 #[test]

@@ -160,9 +160,7 @@ fn two_layer_reflection_exists() {
     let with_contrast = mk(4000.0);
     let uniform = mk(1500.0);
     let nt = uniform.dims()[0];
-    let direct: f64 = (0..nt)
-        .map(|t| (uniform.get(t, 0) as f64).powi(2))
-        .sum();
+    let direct: f64 = (0..nt).map(|t| (uniform.get(t, 0) as f64).powi(2)).sum();
     let reflected: f64 = (0..nt)
         .map(|t| ((with_contrast.get(t, 0) - uniform.get(t, 0)) as f64).powi(2))
         .sum();

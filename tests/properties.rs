@@ -6,9 +6,7 @@
 
 use tempest::grid::{Array3, Domain, Rng64, Shape};
 use tempest::sparse::wavelet::wavelet_matrix_scaled;
-use tempest::sparse::{
-    trilinear, ReceiverPrecompute, SourcePrecompute, SparsePoints, FOOTPRINT,
-};
+use tempest::sparse::{trilinear, ReceiverPrecompute, SourcePrecompute, SparsePoints, FOOTPRINT};
 use tempest::stencil::central_coeffs;
 use tempest::tiling::legality::{check_plan, check_schedule, DepModel};
 use tempest::tiling::wavefront::{slabs, WavefrontSpec};
@@ -214,7 +212,11 @@ fn compressed_mask_lossless() {
             assert_eq!(&from_rec, expected, "case {case}: id {id}");
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(pre.src_dcmp.as_slice()), bits(&dcmp), "case {case}: src_dcmp");
+        assert_eq!(
+            bits(pre.src_dcmp.as_slice()),
+            bits(&dcmp),
+            "case {case}: src_dcmp"
+        );
     }
 }
 
@@ -287,12 +289,16 @@ fn wavefront_plan_legality() {
         let shape = Shape::new(nx, ny, 2);
         let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
         let model = DepModel { radius, levels };
-        let ctx = format!("radius {radius} skew {skew} tile {tile} tile_t {tile_t} levels {levels}");
+        let ctx =
+            format!("radius {radius} skew {skew} tile {tile} tile_t {tile_t} levels {levels}");
         let plan = TilePlan::wavefront(shape, nvt, &spec, radius);
         assert_eq!(check_plan(shape, model, &plan), Ok(()), "plan: {ctx}");
         let mut order: Vec<usize> = (0..plan.len()).collect();
         order.sort_by_key(|&i| (plan.labels[i].t0, plan.labels[i].diagonal));
-        let sched: Vec<_> = order.iter().flat_map(|&i| plan.slabs[i].iter().copied()).collect();
+        let sched: Vec<_> = order
+            .iter()
+            .flat_map(|&i| plan.slabs[i].iter().copied())
+            .collect();
         let mut counts = vec![0u32; nvt * nx * ny];
         for s in &sched {
             for x in s.range.x0..s.range.x1 {
@@ -302,7 +308,11 @@ fn wavefront_plan_legality() {
             }
         }
         assert!(counts.iter().all(|&c| c == 1), "coverage: {ctx}");
-        assert_eq!(check_schedule(shape, nvt, model, sched), Ok(()), "replay: {ctx}");
+        assert_eq!(
+            check_schedule(shape, nvt, model, sched),
+            Ok(()),
+            "replay: {ctx}"
+        );
     }
 }
 

@@ -110,7 +110,10 @@ fn rtm_forward_gather_records_reflection() {
         .flat_map(|t| (0..nrec).map(move |r| (t, r)))
         .map(|(t, r)| (residual.get(t, r) as f64).powi(2))
         .sum();
-    assert!(res_energy > 0.0, "reflector must leave energy in the gather");
+    assert!(
+        res_energy > 0.0,
+        "reflector must leave energy in the gather"
+    );
 }
 
 #[test]

@@ -107,7 +107,11 @@ fn reference_images_and_gathers(s: &Setup) -> (Array3<f32>, Vec<Array2<f32>>) {
         let mut reversed = Array2::<f32>::zeros(NT, NREC);
         for t in 0..NT {
             for r in 0..NREC {
-                reversed.set(t, r, observed.get(NT - 1 - t, r) - direct.get(NT - 1 - t, r));
+                reversed.set(
+                    t,
+                    r,
+                    observed.get(NT - 1 - t, r) - direct.get(NT - 1 - t, r),
+                );
             }
         }
         let mut adj =
@@ -161,7 +165,11 @@ fn survey_rtm_matches_per_shot_reference_bitwise() {
         .map(|r| r.gather.unwrap())
         .collect();
         for (got, want) in observed.iter().zip(&ref_observed) {
-            assert_eq!(got.as_slice(), want.as_slice(), "gather differs (cap {threads})");
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "gather differs (cap {threads})"
+            );
         }
 
         // Dense-history survey RTM, each shot's blocks dispatched under the

@@ -190,7 +190,10 @@ impl Fixture {
 /// Every ring of `s`, in [`WaveSolver::written`] order over its phases.
 fn rings(s: &dyn WaveSolver) -> Vec<&LevelRing> {
     let phases = 0..s.phases();
-    phases.flat_map(|vt| s.written(vt)).map(|(ring, _)| ring).collect()
+    phases
+        .flat_map(|vt| s.written(vt))
+        .map(|(ring, _)| ring)
+        .collect()
 }
 
 /// Seeded wavefields for every level of every ring of `s`, interior and
@@ -199,7 +202,11 @@ fn inputs(s: &dyn WaveSolver, seed: u64, fixture: Fixture) -> Vec<Vec<f32>> {
     let mut rng = Rng64::new(seed ^ 0x5EED);
     let levels = rings(s).into_iter().flat_map(|ring| 0..ring.num_levels());
     let s = shape();
-    let values = levels.map(|_| s.iter().map(|(x, y, _)| fixture.value(&mut rng, x, y)).collect());
+    let values = levels.map(|_| {
+        s.iter()
+            .map(|(x, y, _)| fixture.value(&mut rng, x, y))
+            .collect()
+    });
     values.collect()
 }
 
@@ -208,7 +215,9 @@ fn inputs(s: &dyn WaveSolver, seed: u64, fixture: Fixture) -> Vec<Vec<f32>> {
 /// what undoes one.
 fn load(s: &dyn WaveSolver, inputs: &[Vec<f32>]) {
     let nz = shape().nz;
-    let levels = rings(s).into_iter().flat_map(|ring| (0..ring.num_levels()).map(move |l| (ring, l)));
+    let levels = rings(s)
+        .into_iter()
+        .flat_map(|ring| (0..ring.num_levels()).map(move |l| (ring, l)));
     for ((ring, level), values) in levels.zip(inputs) {
         let pencils = (0..shape().nx).flat_map(|x| (0..shape().ny).map(move |y| (x, y)));
         for ((x, y), pencil) in pencils.zip(values.chunks_exact(nz)) {
@@ -311,8 +320,9 @@ fn naive_tti<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32
     let coeff = s.coefficients();
     let [eps2, delta_bar] = [coeff[3], coeff[4]];
     // The stencil weights are the last nine slices.
-    let [cxx, wxx, cyy, wyy, czz, wzz, w1x, w1y, w1z]: [&[f32]; 9] =
-        coeff[coeff.len() - 9..].try_into().expect("nine weight slices");
+    let [cxx, wxx, cyy, wyy, czz, wzz, w1x, w1y, w1z]: [&[f32]; 9] = coeff[coeff.len() - 9..]
+        .try_into()
+        .expect("nine weight slices");
     let (cxx, wxx) = (cxx[0], arr::<R>(wxx));
     let (cyy, wyy) = (cyy[0], arr::<R>(wyy));
     let (czz, wzz) = (czz[0], arr::<R>(wzz));
@@ -565,7 +575,11 @@ fn pole_at(i: usize) -> usize {
 /// the medium's own random angles along `y + z`.
 fn pole_model(so: usize) -> TtiModel {
     let mut model = TtiModel::random(domain(), 1500.0, 4500.0, 7 + so as u64);
-    let angles = model.theta.as_mut_slice().iter_mut().zip(model.phi.as_mut_slice());
+    let angles = model
+        .theta
+        .as_mut_slice()
+        .iter_mut()
+        .zip(model.phi.as_mut_slice());
     for (i, (theta, phi)) in angles.enumerate() {
         if let Some(&(t, p)) = POLES.get(pole_at(i)) {
             (*theta, *phi) = (t, p);
@@ -643,7 +657,10 @@ fn check_cases(orders: &[usize], fixture: Fixture, make: impl Fn(usize, usize) -
             // pencil it replaces, so a skipped pencil cannot pass.
             if matches!(fixture, Fixture::Unit) {
                 let (replaced, nz) = (written_bits(s, vt), shape().nz);
-                let kept = want.chunks(nz).zip(replaced.chunks(nz)).filter(|(w, r)| w == r);
+                let kept = want
+                    .chunks(nz)
+                    .zip(replaced.chunks(nz))
+                    .filter(|(w, r)| w == r);
                 assert_eq!(kept.count(), 0, "{} vt {vt} so {so} nbl {nbl}", s.name());
             }
             for backend in backends() {
@@ -688,7 +705,9 @@ fn pole_case(so: usize, nbl: usize) -> Case {
 
 #[test]
 fn tti_step_equals_the_reference_under_subnormal_rotations() {
-    check_cases(&[4, 8, 12], Fixture::Odd, |so, nbl| vec![pole_case(so, nbl)]);
+    check_cases(&[4, 8, 12], Fixture::Odd, |so, nbl| {
+        vec![pole_case(so, nbl)]
+    });
 }
 
 /// The control of the pole fixture: [`POLES`] reach the range they name,
@@ -706,13 +725,25 @@ fn the_pole_fixture_carries_the_rotation_products_to_output_bits() {
         ([st * cp, st * sp, ct], rotation(t, p))
     };
     let ([_, b, _], g) = angles(POLES[0]);
-    assert!(sub(b) && g[3].is_normal(), "b subnormal, 2ab normal: {b:e} {:e}", g[3]);
+    assert!(
+        sub(b) && g[3].is_normal(),
+        "b subnormal, 2ab normal: {b:e} {:e}",
+        g[3]
+    );
     let ([a, _, _], g) = angles(POLES[1]);
-    assert!(sub(a) && g[4].is_normal(), "a subnormal, 2ac normal: {a:e} {:e}", g[4]);
+    assert!(
+        sub(a) && g[4].is_normal(),
+        "a subnormal, 2ac normal: {a:e} {:e}",
+        g[4]
+    );
     let ([a, _, _], _) = angles(POLES[2]);
     assert!(sub(2.0 * a), "2a subnormal: {a:e}");
     let ([a, b, _], g) = angles(POLES[3]);
-    assert!(a.is_normal() && b.is_normal() && sub(g[3]), "2ab subnormal: {:e}", g[3]);
+    assert!(
+        a.is_normal() && b.is_normal() && sub(g[3]),
+        "2ab subnormal: {:e}",
+        g[3]
+    );
 
     for so in [4usize, 8, 12] {
         let mut case = pole_case(so, 3);
@@ -722,11 +753,18 @@ fn the_pole_fixture_carries_the_rotation_products_to_output_bits() {
             rotation_rows(&pole_model(so))
         };
         case.params.splice(3..9, flushed);
-        let differ = want.iter().zip(case.want()).enumerate().filter(|(_, (w, f))| *w != f);
+        let differ = want
+            .iter()
+            .zip(case.want())
+            .enumerate()
+            .filter(|(_, (w, f))| *w != f);
         // `want` holds `p`, then `q`, densely indexed.
         let poles: Vec<usize> = differ.map(|(i, _)| pole_at(i % shape().len())).collect();
         for pole in [0, 1] {
-            assert!(poles.contains(&pole), "so {so}: pole {pole} never reaches an output bit");
+            assert!(
+                poles.contains(&pole),
+                "so {so}: pole {pole} never reaches an output bit"
+            );
         }
     }
 }

@@ -26,7 +26,8 @@ fn survey(nudge: f32) -> Survey {
         .with_nt(14)
         .with_f0(30.0)
         .with_boundary(3, 0.3);
-    let mut s = Survey::new(model, cfg).with_receivers(SparsePoints::receiver_line(&domain, 17, 0.2));
+    let mut s =
+        Survey::new(model, cfg).with_receivers(SparsePoints::receiver_line(&domain, 17, 0.2));
     for (i, x) in [55.0f32, 103.0, 141.0, 187.0].into_iter().enumerate() {
         let x = if i == 1 { x + nudge } else { x };
         s.add_shot(ShotSpec::at([x, 117.0, 41.0]));
@@ -85,7 +86,11 @@ fn wavefront_fused_gathers_are_bitwise_at_every_thread_cap() {
             policy,
             ..SurveyOptions::default()
         };
-        assert_bitwise(&want, &gathers(&plain, &opts), &format!("{policy:?} uncached"));
+        assert_bitwise(
+            &want,
+            &gathers(&plain, &opts),
+            &format!("{policy:?} uncached"),
+        );
 
         opts.cache = Some(std::sync::Arc::new(TileCache::with_capacity_mb(64)));
         for (mode, s, want) in [

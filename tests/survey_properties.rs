@@ -44,9 +44,15 @@ fn shard_is_a_partition() {
         let batch = rng.range_usize(0, n + 2); // 0 = single batch
         let policy = policies[rng.range_usize(0, policies.len())];
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        shard(policy, n, batch, || false, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
+        shard(
+            policy,
+            n,
+            batch,
+            || false,
+            |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            },
+        );
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(
                 h.load(Ordering::Relaxed),
@@ -150,8 +156,7 @@ fn streamed_index_set_is_complete() {
             batch_size: 4,
             ..SurveyOptions::default()
         };
-        run_survey_streaming(&survey, &opts, None, |r| seen.lock().unwrap().push(r.index))
-            .unwrap();
+        run_survey_streaming(&survey, &opts, None, |r| seen.lock().unwrap().push(r.index)).unwrap();
         let mut indices = seen.into_inner().unwrap();
         indices.sort_unstable();
         assert_eq!(indices, (0..6).collect::<Vec<_>>());

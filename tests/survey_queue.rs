@@ -202,9 +202,8 @@ fn live_service_terminal_accounting() {
     let svc = SurveyService::start();
     let mut ids = Vec::new();
     for round in 0..6 {
-        let id = svc.submit(
-            JobSpec::new(Arc::clone(&pool[round % 3])).with_priority((round % 3) as i32),
-        );
+        let id = svc
+            .submit(JobSpec::new(Arc::clone(&pool[round % 3])).with_priority((round % 3) as i32));
         if round % 3 == 2 {
             svc.cancel(id); // may land while queued or running — both legal
         }

@@ -195,7 +195,11 @@ fn scraped_metrics_match_snapshot_oracles_across_caps() {
         let par_tasks = sample_value(&text, "tempest_par_tasks_total") as u64;
         let beats = sample_value(&text, "tempest_heartbeats_total") as u64;
         assert_eq!(started, p.counter(Counter::ShotStarted), "cap {threads}");
-        assert_eq!(completed, p.counter(Counter::ShotCompleted), "cap {threads}");
+        assert_eq!(
+            completed,
+            p.counter(Counter::ShotCompleted),
+            "cap {threads}"
+        );
         assert_eq!(par_tasks, p.counter(Counter::ParTasks), "cap {threads}");
         assert_eq!(beats, metrics::heartbeats(), "cap {threads}");
         assert_eq!(beats, heartbeat_oracle(JOBS), "cap {threads}");
@@ -230,7 +234,10 @@ fn jobs_endpoint_serves_progress_json() {
     let (code, body) = serve::http_get(addr, "/jobs").expect("scrape /jobs");
     assert_eq!(code, 200);
     let doc = obs::json::Value::parse(&body).expect("valid /jobs JSON");
-    let jobs = doc.get("jobs").and_then(|v| v.as_arr()).expect("jobs array");
+    let jobs = doc
+        .get("jobs")
+        .and_then(|v| v.as_arr())
+        .expect("jobs array");
     assert_eq!(jobs.len(), 1);
     let j = &jobs[0];
     assert_eq!(j.get("state").and_then(|v| v.as_str()), Some("Completed"));
@@ -279,12 +286,20 @@ fn watchdog_trips_exactly_once_on_injected_hang() {
     }
 
     let st = svc.wait(id).unwrap();
-    assert_eq!(st.state, JobState::Completed, "hang is a delay, not a failure");
+    assert_eq!(
+        st.state,
+        JobState::Completed,
+        "hang is a delay, not a failure"
+    );
     assert!(observed_stalled, "watchdog never flagged the hung job");
     assert_eq!(observed_gauge, 1, "StalledJobs gauge while hung");
     assert_eq!(st.stall_events, 1, "one hang = one stall episode");
     assert!(!st.stalled, "terminal jobs are not stalled");
-    assert_eq!(metrics::gauge(Gauge::StalledJobs), 0, "gauge cleared at terminal");
+    assert_eq!(
+        metrics::gauge(Gauge::StalledJobs),
+        0,
+        "gauge cleared at terminal"
+    );
 }
 
 /// A clean run never trips the watchdog, even at a tight threshold.
@@ -318,13 +333,21 @@ fn telemetry_off_records_nothing() {
         endpoint_addr: Some("127.0.0.1:0".into()),
         ..ServiceConfig::default()
     });
-    assert!(svc.telemetry_addr().is_none(), "endpoint with recording off");
+    assert!(
+        svc.telemetry_addr().is_none(),
+        "endpoint with recording off"
+    );
     let id = svc.submit(JobSpec::new(Arc::new(survey_with(2))));
     assert_eq!(svc.wait(id).unwrap().state, JobState::Completed);
     assert_eq!(metrics::heartbeats(), 0, "heartbeats with recording off");
     assert!(metrics::heartbeat_age().is_none());
     for g in Gauge::ALL {
-        assert_eq!(metrics::gauge(g), 0, "gauge {} with recording off", g.name());
+        assert_eq!(
+            metrics::gauge(g),
+            0,
+            "gauge {} with recording off",
+            g.name()
+        );
     }
     assert!(obs::snapshot().is_empty(), "counters with recording off");
 }
@@ -339,7 +362,10 @@ fn recording_without_an_address_serves_nothing() {
     }
     let _g = guard(true);
     let svc = SurveyService::start();
-    assert!(svc.telemetry_addr().is_none(), "endpoint without an address");
+    assert!(
+        svc.telemetry_addr().is_none(),
+        "endpoint without an address"
+    );
     let id = svc.submit(JobSpec::new(Arc::new(survey_with(2))));
     assert_eq!(svc.wait(id).unwrap().state, JobState::Completed);
     assert!(metrics::heartbeats() > 0);
@@ -362,7 +388,9 @@ fn dropping_a_service_keeps_the_live_ones_jobs() {
     };
     let first = ephemeral();
     let second = ephemeral();
-    let addr = second.telemetry_addr().expect("ephemeral endpoint must bind");
+    let addr = second
+        .telemetry_addr()
+        .expect("ephemeral endpoint must bind");
     let id = second.submit(JobSpec::new(Arc::new(survey_with(1))));
     assert_eq!(second.wait(id).unwrap().state, JobState::Completed);
     drop(first);
@@ -370,8 +398,14 @@ fn dropping_a_service_keeps_the_live_ones_jobs() {
     let (code, body) = serve::http_get(addr, "/jobs").expect("scrape /jobs");
     assert_eq!(code, 200);
     let doc = obs::json::Value::parse(&body).expect("valid /jobs JSON");
-    let jobs = doc.get("jobs").and_then(|v| v.as_arr()).expect("jobs array");
+    let jobs = doc
+        .get("jobs")
+        .and_then(|v| v.as_arr())
+        .expect("jobs array");
     assert_eq!(jobs.len(), 1, "the live service's job vanished: {body}");
     let (_, text) = serve::http_get(addr, "/metrics").expect("scrape /metrics");
-    assert!(text.contains(&format!("tempest_job_progress{{job=\"{id}\"}} 1")), "{text}");
+    assert!(
+        text.contains(&format!("tempest_job_progress{{job=\"{id}\"}} 1")),
+        "{text}"
+    );
 }

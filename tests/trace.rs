@@ -141,8 +141,14 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
     // visible in the trace shape — and the propagator phases show up under
     // the tiles, even though tiles complete in a work-stealing order.
     assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert!(trace.count(SpanKind::Stencil) > 0, "{name}: stencil phases traced");
-    assert!(trace.count(SpanKind::Sparse) > 0, "{name}: sparse phases traced");
+    assert!(
+        trace.count(SpanKind::Stencil) > 0,
+        "{name}: stencil phases traced"
+    );
+    assert!(
+        trace.count(SpanKind::Sparse) > 0,
+        "{name}: sparse phases traced"
+    );
     assert_well_nested(trace);
 
     // Export → parse back. The stem uses sanitized labels: separator runs
@@ -188,7 +194,10 @@ fn traced_wavefront_run(s: &mut dyn WaveSolver) {
         }
     }
     assert_eq!(tiles_in_json, expected.len());
-    assert_eq!(v.get("otherData").unwrap().get("dropped").unwrap().as_u64(), Some(0));
+    assert_eq!(
+        v.get("otherData").unwrap().get("dropped").unwrap().as_u64(),
+        Some(0)
+    );
 }
 
 #[cfg(feature = "obs")]
@@ -245,15 +254,25 @@ fn span_times_equal_event_durations_per_thread_and_kind() {
     }
     let _g = guard();
     let mut solvers = common::solvers_on(32, 4, NT, 0.37, 4);
-    solvers.push(Box::new(common::AcousticDsl::centred(32, 4, NT, 0.37, 4).op));
+    solvers.push(Box::new(
+        common::AcousticDsl::centred(32, 4, NT, 0.37, 4).op,
+    ));
     let classic = Execution {
         sparse: tempest::core::operator::SparseMode::Classic,
         ..Execution::baseline()
     };
     for s in &mut solvers {
-        for exec in [Execution::wavefront_default(), Execution::baseline(), classic] {
+        for exec in [
+            Execution::wavefront_default(),
+            Execution::baseline(),
+            classic,
+        ] {
             let (_, p, _) = s.run_profiled(&exec);
-            assert!(p.timer_ns(SpanKind::Sparse) > 0, "{}: sparse spans", s.name());
+            assert!(
+                p.timer_ns(SpanKind::Sparse) > 0,
+                "{}: sparse spans",
+                s.name()
+            );
             check(&p, &format!("{} {}", s.name(), exec.schedule_label()));
         }
     }
@@ -265,7 +284,10 @@ fn span_times_equal_event_durations_per_thread_and_kind() {
     obs::reset();
     s.run_incremental(&exec, &cache, 0);
     let p = obs::snapshot();
-    assert!(p.trace.count(SpanKind::CacheRestore) > 0, "warm rerun restores");
+    assert!(
+        p.trace.count(SpanKind::CacheRestore) > 0,
+        "warm rerun restores"
+    );
     check(&p, "warm rerun");
 }
 
@@ -279,8 +301,14 @@ fn trace_gate_off_records_counters_but_no_events() {
     let mut s = acoustic64();
     let (_, profile, _) = s.run_profiled(&Execution::wavefront_default());
     assert!(!profile.is_empty(), "recording stays on without events");
-    assert!(profile.timer_ns(SpanKind::Tile) > 0, "span times are recorded");
-    assert!(profile.trace.is_empty(), "event level off must record no events");
+    assert!(
+        profile.timer_ns(SpanKind::Tile) > 0,
+        "span times are recorded"
+    );
+    assert!(
+        profile.trace.is_empty(),
+        "event level off must record no events"
+    );
     assert_eq!(profile.trace.dropped, 0);
 }
 
@@ -331,7 +359,10 @@ fn trace_disabled_costs_no_more_than_enabled() {
 fn no_feature_build_records_nothing() {
     let _g = guard();
     obs::trace::set_enabled(true);
-    assert!(!obs::trace::enabled(), "no-feature build cannot enable tracing");
+    assert!(
+        !obs::trace::enabled(),
+        "no-feature build cannot enable tracing"
+    );
     let d = Domain::uniform(Shape::cube(16), 10.0);
     let model = Model::homogeneous(d, 2000.0);
     let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2000.0, 50.0)
