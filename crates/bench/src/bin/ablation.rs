@@ -58,7 +58,7 @@ fn scalar_vs_pencil(args: &HarnessArgs) {
         ] {
             let mut scalar_gpts = 0.0f64;
             for &b in &backends {
-                let st = sweep::measure_dyn(s, &sweep::with_kernel(exec, KernelPath::from(b)), 1);
+                let st = sweep::measure(s, &exec.with_kernel(KernelPath::from(b)), 1);
                 if b == Backend::Scalar {
                     scalar_gpts = st.gpoints_per_s;
                 }
@@ -77,14 +77,10 @@ fn scalar_vs_pencil(args: &HarnessArgs) {
             }
         }
     };
-    if args.models.iter().any(|m| m == "acoustic") {
-        run("acoustic", &mut setup::acoustic(args.size, so, args.nt, 0));
-    }
-    if args.models.iter().any(|m| m == "tti") {
-        run("tti", &mut setup::tti(args.size, so, args.nt, 0));
-    }
-    if args.models.iter().any(|m| m == "elastic") {
-        run("elastic", &mut setup::elastic(args.size, so, args.nt, 0));
+    for model in ["acoustic", "tti", "elastic"] {
+        if args.models.iter().any(|m| m == model) {
+            run(model, &mut *setup::solver(model, args.size, so, args.nt, 0));
+        }
     }
     if !Backend::Avx2.available() {
         table.row(&[

@@ -53,50 +53,14 @@ fn bench_one(model: &str, so: usize, args: &HarnessArgs, nt_tune: usize, table: 
     // Quick tuning sweep: the exhaustive Table-I sweep lives in `table1`.
     let cands = sweep::candidates_for(args.size, args.size, nt_tune, true);
     let repeats = if args.fast { 1 } else { 2 };
-    let (base, wtb, base_blk, best) = match model {
-        "acoustic" => {
-            let mut tuner = setup::acoustic(args.size, so, nt_tune, 0);
-            let base_blk = sweep::tune_baseline(&mut tuner);
-            let tuned = sweep::tune_wavefront(&mut tuner, &cands);
-            let mut s = setup::acoustic(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(
-                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
-                args.kernel,
-            );
-            let base = sweep::measure(&mut s, &eb, repeats);
-            let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
-            let wtb = sweep::measure(&mut s, &ew, repeats);
-            (base, wtb, base_blk, tuned.best)
-        }
-        "tti" => {
-            let mut tuner = setup::tti(args.size, so, nt_tune, 0);
-            let base_blk = sweep::tune_baseline(&mut tuner);
-            let tuned = sweep::tune_wavefront(&mut tuner, &cands);
-            let mut s = setup::tti(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(
-                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
-                args.kernel,
-            );
-            let base = sweep::measure(&mut s, &eb, repeats);
-            let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
-            let wtb = sweep::measure(&mut s, &ew, repeats);
-            (base, wtb, base_blk, tuned.best)
-        }
-        _ => {
-            let mut tuner = setup::elastic(args.size, so, nt_tune, 0);
-            let base_blk = sweep::tune_baseline(&mut tuner);
-            let tuned = sweep::tune_wavefront(&mut tuner, &cands);
-            let mut s = setup::elastic(args.size, so, args.nt, 8);
-            let eb = sweep::with_kernel(
-                sweep::exec_spaceblocked(base_blk.0, base_blk.1),
-                args.kernel,
-            );
-            let base = sweep::measure(&mut s, &eb, repeats);
-            let ew = sweep::with_kernel(sweep::exec_wavefront(&tuned.best), args.kernel);
-            let wtb = sweep::measure(&mut s, &ew, repeats);
-            (base, wtb, base_blk, tuned.best)
-        }
-    };
+    let mut tuner = setup::solver(model, args.size, so, nt_tune, 0);
+    let base_blk = sweep::tune_baseline(&mut *tuner);
+    let best = sweep::tune_wavefront(&mut *tuner, &cands).best;
+    let mut s = setup::solver(model, args.size, so, args.nt, 8);
+    let eb = sweep::exec_spaceblocked(base_blk.0, base_blk.1).with_kernel(args.kernel);
+    let base = sweep::measure(&mut *s, &eb, repeats);
+    let ew = sweep::exec_wavefront(&best).with_kernel(args.kernel);
+    let wtb = sweep::measure(&mut *s, &ew, repeats);
     let sp = wtb.gpoints_per_s / base.gpoints_per_s;
     println!(
         "  {model} so{so}: base {:.3} GPts/s (blk {}x{}), wtb {:.3} GPts/s ({}), speedup {:.2}x",

@@ -14,7 +14,6 @@
 use tempest_bench::args::HarnessArgs;
 use tempest_bench::report::Table;
 use tempest_bench::{setup, sweep};
-use tempest_tiling::TuneResult;
 
 fn main() {
     let args = HarnessArgs::parse(256, 16);
@@ -42,20 +41,9 @@ fn main() {
     let quick = sweep::candidates_for(args.size, args.size, args.nt, true);
     for &so in &args.space_orders {
         for model in ["acoustic", "elastic", "tti"] {
-            let tuned: TuneResult = match model {
-                "acoustic" => {
-                    let mut s = setup::acoustic(args.size, so, args.nt, 0);
-                    sweep::tune_wavefront(&mut s, &full)
-                }
-                "elastic" => {
-                    let mut s = setup::elastic(args.size, so, args.nt, 0);
-                    sweep::tune_wavefront(&mut s, &quick)
-                }
-                _ => {
-                    let mut s = setup::tti(args.size, so, args.nt, 0);
-                    sweep::tune_wavefront(&mut s, &quick)
-                }
-            };
+            let cands = if model == "acoustic" { &full } else { &quick };
+            let mut s = setup::solver(model, args.size, so, args.nt, 0);
+            let tuned = sweep::tune_wavefront(&mut *s, cands);
             let worst = tuned
                 .all
                 .iter()

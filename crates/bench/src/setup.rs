@@ -7,7 +7,7 @@
 //! specialise away parameter loads.
 
 use tempest_core::config::EquationKind;
-use tempest_core::{Acoustic, Elastic, SimConfig, Tti};
+use tempest_core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
 use tempest_grid::{Domain, ElasticModel, Model, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
 use tempest_survey::Survey;
@@ -55,6 +55,26 @@ pub fn elastic(size: usize, so: usize, nt: usize, receivers: usize) -> Elastic {
     Elastic::new(&model, cfg, src, rec)
 }
 
+/// Build the benchmark problem of `model` — `acoustic`, `tti` or `elastic` —
+/// behind the one interface every harness measures through.
+///
+/// # Panics
+/// On any other model name.
+pub fn solver(
+    model: &str,
+    size: usize,
+    so: usize,
+    nt: usize,
+    receivers: usize,
+) -> Box<dyn WaveSolver> {
+    match model {
+        "acoustic" => Box::new(acoustic(size, so, nt, receivers)),
+        "tti" => Box::new(tti(size, so, nt, receivers)),
+        "elastic" => Box::new(elastic(size, so, nt, receivers)),
+        _ => panic!("unknown model {model:?}: expected acoustic, tti or elastic"),
+    }
+}
+
 /// Build the multi-shot survey benchmark problem: the acoustic setup with a
 /// shot line across the top of the domain instead of the single centre
 /// source, driven through the `tempest-survey` engine (DESIGN.md §14).
@@ -73,22 +93,15 @@ pub fn survey(size: usize, so: usize, nt: usize, shots: usize, receivers: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempest_core::{Execution, WaveSolver};
+    use tempest_core::Execution;
 
     #[test]
     fn builders_produce_runnable_problems() {
-        let mut a = acoustic(16, 4, 4, 3);
-        let s = a.run(&Execution::baseline().sequential());
-        assert_eq!(s.nt, 4);
-        assert!(a.final_field().max_abs() > 0.0);
-
-        let mut t = tti(16, 4, 4, 0);
-        t.run(&Execution::baseline().sequential());
-        assert!(t.final_field().max_abs() > 0.0);
-
-        let mut e = elastic(16, 4, 4, 3);
-        e.run(&Execution::baseline().sequential());
-        assert!(e.final_field().max_abs() > 0.0);
+        for (model, receivers) in [("acoustic", 3), ("tti", 0), ("elastic", 3)] {
+            let mut s = solver(model, 16, 4, 4, receivers);
+            assert_eq!(s.run(&Execution::baseline().sequential()).nt, 4, "{model}");
+            assert!(s.final_field().max_abs() > 0.0, "{model}");
+        }
     }
 
     #[test]

@@ -36,19 +36,8 @@ pub fn exec_spaceblocked(block_x: usize, block_y: usize) -> Execution {
     }
 }
 
-/// Apply a `--kernel` selection to an execution (harness plumbing).
-pub fn with_kernel(mut e: Execution, kernel: KernelPath) -> Execution {
-    e.kernel = kernel;
-    e
-}
-
 /// Best-of-`repeats` measurement of one execution.
-pub fn measure<S: WaveSolver>(s: &mut S, exec: &Execution, repeats: usize) -> RunStats {
-    measure_dyn(s, exec, repeats)
-}
-
-/// [`measure`] over a trait object (lets harness code loop over models).
-pub fn measure_dyn(s: &mut dyn WaveSolver, exec: &Execution, repeats: usize) -> RunStats {
+pub fn measure(s: &mut dyn WaveSolver, exec: &Execution, repeats: usize) -> RunStats {
     assert!(repeats >= 1);
     let mut best: Option<RunStats> = None;
     for _ in 0..repeats {
@@ -62,7 +51,7 @@ pub fn measure_dyn(s: &mut dyn WaveSolver, exec: &Execution, repeats: usize) -> 
 
 /// Tune the baseline block shape over the standard candidates. Each
 /// candidate is timed twice and keeps its best time.
-pub fn tune_baseline<S: WaveSolver>(s: &mut S) -> (usize, usize) {
+pub fn tune_baseline(s: &mut dyn WaveSolver) -> (usize, usize) {
     let shape = s.shape();
     let best = autotune(&spaceblock_candidates(shape.nx, shape.ny), |c| {
         let e = exec_spaceblocked(c.block_x, c.block_y);
@@ -75,7 +64,7 @@ pub fn tune_baseline<S: WaveSolver>(s: &mut S) -> (usize, usize) {
 /// Tune WTB over `cands` using the given (short-`nt`) solver. Each
 /// candidate is timed twice and keeps its best time — shared-machine noise
 /// otherwise dominates short tuning runs.
-pub fn tune_wavefront<S: WaveSolver>(s: &mut S, cands: &[Candidate]) -> TuneResult {
+pub fn tune_wavefront(s: &mut dyn WaveSolver, cands: &[Candidate]) -> TuneResult {
     autotune(cands, |c| {
         let e = exec_wavefront(c);
         let a = s.run(&e).elapsed;

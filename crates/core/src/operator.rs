@@ -164,20 +164,6 @@ pub enum Schedule {
     },
 }
 
-impl Schedule {
-    /// Temporal reuse factor for the streaming-traffic roofline model: the
-    /// number of timesteps a temporal tile keeps wavefields cache-resident
-    /// (`tile_t`), or 1 for the per-timestep baseline. Feeds
-    /// `KernelCost::bytes_streaming_temporal` when placing a schedule on
-    /// the roofline (paper Fig. 11).
-    pub fn temporal_reuse(&self) -> usize {
-        match *self {
-            Schedule::SpaceBlocked { .. } => 1,
-            Schedule::WavefrontDataflow { tile_t, .. } => tile_t.max(1),
-        }
-    }
-}
-
 /// A complete execution configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Execution {

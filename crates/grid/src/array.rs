@@ -62,11 +62,6 @@ impl<T: Copy + Default> Array3<T> {
         }
     }
 
-    /// Allocate from a [`Shape`] with lane-aligned `z`-rows.
-    pub fn from_shape_lane_aligned(s: Shape, lane: usize) -> Self {
-        Self::zeros_lane_aligned(s.nx, s.ny, s.nz, lane)
-    }
-
     /// Copy into a new array whose `z`-rows are padded to a multiple of
     /// `lane`. The logical content is identical (`bit_equal` for `f32`).
     pub fn to_lane_aligned(&self, lane: usize) -> Self {

@@ -7,7 +7,7 @@
 //! the paper's absorbing layers assume).
 
 use crate::array::Array3;
-use crate::shape::{Range3, Shape};
+use crate::shape::Shape;
 
 /// One time level of a wavefield: interior of [`Shape`] `shape` surrounded by
 /// a halo of `halo` points on every side of every axis.
@@ -133,11 +133,6 @@ impl Field {
             }
         }
         s.sqrt()
-    }
-
-    /// The full interior as a [`Range3`].
-    pub fn interior_range(&self) -> Range3 {
-        self.shape.full_range()
     }
 
     /// Indices of interior points whose value is non-zero.

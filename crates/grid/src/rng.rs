@@ -37,12 +37,6 @@ impl Rng64 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform `f32` in `[lo, hi)` (`lo` when the range is empty).
     #[inline]
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {

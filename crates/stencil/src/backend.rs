@@ -185,7 +185,7 @@ impl Backend {
         match self {
             Backend::Scalar => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::laplacian_at_r::<R>(u, i0 + j, sx, sy, center, wx, wy, wz);
+                    *o = kernels::laplacian_at(u, i0 + j, sx, sy, center, wx, wy, wz);
                 }
             }
             Backend::Portable => portable!(laplacian(u, i0, sx, sy, center, wx, wy, wz, out)),
@@ -220,28 +220,6 @@ impl Backend {
         }
     }
 
-    /// Second derivative along one axis, compile-time radius.
-    #[inline]
-    pub fn second_diff_row_r<const R: usize>(
-        self,
-        u: &[f32],
-        i0: usize,
-        s: usize,
-        center: f32,
-        side: &[f32; R],
-        out: &mut [f32],
-    ) {
-        match self {
-            Backend::Scalar => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::second_diff_axis_r::<R>(u, i0 + j, s, center, side);
-                }
-            }
-            Backend::Portable => portable!(second_diff::<R>(u, i0, s, center, side, out)),
-            Backend::Avx2 => avx2!(second_diff::<R>(u, i0, s, center, side, out)),
-        }
-    }
-
     /// Centred first derivative, compile-time radius.
     #[inline]
     pub fn first_diff_row_r<const R: usize>(
@@ -255,7 +233,7 @@ impl Backend {
         match self {
             Backend::Scalar => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::first_diff_axis_r::<R>(u, i0 + j, s, w);
+                    *o = kernels::first_diff_axis(u, i0 + j, s, w);
                 }
             }
             Backend::Portable => portable!(first_diff::<R>(u, i0, s, w, out)),
@@ -279,7 +257,7 @@ impl Backend {
         match self {
             Backend::Scalar => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::cross_diff_r::<R>(u, i0 + j, s1, s2, w1, w2);
+                    *o = kernels::cross_diff(u, i0 + j, s1, s2, w1, w2);
                 }
             }
             Backend::Portable => portable!(cross_diff::<R>(u, i0, s1, s2, w1, w2, out)),
@@ -300,32 +278,11 @@ impl Backend {
         match self {
             Backend::Scalar => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::staggered_diff_fwd_r::<R>(u, i0 + j, s, w);
+                    *o = kernels::staggered_diff_fwd(u, i0 + j, s, w);
                 }
             }
             Backend::Portable => portable!(staggered_fwd::<R>(u, i0, s, w, out)),
             Backend::Avx2 => avx2!(staggered_fwd::<R>(u, i0, s, w, out)),
-        }
-    }
-
-    /// Staggered backward derivative (at `i − ½`), compile-time radius.
-    #[inline]
-    pub fn staggered_bwd_row_r<const R: usize>(
-        self,
-        u: &[f32],
-        i0: usize,
-        s: usize,
-        w: &[f32; R],
-        out: &mut [f32],
-    ) {
-        match self {
-            Backend::Scalar => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = kernels::staggered_diff_bwd_r::<R>(u, i0 + j, s, w);
-                }
-            }
-            Backend::Portable => portable!(staggered_bwd::<R>(u, i0, s, w, out)),
-            Backend::Avx2 => avx2!(staggered_bwd::<R>(u, i0, s, w, out)),
         }
     }
 
@@ -552,14 +509,14 @@ pub fn default_backend() -> Backend {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::kernels::{first_derivative_weights, staggered_weights, AxisWeights};
     use std::cell::Cell;
     use tempest_grid::Rng64;
 
     /// A seeded random padded volume and its `x`, `y` strides.
-    pub(crate) fn volume(seed: u64, nx: usize, ny: usize, nz: usize) -> (Vec<f32>, usize, usize) {
+    fn volume(seed: u64, nx: usize, ny: usize, nz: usize) -> (Vec<f32>, usize, usize) {
         let mut rng = Rng64::new(seed);
         let u: Vec<f32> = (0..nx * ny * nz)
             .map(|_| rng.next_f32() * 2.0 - 1.0)
@@ -675,6 +632,8 @@ pub(crate) mod tests {
     fn all_backends_match_scalar_bitwise_on_every_row_shape() {
         let (nx, ny, nz) = (22, 21, 41);
         let (u, sx, sy) = volume(29, nx, ny, nz);
+        // The grid's strides, then `(s, 1)` for every axis `s`.
+        let laplacian_strides = [(sx, sy), (sx, 1), (sy, 1), (1, 1)];
         for order in [4usize, 8, 12] {
             let r = order / 2;
             let w2 = AxisWeights::second_derivative(order, 3.0);
@@ -692,21 +651,22 @@ pub(crate) mod tests {
                             let wsa: [f32; $R] = ws.clone().try_into().unwrap();
                             let mut got = vec![0.0f32; n];
                             let mut want = vec![0.0f32; n];
-                            b.laplacian_row_r::<$R>(
-                                &u, i0, sx, sy, center, &side, &side, &side, &mut got,
-                            );
-                            Backend::Scalar.laplacian_row_r::<$R>(
-                                &u, i0, sx, sy, center, &side, &side, &side, &mut want,
-                            );
-                            assert_bits(&got, &want, path, "laplacian_row_r", order);
-                            b.second_diff_row_r::<$R>(&u, i0, sy, w2.center, &side, &mut got);
-                            Backend::Scalar
-                                .second_diff_row_r::<$R>(&u, i0, sy, w2.center, &side, &mut want);
-                            assert_bits(&got, &want, path, "second_diff_row_r", order);
-                            b.cross_diff_row_r::<$R>(&u, i0, sx, 1, &w1a, &w1a, &mut got);
-                            Backend::Scalar
-                                .cross_diff_row_r::<$R>(&u, i0, sx, 1, &w1a, &w1a, &mut want);
-                            assert_bits(&got, &want, path, "cross_diff_row_r", order);
+                            for (sa, sb) in laplacian_strides {
+                                b.laplacian_row_r::<$R>(
+                                    &u, i0, sa, sb, center, &side, &side, &side, &mut got,
+                                );
+                                Backend::Scalar.laplacian_row_r::<$R>(
+                                    &u, i0, sa, sb, center, &side, &side, &side, &mut want,
+                                );
+                                assert_bits(&got, &want, path, "laplacian_row_r", order);
+                            }
+                            // The mixed derivative across `z` and every axis.
+                            for s in [sx, sy, 1] {
+                                b.cross_diff_row_r::<$R>(&u, i0, s, 1, &w1a, &w1a, &mut got);
+                                Backend::Scalar
+                                    .cross_diff_row_r::<$R>(&u, i0, s, 1, &w1a, &w1a, &mut want);
+                                assert_bits(&got, &want, path, "cross_diff_row_r", order);
+                            }
                             // The first-derivative row along every axis,
                             // then the shapes the TTI row cache gives it:
                             // the row dilated by `r` into the z halo (a
@@ -727,17 +687,13 @@ pub(crate) mod tests {
                                 Backend::Scalar.first_diff_row_r::<$R>(&u, i, s, &w1a, &mut want);
                                 assert_bits(&got, &want, path, "first_diff_row_r", order);
                             }
-                            // The staggered rows along every axis elastic
+                            // The staggered row along every axis elastic
                             // differentiates.
                             for s in [1, sy, sx] {
                                 b.staggered_fwd_row_r::<$R>(&u, i0, s, &wsa, &mut got);
                                 Backend::Scalar
                                     .staggered_fwd_row_r::<$R>(&u, i0, s, &wsa, &mut want);
                                 assert_bits(&got, &want, path, "staggered_fwd_row_r", order);
-                                b.staggered_bwd_row_r::<$R>(&u, i0, s, &wsa, &mut got);
-                                Backend::Scalar
-                                    .staggered_bwd_row_r::<$R>(&u, i0, s, &wsa, &mut want);
-                                assert_bits(&got, &want, path, "staggered_bwd_row_r", order);
                             }
                         }};
                     }
@@ -751,13 +707,13 @@ pub(crate) mod tests {
                     // space orders).
                     let mut got = vec![0.0f32; n];
                     let mut want = vec![0.0f32; n];
-                    b.laplacian_row(
-                        &u, i0, sx, sy, center, &w2.side, &w2.side, &w2.side, &mut got,
-                    );
-                    Backend::Scalar.laplacian_row(
-                        &u, i0, sx, sy, center, &w2.side, &w2.side, &w2.side, &mut want,
-                    );
-                    assert_bits(&got, &want, path, "laplacian_row", order);
+                    for (sa, sb) in laplacian_strides {
+                        let ws = &w2.side[..];
+                        b.laplacian_row(&u, i0, sa, sb, center, ws, ws, ws, &mut got);
+                        Backend::Scalar
+                            .laplacian_row(&u, i0, sa, sb, center, ws, ws, ws, &mut want);
+                        assert_bits(&got, &want, path, "laplacian_row", order);
+                    }
                 }
             }
         }
@@ -859,18 +815,17 @@ pub(crate) mod tests {
         }
 
         /// [`run`](Self::run) as the step body computed it before the
-        /// kernels were fused: each term's derivative row through the
-        /// public staggered row kernel of `b`, then the combine loops.
-        fn two_passes(&self, b: Backend, i0: usize, n: usize) -> Vec<Vec<f32>> {
+        /// kernels were fused, whichever `_b`: each term's derivative row
+        /// from the per-point staggered kernels, then the combine loops.
+        fn two_passes(&self, _b: Backend, i0: usize, n: usize) -> Vec<Vec<f32>> {
             let (triples, pairs) = self.terms();
-            let row = |t: &StaggeredTerm<R>| {
-                let mut d = vec![0.0f32; n];
-                if t.fwd {
-                    b.staggered_fwd_row_r::<R>(t.u, i0, t.s, t.w, &mut d);
+            let row = |t: &StaggeredTerm<R>| -> Vec<f32> {
+                let diff = if t.fwd {
+                    kernels::staggered_diff_fwd
                 } else {
-                    b.staggered_bwd_row_r::<R>(t.u, i0, t.s, t.w, &mut d);
-                }
-                d
+                    kernels::staggered_diff_bwd
+                };
+                (0..n).map(|j| diff(t.u, i0 + j, t.s, t.w)).collect()
             };
             let [coef, mu, fd, v0, t0, t1] = &self.rows;
             let mut out = Vec::new();
@@ -1037,7 +992,7 @@ pub(crate) mod tests {
         /// `c1·u − c2·u⁻` and `√(1+2δ)·gzz_q`, so `p⁺ = -0.0` exactly when
         /// `∂xy p` is `+0.0`. Each tap pair of `∂xy p` contributes `-0.0`,
         /// so a first derivative summed from `0.0`, as
-        /// [`kernels::first_diff_axis_r`] is, gives `+0.0`, and one summed
+        /// [`kernels::first_diff_axis`] is, gives `+0.0`, and one summed
         /// from its first product gives `-0.0`.
         fn signed_zero_first() -> Self {
             // The zero whose product with `w` is `-0.0`, and the one whose
@@ -1130,22 +1085,24 @@ pub(crate) mod tests {
         }
 
         /// [`run`](Self::run) as the step body computed it before the update
-        /// was fused: the six derivative rows of each field through the
-        /// public row kernels of `b`, then the combine loop over the rotation
-        /// products as set-up stored them: `a·a`, …, `2·a·b`, `2·a·c`,
-        /// `2·b·c` with `a`, `b` the halves of the `2a`, `2b` rows.
-        fn two_passes(&self, b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
+        /// was fused, whichever `_b`: the six derivative rows of each field
+        /// from the per-point kernels, then the combine loop over the
+        /// rotation products as set-up stored them: `a·a`, …, `2·a·b`,
+        /// `2·a·c`, `2·b·c` with `a`, `b` the halves of the `2a`, `2b` rows.
+        fn two_passes(&self, _b: Backend, z0: usize, n: usize) -> [Vec<f32>; 2] {
+            use kernels::{first_diff_axis as first, second_diff_axis as second};
             let st = &self.st;
             let rows = |f: &TtiField| -> [Vec<f32>; 6] {
-                let mut d: [Vec<f32>; 6] = std::array::from_fn(|_| vec![0.0f32; n]);
-                let [xx, yy, zz, xy, xz, yz] = &mut d;
-                b.second_diff_row_r::<R>(f.u, f.i0, st.sx, st.center[0], &st.side[0], xx);
-                b.second_diff_row_r::<R>(f.u, f.i0, st.sy, st.center[1], &st.side[1], yy);
-                b.second_diff_row_r::<R>(f.u, f.i0, 1, st.center[2], &st.side[2], zz);
-                b.first_diff_row_r::<R>(f.cache, f.dy, st.plane, &st.w1x, xy);
-                b.first_diff_row_r::<R>(f.dx, R, 1, &st.w1z, xz);
-                b.first_diff_row_r::<R>(f.cache, f.dy, 1, &st.w1z, yz);
-                d
+                let row = |d: &dyn Fn(usize) -> f32| (0..n).map(d).collect();
+                let (i, y, [cx, cy, cz], [wx, wy, wz]) = (f.i0, f.dy, st.center, &st.side);
+                [
+                    row(&|j| second(f.u, i + j, st.sx, cx, wx)),
+                    row(&|j| second(f.u, i + j, st.sy, cy, wy)),
+                    row(&|j| second(f.u, i + j, 1, cz, wz)),
+                    row(&|j| first(f.cache, y + j, st.plane, &st.w1x)),
+                    row(&|j| first(f.dx, R + j, 1, &st.w1z)),
+                    row(&|j| first(f.cache, y + j, 1, &st.w1z)),
+                ]
             };
             let [fp, fq] = self.fields(z0, n);
             let [pxx, pyy, pzz, pxy, pxz, pyz] = rows(&fp);
@@ -1291,13 +1248,11 @@ pub(crate) mod tests {
             match m {
                 0 => b.laplacian_row_r(u, i0, 1, 1, 1.0, &w, &w, &w, &mut o),
                 1 => b.laplacian_row(u, i0, 1, 1, 1.0, &w, &w, &w, &mut o),
-                2 => b.second_diff_row_r(u, i0, 1, 1.0, &w, &mut o),
-                3 => b.first_diff_row_r(u, i0, 1, &w, &mut o),
-                4 => b.cross_diff_row_r(u, i0, 1, 1, &w, &w, &mut o),
-                5 => b.staggered_fwd_row_r(u, i0, 1, &w, &mut o),
-                6 => b.staggered_bwd_row_r(u, i0, 1, &w, &mut o),
-                7 => b.velocity_row_r(i0, &d, &row, &row, &mut o),
-                8 => b.normal_stress_row_r(
+                2 => b.first_diff_row_r(u, i0, 1, &w, &mut o),
+                3 => b.cross_diff_row_r(u, i0, 1, 1, &w, &w, &mut o),
+                4 => b.staggered_fwd_row_r(u, i0, 1, &w, &mut o),
+                5 => b.velocity_row_r(i0, &d, &row, &row, &mut o),
+                6 => b.normal_stress_row_r(
                     i0,
                     &d,
                     &row,
@@ -1305,12 +1260,12 @@ pub(crate) mod tests {
                     &row,
                     [&mut o, &mut out(), &mut out()],
                 ),
-                9 => b.shear_stress_row_r(i0, &[d[0]; 2], &row, &row, &mut o),
+                7 => b.shear_stress_row_r(i0, &[d[0]; 2], &row, &row, &mut o),
                 _ => b.tti_update_row_r(&st, &[f; 2], &c, &mut o, &mut out()),
             }
         };
         let runs = |m, b, len| catch_unwind(AssertUnwindSafe(|| run(m, b, &field[..len]))).is_ok();
-        for m in 0..11 {
+        for m in 0..9 {
             let reach = (0..=field.len())
                 .find(|&len| runs(m, Backend::Scalar, len))
                 .unwrap();

@@ -9,9 +9,12 @@
 //! Weights are *premultiplied* by the `1/hᵏ` spacing factors (see
 //! [`AxisWeights`]), keeping the hot path free of divisions.
 //!
-//! Const-generic `_r` variants take the radius as a compile-time constant so
-//! the weight loop fully unrolls; the propagators in `tempest-core`
-//! monomorphise them for the paper's space orders 4, 8 and 12 (radii 2, 4, 6).
+//! Each kernel is written once, over weight slices. A caller with a
+//! compile-time radius `R` passes its `&[f32; R]` weights: once the kernel is
+//! inlined the weight loop's trip count is a constant and it fully unrolls.
+//! The propagators in `tempest-core` monomorphise their rows for the paper's
+//! space orders 4, 8 and 12 (radii 2, 4, 6); the fused updates
+//! (`velocity_at_r` … `tti_at_r`) take `R` from their terms' weight arrays.
 
 use crate::coeffs::{central_coeffs_symmetric, central_first_antisymmetric, staggered_coeffs};
 
@@ -44,7 +47,7 @@ impl AxisWeights {
         self.side.len()
     }
 
-    /// Side weights as a fixed-size array (for the const-generic kernels).
+    /// Side weights as a fixed-size array (for the compile-time-radius rows).
     ///
     /// # Panics
     /// If `R` does not equal the runtime radius.
@@ -75,33 +78,15 @@ pub fn staggered_weights(order: usize, h: f32) -> Vec<f32> {
         .collect()
 }
 
-/// Second derivative along one axis at linear index `i` with stride `s`.
+/// Second derivative along one axis at linear index `i` with stride `s`:
+/// `center` is the axis centre weight, `side[k]` multiplies
+/// `u(+k+1) + u(−k−1)`.
 #[inline(always)]
-pub fn second_diff_axis(u: &[f32], i: usize, s: usize, w: &AxisWeights) -> f32 {
-    let mut acc = w.center * u[i];
-    for (k, &wk) in w.side.iter().enumerate() {
+pub fn second_diff_axis(u: &[f32], i: usize, s: usize, center: f32, side: &[f32]) -> f32 {
+    let mut acc = center * u[i];
+    for (k, &wk) in side.iter().enumerate() {
         let o = (k + 1) * s;
         acc += wk * (u[i + o] + u[i - o]);
-    }
-    acc
-}
-
-/// Second derivative along one axis, compile-time radius (`center` is the
-/// axis centre weight; `side[k]` multiplies `u(+k+1) + u(−k−1)`).
-#[inline(always)]
-pub fn second_diff_axis_r<const R: usize>(
-    u: &[f32],
-    i: usize,
-    s: usize,
-    center: f32,
-    side: &[f32; R],
-) -> f32 {
-    let mut acc = center * u[i];
-    let mut k = 0;
-    while k < R {
-        let o = (k + 1) * s;
-        acc += side[k] * (u[i + o] + u[i - o]);
-        k += 1;
     }
     acc
 }
@@ -137,41 +122,6 @@ pub fn laplacian_at(
     acc
 }
 
-/// 3-D Laplacian with compile-time radius `R` (fully unrolled weight loops).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub fn laplacian_at_r<const R: usize>(
-    u: &[f32],
-    i: usize,
-    sx: usize,
-    sy: usize,
-    center: f32,
-    wx: &[f32; R],
-    wy: &[f32; R],
-    wz: &[f32; R],
-) -> f32 {
-    let mut acc = center * u[i];
-    let mut k = 0;
-    while k < R {
-        let o = (k + 1) * sx;
-        acc += wx[k] * (u[i + o] + u[i - o]);
-        k += 1;
-    }
-    k = 0;
-    while k < R {
-        let o = (k + 1) * sy;
-        acc += wy[k] * (u[i + o] + u[i - o]);
-        k += 1;
-    }
-    k = 0;
-    while k < R {
-        let o = k + 1;
-        acc += wz[k] * (u[i + o] + u[i - o]);
-        k += 1;
-    }
-    acc
-}
-
 /// Centred first derivative along one axis (antisymmetric weights).
 #[inline(always)]
 pub fn first_diff_axis(u: &[f32], i: usize, s: usize, w: &[f32]) -> f32 {
@@ -183,25 +133,12 @@ pub fn first_diff_axis(u: &[f32], i: usize, s: usize, w: &[f32]) -> f32 {
     acc
 }
 
-/// Centred first derivative, compile-time radius.
-#[inline(always)]
-pub fn first_diff_axis_r<const R: usize>(u: &[f32], i: usize, s: usize, w: &[f32; R]) -> f32 {
-    let mut acc = 0.0f32;
-    let mut k = 0;
-    while k < R {
-        let o = (k + 1) * s;
-        acc += w[k] * (u[i + o] - u[i - o]);
-        k += 1;
-    }
-    acc
-}
-
 /// Mixed second derivative `∂²/∂a∂b` at linear index `i` as the `(2r)²`-point
 /// outer product of two centred first-derivative stencils (strides `s1`,
 /// `s2`, antisymmetric weights `w1`, `w2`) — the cross terms of the rotated
 /// TTI Laplacian (paper Eq. 2) that "increase the operation count
 /// drastically". The TTI propagator does not call it: it composes two
-/// [`first_diff_axis_r`] row passes instead, `2·2r` taps for the same value
+/// [`first_diff_axis`] row passes instead, `2·2r` taps for the same value
 /// up to rounding.
 #[inline(always)]
 pub fn cross_diff(u: &[f32], i: usize, s1: usize, s2: usize, w1: &[f32], w2: &[f32]) -> f32 {
@@ -214,34 +151,6 @@ pub fn cross_diff(u: &[f32], i: usize, s1: usize, s2: usize, w1: &[f32], w2: &[f
             inner += wk * ((u[i + o1 + o2] + u[i - o1 - o2]) - (u[i + o1 - o2] + u[i - o1 + o2]));
         }
         acc += wj * inner;
-    }
-    acc
-}
-
-/// Mixed second derivative, compile-time radius.
-#[inline(always)]
-pub fn cross_diff_r<const R: usize>(
-    u: &[f32],
-    i: usize,
-    s1: usize,
-    s2: usize,
-    w1: &[f32; R],
-    w2: &[f32; R],
-) -> f32 {
-    let mut acc = 0.0f32;
-    let mut j = 0;
-    while j < R {
-        let o1 = (j + 1) * s1;
-        let mut inner = 0.0f32;
-        let mut k = 0;
-        while k < R {
-            let o2 = (k + 1) * s2;
-            inner +=
-                w2[k] * ((u[i + o1 + o2] + u[i - o1 - o2]) - (u[i + o1 - o2] + u[i - o1 + o2]));
-            k += 1;
-        }
-        acc += w1[j] * inner;
-        j += 1;
     }
     acc
 }
@@ -266,30 +175,6 @@ pub fn staggered_diff_bwd(u: &[f32], i: usize, s: usize, w: &[f32]) -> f32 {
     acc
 }
 
-/// Staggered forward derivative, compile-time radius.
-#[inline(always)]
-pub fn staggered_diff_fwd_r<const R: usize>(u: &[f32], i: usize, s: usize, w: &[f32; R]) -> f32 {
-    let mut acc = 0.0f32;
-    let mut k = 0;
-    while k < R {
-        acc += w[k] * (u[i + (k + 1) * s] - u[i - k * s]);
-        k += 1;
-    }
-    acc
-}
-
-/// Staggered backward derivative, compile-time radius.
-#[inline(always)]
-pub fn staggered_diff_bwd_r<const R: usize>(u: &[f32], i: usize, s: usize, w: &[f32; R]) -> f32 {
-    let mut acc = 0.0f32;
-    let mut k = 0;
-    while k < R {
-        acc += w[k] * (u[i + k * s] - u[i - (k + 1) * s]);
-        k += 1;
-    }
-    acc
-}
-
 /// One staggered first-derivative term of a fused elastic update: field `u`
 /// along stride `s` with weights `w`, forward (at `i + ½`) or backward (at
 /// `i − ½`).
@@ -301,8 +186,8 @@ pub struct StaggeredTerm<'a, const R: usize> {
     pub s: usize,
     /// Premultiplied staggered weights ([`staggered_weights`]).
     pub w: &'a [f32; R],
-    /// Forward ([`staggered_diff_fwd_r`]) or backward
-    /// ([`staggered_diff_bwd_r`]).
+    /// Forward ([`staggered_diff_fwd`]) or backward
+    /// ([`staggered_diff_bwd`]).
     pub fwd: bool,
 }
 
@@ -336,7 +221,7 @@ impl<'a, const R: usize> StaggeredTerm<'a, R> {
     /// The derivative at linear index `i`.
     #[inline(always)]
     pub fn at(&self, i: usize) -> f32 {
-        staggered_diff_bwd_r::<R>(self.u, self.center(i), self.s, self.w)
+        staggered_diff_bwd(self.u, self.center(i), self.s, self.w)
     }
 }
 
@@ -427,18 +312,18 @@ pub struct TtiField<'a> {
 
 impl TtiField<'_> {
     /// The second derivatives `[uxx, uyy, uzz, uxy, uxz, uyz]` at pencil
-    /// point `j`: each straight one a [`second_diff_axis_r`], each mixed one
-    /// a [`first_diff_axis_r`] across a first-derivative row.
+    /// point `j`: each straight one a [`second_diff_axis`], each mixed one
+    /// a [`first_diff_axis`] across a first-derivative row.
     #[inline(always)]
     pub fn derivatives_at<const R: usize>(&self, st: &TtiStencil<R>, j: usize) -> [f32; 6] {
         let (i, y) = (self.i0 + j, self.dy + j);
         [
-            second_diff_axis_r(self.u, i, st.sx, st.center[0], &st.side[0]),
-            second_diff_axis_r(self.u, i, st.sy, st.center[1], &st.side[1]),
-            second_diff_axis_r(self.u, i, 1, st.center[2], &st.side[2]),
-            first_diff_axis_r(self.cache, y, st.plane, &st.w1x),
-            first_diff_axis_r(self.dx, R + j, 1, &st.w1z),
-            first_diff_axis_r(self.cache, y, 1, &st.w1z),
+            second_diff_axis(self.u, i, st.sx, st.center[0], &st.side[0]),
+            second_diff_axis(self.u, i, st.sy, st.center[1], &st.side[1]),
+            second_diff_axis(self.u, i, 1, st.center[2], &st.side[2]),
+            first_diff_axis(self.cache, y, st.plane, &st.w1x),
+            first_diff_axis(self.dx, R + j, 1, &st.w1z),
+            first_diff_axis(self.cache, y, 1, &st.w1z),
         ]
     }
 }
@@ -514,7 +399,7 @@ mod tests {
         let (u, c) = line(|x| x * x, 33, h);
         for order in [2, 4, 8, 12] {
             let w = AxisWeights::second_derivative(order, h as f32);
-            let v = second_diff_axis(&u, c, 1, &w);
+            let v = second_diff_axis(&u, c, 1, w.center, &w.side);
             assert!((v - 2.0).abs() < 1e-3, "order {order}: {v}");
         }
     }
@@ -529,7 +414,7 @@ mod tests {
         let mut last_err = f32::INFINITY;
         for order in [2, 4, 8] {
             let w = AxisWeights::second_derivative(order, h as f32);
-            let err = (second_diff_axis(&u, c, 1, &w) - exact).abs();
+            let err = (second_diff_axis(&u, c, 1, w.center, &w.side) - exact).abs();
             assert!(err < last_err, "order {order} err {err} !< {last_err}");
             last_err = err;
         }
@@ -554,39 +439,13 @@ mod tests {
         }
         let w = AxisWeights::second_derivative(4, h);
         let i = (4 * ny + 4) * nz + 4;
-        let lx = second_diff_axis(&u, i, sx, &w);
-        let ly = second_diff_axis(&u, i, sy, &w);
-        let lz = second_diff_axis(&u, i, 1, &w);
+        let lx = second_diff_axis(&u, i, sx, w.center, &w.side);
+        let ly = second_diff_axis(&u, i, sy, w.center, &w.side);
+        let lz = second_diff_axis(&u, i, 1, w.center, &w.side);
         let lap = laplacian_at(&u, i, sx, sy, 3.0 * w.center, &w.side, &w.side, &w.side);
         assert!((lap - (lx + ly + lz)).abs() < 1e-4);
         // Analytic: 2(0.3 + 0.5 + 1.0) = 3.6
         assert!((lap - 3.6).abs() < 1e-3, "{lap}");
-    }
-
-    #[test]
-    fn const_generic_matches_dynamic() {
-        let (u, c) = line(|x| (0.7 * x).cos() + x * x * 0.1, 65, 0.25);
-        let w = AxisWeights::second_derivative(8, 0.25);
-        let arr: [f32; 4] = w.side_array();
-        let a = laplacian_at(&u, c, 8, 4, 3.0 * w.center, &w.side, &w.side, &w.side);
-        let b = laplacian_at_r::<4>(&u, c, 8, 4, 3.0 * w.center, &arr, &arr, &arr);
-        assert_eq!(a.to_bits(), b.to_bits(), "must be the same computation");
-        let f1 = first_derivative_weights(8, 0.25);
-        let f1a: [f32; 4] = f1.clone().try_into().unwrap();
-        assert_eq!(
-            first_diff_axis(&u, c, 1, &f1).to_bits(),
-            first_diff_axis_r::<4>(&u, c, 1, &f1a).to_bits()
-        );
-        let sw = staggered_weights(8, 0.25);
-        let swa: [f32; 4] = sw.clone().try_into().unwrap();
-        assert_eq!(
-            staggered_diff_fwd(&u, c, 1, &sw).to_bits(),
-            staggered_diff_fwd_r::<4>(&u, c, 1, &swa).to_bits()
-        );
-        assert_eq!(
-            staggered_diff_bwd(&u, c, 1, &sw).to_bits(),
-            staggered_diff_bwd_r::<4>(&u, c, 1, &swa).to_bits()
-        );
     }
 
     #[test]
@@ -609,27 +468,6 @@ mod tests {
             let v = cross_diff(&u, i, sx, sy, &w, &w);
             assert!((v - 1.0).abs() < 1e-4, "order {order}: {v}");
         }
-    }
-
-    #[test]
-    fn cross_diff_const_generic_matches_dynamic() {
-        let (nx, ny, nz) = (17, 17, 17);
-        let (sx, sy) = (ny * nz, nz);
-        let mut u = vec![0.0f32; nx * ny * nz];
-        for (k, v) in u.iter_mut().enumerate() {
-            *v = ((k * 37) % 101) as f32 * 0.03 - 1.5;
-        }
-        let w = first_derivative_weights(8, 0.7);
-        let wa: [f32; 4] = w.clone().try_into().unwrap();
-        let i = (8 * ny + 8) * nz + 8;
-        assert_eq!(
-            cross_diff(&u, i, sx, 1, &w, &w).to_bits(),
-            cross_diff_r::<4>(&u, i, sx, 1, &wa, &wa).to_bits()
-        );
-        assert_eq!(
-            cross_diff(&u, i, sy, 1, &w, &w).to_bits(),
-            cross_diff_r::<4>(&u, i, sy, 1, &wa, &wa).to_bits()
-        );
     }
 
     #[test]

@@ -36,11 +36,12 @@
 //! x86_64, `[f32; 4]` elsewhere), `__m256` for `Avx2`. All are
 //! bitwise-identical by contract. Every row kernel has a compile-time-radius
 //! form; only the Laplacian also has a dynamic-radius one (acoustic at space
-//! orders without a monomorphised kernel), an instance of the same body. The
-//! elastic step calls only the fused updates, and the TTI step only the
-//! fused update and the first-derivative rows that feed it; the staggered,
-//! second-derivative and outer-product rows stay for the benchmark's row
-//! probe and as the fused kernels' two-pass test oracles.
+//! orders without a monomorphised kernel), an instance of the same body.
+//! Each per-point kernel is written once, over weight slices, and serves
+//! every radius. The elastic step calls only the fused updates, and the TTI
+//! step only the fused update and the first-derivative rows that feed it;
+//! the forward staggered and outer-product rows stay for the benchmark's
+//! row probe.
 
 pub mod backend;
 pub mod coeffs;

@@ -129,7 +129,7 @@ fn check_taps(u: &[f32], c: usize, s: usize, shift: usize, r: usize, n: usize) {
 }
 
 /// The second differences along `s` at `H` lane steps of `F` rows from
-/// `c[f]`, [`kernels::second_diff_axis_r`] per lane.
+/// `c[f]`, [`kernels::second_diff_axis`] per lane.
 ///
 /// # Safety
 /// Every load, `c[f] + h·N` and `c[f] ± (k + 1)·s + h·N`, must lie in a
@@ -164,8 +164,8 @@ unsafe fn second<V: Lanes, const R: usize, const H: usize, const F: usize>(
 
 /// The first differences `Σₖ w[k]·(c[f][shift + k·s] − c[f][−(k + 1)·s])`
 /// at `H` lane steps of `F` rows, summed from `0.0` in `k` order: with
-/// `shift = s`, [`kernels::first_diff_axis_r`]; with `shift = 0`,
-/// [`kernels::staggered_diff_bwd_r`].
+/// `shift = s`, [`kernels::first_diff_axis`]; with `shift = 0`,
+/// [`kernels::staggered_diff_bwd`].
 ///
 /// # Safety
 /// Every load must lie in a window [`check_taps`] checked.
@@ -237,33 +237,6 @@ pub(crate) fn laplacian<V: Lanes>(
     }
 }
 
-/// Second derivative along `s`, [`kernels::second_diff_axis_r`] per point.
-#[inline(always)]
-pub(crate) fn second_diff<V: Lanes, const R: usize>(
-    u: &[f32],
-    i0: usize,
-    s: usize,
-    center: f32,
-    side: &[f32; R],
-    out: &mut [f32],
-) {
-    let n = out.len();
-    check(u, i0, n);
-    check_taps(u, i0, s, s, R, n);
-    let mut j = 0;
-    // SAFETY: as in `laplacian`.
-    unsafe {
-        while j + V::N <= n {
-            let [[d]] = second::<V, R, 1, 1>([u.as_ptr().add(i0 + j)], s, center, side);
-            d.store(out.as_mut_ptr().add(j));
-            j += V::N;
-        }
-    }
-    for jj in j..n {
-        out[jj] = kernels::second_diff_axis_r::<R>(u, i0 + jj, s, center, side);
-    }
-}
-
 /// A row of [`first`] differences of `u` around `c`, weights broadcast once:
 /// two lane steps at a time (each tap pointer serves two loads), then one, then `tail`.
 #[inline(always)]
@@ -296,7 +269,7 @@ fn difference<V: Lanes, const R: usize>(
     }
 }
 
-/// Centred first derivative, [`kernels::first_diff_axis_r`] per point.
+/// Centred first derivative, [`kernels::first_diff_axis`] per point.
 #[inline(always)]
 pub(crate) fn first_diff<V: Lanes, const R: usize>(
     u: &[f32],
@@ -306,11 +279,11 @@ pub(crate) fn first_diff<V: Lanes, const R: usize>(
     out: &mut [f32],
 ) {
     difference::<V, R>((u, i0, s, s), w, out, |j| {
-        kernels::first_diff_axis_r(u, i0 + j, s, w)
+        kernels::first_diff_axis(u, i0 + j, s, w)
     });
 }
 
-/// Staggered forward derivative, [`kernels::staggered_diff_fwd_r`] per point.
+/// Staggered forward derivative, [`kernels::staggered_diff_fwd`] per point.
 #[inline(always)]
 pub(crate) fn staggered_fwd<V: Lanes, const R: usize>(
     u: &[f32],
@@ -319,24 +292,11 @@ pub(crate) fn staggered_fwd<V: Lanes, const R: usize>(
     w: &[f32; R],
     out: &mut [f32],
 ) {
-    let tail = |j| kernels::staggered_diff_fwd_r(u, i0 + j, s, w);
+    let tail = |j| kernels::staggered_diff_fwd(u, i0 + j, s, w);
     difference::<V, R>((u, i0 + s, s, 0), w, out, tail);
 }
 
-/// Staggered backward derivative, [`kernels::staggered_diff_bwd_r`] per point.
-#[inline(always)]
-pub(crate) fn staggered_bwd<V: Lanes, const R: usize>(
-    u: &[f32],
-    i0: usize,
-    s: usize,
-    w: &[f32; R],
-    out: &mut [f32],
-) {
-    let tail = |j| kernels::staggered_diff_bwd_r(u, i0 + j, s, w);
-    difference::<V, R>((u, i0, s, 0), w, out, tail);
-}
-
-/// Mixed second derivative `∂²/∂a∂b`, [`kernels::cross_diff_r`] per point.
+/// Mixed second derivative `∂²/∂a∂b`, [`kernels::cross_diff`] per point.
 #[inline(always)]
 pub(crate) fn cross_diff<V: Lanes, const R: usize>(
     u: &[f32],
@@ -380,7 +340,7 @@ pub(crate) fn cross_diff<V: Lanes, const R: usize>(
         }
     }
     for jj in j..n {
-        out[jj] = kernels::cross_diff_r::<R>(u, i0 + jj, s1, s2, w1, w2);
+        out[jj] = kernels::cross_diff(u, i0 + jj, s1, s2, w1, w2);
     }
 }
 
@@ -704,11 +664,9 @@ pub(crate) mod avx2 {
     entries! {
         laplacian_r<R>(u: &[f32], i0: usize, sx: usize, sy: usize, c: f32, wx: &[f32; R], wy: &[f32; R], wz: &[f32; R], out: &mut [f32]) => super::laplacian::<M256>;
         laplacian(u: &[f32], i0: usize, sx: usize, sy: usize, c: f32, wx: &[f32], wy: &[f32], wz: &[f32], out: &mut [f32]) => super::laplacian::<M256>;
-        second_diff<R>(u: &[f32], i0: usize, s: usize, c: f32, side: &[f32; R], out: &mut [f32]) => super::second_diff::<M256, R>;
         first_diff<R>(u: &[f32], i0: usize, s: usize, w: &[f32; R], out: &mut [f32]) => super::first_diff::<M256, R>;
         cross_diff<R>(u: &[f32], i0: usize, s1: usize, s2: usize, w1: &[f32; R], w2: &[f32; R], out: &mut [f32]) => super::cross_diff::<M256, R>;
         staggered_fwd<R>(u: &[f32], i0: usize, s: usize, w: &[f32; R], out: &mut [f32]) => super::staggered_fwd::<M256, R>;
-        staggered_bwd<R>(u: &[f32], i0: usize, s: usize, w: &[f32; R], out: &mut [f32]) => super::staggered_bwd::<M256, R>;
         velocity<R>(i0: usize, d: &[StaggeredTerm<R>; 3], b: &[f32], fd: &[f32], v: &mut [f32]) => super::velocity::<M256, R>;
         normal_stress<R>(i0: usize, d: &[StaggeredTerm<R>; 3], lam: &[f32], mu: &[f32], fd: &[f32], t: [&mut [f32]; 3]) => super::normal_stress::<M256, R>;
         shear_stress<R>(i0: usize, d: &[StaggeredTerm<R>; 2], mu: &[f32], fd: &[f32], t: &mut [f32]) => super::shear_stress::<M256, R>;
@@ -719,11 +677,6 @@ pub(crate) mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::volume;
-    use crate::kernels::{
-        first_derivative_weights, first_diff_axis, laplacian_at, second_diff_axis,
-        staggered_diff_bwd, staggered_diff_fwd, staggered_weights, AxisWeights,
-    };
 
     /// `v`'s lanes.
     fn get<V: Lanes>(v: V) -> Vec<f32> {
@@ -777,112 +730,6 @@ mod tests {
     fn mul_add_is_unfused() {
         unfused::<[f32; 4]>();
         unfused::<Portable>();
-    }
-
-    /// `body(u, i0, s, out)`, a row body at radius `R`, equals `point(u, i, s)` bitwise
-    /// along every axis on whole, unaligned, two-step, one-step + tail and tail-only rows.
-    fn rows_match<const R: usize>(
-        body: impl Fn(&[f32], usize, usize, &mut [f32]),
-        point: impl Fn(&[f32], usize, usize) -> f32,
-    ) {
-        let (ny, nz) = (21, 41);
-        let (u, sx, sy) = volume(11, 22, ny, nz);
-        for (dz, n) in [(0, nz - 2 * R), (1, 27), (0, 16), (1, 11), (0, 7), (0, 3)] {
-            let i0 = (R * ny + R) * nz + R + dz;
-            for s in [sx, sy, 1] {
-                let mut out = vec![0.0f32; n];
-                body(&u, i0, s, &mut out);
-                for (j, v) in out.iter().enumerate() {
-                    let want = point(&u, i0 + j, s).to_bits();
-                    assert_eq!(v.to_bits(), want, "R {R} s {s} j {j}");
-                }
-            }
-        }
-    }
-
-    /// `check::<V, R>()` at `[f32; 4]` and `Portable`, radii 2, 4 and 6.
-    macro_rules! every_instance {
-        ($check:ident) => {
-            $check::<[f32; 4], 2>();
-            $check::<[f32; 4], 4>();
-            $check::<[f32; 4], 6>();
-            $check::<Portable, 2>();
-            $check::<Portable, 4>();
-            $check::<Portable, 6>();
-        };
-    }
-
-    fn second<V: Lanes, const R: usize>() {
-        let w = AxisWeights::second_derivative(2 * R, 7.5);
-        rows_match::<R>(
-            |u, i0, s, out| second_diff::<V, R>(u, i0, s, w.center, &w.side_array(), out),
-            |u, i, s| second_diff_axis(u, i, s, &w),
-        );
-    }
-
-    #[test]
-    fn second_diff_pencil_matches_scalar_bitwise() {
-        every_instance!(second);
-    }
-
-    fn laplace<V: Lanes, const R: usize>() {
-        let w = AxisWeights::second_derivative(2 * R, 3.0);
-        let (c, ws) = (3.0 * w.center, &w.side[..]);
-        rows_match::<R>(
-            |u, i0, s, out| laplacian::<V>(u, i0, s, 1, c, ws, ws, ws, out),
-            |u, i, s| laplacian_at(u, i, s, 1, c, ws, ws, ws),
-        );
-    }
-
-    #[test]
-    fn laplacian_pencil_matches_scalar_bitwise() {
-        every_instance!(laplace);
-    }
-
-    fn first<V: Lanes, const R: usize>() {
-        let w = first_derivative_weights(2 * R, 2.5);
-        let wa: [f32; R] = w.clone().try_into().unwrap();
-        rows_match::<R>(
-            |u, i0, s, out| first_diff::<V, R>(u, i0, s, &wa, out),
-            |u, i, s| first_diff_axis(u, i, s, &w),
-        );
-    }
-
-    #[test]
-    fn first_diff_pencil_matches_scalar_bitwise() {
-        every_instance!(first);
-    }
-
-    fn cross<V: Lanes, const R: usize>() {
-        let w = first_derivative_weights(2 * R, 1.5);
-        let wa: [f32; R] = w.clone().try_into().unwrap();
-        rows_match::<R>(
-            |u, i0, s, out| cross_diff::<V, R>(u, i0, s, 1, &wa, &wa, out),
-            |u, i, s| kernels::cross_diff(u, i, s, 1, &w, &w),
-        );
-    }
-
-    #[test]
-    fn cross_diff_pencil_matches_scalar_bitwise() {
-        every_instance!(cross);
-    }
-
-    fn staggered<V: Lanes, const R: usize>() {
-        let w = staggered_weights(2 * R, 5.0);
-        let wa: [f32; R] = w.clone().try_into().unwrap();
-        rows_match::<R>(
-            |u, i0, s, out| staggered_fwd::<V, R>(u, i0, s, &wa, out),
-            |u, i, s| staggered_diff_fwd(u, i, s, &w),
-        );
-        rows_match::<R>(
-            |u, i0, s, out| staggered_bwd::<V, R>(u, i0, s, &wa, out),
-            |u, i, s| staggered_diff_bwd(u, i, s, &w),
-        );
-    }
-
-    #[test]
-    fn staggered_pencils_match_scalar_bitwise() {
-        every_instance!(staggered);
     }
 
     #[test]

@@ -569,18 +569,6 @@ impl SurveyService {
         }
         Some(std::mem::take(&mut job.gathers))
     }
-
-    /// All job ids ever submitted, ascending.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .jobs
-            .keys()
-            .copied()
-            .collect()
-    }
 }
 
 impl Drop for SurveyService {

@@ -106,13 +106,6 @@ pub struct RunDelta {
     pub receivers_changed: bool,
 }
 
-impl RunDelta {
-    /// True when nothing at all changed.
-    pub fn is_clean(&self) -> bool {
-        self.rects.iter().all(DirtyRect::is_empty) && !self.receivers_changed
-    }
-}
-
 /// One sparse point's contribution to delta detection: a digest of
 /// everything that shapes its injections (position, interpolation stencil,
 /// wavelet) plus the xy bounding box of its non-zero footprint cells.

@@ -56,8 +56,7 @@ use tempest::grid::{
 use tempest::par::{for_each, FlushGuard, Policy};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::kernels::{
-    first_diff_axis_r, laplacian_at, laplacian_at_r, second_diff_axis_r, staggered_diff_bwd_r,
-    staggered_diff_fwd_r,
+    first_diff_axis, laplacian_at, second_diff_axis, staggered_diff_bwd, staggered_diff_fwd,
 };
 use tempest::stencil::Backend;
 
@@ -274,9 +273,8 @@ fn per_point<const F: usize>(
 }
 
 /// Acoustic step `K`: `u⁺ = c1·u − c2·u⁻ + c3·Δu`, `params` from
-/// [`leapfrog`]. `R = 0` takes the dynamic-radius Laplacian (space orders
-/// without a monomorphised kernel).
-fn naive_acoustic<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
+/// [`leapfrog`], at every space order.
+fn naive_acoustic(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32> {
     let [c1, c2, c3] = [&params[0], &params[1], &params[2]];
     let coeff = s.coefficients();
     let [wx, wy, wz] = [coeff[3], coeff[4], coeff[5]];
@@ -286,11 +284,7 @@ fn naive_acoustic<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Ve
     // SAFETY: no step is in flight.
     let (u0, um) = unsafe { (ring.level(K + 1), ring.level(K)) };
     per_point(ring, |i, c| {
-        let lap = if R == 0 {
-            laplacian_at(u0, i, sx, sy, center, wx, wy, wz)
-        } else {
-            laplacian_at_r::<R>(u0, i, sx, sy, center, &arr(wx), &arr(wy), &arr(wz))
-        };
+        let lap = laplacian_at(u0, i, sx, sy, center, wx, wy, wz);
         [c1[c] * u0[i] - c2[c] * um[i] + c3[c] * lap]
     })
 }
@@ -307,8 +301,8 @@ fn composed<const R: usize>(
     for (k, wk) in w_outer.iter().enumerate() {
         let o = (k + 1) * s_outer;
         acc += wk
-            * (first_diff_axis_r::<R>(u, i + o, s_inner, w_inner)
-                - first_diff_axis_r::<R>(u, i - o, s_inner, w_inner));
+            * (first_diff_axis(u, i + o, s_inner, w_inner)
+                - first_diff_axis(u, i - o, s_inner, w_inner));
     }
     acc
 }
@@ -340,9 +334,9 @@ fn naive_tti<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) -> Vec<u32
     };
     let second = |u: &[f32], i: usize| {
         [
-            second_diff_axis_r::<R>(u, i, sx, cxx, &wxx),
-            second_diff_axis_r::<R>(u, i, sy, cyy, &wyy),
-            second_diff_axis_r::<R>(u, i, 1, czz, &wzz),
+            second_diff_axis(u, i, sx, cxx, &wxx),
+            second_diff_axis(u, i, sy, cyy, &wyy),
+            second_diff_axis(u, i, 1, czz, &wzz),
             composed::<R>(u, i, (sx, &w1x), (sy, &w1y)),
             composed::<R>(u, i, (1, &w1z), (sx, &w1x)),
             composed::<R>(u, i, (1, &w1z), (sy, &w1y)),
@@ -396,15 +390,15 @@ fn naive_elastic_vel<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>]) ->
     let [vx, vy, vz, txx, tyy, tzz, txy, txz, tyz] =
         std::array::from_fn(|f| unsafe { rings[f].level(K) });
     per_point(rings[0], |i, c| {
-        let dvx = staggered_diff_fwd_r::<R>(txx, i, sx, &swx)
-            + staggered_diff_bwd_r::<R>(txy, i, sy, &swy)
-            + staggered_diff_bwd_r::<R>(txz, i, 1, &swz);
-        let dvy = staggered_diff_bwd_r::<R>(txy, i, sx, &swx)
-            + staggered_diff_fwd_r::<R>(tyy, i, sy, &swy)
-            + staggered_diff_bwd_r::<R>(tyz, i, 1, &swz);
-        let dvz = staggered_diff_bwd_r::<R>(txz, i, sx, &swx)
-            + staggered_diff_bwd_r::<R>(tyz, i, sy, &swy)
-            + staggered_diff_fwd_r::<R>(tzz, i, 1, &swz);
+        let dvx = staggered_diff_fwd(txx, i, sx, &swx)
+            + staggered_diff_bwd(txy, i, sy, &swy)
+            + staggered_diff_bwd(txz, i, 1, &swz);
+        let dvy = staggered_diff_bwd(txy, i, sx, &swx)
+            + staggered_diff_fwd(tyy, i, sy, &swy)
+            + staggered_diff_bwd(tyz, i, 1, &swz);
+        let dvz = staggered_diff_bwd(txz, i, sx, &swx)
+            + staggered_diff_bwd(tyz, i, sy, &swy)
+            + staggered_diff_fwd(tzz, i, 1, &swz);
         [
             (vx[i] + dtb[c] * dvx) * fd[c],
             (vy[i] + dtb[c] * dvy) * fd[c],
@@ -424,17 +418,14 @@ fn naive_elastic_stress<const R: usize>(s: &dyn WaveSolver, params: &[Vec<f32>])
     let [vx, vy, vz] = std::array::from_fn(|f| unsafe { rings[f].level(K + 1) });
     let [txx, tyy, tzz, txy, txz, tyz] = std::array::from_fn(|f| unsafe { rings[3 + f].level(K) });
     per_point(rings[0], |i, c| {
-        let exx = staggered_diff_bwd_r::<R>(vx, i, sx, &swx);
-        let eyy = staggered_diff_bwd_r::<R>(vy, i, sy, &swy);
-        let ezz = staggered_diff_bwd_r::<R>(vz, i, 1, &swz);
+        let exx = staggered_diff_bwd(vx, i, sx, &swx);
+        let eyy = staggered_diff_bwd(vy, i, sy, &swy);
+        let ezz = staggered_diff_bwd(vz, i, 1, &swz);
         let ldiv = lam[c] * (exx + eyy + ezz);
         let mu2 = mu2[c];
-        let exy =
-            staggered_diff_fwd_r::<R>(vx, i, sy, &swy) + staggered_diff_fwd_r::<R>(vy, i, sx, &swx);
-        let exz =
-            staggered_diff_fwd_r::<R>(vx, i, 1, &swz) + staggered_diff_fwd_r::<R>(vz, i, sx, &swx);
-        let eyz =
-            staggered_diff_fwd_r::<R>(vy, i, 1, &swz) + staggered_diff_fwd_r::<R>(vz, i, sy, &swy);
+        let exy = staggered_diff_fwd(vx, i, sy, &swy) + staggered_diff_fwd(vy, i, sx, &swx);
+        let exz = staggered_diff_fwd(vx, i, 1, &swz) + staggered_diff_fwd(vz, i, sx, &swx);
+        let eyz = staggered_diff_fwd(vy, i, 1, &swz) + staggered_diff_fwd(vz, i, sy, &swy);
         [
             (txx[i] + ldiv + mu2 * exx) * fd[c],
             (tyy[i] + ldiv + mu2 * eyy) * fd[c],
@@ -505,13 +496,13 @@ fn cases(so: usize, fixture: Fixture, nbl: usize) -> Vec<Case> {
     let cfg = config(so, EquationKind::Acoustic, 4500.0, nbl);
     let params = leapfrog(&cfg, &model.m);
     let acoustic: Box<dyn WaveSolver> = Box::new(Acoustic::new(&model, cfg, source(), None));
-    let naive = match so / 2 {
-        2 => naive_acoustic::<2>,
-        4 => naive_acoustic::<4>,
-        6 => naive_acoustic::<6>,
-        _ => naive_acoustic::<0>,
-    };
-    let mut out = vec![Case::new(acoustic, (seed, fixture), K, naive, params)];
+    let mut out = vec![Case::new(
+        acoustic,
+        (seed, fixture),
+        K,
+        naive_acoustic,
+        params,
+    )];
     if !matches!(so, 4 | 8 | 12) {
         return out;
     }
