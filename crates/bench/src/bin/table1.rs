@@ -3,7 +3,7 @@
 //! propagator × space order.
 //!
 //! ```text
-//! cargo run -p tempest-bench --release --bin table1 -- [--size 256] [--nt 16] [--so 4,8,12] [--fast]
+//! cargo run -p tempest-bench --release --bin table1 -- [--size 256] [--nt 16] [--so 4,8,12] [--model acoustic,elastic,tti] [--fast]
 //! ```
 //!
 //! The paper reports two CPU columns (Broadwell, Skylake); this harness has
@@ -41,6 +41,9 @@ fn main() {
     let quick = sweep::candidates_for(args.size, args.size, args.nt, true);
     for &so in &args.space_orders {
         for model in ["acoustic", "elastic", "tti"] {
+            if !args.models.iter().any(|m| m == model) {
+                continue;
+            }
             let cands = if model == "acoustic" { &full } else { &quick };
             let mut s = setup::solver(model, args.size, so, args.nt, 0);
             let tuned = sweep::tune_wavefront(&mut *s, cands);

@@ -50,14 +50,14 @@ pub use trace::{SpanArgs, SpanKind, Trace, TraceEvent};
 ///   nonzero in the classic scatter path.
 /// * `ReceiverGathers` — wavefield-sample contributions accumulated into the
 ///   trace buffer: one per (receiver, footprint-nonzero) pair per timestep.
-/// * `ParTasks` — batch items executed by `tempest_par::run_batch`, counted
-///   on the thread that ran them (the caller participates).
+/// * `ParTasks` — items and graph nodes run by a `tempest_par` dispatch,
+///   counted on the thread that ran them (the caller participates).
 /// * `ParPublications` — jobs published to the board for workers to claim.
 /// * `WavefrontTiles` — tile nodes computed by the plan executor.
-/// * `DataflowReady` — tiles pushed onto a ready deque by the dataflow
-///   executor (initial roots plus every dependency-counter zero
-///   transition); equals the number of executed tiles, so it is
-///   deterministic across thread policies.
+/// * `DataflowReady` — tiles made ready by `tempest_par::run_dataflow`
+///   (its roots plus every dependency-counter zero transition); equals the
+///   number of executed tiles, so it is deterministic across thread
+///   policies.
 /// * `DataflowSteals` — tiles a dataflow participant claimed from another
 ///   participant's deque. Depends on runtime timing, so it is *not*
 ///   deterministic across runs or thread caps.

@@ -30,7 +30,7 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 /// executor (one `(step, block)` of the space-blocked baseline);
 /// `Dataflow` the coordinator-side span of one whole plan sweep;
 /// `Stencil`/`Sparse` the propagator phases; `BarrierWait` the publishing
-/// caller's wait for `run_batch` stragglers or for a ready dataflow tile; `Shot` one whole shot solve of the survey engine
+/// caller's wait in a `tempest_par` dispatch, for stragglers or a ready tile; `Shot` one whole shot solve of the survey engine
 /// (the shot index rides in `vt`); `CacheRestore` one tile node whose output
 /// the incremental executor restored from the `TileCache` instead of
 /// recomputing.

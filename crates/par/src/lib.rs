@@ -20,32 +20,39 @@
 //! of the pool (the thread-scaling benchmark sweeps this without
 //! re-launching the process).
 //!
-//! The schedules in `tempest-tiling` hand this crate *lists of independent
-//! work items* (space blocks of one timestep) or a dependency graph of
-//! space-time tiles; this crate decides how to run them. Scheduling is dynamic: items
-//! are claimed from a shared atomic counter, so imbalanced items (clipped
-//! boundary tiles vs. interior tiles) do not idle workers.
-//!
-//! [`run_dataflow`] generalises the flat batch to a *dependency graph*: each
-//! node carries an atomic counter of unfinished predecessors, completing a
-//! node decrements its successors' counters, and counters reaching zero push
-//! the node onto the finishing participant's deque. Other participants steal
-//! from the opposite deque end when their own runs dry, so the only global
-//! synchronisation is one join at the end of the whole graph — no per-level
-//! barriers.
+//! The schedules in `tempest-tiling` hand this crate a dependency graph of
+//! space-time tiles ([`run_dataflow`]) and the survey engine a list of
+//! independent shots ([`for_each_index`]); this crate decides how to run
+//! them. Both go through one job kind, for a flat batch is the edge-free
+//! graph. Scheduling is dynamic: roots — for a batch, every item — are
+//! claimed from a shared atomic cursor, so imbalanced items (clipped
+//! boundary tiles vs. interior tiles) do not idle workers. In a graph with
+//! edges each node carries an atomic counter of unfinished predecessors,
+//! completing a node decrements its successors' counters, and counters
+//! reaching zero push the node onto the finishing participant's deque.
+//! Other participants steal from the opposite deque end when their own runs
+//! dry, so the only global synchronisation is one join at the end of the
+//! whole graph — no per-level barriers.
 //!
 //! Publications go on one shared board that keeps every live one: a worker
 //! joins the newest that still has work and a free seat under its cap, so
 //! a long nested dispatch is not hidden by a shorter one published after it.
+//!
+//! A panicking item does not end a dispatch early, as in
+//! `std::thread::scope`: the items not yet started are skipped, the
+//! publisher waits for the running ones, then resumes the first panic on
+//! the calling thread. Pool workers survive it.
 //!
 //! This crate also owns the workspace's *floating-point environment*
 //! (DESIGN.md §17): pool workers flush subnormals for good, and every entry
 //! point holds a [`FlushGuard`] on the calling thread, so the items of one
 //! dispatch compute the same bits whichever thread claims them.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use tempest_obs as obs;
@@ -208,8 +215,8 @@ pub fn flush_subnormals_on_this_thread() {
 /// gradual underflow once `run` returns.
 ///
 /// Every entry point of this crate holds one on the calling thread, so the
-/// items of a dispatch see one mode whichever thread claims them; the sweep
-/// executors of `tempest-tiling` hold one around what they run between
+/// items of a dispatch see one mode whichever thread claims them; the run
+/// path of `tempest-core` holds one around what it runs between
 /// dispatches.
 #[must_use = "the mode ends when the guard is dropped"]
 pub struct FlushGuard {
@@ -309,7 +316,7 @@ pub fn thread_budget() -> usize {
 /// inner scope can only narrow the outer one, never widen it.
 ///
 /// A budget > 1 also re-enables board publication from inside a pool job
-/// (nested dispatches without a budget run inline; see `run_batch`): a
+/// (nested dispatches without a budget run inline; see `nested_inline`): a
 /// survey wraps each shot solve in `with_thread_budget(available_threads(),
 /// …)`, so the solve's tile dispatches are published beside every other
 /// live one and threads that run out of shots join it. A budget of 1 keeps
@@ -343,9 +350,7 @@ fn budgeted(cap: usize) -> usize {
 /// onto the innermost job while the outer job's stragglers convoyed behind
 /// 1 ms timeout re-checks — oversubscription that grew with nesting depth.
 /// Inline execution keeps nested work on the thread that already owns a
-/// fleet slot, and counts each item's `ParTasks` exactly once (the inline
-/// path is the only accounting site, so an item can never be charged by
-/// both the nested job and its outer publication).
+/// fleet slot.
 fn nested_inline(cap: usize) -> bool {
     in_dispatch() && (thread_budget() == usize::MAX || cap <= 1)
 }
@@ -354,102 +359,316 @@ fn nested_inline(cap: usize) -> bool {
 // The pool.
 // ---------------------------------------------------------------------------
 
-/// One published batch: an erased `fn(item_index)` plus dynamic-scheduling
-/// state. Workers claim indices from `next` until exhausted.
-struct Job {
-    /// Type-erased item runner. Points at a closure on the publishing
-    /// caller's stack; the caller blocks until `done == n`, which keeps the
-    /// referent alive for every dereference (claims check `i < n` first).
-    func: *const (dyn Fn(usize) + Sync),
-    /// Next unclaimed item.
-    next: AtomicUsize,
-    /// Item count.
+/// One dispatch: `func` runs once on each of `n` nodes, none before its
+/// predecessors returned. A flat batch is the edge-free graph: every node a
+/// root, no counters and no deques.
+///
+/// Every participant loops: pop the newest entry of its own deque (LIFO —
+/// a tile it just unblocked likely shares halo data still in cache), else
+/// claim the next root from the shared cursor, else steal the oldest entry
+/// of another participant's deque (FIFO — take the work its owner would
+/// reach last). Completing a node decrements each successor's `pending`
+/// counter with `AcqRel`; the Release half publishes the node's writes to
+/// whichever thread later claims the successor, and the Acquire half makes
+/// the zero-transitioning thread observe every *other* predecessor's writes
+/// before it pushes the successor.
+///
+/// A node that panics poisons the job: its payload is kept (the first one,
+/// if several panic), later claims count their node done without running
+/// it and still release its successors, and the publisher re-raises the
+/// payload once every node is done — as `std::thread::scope` does.
+struct Job<'a> {
+    /// The node runner, borrowed from the publishing caller.
+    func: &'a (dyn Fn(usize) + Sync),
+    /// Node count.
     n: usize,
-    /// Completed items; the job is finished when this reaches `n`.
+    /// Root count (`n` for an edge-free graph), held here because the
+    /// graph's own list may be read only for a root still unclaimed.
+    roots: usize,
+    /// Next unclaimed root.
+    next: AtomicUsize,
+    /// Dependency state; `None` for an edge-free graph.
+    flow: Option<Flow<'a>>,
+    /// Completed nodes, run or skipped; the job is finished at `n`.
     done: AtomicUsize,
-    /// Signalled by the worker completing the last item.
-    finished: Mutex<bool>,
-    /// Paired with `finished`.
-    finished_cv: Condvar,
+    /// Set once a node panicked: later nodes are skipped. `Relaxed`: it
+    /// publishes nothing (the payload has its own lock), and a node that
+    /// misses it merely runs.
+    poisoned: AtomicBool,
+    /// The first panicking node's payload, for the publisher to resume.
+    payload: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Set when `done == n`; idle participants park on it.
+    idle: Mutex<bool>,
+    /// Paired with `idle`: signalled on a surplus ready push and at
+    /// completion.
+    idle_cv: Condvar,
 }
 
-// SAFETY: `func` is only dereferenced while the publishing caller provably
-// waits (see `run_batch`), and the referent is `Sync`.
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
+/// The dependency state of a graph with edges.
+struct Flow<'a> {
+    graph: &'a DepGraph,
+    /// Remaining-predecessor counters, one per node.
+    pending: Vec<AtomicU32>,
+    /// Per-participant ready deques.
+    deques: Vec<Mutex<VecDeque<u32>>>,
+    /// Hands out deque slots to joining participants.
+    participants: AtomicUsize,
+}
 
-impl Job {
-    /// Claim-and-run items until the batch is drained.
-    fn help(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.n {
-                return;
-            }
-            // SAFETY: i < n ⇒ the batch is not yet complete ⇒ the caller is
-            // still parked in `run_batch`, keeping `func` alive.
-            unsafe { (*self.func)(i) };
-            obs::add(obs::Counter::ParTasks, 1);
-            obs::metrics::heartbeat(1);
-            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-                let mut fin = self.finished.lock().unwrap();
-                *fin = true;
-                self.finished_cv.notify_all();
-            }
+impl<'a> Job<'a> {
+    /// A job over `graph` (`None`: `n` independent items) for up to
+    /// `parts` participants.
+    fn new(
+        func: &'a (dyn Fn(usize) + Sync),
+        n: usize,
+        graph: Option<&'a DepGraph>,
+        parts: usize,
+    ) -> Self {
+        let graph = graph.filter(|g| !g.succ.is_empty());
+        Job {
+            func,
+            n,
+            roots: graph.map_or(n, |g| g.roots.len()),
+            next: AtomicUsize::new(0),
+            flow: graph.map(|graph| Flow {
+                graph,
+                pending: graph
+                    .pred_count
+                    .iter()
+                    .map(|&c| AtomicU32::new(c))
+                    .collect(),
+                deques: (0..parts).map(|_| Mutex::new(VecDeque::new())).collect(),
+                participants: AtomicUsize::new(0),
+            }),
+            done: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            payload: Mutex::new(None),
+            idle: Mutex::new(false),
+            idle_cv: Condvar::new(),
         }
     }
-}
 
-/// A claimable publication: a flat dynamic-scheduling batch or a
-/// dependency-counted dataflow graph.
-#[derive(Clone)]
-enum Work {
-    Batch(Arc<Job>),
-    Dataflow(Arc<DataflowJob>),
-}
-
-impl Work {
-    /// Participate until nothing is left to claim; a dataflow participant
-    /// parks until the whole graph completed. Pool workers' idle parks open
-    /// no `BarrierWait` span — see `DataflowJob::help`.
+    /// A pool worker's participation: run nodes until none is left to
+    /// claim, parking while a graph's remaining nodes wait on their
+    /// predecessors. Its parks open no `BarrierWait` span: only the
+    /// publisher's do (see `join`).
     fn help(&self) {
-        match self {
-            Work::Batch(job) => job.help(),
-            Work::Dataflow(job) => job.help(false),
+        let me = self.slot();
+        loop {
+            self.drain(me);
+            if !self.claimable() {
+                return;
+            }
+            self.idle_wait(false);
         }
     }
 
     /// Run whatever is claimable right now, never parking: for a thread with
     /// a join of its own to get back to.
     fn help_ready(&self) {
-        match self {
-            Work::Batch(job) => job.help(),
-            Work::Dataflow(job) => job.drain(job.join()),
+        self.drain(self.slot());
+    }
+
+    /// The publisher's participation, the dispatch's one join: run nodes,
+    /// and while none of its own is claimable help postings newer than
+    /// `posted` (never an older one: that could be the job this dispatch is
+    /// a node of), until every node is done; then re-raise a node's panic.
+    /// `posted` is `None` for a job run alone, where a node left unfinished
+    /// can only sit on a dependency cycle.
+    fn join(&self, posted: Option<(&Board, u64)>) {
+        let me = self.slot();
+        loop {
+            self.drain(me);
+            if self.finished() {
+                break;
+            }
+            let Some((board, seq)) = posted else {
+                panic!(
+                    "dataflow graph has a dependency cycle: only {} of {} nodes ran",
+                    self.done.load(Ordering::Acquire),
+                    self.n
+                );
+            };
+            if !board.help_newer(seq) {
+                self.idle_wait(true);
+            }
+        }
+        if let Some(payload) = self.payload.lock().unwrap().take() {
+            panic::resume_unwind(payload);
         }
     }
 
-    /// Can a thread joining now still find an item to run (a batch item not
-    /// yet claimed, a graph node not yet completed)?
+    /// Take a deque slot as a new participant.
+    fn slot(&self) -> usize {
+        self.flow.as_ref().map_or(0, |f| {
+            f.participants.fetch_add(1, Ordering::Relaxed) % f.deques.len()
+        })
+    }
+
+    /// Can a thread joining now still find a node to run: a root not yet
+    /// claimed or, in a graph with edges, a node not yet completed?
     fn claimable(&self) -> bool {
-        match self {
-            Work::Batch(job) => job.next.load(Ordering::Relaxed) < job.n,
-            Work::Dataflow(job) => job.done.load(Ordering::Acquire) < job.n,
+        match self.flow {
+            None => self.next.load(Ordering::Relaxed) < self.roots,
+            Some(_) => !self.finished(),
         }
     }
 
-    /// Has every item completed?
+    /// Has every node completed?
     fn finished(&self) -> bool {
-        match self {
-            Work::Batch(job) => job.done.load(Ordering::Acquire) == job.n,
-            Work::Dataflow(job) => job.done.load(Ordering::Acquire) == job.n,
+        self.done.load(Ordering::Acquire) == self.n
+    }
+
+    /// Run nodes as participant `me` until none is ready.
+    fn drain(&self, me: usize) {
+        while let Some(i) = self.claim(me) {
+            self.run_node(me, i);
+        }
+    }
+
+    /// Pop from our own deque (newest first), else take the next root, else
+    /// steal. The cursor is loaded before it is bumped, so claims that find
+    /// it exhausted do not keep writing its cache line.
+    fn claim(&self, me: usize) -> Option<usize> {
+        let flow = self.flow.as_ref();
+        if let Some(i) = flow.and_then(|f| f.deques[me].lock().unwrap().pop_back()) {
+            return Some(i as usize);
+        }
+        if self.next.load(Ordering::Relaxed) < self.roots {
+            let r = self.next.fetch_add(1, Ordering::Relaxed);
+            if r < self.roots {
+                return Some(flow.map_or(r, |f| f.graph.roots[r] as usize));
+            }
+        }
+        flow?.steal(me)
+    }
+
+    fn run_node(&self, me: usize, i: usize) {
+        if !self.poisoned.load(Ordering::Relaxed) {
+            match panic::catch_unwind(AssertUnwindSafe(|| (self.func)(i))) {
+                Ok(()) => {
+                    obs::add(obs::Counter::ParTasks, 1);
+                    obs::metrics::heartbeat(1);
+                }
+                Err(payload) => {
+                    self.payload.lock().unwrap().get_or_insert(payload);
+                    self.poisoned.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        if let Some(flow) = &self.flow {
+            flow.release(me, i, &self.idle_cv);
+        }
+        if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            *self.idle.lock().unwrap() = true;
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Park until a ready push or the job's completion — or, for the
+    /// publisher, for at most 1 ms, after which it looks at its own job and
+    /// newer postings again (it opens a `BarrierWait` span; pool workers do
+    /// not). A push can race past a participant between its failed `claim`
+    /// and this wait; the timeout turns that lost wakeup into a bounded
+    /// re-check, never a hang.
+    ///
+    /// A pool worker's timeout backs off exponentially (1 ms → 16 ms): the
+    /// normal wake-up path is the `notify` on a ready push, so a longer
+    /// guard interval costs nothing when work arrives — but it keeps surplus
+    /// participants on an oversubscribed machine from waking on every
+    /// timeslice to steal work the running participant would finish sooner
+    /// itself.
+    fn idle_wait(&self, publisher: bool) {
+        let _wait = publisher.then(|| obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none()));
+        let mut timeout_ms = 1u64;
+        let mut fin = self.idle.lock().unwrap();
+        while !*fin && !self.any_ready() {
+            let (guard, wait) = self
+                .idle_cv
+                .wait_timeout(fin, std::time::Duration::from_millis(timeout_ms))
+                .unwrap();
+            fin = guard;
+            if wait.timed_out() {
+                if publisher {
+                    return;
+                }
+                timeout_ms = (timeout_ms * 2).min(16);
+            }
+        }
+    }
+
+    /// True when a root is unclaimed or a deque holds a ready node. Takes
+    /// deque locks while holding `idle` — safe because pushers never take
+    /// `idle` while holding a deque lock (completion takes `idle` alone).
+    fn any_ready(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.roots
+            || self
+                .flow
+                .as_ref()
+                .is_some_and(|f| f.deques.iter().any(|d| !d.lock().unwrap().is_empty()))
+    }
+}
+
+impl Flow<'_> {
+    /// Steal round-robin from the other participants' deques (oldest
+    /// first).
+    ///
+    /// Stealing prefers victims holding **two or more** ready nodes —
+    /// taking an owner's last node strands it at its very next claim, which
+    /// on an oversubscribed machine means the victim (often the publishing
+    /// caller) parks behind the thief's timeslice. Singletons are still
+    /// taken as a second pass: two participants can share a slot, and a node
+    /// must stay claimable by everyone else whatever its owner is doing.
+    fn steal(&self, me: usize) -> Option<usize> {
+        let k = self.deques.len();
+        let victims = || (1..k).map(|off| &self.deques[(me + off) % k]);
+        let i = victims()
+            .find_map(|d| {
+                let mut d = d.lock().unwrap();
+                if d.len() >= 2 {
+                    d.pop_front()
+                } else {
+                    None
+                }
+            })
+            .or_else(|| victims().find_map(|d| d.lock().unwrap().pop_front()))?;
+        obs::add(obs::Counter::DataflowSteals, 1);
+        Some(i as usize)
+    }
+
+    /// Node `i` completed on participant `me`: decrement its successors and
+    /// push the ones it made ready onto `me`'s deque.
+    fn release(&self, me: usize, i: usize, idle_cv: &Condvar) {
+        let mut pushed = 0u64;
+        for &s in self.graph.succs(i) {
+            if self.pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                let mut d = self.deques[me].lock().unwrap();
+                d.push_back(s);
+                let surplus = d.len() > 1;
+                drop(d);
+                pushed += 1;
+                // Wake a parked participant only when there is more here
+                // than this participant will claim itself next (it pops its
+                // own deque back first): waking a thief for a node the
+                // pusher is about to run just creates contention — and on
+                // an oversubscribed machine, a thief the caller must then
+                // wait behind. Parked participants re-check on a bounded
+                // timeout anyway, so a skipped wakeup never strands work.
+                if surplus {
+                    idle_cv.notify_one();
+                }
+            }
+        }
+        if pushed > 0 {
+            obs::add(obs::Counter::DataflowReady, pushed);
         }
     }
 }
 
-/// One publication on the board: the work, its thread cap, and how many
+/// One publication on the board: the job, its thread cap, and how many
 /// threads are inside it (its publisher included).
 struct Posting {
-    work: Work,
+    job: Arc<Job<'static>>,
     cap: usize,
     /// Publication order: a waiting publisher helps only postings newer than
     /// its own.
@@ -482,15 +701,15 @@ struct Board {
 }
 
 impl Board {
-    /// Publish `work` for up to `cap` threads, its publisher seated; returns
+    /// Publish `job` for up to `cap` threads, its publisher seated; returns
     /// the posting's sequence number.
-    fn publish(&self, work: Work, cap: usize) -> u64 {
+    fn publish(&self, job: Arc<Job<'static>>, cap: usize) -> u64 {
         let mut live = self.live.lock().unwrap();
         live.seq += 1;
         let seq = live.seq;
-        live.posts.retain(|p| !p.work.finished());
+        live.posts.retain(|p| !p.job.finished());
         live.posts.push(Posting {
-            work,
+            job,
             cap,
             seq,
             seats: 1,
@@ -500,16 +719,16 @@ impl Board {
     }
 
     /// Seat the caller in the newest claimable posting newer than `after`
-    /// whose cap has room: its work and sequence number.
-    fn seat(live: &mut Live, after: u64) -> Option<(Work, u64)> {
+    /// whose cap has room: its job and sequence number.
+    fn seat(live: &mut Live, after: u64) -> Option<(Arc<Job<'static>>, u64)> {
         let mut newer = live.posts.iter_mut().rev().take_while(|p| p.seq > after);
-        let post = newer.find(|p| p.seats < p.cap && p.work.claimable())?;
+        let post = newer.find(|p| p.seats < p.cap && p.job.claimable())?;
         post.seats += 1;
-        Some((post.work.clone(), post.seq))
+        Some((Arc::clone(&post.job), post.seq))
     }
 
     /// Block until a posting seats the calling worker.
-    fn wait_for_seat(&self) -> (Work, u64) {
+    fn wait_for_seat(&self) -> (Arc<Job<'static>>, u64) {
         let mut live = self.live.lock().unwrap();
         loop {
             if let Some(seated) = Self::seat(&mut live, 0) {
@@ -525,7 +744,7 @@ impl Board {
         let mut live = self.live.lock().unwrap();
         if let Some(post) = live.posts.iter_mut().find(|p| p.seq == seq) {
             post.seats -= 1;
-            if post.work.claimable() {
+            if post.job.claimable() {
                 self.cv.notify_all();
             }
         }
@@ -534,18 +753,18 @@ impl Board {
     /// Run what is claimable in the newest posting newer than `after` that
     /// seats the caller, without parking. False when none did.
     fn help_newer(&self, after: u64) -> bool {
-        let Some((work, seq)) = Self::seat(&mut self.live.lock().unwrap(), after) else {
+        let Some((job, seq)) = Self::seat(&mut self.live.lock().unwrap(), after) else {
             return false;
         };
         {
-            // Run the items as a pool worker would (the caller's dispatch
+            // Run the nodes as a pool worker would (the caller's dispatch
             // mark is already up): without the caller's budget, which grants
-            // nothing to someone else's items.
+            // nothing to someone else's nodes.
             let _budget = CellRestore {
                 cell: &BUDGET,
                 prev: BUDGET.with(|c| c.replace(usize::MAX)),
             };
-            work.help_ready();
+            job.help_ready();
         }
         self.leave(seq);
         true
@@ -580,83 +799,71 @@ fn pool() -> &'static Pool {
 }
 
 /// A worker joins the newest claimable posting with a free seat, helps it
-/// until nothing is left to claim, and looks again.
+/// until nothing is left to claim, and looks again. A node's panic is
+/// caught inside the job, so the worker outlives it.
 fn worker_loop(board: Arc<Board>) {
     flush_subnormals_on_this_thread();
     loop {
-        let (work, seq) = board.wait_for_seat();
+        let (job, seq) = board.wait_for_seat();
         {
             let _mark = DispatchMark::enter();
             obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, 1);
-            work.help();
+            job.help();
             obs::metrics::gauge_add(obs::metrics::Gauge::ActiveWorkers, -1);
         }
         board.leave(seq);
     }
 }
 
-/// Run `f(0..n)` with up to `cap` threads (including the caller). The
-/// caller always participates and returns only when every item completed.
-fn run_batch(n: usize, cap: usize, f: &(dyn Fn(usize) + Sync)) {
-    if n == 0 {
-        return;
+/// The pool and the thread cap for a dispatch of `n` nodes under `policy`,
+/// or `None` when it runs alone on the calling thread: a sequential policy,
+/// one node, a cap of one, no pool worker, or a nested dispatch with no
+/// budget (`nested_inline`).
+fn fleet(policy: Policy, n: usize) -> Option<(&'static Pool, usize)> {
+    let policy = effective(policy, n);
+    if policy == Policy::Sequential {
+        return None;
     }
-    let cap = budgeted(cap);
+    let cap = budgeted(cap_of(policy));
     let p = pool();
     // Absolute re-stamp on every dispatch: the pool may predate telemetry
     // being switched on, so the init-time stamp alone is not enough.
     obs::metrics::gauge_set(obs::metrics::Gauge::PoolWorkers, p.workers as i64);
-    if n == 1 || cap <= 1 || p.workers == 0 || nested_inline(cap) {
-        for i in 0..n {
-            f(i);
-        }
-        obs::add(obs::Counter::ParTasks, n as u64);
-        obs::metrics::heartbeat(n as u64);
+    (n > 1 && cap > 1 && p.workers > 0 && !nested_inline(cap)).then_some((p, cap))
+}
+
+/// The one path under [`for_each_index`] and [`run_dataflow`]: run `f` on
+/// every node of `graph` (`None`: `n` independent items) in flush mode,
+/// with the caller participating, and return when every node is done —
+/// re-raising the first node's panic, if one panicked.
+fn dispatch(policy: Policy, n: usize, graph: Option<&DepGraph>, f: &(dyn Fn(usize) + Sync)) {
+    let _fp = FlushGuard::enter();
+    if n == 0 {
         return;
     }
-    let job = Arc::new(Job {
-        // Erase the lifetime: sound because this function does not return
-        // until `done == n` (see the wait below) and no item can start
-        // after that.
-        func: unsafe {
-            std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
-                f as *const _,
-            )
-        },
-        next: AtomicUsize::new(0),
-        n,
-        done: AtomicUsize::new(0),
-        finished: Mutex::new(false),
-        finished_cv: Condvar::new(),
-    });
-    let seq = p.board.publish(Work::Batch(Arc::clone(&job)), cap);
+    let Some((p, cap)) = fleet(policy, n) else {
+        return Job::new(f, n, graph, 1).join(None);
+    };
+    let job = Arc::new(Job::new(f, n, graph, cap.min(p.workers + 1)));
+    // SAFETY: only the job's borrows (`func`, `flow.graph`) carry the
+    // lifetime, and only a participant holding a claimed, unfinished node
+    // reads them: `claim` maps a root index through the graph only after
+    // taking one below `roots`, a deque holds only nodes not yet run, and
+    // `run_node` reads both before it counts its node done. `join` returns
+    // only once `done == n`: a node's panic is caught in `run_node`, and
+    // `join` re-raises it after that point, not before. The `Arc` outlives
+    // the borrows — the board keeps the posting until the next publish
+    // prunes it, a worker keeps its clone until it leaves — but nothing
+    // reads a borrowed field once every node is done.
+    let job = unsafe { std::mem::transmute::<Arc<Job<'_>>, Arc<Job<'static>>>(job) };
+    let seq = p.board.publish(Arc::clone(&job), cap);
     obs::add(obs::Counter::ParPublications, 1);
     let _mark = DispatchMark::enter();
-    // The caller works too — and while stragglers finish its last items, it
-    // helps what was published after this batch (nested in its items, or
-    // running beside them) instead of idling. It never takes an older
-    // posting: that could be the batch this dispatch is an item of.
-    job.help();
-    while job.done.load(Ordering::Acquire) != n {
-        if p.board.help_newer(seq) {
-            continue;
-        }
-        // The final `help` return races the last worker's notify; the
-        // timeout turns a lost wakeup into a bounded re-check, never a hang.
-        let _wait = obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none());
-        let fin = job.finished.lock().unwrap();
-        if !*fin {
-            drop(
-                job.finished_cv
-                    .wait_timeout(fin, std::time::Duration::from_millis(1))
-                    .unwrap(),
-            );
-        }
-    }
+    job.join(Some((&p.board, seq)));
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow execution: dependency-counted work stealing.
+// The entry points.
 // ---------------------------------------------------------------------------
 
 /// A static dependency graph for [`run_dataflow`]: node `i` may start once
@@ -672,6 +879,9 @@ pub struct DepGraph {
     succ_off: Vec<u32>,
     /// Concatenated successor lists.
     succ: Vec<u32>,
+    /// The nodes with no predecessor, ascending: the executor's root cursor
+    /// walks them.
+    roots: Vec<u32>,
 }
 
 impl DepGraph {
@@ -707,10 +917,14 @@ impl DepGraph {
                 cursor[p as usize] += 1;
             }
         }
+        let roots = (0..n as u32)
+            .filter(|&i| pred_count[i as usize] == 0)
+            .collect();
         DepGraph {
             pred_count,
             succ_off,
             succ,
+            roots,
         }
     }
 
@@ -735,294 +949,41 @@ impl DepGraph {
     }
 }
 
-/// One published dataflow graph execution.
-///
-/// Every participant loops: pop the newest entry of its own deque (LIFO —
-/// a tile it just unblocked likely shares halo data still in cache), or
-/// steal the oldest entry of another participant's deque (FIFO — take the
-/// work its owner would reach last). Completing a node decrements each
-/// successor's `pending` counter with `AcqRel`; the Release half publishes
-/// the node's writes to whichever thread later claims the successor, and
-/// the Acquire half makes the zero-transitioning thread observe every
-/// *other* predecessor's writes before it pushes the successor.
-struct DataflowJob {
-    /// Type-erased node runner; see `Job::func` for the lifetime contract
-    /// (the publishing caller's own `help` returns only at `done == n`).
-    func: *const (dyn Fn(usize) + Sync),
-    /// Node count.
-    n: usize,
-    /// Remaining-predecessor counters, one per node.
-    pending: Vec<AtomicU32>,
-    /// CSR successor offsets (copied from the `DepGraph`).
-    succ_off: Vec<u32>,
-    /// CSR successor lists.
-    succ: Vec<u32>,
-    /// Per-participant ready deques.
-    deques: Vec<Mutex<VecDeque<u32>>>,
-    /// Hands out deque slots to joining participants.
-    participants: AtomicUsize,
-    /// Completed nodes; the graph is finished when this reaches `n`.
-    done: AtomicUsize,
-    /// Set when `done == n`; idle participants park on it.
-    idle: Mutex<bool>,
-    /// Paired with `idle`: signalled on every ready push and at completion.
-    idle_cv: Condvar,
-}
-
-// SAFETY: same contract as `Job` — `func` is only dereferenced while the
-// publishing caller provably waits inside `run_dataflow`.
-unsafe impl Send for DataflowJob {}
-unsafe impl Sync for DataflowJob {}
-
-impl DataflowJob {
-    /// Participate until every node of the graph has completed. Because the
-    /// return condition is `done == n` (not "nothing left to claim"), the
-    /// publishing caller's own `help` doubles as the single join.
-    ///
-    /// `charge_idle` selects whether idle parks open a `BarrierWait` span:
-    /// true for the publishing caller only. `run_batch` spans exactly one
-    /// side too (the caller's straggler wait; its pool workers park on the
-    /// board unspanned), so the barrier-wait shares of edge-free graphs
-    /// (run as a batch) and dependency-counted ones compare like with like.
-    fn help(&self, charge_idle: bool) {
-        let me = self.join();
-        loop {
-            self.drain(me);
-            if self.done.load(Ordering::Acquire) == self.n {
-                return;
-            }
-            self.idle_wait(charge_idle);
-        }
-    }
-
-    /// Take a deque slot as a new participant.
-    fn join(&self) -> usize {
-        self.participants.fetch_add(1, Ordering::Relaxed) % self.deques.len()
-    }
-
-    /// Run nodes as participant `me` until none is ready.
-    fn drain(&self, me: usize) {
-        while let Some(i) = self.claim(me) {
-            self.run_node(me, i as usize);
-        }
-    }
-
-    /// Pop from our own deque (newest first), else steal round-robin from
-    /// the other participants (oldest first).
-    ///
-    /// Stealing prefers victims holding **two or more** ready nodes —
-    /// taking an owner's last node strands it at its very next claim, which
-    /// on an oversubscribed machine means the victim (often the publishing
-    /// caller) parks behind the thief's timeslice. Singletons are still
-    /// taken as a second pass: roots are seeded round-robin across every
-    /// deque slot, so a node in a slot whose participant never woke must
-    /// remain claimable by everyone else.
-    fn claim(&self, me: usize) -> Option<u32> {
-        if let Some(i) = self.deques[me].lock().unwrap().pop_back() {
-            return Some(i);
-        }
-        let k = self.deques.len();
-        for off in 1..k {
-            let mut d = self.deques[(me + off) % k].lock().unwrap();
-            if d.len() >= 2 {
-                let i = d.pop_front().expect("len >= 2");
-                drop(d);
-                obs::add(obs::Counter::DataflowSteals, 1);
-                return Some(i);
-            }
-        }
-        for off in 1..k {
-            if let Some(i) = self.deques[(me + off) % k].lock().unwrap().pop_front() {
-                obs::add(obs::Counter::DataflowSteals, 1);
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn run_node(&self, me: usize, i: usize) {
-        // SAFETY: done < n ⇒ the publishing caller is still parked in its
-        // own `help` call inside `run_dataflow`, keeping `func` alive.
-        unsafe { (*self.func)(i) };
-        obs::add(obs::Counter::ParTasks, 1);
-        obs::metrics::heartbeat(1);
-        let (s0, s1) = (self.succ_off[i] as usize, self.succ_off[i + 1] as usize);
-        let mut pushed = 0u64;
-        for &s in &self.succ[s0..s1] {
-            if self.pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut d = self.deques[me].lock().unwrap();
-                d.push_back(s);
-                let surplus = d.len() > 1;
-                drop(d);
-                pushed += 1;
-                // Wake a parked participant only when there is more here
-                // than this participant will claim itself next (it pops its
-                // own deque back first): waking a thief for a node the
-                // pusher is about to run just creates contention — and on
-                // an oversubscribed machine, a thief the caller must then
-                // wait behind. Parked participants re-check on a bounded
-                // timeout anyway, so a skipped wakeup never strands work.
-                if surplus {
-                    self.idle_cv.notify_one();
-                }
-            }
-        }
-        if pushed > 0 {
-            obs::add(obs::Counter::DataflowReady, pushed);
-        }
-        if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            let mut fin = self.idle.lock().unwrap();
-            *fin = true;
-            self.idle_cv.notify_all();
-        }
-    }
-
-    /// Park until a ready push or graph completion. A push can race past a
-    /// participant between its failed `claim` and this wait; the timeout
-    /// turns that lost wakeup into a bounded re-check, never a hang.
-    ///
-    /// The timeout backs off exponentially (1 ms → 16 ms): the normal
-    /// wake-up path is the `notify` on every ready push, so a longer guard
-    /// interval costs nothing when work arrives — but it keeps surplus
-    /// participants on an oversubscribed machine from waking on every
-    /// timeslice to steal work the running participant would finish sooner
-    /// itself.
-    fn idle_wait(&self, charge_idle: bool) {
-        let _wait =
-            charge_idle.then(|| obs::span(obs::SpanKind::BarrierWait, obs::SpanArgs::none()));
-        let mut timeout_ms = 1u64;
-        let mut fin = self.idle.lock().unwrap();
-        while !*fin && self.done.load(Ordering::Acquire) != self.n && !self.any_ready() {
-            let (guard, timed_out) = self
-                .idle_cv
-                .wait_timeout(fin, std::time::Duration::from_millis(timeout_ms))
-                .unwrap();
-            fin = guard;
-            if timed_out.timed_out() {
-                timeout_ms = (timeout_ms * 2).min(16);
-            }
-        }
-    }
-
-    /// True when any deque holds a ready node. Takes deque locks while
-    /// holding `idle` — safe because pushers never take `idle` while
-    /// holding a deque lock (completion takes `idle` alone).
-    fn any_ready(&self) -> bool {
-        self.deques.iter().any(|d| !d.lock().unwrap().is_empty())
-    }
-}
-
 /// Run `f(node)` once for every node of `graph`, never starting a node
 /// before all its predecessors returned, with up to `policy`'s thread
 /// budget (the caller always participates). Returns only when every node
-/// completed — the one join of the whole sweep.
+/// completed — the one join of the whole sweep. If a node panics, the nodes
+/// not yet started are skipped and the panic resumes on the caller once the
+/// running ones have returned.
 ///
-/// The graph must be acyclic: nodes on a cycle never become ready, so the
-/// sequential path panics and the parallel path would spin on its idle
-/// timeout forever. Validate with `legality::check_plan` (in
+/// The graph must be acyclic: nodes on a cycle never become ready, so a
+/// dispatch the caller runs alone panics and a parallel one would spin on
+/// its idle timeout forever. Validate with `legality::check_plan` (in
 /// `tempest-tiling`) when in doubt.
 ///
-/// An edge-free graph (every node a root) runs as one flat batch
-/// ([`for_each_index`]): no counters, deques or wake-ups to pay for, and
-/// the same `ParTasks` and `DataflowReady` counts, one per node.
+/// Counts one `DataflowReady` per node, whatever the policy: the roots
+/// here, every other node when its last predecessor completes. An
+/// edge-free graph runs as a flat batch, as [`for_each_index`] would.
 pub fn run_dataflow<F>(policy: Policy, graph: &DepGraph, f: F)
 where
     F: Fn(usize) + Sync + Send,
 {
-    let _fp = FlushGuard::enter();
-    let n = graph.len();
-    if n == 0 {
-        return;
-    }
-    if graph.succ.is_empty() {
-        obs::add(obs::Counter::DataflowReady, n as u64);
-        for_each_index(policy, n, f);
-        return;
-    }
-    let p = pool();
-    obs::metrics::gauge_set(obs::metrics::Gauge::PoolWorkers, p.workers as i64);
-    let pol = effective(policy, n);
-    let cap = budgeted(cap_of(pol));
-    if pol == Policy::Sequential || n == 1 || cap <= 1 || p.workers == 0 || nested_inline(cap) {
-        run_dataflow_seq(graph, &f);
-        return;
-    }
-    let parts = cap.min(p.workers + 1);
-    let job = Arc::new(DataflowJob {
-        // Lifetime erased under the same argument as `run_batch`: this
-        // function returns only after its own `help` observes `done == n`.
-        func: unsafe {
-            std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
-                &f as *const _,
-            )
-        },
-        n,
-        pending: graph
-            .pred_count
-            .iter()
-            .map(|&c| AtomicU32::new(c))
-            .collect(),
-        succ_off: graph.succ_off.clone(),
-        succ: graph.succ.clone(),
-        deques: (0..parts).map(|_| Mutex::new(VecDeque::new())).collect(),
-        participants: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        idle: Mutex::new(false),
-        idle_cv: Condvar::new(),
-    });
-    // Seed the roots round-robin so participants start with local work
-    // instead of all stealing from deque 0.
-    let mut roots = 0u64;
-    for i in 0..n {
-        if graph.pred_count[i] == 0 {
-            job.deques[roots as usize % parts]
-                .lock()
-                .unwrap()
-                .push_back(i as u32);
-            roots += 1;
-        }
-    }
-    assert!(roots > 0, "dataflow graph has no roots (dependency cycle)");
-    obs::add(obs::Counter::DataflowReady, roots);
-    p.board.publish(Work::Dataflow(Arc::clone(&job)), cap);
-    obs::add(obs::Counter::ParPublications, 1);
-    // The caller works too; for dataflow, `help` returning *is* the join,
-    // and the caller is the one participant whose idle opens `BarrierWait`.
-    {
-        let _mark = DispatchMark::enter();
-        job.help(true);
-    }
-    debug_assert_eq!(job.done.load(Ordering::Acquire), n);
+    assert!(
+        graph.is_empty() || !graph.roots.is_empty(),
+        "dataflow graph has no roots (dependency cycle)"
+    );
+    obs::add(obs::Counter::DataflowReady, graph.roots.len() as u64);
+    dispatch(policy, graph.len(), Some(graph), &f);
 }
 
-/// Sequential dataflow: a Kahn worklist in FIFO order. Emits the same
-/// deterministic counters as the parallel path (`ParTasks` and
-/// `DataflowReady` both equal the node count — every node becomes ready
-/// exactly once), so exact-count oracles agree across policies.
-fn run_dataflow_seq(graph: &DepGraph, f: &dyn Fn(usize)) {
-    let n = graph.len();
-    let mut pending = graph.pred_count.clone();
-    let mut ready: VecDeque<u32> = (0..n as u32)
-        .filter(|&i| pending[i as usize] == 0)
-        .collect();
-    let mut ran = 0usize;
-    while let Some(i) = ready.pop_front() {
-        f(i as usize);
-        ran += 1;
-        for &s in graph.succs(i as usize) {
-            pending[s as usize] -= 1;
-            if pending[s as usize] == 0 {
-                ready.push_back(s);
-            }
-        }
-    }
-    assert_eq!(
-        ran, n,
-        "dataflow graph has a dependency cycle: only {ran} of {n} nodes reachable"
-    );
-    obs::add(obs::Counter::ParTasks, ran as u64);
-    obs::metrics::heartbeat(ran as u64);
-    obs::add(obs::Counter::DataflowReady, ran as u64);
+/// Apply `f` to every index in `0..n`, under the given policy. If an item
+/// panics, the items not yet started are skipped and the panic resumes on
+/// the caller once the running ones have returned.
+pub fn for_each_index<F>(policy: Policy, n: usize, f: F)
+where
+    F: Fn(usize) + Sync + Send,
+{
+    dispatch(policy, n, None, &f);
 }
 
 /// Resolve a policy to Sequential / a thread cap for `n` items.
@@ -1047,92 +1008,30 @@ fn cap_of(policy: Policy) -> usize {
     }
 }
 
-/// Apply `f` to every item, under the given policy.
-pub fn for_each<T, F>(policy: Policy, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync + Send,
-{
-    let _fp = FlushGuard::enter();
-    match effective(policy, items.len()) {
-        Policy::Sequential => {
-            items.iter().for_each(&f);
-            obs::add(obs::Counter::ParTasks, items.len() as u64);
-            obs::metrics::heartbeat(items.len() as u64);
-        }
-        p => run_batch(items.len(), cap_of(p), &|i| f(&items[i])),
-    }
-}
-
-/// Apply `f` to every index in `0..n`, under the given policy.
-pub fn for_each_index<F>(policy: Policy, n: usize, f: F)
-where
-    F: Fn(usize) + Sync + Send,
-{
-    let _fp = FlushGuard::enter();
-    match effective(policy, n) {
-        Policy::Sequential => {
-            (0..n).for_each(f);
-            obs::add(obs::Counter::ParTasks, n as u64);
-            obs::metrics::heartbeat(n as u64);
-        }
-        p => run_batch(n, cap_of(p), &f),
-    }
-}
-
-/// A monotone counter shared across worker threads (progress accounting in
-/// long benchmark sweeps).
-#[derive(Debug, Default)]
-pub struct Progress {
-    done: AtomicUsize,
-}
-
-impl Progress {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` completed items; returns the new total.
-    pub fn add(&self, n: usize) -> usize {
-        self.done.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// Completed items so far.
-    pub fn get(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn for_each_visits_all_items_once() {
-        let items: Vec<u64> = (0..100).collect();
+    fn for_each_index_covers_range() {
         for policy in [
             Policy::Sequential,
             Policy::Parallel,
             Policy::Capped { threads: 2 },
             Policy::default(),
         ] {
-            let sum = AtomicU64::new(0);
-            for_each(policy, &items, |&v| {
-                sum.fetch_add(v, Ordering::Relaxed);
+            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            for_each_index(policy, 100, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
             });
-            assert_eq!(sum.load(Ordering::Relaxed), 4950);
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{policy:?}: an item ran other than once"
+            );
         }
-    }
-
-    #[test]
-    fn for_each_index_covers_range() {
-        let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        for_each_index(Policy::Parallel, 50, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -1155,10 +1054,9 @@ mod tests {
     fn repeated_dispatches_are_stable() {
         // Exercises job publication/retirement across many rounds — the
         // path the per-slab wavefront barriers hit.
-        let items: Vec<usize> = (0..37).collect();
         for round in 0..200 {
             let sum = AtomicUsize::new(0);
-            for_each(Policy::Parallel, &items, |&v| {
+            for_each_index(Policy::Parallel, 37, |v| {
                 sum.fetch_add(v + round, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), 666 + 37 * round);
@@ -1167,11 +1065,9 @@ mod tests {
 
     #[test]
     fn nested_dispatch_does_not_deadlock() {
-        let outer: Vec<usize> = (0..8).collect();
         let total = AtomicUsize::new(0);
-        for_each(Policy::Parallel, &outer, |_| {
-            let inner: Vec<usize> = (0..8).collect();
-            for_each(Policy::Parallel, &inner, |&v| {
+        for_each_index(Policy::Parallel, 8, |_| {
+            for_each_index(Policy::Parallel, 8, |v| {
                 total.fetch_add(v, Ordering::Relaxed);
             });
         });
@@ -1186,10 +1082,9 @@ mod tests {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 std::thread::spawn(|| {
-                    let items: Vec<usize> = (0..100).collect();
                     for _ in 0..50 {
                         let sum = AtomicUsize::new(0);
-                        for_each(Policy::Parallel, &items, |&v| {
+                        for_each_index(Policy::Parallel, 100, |v| {
                             sum.fetch_add(v, Ordering::Relaxed);
                         });
                         assert_eq!(sum.load(Ordering::Relaxed), 4950);
@@ -1298,8 +1193,7 @@ mod tests {
         let graph = DepGraph::from_preds(&preds);
         let total = AtomicUsize::new(0);
         run_dataflow(Policy::Parallel, &graph, |_| {
-            let inner: Vec<usize> = (0..8).collect();
-            for_each(Policy::Parallel, &inner, |&v| {
+            for_each_index(Policy::Parallel, 8, |v| {
                 total.fetch_add(v, Ordering::Relaxed);
             });
         });
@@ -1356,10 +1250,9 @@ mod tests {
         // inline, so this completes promptly — and every item still runs
         // exactly once.
         let t0 = std::time::Instant::now();
-        let outer: Vec<usize> = (0..16).collect();
         let counts: Vec<AtomicUsize> = (0..16 * 64).map(|_| AtomicUsize::new(0)).collect();
         for round in 0..8 {
-            for_each(Policy::Parallel, &outer, |&o| {
+            for_each_index(Policy::Parallel, 16, |o| {
                 // Inner flat batch.
                 for_each_index(Policy::Parallel, 64, |i| {
                     if round == 0 {
@@ -1501,13 +1394,176 @@ mod tests {
         );
     }
 
+    /// What the items of one dispatch saw: which threads ran them, and
+    /// how many ran outside flush mode.
+    struct RollCall {
+        want: usize,
+        seen: Mutex<HashSet<ThreadId>>,
+        gradual: AtomicUsize,
+    }
+
+    impl RollCall {
+        fn new(want: usize) -> Self {
+            RollCall {
+                want,
+                seen: Mutex::new(HashSet::new()),
+                gradual: AtomicUsize::new(0),
+            }
+        }
+
+        /// One item: report, then hold the item until `want` threads have
+        /// reported, so that each of them has to claim one. The wait is
+        /// bounded: a concurrent test's dispatch can take the board before a
+        /// worker wakes, and then the caller runs it all.
+        fn item(&self) {
+            if !subnormals_flushed() {
+                self.gradual.fetch_add(1, Ordering::Relaxed);
+            }
+            self.seen
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            let deadline = Instant::now() + Duration::from_millis(20);
+            while self.seen.lock().unwrap().len() < self.want && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Run `scenario` on a thread of its own and return what it returns (or
+    /// re-raise its panic), failing instead of hanging the suite when it
+    /// does not finish in time — the one case that leaves the thread
+    /// unjoined.
+    fn within<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(scenario)));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the dispatch did not return within 30 s");
+        thread.join().expect("the scenario's panic was caught");
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// What a dispatch with one panicking node did.
+    #[derive(Debug)]
+    enum Round {
+        /// No node ran on the thread meant to panic.
+        NoPanic,
+        /// A node panicked, and the dispatch returned normally.
+        Swallowed,
+        /// The dispatch raised `payload`; `late` nodes started after it did.
+        Raised { payload: String, late: usize },
+    }
+
+    /// Dispatch 200 nodes under `Policy::Parallel` — a flat batch, or two
+    /// chains of 100 — whose first node to run on the caller (`on_caller`)
+    /// or on a pool worker panics; the others sleep 1 ms. On a thread of
+    /// its own (`within`), so a lost join fails the test.
+    fn panic_round(chains: bool, on_caller: bool) -> Round {
+        within(move || {
+            const LEN: usize = 100;
+            let caller = std::thread::current().id();
+            let returned = AtomicBool::new(false);
+            let late = AtomicUsize::new(0);
+            let panicked = AtomicBool::new(false);
+            let node = |_: usize| {
+                if returned.load(Ordering::SeqCst) {
+                    late.fetch_add(1, Ordering::SeqCst);
+                }
+                let here = std::thread::current().id() == caller;
+                if here == on_caller && !panicked.swap(true, Ordering::SeqCst) {
+                    panic!("node panicked");
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                if chains {
+                    let preds: Vec<Vec<u32>> = (0..2 * LEN)
+                        .map(|i| {
+                            if i % LEN == 0 {
+                                vec![]
+                            } else {
+                                vec![i as u32 - 1]
+                            }
+                        })
+                        .collect();
+                    run_dataflow(Policy::Parallel, &DepGraph::from_preds(&preds), node);
+                } else {
+                    for_each_index(Policy::Parallel, 2 * LEN, node);
+                }
+            }));
+            returned.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(50));
+            match result {
+                Err(payload) => Round::Raised {
+                    payload: payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .unwrap_or("?")
+                        .into(),
+                    late: late.load(Ordering::SeqCst),
+                },
+                Ok(()) if panicked.load(Ordering::SeqCst) => Round::Swallowed,
+                Ok(()) => Round::NoPanic,
+            }
+        })
+    }
+
+    /// The first round in which the panicking node ran (a busy pool, shared
+    /// with concurrent tests, can leave a dispatch to its caller); check
+    /// that its panic reached the caller after every node had stopped.
+    fn check_panic_rounds(chains: bool, on_caller: bool) {
+        let shape = if chains { "two chains" } else { "flat batch" };
+        match (0..20)
+            .map(|_| panic_round(chains, on_caller))
+            .find(|r| !matches!(r, Round::NoPanic))
+        {
+            Some(Round::Raised { payload, late }) => {
+                assert_eq!(
+                    payload, "node panicked",
+                    "{shape}: the caller got another payload"
+                );
+                assert_eq!(
+                    late, 0,
+                    "{shape}: {late} nodes started after the dispatch returned"
+                );
+            }
+            Some(round) => panic!("{shape}: the node's panic was swallowed ({round:?})"),
+            None => panic!("{shape}: in 20 rounds the panicking node never ran"),
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_propagates_and_no_node_runs_after_the_dispatch() {
+        for chains in [false, true] {
+            check_panic_rounds(chains, true);
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_pool_worker_reaches_the_caller_and_the_pool_survives() {
+        if pool().workers == 0 {
+            return; // no pool worker to panic on
+        }
+        for chains in [false, true] {
+            check_panic_rounds(chains, false);
+            // Every worker outlived the panic: a dispatch still seats them all.
+            let want = pool().workers + 1;
+            let everyone = (0..200).any(|_| {
+                let roll = RollCall::new(want);
+                for_each_index(Policy::Parallel, 2 * want, |_| roll.item());
+                roll.seen.into_inner().unwrap().len() == want
+            });
+            assert!(everyone, "a pool worker is gone after the panic");
+        }
+    }
+
     /// The floating-point environment: only where the target has one.
     #[cfg(all(any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
     mod flush_mode {
         use super::*;
-        use std::collections::HashSet;
-        use std::thread::ThreadId;
-        use std::time::{Duration, Instant};
 
         #[test]
         fn guards_nest_and_restore_the_callers_mode() {
@@ -1550,42 +1606,11 @@ mod tests {
             .unwrap();
         }
 
-        /// What the items of one dispatch saw: which threads ran them, and
-        /// how many ran outside flush mode.
-        struct RollCall {
-            want: usize,
-            seen: Mutex<HashSet<ThreadId>>,
-            gradual: AtomicUsize,
-        }
-
-        impl RollCall {
-            /// One item: report, then hold the item until `want` threads have
-            /// reported, so that each of them has to claim one. The wait is
-            /// bounded: a concurrent test's dispatch can take the board
-            /// before a worker wakes, and then the caller runs it all.
-            fn item(&self) {
-                if !subnormals_flushed() {
-                    self.gradual.fetch_add(1, Ordering::Relaxed);
-                }
-                self.seen
-                    .lock()
-                    .unwrap()
-                    .insert(std::thread::current().id());
-                let deadline = Instant::now() + Duration::from_millis(20);
-                while self.seen.lock().unwrap().len() < self.want && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-            }
-        }
-
         type Entry<'a> = (&'a str, &'a dyn Fn(Policy, usize, &(dyn Fn() + Sync)));
 
         #[test]
         fn every_participant_of_every_entry_point_is_in_flush_mode() {
-            let entries: [Entry; 3] = [
-                ("for_each", &|p, n, item| {
-                    for_each(p, &vec![(); n], |_| item())
-                }),
+            let entries: [Entry; 2] = [
                 ("for_each_index", &|p, n, item| {
                     for_each_index(p, n, |_| item())
                 }),
@@ -1610,11 +1635,7 @@ mod tests {
                     // Repeat until every one of them has been seen at once.
                     let mut most = 0;
                     for _ in 0..200 {
-                        let roll = RollCall {
-                            want,
-                            seen: Mutex::new(HashSet::new()),
-                            gradual: AtomicUsize::new(0),
-                        };
+                        let roll = RollCall::new(want);
                         dispatch(policy, 2 * want, &|| roll.item());
                         assert_eq!(
                             roll.gradual.load(Ordering::Relaxed),
@@ -1646,14 +1667,6 @@ mod tests {
             });
             assert!(!subnormals_flushed());
         }
-    }
-
-    #[test]
-    fn progress_accumulates() {
-        let p = Progress::new();
-        assert_eq!(p.add(3), 3);
-        assert_eq!(p.add(4), 7);
-        assert_eq!(p.get(), 7);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tempest_grid::{Range3, Shape};
 use tempest_obs as obs;
 use tempest_obs::{SpanArgs, SpanKind};
-use tempest_par::{DepGraph, FlushGuard, Policy};
+use tempest_par::{DepGraph, Policy};
 
 use crate::wavefront::{tile_graph, tile_slab, Slab, WavefrontSpec};
 
@@ -193,8 +193,9 @@ pub struct IncrementalOutcome {
 /// The plan's graph must be acyclic ([`crate::legality::check_plan`]).
 /// Every node — restored or computed — executes as a dataflow task, so the
 /// scheduling counters (`ParTasks`, `DataflowReady`) are the same with and
-/// without a store. The whole sweep, store hooks included, runs in flush
-/// mode ([`FlushGuard`]).
+/// without a store. Every node, store hooks included, runs in flush mode:
+/// under `run_dataflow`'s `FlushGuard` on the caller, on a pool worker
+/// elsewhere; nothing outside the nodes does floating-point work.
 pub fn execute_plan<S>(
     plan: &TilePlan,
     vt0: usize,
@@ -205,7 +206,6 @@ pub fn execute_plan<S>(
 where
     S: Fn(usize, &Range3) + Sync + Send,
 {
-    let _fp = FlushGuard::enter();
     let reused = AtomicUsize::new(0);
     let label = |i: usize| SpanArgs {
         t0: plan.labels[i].t0 + vt0 as i32,

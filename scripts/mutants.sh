@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Mutation check: every `scripts/mutants/*.patch` breaks the code on purpose,
-# and the test its header names must then fail.
+# and the test its header names must then fail. There are 12: eleven in the
+# stencil kernels and one in tempest-par's dispatch join.
 #
 #   bash scripts/mutants.sh              every mutant
 #   bash scripts/mutants.sh FILE.patch   the given mutants only

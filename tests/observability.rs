@@ -15,6 +15,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -24,7 +25,7 @@ use tempest::core::sources::{ReceiverBundle, SourceBundle};
 use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Domain, ElasticModel, Model, Rng64, Shape, TtiModel};
 use tempest::obs::{self, Counter, SpanKind};
-use tempest::par::{for_each, Policy, Progress};
+use tempest::par::{for_each_index, Policy};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::Backend;
 
@@ -440,14 +441,13 @@ fn on_grid_points_give_literal_count_identity() {
 fn par_stress_seeded_irregular_batches_lose_nothing() {
     let _g = guard();
     let mut rng = Rng64::new(0x0b5e_4bab_5eed_0001);
-    let progress = Progress::new();
+    let progress = AtomicUsize::new(0);
     let mut total = 0u64;
     // 10k barriers with irregular (including empty) batch sizes across every
-    // policy: the Progress counter and the per-worker ParTasks shards must
-    // both account for every single item.
+    // policy: an item counter and the per-worker ParTasks shards must both
+    // account for every single item.
     for _ in 0..10_000 {
         let n = rng.range_usize(0, 33);
-        let items: Vec<u64> = (0..n as u64).collect();
         let policy = match rng.range_usize(0, 4) {
             0 => Policy::Sequential,
             1 => Policy::Parallel,
@@ -456,13 +456,17 @@ fn par_stress_seeded_irregular_batches_lose_nothing() {
                 threads: 1 + rng.range_usize(0, 4),
             },
         };
-        for_each(policy, &items, |v| {
-            progress.add(1);
-            std::hint::black_box(v);
+        for_each_index(policy, n, |i| {
+            progress.fetch_add(1, Ordering::Relaxed);
+            std::hint::black_box(i);
         });
         total += n as u64;
     }
-    assert_eq!(progress.get() as u64, total, "Progress lost updates");
+    assert_eq!(
+        progress.into_inner() as u64,
+        total,
+        "the item counter lost updates"
+    );
     let p = obs::snapshot();
     assert_eq!(
         p.counter(Counter::ParTasks),

@@ -53,7 +53,7 @@ use tempest::core::{Acoustic, Elastic, SimConfig, Tti, WaveSolver};
 use tempest::grid::{
     Array3, DampingMask, Domain, ElasticModel, Model, Range3, Rng64, Shape, TtiModel,
 };
-use tempest::par::{for_each, FlushGuard, Policy};
+use tempest::par::{for_each_index, FlushGuard, Policy};
 use tempest::sparse::SparsePoints;
 use tempest::stencil::kernels::{
     first_diff_axis, laplacian_at, second_diff_axis, staggered_diff_bwd, staggered_diff_fwd,
@@ -660,7 +660,8 @@ fn check_cases(orders: &[usize], fixture: Fixture, make: impl Fn(usize, usize) -
                     assert_eq!(covered, shape().len(), "{name} must cover the domain once");
                     for policy in policies {
                         load(s, &case.inputs);
-                        for_each(policy, &regions, |r| {
+                        for_each_index(policy, regions.len(), |j| {
+                            let r = &regions[j];
                             s.step_region(vt, r, SparseMode::Classic, KernelPath::from(backend));
                         });
                         let got = written_bits(s, vt);
