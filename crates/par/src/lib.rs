@@ -1012,6 +1012,7 @@ fn cap_of(policy: Policy) -> usize {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
@@ -1031,6 +1032,25 @@ mod tests {
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "{policy:?}: an item ran other than once"
             );
+        }
+    }
+
+    #[test]
+    fn for_each_visits_all_items_once() {
+        // A slice walked through its indices: each item is seen exactly
+        // once, so the values sum to the closed form.
+        let items: Vec<u64> = (0..100).collect();
+        for policy in [
+            Policy::Sequential,
+            Policy::Parallel,
+            Policy::Capped { threads: 2 },
+            Policy::default(),
+        ] {
+            let sum = AtomicU64::new(0);
+            for_each_index(policy, items.len(), |i| {
+                sum.fetch_add(items[i], Ordering::Relaxed);
+            });
+            assert_eq!(sum.load(Ordering::Relaxed), 4950, "{policy:?}");
         }
     }
 
