@@ -464,9 +464,9 @@ impl<'a> Job<'a> {
     }
 
     /// Run whatever is claimable right now, never parking: for a thread with
-    /// a join of its own to get back to.
-    fn help_ready(&self) {
-        self.drain(self.slot());
+    /// a join of its own to get back to. False when nothing was.
+    fn help_ready(&self) -> bool {
+        self.drain(self.slot()) > 0
     }
 
     /// The publisher's participation, the dispatch's one join: run nodes,
@@ -519,11 +519,14 @@ impl<'a> Job<'a> {
         self.done.load(Ordering::Acquire) == self.n
     }
 
-    /// Run nodes as participant `me` until none is ready.
-    fn drain(&self, me: usize) {
+    /// Run nodes as participant `me` until none is ready; how many it ran.
+    fn drain(&self, me: usize) -> usize {
+        let mut ran = 0;
         while let Some(i) = self.claim(me) {
             self.run_node(me, i);
+            ran += 1;
         }
+        ran
     }
 
     /// Pop from our own deque (newest first), else take the next root, else
@@ -751,12 +754,15 @@ impl Board {
     }
 
     /// Run what is claimable in the newest posting newer than `after` that
-    /// seats the caller, without parking. False when none did.
+    /// seats the caller, without parking. False when it ran nothing: no
+    /// posting seated the caller, or the one that did (a graph whose
+    /// remaining nodes all wait on predecessors) had no node ready — the
+    /// caller then parks instead of seating itself again at once.
     fn help_newer(&self, after: u64) -> bool {
         let Some((job, seq)) = Self::seat(&mut self.live.lock().unwrap(), after) else {
             return false;
         };
-        {
+        let ran = {
             // Run the nodes as a pool worker would (the caller's dispatch
             // mark is already up): without the caller's budget, which grants
             // nothing to someone else's nodes.
@@ -764,10 +770,10 @@ impl Board {
                 cell: &BUDGET,
                 prev: BUDGET.with(|c| c.replace(usize::MAX)),
             };
-            job.help_ready();
-        }
+            job.help_ready()
+        };
         self.leave(seq);
-        true
+        ran
     }
 }
 
@@ -1412,6 +1418,38 @@ mod tests {
         panic!(
             "in {conclusive} rounds, no thread joined the long job after the short one finished"
         );
+    }
+
+    #[test]
+    fn help_newer_reports_a_seat_with_nothing_ready_as_no_help() {
+        // A waiting publisher parks when `help_newer` says false. A newer
+        // graph whose only unfinished nodes wait on a running predecessor
+        // seats the caller but has nothing to run: saying true there would
+        // send the publisher straight back to the board, spinning.
+        fn nop(_: usize) {}
+        let f: &'static (dyn Fn(usize) + Sync) = &nop;
+        let graph: &'static DepGraph =
+            Box::leak(Box::new(DepGraph::from_preds(&[vec![], vec![0]])));
+        let job = Arc::new(Job::new(f, 2, Some(graph), 2));
+        let board = Board {
+            live: Mutex::new(Live {
+                seq: 0,
+                posts: Vec::new(),
+            }),
+            cv: Condvar::new(),
+        };
+        board.publish(Arc::clone(&job), 4);
+        assert_eq!(job.claim(0), Some(0), "the root is claimable");
+        assert!(
+            !board.help_newer(0),
+            "node 1 waits on node 0, yet help was reported"
+        );
+        job.run_node(0, 0);
+        assert!(
+            board.help_newer(0),
+            "node 1 is ready, yet no help was reported"
+        );
+        assert!(job.finished());
     }
 
     /// What the items of one dispatch saw: which threads ran them, and
