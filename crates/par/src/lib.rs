@@ -378,25 +378,21 @@ fn nested_inline(cap: usize) -> bool {
 /// it and still release its successors, and the publisher re-raises the
 /// payload once every node is done — as `std::thread::scope` does.
 struct Job<'a> {
-    /// The node runner, borrowed from the publishing caller.
-    func: &'a (dyn Fn(usize) + Sync),
+    /// What the job borrows from its publisher's frame.
+    frame: &'a Frame<'a>,
     /// Node count.
     n: usize,
-    /// Root count (`n` for an edge-free graph), held here because the
-    /// graph's own list may be read only for a root still unclaimed.
-    roots: usize,
     /// Next unclaimed root.
     next: AtomicUsize,
-    /// Dependency state; `None` for an edge-free graph.
-    flow: Option<Flow<'a>>,
+    /// Dependency state; `None` for an edge-free graph. Boxed, so a flat
+    /// batch's job keeps its size (see the assertion below).
+    flow: Option<Box<Flow<'a>>>,
     /// Completed nodes, run or skipped; the job is finished at `n`.
     done: AtomicUsize,
     /// Set once a node panicked: later nodes are skipped. `Relaxed`: it
     /// publishes nothing (the payload has its own lock), and a node that
     /// misses it merely runs.
     poisoned: AtomicBool,
-    /// The first panicking node's payload, for the publisher to resume.
-    payload: Mutex<Option<Box<dyn Any + Send>>>,
     /// Set when `done == n`; idle participants park on it.
     idle: Mutex<bool>,
     /// Paired with `idle`: signalled on a surplus ready push and at
@@ -404,9 +400,30 @@ struct Job<'a> {
     idle_cv: Condvar,
 }
 
+// A flat batch's publication makes one allocation, its `Arc<Job>`: 72
+// bytes at this size, as before batches and graphs shared a job type.
+// glibc serves each size from its own bins, and which chunk a publication
+// takes decides whether the heap is trimmed between a caller's large frees
+// and allocations: at 104, 128 or 168 bytes `tti_so8_128`'s `setup_s` rose
+// from about 0.05 s to 0.08 s (DESIGN.md §14).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Job<'static>>() == 56);
+
+/// What a job borrows from its publisher's frame, which outlives every
+/// read of it (see `dispatch`).
+struct Frame<'a> {
+    /// The node runner.
+    func: &'a (dyn Fn(usize) + Sync),
+    /// The first panicking node's payload, for the publisher to resume.
+    payload: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
 /// The dependency state of a graph with edges.
 struct Flow<'a> {
     graph: &'a DepGraph,
+    /// Root count, held here because the graph's own list may be read only
+    /// for a root still unclaimed.
+    roots: usize,
     /// Remaining-predecessor counters, one per node.
     pending: Vec<AtomicU32>,
     /// Per-participant ready deques.
@@ -418,31 +435,27 @@ struct Flow<'a> {
 impl<'a> Job<'a> {
     /// A job over `graph` (`None`: `n` independent items) for up to
     /// `parts` participants.
-    fn new(
-        func: &'a (dyn Fn(usize) + Sync),
-        n: usize,
-        graph: Option<&'a DepGraph>,
-        parts: usize,
-    ) -> Self {
+    fn new(frame: &'a Frame<'a>, n: usize, graph: Option<&'a DepGraph>, parts: usize) -> Self {
         let graph = graph.filter(|g| !g.succ.is_empty());
         Job {
-            func,
+            frame,
             n,
-            roots: graph.map_or(n, |g| g.roots.len()),
             next: AtomicUsize::new(0),
-            flow: graph.map(|graph| Flow {
-                graph,
-                pending: graph
-                    .pred_count
-                    .iter()
-                    .map(|&c| AtomicU32::new(c))
-                    .collect(),
-                deques: (0..parts).map(|_| Mutex::new(VecDeque::new())).collect(),
-                participants: AtomicUsize::new(0),
+            flow: graph.map(|graph| {
+                Box::new(Flow {
+                    graph,
+                    roots: graph.roots.len(),
+                    pending: graph
+                        .pred_count
+                        .iter()
+                        .map(|&c| AtomicU32::new(c))
+                        .collect(),
+                    deques: (0..parts).map(|_| Mutex::new(VecDeque::new())).collect(),
+                    participants: AtomicUsize::new(0),
+                })
             }),
             done: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
-            payload: Mutex::new(None),
             idle: Mutex::new(false),
             idle_cv: Condvar::new(),
         }
@@ -493,7 +506,7 @@ impl<'a> Job<'a> {
                 self.idle_wait(true);
             }
         }
-        if let Some(payload) = self.payload.lock().unwrap().take() {
+        if let Some(payload) = self.frame.payload.lock().unwrap().take() {
             panic::resume_unwind(payload);
         }
     }
@@ -509,9 +522,14 @@ impl<'a> Job<'a> {
     /// claimed or, in a graph with edges, a node not yet completed?
     fn claimable(&self) -> bool {
         match self.flow {
-            None => self.next.load(Ordering::Relaxed) < self.roots,
+            None => self.next.load(Ordering::Relaxed) < self.n,
             Some(_) => !self.finished(),
         }
+    }
+
+    /// Root count: `n` for an edge-free graph.
+    fn roots(&self) -> usize {
+        self.flow.as_ref().map_or(self.n, |f| f.roots)
     }
 
     /// Has every node completed?
@@ -533,13 +551,14 @@ impl<'a> Job<'a> {
     /// steal. The cursor is loaded before it is bumped, so claims that find
     /// it exhausted do not keep writing its cache line.
     fn claim(&self, me: usize) -> Option<usize> {
-        let flow = self.flow.as_ref();
+        let flow = self.flow.as_deref();
         if let Some(i) = flow.and_then(|f| f.deques[me].lock().unwrap().pop_back()) {
             return Some(i as usize);
         }
-        if self.next.load(Ordering::Relaxed) < self.roots {
+        let roots = self.roots();
+        if self.next.load(Ordering::Relaxed) < roots {
             let r = self.next.fetch_add(1, Ordering::Relaxed);
-            if r < self.roots {
+            if r < roots {
                 return Some(flow.map_or(r, |f| f.graph.roots[r] as usize));
             }
         }
@@ -548,13 +567,13 @@ impl<'a> Job<'a> {
 
     fn run_node(&self, me: usize, i: usize) {
         if !self.poisoned.load(Ordering::Relaxed) {
-            match panic::catch_unwind(AssertUnwindSafe(|| (self.func)(i))) {
+            match panic::catch_unwind(AssertUnwindSafe(|| (self.frame.func)(i))) {
                 Ok(()) => {
                     obs::add(obs::Counter::ParTasks, 1);
                     obs::metrics::heartbeat(1);
                 }
                 Err(payload) => {
-                    self.payload.lock().unwrap().get_or_insert(payload);
+                    self.frame.payload.lock().unwrap().get_or_insert(payload);
                     self.poisoned.store(true, Ordering::Relaxed);
                 }
             }
@@ -604,7 +623,7 @@ impl<'a> Job<'a> {
     /// deque locks while holding `idle` — safe because pushers never take
     /// `idle` while holding a deque lock (completion takes `idle` alone).
     fn any_ready(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.roots
+        self.next.load(Ordering::Relaxed) < self.roots()
             || self
                 .flow
                 .as_ref()
@@ -847,17 +866,22 @@ fn dispatch(policy: Policy, n: usize, graph: Option<&DepGraph>, f: &(dyn Fn(usiz
     if n == 0 {
         return;
     }
-    let Some((p, cap)) = fleet(policy, n) else {
-        return Job::new(f, n, graph, 1).join(None);
+    let frame = Frame {
+        func: f,
+        payload: Mutex::new(None),
     };
-    let job = Arc::new(Job::new(f, n, graph, cap.min(p.workers + 1)));
-    // SAFETY: only the job's borrows (`func`, `flow.graph`) carry the
-    // lifetime, and only a participant holding a claimed, unfinished node
-    // reads them: `claim` maps a root index through the graph only after
-    // taking one below `roots`, a deque holds only nodes not yet run, and
-    // `run_node` reads both before it counts its node done. `join` returns
-    // only once `done == n`: a node's panic is caught in `run_node`, and
-    // `join` re-raises it after that point, not before. The `Arc` outlives
+    let Some((p, cap)) = fleet(policy, n) else {
+        return Job::new(&frame, n, graph, 1).join(None);
+    };
+    let job = Arc::new(Job::new(&frame, n, graph, cap.min(p.workers + 1)));
+    // SAFETY: only the job's borrows (`frame`, `flow.graph`) carry the
+    // lifetime, and besides the publisher, whose frame this is, only a
+    // participant holding a claimed, unfinished node reads them: `claim`
+    // maps a root index through the graph only after taking one below the
+    // root count, a deque holds only nodes not yet run, and `run_node` reads
+    // them before it counts its node done. `join` returns only once
+    // `done == n`: a node's panic is caught in `run_node`, and `join`
+    // re-raises it after that point, not before. The `Arc` outlives
     // the borrows — the board keeps the posting until the next publish
     // prunes it, a worker keeps its clone until it leaves — but nothing
     // reads a borrowed field once every node is done.
@@ -1427,10 +1451,13 @@ mod tests {
         // seats the caller but has nothing to run: saying true there would
         // send the publisher straight back to the board, spinning.
         fn nop(_: usize) {}
-        let f: &'static (dyn Fn(usize) + Sync) = &nop;
+        let frame: &'static Frame = Box::leak(Box::new(Frame {
+            func: &nop,
+            payload: Mutex::new(None),
+        }));
         let graph: &'static DepGraph =
             Box::leak(Box::new(DepGraph::from_preds(&[vec![], vec![0]])));
-        let job = Arc::new(Job::new(f, 2, Some(graph), 2));
+        let job = Arc::new(Job::new(frame, 2, Some(graph), 2));
         let board = Board {
             live: Mutex::new(Live {
                 seq: 0,
