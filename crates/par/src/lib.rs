@@ -773,10 +773,12 @@ impl Board {
     }
 
     /// Run what is claimable in the newest posting newer than `after` that
-    /// seats the caller, without parking. False when it ran nothing: no
-    /// posting seated the caller, or the one that did (a graph whose
-    /// remaining nodes all wait on predecessors) had no node ready — the
-    /// caller then parks instead of seating itself again at once.
+    /// seats the caller, without parking. False when no posting seated the
+    /// caller, or when the one that did is a graph with no node ready (its
+    /// remaining nodes all wait on predecessors): the caller then parks
+    /// instead of seating itself there again at once. A seat in a flat batch
+    /// counts even if another thread took its last item first — that batch
+    /// can no longer seat anyone, so looking again at once cannot spin.
     fn help_newer(&self, after: u64) -> bool {
         let Some((job, seq)) = Self::seat(&mut self.live.lock().unwrap(), after) else {
             return false;
@@ -792,7 +794,7 @@ impl Board {
             job.help_ready()
         };
         self.leave(seq);
-        ran
+        ran || job.flow.is_none()
     }
 }
 
